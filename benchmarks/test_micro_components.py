@@ -167,16 +167,17 @@ def test_naive_window_operator_throughput(benchmark, stream):
 
 
 def test_sliced_window_operator_throughput(benchmark, stream):
+    from repro.engine.aggregate_op import WindowAggregateOperator
     from repro.engine.pipeline import run_pipeline
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
     from repro.engine.windows import SlidingWindowAssigner
 
     def run():
-        operator = SlicedWindowAggregateOperator(
+        operator = WindowAggregateOperator(
             SlidingWindowAssigner(10, 1),
             MeanAggregate(),
             KSlackHandler(0.5),
             track_feedback=False,
+            mode="sliced",
         )
         return len(run_pipeline(stream, operator).results)
 

@@ -57,7 +57,9 @@ ROOT_CLASSES: tuple[str, ...] = (
     "SharedAQKBuffer",
     "PartialAggregateTree",
     "_SliceTree",
-    "TreeWindowAggregateOperator",
+    "WindowAggregateOperator",
+    "_PerWindowStore",
+    "_SliceStore",
     "SortingBuffer",
     "MetricsRegistry",
     "TraceRecorder",

@@ -359,11 +359,12 @@ class _ShadowAggregate(AggregateFunction):
 class NumSanOperator:
     """Operator proxy that runs the aggregate shadow-checked.
 
-    Swaps the wrapped operator's ``aggregate`` attribute (and the
-    partial-aggregate tree's captured reference, when present) for the
-    shadow, forwards the operator protocol, and keeps the sanitizer's
-    simulated clock current so findings and trace records carry the run's
-    time base.  Any other attribute falls through to the wrapped operator.
+    Swaps the wrapped operator's ``aggregate`` attribute for the shadow
+    (the window operator routes the assignment to whichever store holds
+    its window state), forwards the operator protocol, and keeps the
+    sanitizer's simulated clock current so findings and trace records
+    carry the run's time base.  Any other attribute falls through to the
+    wrapped operator.
     """
 
     def __init__(self, inner: Any, san: NumSan) -> None:
@@ -378,12 +379,6 @@ class NumSanOperator:
         shadow = san.shadow_aggregate(aggregate)
         self.shadow = shadow
         inner.aggregate = shadow
-        # The partial-aggregate tree captures the aggregate at
-        # construction; swap its reference too or tree-mode folds would
-        # run unmirrored.
-        tree = getattr(inner, "_tree", None)
-        if tree is not None and getattr(tree, "aggregate", None) is aggregate:
-            tree.aggregate = shadow
 
     @property
     def report(self) -> NumSanReport:

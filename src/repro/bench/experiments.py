@@ -952,8 +952,6 @@ def e17_sliced_execution(scale: float = 1.0) -> ExperimentResult:
     The win grows with window overlap (size/slide), so the table sweeps
     the overlap factor.
     """
-    from repro.engine.aggregate_op import WindowAggregateOperator
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
     from repro.engine.handlers import KSlackHandler
 
     stream = WorkloadSpec().scaled(scale).build()
@@ -974,8 +972,12 @@ def e17_sliced_execution(scale: float = 1.0) -> ExperimentResult:
         naive = WindowAggregateOperator(
             assigner, make_aggregate("mean"), KSlackHandler(1.0), track_feedback=False
         )
-        sliced = SlicedWindowAggregateOperator(
-            assigner, make_aggregate("mean"), KSlackHandler(1.0), track_feedback=False
+        sliced = WindowAggregateOperator(
+            assigner,
+            make_aggregate("mean"),
+            KSlackHandler(1.0),
+            track_feedback=False,
+            mode="sliced",
         )
         naive_out = run_pipeline(stream, naive)
         sliced_out = run_pipeline(stream, sliced)
@@ -1009,7 +1011,6 @@ def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
     semantics are identical, so ``results_equal`` is checked in-table.
     """
     from repro.engine.handlers import KSlackHandler
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
 
     stream = WorkloadSpec().scaled(scale).build()
     assigner = SlidingWindowAssigner(size=20.0, slide=1.0)
@@ -1042,11 +1043,12 @@ def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
             ),
             (
                 "sliced",
-                lambda: SlicedWindowAggregateOperator(
+                lambda: WindowAggregateOperator(
                     assigner,
                     make_aggregate("mean"),
                     KSlackHandler(1.0),
                     track_feedback=False,
+                    mode="sliced",
                 ),
             ),
             (
@@ -1099,9 +1101,9 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
 
     Two sections in one table.  The *overlap sweep* (``overlap=N`` rows)
     holds the slide at 0.125s and grows the window, so per-close cost
-    dominates: the naive operator folds every element into ``overlap``
-    windows, the sliced operator merges an ``overlap``-long slice chain
-    per close, and the tree merges O(log overlap) cached partials.  The
+    dominates: naive mode folds every element into ``overlap`` windows,
+    sliced mode merges an ``overlap``-long slice chain per close, and
+    tree mode merges O(log overlap) cached partials.  The
     *multi-query* row runs four concurrent AQ-K count queries (the E11
     workload) three ways — one naive pipeline per query (what E11
     measures today), one tree pipeline per query, and a single
@@ -1111,12 +1113,7 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
     import time
 
     from repro.engine.handlers import KSlackHandler
-    from repro.engine.partial_tree import (
-        SharedSliceStore,
-        TreeWindowAggregateOperator,
-        run_shared_slices,
-    )
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
+    from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 
     stream = WorkloadSpec().scaled(scale).build()
     slide = 0.125
@@ -1155,17 +1152,19 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
                 KSlackHandler(1.0),
                 track_feedback=False,
             ),
-            "sliced": SlicedWindowAggregateOperator(
+            "sliced": WindowAggregateOperator(
                 assigner,
                 make_aggregate("count"),
                 KSlackHandler(1.0),
                 track_feedback=False,
+                mode="sliced",
             ),
-            "tree": TreeWindowAggregateOperator(
+            "tree": WindowAggregateOperator(
                 assigner,
                 make_aggregate("count"),
                 KSlackHandler(1.0),
                 track_feedback=False,
+                mode="tree",
             ),
         }
         outputs = {
@@ -1213,8 +1212,8 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
         )
     )
     tree_maps, tree_wall = independent(
-        lambda handler: TreeWindowAggregateOperator(
-            standard_query(), make_aggregate(aggregate_name), handler
+        lambda handler: WindowAggregateOperator(
+            standard_query(), make_aggregate(aggregate_name), handler, mode="tree"
         )
     )
 
@@ -1298,10 +1297,10 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
     """Table E20: sharded execution vs single-pipeline sliced/tree.
 
     A 16-key workload under a high-overlap sliding window (overlap 64:
-    8s window, 0.125s slide) — the regime where per-close cost dominates
-    and PR 6's tree mode already beats sliced chains.  Sharding routes
+    8s window, 0.125s slide) — the regime where per-close cost
+    dominates.  Sharding routes
     each key to one of N shards, so every shard closes windows over 1/N
-    of the keys with its own tree operator; the deterministic merge then
+    of the keys with its own tree-mode operator; the deterministic merge then
     recombines per-shard windows.  Throughput is wall-clock elements/s
     over the whole run (routing + shard execution + merge).  K is the
     empirical max delay plus epsilon so nothing is late and every config
@@ -1309,15 +1308,14 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
     counts against the single-pipeline sliced run).
 
     Note on parallelism: the thread-per-shard executor interleaves under
-    the GIL, so the speedup measured here is *algorithmic* — per-shard
-    operators track fewer concurrent windows and shorter merge chains —
-    not core-parallelism.  On free-threaded builds the same seam scales
-    with cores.
+    the GIL, so nothing here is core-parallelism; per-shard operators
+    track fewer concurrent windows, which beat the old sliced operator's
+    overlap-proportional bookkeeping but not the slice store both
+    single-pipeline rows run on now.  On free-threaded builds the same
+    seam scales with cores.
     """
     from repro.engine.handlers import KSlackHandler
     from repro.engine.parallel import ShardedWindowOperator
-    from repro.engine.partial_tree import TreeWindowAggregateOperator
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
 
     stream = (
         WorkloadSpec(
@@ -1353,19 +1351,21 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
         }
 
     def make_sliced():
-        return SlicedWindowAggregateOperator(
+        return WindowAggregateOperator(
             assigner,
             make_aggregate(aggregate_name),
             KSlackHandler(k),
             track_feedback=False,
+            mode="sliced",
         )
 
     def make_tree():
-        return TreeWindowAggregateOperator(
+        return WindowAggregateOperator(
             assigner,
             make_aggregate(aggregate_name),
             KSlackHandler(k),
             track_feedback=False,
+            mode="tree",
         )
 
     def make_sharded(n_shards):
@@ -1428,7 +1428,6 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
     """
     from repro.engine.handlers import KSlackHandler
     from repro.engine.parallel import ShardedWindowOperator, ThreadShardExecutor
-    from repro.engine.partial_tree import TreeWindowAggregateOperator
     from repro.engine.process_pool import ProcessShardExecutor
 
     stream = (
@@ -1467,11 +1466,12 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
     )
 
     def make_tree():
-        return TreeWindowAggregateOperator(
+        return WindowAggregateOperator(
             assigner,
             make_aggregate(aggregate_name),
             KSlackHandler(k),
             track_feedback=False,
+            mode="tree",
         )
 
     def make_sharded(n_shards, executor_factory):

@@ -182,8 +182,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{args.trace} has elements without arrival timestamps"
         )
     query = parse_query(args.sql).from_elements(stream)
-    if args.sliced:
-        query = query.sliced()
     if args.mode is not None:
         query = query.mode(args.mode)
     recorder = None
@@ -316,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         help='e.g. "SELECT mean(value) FROM stream GROUP BY HOP(10, 2) '
         'WITH QUALITY 0.05"',
     )
-    sql.add_argument("--sliced", action="store_true", help="sliced execution")
     sql.add_argument(
         "--mode",
         choices=["naive", "sliced", "tree"],
         default=None,
-        help="execution mode (overrides --sliced when given)",
+        help="execution mode (default: naive)",
     )
     sql.add_argument("--no-assess", action="store_true", help="skip the oracle")
     sql.add_argument(

@@ -1,6 +1,7 @@
 """Continuous-query engine: operators, windows, aggregates, disorder handling."""
 
 from repro.engine.aggregate_op import (
+    EXECUTION_MODES,
     OperatorStats,
     WindowAggregateOperator,
     relative_error,
@@ -31,13 +32,7 @@ from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
 from repro.engine.multisource import MultiSourceWatermarkHandler
 from repro.engine.operator import Operator, WindowResult
 from repro.engine.oracle import oracle_results
-from repro.engine.partial_tree import (
-    EXECUTION_MODES,
-    SharedSliceStore,
-    TreeWindowAggregateOperator,
-    make_window_operator,
-    run_shared_slices,
-)
+from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.parallel import (
     ShardExecutor,
     ShardRunner,
@@ -68,7 +63,6 @@ from repro.engine.pattern import (
     pattern_recall,
 )
 from repro.engine.session_op import SessionAggregateOperator
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
 from repro.engine.topk import ApproxTopKAggregate, TopKCountAggregate
 from repro.engine.sketches import (
     ApproxDistinctAggregate,
@@ -137,7 +131,6 @@ __all__ = [
     "ShardedWindowOperator",
     "SharedSliceStore",
     "SlackSample",
-    "SlicedWindowAggregateOperator",
     "SlidingWindowAssigner",
     "SortingBuffer",
     "SpaceSaving",
@@ -146,7 +139,6 @@ __all__ = [
     "SumAggregate",
     "ThreadShardExecutor",
     "TopKCountAggregate",
-    "TreeWindowAggregateOperator",
     "TumblingWindowAssigner",
     "Window",
     "WindowAggregateOperator",
@@ -158,7 +150,6 @@ __all__ = [
     "initial_latencies",
     "load_checkpoint",
     "make_aggregate",
-    "make_window_operator",
     "oracle_join_pairs",
     "oracle_pattern_matches",
     "oracle_results",

@@ -29,7 +29,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.core.numeric import relative_drift
 from repro.engine.aggregates import AggregateFunction
@@ -39,7 +41,10 @@ from repro.engine.windows import SlidingWindowAssigner, Window, WindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
-from repro.streams.timebase import EventTimeStamp
+from repro.streams.timebase import ArrivalTimeStamp, DurationS, EventTimeStamp
+
+if TYPE_CHECKING:
+    from repro.engine.partial_tree import _SliceStore, _SliceTree
 
 
 class _SliceAssignCache:
@@ -61,6 +66,8 @@ class _SliceAssignCache:
     Timestamps outside the interval — and pathological rounding cases where
     the window list is not a contiguous index run — fall back to ``assign``.
     """
+
+    __concurrency__ = "single-thread"
 
     __slots__ = ("assigner", "slide", "size", "entries")
 
@@ -130,10 +137,11 @@ def relative_error(emitted, truth, eps: float = 1e-9) -> float:
 class _ClosedRecord:
     """Bookkeeping for a finalized window awaiting late corrections."""
 
+    __concurrency__ = "single-thread"
+
     accumulator: object
     emitted_value: float
     emitted_count: int
-    end: float
     late_updates: int = 0
 
 
@@ -151,35 +159,54 @@ class OperatorStats:
     observed_errors: list[float] = field(default_factory=list)
 
 
-class WindowAggregateOperator(Operator):
-    """Sliding/tumbling window aggregation under a disorder handler."""
+def _emit(
+    results: list[WindowResult],
+    tracer: Tracer,
+    key: object,
+    window: Window,
+    value: float,
+    count: int,
+    emit_time: ArrivalTimeStamp,
+    flushed: bool,
+) -> None:
+    """Append one finalized window to ``results`` and trace its close."""
+    latency = emit_time - window.end
+    results.append(
+        WindowResult(key, window, value, count, emit_time, latency, flushed=flushed)
+    )
+    if tracer.enabled:
+        tracer.window_close(
+            emit_time, key, window.start, window.end, value, count, latency, flushed
+        )
 
-    #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
-    #: keeps instrumented paths at one attribute check when tracing is off.
-    tracer: Tracer = NULL_TRACER
+
+class _PerWindowStore:
+    """One accumulator per open ``(key, window)``: the reference window store.
+
+    Every element is added to each window containing it, so this is the
+    only store that takes unaligned windows and non-mergeable sketches.
+    Closed windows stay retained (accumulator included) for
+    ``feedback_horizon`` seconds; late elements keep updating the retained
+    accumulator, and a window nobody opened before its close is retained
+    as a *phantom* record, so missed windows are scored too.
+    """
+
+    __concurrency__ = "single-thread"
 
     def __init__(
         self,
         assigner: WindowAssigner,
         aggregate: AggregateFunction,
-        handler: DisorderHandler,
-        feedback_horizon: float | None = None,
-        track_feedback: bool = True,
+        feedback_horizon: DurationS,
+        track_feedback: bool,
     ) -> None:
         self.assigner = assigner
         self.aggregate = aggregate
-        self.handler = handler
-        if feedback_horizon is None:
-            size = getattr(assigner, "size", 10.0)
-            feedback_horizon = 5.0 * size
-        if feedback_horizon < 0:
-            raise ConfigurationError(
-                f"feedback_horizon must be non-negative, got {feedback_horizon}"
-            )
         self.feedback_horizon = feedback_horizon
         self.track_feedback = track_feedback
         self.stats = OperatorStats()
-
+        self.tracer: Tracer = NULL_TRACER
+        self.close_frontier = float("-inf")
         self._open: dict[tuple[object, Window], object] = {}
         self._open_counts: dict[tuple[object, Window], int] = {}
         self._open_heap: list[tuple[float, int, object, Window]] = []
@@ -188,61 +215,115 @@ class WindowAggregateOperator(Operator):
         # Retained records keyed by window end, so retirement pops instead of
         # scanning every retained record per element.
         self._closed_heap: list[tuple[float, int, tuple[object, Window]]] = []
-        self._close_frontier = float("-inf")
-        self._last_arrival = 0.0
-
-    # ------------------------------------------------------------------ #
-    # tracing
+        # Staged adds are grouped by (key, slide interval): every element of
+        # a group belongs to the same windows.  Other assigners have no such
+        # interval, so their staged adds fold immediately.
+        self._cache = (
+            _SliceAssignCache(assigner)
+            if isinstance(assigner, SlidingWindowAssigner)
+            else None
+        )
+        # (key, id(window list)) -> [on-time windows, values, late windows,
+        # key, window list]
+        self._groups: dict[tuple[object, int], list[Any]] = {}
 
     def set_tracer(self, tracer: Tracer) -> None:
-        """Attach a tracer to this operator and its disorder handler."""
         self.tracer = tracer
-        set_handler_tracer = getattr(self.handler, "set_tracer", None)
-        if set_handler_tracer is not None:
-            set_handler_tracer(tracer)
 
     # ------------------------------------------------------------------ #
     # ingestion
 
-    def _ingest(self, element: StreamElement) -> None:
+    def add(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
+        """Fold one released element into every window containing it."""
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
-            tracer.element_admitted(
-                self._last_arrival, element.event_time, element.key
-            )
+            tracer.element_admitted(now, element.event_time, element.key)
         for window in self.assigner.assign(element.event_time):
             slot = (element.key, window)
-            if window.end <= self._close_frontier:
-                self._record_late(slot, element, window)
+            if window.end <= self.close_frontier:
+                self._record_late(slot, element, window, now)
                 continue
             accumulator = self._open.get(slot)
             if accumulator is None:
-                accumulator = self.aggregate.create()
-                self._open[slot] = accumulator
-                self._open_counts[slot] = 0
-                self._heap_seq += 1
-                heapq.heappush(
-                    self._open_heap,
-                    (window.end, self._heap_seq, element.key, window),
-                )
-                if tracer.enabled:
-                    tracer.window_open(
-                        self._last_arrival, element.key, window.start, window.end
-                    )
+                accumulator = self._open_slot(slot, now)
             self.aggregate.add(accumulator, element.value)
             self._open_counts[slot] += 1
+
+    def _open_slot(self, slot: tuple[object, Window], now: ArrivalTimeStamp) -> object:
+        key, window = slot
+        accumulator = self.aggregate.create()
+        self._open[slot] = accumulator
+        self._open_counts[slot] = 0
+        self._heap_seq += 1
+        heapq.heappush(self._open_heap, (window.end, self._heap_seq, key, window))
+        if self.tracer.enabled:
+            self.tracer.window_open(now, key, window.start, window.end)
+        return accumulator
+
+    def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
+        """Batched :meth:`add`: the value folds at the next close or flush.
+
+        A group's late/on-time split is taken once, when it is created: the
+        frontier cannot pass one of its open windows without a close, and a
+        close folds first.  Late values reach their records at once.
+        """
+        cache = self._cache
+        if cache is None:
+            self.add(element, now)
+            return
+        tracer = self.tracer
+        if tracer.enabled and tracer.detail:
+            tracer.element_admitted(now, element.event_time, element.key)
+        key = element.key
+        windows = cache.assign(element.event_time)
+        group_key = (key, id(windows))
+        group = self._groups.get(group_key)
+        if group is None:
+            close_frontier = self.close_frontier
+            on_time = windows
+            late: list[Window] = []
+            if windows and windows[0].end <= close_frontier:
+                on_time = [w for w in windows if w.end > close_frontier]
+                late = [w for w in windows if w.end <= close_frontier]
+            for window in on_time:
+                slot = (key, window)
+                if slot not in self._open:
+                    self._open_slot(slot, now)
+            # Keep a reference to the cached list itself: the group key
+            # uses id(windows), which must stay un-recyclable for as long
+            # as the group exists.
+            self._groups[group_key] = group = [on_time, [], late, key, windows]
+        group[1].append(element.value)
+        for window in group[2]:
+            self._record_late((key, window), element, window, now)
+
+    def _fold(self) -> None:
+        aggregate = self.aggregate
+        open_slots = self._open
+        open_counts = self._open_counts
+        for on_time, values, __, key, __ in self._groups.values():
+            for window in on_time:
+                slot = (key, window)
+                aggregate.add_many(open_slots[slot], values)
+                open_counts[slot] += len(values)
+        self._groups.clear()
+
+    def flush(self) -> None:
+        """End of a batch: fold what is staged, drop the batch's assign memo."""
+        self._fold()
+        if self._cache is not None:
+            self._cache.entries.clear()
 
     def _record_late(
         self,
         slot: tuple[object, Window],
         element: StreamElement,
         window: Window,
+        now: ArrivalTimeStamp,
     ) -> None:
         self.stats.late_dropped += 1
         if self.tracer.enabled:
-            self.tracer.late_drop(
-                self._last_arrival, element.key, element.event_time, window.end
-            )
+            self.tracer.late_drop(now, element.key, element.event_time, window.end)
         if not self.track_feedback:
             return
         record = self._closed.get(slot)
@@ -250,13 +331,12 @@ class WindowAggregateOperator(Operator):
             # Too old to still be retained, or the window never opened
             # before it closed (every element late).  Retain a phantom
             # record when still inside the horizon so the miss is scored.
-            if window.end + self.feedback_horizon <= self._close_frontier:
+            if window.end + self.feedback_horizon <= self.close_frontier:
                 return
             record = _ClosedRecord(
                 accumulator=self.aggregate.create(),
                 emitted_value=math.nan,
                 emitted_count=0,
-                end=window.end,
             )
             self._closed[slot] = record
             self._heap_seq += 1
@@ -269,62 +349,50 @@ class WindowAggregateOperator(Operator):
     # ------------------------------------------------------------------ #
     # window lifecycle
 
-    def _close_windows(
-        self, frontier: float, emit_time: float, flushed: bool = False
+    def close(
+        self, frontier: EventTimeStamp, emit_time: ArrivalTimeStamp, flushed: bool
     ) -> list[WindowResult]:
-        results = []
-        tracing = self.tracer.enabled
-        while self._open_heap and self._open_heap[0][0] <= frontier:
-            end, __, key, window = heapq.heappop(self._open_heap)
+        """Emit every open window with ``end <= frontier``."""
+        heap = self._open_heap
+        if not heap or heap[0][0] > frontier:
+            if frontier > self.close_frontier:
+                self.close_frontier = frontier
+            return []
+        if self._groups:
+            self._fold()
+        results: list[WindowResult] = []
+        while heap and heap[0][0] <= frontier:
+            end, __, key, window = heapq.heappop(heap)
             slot = (key, window)
             accumulator = self._open.pop(slot, None)
             if accumulator is None:
                 continue
             count = self._open_counts.pop(slot)
             value = self.aggregate.result(accumulator)
-            results.append(
-                WindowResult(
-                    key=key,
-                    window=window,
-                    value=value,
-                    count=count,
-                    emit_time=emit_time,
-                    latency=emit_time - end,
-                    flushed=flushed,
-                )
-            )
-            if tracing:
-                self.tracer.window_close(
-                    emit_time,
-                    key,
-                    window.start,
-                    end,
-                    value,
-                    count,
-                    emit_time - end,
-                    flushed,
-                )
+            _emit(results, self.tracer, key, window, value, count, emit_time, flushed)
             if self.track_feedback:
                 self._closed[slot] = _ClosedRecord(
                     accumulator=accumulator,
                     emitted_value=value,
                     emitted_count=count,
-                    end=end,
                 )
                 self._heap_seq += 1
                 heapq.heappush(self._closed_heap, (end, self._heap_seq, slot))
-        if frontier > self._close_frontier:
-            self._close_frontier = frontier
+        if frontier > self.close_frontier:
+            self.close_frontier = frontier
         self.stats.results_out += len(results)
         return results
 
-    def _retire_records(self, frontier: float) -> None:
-        if not self.track_feedback:
-            return
+    def retire(
+        self,
+        frontier: EventTimeStamp,
+        now: ArrivalTimeStamp,
+        observe_error: Callable[[float], None],
+    ) -> None:
+        """Score and drop the records leaving the feedback horizon (staged
+        values all belong to windows still open, so none needs folding)."""
         heap = self._closed_heap
         retire_before = frontier - self.feedback_horizon
-        if not heap or not heap[0][0] <= retire_before:
-            return
         closed = self._closed
         tracing = self.tracer.enabled
         while heap and heap[0][0] <= retire_before:
@@ -338,35 +406,147 @@ class WindowAggregateOperator(Operator):
             if tracing:
                 key, window = slot
                 self.tracer.window_retire(
-                    self._last_arrival,
-                    key,
-                    window.start,
-                    record.end,
-                    record.emitted_value,
-                    corrected,
-                    error,
-                    record.late_updates,
+                    now, key, window.start, window.end, record.emitted_value,
+                    corrected, error, record.late_updates,
                 )
-            self.handler.observe_error(error)
+            observe_error(error)
+
+
+_TREE_MEMBERS = frozenset(
+    {"slice_count", "node_count", "patch_count", "max_patch_depth", "recompute_count"}
+)
+
+#: ``mode`` names accepted by :class:`WindowAggregateOperator`, the query
+#: builder and the CLI.
+EXECUTION_MODES = ("naive", "sliced", "tree")
+
+
+class WindowAggregateOperator(Operator):
+    """Sliding/tumbling window aggregation under a disorder handler.
+
+    The one driver of the window-aggregate protocol: admit what the
+    handler releases, close the windows the frontier passed, retire the
+    windows leaving the feedback horizon and report their observed error
+    to the handler.  ``mode`` only picks the *window store* — how window
+    state is kept and assembled; every mode emits the same results:
+
+    * ``"naive"`` — one accumulator per window (:class:`_PerWindowStore`),
+      the reference; takes any assigner and any aggregate;
+    * ``"sliced"`` / ``"tree"`` — one accumulator per slice, a window
+      assembled by a merge chain / from cached dyadic partials
+      (:mod:`repro.engine.partial_tree`).  Both need the slide to divide
+      the window size and a mergeable aggregate, and score only emitted
+      windows at retirement (no phantom records).
+
+    A store offers ``add`` (scalar) and ``stage`` + ``flush`` (batched)
+    ingestion, ``close(frontier, emit_time, flushed)`` and
+    ``retire(frontier, now, observe_error)`` including its garbage
+    collection — both fold what is staged before reading it and return
+    at once when nothing is due — and the ``close_frontier`` below which
+    elements are late.
+    """
+
+    __concurrency__ = "single-thread"
+
+    #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
+    #: keeps instrumented paths at one attribute check when tracing is off.
+    tracer: Tracer = NULL_TRACER
+
+    def __init__(
+        self,
+        assigner: WindowAssigner,
+        aggregate: AggregateFunction,
+        handler: DisorderHandler,
+        feedback_horizon: DurationS | None = None,
+        track_feedback: bool = True,
+        mode: str = "naive",
+    ) -> None:
+        if feedback_horizon is None:
+            feedback_horizon = 5.0 * getattr(assigner, "size", 10.0)
+        if feedback_horizon < 0:
+            raise ConfigurationError(
+                f"feedback_horizon must be non-negative, got {feedback_horizon}"
+            )
+        self.assigner = assigner
+        self.handler = handler
+        self.mode = mode
+        # The one mode-to-store mapping (and the slice stores' preconditions).
+        store: _PerWindowStore | _SliceStore
+        if mode == "naive":
+            store = _PerWindowStore(
+                assigner, aggregate, feedback_horizon, track_feedback
+            )
+        elif mode not in EXECUTION_MODES:
+            raise ConfigurationError(
+                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
+            )
+        elif not isinstance(assigner, SlidingWindowAssigner):
+            raise ConfigurationError(
+                f"{mode} execution requires a sliding/tumbling window assigner"
+            )
+        else:
+            from repro.engine.partial_tree import _SliceChain, _SliceStore, _SliceTree
+
+            ratio = assigner.size / assigner.slide
+            span = round(ratio)
+            if abs(ratio - span) > 1e-9:
+                raise ConfigurationError(
+                    f"{mode} execution requires slide to divide size "
+                    f"(got size={assigner.size}, slide={assigner.slide}); "
+                    'use mode="naive" for unaligned windows'
+                )
+            tree = (_SliceTree if mode == "tree" else _SliceChain)(
+                aggregate, assigner.slide, span
+            )
+            store = _SliceStore(
+                tree, assigner.size, span, feedback_horizon, track_feedback
+            )
+        self._store = store
+        # The slice tree holds a slice store's aggregate (and its counters);
+        # the per-window store holds its own.
+        self._holder: _PerWindowStore | _SliceTree = getattr(store, "tree", store)
+        self.stats = store.stats
+        self._last_arrival = 0.0
+
+    @property
+    def aggregate(self) -> AggregateFunction:
+        """The aggregate behind every fold, merge and result of the store.
+
+        Assigning replaces it inside the store: the one seam a wrapper
+        such as NumSan's shadow needs, in any mode.
+        """
+        return self._holder.aggregate
+
+    @aggregate.setter
+    def aggregate(self, aggregate: AggregateFunction) -> None:
+        self._holder.aggregate = aggregate
+
+    def set_tracer(self, tracer: Tracer) -> None:
+        """Attach a tracer to this operator, its store and its handler."""
+        self.tracer = tracer
+        self._store.set_tracer(tracer)
+        set_handler_tracer = getattr(self.handler, "set_tracer", None)
+        if set_handler_tracer is not None:
+            set_handler_tracer(tracer)
 
     # ------------------------------------------------------------------ #
     # Operator protocol
 
     def process(self, element: StreamElement) -> list[WindowResult]:
         self.stats.elements_in += 1
-        if element.arrival_time is not None:
-            self._last_arrival = max(self._last_arrival, element.arrival_time)
-        emit_time = self._last_arrival
-        released = self.handler.offer(element)
-        for out in released:
-            self._ingest(out)
-        frontier = self.handler.frontier
+        arrival = element.arrival_time
+        if arrival is not None and arrival > self._last_arrival:
+            self._last_arrival = arrival
+        now = self._last_arrival
+        store = self._store
+        handler = self.handler
+        for out in handler.offer(element):
+            store.add(out, now)
+        frontier = handler.frontier
         if self.tracer.enabled:
-            self.tracer.frontier_advance(
-                emit_time, frontier, self.handler.buffered_count()
-            )
-        results = self._close_windows(frontier, emit_time)
-        self._retire_records(frontier)
+            self.tracer.frontier_advance(now, frontier, handler.buffered_count())
+        results = store.close(frontier, now, False)
+        store.retire(frontier, now, handler.observe_error)
         return results
 
     def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
@@ -375,117 +555,58 @@ class WindowAggregateOperator(Operator):
         The handler releases the whole chunk at once; per-element frontier
         checkpoints then replay closes and retirement at exactly the scalar
         steps (late/on-time verdicts and feedback timing are unchanged).
-        Between those steps, released elements are grouped by (key, slide
-        interval) — every element of a group belongs to the same windows —
-        and each group's pending values are folded once per close boundary
-        via ``AggregateFunction.add_many``.
+        Between those steps the store only *stages* released elements and
+        folds each group of staged values in one
+        ``AggregateFunction.add_many`` before anything reads them.
         """
         if not elements:
             return []
         self.stats.elements_in += len(elements)
-        released, checkpoints = self.handler.offer_many(elements)
-        aggregate = self.aggregate
-        open_slots = self._open
-        open_counts = self._open_counts
-        open_heap = self._open_heap
-        closed_heap = self._closed_heap
-        track = self.track_feedback
-        horizon = self.feedback_horizon
+        handler = self.handler
+        released, checkpoints = handler.offer_many(elements)
+        store = self._store
+        stage = store.stage
         tracer = self.tracer
         tracing = tracer.enabled
         results: list[WindowResult] = []
-        last_arrival = self._last_arrival
-
-        grouped = isinstance(self.assigner, SlidingWindowAssigner)
-        if grouped:
-            cache = _SliceAssignCache(self.assigner)
-            assign = cache.assign
-        else:
-            assign = self.assigner.assign
-        # group: [on_time_windows, values, late_windows, key]
-        groups: dict[tuple[object, int], list] = {}
-        get_group = groups.get
-
-        def flush_groups() -> None:
-            for group in groups.values():
-                values = group[1]
-                if not values:
-                    continue
-                key = group[3]
-                added = len(values)
-                for window in group[0]:
-                    slot = (key, window)
-                    aggregate.add_many(open_slots[slot], values)
-                    open_counts[slot] += added
-                group[1] = []
-            groups.clear()
-
+        now = self._last_arrival
+        closed_to = store.close_frontier
         prev_offset = 0
         for index, element in enumerate(elements):
             arrival = element.arrival_time
-            if arrival is not None and arrival > last_arrival:
-                last_arrival = arrival
+            if arrival is not None and arrival > now:
+                now = arrival
             end_offset, frontier = checkpoints[index]
             while prev_offset < end_offset:
-                out = released[prev_offset]
+                stage(released[prev_offset], now)
                 prev_offset += 1
-                if not grouped:
-                    self._ingest(out)
-                    continue
-                if tracing and tracer.detail:
-                    tracer.element_admitted(last_arrival, out.event_time, out.key)
-                windows = assign(out.event_time)
-                group_key = (out.key, id(windows))
-                group = get_group(group_key)
-                if group is None:
-                    close_frontier = self._close_frontier
-                    on_time = windows
-                    late: list[Window] = []
-                    if windows and windows[0].end <= close_frontier:
-                        on_time = [w for w in windows if w.end > close_frontier]
-                        late = [w for w in windows if w.end <= close_frontier]
-                    for window in on_time:
-                        slot = (out.key, window)
-                        if slot not in open_slots:
-                            open_slots[slot] = aggregate.create()
-                            open_counts[slot] = 0
-                            self._heap_seq += 1
-                            heapq.heappush(
-                                open_heap,
-                                (window.end, self._heap_seq, out.key, window),
-                            )
-                            if tracing:
-                                tracer.window_open(
-                                    last_arrival, out.key, window.start, window.end
-                                )
-                    # Keep a reference to the cached list itself: the group
-                    # key uses id(windows), which must stay un-recyclable
-                    # for as long as the group exists.
-                    groups[group_key] = group = [on_time, [], late, out.key, windows]
-                group[1].append(out.value)
-                if group[2]:
-                    for window in group[2]:
-                        self._record_late((out.key, window), out, window)
             if tracing:
-                tracer.frontier_advance(
-                    last_arrival, frontier, self.handler.buffered_count()
-                )
-            if frontier > self._close_frontier:
-                if open_heap and open_heap[0][0] <= frontier:
-                    flush_groups()
-                    results.extend(self._close_windows(frontier, last_arrival))
-                else:
-                    self._close_frontier = frontier
-                if track and closed_heap and closed_heap[0][0] <= frontier - horizon:
-                    self._retire_records(frontier)
-        flush_groups()
-        self._last_arrival = last_arrival
+                tracer.frontier_advance(now, frontier, handler.buffered_count())
+            if frontier > closed_to:
+                closed_to = frontier
+                results.extend(store.close(frontier, now, False))
+                store.retire(frontier, now, handler.observe_error)
+        store.flush()
+        self._last_arrival = now
         return results
 
     def finish(self) -> list[WindowResult]:
-        emit_time = self._last_arrival
+        now = self._last_arrival
+        store = self._store
         for out in self.handler.flush():
-            self._ingest(out)
-        results = self._close_windows(float("inf"), emit_time, flushed=True)
-        self._retire_records(float("inf"))
+            store.add(out, now)
+        results = store.close(float("inf"), now, True)
+        store.retire(float("inf"), now, self.handler.observe_error)
         return results
+
+    def __getattr__(self, name: str) -> Any:
+        """Forward slice-tree introspection to the store's tree.
+
+        ``slice_count()`` / ``node_count()`` (retained slices, cached
+        interior nodes), ``patch_count``, ``max_patch_depth`` and
+        ``recompute_count`` exist in sliced and tree mode only: the
+        per-window store has no tree.
+        """
+        if name in _TREE_MEMBERS and self.mode != "naive":
+            return getattr(self._holder, name)
+        raise AttributeError(name)

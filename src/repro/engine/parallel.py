@@ -47,6 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, cast
 
+from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler
 from repro.engine.operator import Operator, WindowResult
@@ -272,17 +273,15 @@ class ShardRunner:
         sanitize: str | None = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        from repro.engine.partial_tree import make_window_operator
-
         self.shard_id = shard_id
         self._handler = handler
-        operator = make_window_operator(
-            mode,
+        operator = WindowAggregateOperator(
             assigner,
             cast(AggregateFunction, _capture_wrapper(aggregate)),
             handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
+            mode=mode,
         )
         self._stats = getattr(operator, "stats")
         if tracer.enabled:
@@ -620,16 +619,14 @@ class ShardedWindowOperator(Operator):
         self._track_feedback = track_feedback
         # Validate the mode/assigner/aggregate combination eagerly — the
         # prototype also supplies the handler facade's label and target.
-        from repro.engine.partial_tree import make_window_operator
-
         prototype_handler = handler_factory()
-        make_window_operator(
-            mode,
+        WindowAggregateOperator(
             assigner,
             cast(AggregateFunction, _capture_wrapper(aggregate)),
             prototype_handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
+            mode=mode,
         )
         self.handler = ShardedHandlerView(n_shards, prototype_handler)
         self.stats = _MergedStats()

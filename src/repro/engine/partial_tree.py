@@ -1,13 +1,16 @@
-"""Partial-aggregate tree execution and the shared slice store.
+"""Slice-based window state: the slice store, its tree, the shared store.
 
-The sliced operator (:mod:`repro.engine.sliced_op`) already reduces
-per-element work to one accumulator add, but a *closing window* still pays a
-merge chain over all ``size/slide`` constituent slices, and every late
-element invalidates nothing — corrections re-merge the full chain again at
-retirement.  Following the FiBA line of work (Tangwongsan, Hirzel &
-Schneider: amortized O(1) in-order inserts, O(log d) out-of-order inserts),
-this module keeps the event-time-ordered slices as the leaves of a **dyadic
-partial-aggregate tree**:
+When the slide divides the window size, windows can be assembled from
+non-overlapping **slices** of ``slide`` seconds (Li et al.'s panes /
+Scotty-style stream slicing): each element is added to exactly one slice
+accumulator instead of ``size/slide`` windows.  :class:`_SliceStore` is
+that window store for
+:class:`~repro.engine.aggregate_op.WindowAggregateOperator`.  A closing
+window merges its slices left to right under ``mode="sliced"``
+(:class:`_SliceChain`); under ``mode="tree"`` (:class:`_SliceTree`) the
+event-time-ordered slices are the leaves of a **dyadic partial-aggregate
+tree**, following the FiBA line of work (Tangwongsan, Hirzel & Schneider:
+amortized O(1) in-order inserts, O(log d) out-of-order inserts):
 
 * node ``(level, i)`` caches the merged aggregate of slices
   ``[i * 2^level, (i + 1) * 2^level)``; nodes are materialized lazily the
@@ -20,10 +23,12 @@ partial-aggregate tree**:
   its slice; every other cached partial stays valid, and retirement
   corrections reuse the patched partials.
 
-:class:`TreeWindowAggregateOperator` wires the tree into the standard
-operator protocol (``mode="tree"`` of :func:`make_window_operator`), with
-semantics identical to the naive and sliced operators — enforced by the
-property suite in ``tests/property/test_tree_equivalence.py``.
+Semantics are identical to the per-window store — a late element lands in
+its slice, which already-closed windows no longer read but still-open
+windows will — enforced by the property suite in
+``tests/property/test_tree_equivalence.py``.  A *mergeable* aggregate is
+required (every exact aggregate in :mod:`repro.engine.aggregates`
+qualifies; P²/SpaceSaving sketches do not).
 
 :class:`SharedSliceStore` extends the sharing across *queries*: concurrent
 queries over the same stream whose windows are multiples of one common
@@ -33,26 +38,27 @@ adaptive advisor fed observation-only), so per-element aggregation work is
 paid once instead of once per query — the scaling experiment E19 measures
 both effects.
 
-Numerics: interior nodes are built exclusively with ``aggregate.merge``,
-so the tree inherits the compensated arithmetic of
-:mod:`repro.core.numeric` for sum/mean — partial totals carry their
-Neumaier compensation term upward, keeping the whole dyadic decomposition
-at O(1)-ulp error regardless of tree depth (``docs/NUMERICS.md``); the
-NumSan sanitizer verifies this against an exact reference in tree mode
-too.
+Numerics: windows and interior nodes are built exclusively with
+``aggregate.merge``, so chain and tree inherit the compensated arithmetic
+of :mod:`repro.core.numeric` for sum/mean — partial totals carry their
+Neumaier compensation term upward, keeping the whole decomposition at
+O(1)-ulp error regardless of depth (``docs/NUMERICS.md``); the NumSan
+sanitizer verifies this against an exact reference in every mode.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 import threading
+from collections.abc import Callable
+from typing import Any
 
-from repro.engine.aggregate_op import OperatorStats, relative_error
+from repro.engine.aggregate_op import OperatorStats, _emit, relative_error
 from repro.engine.aggregates import AggregateFunction
-from repro.engine.handlers import DisorderHandler
-from repro.engine.operator import Operator, WindowResult
-from repro.engine.windows import SlidingWindowAssigner, Window
+from repro.engine.operator import WindowResult
+from repro.engine.windows import Window
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
@@ -97,9 +103,9 @@ class _SliceTree:
         "max_level",
         "tracer",
         "sim_time",
-        "patches",
+        "patch_count",
         "max_patch_depth",
-        "recomputes",
+        "recompute_count",
         "_slices",
         "_nodes",
         "_touched",
@@ -113,12 +119,12 @@ class _SliceTree:
         self.slide = slide
         self.set_span(span)
         self.tracer: Tracer = NULL_TRACER
-        #: Simulated-time stamp for trace records; the owning operator
-        #: refreshes it (only while tracing) before driving the tree.
+        #: Simulated-time stamp for trace records; the owner refreshes it
+        #: before driving closes and retirement.
         self.sim_time = 0.0
-        self.patches = 0
+        self.patch_count = 0
         self.max_patch_depth = 0
-        self.recomputes = 0
+        self.recompute_count = 0
         # (key, slice_index) -> [accumulator, count]
         self._slices: dict[tuple[object, int], list] = {}
         # (key, level, index) -> [accumulator, count, dirty]
@@ -195,7 +201,7 @@ class _SliceTree:
                     node[2] = True
                     depth += 1
             if depth:
-                self.patches += 1
+                self.patch_count += 1
                 if depth > self.max_patch_depth:
                     self.max_patch_depth = depth
                 if tracing:
@@ -230,7 +236,7 @@ class _SliceTree:
         if right is not None and right[1]:
             aggregate.merge(accumulator, right[0])
             count += right[1]
-        self.recomputes += 1
+        self.recompute_count += 1
         if node is None:
             node = [accumulator, count, False]
             self._nodes[slot] = node
@@ -319,12 +325,40 @@ class _SliceTree:
         return len(self._nodes)
 
 
+class _SliceChain(_SliceTree):
+    """The same slices without the node cache (``mode="sliced"``).
+
+    A window is one left-to-right merge chain over its slices, so there
+    are no cached ancestors for a touched slice to invalidate.
+    """
+
+    __slots__ = ()
+
+    def touch(self, key: object, slice_index: int) -> None:
+        """Nothing is cached above a slice."""
+
+    def assemble(self, key: object, lo: int, hi: int) -> tuple[object, int, int]:
+        """Merge slices ``[lo, hi)`` into a fresh accumulator."""
+        aggregate = self.aggregate
+        accumulator = aggregate.create()
+        count = 0
+        merged = 0
+        slices = self._slices
+        for index in range(lo, hi):
+            entry = slices.get((key, index))
+            if entry is not None and entry[1]:
+                aggregate.merge(accumulator, entry[0])
+                count += entry[1]
+                merged += 1
+        return accumulator, count, merged
+
+
 class _QueryWindowView:
     """Per-query window close/retire cursors over a shared slice tree.
 
-    The sliced operator registers every window end of every new slice in a
-    global heap — O(size/slide) pushes per slice, which would cap the tree's
-    win exactly where overlap is high.  A view instead tracks, per key, the
+    Registering every window end of every new slice in a global heap
+    would cost O(size/slide) pushes per slice and cap the tree's win
+    exactly where overlap is high.  A view instead tracks, per key, the
     contiguous range of window-end indices still to close
     (``next_end..max_end``) plus one scheduling entry per key in a heap:
     closing a window is O(1) amortized regardless of overlap.
@@ -377,7 +411,7 @@ class _QueryWindowView:
     def late_count(self, slice_index: int) -> int:
         """Already-closed windows containing the slice (lateness verdict).
 
-        Mirrors the sliced operator's accounting exactly: one drop per
+        Mirrors the per-window store's accounting exactly: one drop per
         closed window with a non-negative start.
         """
         close_frontier = self.close_frontier
@@ -398,12 +432,14 @@ class _QueryWindowView:
         The range can grow at *both* ends: behind a sorting buffer only the
         top moves, but the shared store ingests at raw arrival order, so an
         out-of-order (yet not late) element may touch a slice below the
-        current range start.  The rewind is clamped to the first end above
-        the close frontier — everything at or below it is skipped by
-        ``close_windows``'s previous-frontier check anyway, and an unclamped
-        rewind would make every late element cost a re-walk proportional to
-        its lateness.  The clamp also means truly late elements (the common
-        case behind a sorting buffer) never lower ``_next_end`` at all.
+        current range start.  Whatever gets scheduled is clamped to the
+        first end above the close frontier: everything at or below it has
+        closed, an unclamped rewind would make every late element cost a
+        re-walk proportional to its lateness, and truly late elements (the
+        common case behind a sorting buffer) never lower ``_next_end`` at
+        all.  So closing twice at one frontier finds nothing the second
+        time, which lets the batched driver skip steps where the frontier
+        did not move.
         """
         first_end = slice_index + 1
         last_end = slice_index + self.span
@@ -419,29 +455,34 @@ class _QueryWindowView:
                 # Late data inside the known range: every containing window
                 # is either already pending or already closed.
                 return
-            if first_end < self._next_end[key]:
-                rewind_to = first_end
-                close_frontier = self.close_frontier
-                if close_frontier > float("-inf"):
-                    slide = self.tree.slide
-                    floor = int(close_frontier / slide)
-                    while floor * slide <= close_frontier:
-                        floor += 1
-                    if floor > rewind_to:
-                        rewind_to = floor
-                if rewind_to < self._next_end[key]:
-                    self._next_end[key] = rewind_to
-                    # Any queued entry for this key now has a stale (too
-                    # high) priority; drop the guard so a fresh entry is
-                    # pushed below.
-                    self._scheduled.discard(key)
-        if key not in self._scheduled and self._next_end[key] <= max_end:
-            self._heap_seq += 1
-            heapq.heappush(
-                self._pending,
-                (self._next_end[key] * self.tree.slide, self._heap_seq, key),
-            )
-            self._scheduled.add(key)
+            next_end = self._next_end[key]
+            if first_end < next_end and self._open_end(first_end) < next_end:
+                # Any queued entry for this key now has a stale (too high)
+                # priority; drop the guard so a fresh entry is pushed below.
+                self._scheduled.discard(key)
+                self._next_end[key] = first_end
+        if key not in self._scheduled:
+            # A new, rewound or idle key: skip the ends that closed meanwhile.
+            self._next_end[key] = next_end = self._open_end(self._next_end[key])
+            if next_end <= max_end:
+                self._heap_seq += 1
+                heapq.heappush(
+                    self._pending, (next_end * self.tree.slide, self._heap_seq, key)
+                )
+                self._scheduled.add(key)
+
+    def _open_end(self, end_index: int) -> int:
+        """``end_index``, or the first end above the close frontier if later."""
+        close_frontier = self.close_frontier
+        slide = self.tree.slide
+        if end_index * slide > close_frontier:
+            return end_index
+        if close_frontier == math.inf:
+            return sys.maxsize  # finished: no end of any key is open any more
+        floor = int(close_frontier / slide)
+        while floor * slide <= close_frontier:
+            floor += 1
+        return floor
 
     def close_windows(
         self,
@@ -462,7 +503,6 @@ class _QueryWindowView:
         slide = tree.slide
         size = self.size
         span = self.span
-        previous_frontier = self.close_frontier
         track = self.track_feedback
         tracing = tracer.enabled
         results: list[WindowResult] = []
@@ -477,8 +517,6 @@ class _QueryWindowView:
                     break
                 end_index = next_end
                 next_end += 1
-                if end <= previous_frontier:
-                    continue  # closed before this key's data appeared
                 start = end - size
                 if start < 0:
                     continue
@@ -491,22 +529,10 @@ class _QueryWindowView:
                 if count == 0:
                     continue
                 value = aggregate.result(accumulator)
-                results.append(
-                    WindowResult(
-                        key=key,
-                        window=Window(start, end),
-                        value=value,
-                        count=count,
-                        emit_time=emit_time,
-                        latency=emit_time - end,
-                        flushed=flushed,
-                    )
+                _emit(
+                    results, tracer, key, Window(start, end), value, count,
+                    emit_time, flushed,
                 )
-                if tracing:
-                    tracer.window_close(
-                        emit_time, key, start, end, value, count,
-                        emit_time - end, flushed,
-                    )
                 if track:
                     self._emitted[(key, end)] = value
                     self._heap_seq += 1
@@ -521,20 +547,15 @@ class _QueryWindowView:
         self.stats.results_out += len(results)
         return results
 
-    def retire_due(self, frontier: EventTimeStamp) -> bool:
-        """Whether retirement at this frontier would score any window."""
-        heap = self._emitted_heap
-        return bool(
-            self.track_feedback
-            and heap
-            and heap[0][0] <= frontier - self.feedback_horizon
-        )
-
-    def retire(self, frontier: EventTimeStamp, observe_error) -> None:
+    def retire_windows(
+        self, frontier: EventTimeStamp, observe_error: Callable[[float], None]
+    ) -> None:
         """Score emitted-vs-corrected error for windows leaving the horizon.
 
-        Corrections reuse the tree: the patched partials above late slices
-        serve every correction in O(log) instead of a fresh merge chain.
+        Only windows that were emitted are scored (a window that closed
+        empty left nothing to compare against).  Corrections reuse the
+        tree: the patched partials above late slices serve every
+        correction in O(log) instead of a fresh merge chain.
         """
         if not self.track_feedback:
             return
@@ -547,6 +568,8 @@ class _QueryWindowView:
         aggregate = tree.aggregate
         slide = tree.slide
         span = self.span
+        tracer = tree.tracer
+        tracing = tracer.enabled
         while heap and heap[0][0] <= retire_before:
             end, __, key = heapq.heappop(heap)
             emitted = self._emitted.pop((key, end), None)
@@ -560,233 +583,117 @@ class _QueryWindowView:
             corrected = aggregate.result(accumulator) if count else math.nan
             error = relative_error(emitted, corrected)
             self.stats.observed_errors.append(error)
+            if tracing:
+                # No per-window late counter is kept here: late_updates=None.
+                tracer.window_retire(
+                    tree.sim_time, key, end - self.size, end,
+                    emitted, corrected, error, None,
+                )
             observe_error(error)
 
 
-class TreeWindowAggregateOperator(Operator):
-    """Sliding-window aggregation over a partial-aggregate slice tree.
+class _SliceStore(_QueryWindowView):
+    """The slice-based window store: a view that owns its tree.
 
-    Drop-in alternative to the naive and sliced operators (``mode="tree"``):
-    same results, same late/feedback semantics, but closing a window costs
-    O(log(size/slide)) cached-partial merges instead of a full slice chain,
-    and late elements invalidate only their O(log) ancestor path.  Requires
-    the slide to divide the window size and a mergeable aggregate — the
-    same preconditions as sliced execution.
+    One accumulator add per element; the tree (:class:`_SliceTree` or
+    :class:`_SliceChain`) assembles a window when it closes and again when
+    it retires, and retirement garbage-collects behind the horizon.
     """
 
     __concurrency__ = "single-thread"
 
-    #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
-    #: keeps instrumented paths at one attribute check when tracing is off.
-    tracer: Tracer = NULL_TRACER
+    __slots__ = ("_gc_horizon", "_groups")
 
     def __init__(
         self,
-        assigner: SlidingWindowAssigner,
-        aggregate: AggregateFunction,
-        handler: DisorderHandler,
-        feedback_horizon: DurationS | None = None,
-        track_feedback: bool = True,
+        tree: _SliceTree,
+        size: DurationS,
+        span: int,
+        feedback_horizon: DurationS,
+        track_feedback: bool,
     ) -> None:
-        if not isinstance(assigner, SlidingWindowAssigner):
-            raise ConfigurationError(
-                "tree execution requires a sliding/tumbling window assigner"
-            )
-        ratio = assigner.size / assigner.slide
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigurationError(
-                "tree execution requires slide to divide size "
-                f"(got size={assigner.size}, slide={assigner.slide}); "
-                "use WindowAggregateOperator for unaligned windows"
-            )
-        self.assigner = assigner
-        self.aggregate = aggregate
-        self.handler = handler
-        self.slices_per_window = int(round(ratio))
-        if feedback_horizon is None:
-            feedback_horizon = 5.0 * assigner.size
-        if feedback_horizon < 0:
-            raise ConfigurationError(
-                f"feedback_horizon must be non-negative, got {feedback_horizon}"
-            )
-        self.feedback_horizon = feedback_horizon
-        self.track_feedback = track_feedback
-        self._tree = _SliceTree(aggregate, assigner.slide, self.slices_per_window)
-        self._view = _QueryWindowView(
-            self._tree,
-            assigner.size,
-            self.slices_per_window,
-            feedback_horizon,
-            track_feedback,
-        )
-        self.stats = self._view.stats
-        self._last_arrival = 0.0
-
-    # ------------------------------------------------------------------ #
-    # tracing
+        super().__init__(tree, size, span, feedback_horizon, track_feedback)
+        self._gc_horizon = feedback_horizon if track_feedback else 0.0
+        # Staged adds: (key, slice index) -> [slice entry, values, late count]
+        self._groups: dict[tuple[object, int], list[Any]] = {}
 
     def set_tracer(self, tracer: Tracer) -> None:
-        """Attach a tracer to this operator, its tree and its handler."""
-        self.tracer = tracer
-        self._tree.tracer = tracer
-        set_handler_tracer = getattr(self.handler, "set_tracer", None)
-        if set_handler_tracer is not None:
-            set_handler_tracer(tracer)
+        """Attach the tracer that window and tree records go to."""
+        self.tree.tracer = tracer
 
-    # ------------------------------------------------------------------ #
-    # ingestion
-
-    def _ingest(self, element: StreamElement) -> None:
-        tree = self._tree
+    def add(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
+        """Fold one released element into its slice."""
+        tree = self.tree
         slice_index = tree.slice_of(element.event_time)
         key = element.key
         entry = tree.entry(key, slice_index)
-        late = self._view.late_count(slice_index)
+        late = self.late_count(slice_index)
         if late:
             self.stats.late_dropped += late
-        self.aggregate.add(entry[0], element.value)
+        tree.aggregate.add(entry[0], element.value)
         entry[1] += 1
         tree.touch(key, slice_index)
-        self._view.note_slice(key, slice_index)
+        self.note_slice(key, slice_index)
 
-    def _retire(self, frontier: EventTimeStamp) -> None:
-        self._view.retire(frontier, self.handler.observe_error)
-        horizon = self.feedback_horizon if self.track_feedback else 0.0
-        self._tree.gc(frontier - horizon)
+    def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
+        """Batched :meth:`add`: the value folds at the next :meth:`flush`.
 
-    # ------------------------------------------------------------------ #
-    # Operator protocol
-
-    def process(self, element: StreamElement) -> list[WindowResult]:
-        self.stats.elements_in += 1
-        arrival = element.arrival_time
-        if arrival is not None and arrival > self._last_arrival:
-            self._last_arrival = arrival
-        emit_time = self._last_arrival
-        tracer = self.tracer
-        if tracer.enabled:
-            self._tree.sim_time = emit_time
-        for out in self.handler.offer(element):
-            self._ingest(out)
-        frontier = self.handler.frontier
-        results = self._view.close_windows(frontier, emit_time, tracer)
-        self._retire(frontier)
-        return results
-
-    def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
-        """Batched ingest: equivalent to ``process`` element-for-element.
-
-        Released elements are grouped by (key, slice); each group's values
-        fold into the leaf accumulator once per close/retire boundary via
-        ``add_many``.  Per-element frontier checkpoints from the handler
-        replay closes and retirement at exactly the scalar steps.
+        The lateness verdict is taken once per group: the frontier cannot
+        pass one of the slice's open windows without a close, which folds.
         """
-        if not elements:
-            return []
-        self.stats.elements_in += len(elements)
-        released, checkpoints = self.handler.offer_many(elements)
-        aggregate = self.aggregate
-        tree = self._tree
-        view = self._view
-        pending = view._pending
-        track = self.track_feedback
-        gc_horizon = self.feedback_horizon if track else 0.0
-        slice_of = tree.slice_of
-        tracer = self.tracer
-        tracing = tracer.enabled
-        results: list[WindowResult] = []
-        last_arrival = self._last_arrival
-        # group: [slice_entry, values, late_count]
-        groups: dict[tuple[object, int], list] = {}
-        get_group = groups.get
+        tree = self.tree
+        slice_index = tree.slice_of(element.event_time)
+        key = element.key
+        group = self._groups.get((key, slice_index))
+        if group is None:
+            entry = tree.entry(key, slice_index)
+            tree.touch(key, slice_index)
+            self.note_slice(key, slice_index)
+            group = [entry, [], self.late_count(slice_index)]
+            self._groups[(key, slice_index)] = group
+        group[1].append(element.value)
+        if group[2]:
+            self.stats.late_dropped += group[2]
 
-        def flush_groups() -> None:
-            for group in groups.values():
-                values = group[1]
-                if values:
-                    entry = group[0]
-                    aggregate.add_many(entry[0], values)
-                    entry[1] += len(values)
-            groups.clear()
+    def flush(self) -> None:
+        """Fold every staged value into its slice accumulator."""
+        add_many = self.tree.aggregate.add_many
+        for entry, values, __ in self._groups.values():
+            add_many(entry[0], values)
+            entry[1] += len(values)
+        self._groups.clear()
 
-        prev_offset = 0
-        for index, element in enumerate(elements):
-            arrival = element.arrival_time
-            if arrival is not None and arrival > last_arrival:
-                last_arrival = arrival
-            end_offset, frontier = checkpoints[index]
-            while prev_offset < end_offset:
-                out = released[prev_offset]
-                prev_offset += 1
-                slice_index = slice_of(out.event_time)
-                group_key = (out.key, slice_index)
-                group = get_group(group_key)
-                if group is None:
-                    entry = tree.entry(out.key, slice_index)
-                    tree.touch(out.key, slice_index)
-                    view.note_slice(out.key, slice_index)
-                    groups[group_key] = group = [
-                        entry,
-                        [],
-                        view.late_count(slice_index),
-                    ]
-                group[1].append(out.value)
-                if group[2]:
-                    self.stats.late_dropped += group[2]
-            if frontier > view.close_frontier:
-                if tracing:
-                    tree.sim_time = last_arrival
-                if pending and pending[0][0] <= frontier:
-                    flush_groups()
-                    results.extend(view.close_windows(frontier, last_arrival, tracer))
-                else:
-                    view.close_frontier = frontier
-                if view.retire_due(frontier) or tree.gc_due(frontier - gc_horizon):
-                    flush_groups()
-                    self._retire(frontier)
-        flush_groups()
-        self._last_arrival = last_arrival
-        return results
+    def close(
+        self, frontier: EventTimeStamp, emit_time: ArrivalTimeStamp, flushed: bool
+    ) -> list[WindowResult]:
+        """Emit every window with ``end <= frontier`` not yet closed."""
+        pending = self._pending
+        if self._groups and pending and pending[0][0] <= frontier:
+            self.flush()
+        tree = self.tree
+        tree.sim_time = emit_time
+        return self.close_windows(frontier, emit_time, tree.tracer, flushed)
 
-    def finish(self) -> list[WindowResult]:
-        emit_time = self._last_arrival
-        tracer = self.tracer
-        if tracer.enabled:
-            self._tree.sim_time = emit_time
-        for out in self.handler.flush():
-            self._ingest(out)
-        results = self._view.close_windows(
-            float("inf"), emit_time, tracer, flushed=True
-        )
-        self._retire(float("inf"))
-        return results
-
-    # ------------------------------------------------------------------ #
-    # introspection
-
-    def slice_count(self) -> int:
-        """Currently retained leaf slices (memory proxy)."""
-        return self._tree.slice_count()
-
-    def node_count(self) -> int:
-        """Currently cached interior partial-aggregate nodes."""
-        return self._tree.node_count()
-
-    @property
-    def patch_count(self) -> int:
-        """Dirty-path patches applied (one per touched slice with cached
-        ancestors)."""
-        return self._tree.patches
-
-    @property
-    def max_patch_depth(self) -> int:
-        """Deepest ancestor path invalidated by a single patch."""
-        return self._tree.max_patch_depth
-
-    @property
-    def recompute_count(self) -> int:
-        """Interior nodes computed or recomputed at query time."""
-        return self._tree.recomputes
+    def retire(
+        self,
+        frontier: EventTimeStamp,
+        now: ArrivalTimeStamp,
+        observe_error: Callable[[float], None],
+    ) -> None:
+        """Score the windows leaving the feedback horizon, then collect
+        the slices and nodes no remaining window can read."""
+        tree = self.tree
+        heap = self._emitted_heap
+        gc_before = frontier - self._gc_horizon
+        if not (
+            heap and heap[0][0] <= frontier - self.feedback_horizon
+        ) and not tree.gc_due(gc_before):
+            return
+        if self._groups:
+            self.flush()
+        tree.sim_time = now
+        self.retire_windows(frontier, observe_error)
+        tree.gc(gc_before)
 
 
 class _SharedQuery:
@@ -1019,7 +926,7 @@ class SharedSliceStore:
                 closed = view.close_windows(frontier, emit_time, tracer)
                 if closed:
                     out.extend(closed)
-                view.retire(frontier, query.observe_error)
+                view.retire_windows(frontier, query.observe_error)
             if out:
                 self.results[query_id].extend(out)
             return out
@@ -1081,7 +988,7 @@ class SharedSliceStore:
             )
             if closed:
                 self.results[query_id].extend(closed)
-            view.retire(float("inf"), query.observe_error)
+            view.retire_windows(float("inf"), query.observe_error)
 
     def finish(self) -> None:
         """Stream ended: close and retire everything for every query."""
@@ -1115,46 +1022,3 @@ def run_shared_slices(
         offer(element)
     store.finish()
     return store.results
-
-
-#: Names accepted by :func:`make_window_operator` and the query builder.
-EXECUTION_MODES = ("naive", "sliced", "tree")
-
-
-def make_window_operator(
-    mode: str,
-    assigner,
-    aggregate: AggregateFunction,
-    handler: DisorderHandler,
-    feedback_horizon: DurationS | None = None,
-    track_feedback: bool = True,
-) -> Operator:
-    """Build a window aggregation operator for the given execution mode.
-
-    ``"naive"`` adds every element to each containing window; ``"sliced"``
-    shares one accumulator per slice (requires slide | size); ``"tree"``
-    additionally caches dyadic partial aggregates over the slices.  All
-    three produce identical results.
-    """
-    if mode == "naive":
-        from repro.engine.aggregate_op import WindowAggregateOperator
-
-        return WindowAggregateOperator(
-            assigner, aggregate, handler,
-            feedback_horizon=feedback_horizon, track_feedback=track_feedback,
-        )
-    if mode == "sliced":
-        from repro.engine.sliced_op import SlicedWindowAggregateOperator
-
-        return SlicedWindowAggregateOperator(
-            assigner, aggregate, handler,
-            feedback_horizon=feedback_horizon, track_feedback=track_feedback,
-        )
-    if mode == "tree":
-        return TreeWindowAggregateOperator(
-            assigner, aggregate, handler,
-            feedback_horizon=feedback_horizon, track_feedback=track_feedback,
-        )
-    raise ConfigurationError(
-        f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-    )

@@ -163,7 +163,7 @@ class Tracer:
         emitted: object,
         corrected: object,
         error: float,
-        late_updates: int,
+        late_updates: int | None,
     ) -> None:
         """A closed window left the feedback horizon; its observed error."""
 
@@ -416,7 +416,7 @@ class TraceRecorder(Tracer):
         emitted: object,
         corrected: object,
         error: float,
-        late_updates: int,
+        late_updates: int | None,
     ) -> None:
         """Record a window retirement with its observed error."""
         self._emit(

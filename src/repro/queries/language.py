@@ -208,7 +208,7 @@ class ContinuousQuery:
         window size and a mergeable aggregate; all modes produce identical
         results.
         """
-        from repro.engine.partial_tree import EXECUTION_MODES
+        from repro.engine.aggregate_op import EXECUTION_MODES
 
         if mode not in EXECUTION_MODES:
             raise QueryError(
@@ -304,15 +304,6 @@ class ContinuousQuery:
             return ProcessShardExecutor(chunk_size=self._chunk_size)
         return ProcessShardExecutor()
 
-    def sliced(self, enabled: bool = True) -> "ContinuousQuery":
-        """Use slice-based execution (alias for ``.mode("sliced")``).
-
-        Requires the slide to divide the window size and a mergeable
-        aggregate; semantics are identical to the default execution path.
-        """
-        self._mode = "sliced" if enabled else "naive"
-        return self
-
     def _require_aggregate(self) -> AggregateFunction:
         if self._aggregate is None:
             raise QueryError("query has no aggregate; call .aggregate(...)")
@@ -352,10 +343,10 @@ class ContinuousQuery:
                 "executor(...) requires sharded execution; call .shards(n) first"
             )
         handler = self._handler_factory(self)
-        from repro.engine.partial_tree import make_window_operator
+        from repro.engine.aggregate_op import WindowAggregateOperator
 
-        return make_window_operator(
-            self._mode, self._assigner, aggregate, handler
+        return WindowAggregateOperator(
+            self._assigner, aggregate, handler, mode=self._mode
         )
 
     def run(

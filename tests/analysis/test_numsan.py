@@ -15,7 +15,7 @@ from repro.analysis.numeric.numsan import (
     NumSanOperator,
     sanitize_operator,
 )
-from repro.engine.aggregate_op import WindowAggregateOperator
+from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
 from repro.engine.aggregates import AggregateFunction, make_aggregate
 from repro.engine.handlers import KSlackHandler
 from repro.engine.pipeline import run_pipeline
@@ -232,24 +232,37 @@ def test_operator_without_aggregate_is_rejected():
 # run_pipeline(sanitize="numeric")
 
 
-def make_operator(name="mean"):
+def make_operator(name="mean", mode="naive"):
     """Sliding aggregate over a K-slack handler."""
     return WindowAggregateOperator(
         SlidingWindowAssigner(size=2, slide=1),
         make_aggregate(name),
         KSlackHandler(k=1.0),
+        mode=mode,
     )
 
 
 def test_pipeline_numeric_mode_is_bit_identical_to_off():
     elements = build_elements(3, 200)
-    plain = run_pipeline(elements, make_operator(), sample_every=25)
-    sanitized = run_pipeline(
-        elements, make_operator(), sample_every=25, sanitize="numeric"
-    )
-    assert sanitized.results == plain.results
-    assert sanitized.observed_errors == plain.observed_errors
-    assert sanitized.metrics.n_results == plain.metrics.n_results
+    for mode in EXECUTION_MODES:
+        plain = run_pipeline(elements, make_operator(mode=mode), sample_every=25)
+        recorder = TraceRecorder(detail=True)
+        sanitized = run_pipeline(
+            elements,
+            make_operator(mode=mode),
+            sample_every=25,
+            sanitize="numeric",
+            trace=recorder,
+        )
+        assert sanitized.results == plain.results
+        assert sanitized.observed_errors == plain.observed_errors
+        assert sanitized.metrics.n_results == plain.metrics.n_results
+        # The shadow reached the store: every value the run extracted (one
+        # per emitted window, one per retirement correction) was held to
+        # its reference.
+        checked = len(list(recorder.of_kind("numeric.drift")))
+        assert plain.observed_errors
+        assert checked == len(plain.results) + len(plain.observed_errors), mode
 
 
 def test_pipeline_rejects_probe_with_numeric_mode():

@@ -11,21 +11,22 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.concur.stress import build_elements
+from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import DisorderHandler, KSlackHandler
-from repro.engine.partial_tree import TreeWindowAggregateOperator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import SanitizerError
 from repro.streams.element import StreamElement
 
 
-def make_tree_operator(cls=TreeWindowAggregateOperator, handler=None):
+def make_tree_operator(cls=WindowAggregateOperator, handler=None):
     """A sliding-mean tree operator (size 2, slide 1) over K-slack."""
     return cls(
         SlidingWindowAssigner(size=2, slide=1),
         make_aggregate("mean"),
         handler if handler is not None else KSlackHandler(k=1.0),
+        mode="tree",
     )
 
 
@@ -59,7 +60,7 @@ def test_tree_batched_run_with_divergence_probe_is_clean():
 # seeded tree bugs the checkers must catch
 
 
-class DuplicatingTreeOperator(TreeWindowAggregateOperator):
+class DuplicatingTreeOperator(WindowAggregateOperator):
     """BUG: every closed window is emitted twice."""
 
     def process(self, element: StreamElement):
@@ -75,7 +76,7 @@ def test_duplicate_tree_emission_is_caught():
         )
 
 
-class DroppingTreeOperator(TreeWindowAggregateOperator):
+class DroppingTreeOperator(WindowAggregateOperator):
     """BUG: the batched path silently drops the last result of a chunk."""
 
     def process_many(self, elements):

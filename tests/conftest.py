@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
+from repro.engine.pipeline import run_pipeline
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
@@ -43,3 +45,58 @@ def make_arrived(spec: list[tuple[float, float, float]]) -> list[StreamElement]:
         for i, (ts, at, val) in enumerate(spec)
     ]
     return sorted(elements, key=StreamElement.arrival_sort_key)
+
+
+def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
+    """A generated stream with exponential delays, arrival-ordered."""
+    return inject_disorder(
+        generate_stream(duration=duration, rate=rate, rng=rng, keys=keys),
+        ExponentialDelay(mean_delay),
+        rng,
+    )
+
+
+def result_map(results):
+    """Order-free view of a run's results, keyed by (key, window)."""
+    return {
+        (r.key, r.window): (r.value, r.count, r.latency, r.flushed) for r in results
+    }
+
+
+def assert_modes_match_naive(
+    stream, assigner, aggregate_factory, handler_factory, feedback_horizon=None
+):
+    """One row of the mode-parity matrix: every store equals the reference.
+
+    The scalar naive run is the reference; ``sliced`` and ``tree`` must
+    emit the same windows with the same counts, latencies, flush marks and
+    late-drop totals on the scalar path and in batches of 64 (values
+    within float re-association of the merge order).  Returns the
+    operators by ``(mode, batch_size)`` for row-specific checks.
+    """
+    operators = {}
+    maps = {}
+    for mode in EXECUTION_MODES:
+        for batch_size in (0, 64):
+            operator = WindowAggregateOperator(
+                assigner, aggregate_factory(), handler_factory(),
+                feedback_horizon=feedback_horizon, mode=mode,
+            )
+            output = run_pipeline(stream, operator, batch_size=batch_size)
+            operators[mode, batch_size] = operator
+            maps[mode, batch_size] = result_map(output.results)
+    reference = maps["naive", 0]
+    assert reference
+    late_dropped = operators["naive", 0].stats.late_dropped
+    for config, got in maps.items():
+        assert set(got) == set(reference), config
+        for slot, (value, count, latency, flushed) in reference.items():
+            g_value, g_count, g_latency, g_flushed = got[slot]
+            assert g_count == count, (config, slot)
+            assert g_latency == latency, (config, slot)
+            assert g_flushed == flushed, (config, slot)
+            assert g_value == value or abs(g_value - value) <= 1e-9 * max(
+                1.0, abs(value)
+            ), (config, slot)
+        assert operators[config].stats.late_dropped == late_dropped, config
+    return operators

@@ -11,6 +11,7 @@ because bulk folds may re-associate floating-point sums.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.engine.aggregates import (
 )
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.pipeline import run_pipeline
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
@@ -77,7 +77,7 @@ HANDLERS = {
 
 OPERATORS = {
     "naive": WindowAggregateOperator,
-    "sliced": SlicedWindowAggregateOperator,
+    "sliced": functools.partial(WindowAggregateOperator, mode="sliced"),
 }
 
 AGGREGATES = {

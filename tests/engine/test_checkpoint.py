@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
-from repro.engine.aggregate_op import WindowAggregateOperator
+from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
 from repro.engine.aggregates import CountAggregate, MeanAggregate
 from repro.engine.checkpoint import load_checkpoint, save_checkpoint
 from repro.engine.handlers import KSlackHandler
@@ -23,28 +23,33 @@ def make_stream(rng, duration=60):
     )
 
 
-def drive(operator, elements, finish=True):
+def drive(operator, elements, finish=True, batch_size=0):
     results = []
-    for element in elements:
-        results.extend(operator.process(element))
+    if batch_size:
+        for index in range(0, len(elements), batch_size):
+            results.extend(operator.process_many(elements[index : index + batch_size]))
+    else:
+        for element in elements:
+            results.extend(operator.process(element))
     if finish:
         results.extend(operator.finish())
     return results
 
 
 class TestResumeEquivalence:
-    def _assert_resume_equivalent(self, make_operator, stream, tmp_path):
+    def _assert_resume_equivalent(self, make_operator, stream, tmp_path, batch_size=0):
         # Reference: one uninterrupted run.
-        reference = drive(make_operator(), list(stream))
+        uninterrupted = make_operator()
+        reference = drive(uninterrupted, list(stream), batch_size=batch_size)
 
         # Checkpointed: run half, save, load, run the rest.
         half = len(stream) // 2
         first_half = make_operator()
-        results = drive(first_half, stream[:half], finish=False)
+        results = drive(first_half, stream[:half], finish=False, batch_size=batch_size)
         path = tmp_path / "op.ckpt"
         save_checkpoint(first_half, path)
         resumed = load_checkpoint(path)
-        results += drive(resumed, stream[half:])
+        results += drive(resumed, stream[half:], batch_size=batch_size)
 
         assert len(results) == len(reference)
         for a, b in zip(results, reference):
@@ -53,6 +58,29 @@ class TestResumeEquivalence:
             assert a.value == pytest.approx(b.value, nan_ok=True)
             assert a.count == b.count
             assert a.latency == pytest.approx(b.latency)
+        return reference, uninterrupted, results, resumed
+
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_every_mode_resumes_identically(self, rng, tmp_path, mode, batch_size):
+        """Window stores stay picklable mid-run: results and feedback match."""
+        stream = make_stream(rng)
+
+        def make_operator():
+            return WindowAggregateOperator(
+                SlidingWindowAssigner(5, 1),
+                MeanAggregate(),
+                KSlackHandler(0.5),
+                feedback_horizon=10.0,
+                mode=mode,
+            )
+
+        reference, uninterrupted, results, resumed = self._assert_resume_equivalent(
+            make_operator, stream, tmp_path, batch_size
+        )
+        assert results == reference
+        assert uninterrupted.stats.observed_errors
+        assert resumed.stats.observed_errors == uninterrupted.stats.observed_errors
 
     def test_kslack_operator(self, rng, tmp_path):
         stream = make_stream(rng)

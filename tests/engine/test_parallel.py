@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import KSlackHandler
 from repro.engine.parallel import (
@@ -21,7 +22,6 @@ from repro.engine.parallel import (
     ThreadShardExecutor,
     stable_shard,
 )
-from repro.engine.partial_tree import make_window_operator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
@@ -130,8 +130,8 @@ def test_unkeyed_elements_round_robin_across_all_shards():
 @pytest.mark.parametrize("aggregate", ["mean", "count"])
 def test_single_shard_is_bit_identical_to_unsharded(mode, aggregate):
     stream = keyed_stream()
-    unsharded = make_window_operator(
-        mode, ASSIGNER, make_aggregate(aggregate), KSlackHandler(1.0)
+    unsharded = WindowAggregateOperator(
+        ASSIGNER, make_aggregate(aggregate), KSlackHandler(1.0), mode=mode
     )
     base = run_pipeline(stream, unsharded)
     out = run_pipeline(stream, sharded_operator(1, aggregate, mode=mode))
@@ -144,8 +144,8 @@ def test_key_skew_single_hot_shard_is_bit_identical_to_unsharded():
     stream = keyed_stream()
     base = run_pipeline(
         stream,
-        make_window_operator(
-            "naive", ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0)
+        WindowAggregateOperator(
+            ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0), mode="naive"
         ),
     )
     skewed = sharded_operator(8, key_fn=lambda e: "hot")
@@ -164,8 +164,8 @@ def test_empty_shards_are_excluded_from_the_merge_gate():
     k = no_late_k(stream)
     base = run_pipeline(
         stream,
-        make_window_operator(
-            "naive", ASSIGNER, make_aggregate("mean"), KSlackHandler(k)
+        WindowAggregateOperator(
+            ASSIGNER, make_aggregate("mean"), KSlackHandler(k), mode="naive"
         ),
     )
     out = run_pipeline(stream, sharded_operator(16, k=k))
@@ -237,8 +237,8 @@ def test_cross_shard_groups_merge_accumulators():
     k = no_late_k(stream)
     base = run_pipeline(
         stream,
-        make_window_operator(
-            "naive", ASSIGNER, make_aggregate("count"), KSlackHandler(k)
+        WindowAggregateOperator(
+            ASSIGNER, make_aggregate("count"), KSlackHandler(k), mode="naive"
         ),
     )
     recorder = TraceRecorder()
@@ -253,8 +253,8 @@ def test_cross_shard_mean_within_declared_drift():
     k = no_late_k(stream)
     base = run_pipeline(
         stream,
-        make_window_operator(
-            "naive", ASSIGNER, make_aggregate("mean"), KSlackHandler(k)
+        WindowAggregateOperator(
+            ASSIGNER, make_aggregate("mean"), KSlackHandler(k), mode="naive"
         ),
     )
     out = run_pipeline(stream, sharded_operator(6, "mean", k=k))

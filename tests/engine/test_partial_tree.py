@@ -1,8 +1,10 @@
 """Tests for partial-aggregate tree execution and the shared slice store.
 
-The contract is semantic equivalence with the naive and sliced operators;
-most tests run two operators over the same stream and compare results
-exactly.  Tree-specific behavior (O(log) patches, node caching, GC bounds,
+The contract is semantic equivalence with the naive reference: every
+``test_tree_equals_naive_*`` test is one row of the mode-parity matrix
+(``assert_modes_match_naive``: sliced and tree, scalar and batched, against
+the scalar naive run; ``tests/engine/test_sliced_op.py`` holds the other
+rows).  Tree-specific behavior (O(log) patches, node caching, GC bounds,
 trace events) is covered separately.
 """
 
@@ -13,7 +15,7 @@ import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
-from repro.engine.aggregate_op import WindowAggregateOperator
+from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
 from repro.engine.aggregates import (
     CountAggregate,
     DistinctCountAggregate,
@@ -24,15 +26,8 @@ from repro.engine.aggregates import (
     make_aggregate,
 )
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.partial_tree import (
-    EXECUTION_MODES,
-    SharedSliceStore,
-    TreeWindowAggregateOperator,
-    make_window_operator,
-    run_shared_slices,
-)
+from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.pipeline import run_pipeline
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.trace import TraceRecorder
@@ -40,34 +35,13 @@ from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
+from tests.conftest import assert_modes_match_naive as assert_equivalent
+from tests.conftest import disordered_stream as make_stream
+from tests.conftest import result_map
 
 
-def make_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
-    return inject_disorder(
-        generate_stream(duration=duration, rate=rate, rng=rng, keys=keys),
-        ExponentialDelay(mean_delay),
-        rng,
-    )
-
-
-def result_map(results):
-    return {
-        (r.key, r.window): (r.value, r.count, r.latency, r.flushed) for r in results
-    }
-
-
-def assert_equivalent(stream, assigner, aggregate_factory, handler_factory):
-    naive = WindowAggregateOperator(assigner, aggregate_factory(), handler_factory())
-    tree = TreeWindowAggregateOperator(assigner, aggregate_factory(), handler_factory())
-    naive_map = result_map(run_pipeline(stream, naive).results)
-    tree_map = result_map(run_pipeline(stream, tree).results)
-    assert set(naive_map) == set(tree_map)
-    for slot, (value, count, latency, flushed) in naive_map.items():
-        t_value, t_count, t_latency, t_flushed = tree_map[slot]
-        assert t_count == count
-        assert t_latency == latency
-        assert t_flushed == flushed
-        assert t_value == value or abs(t_value - value) <= 1e-9 * max(1.0, abs(value))
+def tree_operator(assigner, aggregate, handler, **options):
+    return WindowAggregateOperator(assigner, aggregate, handler, mode="tree", **options)
 
 
 # --------------------------------------------------------------------- #
@@ -78,21 +52,21 @@ def test_rejects_non_sliding_assigner():
     from repro.engine.windows import SessionWindowMerger
 
     with pytest.raises(ConfigurationError):
-        TreeWindowAggregateOperator(
+        tree_operator(
             SessionWindowMerger(gap=1.0), SumAggregate(), KSlackHandler(1.0)
         )
 
 
 def test_rejects_non_divisible_slide():
     with pytest.raises(ConfigurationError):
-        TreeWindowAggregateOperator(
+        tree_operator(
             SlidingWindowAssigner(10, 3), SumAggregate(), KSlackHandler(1.0)
         )
 
 
 def test_rejects_negative_feedback_horizon():
     with pytest.raises(ConfigurationError):
-        TreeWindowAggregateOperator(
+        tree_operator(
             SlidingWindowAssigner(10, 2),
             SumAggregate(),
             KSlackHandler(1.0),
@@ -100,15 +74,16 @@ def test_rejects_negative_feedback_horizon():
         )
 
 
-def test_make_window_operator_modes():
+def test_constructor_modes():
     def build(mode):
-        return make_window_operator(
-            mode, SlidingWindowAssigner(10, 2), SumAggregate(), KSlackHandler(1.0)
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(10, 2), SumAggregate(), KSlackHandler(1.0), mode=mode
         )
 
-    assert isinstance(build("naive"), WindowAggregateOperator)
-    assert isinstance(build("sliced"), SlicedWindowAggregateOperator)
-    assert isinstance(build("tree"), TreeWindowAggregateOperator)
+    for mode in EXECUTION_MODES:
+        operator = build(mode)
+        assert type(operator) is WindowAggregateOperator
+        assert operator.mode == mode
     assert set(EXECUTION_MODES) == {"naive", "sliced", "tree"}
     with pytest.raises(ConfigurationError):
         build("bogus")
@@ -184,10 +159,11 @@ def test_tree_equals_naive_with_aqk():
 def test_tree_matches_sliced_stats_and_errors():
     rng = np.random.default_rng(17)
     stream = make_stream(rng, mean_delay=1.5)
-    sliced = SlicedWindowAggregateOperator(
-        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
+    sliced = WindowAggregateOperator(
+        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5),
+        mode="sliced",
     )
-    tree = TreeWindowAggregateOperator(
+    tree = tree_operator(
         SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
     )
     run_pipeline(stream, sliced)
@@ -212,7 +188,7 @@ def test_batched_equals_scalar(batch_size):
     stream = make_stream(rng)
 
     def build():
-        return TreeWindowAggregateOperator(
+        return tree_operator(
             SlidingWindowAssigner(10, 2), SumAggregate(), KSlackHandler(1.0)
         )
 
@@ -239,7 +215,7 @@ def test_in_order_stream_never_patches():
         StreamElement(event_time=i * 0.1, value=1.0, arrival_time=i * 0.1, seq=i)
         for i in range(500)
     ]
-    operator = TreeWindowAggregateOperator(
+    operator = tree_operator(
         SlidingWindowAssigner(4, 0.5), CountAggregate(), NoBufferHandler()
     )
     run_pipeline(elements, operator)
@@ -250,7 +226,7 @@ def test_late_elements_patch_logarithmically():
     rng = np.random.default_rng(31)
     stream = make_stream(rng, mean_delay=2.0)
     span = int(round(8 / 0.5))
-    operator = TreeWindowAggregateOperator(
+    operator = tree_operator(
         SlidingWindowAssigner(8, 0.5), CountAggregate(), KSlackHandler(0.25)
     )
     run_pipeline(stream, operator)
@@ -264,7 +240,7 @@ def test_interior_nodes_are_cached_and_reused():
         StreamElement(event_time=i * 0.01, value=1.0, arrival_time=i * 0.01, seq=i)
         for i in range(2000)
     ]
-    operator = TreeWindowAggregateOperator(
+    operator = tree_operator(
         SlidingWindowAssigner(6.4, 0.1),
         CountAggregate(),
         NoBufferHandler(),
@@ -284,7 +260,7 @@ def test_gc_bounds_retained_state():
         StreamElement(event_time=i * 0.01, value=1.0, arrival_time=i * 0.01, seq=i)
         for i in range(5000)
     ]
-    operator = TreeWindowAggregateOperator(
+    operator = tree_operator(
         SlidingWindowAssigner(2, 0.25),
         CountAggregate(),
         NoBufferHandler(),
@@ -300,7 +276,7 @@ def test_gc_bounds_retained_state():
 def test_tree_trace_events():
     rng = np.random.default_rng(32)
     stream = make_stream(rng, mean_delay=1.5)
-    operator = TreeWindowAggregateOperator(
+    operator = tree_operator(
         SlidingWindowAssigner(8, 0.5), CountAggregate(), KSlackHandler(0.25)
     )
     recorder = TraceRecorder(detail=True)
@@ -314,11 +290,11 @@ def test_tree_trace_events():
     for event in assembles:
         assert event.fields["nodes"] >= 0
     # Traced run emits identical results to an untraced one.
-    untraced = TreeWindowAggregateOperator(
+    untraced = tree_operator(
         SlidingWindowAssigner(8, 0.5), CountAggregate(), KSlackHandler(0.25)
     )
     assert result_map(run_pipeline(stream, untraced).results) == result_map(
-        run_pipeline(stream, operator.__class__(
+        run_pipeline(stream, tree_operator(
             SlidingWindowAssigner(8, 0.5), CountAggregate(), KSlackHandler(0.25)
         )).results
     )
@@ -365,7 +341,7 @@ def test_shared_store_matches_private_pipelines_fixed_slack():
         store.register(qid, size, slack=slack)
     shared = run_shared_slices(stream, store)
     for qid, size, slack in configs:
-        solo = TreeWindowAggregateOperator(
+        solo = tree_operator(
             SlidingWindowAssigner(size, 2.0), CountAggregate(), KSlackHandler(slack)
         )
         solo_results = run_pipeline(stream, solo).results
@@ -392,11 +368,46 @@ def test_shared_store_matches_private_pipelines_aqk():
             aggregate=make_aggregate("count"),
             window_size=10.0,
         )
-        solo = TreeWindowAggregateOperator(
+        solo = tree_operator(
             SlidingWindowAssigner(10.0, 2.0), CountAggregate(), handler
         )
         solo_results = run_pipeline(stream, solo).results
         assert result_map(shared[f"q{theta}"]) == result_map(solo_results)
+
+
+def test_elements_after_finish_are_late_not_an_error():
+    # Once a view's close frontier is infinite there is no "first end above
+    # the frontier" to clamp a new, idle or rewound key to.
+    def element(t, key, seq):
+        return StreamElement(event_time=t, value=1.0, arrival_time=t, seq=seq, key=key)
+
+    store = SharedSliceStore(2.0, CountAggregate())
+    store.register("done", 4.0, slack=0.0)
+    store.register("live", 4.0, slack=0.0)
+    for seq, t in enumerate([1.0, 3.0, 5.0, 9.0]):
+        store.offer(element(t, "a", seq))
+    store.finish_query("done")
+    emitted = len(store.results["done"])
+    dropped = store.stats_for("done").late_dropped
+    live_before = len(store.results["live"])
+    # a new key, a known key ahead of its range, a known key behind it
+    for seq, (t, key) in enumerate([(11.0, "b"), (13.0, "a"), (0.5, "a")], start=4):
+        store.offer(element(t, key, seq))
+    assert len(store.results["done"]) == emitted
+    assert store.stats_for("done").late_dropped > dropped
+    assert len(store.results["live"]) > live_before
+
+    for mode in ("sliced", "tree"):
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 2.0), CountAggregate(), NoBufferHandler(), mode=mode
+        )
+        for seq, t in enumerate([1.0, 3.0, 5.0]):
+            operator.process(element(t, "a", seq))
+        operator.finish()
+        dropped = operator.stats.late_dropped
+        assert operator.process(element(7.0, "b", 3)) == []
+        assert operator.process_many([element(9.0, "c", 4), element(0.5, "a", 5)]) == []
+        assert operator.stats.late_dropped > dropped
 
 
 def test_shared_store_single_tree_memory():
@@ -434,7 +445,7 @@ def test_query_builder_mode_tree():
 
     naive = build("naive")
     tree = build("tree")
-    assert isinstance(tree.operator, TreeWindowAggregateOperator)
+    assert tree.operator.mode == "tree"
     assert result_map(naive.results) == result_map(tree.results)
     from repro.errors import QueryError
 
@@ -445,9 +456,9 @@ def test_query_builder_mode_tree():
 def test_query_builder_sliced_alias():
     from repro.queries.language import ContinuousQuery
 
-    query = ContinuousQuery().sliced()
+    query = ContinuousQuery().mode("sliced")
     assert query._mode == "sliced"
-    assert ContinuousQuery().sliced(False)._mode == "naive"
+    assert ContinuousQuery()._mode == "naive"
 
 
 def test_distinct_count_bit_identical_under_disorder():
@@ -466,7 +477,7 @@ def test_distinct_count_bit_identical_under_disorder():
     naive = WindowAggregateOperator(
         SlidingWindowAssigner(10, 2), DistinctCountAggregate(), KSlackHandler(0.5)
     )
-    tree = TreeWindowAggregateOperator(
+    tree = tree_operator(
         SlidingWindowAssigner(10, 2), DistinctCountAggregate(), KSlackHandler(0.5)
     )
     naive_map = result_map(run_pipeline(stream, naive).results)

@@ -1,7 +1,10 @@
-"""Tests for slice-based sliding-window aggregation.
+"""Slice-store execution (``mode="sliced"``): parity rows and specifics.
 
-The contract is semantic equivalence with the naive operator; most tests
-therefore run both over the same stream and compare results exactly.
+The contract is semantic equivalence with the naive operator.  Every
+``*_match_naive`` test is one row of the mode-parity matrix
+(``assert_modes_match_naive``: sliced and tree, scalar and batched,
+against the scalar naive reference); ``tests/engine/test_partial_tree.py``
+holds the remaining rows.
 """
 
 import pytest
@@ -16,45 +19,10 @@ from repro.engine.aggregates import (
 )
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.pipeline import run_pipeline
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.errors import ConfigurationError
-from repro.streams.delay import ExponentialDelay
-from repro.streams.disorder import inject_disorder
-from repro.streams.generators import generate_stream
-
-
-def make_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
-    return inject_disorder(
-        generate_stream(duration=duration, rate=rate, rng=rng, keys=keys),
-        ExponentialDelay(mean_delay),
-        rng,
-    )
-
-
-def result_map(results):
-    return {
-        (r.key, r.window): (r.value, r.count, r.latency, r.flushed) for r in results
-    }
-
-
-def assert_equivalent(stream, assigner, aggregate_factory, handler_factory):
-    naive = WindowAggregateOperator(assigner, aggregate_factory(), handler_factory())
-    sliced = SlicedWindowAggregateOperator(
-        assigner, aggregate_factory(), handler_factory()
-    )
-    naive_out = run_pipeline(stream, naive)
-    sliced_out = run_pipeline(stream, sliced)
-    naive_map = result_map(naive_out.results)
-    sliced_map = result_map(sliced_out.results)
-    assert set(naive_map) == set(sliced_map)
-    for slot, (value, count, latency, flushed) in naive_map.items():
-        s_value, s_count, s_latency, s_flushed = sliced_map[slot]
-        assert s_value == pytest.approx(value, nan_ok=True), slot
-        assert s_count == count, slot
-        assert s_latency == pytest.approx(latency), slot
-        assert s_flushed == flushed, slot
-    assert naive.stats.late_dropped == sliced.stats.late_dropped
+from tests.conftest import assert_modes_match_naive
+from tests.conftest import disordered_stream as make_stream
 
 
 class TestEquivalence:
@@ -65,7 +33,7 @@ class TestEquivalence:
     )
     def test_aggregates_match_naive(self, rng, aggregate_factory):
         stream = make_stream(rng)
-        assert_equivalent(
+        assert_modes_match_naive(
             stream,
             SlidingWindowAssigner(10, 2),
             aggregate_factory,
@@ -79,19 +47,19 @@ class TestEquivalence:
     )
     def test_handlers_match_naive(self, rng, handler_factory):
         stream = make_stream(rng, mean_delay=1.0)
-        assert_equivalent(
+        assert_modes_match_naive(
             stream, SlidingWindowAssigner(10, 2), CountAggregate, handler_factory
         )
 
     def test_tumbling_windows(self, rng):
         stream = make_stream(rng)
-        assert_equivalent(
+        assert_modes_match_naive(
             stream, TumblingWindowAssigner(5.0), SumAggregate, lambda: KSlackHandler(0.5)
         )
 
     def test_keyed_streams(self, rng):
         stream = make_stream(rng, keys=("a", "b", "c"))
-        assert_equivalent(
+        assert_modes_match_naive(
             stream,
             SlidingWindowAssigner(10, 2),
             MeanAggregate,
@@ -99,51 +67,56 @@ class TestEquivalence:
         )
 
     def test_observed_errors_match_for_emitted_windows(self, rng):
-        """Feedback samples agree for windows both operators emitted."""
+        """Feedback samples agree for windows both stores emitted."""
         stream = make_stream(rng, duration=120, mean_delay=1.0)
-        naive = WindowAggregateOperator(
-            SlidingWindowAssigner(10, 2), CountAggregate(), NoBufferHandler(),
+        operators = assert_modes_match_naive(
+            stream,
+            SlidingWindowAssigner(10, 2),
+            CountAggregate,
+            NoBufferHandler,
             feedback_horizon=20.0,
         )
-        sliced = SlicedWindowAggregateOperator(
-            SlidingWindowAssigner(10, 2), CountAggregate(), NoBufferHandler(),
-            feedback_horizon=20.0,
-        )
-        run_pipeline(stream, naive)
-        run_pipeline(stream, sliced)
-        # The sliced operator omits missed-window (phantom) samples, so
-        # compare only the overall magnitude.
-        naive_mean = sum(naive.stats.observed_errors) / len(naive.stats.observed_errors)
-        sliced_mean = sum(sliced.stats.observed_errors) / len(
-            sliced.stats.observed_errors
-        )
+        # Slice stores omit missed-window (phantom) samples, so compare
+        # only the overall magnitude.
+        naive_errors = operators["naive", 0].stats.observed_errors
+        sliced_errors = operators["sliced", 0].stats.observed_errors
+        naive_mean = sum(naive_errors) / len(naive_errors)
+        sliced_mean = sum(sliced_errors) / len(sliced_errors)
         assert sliced_mean == pytest.approx(naive_mean, abs=0.02)
 
 
 class TestSlicedSpecifics:
     def test_unaligned_windows_rejected(self):
         with pytest.raises(ConfigurationError):
-            SlicedWindowAggregateOperator(
-                SlidingWindowAssigner(10, 3), CountAggregate(), NoBufferHandler()
+            WindowAggregateOperator(
+                SlidingWindowAssigner(10, 3),
+                CountAggregate(),
+                NoBufferHandler(),
+                mode="sliced",
             )
 
     def test_session_style_assigner_rejected(self):
         with pytest.raises(ConfigurationError):
-            SlicedWindowAggregateOperator(
-                object(), CountAggregate(), NoBufferHandler()  # type: ignore[arg-type]
+            WindowAggregateOperator(
+                object(),  # type: ignore[arg-type]
+                CountAggregate(),
+                NoBufferHandler(),
+                mode="sliced",
             )
 
     def test_slice_store_is_pruned(self, rng):
         stream = make_stream(rng, duration=240)
-        operator = SlicedWindowAggregateOperator(
+        operator = WindowAggregateOperator(
             SlidingWindowAssigner(10, 2),
             CountAggregate(),
             KSlackHandler(1.0),
             track_feedback=False,
+            mode="sliced",
         )
         run_pipeline(stream, operator)
         # Retention is a few windows, not the whole stream (120 slices).
         assert operator.slice_count() < 30
+        assert operator.node_count() == 0
 
     def test_fewer_adds_than_naive(self, rng):
         """The point of slicing: one accumulator add per element."""
@@ -159,21 +132,15 @@ class TestSlicedSpecifics:
                 calls[self.label] += 1
                 super().add(accumulator, value)
 
-        run_pipeline(
-            stream,
-            WindowAggregateOperator(
-                SlidingWindowAssigner(10, 2),
-                CountingAggregate("naive"),
-                NoBufferHandler(),
-            ),
-        )
-        run_pipeline(
-            stream,
-            SlicedWindowAggregateOperator(
-                SlidingWindowAssigner(10, 2),
-                CountingAggregate("sliced"),
-                NoBufferHandler(),
-            ),
-        )
+        for mode in calls:
+            run_pipeline(
+                stream,
+                WindowAggregateOperator(
+                    SlidingWindowAssigner(10, 2),
+                    CountingAggregate(mode),
+                    NoBufferHandler(),
+                    mode=mode,
+                ),
+            )
         assert calls["sliced"] == len(stream)
         assert calls["naive"] > 4 * calls["sliced"]

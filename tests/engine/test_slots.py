@@ -14,7 +14,13 @@ from repro.engine.aggregate_op import OperatorStats, _ClosedRecord, _SliceAssign
 from repro.engine.buffer import SortingBuffer
 from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
-from repro.engine.partial_tree import _QueryWindowView, _SharedQuery, _SliceTree
+from repro.engine.partial_tree import (
+    _QueryWindowView,
+    _SharedQuery,
+    _SliceChain,
+    _SliceStore,
+    _SliceTree,
+)
 from repro.engine.aggregates import CountAggregate
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceEvent
@@ -43,7 +49,7 @@ HOT_INSTANCES = [
     EventTimeFrontier(),
     SortingBuffer(),
     _SliceAssignCache(SlidingWindowAssigner(8, 1)),
-    _ClosedRecord(accumulator=[], emitted_value=0.0, emitted_count=0, end=1.0),
+    _ClosedRecord(accumulator=[], emitted_value=0.0, emitted_count=0),
     OperatorStats(),
     LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0.0),
     SlackSample(arrival_time=0.0, slack=0.0, frontier=0.0, buffered=0),
@@ -51,6 +57,7 @@ HOT_INSTANCES = [
     _tree(),
     _view(),
     _SharedQuery("q", _view(), None, 1.0),
+    _SliceStore(_SliceChain(CountAggregate(), 1.0, 8), 8.0, 8, 40.0, True),
 ]
 
 

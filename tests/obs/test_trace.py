@@ -2,7 +2,16 @@
 
 import math
 
+import numpy as np
+import pytest
+
+from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
+from repro.engine.aggregates import make_aggregate
+from repro.engine.handlers import KSlackHandler
+from repro.engine.pipeline import run_pipeline
+from repro.engine.windows import SlidingWindowAssigner
 from repro.obs.trace import EVENT_KINDS, NULL_TRACER, TraceRecorder
+from tests.conftest import disordered_stream
 
 
 def test_null_tracer_is_disabled_and_silent():
@@ -105,3 +114,51 @@ def test_adaptation_records_carry_feedback_terms(burst_run):
         "target",
     } <= set(adaptation.fields)
     assert "error<=" in str(adaptation.fields["target"])
+
+
+def _mode_run(mode, batch_size, trace=None):
+    rng = np.random.default_rng(19)
+    stream = disordered_stream(rng, duration=40, rate=40, mean_delay=1.0, keys=("a", "b"))
+    operator = WindowAggregateOperator(
+        SlidingWindowAssigner(8, 2),
+        make_aggregate("mean"),
+        KSlackHandler(0.5),
+        feedback_horizon=8.0,
+        mode=mode,
+    )
+    return run_pipeline(stream, operator, batch_size=batch_size, trace=trace)
+
+
+@pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batch64"])
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+def test_every_mode_records_the_same_protocol_events(mode, batch_size):
+    """The driver traces the protocol once, whatever stores the windows."""
+
+    def advances(recorder, *fields):
+        return [
+            (event.sim_time, *(event.fields[name] for name in fields))
+            for event in recorder.of_kind("frontier.advance")
+        ]
+
+    scalar_naive, same_path_naive = TraceRecorder(), TraceRecorder()
+    _mode_run("naive", 0, trace=scalar_naive)
+    _mode_run("naive", batch_size, trace=same_path_naive)
+    recorder = TraceRecorder()
+    traced = _mode_run(mode, batch_size, trace=recorder)
+    assert advances(scalar_naive, "frontier")
+    assert advances(recorder, "frontier") == advances(scalar_naive, "frontier")
+    # ``buffered`` is read after the whole chunk was offered, so it is
+    # comparable within a path only.
+    assert advances(recorder, "frontier", "buffered") == advances(
+        same_path_naive, "frontier", "buffered"
+    )
+    # The handler and its buffer got the tracer too.
+    assert any(recorder.of_kind("buffer.release"))
+    closes = list(recorder.of_kind("window.close", "window.flush"))
+    assert len(closes) == len(traced.results)
+    retired = list(recorder.of_kind("window.retire"))
+    assert len(retired) == len(traced.observed_errors) > 0
+    assert [event.fields["error"] for event in retired] == traced.observed_errors
+    untraced = _mode_run(mode, batch_size)
+    assert traced.results == untraced.results
+    assert traced.observed_errors == untraced.observed_errors

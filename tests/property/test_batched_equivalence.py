@@ -35,7 +35,6 @@ from repro.engine.aggregates import (
 )
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.pipeline import run_pipeline
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
 from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.element import StreamElement
@@ -98,7 +97,7 @@ def scenarios(draw):
     handler_name = draw(st.sampled_from(sorted(HANDLERS)))
     pool = EXACT_AGGREGATES if handler_name == "aqk-quality" else ALL_AGGREGATES
     aggregate_name = draw(st.sampled_from(sorted(pool)))
-    operator_name = draw(st.sampled_from(["naive", "sliced"]))
+    operator_name = draw(st.sampled_from(["naive", "sliced", "tree"]))
     batch_size = draw(st.integers(min_value=2, max_value=n + 10))
 
     event_time = 0.0
@@ -132,18 +131,13 @@ def close(a: float, b: float) -> bool:
 @given(scenarios())
 def test_batched_run_matches_scalar(scenario):
     elements, handler_name, aggregate_name, operator_name, batch_size = scenario
-    operator_cls = (
-        WindowAggregateOperator
-        if operator_name == "naive"
-        else SlicedWindowAggregateOperator
-    )
-
     def make_operator():
-        return operator_cls(
+        return WindowAggregateOperator(
             SlidingWindowAssigner(3.0, 1.0),
             ALL_AGGREGATES[aggregate_name](),
             HANDLERS[handler_name](),
             feedback_horizon=6.0,
+            mode=operator_name,
         )
 
     scalar = run_pipeline(list(elements), make_operator())

@@ -284,14 +284,16 @@ def test_latency_summary_order(xs):
 def test_sliced_equals_naive(stream, window_params, k):
     from repro.engine.aggregate_op import WindowAggregateOperator
     from repro.engine.pipeline import run_pipeline
-    from repro.engine.sliced_op import SlicedWindowAggregateOperator
 
     size, slide = window_params
     naive = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide), SumAggregate(), KSlackHandler(k)
     )
-    sliced = SlicedWindowAggregateOperator(
-        SlidingWindowAssigner(size, slide), SumAggregate(), KSlackHandler(k)
+    sliced = WindowAggregateOperator(
+        SlidingWindowAssigner(size, slide),
+        SumAggregate(),
+        KSlackHandler(k),
+        mode="sliced",
     )
     naive_results = run_pipeline(stream, naive).results
     sliced_results = run_pipeline(stream, sliced).results

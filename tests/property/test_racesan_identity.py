@@ -10,6 +10,7 @@ finding, because every location stays in its exclusive phase.
 
 from __future__ import annotations
 
+import functools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.partial_tree import TreeWindowAggregateOperator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.element import StreamElement
@@ -33,7 +33,7 @@ HANDLERS = {
 
 OPERATORS = {
     "flat": WindowAggregateOperator,
-    "tree": TreeWindowAggregateOperator,
+    "tree": functools.partial(WindowAggregateOperator, mode="tree"),
 }
 
 

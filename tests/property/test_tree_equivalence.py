@@ -29,12 +29,7 @@ from repro.engine.aggregates import (
     SumAggregate,
 )
 from repro.engine.handlers import KSlackHandler
-from repro.engine.partial_tree import (
-    SharedSliceStore,
-    TreeWindowAggregateOperator,
-    run_shared_slices,
-)
-from repro.engine.sliced_op import SlicedWindowAggregateOperator
+from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.element import StreamElement
@@ -77,11 +72,12 @@ def run_pair(stream, size, slide, k, aggregate_cls, feedback_horizon=None):
         KSlackHandler(k),
         feedback_horizon=feedback_horizon,
     )
-    tree = TreeWindowAggregateOperator(
+    tree = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
         KSlackHandler(k),
         feedback_horizon=feedback_horizon,
+        mode="tree",
     )
     naive_results = run_pipeline(stream, naive).results
     tree_results = run_pipeline(stream, tree).results
@@ -122,23 +118,25 @@ def test_tree_retirement_corrections_bit_identical(stream, window_params, aggreg
 
     K = 0 maximizes lateness, and a small feedback horizon forces windows
     to retire (and be re-assembled from patched partials) mid-stream.  The
-    reference is the sliced operator: both slice-based modes score emitted
-    windows only, while the naive operator additionally scores phantom
+    reference is sliced mode: both slice-based modes score emitted
+    windows only, while naive mode additionally scores phantom
     records for missed windows (see
     ``test_observed_errors_match_for_emitted_windows`` in the sliced suite).
     """
     size, slide = window_params
-    sliced = SlicedWindowAggregateOperator(
+    sliced = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
         KSlackHandler(0.0),
         feedback_horizon=size,
+        mode="sliced",
     )
-    tree = TreeWindowAggregateOperator(
+    tree = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
         KSlackHandler(0.0),
         feedback_horizon=size,
+        mode="tree",
     )
     sliced_results = run_pipeline(stream, sliced).results
     tree_results = run_pipeline(stream, tree).results
@@ -199,8 +197,11 @@ def test_shared_store_equals_private_pipelines(stream, query_configs):
         store.register(f"q{index}", size, slack=slack)
     shared = run_shared_slices(stream, store)
     for index, (size, slack) in enumerate(query_configs):
-        solo = TreeWindowAggregateOperator(
-            SlidingWindowAssigner(size, 2.0), CountAggregate(), KSlackHandler(slack)
+        solo = WindowAggregateOperator(
+            SlidingWindowAssigner(size, 2.0),
+            CountAggregate(),
+            KSlackHandler(slack),
+            mode="tree",
         )
         solo_results = run_pipeline(stream, solo).results
         shared_map = {

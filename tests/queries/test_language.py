@@ -162,7 +162,7 @@ class TestSlicedExecution:
             .window(sliding_ctor(5, 1))
             .aggregate("mean")
             .with_slack(1.0)
-            .sliced()
+            .mode("sliced")
             .run()
         )
         default_map = {(r.key, r.window): r.value for r in default.results}
@@ -172,18 +172,19 @@ class TestSlicedExecution:
             assert sliced_map[slot] == pytest.approx(value)
 
     def test_sliced_operator_type(self, small_disordered_stream):
-        from repro.engine.sliced_op import SlicedWindowAggregateOperator
-
         run = (
-            base_query(small_disordered_stream).with_slack(1.0).sliced().run()
+            base_query(small_disordered_stream)
+            .with_slack(1.0)
+            .mode("sliced")
+            .run()
         )
-        assert isinstance(run.operator, SlicedWindowAggregateOperator)
+        assert run.operator.mode == "sliced"
 
     def test_sliced_with_quality_target(self, small_disordered_stream):
         run = (
             base_query(small_disordered_stream)
             .with_quality(0.1)
-            .sliced()
+            .mode("sliced")
             .run(assess=True)
         )
         assert run.report.mean_error < 0.5

@@ -219,7 +219,7 @@ class TestQueryCommand:
 
     def test_sliced_flag(self, trace, capsys):
         code = main(
-            ["query", trace, "--sliced",
+            ["query", trace, "--mode", "sliced",
              "SELECT mean(value) FROM stream GROUP BY HOP(10, 2) WITH SLACK 1"]
         )
         assert code == 0
