@@ -1,5 +1,5 @@
-"""E21: process-pool shards escape the GIL, with results bit-identical
-to the thread executor for every shard count.  The throughput headline
+"""E21: process-pool shards use the cores, with results bit-identical
+to the in-process executor for every shard count.  The throughput headline
 (process(4) beats the single tree) only applies on runners with at least
 4 cores, so it is asserted conditionally and always recorded."""
 
@@ -17,9 +17,9 @@ def test_e21_process_throughput(benchmark):
         # Sharding and executor choice never change per-group values.
         assert row["results_equal"], row
         # The executor-independence half of the shard contract: each
-        # process(n) run is bit-identical to its thread(n) twin.
-        if row["identical_to_thread"] is not None:
-            assert row["identical_to_thread"], row
+        # process(n) run is bit-identical to its serial(n) twin.
+        if row["identical_to_serial"] is not None:
+            assert row["identical_to_serial"], row
         assert row["eps"] > 0
 
     by_config = {row["config"]: row for row in result.rows}
@@ -31,5 +31,5 @@ def test_e21_process_throughput(benchmark):
         assert by_config["process(4)"]["speedup_vs_tree"] > 1.0
     if cpu_count >= 2:
         assert (
-            by_config["process(2)"]["eps"] >= by_config["thread(2)"]["eps"]
+            by_config["process(2)"]["eps"] >= by_config["serial(2)"]["eps"]
         )

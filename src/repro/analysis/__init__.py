@@ -19,7 +19,62 @@ See ``docs/ANALYSIS.md`` for the rule catalog and sanitizer flags.
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.errors import ConfigurationError
+from repro.obs.trace import NULL_TRACER, Tracer
+
 __all__ = [
+    "guard_operator",
     "lint",
     "sanitizer",
 ]
+
+
+def guard_operator(
+    operator: Any, kind: str, tracer: Tracer = NULL_TRACER, probe_every: int = 0
+) -> Any:
+    """Put ``operator`` under the runtime sanitizer named by ``kind``.
+
+    The one place a sanitizer name becomes a wrapper — ``"stream"``
+    (StreamSan), ``"race"`` (RaceSan) or ``"numeric"`` (NumSan) — shared
+    by ``run_pipeline(sanitize=...)`` and the per-shard runners.  An
+    operator that sanitizes its own parts (it has ``configure_sanitizer``,
+    like the sharded coordinator) is told the kind and returned unwrapped.
+
+    Raises:
+        ConfigurationError: unknown ``kind``, or a divergence probe
+            (``probe_every``) on anything but a wrapped ``"stream"`` run.
+    """
+    if kind not in ("stream", "race", "numeric"):
+        raise ConfigurationError(
+            f"unknown sanitizer {kind!r}; expected True, "
+            '"stream", "race" or "numeric"'
+        )
+    if probe_every and kind != "stream":
+        raise ConfigurationError(
+            "sanitize_probe_every requires the stream sanitizer "
+            '(sanitize=True or sanitize="stream")'
+        )
+    configure = getattr(operator, "configure_sanitizer", None)
+    if configure is not None:
+        if probe_every:
+            raise ConfigurationError(
+                "sanitize_probe_every is not supported for operators that "
+                "sanitize per shard"
+            )
+        configure(kind)
+        return operator
+    if kind == "stream":
+        from repro.analysis.sanitizer import SanitizerConfig, SanitizingOperator
+
+        return SanitizingOperator(
+            operator, SanitizerConfig(divergence_probe_every=probe_every)
+        )
+    if kind == "race":
+        from repro.analysis.concur.racesan import RaceSan
+
+        return RaceSan(tracer=tracer).guard_operator(operator)
+    from repro.analysis.numeric.numsan import NumSan
+
+    return NumSan(tracer=tracer).guard_operator(operator)

@@ -61,6 +61,7 @@ ROOT_CLASSES: tuple[str, ...] = (
     "_PerWindowStore",
     "_SliceStore",
     "SortingBuffer",
+    "ShardSession",
     "MetricsRegistry",
     "TraceRecorder",
 )

@@ -1307,12 +1307,12 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
     is value-comparable (``results_equal`` checks per-group values and
     counts against the single-pipeline sliced run).
 
-    Note on parallelism: the thread-per-shard executor interleaves under
-    the GIL, so nothing here is core-parallelism; per-shard operators
-    track fewer concurrent windows, which beat the old sliced operator's
-    overlap-proportional bookkeeping but not the slice store both
-    single-pipeline rows run on now.  On free-threaded builds the same
-    seam scales with cores.
+    Note on parallelism: the sharded rows run the in-process executor,
+    every shard on the coordinator's core, so nothing here is
+    core-parallelism; per-shard operators track fewer concurrent windows,
+    which beat the old sliced operator's overlap-proportional bookkeeping
+    but not the slice store both single-pipeline rows run on now.  E21
+    puts the same shards on a process pool.
     """
     from repro.engine.handlers import KSlackHandler
     from repro.engine.parallel import ShardedWindowOperator
@@ -1339,8 +1339,8 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
             f"16-key workload, sliding {64 * slide:g}s/{slide:g}s window, "
             f"K-slack K={k:.3f}s (max delay + eps: no late drops), "
             "feedback off; sharded rows run tree mode per shard",
-            "speedup is algorithmic under the GIL (fewer windows per "
-            "shard), not core-parallelism; see docs/SCALING.md",
+            "sharded rows run in-process: any speedup is algorithmic (fewer "
+            "windows per shard), not core-parallelism; see docs/SCALING.md",
             "methodology: warmup round + median of 3 interleaved repeats",
         ],
     )
@@ -1406,10 +1406,10 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
 
 
 def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
-    """Table E21: process-pool shard execution vs threads and single tree.
+    """Table E21: process-pool shard execution vs in-process and single tree.
 
     The same 16-key, overlap-64 workload as E20, but the sharded configs
-    now compare the GIL-bound thread executor against the process pool
+    now compare the in-process executor (``serial(n)``) against the process pool
     (:class:`~repro.engine.process_pool.ProcessShardExecutor`): chunked
     incremental dispatch onto a warm pool of spawn-started workers, so
     shards compute on real cores in parallel.  Each process config keeps
@@ -1418,16 +1418,16 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
     eps includes routing, chunk encoding, IPC and the merge.
 
     ``results_equal`` checks rounded per-group values/counts against the
-    single tree baseline; ``identical_to_thread`` checks the process
-    run's full result list bit-for-bit against the thread run with the
-    same shard count (the executor-independence half of the shard
+    single tree baseline; ``identical_to_serial`` checks the process
+    run's full result list bit-for-bit against the in-process run with
+    the same shard count (the executor-independence half of the shard
     contract).  Headline (on a >=4-core runner): process(4) beats the
-    single tree; CI gates process(2) >= thread(2).  ``cpu_count`` is
+    single tree; CI gates process(2) >= serial(2).  ``cpu_count`` is
     recorded in the notes so gates can be scoped to runners that can
     physically show parallel speedup.
     """
     from repro.engine.handlers import KSlackHandler
-    from repro.engine.parallel import ShardedWindowOperator, ThreadShardExecutor
+    from repro.engine.parallel import ShardExecutor, ShardedWindowOperator
     from repro.engine.process_pool import ProcessShardExecutor
 
     stream = (
@@ -1446,13 +1446,13 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
 
     result = ExperimentResult(
         experiment_id="E21",
-        title="Process-pool shards vs threads vs single tree (overlap 64)",
+        title="Process-pool shards vs in-process shards vs single tree (overlap 64)",
         columns=[
             "config",
             "eps",
             "speedup_vs_tree",
             "results_equal",
-            "identical_to_thread",
+            "identical_to_serial",
         ],
         notes=[
             workload_summary(stream),
@@ -1497,12 +1497,7 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
             ("single tree", make_tree)
         ]
         for n in shard_counts:
-            configs.append(
-                (
-                    f"thread({n})",
-                    make_sharded(n, lambda n=n: ThreadShardExecutor(max_workers=n)),
-                )
-            )
+            configs.append((f"serial({n})", make_sharded(n, ShardExecutor)))
         for n in shard_counts:
             configs.append(
                 (
@@ -1532,8 +1527,8 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
         eps, results = timed[name]
         identical = None
         if name.startswith("process("):
-            thread_twin = "thread(" + name[len("process("):]
-            identical = exact(results) == exact(timed[thread_twin][1])
+            serial_twin = "serial(" + name[len("process("):]
+            identical = exact(results) == exact(timed[serial_twin][1])
         result.add_row(
             config=name,
             eps=eps,
@@ -1545,7 +1540,7 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
                 if name != "single tree"
                 else True
             ),
-            identical_to_thread=identical,
+            identical_to_serial=identical,
         )
     return result
 

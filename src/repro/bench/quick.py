@@ -20,7 +20,7 @@ any path's results diverge, when the tree is slower than sliced execution
 at overlap 64, when four-shard execution is slower than the single sliced
 pipeline on the E20 workload, or when an E21 gate fails.  The E21
 throughput gates are *core-scoped*: ``process(4) > single tree`` needs a
-runner with at least 4 CPUs and ``process(2) >= thread(2)`` needs at
+runner with at least 4 CPUs and ``process(2) >= serial(2)`` needs at
 least 2 — on smaller runners they are recorded as skipped in the
 artifact instead of failing (a 1-core box physically cannot show
 multicore speedup; correctness rows are always enforced).
@@ -106,15 +106,15 @@ def summarize_e21(result: ExperimentResult) -> dict:
             "status": "pass" if headline is not None and headline > 1.0 else "fail",
             "ratio": headline,
         }
-    parity = ratio("process(2)", "thread(2)")
+    parity = ratio("process(2)", "serial(2)")
     if cpu_count < 2:
-        gates["process2_ge_thread2"] = {
+        gates["process2_ge_serial2"] = {
             "status": "skipped",
             "reason": f"needs >= 2 cores, runner has {cpu_count}",
             "ratio": parity,
         }
     else:
-        gates["process2_ge_thread2"] = {
+        gates["process2_ge_serial2"] = {
             "status": "pass" if parity is not None and parity >= 1.0 else "fail",
             "ratio": parity,
         }
@@ -166,7 +166,7 @@ def check_e20(summary: dict) -> list[str]:
 def check_e21(summary: dict) -> list[str]:
     """Gate conditions over the E21 summary; returns failure messages.
 
-    Correctness rows (``results_equal``, ``identical_to_thread``) are
+    Correctness rows (``results_equal``, ``identical_to_serial``) are
     unconditional; the throughput gates enforce only entries whose
     recorded status is ``"fail"`` — ``"skipped"`` entries (runner below
     the gate's core requirement) pass by construction.
@@ -175,9 +175,9 @@ def check_e21(summary: dict) -> list[str]:
     for row in summary["configs"]:
         if not row["results_equal"]:
             failures.append(f"E21 result mismatch at {row['config']}")
-        if row.get("identical_to_thread") is False:
+        if row.get("identical_to_serial") is False:
             failures.append(
-                f"E21 {row['config']} not bit-identical to its thread twin"
+                f"E21 {row['config']} not bit-identical to its serial twin"
             )
     for gate_name, gate in summary["gates"].items():
         if gate["status"] == "fail":

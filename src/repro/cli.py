@@ -272,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--executor",
-        choices=["thread", "process", "serial"],
+        choices=["serial", "process"],
         default=None,
-        help="shard execution strategy (requires --shards); \"process\" "
-        "uses a warm multi-core worker pool with chunked dispatch",
+        help="shard execution strategy (requires --shards): \"serial\" "
+        "(the default) runs shards in this process, \"process\" on a warm "
+        "multi-core worker pool with chunked dispatch",
     )
     run.add_argument(
         "--chunk-size",

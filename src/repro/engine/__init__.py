@@ -34,18 +34,17 @@ from repro.engine.operator import Operator, WindowResult
 from repro.engine.oracle import oracle_results
 from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.parallel import (
+    DEFAULT_CHUNK_SIZE,
     ShardExecutor,
     ShardRunner,
-    ShardTask,
+    ShardSession,
+    ShardSpec,
     ShardedHandlerView,
     ShardedWindowOperator,
-    ThreadShardExecutor,
     stable_shard,
 )
 from repro.engine.process_pool import (
-    DEFAULT_CHUNK_SIZE,
     ProcessShardExecutor,
-    ShardSpec,
     decode_chunk,
     encode_chunk,
 )
@@ -125,8 +124,8 @@ __all__ = [
     "SessionWindowMerger",
     "ShardExecutor",
     "ShardRunner",
+    "ShardSession",
     "ShardSpec",
-    "ShardTask",
     "ShardedHandlerView",
     "ShardedWindowOperator",
     "SharedSliceStore",
@@ -137,7 +136,6 @@ __all__ = [
     "SpeculativeAggregateOperator",
     "StdDevAggregate",
     "SumAggregate",
-    "ThreadShardExecutor",
     "TopKCountAggregate",
     "TumblingWindowAssigner",
     "Window",

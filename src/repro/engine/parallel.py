@@ -4,10 +4,11 @@
 ``n`` worker shards by a routing key.  Each shard runs a completely
 independent operator — its own execution mode (naive/sliced/tree), its own
 disorder handler built fresh from a factory (so adaptive AQ-K state never
-crosses shards), and its own per-shard event-time frontier.  When the
-stream ends, a :class:`ShardExecutor` runs every non-empty shard to
-completion and a deterministic merge stage combines the per-shard window
-results with the existing mergeable-aggregate machinery
+crosses shards), and its own per-shard event-time frontier.  A
+:class:`ShardExecutor` feeds every shard its routed chunks while the
+stream arrives; when the stream ends it finishes every non-empty shard
+and a deterministic merge stage combines the per-shard window results
+with the existing mergeable-aggregate machinery
 (:meth:`~repro.engine.aggregates.AggregateFunction.merge`).
 
 Semantics (the *shard contract*, documented in ``docs/SCALING.md``):
@@ -27,26 +28,29 @@ Semantics (the *shard contract*, documented in ``docs/SCALING.md``):
 * The merged output is in canonical order: ``(emit_time, flushed,
   window.end, window.start, key)``.
 
-Threading: the coordinator (the pipeline thread) only routes during the
-run; shard operators are created, driven and finished entirely inside
-their worker, and the coordinator reads shard state only after the worker
-joined.  That initialise-then-publish shape is exactly what the RaceSan
-lockset refinement admits, so per-shard sanitizers run clean.  The
-:class:`ShardExecutor` interface deals only in picklable
-:class:`ShardTask` inputs plus a callable, so a process-pool executor can
-slot in behind the same seam later.
+The executor seam: the coordinator speaks one protocol to however shards
+actually run — ``begin(spec)`` once, ``dispatch(shard_id, elements)`` per
+routed chunk while the stream is still arriving, ``collect()`` at stream
+end.  The base :class:`ShardExecutor` drives a :class:`ShardSession`
+in-process (the reference);
+:class:`~repro.engine.process_pool.ProcessShardExecutor` ships the same
+chunks to worker processes that each drive the same session class, so
+per-shard semantics agree across executors because both run the same
+lines.  Shard operators are created, driven and finished entirely inside
+their session, and the coordinator reads shard state only from the
+:class:`_ShardRun` snapshots ``collect`` returns — the
+initialise-then-publish shape the RaceSan lockset refinement admits, so
+per-shard sanitizers run clean.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, cast
+from typing import Any, Callable, Iterator, Sequence, cast
 
+from repro.analysis import guard_operator
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler
@@ -54,23 +58,31 @@ from repro.engine.operator import Operator, WindowResult
 from repro.engine.windows import WindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, TraceRecorder, Tracer
 from repro.streams.element import StreamElement
 from repro.streams.timebase import ArrivalTimeStamp, DurationS, EventTimeStamp
 
 __all__ = [
+    "DEFAULT_CHUNK_SIZE",
     "ShardExecutor",
     "ShardRunner",
-    "ShardTask",
+    "ShardSession",
+    "ShardSpec",
     "ShardedHandlerView",
     "ShardedWindowOperator",
-    "ThreadShardExecutor",
     "stable_shard",
 ]
 
-#: Hard cap on the shard count: one thread per shard, and far past the
-#: point where per-shard windows are too sparse to be useful.
+#: Hard cap on the shard count: far past the point where per-shard
+#: windows are too sparse to be useful.
 MAX_SHARDS = 64
+
+#: Elements per dispatched chunk.  Large enough that the fixed per-chunk
+#: costs (queue round trip, header, key-table pickle) amortize to well
+#: under a microsecond per element, small enough that workers start
+#: computing long before stream end (see the tuning table in
+#: ``docs/SCALING.md``).
+DEFAULT_CHUNK_SIZE = 512
 
 
 def stable_shard(routing_key: object, n_shards: int) -> int:
@@ -201,25 +213,39 @@ def _capture_wrapper(inner: AggregateFunction) -> _PartialCaptureAggregate:
 
 
 # --------------------------------------------------------------------- #
-# shard tasks, outcomes and the executor seam
+# shard spec, outcomes, the per-shard session and the executor seam
 
 
 @dataclass(frozen=True, slots=True)
-class ShardTask:
-    """One shard's unit of work: its id and its routed element slice."""
+class ShardSpec:
+    """Everything a :class:`ShardSession` needs to carry one run's shards.
+
+    Built by the coordinator at its first dispatch and handed to the
+    executor's ``begin``.  ``handler_factory`` is called once per shard,
+    so per-shard adaptive state never crosses shards; in-process it is
+    the caller's own factory and need not pickle.
+    """
 
     __concurrency__ = "immutable"
 
-    shard_id: int
-    elements: tuple[StreamElement, ...]
+    n_shards: int
+    mode: str
+    assigner: WindowAssigner
+    aggregate: AggregateFunction
+    handler_factory: Callable[[], DisorderHandler]
+    feedback_horizon: DurationS | None
+    track_feedback: bool
+    sanitize: str | None
+    trace_enabled: bool
+    trace_detail: bool
 
 
 @dataclass(slots=True)
 class _ShardRun:
-    """Everything one shard worker reports back to the coordinator.
+    """Everything one shard reports back to the coordinator.
 
-    Built entirely inside the worker thread and only read after the join
-    (initialise-then-publish), so no field needs a lock.
+    Built entirely inside the shard's session and only read after
+    ``collect`` (initialise-then-publish), so no field needs a lock.
     """
 
     __concurrency__ = "single-thread"
@@ -239,11 +265,10 @@ class _ShardRun:
     current_slack: DurationS
     max_buffered: int
     released: int
-    #: Worker-recorded trace events (process executors only; the thread
-    #: path traces through the coordinator's recorder directly).  The
+    #: Trace events of the shard's own recorder (traced runs only).  The
     #: coordinator re-timestamps these into its own wall clock at merge.
     trace_events: list[Any] = field(default_factory=list)
-    #: Worker-side telemetry counters (``chunks``, ``wire_bytes``, ...)
+    #: Session-side telemetry counters (``chunks``, ``wire_bytes``)
     #: merged into the coordinator registry under ``shard.<id>.*``.
     metric_deltas: dict[str, float] = field(default_factory=dict)
 
@@ -251,12 +276,11 @@ class _ShardRun:
 class ShardRunner:
     """Incremental driver for one shard's pipeline.
 
-    The single definition of what "running a shard" means, shared by
-    every executor: the thread path feeds a whole :class:`ShardTask` at
-    once, the process-pool workers feed decoded chunks as they arrive
-    over the wire.  Both end with :meth:`finish`, so per-shard semantics
-    (sanitizer wrapping, frontier-timeline capture, stats snapshot) are
-    identical across executors by construction.
+    The single definition of what "running a shard" means: chunks are
+    fed in arrival order as the coordinator dispatches them and
+    :meth:`finish` snapshots the outcome, so per-shard semantics
+    (sanitizer wrapping, frontier-timeline capture, stats snapshot) do
+    not depend on where the runner lives.
     """
 
     __concurrency__ = "single-thread"
@@ -288,20 +312,9 @@ class ShardRunner:
             set_tracer = getattr(operator, "set_tracer", None)
             if set_tracer is not None:
                 set_tracer(tracer)
-        driven: Any = operator
-        if sanitize == "stream":
-            from repro.analysis.sanitizer import SanitizerConfig, SanitizingOperator
-
-            driven = SanitizingOperator(operator, SanitizerConfig())
-        elif sanitize == "race":
-            from repro.analysis.concur.racesan import RaceSan
-
-            driven = RaceSan().guard_operator(operator)
-        elif sanitize == "numeric":
-            from repro.analysis.numeric.numsan import NumSan
-
-            driven = NumSan().guard_operator(operator)
-        self._driven = driven
+        self._driven: Any = (
+            guard_operator(operator, sanitize) if sanitize else operator
+        )
         self._results: list[WindowResult] = []
         self._frontier_arrivals: list[ArrivalTimeStamp] = []
         self._frontier_values: list[EventTimeStamp] = []
@@ -355,110 +368,119 @@ class ShardRunner:
         )
 
 
-class ShardExecutor:
-    """Seam between the coordinator and however shards actually run.
+class ShardSession:
+    """The shards one process carries during one sharded run.
 
-    The contract is deliberately narrow — ``run(fn, tasks)`` returns
-    ``fn(task)`` for every task, in task order, re-raising the first
-    failure by shard order — so a process-pool implementation (tasks are
-    frozen and element tuples are picklable) can replace the thread pool
-    without touching the operator.
+    The in-process executor owns one session holding every shard; each
+    process-pool worker owns one holding its subset.  Runners (and, in
+    traced runs, a recorder per shard) are built lazily at a shard's
+    first chunk, so a shard that never receives an element costs
+    nothing and reports nothing.
+    """
+
+    __concurrency__ = "single-thread"
+    __slots__ = ("spec", "runners", "tracers", "metric_deltas")
+
+    def __init__(self, spec: ShardSpec) -> None:
+        self.spec = spec
+        self.runners: dict[int, ShardRunner] = {}
+        self.tracers: dict[int, TraceRecorder] = {}
+        self.metric_deltas: dict[int, dict[str, float]] = {}
+
+    def feed(
+        self, shard_id: int, elements: Sequence[StreamElement], n_bytes: int = 0
+    ) -> None:
+        """Drive one chunk (``n_bytes`` on the wire) through its shard."""
+        runner = self.runners.get(shard_id)
+        if runner is None:
+            spec = self.spec
+            tracer: Tracer = NULL_TRACER
+            if spec.trace_enabled:
+                tracer = self.tracers[shard_id] = TraceRecorder(
+                    detail=spec.trace_detail
+                )
+            runner = self.runners[shard_id] = ShardRunner(
+                shard_id,
+                spec.mode,
+                spec.assigner,
+                spec.aggregate,
+                spec.handler_factory(),
+                feedback_horizon=spec.feedback_horizon,
+                track_feedback=spec.track_feedback,
+                sanitize=spec.sanitize,
+                tracer=tracer,
+            )
+            self.metric_deltas[shard_id] = {"chunks": 0, "wire_bytes": 0}
+        runner.feed(elements)
+        deltas = self.metric_deltas[shard_id]
+        deltas["chunks"] += 1
+        deltas["wire_bytes"] += n_bytes
+
+    def finish(self) -> Iterator[_ShardRun]:
+        """Finish every shard that saw a chunk; yield runs by shard id."""
+        for shard_id in sorted(self.runners):
+            run = self.runners[shard_id].finish()
+            tracer = self.tracers.get(shard_id)
+            if tracer is not None:
+                run.trace_events = list(tracer.events)
+            run.metric_deltas = self.metric_deltas[shard_id]
+            yield run
+
+
+class ShardExecutor:
+    """The executor seam, and its in-process reference implementation.
+
+    The coordinator calls ``begin(spec)`` once, before its first
+    ``dispatch``; ``dispatch(shard_id, elements)`` per routed chunk, in
+    arrival order per shard, returning the chunk's wire size in bytes;
+    and ``collect()`` once at stream end, returning one :class:`_ShardRun`
+    per dispatched shard, by shard id.  A shard failure may surface from
+    ``dispatch`` or from ``collect``.  ``chunk_size`` is how many routed
+    elements the coordinator gathers per shard before dispatching, and
+    ``validate`` lets an executor reject query parts it cannot carry
+    when the operator is built.
+
+    This base class runs every shard in the coordinator's own process on
+    one :class:`ShardSession` — nothing crosses a boundary, so nothing
+    needs to pickle and ``wire_bytes`` reads 0.
     """
 
     __concurrency__ = "single-thread"
 
-    #: Streaming executors (the process pool) receive chunks during the
-    #: run through ``begin``/``dispatch``/``collect`` instead of whole
-    #: tasks at finish; the coordinator branches on this attribute.
-    streaming = False
+    chunk_size = DEFAULT_CHUNK_SIZE
+    _session: ShardSession | None = None
 
-    def run(
+    def validate(
         self,
-        fn: Callable[[ShardTask], _ShardRun],
-        tasks: Sequence[ShardTask],
-    ) -> list[_ShardRun]:
-        """Run every task to completion; default is in-line execution."""
-        return [fn(task) for task in tasks]
+        assigner: WindowAssigner,
+        aggregate: AggregateFunction,
+        handler: DisorderHandler,
+    ) -> None:
+        """Accept any query parts: in-process execution pickles nothing."""
+
+    def _active_session(self) -> ShardSession:
+        if self._session is None:
+            raise ConfigurationError("no shard session: begin(spec) was not called")
+        return self._session
+
+    def begin(self, spec: ShardSpec) -> None:
+        """Start a session for one sharded run."""
+        self._session = ShardSession(spec)
+
+    def dispatch(self, shard_id: int, elements: Sequence[StreamElement]) -> int:
+        """Drive one chunk through its shard, in line; 0 bytes on the wire."""
+        self._active_session().feed(shard_id, elements)
+        return 0
+
+    def collect(self) -> list[_ShardRun]:
+        """Finish every dispatched shard and end the session."""
+        session = self._active_session()
+        self._session = None
+        return list(session.finish())
 
     def describe(self) -> str:
         """Label the execution strategy for reports."""
         return "serial"
-
-
-class ThreadShardExecutor(ShardExecutor):
-    """A bounded pool of worker threads carrying the shard tasks.
-
-    Threads carry the shards concurrently on free-threaded builds; under
-    the GIL they interleave, and the sharded speedup comes from the
-    per-shard operators doing algorithmically less work (see
-    ``docs/SCALING.md``).  Worker exceptions are captured and re-raised
-    on the coordinator, lowest shard id first, after every thread joined.
-
-    Args:
-        max_workers: Thread-count cap.  Defaults to
-            ``min(n_tasks, os.cpu_count())`` — one thread per shard was
-            pure oversubscription beyond the core count: past it, extra
-            threads only add GIL handoffs and scheduler churn without any
-            shard finishing sooner.
-    """
-
-    __concurrency__ = "single-thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and (
-            not isinstance(max_workers, int)
-            or isinstance(max_workers, bool)
-            or max_workers < 1
-        ):
-            raise ConfigurationError(
-                f"max_workers must be a positive int or None, got {max_workers!r}"
-            )
-        self.max_workers = max_workers
-
-    def worker_count(self, n_tasks: int) -> int:
-        """Number of threads a run over ``n_tasks`` shards will start."""
-        cap = self.max_workers if self.max_workers is not None else (os.cpu_count() or 1)
-        return max(1, min(n_tasks, cap))
-
-    def run(
-        self,
-        fn: Callable[[ShardTask], _ShardRun],
-        tasks: Sequence[ShardTask],
-    ) -> list[_ShardRun]:
-        """Run all shard tasks on a bounded thread pool and join it."""
-        outcomes: list[_ShardRun | None] = [None] * len(tasks)
-        failures: list[BaseException | None] = [None] * len(tasks)
-        pending: "queue.SimpleQueue[int]" = queue.SimpleQueue()
-        for index in range(len(tasks)):
-            pending.put(index)
-
-        def worker() -> None:
-            while True:
-                try:
-                    index = pending.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    outcomes[index] = fn(tasks[index])
-                except BaseException as error:  # noqa: BLE001 — re-raised below
-                    failures[index] = error
-
-        threads = [
-            threading.Thread(target=worker, name=f"repro-shard-worker-{i}")
-            for i in range(self.worker_count(len(tasks)))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for failure in failures:
-            if failure is not None:
-                raise failure
-        return cast("list[_ShardRun]", outcomes)
-
-    def describe(self) -> str:
-        """Label the execution strategy for reports."""
-        return "threads"
 
 
 # --------------------------------------------------------------------- #
@@ -472,9 +494,9 @@ class ShardedHandlerView:
     occupancy from ``operator.handler``; with one handler per shard there
     is no single object to point at, so this view presents the combined
     picture: the minimum frontier (the merge gate), the maximum slack,
-    summed buffer counts.  During the run everything routed is "buffered"
-    (shards execute at finish); afterwards the view reports the joined
-    per-shard totals.
+    summed buffer counts.  Shard state is only read at ``collect``, so
+    during the run the view counts everything routed as "buffered";
+    afterwards it reports the joined per-shard totals.
     """
 
     __concurrency__ = "single-thread"
@@ -516,7 +538,7 @@ class ShardedHandlerView:
         return self._slack
 
     def buffered_count(self) -> int:
-        """Elements routed but not yet executed (0 after finish)."""
+        """Elements routed whose shard runs are not yet joined (0 after finish)."""
         return 0 if self._finished else self._routed
 
     def max_buffered_count(self) -> int:
@@ -575,15 +597,17 @@ class ShardedWindowOperator(Operator):
         key_fn: Routing key function.  Defaults to the element key;
             elements whose routing key is ``None`` are distributed
             round-robin (deterministic in arrival order).
-        executor: Shard execution strategy; defaults to
-            :class:`ThreadShardExecutor`.
+        executor: Shard execution strategy; defaults to the in-process
+            :class:`ShardExecutor`.
         feedback_horizon: Passed through to every shard operator.
         track_feedback: Passed through to every shard operator.
 
-    The operator is two-phase: ``process``/``process_many`` only route
-    (cheap, coordinator-thread-only), and ``finish`` executes all shards
-    through the executor, merges, and emits everything in canonical
-    order.  All cross-thread state is handed over at the executor seam.
+    The operator is two-phase: ``process``/``process_many`` route and
+    dispatch full chunks to the executor (so a shard failure may surface
+    there), and ``finish`` dispatches the remainders, collects every
+    shard run, merges, and emits everything in canonical order.
+    Elements offered after ``finish`` are counted in
+    ``stats.late_dropped`` and go nowhere.
     """
 
     __concurrency__ = "single-thread"
@@ -614,7 +638,7 @@ class ShardedWindowOperator(Operator):
         self._handler_factory = handler_factory
         self._mode = mode
         self._key_fn = key_fn
-        self._executor = executor if executor is not None else ThreadShardExecutor()
+        self._executor = executor if executor is not None else ShardExecutor()
         self._feedback_horizon = feedback_horizon
         self._track_feedback = track_feedback
         # Validate the mode/assigner/aggregate combination eagerly — the
@@ -637,44 +661,35 @@ class ShardedWindowOperator(Operator):
         self._sanitize: str | None = None
         self._registry: MetricsRegistry | None = None
         self._finished = False
-        # Streaming executors (the process pool) receive element chunks
-        # during the run; everything crossing the boundary must pickle, so
-        # picklability is checked here at build time (clear error) rather
-        # than at first dispatch (opaque pickle traceback mid-run).
-        self._streaming = bool(self._executor.streaming)
-        self._streaming_started = False
-        self._chunk_size = int(getattr(self._executor, "chunk_size", 0) or 0)
+        self._chunk_size = self._executor.chunk_size
         self._chunks_sent = [0] * n_shards
         self._elements_sent = [0] * n_shards
-        if self._streaming:
-            validate = getattr(self._executor, "validate", None)
-            if validate is not None:
-                validate(assigner, aggregate, prototype_handler)
+        # Whatever the executor cannot carry (a process pool pickles every
+        # query part) is rejected here at build time with a clear error,
+        # not at first dispatch with an opaque traceback mid-run.
+        self._executor.validate(assigner, aggregate, prototype_handler)
 
     # -- pipeline hooks ------------------------------------------------ #
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer for the coordinator-side shard events.
 
-        Shard workers run untraced: the recorder is a single-thread
-        object, so the coordinator emits ``shard.ingest``/``shard.merge``
-        records itself instead of sharing the recorder across workers.
+        The recorder is a single-thread object, so shards never share
+        it: each traces into a recorder of its own (see
+        :class:`ShardSession`) whose events the coordinator absorbs at
+        ``collect``.
         """
         self.tracer = tracer
 
     def configure_sanitizer(self, kind: str) -> None:
         """Arrange for each shard operator to run under a sanitizer.
 
-        Called by ``run_pipeline(sanitize=...)`` instead of wrapping the
-        coordinator: sanitizers assume the scalar operator protocol (one
-        element in, results out), which the two-phase coordinator does
-        not follow, while each shard operator follows it exactly.
+        Called by :func:`repro.analysis.guard_operator` (which has
+        checked ``kind``) instead of wrapping the coordinator: sanitizers
+        assume the scalar operator protocol (one element in, results
+        out), which the two-phase coordinator does not follow, while each
+        shard operator follows it exactly.
         """
-        if kind not in ("stream", "race", "numeric"):
-            raise ConfigurationError(
-                f"unknown sanitizer {kind!r} for sharded execution; "
-                'expected "stream", "race" or "numeric"'
-            )
         self._sanitize = kind
 
     def set_registry(self, registry: MetricsRegistry) -> None:
@@ -695,19 +710,27 @@ class ShardedWindowOperator(Operator):
 
     def process(self, element: StreamElement) -> list[WindowResult]:
         """Route one element to its shard; results all come from finish."""
+        self.stats.elements_in += 1
+        if self._finished:
+            self.stats.late_dropped += 1
+            return []
         shard = self._route(element)
-        self._pending[shard].append(element)
+        pending = self._pending[shard]
+        pending.append(element)
         arrival = element.arrival_time
         if arrival is not None and arrival > self._last_arrival:
             self._last_arrival = arrival
         self.handler._note_routed(1)
-        self.stats.elements_in += 1
-        if self._streaming and 0 < self._chunk_size <= len(self._pending[shard]):
+        if len(pending) >= self._chunk_size:
             self._dispatch_shard(shard)
         return []
 
     def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
         """Route a chunk; equivalent to ``process`` element by element."""
+        self.stats.elements_in += len(elements)
+        if self._finished:
+            self.stats.late_dropped += len(elements)
+            return []
         route = self._route
         pending = self._pending
         for element in elements:
@@ -716,43 +739,36 @@ class ShardedWindowOperator(Operator):
             if arrival is not None and arrival > self._last_arrival:
                 self._last_arrival = arrival
         self.handler._note_routed(len(elements))
-        self.stats.elements_in += len(elements)
-        if self._streaming and self._chunk_size > 0:
-            for shard in range(self._n_shards):
-                if len(pending[shard]) >= self._chunk_size:
-                    self._dispatch_shard(shard)
+        for shard in range(self._n_shards):
+            if len(pending[shard]) >= self._chunk_size:
+                self._dispatch_shard(shard)
         return []
 
-    # -- streaming dispatch (process-pool executors) -------------------- #
-
-    def _start_streaming(self) -> None:
-        """Warm up the streaming executor with this run's shard spec."""
-        from repro.engine.checkpoint import dumps_state
-        from repro.engine.process_pool import ShardSpec
-
-        spec = ShardSpec(
-            n_shards=self._n_shards,
-            mode=self._mode,
-            assigner=self._assigner,
-            aggregate=self._aggregate,
-            handler_blob=dumps_state(self._handler_factory()),
-            feedback_horizon=self._feedback_horizon,
-            track_feedback=self._track_feedback,
-            sanitize=self._sanitize,
-            trace_enabled=self.tracer.enabled,
-            trace_detail=self.tracer.detail,
-        )
-        self._executor.begin(spec)
-        self._streaming_started = True
+    # -- dispatch ------------------------------------------------------- #
 
     def _dispatch_shard(self, shard_id: int) -> None:
-        """Ship one shard's pending elements as an encoded chunk."""
+        """Hand one shard's pending elements to the executor as a chunk."""
         elements = self._pending[shard_id]
         if not elements:
             return
         self._pending[shard_id] = []
-        if not self._streaming_started:
-            self._start_streaming()
+        if not any(self._chunks_sent):
+            # Begin at the first dispatch, not at construction: the
+            # pipeline attaches tracer and sanitizer after building us.
+            self._executor.begin(
+                ShardSpec(
+                    n_shards=self._n_shards,
+                    mode=self._mode,
+                    assigner=self._assigner,
+                    aggregate=self._aggregate,
+                    handler_factory=self._handler_factory,
+                    feedback_horizon=self._feedback_horizon,
+                    track_feedback=self._track_feedback,
+                    sanitize=self._sanitize,
+                    trace_enabled=self.tracer.enabled,
+                    trace_detail=self.tracer.detail,
+                )
+            )
         n_bytes = self._executor.dispatch(shard_id, elements)
         chunk = self._chunks_sent[shard_id]
         self._chunks_sent[shard_id] = chunk + 1
@@ -761,48 +777,6 @@ class ShardedWindowOperator(Operator):
             self.tracer.shard_dispatch(
                 self._last_arrival, shard_id, chunk, len(elements), n_bytes
             )
-
-    def _finish_streaming(self, tracer: Tracer) -> list[_ShardRun]:
-        """Flush remaining chunks and join every worker-side shard run."""
-        for shard_id in range(self._n_shards):
-            if self._pending[shard_id]:
-                self._dispatch_shard(shard_id)
-        self._pending = [[] for _ in range(self._n_shards)]
-        if not self._streaming_started:
-            return []
-        if tracer.enabled:
-            for shard_id, count in enumerate(self._elements_sent):
-                if count:
-                    tracer.shard_ingest(self._last_arrival, shard_id, count)
-        runs = self._executor.collect()
-        if tracer.enabled:
-            for run in runs:
-                tracer.absorb(run.trace_events)
-                tracer.shard_collect(
-                    self._last_arrival,
-                    run.shard_id,
-                    len(run.results),
-                    len(run.trace_events),
-                    self._chunks_sent[run.shard_id],
-                )
-        return runs
-
-    # -- shard execution ----------------------------------------------- #
-
-    def _run_shard(self, task: ShardTask) -> _ShardRun:
-        """Execute one shard to completion (runs on a worker thread)."""
-        runner = ShardRunner(
-            task.shard_id,
-            self._mode,
-            self._assigner,
-            self._aggregate,
-            self._handler_factory(),
-            feedback_horizon=self._feedback_horizon,
-            track_feedback=self._track_feedback,
-            sanitize=self._sanitize,
-        )
-        runner.feed(task.elements)
-        return runner.finish()
 
     # -- merge --------------------------------------------------------- #
 
@@ -868,29 +842,31 @@ class ShardedWindowOperator(Operator):
         return merged
 
     def finish(self) -> list[WindowResult]:
-        """Execute all shards, merge, and emit in canonical order."""
+        """Collect all shards, merge, and emit in canonical order."""
         if self._finished:
             return []
         self._finished = True
         tracer = self.tracer
-        if self._streaming:
-            runs = self._finish_streaming(tracer)
-        else:
-            tasks = [
-                ShardTask(shard_id=shard_id, elements=tuple(elements))
-                for shard_id, elements in enumerate(self._pending)
-                if elements
-            ]
-            self._pending = [[] for _ in range(self._n_shards)]
-            if tracer.enabled:
-                for task in tasks:
-                    tracer.shard_ingest(
-                        self._last_arrival, task.shard_id, len(task.elements)
-                    )
-            runs = self._executor.run(self._run_shard, tasks) if tasks else []
-        if not runs:
+        for shard_id in range(self._n_shards):
+            self._dispatch_shard(shard_id)
+        if not any(self._chunks_sent):
             self.handler._finalize(())
             return []
+        if tracer.enabled:
+            for shard_id, count in enumerate(self._elements_sent):
+                if count:
+                    tracer.shard_ingest(self._last_arrival, shard_id, count)
+        runs = self._executor.collect()
+        if tracer.enabled:
+            for run in runs:
+                tracer.absorb(run.trace_events)
+                tracer.shard_collect(
+                    self._last_arrival,
+                    run.shard_id,
+                    len(run.results),
+                    len(run.trace_events),
+                    self._chunks_sent[run.shard_id],
+                )
         merged = self._merge(runs)
         self.handler._finalize(runs)
         stats = self.stats

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis import guard_operator
 from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
 from repro.engine.operator import Operator, WindowResult
 from repro.errors import ConfigurationError
@@ -116,58 +117,18 @@ def run_pipeline(
     """
     if batch_size < 0:
         raise ConfigurationError(f"batch_size must be non-negative, got {batch_size}")
-    configure_sanitizer = getattr(operator, "configure_sanitizer", None)
-    if sanitize and configure_sanitizer is not None:
-        # Sharded (or otherwise composite) operators sanitize each shard
-        # inside its own worker instead of wrapping the coordinator: the
-        # coordinator defers all emissions to finish, which the scalar
-        # emission checkers would misread, while every shard operator
-        # follows the scalar protocol exactly.
-        if sanitize_probe_every:
-            raise ConfigurationError(
-                "sanitize_probe_every is not supported for operators that "
-                "sanitize per shard"
-            )
-        configure_sanitizer("stream" if sanitize is True else sanitize)
-    elif sanitize is True or sanitize == "stream":
-        from repro.analysis.sanitizer import SanitizerConfig, SanitizingOperator
-
-        operator = SanitizingOperator(
+    tracer = trace if trace is not None else NULL_TRACER
+    if sanitize:
+        operator = guard_operator(
             operator,
-            SanitizerConfig(divergence_probe_every=sanitize_probe_every),
-        )
-    elif sanitize == "race":
-        if sanitize_probe_every:
-            raise ConfigurationError(
-                "sanitize_probe_every requires the stream sanitizer "
-                '(sanitize=True or sanitize="stream")'
-            )
-        from repro.analysis.concur.racesan import RaceSan
-
-        operator = RaceSan(
-            tracer=trace if trace is not None else NULL_TRACER
-        ).guard_operator(operator)
-    elif sanitize == "numeric":
-        if sanitize_probe_every:
-            raise ConfigurationError(
-                "sanitize_probe_every requires the stream sanitizer "
-                '(sanitize=True or sanitize="stream")'
-            )
-        from repro.analysis.numeric.numsan import NumSan
-
-        operator = NumSan(
-            tracer=trace if trace is not None else NULL_TRACER
-        ).guard_operator(operator)
-    elif sanitize:
-        raise ConfigurationError(
-            f"unknown sanitizer {sanitize!r}; expected True, "
-            '"stream", "race" or "numeric"'
+            "stream" if sanitize is True else sanitize,
+            tracer,
+            sanitize_probe_every,
         )
     elif sanitize_probe_every:
         raise ConfigurationError(
             "sanitize_probe_every requires sanitize=True"
         )
-    tracer = trace if trace is not None else NULL_TRACER
     if tracer.enabled:
         set_tracer = getattr(operator, "set_tracer", None)
         if set_tracer is not None:

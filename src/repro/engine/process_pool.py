@@ -1,22 +1,22 @@
 """Process-pool shard execution: true multicore parallelism for shards.
 
-The thread executor in :mod:`repro.engine.parallel` interleaves shards
-under the GIL, so sharding buys algorithmic wins (smaller per-shard
-windows) but no CPU parallelism — E20 measured sharded(4) *slower* than a
-single tree.  :class:`ProcessShardExecutor` escapes the GIL: a persistent
-warm pool of spawn-started worker processes each drives a subset of the
-shards with the exact same :class:`~repro.engine.parallel.ShardRunner`
-the thread path uses, so results are bit-identical across executors by
-construction (property-tested in
+The in-process executor in :mod:`repro.engine.parallel` runs every shard
+on the coordinator's core, so sharding buys algorithmic wins (smaller
+per-shard windows) but no CPU parallelism — E20 measured sharded(4)
+*slower* than a single tree.  :class:`ProcessShardExecutor` uses the
+cores: a persistent warm pool of spawn-started worker processes each
+drives a subset of the shards on the exact same
+:class:`~repro.engine.parallel.ShardSession` the in-process executor
+drives, so results are bit-identical across executors because both run
+the same lines (property-tested in
 ``tests/property/test_process_equivalence.py``).
 
 Three design points distinguish this from ``multiprocessing.Pool.map``:
 
 * **Chunked, incremental dispatch.**  The coordinator ships each shard's
   elements in fixed-size chunks *while routing is still in progress*
-  (the streaming half of the executor seam: ``begin``/``dispatch``/
-  ``collect``), so workers compute during ingest instead of idling until
-  stream end.
+  (the executor seam: ``begin``/``dispatch``/``collect``), so workers
+  compute during ingest instead of idling until stream end.
 * **Compact wire encoding.**  Chunks cross the process boundary as a
   handful of ``array`` buffers (event times, arrivals, seqs, float
   values) plus at most two pickles per chunk (a non-float value list and
@@ -48,31 +48,29 @@ import pickle
 import struct
 import traceback
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from queue import Empty
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.engine.checkpoint import dumps_state, loads_state
-from repro.engine.parallel import ShardExecutor, ShardRunner, ShardTask, _ShardRun
+from repro.engine.parallel import (
+    DEFAULT_CHUNK_SIZE,
+    ShardExecutor,
+    ShardSession,
+    ShardSpec,
+    _ShardRun,
+)
 from repro.errors import ConfigurationError, ShardWorkerError
 from repro.streams.element import StreamElement
 
 __all__ = [
     "CODEC_STATS",
     "ChunkCodecStats",
-    "DEFAULT_CHUNK_SIZE",
     "ProcessShardExecutor",
-    "ShardSpec",
     "decode_chunk",
     "encode_chunk",
 ]
-
-#: Default elements per dispatched chunk.  Large enough that the fixed
-#: per-chunk costs (queue round trip, header, key-table pickle) amortize
-#: to well under a microsecond per element, small enough that workers
-#: start computing long before stream end (see the tuning table in
-#: ``docs/SCALING.md``).
-DEFAULT_CHUNK_SIZE = 512
 
 #: Wire header: element count, key-table size, value encoding kind, flags.
 _CHUNK_HEADER = struct.Struct("<IIBB")
@@ -236,147 +234,81 @@ def decode_chunk(payload: bytes) -> list[StreamElement]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class ShardSpec:
-    """Everything a worker needs to run shards for one session.
-
-    Broadcast (pickled once) to every worker at ``begin``; the handler
-    travels as a :func:`~repro.engine.checkpoint.dumps_state` blob of a
-    freshly built *prototype instance* — each shard unpickles its own
-    copy, so per-shard adaptive state never crosses shards, exactly like
-    the thread path calling the handler factory per shard.
-    """
-
-    __concurrency__ = "immutable"
-
-    n_shards: int
-    mode: str
-    assigner: Any
-    aggregate: Any
-    handler_blob: bytes
-    feedback_horizon: float | None
-    track_feedback: bool
-    sanitize: str | None
-    trace_enabled: bool
-    trace_detail: bool
-
-
 def _worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
-    """Worker process loop: decode chunks, drive shard runners, report.
+    """Worker process loop: decode chunks, drive a shard session, report.
 
     Message protocol (all tuples, first item is the kind):
 
-    * ``("begin", session, spec_blob)`` — reset state for a new run.
-    * ``("chunk", session, shard_id, payload)`` — feed one encoded chunk.
-    * ``("finish", session)`` — finish every owned shard, send one
-      ``("run", session, shard_id, run_blob)`` per shard followed by
-      ``("done", session, worker_id, shard_ids)``.
+    * ``("begin", session_id, spec_blob)`` — start a fresh
+      :class:`~repro.engine.parallel.ShardSession` for a new run.
+    * ``("chunk", session_id, shard_id, payload)`` — feed one encoded chunk.
+    * ``("finish", session_id)`` — finish every owned shard, send one
+      ``("run", session_id, shard_id, run_blob)`` per shard followed by
+      ``("done", session_id, worker_id, shard_ids)``.
     * ``("stop",)`` — exit the loop.
 
-    Any exception is reported as ``("error", session, worker_id, phase,
+    Any exception is reported as ``("error", session_id, worker_id, phase,
     shard_id, formatted_traceback)`` and the session is poisoned: further
     messages for it are ignored (the coordinator raises on the first
     error and tears the pool down).
     """
-    from repro.obs.trace import NULL_TRACER, TraceRecorder
-
-    spec: ShardSpec | None = None
-    session = -1
+    session: ShardSession | None = None
+    session_id = -1
     failed_session = -1
-    runners: dict[int, ShardRunner] = {}
-    tracers: dict[int, TraceRecorder] = {}
-    chunk_counts: dict[int, int] = {}
-    wire_bytes: dict[int, int] = {}
     while True:
         message = task_queue.get()
         kind = message[0]
         if kind == "stop":
             return
-        phase = kind
         shard_id = -1
         try:
             if kind == "begin":
-                session = message[1]
-                spec = loads_state(message[2])  # type: ignore[assignment]
-                runners = {}
-                tracers = {}
-                chunk_counts = {}
-                wire_bytes = {}
-            elif kind == "chunk":
-                if message[1] != session or session == failed_session:
-                    continue
+                session_id = message[1]
+                session = ShardSession(loads_state(message[2]))  # type: ignore[arg-type]
+                continue
+            if message[1] != session_id or session_id == failed_session:
+                continue
+            if session is None:
+                raise ConfigurationError(f"{kind} received before begin")
+            if kind == "chunk":
                 shard_id = message[2]
-                if spec is None:
-                    raise ConfigurationError("chunk received before begin")
-                runner = runners.get(shard_id)
-                if runner is None:
-                    tracer: Any = NULL_TRACER
-                    if spec.trace_enabled:
-                        tracer = TraceRecorder(detail=spec.trace_detail)
-                        tracers[shard_id] = tracer
-                    runner = ShardRunner(
-                        shard_id,
-                        spec.mode,
-                        spec.assigner,
-                        spec.aggregate,
-                        loads_state(spec.handler_blob),  # type: ignore[arg-type]
-                        feedback_horizon=spec.feedback_horizon,
-                        track_feedback=spec.track_feedback,
-                        sanitize=spec.sanitize,
-                        tracer=tracer,
-                    )
-                    runners[shard_id] = runner
-                    chunk_counts[shard_id] = 0
-                    wire_bytes[shard_id] = 0
                 payload = message[3]
-                runner.feed(decode_chunk(payload))
-                chunk_counts[shard_id] += 1
-                wire_bytes[shard_id] += len(payload)
+                session.feed(shard_id, decode_chunk(payload), len(payload))
             elif kind == "finish":
-                if message[1] != session or session == failed_session:
-                    continue
-                for shard_id in sorted(runners):
-                    run = runners[shard_id].finish()
-                    tracer_used = tracers.get(shard_id)
-                    if tracer_used is not None:
-                        run.trace_events = list(tracer_used.events)
-                    run.metric_deltas = {
-                        "chunks": chunk_counts[shard_id],
-                        "wire_bytes": wire_bytes[shard_id],
-                    }
+                shard_ids = []
+                for run in session.finish():
+                    shard_id = run.shard_id
+                    shard_ids.append(shard_id)
                     result_queue.put(
-                        ("run", session, shard_id, dumps_state(run))
+                        ("run", session_id, shard_id, dumps_state(run))
                     )
-                result_queue.put(
-                    ("done", session, worker_id, sorted(runners))
-                )
-                runners = {}
-                tracers = {}
-                chunk_counts = {}
-                wire_bytes = {}
+                result_queue.put(("done", session_id, worker_id, shard_ids))
+                session = None
         except BaseException:  # noqa: BLE001 — reported to the coordinator
-            failed_session = session
+            failed_session = session_id
             result_queue.put(
-                ("error", session, worker_id, phase, shard_id, traceback.format_exc())
+                ("error", session_id, worker_id, kind, shard_id, traceback.format_exc())
             )
 
 
 class ProcessShardExecutor(ShardExecutor):
-    """Streaming shard executor backed by a warm pool of worker processes.
+    """Shard executor backed by a warm pool of worker processes.
 
     Args:
         max_workers: Process-count cap; defaults to
-            ``min(n_shards, os.cpu_count())`` like the thread executor.
-        chunk_size: Elements per dispatched chunk
-            (default :data:`DEFAULT_CHUNK_SIZE`); the coordinator reads
-            this through the executor seam to decide when to ship.
-        start_method: Multiprocessing start method; ``"spawn"`` (the
-            default) is the only portable, fork-safety-proof choice and
-            is what the warm pool exists to amortize.
+            ``min(n_shards, os.cpu_count())`` — past the core count,
+            extra workers only add scheduler churn.
+        chunk_size: Elements per dispatched chunk (default
+            :data:`~repro.engine.parallel.DEFAULT_CHUNK_SIZE`); the
+            coordinator reads this through the executor seam to decide
+            when to ship.
 
-    The pool is *persistent*: workers survive :meth:`collect` and are
-    reused by the next :meth:`begin` with a compatible worker count, so
-    repeated runs (benchmarks, property tests) pay the spawn cost once.
+    Workers are started with the ``spawn`` method — the only portable,
+    fork-safety-proof choice, and the cost the warm pool exists to
+    amortize.  The pool is *persistent*: workers survive :meth:`collect`
+    and are reused by the next :meth:`begin` with a compatible worker
+    count, so repeated runs (benchmarks, property tests) pay the spawn
+    cost once.
     Workers are daemons — an abandoned executor cannot outlive the
     coordinator process — but :meth:`close` tears the pool down eagerly.
     Shards map to workers stickily (``shard_id % n_workers``), keeping
@@ -385,13 +317,10 @@ class ProcessShardExecutor(ShardExecutor):
 
     __concurrency__ = "single-thread"
 
-    streaming = True
-
     def __init__(
         self,
         max_workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        start_method: str = "spawn",
     ) -> None:
         if max_workers is not None and (
             not isinstance(max_workers, int)
@@ -407,11 +336,11 @@ class ProcessShardExecutor(ShardExecutor):
             )
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         self._workers: list[Any] = []
         self._task_queues: list[Any] = []
         self._result_queue: Any = None
-        self._session = 0
+        self._session_id = 0
         self._dispatched: set[int] = set()
 
     # -- seam: build-time validation ----------------------------------- #
@@ -467,20 +396,28 @@ class ProcessShardExecutor(ShardExecutor):
             self._workers.append(worker)
 
     def begin(self, spec: ShardSpec) -> None:
-        """Start a session: (re)warm the pool and broadcast the spec."""
+        """Start a session: (re)warm the pool and broadcast the spec.
+
+        The coordinator's handler factory need not pickle: one prototype
+        it builds here does, and the broadcast spec's factory unpickles a
+        fresh copy of that prototype per shard.
+        """
         self._ensure_pool(self.worker_count(spec.n_shards))
-        self._session += 1
+        self._session_id += 1
         self._dispatched = set()
-        spec_blob = dumps_state(spec)
+        handler_blob = dumps_state(spec.handler_factory())
+        spec_blob = dumps_state(
+            replace(spec, handler_factory=partial(loads_state, handler_blob))
+        )
         for task_queue in self._task_queues:
-            task_queue.put(("begin", self._session, spec_blob))
+            task_queue.put(("begin", self._session_id, spec_blob))
 
     def dispatch(self, shard_id: int, elements: Sequence[StreamElement]) -> int:
         """Encode and ship one chunk; returns its wire size in bytes."""
         payload = encode_chunk(elements)
         worker_index = shard_id % len(self._workers)
         self._task_queues[worker_index].put(
-            ("chunk", self._session, shard_id, payload)
+            ("chunk", self._session_id, shard_id, payload)
         )
         self._dispatched.add(shard_id)
         return len(payload)
@@ -494,7 +431,7 @@ class ProcessShardExecutor(ShardExecutor):
                 message carries its exit code and owned shards).
         """
         for task_queue in self._task_queues:
-            task_queue.put(("finish", self._session))
+            task_queue.put(("finish", self._session_id))
         awaiting = set(range(len(self._workers)))
         runs: dict[int, _ShardRun] = {}
         while awaiting:
@@ -504,7 +441,7 @@ class ProcessShardExecutor(ShardExecutor):
                 self._check_liveness(awaiting)
                 continue
             kind = message[0]
-            if message[1] != self._session:
+            if message[1] != self._session_id:
                 continue
             if kind == "run":
                 run = loads_state(message[3])
@@ -568,19 +505,6 @@ class ProcessShardExecutor(ShardExecutor):
         self._workers = []
         self._task_queues = []
         self._result_queue = None
-
-    # -- the batch half of the seam is not this executor's job ---------- #
-
-    def run(
-        self,
-        fn: Callable[[ShardTask], _ShardRun],
-        tasks: Sequence[ShardTask],
-    ) -> list[_ShardRun]:
-        """Unsupported: streaming executors are driven via the chunk path."""
-        raise ConfigurationError(
-            "ProcessShardExecutor is streaming-only; drive it through a "
-            "ShardedWindowOperator (begin/dispatch/collect), not run()"
-        )
 
     def describe(self) -> str:
         """Label the execution strategy for reports, e.g. ``processes(4)``."""

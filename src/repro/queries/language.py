@@ -239,9 +239,10 @@ class ContinuousQuery:
         self._shard_key = key
         return self
 
-    def executor(self, kind="thread", chunk_size: int | None = None) -> "ContinuousQuery":
-        """Choose how shards execute: ``"thread"``, ``"process"`` or ``"serial"``.
+    def executor(self, kind="serial", chunk_size: int | None = None) -> "ContinuousQuery":
+        """Choose how shards execute: ``"serial"`` (the default) or ``"process"``.
 
+        ``"serial"`` runs every shard in the calling process.
         ``"process"`` runs shards on a warm pool of worker processes
         (true multicore parallelism, see ``docs/SCALING.md``); it requires
         every query part crossing the process boundary — window assigner,
@@ -252,19 +253,19 @@ class ContinuousQuery:
 
         Args:
             kind: Executor name or instance.
-            chunk_size: Elements per dispatched chunk; only meaningful for
+            chunk_size: Elements per dispatched chunk; only settable for
                 ``"process"`` (defaults to
-                :data:`~repro.engine.process_pool.DEFAULT_CHUNK_SIZE`).
+                :data:`~repro.engine.parallel.DEFAULT_CHUNK_SIZE`).
 
         Requires :meth:`shards`; checked when the operator is built.
         """
         from repro.engine.parallel import ShardExecutor
 
         if isinstance(kind, str):
-            if kind not in ("thread", "process", "serial"):
+            if kind not in ("serial", "process"):
                 raise QueryError(
-                    f"unknown executor {kind!r}; expected \"thread\", "
-                    '"process", "serial" or a ShardExecutor instance'
+                    f"unknown executor {kind!r}; expected \"serial\", "
+                    '"process" or a ShardExecutor instance'
                 )
         elif not isinstance(kind, ShardExecutor):
             raise QueryError(
@@ -288,21 +289,15 @@ class ContinuousQuery:
         return self
 
     def _make_executor(self):
-        """Materialize the configured shard executor (None = default)."""
-        from repro.engine.parallel import ShardExecutor, ThreadShardExecutor
-
+        """Materialize the configured shard executor (None = in-process)."""
         spec = self._executor_spec
-        if spec is None or isinstance(spec, ShardExecutor):
-            return spec
-        if spec == "serial":
-            return ShardExecutor()
-        if spec == "thread":
-            return ThreadShardExecutor()
-        from repro.engine.process_pool import ProcessShardExecutor
+        if spec == "process":
+            from repro.engine.process_pool import ProcessShardExecutor
 
-        if self._chunk_size is not None:
-            return ProcessShardExecutor(chunk_size=self._chunk_size)
-        return ProcessShardExecutor()
+            if self._chunk_size is not None:
+                return ProcessShardExecutor(chunk_size=self._chunk_size)
+            return ProcessShardExecutor()
+        return None if spec == "serial" else spec
 
     def _require_aggregate(self) -> AggregateFunction:
         if self._aggregate is None:

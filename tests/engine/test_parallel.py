@@ -19,10 +19,10 @@ from repro.engine.parallel import (
     MAX_SHARDS,
     ShardExecutor,
     ShardedWindowOperator,
-    ThreadShardExecutor,
     stable_shard,
 )
 from repro.engine.pipeline import run_pipeline
+from repro.engine.process_pool import ProcessShardExecutor
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -379,51 +379,55 @@ def test_handler_view_reports_combined_state():
 
 
 def test_serial_executor_matches_threads():
+    # "serial" names the in-process executor, which is also what a sharded
+    # operator runs on when no executor is given.
     stream = keyed_stream()
-    threaded = run_pipeline(stream, sharded_operator(4, executor=ThreadShardExecutor()))
+    default = run_pipeline(stream, sharded_operator(4))
     serial = run_pipeline(stream, sharded_operator(4, executor=ShardExecutor()))
-    assert canonical(threaded.results) == canonical(serial.results)
+    assert canonical(default.results) == canonical(serial.results)
 
 
-def test_thread_executor_caps_workers_at_cpu_count():
-    import os
-    import threading
-
-    cpus = os.cpu_count() or 1
-    default = ThreadShardExecutor()
-    # Default cap: min(n_tasks, cpu_count) — one thread per shard beyond
-    # the core count was pure oversubscription.
-    assert default.worker_count(1) == 1
-    assert default.worker_count(cpus) == cpus
-    assert default.worker_count(cpus + 40) == cpus
-    capped = ThreadShardExecutor(max_workers=2)
-    assert capped.worker_count(1) == 1
-    assert capped.worker_count(64) == 2
-
-    seen = set()
-
-    def note(_task):
-        seen.add(threading.current_thread().name)
-        return None
-
-    tasks = [object()] * 8
-    capped.run(note, tasks)
-    assert len(seen) <= 2
+def test_in_process_results_do_not_depend_on_chunk_size():
+    stream = keyed_stream()
+    small_chunks = ShardExecutor()
+    small_chunks.chunk_size = 7
+    recorder = TraceRecorder()
+    chunked = run_pipeline(
+        stream, sharded_operator(4, executor=small_chunks), trace=recorder
+    )
+    assert len(list(recorder.of_kind("shard.dispatch"))) > len(stream) // 8
+    whole = run_pipeline(stream, sharded_operator(4))
+    assert canonical(chunked.results) == canonical(whole.results)
+    assert chunked.metrics.late_dropped == whole.metrics.late_dropped
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
 def test_thread_executor_rejects_invalid_max_workers(bad):
-    with pytest.raises(ConfigurationError):
-        ThreadShardExecutor(max_workers=bad)
+    # The thread pool and its worker cap are gone; the in-process
+    # executor that took its place has no options at all.
+    with pytest.raises(TypeError):
+        ShardExecutor(max_workers=bad)
 
 
-def test_thread_executor_bounded_pool_matches_unbounded():
-    stream = keyed_stream()
-    wide = run_pipeline(stream, sharded_operator(8, executor=ThreadShardExecutor()))
-    narrow = run_pipeline(
-        stream, sharded_operator(8, executor=ThreadShardExecutor(max_workers=2))
-    )
-    assert canonical(wide.results) == canonical(narrow.results)
+@pytest.mark.parametrize("kind", ["serial", "process"])
+def test_elements_after_finish_are_late_not_an_error(kind):
+    stream = keyed_stream(duration=5.0)
+    executor = ProcessShardExecutor(max_workers=1) if kind == "process" else None
+    try:
+        operator = sharded_operator(2, executor=executor)
+        for element in stream:
+            operator.process(element)
+        emitted = operator.finish()
+        assert emitted
+        dropped = operator.stats.late_dropped
+        assert operator.process(stream[-1]) == []
+        assert operator.process_many(stream[:3]) == []
+        assert operator.stats.late_dropped == dropped + 4
+        assert operator.stats.elements_in == len(stream) + 4
+        assert operator.finish() == []
+    finally:
+        if executor is not None:
+            executor.close()
 
 
 def test_worker_exception_propagates_to_the_coordinator():

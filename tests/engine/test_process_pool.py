@@ -17,14 +17,13 @@ import pytest
 from repro.engine.aggregates import CountAggregate, make_aggregate
 from repro.engine.handlers import KSlackHandler
 from repro.engine.parallel import (
+    DEFAULT_CHUNK_SIZE,
     ShardExecutor,
     ShardedWindowOperator,
-    ThreadShardExecutor,
 )
 from repro.engine.pipeline import run_pipeline
 from repro.engine.process_pool import (
     CODEC_STATS,
-    DEFAULT_CHUNK_SIZE,
     ProcessShardExecutor,
     decode_chunk,
     encode_chunk,
@@ -146,11 +145,11 @@ def test_dispatch_path_is_chunk_encoded_not_per_element(pool):
 def test_process_matches_threads_bit_identical(pool, mode):
     stream = keyed_stream()
     k = no_late_k(stream)
-    thread_out = run_pipeline(
-        stream, sharded_operator(4, ThreadShardExecutor(), k=k, mode=mode)
+    serial_out = run_pipeline(
+        stream, sharded_operator(4, ShardExecutor(), k=k, mode=mode)
     )
     process_out = run_pipeline(stream, sharded_operator(4, pool, k=k, mode=mode))
-    assert canonical(process_out.results) == canonical(thread_out.results)
+    assert canonical(process_out.results) == canonical(serial_out.results)
 
 
 @pytest.mark.parametrize("aggregate", ["count", "min", "max", "distinct"])
@@ -216,17 +215,40 @@ def test_trace_records_chunked_dispatch_and_collect(pool):
 
 def test_worker_trace_events_are_absorbed_and_retimestamped(pool):
     stream = keyed_stream(duration=8.0)
-    recorder = TraceRecorder()
-    operator = sharded_operator(2, pool, k=no_late_k(stream), mode="tree")
-    run_pipeline(stream, operator, trace=recorder)
-    # Worker-side kinds (per-element engine events) made it across.
-    assert any(recorder.of_kind("window.close"))
-    assert any(recorder.of_kind("buffer.release"))
-    # Re-timestamping keeps every absorbed event within this recorder's
-    # clock: non-negative and no later than the run.end record.
-    run_end = max(e.wall_time for e in recorder.events)
-    for event in recorder.events:
-        assert 0.0 <= event.wall_time <= run_end
+    in_process = ShardExecutor()
+    in_process.chunk_size = pool.chunk_size
+    traces = []
+    for executor in (pool, in_process):
+        recorder = TraceRecorder()
+        operator = sharded_operator(2, executor, k=no_late_k(stream), mode="tree")
+        run_pipeline(stream, operator, trace=recorder)
+        # Shard-side kinds (per-element engine events) made it across.
+        assert any(recorder.of_kind("window.close"))
+        assert any(recorder.of_kind("buffer.release"))
+        # Re-timestamping keeps every absorbed event within this recorder's
+        # clock: non-negative and no later than the run.end record.
+        run_end = max(e.wall_time for e in recorder.events)
+        for event in recorder.events:
+            assert 0.0 <= event.wall_time <= run_end
+        traces.append(
+            sorted(
+                repr(
+                    (
+                        event.kind,
+                        event.sim_time,
+                        sorted(
+                            (name, value)
+                            for name, value in event.fields.items()
+                            if name not in ("bytes", "wall_time_s")
+                        ),
+                    )
+                )
+                for event in recorder.events
+            )
+        )
+    # Both executors drive the same shard session, so a traced run records
+    # the same events either way; only bytes on the wire and wall time differ.
+    assert traces[0] == traces[1]
 
 
 def test_registry_merges_worker_metric_deltas(pool):
@@ -388,9 +410,10 @@ def test_worker_count_caps_at_shards_and_cpus():
 
 
 def test_batch_run_entry_point_is_rejected():
-    executor = ProcessShardExecutor(max_workers=1)
-    with pytest.raises(ConfigurationError):
-        executor.run(lambda task: None, [])
+    # begin/dispatch/collect is the whole seam: no executor has a batch
+    # run(fn, tasks) entry point to call.
+    assert not hasattr(ShardExecutor, "run")
+    assert not hasattr(ProcessShardExecutor, "run")
 
 
 def test_describe_names_the_strategy():
@@ -404,6 +427,7 @@ def test_describe_names_the_strategy():
 
 
 def test_query_builder_process_executor_matches_thread(pool):
+    # The reference is the in-process executor, named "serial".
     from repro.queries.language import ContinuousQuery
 
     stream = keyed_stream(duration=8.0)
@@ -419,9 +443,9 @@ def test_query_builder_process_executor_matches_thread(pool):
         )
         return query.executor(executor if executor is not None else kind).run()
 
-    thread_run = build("thread")
+    serial_run = build("serial")
     process_run = build("process", executor=pool)
-    assert canonical(process_run.results) == canonical(thread_run.results)
+    assert canonical(process_run.results) == canonical(serial_run.results)
 
 
 def test_query_builder_rejects_executor_without_shards():
@@ -440,14 +464,24 @@ def test_query_builder_rejects_executor_without_shards():
 
 
 def test_query_builder_rejects_chunk_size_for_threads():
+    # Only the process executor has a settable chunk size.
     from repro.queries.language import ContinuousQuery
 
-    with pytest.raises(QueryError):
-        ContinuousQuery().executor("thread", chunk_size=128)
+    with pytest.raises(QueryError, match="chunk_size only applies"):
+        ContinuousQuery().executor("serial", chunk_size=128)
 
 
-def test_query_builder_rejects_unknown_executor():
+def test_query_builder_rejects_unknown_executor(capsys):
+    from repro.cli import build_parser
     from repro.queries.language import ContinuousQuery
 
-    with pytest.raises(QueryError):
-        ContinuousQuery().executor("fiber")
+    for kind in ("fiber", "thread"):
+        with pytest.raises(QueryError, match='"serial".*"process"'):
+            ContinuousQuery().executor(kind)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["run", "trace.jsonl", "--window", "4", "--slide", "1",
+             "--shards", "2", "--executor", "thread"]
+        )
+    message = capsys.readouterr().err
+    assert "'serial'" in message and "'process'" in message

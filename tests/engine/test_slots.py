@@ -14,6 +14,7 @@ from repro.engine.aggregate_op import OperatorStats, _ClosedRecord, _SliceAssign
 from repro.engine.buffer import SortingBuffer
 from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
+from repro.engine.parallel import ShardSession
 from repro.engine.partial_tree import (
     _QueryWindowView,
     _SharedQuery,
@@ -58,6 +59,7 @@ HOT_INSTANCES = [
     _view(),
     _SharedQuery("q", _view(), None, 1.0),
     _SliceStore(_SliceChain(CountAggregate(), 1.0, 8), 8.0, 8, 40.0, True),
+    ShardSession(None),
 ]
 
 

@@ -1,9 +1,9 @@
-"""Property tests: process-pool shards are equivalent to threads/unsharded.
+"""Property tests: process-pool shards are equivalent to in-process/unsharded.
 
 The executor half of the shard contract (``docs/SCALING.md``): which
 :class:`~repro.engine.parallel.ShardExecutor` carries the shards must be
 invisible in the output.  For the *same* shard count, the process pool
-must be **bit-identical** to the thread executor on the full result list
+must be **bit-identical** to the in-process executor on the full result list
 — values, counts, emit times, flush flags — for every aggregate,
 including sum/mean: routing, per-shard streams and merge fold order are
 all executor-independent, so even re-associated float results agree to
@@ -32,7 +32,7 @@ from repro.engine.aggregates import (
     SumAggregate,
 )
 from repro.engine.handlers import KSlackHandler
-from repro.engine.parallel import ShardedWindowOperator, ThreadShardExecutor
+from repro.engine.parallel import ShardedWindowOperator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.process_pool import ProcessShardExecutor
 from repro.engine.windows import SlidingWindowAssigner
@@ -119,14 +119,11 @@ def test_process_bit_identical_to_threads_for_all_aggregates(
     """
     size, slide = window_params
     k = no_late_k(stream)
-    threaded = run_sharded(
-        stream, n_shards, size, slide, k, aggregate_cls,
-        executor=ThreadShardExecutor(),
-    )
+    in_process = run_sharded(stream, n_shards, size, slide, k, aggregate_cls)
     processed = run_sharded(
         stream, n_shards, size, slide, k, aggregate_cls, executor=pool
     )
-    assert canonical(processed) == canonical(threaded)
+    assert canonical(processed) == canonical(in_process)
 
 
 @given(
@@ -141,11 +138,9 @@ def test_key_skew_with_empty_shards_matches_threads(
     """One hot key over 4 shards: 3 shards stay empty, results still agree."""
     size, slide = window_params
     k = no_late_k(stream)
-    threaded = run_sharded(
-        stream, 4, size, slide, k, aggregate_cls, executor=ThreadShardExecutor()
-    )
+    in_process = run_sharded(stream, 4, size, slide, k, aggregate_cls)
     processed = run_sharded(stream, 4, size, slide, k, aggregate_cls, executor=pool)
-    assert canonical(processed) == canonical(threaded)
+    assert canonical(processed) == canonical(in_process)
 
 
 @given(
