@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif baseline sanitize race-stress numcheck typecheck docs docs-check linkcheck bench bench-quick experiments examples artifacts clean
+.PHONY: install test lint lint-sarif baseline sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -14,10 +14,9 @@ test:
 	$(PY) -m pytest tests/
 
 # Engine-specific invariant linter: syntactic rules R01-R05, the
-# time-domain dataflow rules R06-R10, the concurrency rules R11-R15 and
-# the float-soundness rules R16-R20 (see docs/ANALYSIS.md and
-# docs/NUMERICS.md).  Applies analysis/baseline.json automatically when
-# it exists.
+# time-domain dataflow rules R06-R10 and the float-soundness rules
+# R16-R20 (see docs/ANALYSIS.md and docs/NUMERICS.md).  Applies
+# analysis/baseline.json automatically when it exists.
 lint:
 	$(PY) -m repro.analysis.lint src/
 
@@ -48,13 +47,6 @@ sanitize:
 	op = WindowAggregateOperator(SlidingWindowAssigner(size=4, slide=1), make_aggregate('mean'), KSlackHandler(1.0)); \
 	out = run_pipeline(stream, op, batch_size=256, sanitize=True, sanitize_probe_every=4); \
 	print('StreamSan smoke run clean:', len(out.results), 'results')"
-
-# Deterministic concurrent stress harness against the shared slice store:
-# guarded runs must match the single-threaded reference bit-for-bit with
-# zero RaceSan findings, and the unguarded fixture must be caught
-# (see docs/ANALYSIS.md, "Concurrency analysis").
-race-stress:
-	$(PY) -m repro.analysis.concur stress --threads 8 --seeds 0,1,2
 
 # Numeric-safety gate: float-soundness lint (R16-R20, no baseline debt
 # allowed), the annotation inventory, and a NumSan shadow-execution smoke

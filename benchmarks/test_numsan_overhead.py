@@ -2,9 +2,8 @@
 
 ``run_pipeline(sanitize=False)`` performs no wrapping at all — NumSan
 costs literally zero when disabled — so the "off" budget (< 2%) is
-asserted as off-vs-off run-to-run noise, the same methodology as the
-RaceSan guard in ``test_racesan_overhead.py``.  With ``sanitize="numeric"``
-the shadow aggregate mirrors each value into a retained list and
+asserted as off-vs-off run-to-run noise.  With ``sanitize="numeric"`` the
+shadow aggregate mirrors each value into a retained list and
 recomputes every extracted window through the ``fsum`` reference (one
 ``Fraction`` evaluation per 16 checked windows), which must stay under
 25% on the E18-style quick workload (sliding 20s/1s, mean, K-slack 1s).
@@ -74,8 +73,8 @@ def test_numsan_results_identical(stream):
 def test_numsan_overhead_within_budget(stream):
     """Numeric mode stays under 25%; interleaved off runs bound the off budget.
 
-    Unlike the RaceSan guard, this compares *minima* over interleaved
-    off/on runs rather than block medians: scheduler noise on a shared
+    This compares *minima* over interleaved off/on runs rather than
+    block medians: scheduler noise on a shared
     box only ever adds time, so the minimum of each series converges on
     the true cost while a median comparison inherits whichever noise
     spike landed inside its block.  Interleaving keeps slow background

@@ -37,8 +37,8 @@ def guard_operator(
     """Put ``operator`` under the runtime sanitizer named by ``kind``.
 
     The one place a sanitizer name becomes a wrapper — ``"stream"``
-    (StreamSan), ``"race"`` (RaceSan) or ``"numeric"`` (NumSan) — shared
-    by ``run_pipeline(sanitize=...)`` and the per-shard runners.  An
+    (StreamSan) or ``"numeric"`` (NumSan) — shared by
+    ``run_pipeline(sanitize=...)`` and the per-shard runners.  An
     operator that sanitizes its own parts (it has ``configure_sanitizer``,
     like the sharded coordinator) is told the kind and returned unwrapped.
 
@@ -46,10 +46,10 @@ def guard_operator(
         ConfigurationError: unknown ``kind``, or a divergence probe
             (``probe_every``) on anything but a wrapped ``"stream"`` run.
     """
-    if kind not in ("stream", "race", "numeric"):
+    if kind not in ("stream", "numeric"):
         raise ConfigurationError(
             f"unknown sanitizer {kind!r}; expected True, "
-            '"stream", "race" or "numeric"'
+            '"stream" or "numeric"'
         )
     if probe_every and kind != "stream":
         raise ConfigurationError(
@@ -71,10 +71,6 @@ def guard_operator(
         return SanitizingOperator(
             operator, SanitizerConfig(divergence_probe_every=probe_every)
         )
-    if kind == "race":
-        from repro.analysis.concur.racesan import RaceSan
-
-        return RaceSan(tracer=tracer).guard_operator(operator)
     from repro.analysis.numeric.numsan import NumSan
 
     return NumSan(tracer=tracer).guard_operator(operator)

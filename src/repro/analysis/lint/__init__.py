@@ -3,10 +3,9 @@
 The linter enforces engine-specific invariants that generic tools cannot
 know about.  R01-R05 are per-file syntactic rules; R06-R10 come from the
 whole-program time-domain dataflow analysis
-(:mod:`repro.analysis.dataflow`); R11-R15 are the concurrency-safety
-rules over the shared-state inventory (:mod:`repro.analysis.concur`);
-R16-R20 are the float-soundness rules over the numeric inventory
-(:mod:`repro.analysis.numeric`):
+(:mod:`repro.analysis.dataflow`); R16-R20 are the float-soundness rules
+over the numeric inventory (:mod:`repro.analysis.numeric`); R11-R15 (the
+withdrawn concurrency rules) are retired ids and are not reused:
 
 ========  ============================================================
 R01       no wall-clock time or nondeterministic RNG in ``engine``/``core``
@@ -20,11 +19,6 @@ R07       frontier-contract conformance for ``DisorderHandler``
 R08       no duration/timestamp mixing in slack computations
 R09       domain-consistent ``RunMetrics`` fields
 R10       unannotated public time-typed APIs in ``engine``/``core``
-R11       shared-state mutations hold the owning Lock/RLock
-R12       no raw ``acquire()`` without ``with``/try-finally release
-R13       static lock-order graph acyclic, no non-reentrant re-entry
-R14       shared classes declare ``__concurrency__`` ownership
-R15       no ``time.sleep``/blocking I/O while holding a lock
 R16       no bare ``+=`` float accumulation in aggregate
           ``add``/``add_many``/``merge``; use the compensated primitives
 R17       no subtraction-based sliding-window retraction; use
@@ -59,21 +53,16 @@ from repro.analysis.lint.model import (
 from repro.analysis.lint.reporting import render_json, render_text
 from repro.analysis.lint.rules import CORE_RULES, Rule
 from repro.analysis.dataflow.rules import DATAFLOW_RULES
-from repro.analysis.concur.rules import CONCUR_RULES
 from repro.analysis.numeric.rules import NUMERIC_RULES
 from repro.analysis.dataflow.baseline import Baseline
 from repro.errors import ConfigurationError
 
 #: Full rule catalog: per-file syntactic rules + whole-program dataflow
-#: + concurrency-safety rules over the shared-state inventory
 #: + float-soundness rules over the numeric inventory.
-ALL_RULES: tuple[Rule, ...] = (
-    CORE_RULES + DATAFLOW_RULES + CONCUR_RULES + NUMERIC_RULES
-)
+ALL_RULES: tuple[Rule, ...] = CORE_RULES + DATAFLOW_RULES + NUMERIC_RULES
 
 __all__ = [
     "ALL_RULES",
-    "CONCUR_RULES",
     "CORE_RULES",
     "DATAFLOW_RULES",
     "NUMERIC_RULES",

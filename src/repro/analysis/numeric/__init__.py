@@ -35,8 +35,7 @@ from __future__ import annotations
 # ``sites`` must be imported first: it pulls in the dataflow/lint import
 # cycle, during which ``repro.analysis.lint`` imports ``numeric.rules`` —
 # importing rules here first would leave it partially initialized when the
-# lint package asks for NUMERIC_RULES (same ordering contract as
-# ``repro.analysis.concur``).
+# lint package asks for NUMERIC_RULES.
 from repro.analysis.numeric.sites import (
     EXTRA_ROOTS,
     LINEAGE_ROOTS,

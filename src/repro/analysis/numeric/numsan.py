@@ -25,12 +25,12 @@ NumSan verifies dynamically —
 A violation raises :class:`~repro.errors.SanitizerError` at the result
 call site.  Aggregates with no reference implementation (sketches whose
 names start with ``~``, top-k) are recorded as *unchecked* rather than
-silently passed.  Like RaceSan, the sanitizer never changes emitted
-results: the production accumulator runs untouched next to the mirror,
-and ``result`` returns the production value verbatim.
+silently passed.  The sanitizer never changes emitted results: the
+production accumulator runs untouched next to the mirror, and ``result``
+returns the production value verbatim.
 
 Enable per run with ``run_pipeline(..., sanitize="numeric")``; overhead
-is budgeted with RaceSan's (off < 2%, on < 25%, measured in
+is budgeted at off < 2%, on < 25% (measured in
 ``benchmarks/test_numsan_overhead.py``).
 """
 

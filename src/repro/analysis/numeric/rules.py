@@ -365,9 +365,9 @@ class AccumulatedFloatEqualityRule(Rule):
 class NumericAnnotationRule(Rule):
     """R19 — every inventoried numeric class declares its discipline.
 
-    The ``__numeric__`` class attribute is a machine-checked contract
-    (mirroring ``__concurrency__``): ``"compensated"`` (folds through
-    the compensated primitives; NumSan budget 1e-12 relative),
+    The ``__numeric__`` class attribute is a machine-checked contract:
+    ``"compensated"`` (folds through the compensated primitives; NumSan
+    budget 1e-12 relative),
     ``"reassoc-tolerant"`` (deliberate reassociation; budget 1e-9) or
     ``"exact"`` (no float accumulation; zero-ULP budget).  Inheriting
     the annotation from a base class is accepted — protocol-wide

@@ -1,12 +1,10 @@
 """Numeric inventory: which classes the float-soundness rules govern.
 
 The inventory answers one question: *which classes accumulate floating
-point state?*  Rather than walking reachability (the concurrency
-inventory's question — who can touch this), numeric lineage follows
-**inheritance**: every class descending from one of the accumulator
-protocols is a numeric class, because the protocol is what promises a
-``create``/``add``/``merge``/``result`` fold whose rounding behaviour
-matters.
+point state?*  Numeric lineage follows **inheritance**: every class
+descending from one of the accumulator protocols is a numeric class,
+because the protocol is what promises a ``create``/``add``/``merge``/
+``result`` fold whose rounding behaviour matters.
 
 Lineage roots (matched by name, transitively over project-defined
 classes, so a subclass of a subclass is still covered — and so is a
@@ -38,11 +36,10 @@ annotation (rule R19) naming its rounding discipline:
     combines, EWMAs, interpolated quantiles) and accepts drift up to
     ``1e-9`` relative.
 
-Unlike the concurrency inventory — where an *invalid* ``__concurrency__``
-value is an ordinary R14 finding — an unknown ``__numeric__`` value is a
-**configuration error** (CLI exit 2): the value selects NumSan's drift
-budget, so a typo would silently verify the wrong contract.  This
-mirrors the linter's own unknown-rule-id policy for suppressions.
+An unknown ``__numeric__`` value is a **configuration error** (CLI exit
+2), not a finding: the value selects NumSan's drift budget, so a typo
+would silently verify the wrong contract.  This mirrors the linter's own
+unknown-rule-id policy for suppressions.
 """
 
 from __future__ import annotations

@@ -63,8 +63,6 @@ from repro.streams.timebase import (
 class AdaptationRecord:
     """One adaptation round, for timelines and debugging."""
 
-    __concurrency__ = "immutable"
-
     arrival_time: float
     allowed_late_fraction: float
     k_estimate: float
@@ -75,8 +73,6 @@ class AdaptationRecord:
 
 class AQKSlackHandler(DisorderHandler):
     """Adaptive quality-driven K-slack buffering."""
-
-    __concurrency__ = "single-thread"
 
     name = "aq-k-slack"
 

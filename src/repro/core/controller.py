@@ -32,7 +32,6 @@ from repro.streams.timebase import DurationS
 class SlackController(ABC):
     """Combines the model's slack estimate with observed-error feedback."""
 
-    __concurrency__ = "single-thread"
     # The protocol holds no float state; feedback controllers that keep
     # EWMA/multiplicative accumulators override this (lint rule R19).
     __numeric__ = "exact"
@@ -78,7 +77,6 @@ class PIController(SlackController):
     must climb back before the slack can follow the estimate).
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "reassoc-tolerant"  # EWMA residual + log-gain integration
 
     def __init__(

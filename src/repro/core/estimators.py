@@ -38,8 +38,6 @@ class StreamContext:
             unknown).
     """
 
-    __concurrency__ = "immutable"
-
     dispersion: float
     expected_window_count: float
 

@@ -136,7 +136,6 @@ class CompensatedSum:
     bare list around (estimator feedback terms, long-lived counters).
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "compensated"
     __slots__ = ("_state",)
 
@@ -181,7 +180,6 @@ class RetractableSum:
     empirically rather than trusting it.
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "compensated"
     __slots__ = ("_state", "_resum", "drift_bound", "resum_every",
                  "_retractions_since", "resum_count")

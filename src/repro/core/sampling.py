@@ -38,7 +38,6 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
 class DelaySample:
     """Interface of delay trackers: observe delays, answer quantiles."""
 
-    __concurrency__ = "single-thread"
     # The protocol holds no float state; trackers declare their own
     # discipline (lint rule R19).
     __numeric__ = "exact"
@@ -75,7 +74,6 @@ class SlidingDelaySample(DelaySample):
     lazily and cache until the next observation.
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "reassoc-tolerant"  # interpolated quantiles over raw values
 
     def __init__(self, capacity: int = 2000) -> None:
@@ -207,7 +205,6 @@ class ValueStatsTracker:
     the per-observation decay.
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "reassoc-tolerant"  # EWMA contractions; non-finite inputs skipped
 
     def __init__(self, alpha: float = 0.001) -> None:
@@ -272,7 +269,6 @@ class RateTracker:
     over the stream's lifetime.
     """
 
-    __concurrency__ = "single-thread"
     __numeric__ = "exact"  # min/max/count only, no float accumulation
 
     def __init__(self) -> None:

@@ -41,8 +41,6 @@ class _QueryCursor(DisorderHandler):
     buffer has staged for this query since the last call).
     """
 
-    __concurrency__ = "single-thread"
-
     def __init__(self, owner: "SharedAQKBuffer", query_id: str) -> None:
         self._owner = owner
         self.query_id = query_id
@@ -87,8 +85,6 @@ class _QueryCursor(DisorderHandler):
 
 class SharedAQKBuffer:
     """One buffer, many quality-driven release schedules."""
-
-    __concurrency__ = "single-thread"
 
     def __init__(self) -> None:
         self._advisors: dict[str, AQKSlackHandler] = {}

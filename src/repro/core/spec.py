@@ -29,8 +29,6 @@ class QualityTarget:
             of windows violating the threshold.
     """
 
-    __concurrency__ = "immutable"
-
     threshold: float
     metric: str = "mean_relative_error"
 

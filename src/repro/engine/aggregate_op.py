@@ -67,8 +67,6 @@ class _SliceAssignCache:
     the window list is not a contiguous index run — fall back to ``assign``.
     """
 
-    __concurrency__ = "single-thread"
-
     __slots__ = ("assigner", "slide", "size", "entries")
 
     def __init__(self, assigner: SlidingWindowAssigner) -> None:
@@ -137,8 +135,6 @@ def relative_error(emitted, truth, eps: float = 1e-9) -> float:
 class _ClosedRecord:
     """Bookkeeping for a finalized window awaiting late corrections."""
 
-    __concurrency__ = "single-thread"
-
     accumulator: object
     emitted_value: float
     emitted_count: int
@@ -148,8 +144,6 @@ class _ClosedRecord:
 @dataclass(slots=True)
 class OperatorStats:
     """Counters and samples collected during a run."""
-
-    __concurrency__ = "single-thread"
 
     elements_in: int = 0
     results_out: int = 0
@@ -190,8 +184,6 @@ class _PerWindowStore:
     accumulator, and a window nobody opened before its close is retained
     as a *phantom* record, so missed windows are scored too.
     """
-
-    __concurrency__ = "single-thread"
 
     def __init__(
         self,
@@ -445,8 +437,6 @@ class WindowAggregateOperator(Operator):
     at once when nothing is due — and the ``close_frontier`` below which
     elements are late.
     """
-
-    __concurrency__ = "single-thread"
 
     #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
     #: keeps instrumented paths at one attribute check when tracing is off.

@@ -55,7 +55,6 @@ _NUMPY_FOLD_MIN = 32
 class AggregateFunction(ABC):
     """Protocol for incremental window aggregates."""
 
-    __concurrency__ = "immutable"
     # The protocol itself holds no accumulator state; concrete aggregates
     # each declare their own discipline (lint rule R19).
     __numeric__ = "exact"

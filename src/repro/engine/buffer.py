@@ -34,8 +34,6 @@ class SortingBuffer:
     documents this domain caveat.
     """
 
-    __concurrency__ = "single-thread"
-
     __slots__ = ("tracer", "_heap", "_max_size", "_released_total", "_tail_key")
 
     def __init__(self) -> None:

@@ -85,8 +85,6 @@ def bulk_release(
 class DisorderHandler(ABC):
     """Policy controlling element release and frontier advancement."""
 
-    __concurrency__ = "single-thread"
-
     name = "handler"
 
     #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer

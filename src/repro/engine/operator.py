@@ -30,8 +30,6 @@ class WindowResult:
             whole run) and are excluded from latency summaries.
     """
 
-    __concurrency__ = "immutable"
-
     key: object
     window: Window
     value: float
@@ -44,8 +42,6 @@ class WindowResult:
 
 class Operator(ABC):
     """A streaming operator consuming arrival-ordered elements."""
-
-    __concurrency__ = "single-thread"
 
     @abstractmethod
     def process(self, element: StreamElement) -> list[WindowResult]:

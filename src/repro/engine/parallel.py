@@ -38,9 +38,8 @@ chunks to worker processes that each drive the same session class, so
 per-shard semantics agree across executors because both run the same
 lines.  Shard operators are created, driven and finished entirely inside
 their session, and the coordinator reads shard state only from the
-:class:`_ShardRun` snapshots ``collect`` returns — the
-initialise-then-publish shape the RaceSan lockset refinement admits, so
-per-shard sanitizers run clean.
+:class:`_ShardRun` snapshots ``collect`` returns, so shard state is
+private to its session and per-shard sanitizers run clean.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ class _ShardPartial(float):
     :class:`~repro.engine.operator.WindowResult` schema.
     """
 
-    __concurrency__ = "immutable"
     __slots__ = ("accumulator",)
 
     accumulator: Any
@@ -150,7 +148,6 @@ class _PartialCaptureAggregate:
     it budgets the inner aggregate.
     """
 
-    __concurrency__ = "immutable"
     __slots__ = ("inner", "name", "error_model_kind")
 
     def __init__(self, inner: AggregateFunction) -> None:
@@ -226,8 +223,6 @@ class ShardSpec:
     the caller's own factory and need not pickle.
     """
 
-    __concurrency__ = "immutable"
-
     n_shards: int
     mode: str
     assigner: WindowAssigner
@@ -247,8 +242,6 @@ class _ShardRun:
     Built entirely inside the shard's session and only read after
     ``collect`` (initialise-then-publish), so no field needs a lock.
     """
-
-    __concurrency__ = "single-thread"
 
     shard_id: int
     results: list[WindowResult]
@@ -282,8 +275,6 @@ class ShardRunner:
     (sanitizer wrapping, frontier-timeline capture, stats snapshot) do
     not depend on where the runner lives.
     """
-
-    __concurrency__ = "single-thread"
 
     def __init__(
         self,
@@ -378,7 +369,6 @@ class ShardSession:
     nothing and reports nothing.
     """
 
-    __concurrency__ = "single-thread"
     __slots__ = ("spec", "runners", "tracers", "metric_deltas")
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -445,8 +435,6 @@ class ShardExecutor:
     needs to pickle and ``wire_bytes`` reads 0.
     """
 
-    __concurrency__ = "single-thread"
-
     chunk_size = DEFAULT_CHUNK_SIZE
     _session: ShardSession | None = None
 
@@ -498,8 +486,6 @@ class ShardedHandlerView:
     during the run the view counts everything routed as "buffered";
     afterwards it reports the joined per-shard totals.
     """
-
-    __concurrency__ = "single-thread"
 
     def __init__(self, n_shards: int, prototype: DisorderHandler) -> None:
         self._n_shards = n_shards
@@ -571,8 +557,6 @@ class ShardedHandlerView:
 class _MergedGroup:
     """Intermediate merge record for one ``(key, window)`` group."""
 
-    __concurrency__ = "immutable"
-
     result: WindowResult
     shards: int
 
@@ -609,8 +593,6 @@ class ShardedWindowOperator(Operator):
     Elements offered after ``finish`` are counted in
     ``stats.late_dropped`` and go nowhere.
     """
-
-    __concurrency__ = "single-thread"
 
     def __init__(
         self,
@@ -903,8 +885,6 @@ class ShardedWindowOperator(Operator):
 @dataclass(slots=True)
 class _MergedStats:
     """Coordinator-side stats mirroring ``OperatorStats``' pipeline fields."""
-
-    __concurrency__ = "single-thread"
 
     elements_in: int = 0
     results_out: int = 0

@@ -51,7 +51,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-import threading
 from collections.abc import Callable
 from typing import Any
 
@@ -93,8 +92,6 @@ class _SliceTree:
     before any partials are read — so a burst of appends into one slice
     costs one walk, not one per element.
     """
-
-    __concurrency__ = "single-thread"
 
     __slots__ = (
         "aggregate",
@@ -364,8 +361,6 @@ class _QueryWindowView:
     closing a window is O(1) amortized regardless of overlap.
     """
 
-    __concurrency__ = "single-thread"
-
     __slots__ = (
         "tree",
         "size",
@@ -600,8 +595,6 @@ class _SliceStore(_QueryWindowView):
     it retires, and retirement garbage-collects behind the horizon.
     """
 
-    __concurrency__ = "single-thread"
-
     __slots__ = ("_gc_horizon", "_groups")
 
     def __init__(
@@ -699,8 +692,6 @@ class _SliceStore(_QueryWindowView):
 class _SharedQuery:
     """Registration record of one query inside a :class:`SharedSliceStore`."""
 
-    __concurrency__ = "single-thread"  # driven under the store's lock
-
     __slots__ = (
         "query_id",
         "view",
@@ -708,7 +699,6 @@ class _SharedQuery:
         "slack",
         "frontier",
         "observe_error",
-        "cursor",
     )
 
     def __init__(
@@ -728,9 +718,6 @@ class _SharedQuery:
             if advisor is not None and hasattr(advisor, "observe_error")
             else _ignore_error
         )
-        #: Absolute index into the store's ingest log of the next element
-        #: this query has yet to process (see SharedSliceStore.advance).
-        self.cursor = 0
 
 
 class SharedSliceStore:
@@ -754,20 +741,12 @@ class SharedSliceStore:
     Results accumulate in :attr:`results` (``query_id -> [WindowResult]``);
     drive the store with :func:`run_shared_slices`.
 
-    **Thread safety.**  The store is ``__concurrency__ = "guarded"``: every
-    mutating entry point takes the store's reentrant lock, so ingestion and
-    query advancement may be driven from multiple threads (one ingester,
-    one owner thread per query is the intended topology — see
-    :mod:`repro.analysis.concur.stress`).  :meth:`ingest` appends each
-    arriving element to an internal replay log; :meth:`advance` replays the
-    log for one query using the *ingest-time* clock and arrival frontier,
-    so per-query results are bit-identical to a single-threaded
-    :meth:`offer` loop regardless of thread interleaving.  :meth:`collect`
-    garbage-collects the tree below every query's horizon and trims the
-    fully consumed prefix of the log.
+    The store is driven by one thread, one :meth:`offer` per arriving
+    element: every query's schedule must run on an element before the next
+    one is ingested.  Ingesting ahead of a query folds elements that query
+    would count as late into windows it has yet to emit, so it reports
+    them both in the value and in ``late_dropped``.
     """
-
-    __concurrency__ = "guarded"
 
     def __init__(
         self,
@@ -780,16 +759,10 @@ class SharedSliceStore:
         self.slide = slide
         self.aggregate = aggregate
         self.track_feedback = track_feedback
-        self._lock = threading.RLock()
         self._tree = _SliceTree(aggregate, slide, 1)
         self._queries: dict[str, _SharedQuery] = {}
         self._clock = EventTimeFrontier()
         self._last_arrival = 0.0
-        #: Replay log of ingested elements: (element, slice index, event-time
-        #: clock after observing it, arrival frontier after observing it).
-        self._log: list[tuple[StreamElement, int, EventTimeStamp, ArrivalTimeStamp]] = []
-        #: Absolute index of ``self._log[0]`` (grows as the log is trimmed).
-        self._log_base = 0
         self.results: dict[str, list[WindowResult]] = {}
 
     # ------------------------------------------------------------------ #
@@ -810,204 +783,130 @@ class SharedSliceStore:
         e.g. an :class:`~repro.core.aqk.AQKSlackHandler`) must be given.
         Returns the query's view, whose ``stats`` mirror an operator's.
         """
-        with self._lock:
-            if query_id in self._queries:
-                raise ConfigurationError(f"query id {query_id!r} already registered")
-            if self._clock.count:
-                raise ConfigurationError(
-                    "register all queries before offering elements"
-                )
-            if (slack is None) == (advisor is None):
-                raise ConfigurationError(
-                    "exactly one of slack= or advisor= must be provided"
-                )
-            if advisor is not None and not hasattr(advisor, "observe_only"):
-                raise ConfigurationError(
-                    "advisor must expose observe_only(element) -> slack "
-                    "(see AQKSlackHandler.observe_only)"
-                )
-            if slack is not None and slack < 0:
-                raise ConfigurationError(f"slack must be non-negative, got {slack}")
-            ratio = size / self.slide
-            if size <= 0 or abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigurationError(
-                    "shared slices require the common slide to divide each "
-                    f"window size (got size={size}, slide={self.slide})"
-                )
-            span = int(round(ratio))
-            if span > self._tree.span:
-                self._tree.set_span(span)
-            if feedback_horizon is None:
-                feedback_horizon = 5.0 * size
-            view = _QueryWindowView(
-                self._tree, size, span, feedback_horizon, self.track_feedback
+        if query_id in self._queries:
+            raise ConfigurationError(f"query id {query_id!r} already registered")
+        if self._clock.count:
+            raise ConfigurationError(
+                "register all queries before offering elements"
             )
-            self._queries[query_id] = _SharedQuery(
-                query_id, view, advisor, 0.0 if slack is None else slack
+        if (slack is None) == (advisor is None):
+            raise ConfigurationError(
+                "exactly one of slack= or advisor= must be provided"
             )
-            self.results[query_id] = []
-            return view
+        if advisor is not None and not hasattr(advisor, "observe_only"):
+            raise ConfigurationError(
+                "advisor must expose observe_only(element) -> slack "
+                "(see AQKSlackHandler.observe_only)"
+            )
+        if slack is not None and slack < 0:
+            raise ConfigurationError(f"slack must be non-negative, got {slack}")
+        ratio = size / self.slide
+        if size <= 0 or abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigurationError(
+                "shared slices require the common slide to divide each "
+                f"window size (got size={size}, slide={self.slide})"
+            )
+        span = int(round(ratio))
+        if span > self._tree.span:
+            self._tree.set_span(span)
+        if feedback_horizon is None:
+            feedback_horizon = 5.0 * size
+        view = _QueryWindowView(
+            self._tree, size, span, feedback_horizon, self.track_feedback
+        )
+        self._queries[query_id] = _SharedQuery(
+            query_id, view, advisor, 0.0 if slack is None else slack
+        )
+        self.results[query_id] = []
+        return view
 
     def stats_for(self, query_id: str) -> OperatorStats:
         """Operator-style counters of one registered query."""
-        with self._lock:
-            return self._queries[query_id].view.stats
+        return self._queries[query_id].view.stats
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to the shared tree."""
-        with self._lock:
-            self._tree.tracer = tracer
+        self._tree.tracer = tracer
 
     # ------------------------------------------------------------------ #
     # dispatch
 
-    def ingest(self, element: StreamElement) -> None:
-        """Add one arriving element to the shared tree and the replay log.
-
-        Ingestion is query-independent: the element lands in its slice
-        exactly once, and the store's event-time clock and arrival
-        frontier are captured *at ingest time* so that any thread can
-        later :meth:`advance` a query and observe the same clocks a
-        single-threaded run would have.
-        """
-        with self._lock:
-            if not self._queries:
-                raise ConfigurationError("no queries registered")
-            if element.arrival_time is None:
-                raise ConfigurationError(
-                    "shared slices require arrival timestamps"
-                )
-            tree = self._tree
-            slice_index = tree.slice_of(element.event_time)
-            key = element.key
-            entry = tree.entry(key, slice_index)
-            self.aggregate.add(entry[0], element.value)
-            entry[1] += 1
-            tree.touch(key, slice_index)
-            clock = self._clock.observe(element.event_time)
-            arrival = element.arrival_time
-            if arrival > self._last_arrival:
-                self._last_arrival = arrival
-            self._log.append((element, slice_index, clock, self._last_arrival))
-
-    def advance(self, query_id: str) -> list[WindowResult]:
-        """Replay every not-yet-seen ingested element for one query.
-
-        Runs the query's release schedule (fixed slack or advisor) over
-        the log entries past its cursor, closing and retiring windows
-        exactly as the single-threaded :meth:`offer` loop would.  Newly
-        closed results are appended to :attr:`results` and returned.
-        """
-        with self._lock:
-            query = self._queries[query_id]
-            log = self._log
-            base = self._log_base
-            tree = self._tree
-            tracer = tree.tracer
-            view = query.view
-            advisor = query.advisor
-            out: list[WindowResult] = []
-            while query.cursor - base < len(log):
-                element, slice_index, clock, emit_time = log[query.cursor - base]
-                query.cursor += 1
-                if tracer.enabled:
-                    tree.sim_time = emit_time
-                view.stats.elements_in += 1
-                slack = (
-                    query.slack
-                    if advisor is None
-                    else advisor.observe_only(element)
-                )
-                frontier = query.frontier.advance(clock - slack)
-                late = view.late_count(slice_index)
-                if late:
-                    view.stats.late_dropped += late
-                view.note_slice(element.key, slice_index)
-                closed = view.close_windows(frontier, emit_time, tracer)
-                if closed:
-                    out.extend(closed)
-                view.retire_windows(frontier, query.observe_error)
-            if out:
-                self.results[query_id].extend(out)
-            return out
-
-    def collect(self) -> None:
-        """Garbage-collect the tree and trim the consumed log prefix.
-
-        The GC threshold is the minimum over all queries of ``frontier -
-        feedback_horizon``, so a query whose owner thread lags keeps every
-        slice it may still need alive.  Log entries every query has
-        replayed are dropped.
-        """
-        with self._lock:
-            if not self._queries:
-                return
-            horizon_tracked = self.track_feedback
-            gc_threshold = None
-            min_cursor = None
-            for query in self._queries.values():
-                threshold = query.frontier.value - (
-                    query.view.feedback_horizon if horizon_tracked else 0.0
-                )
-                if gc_threshold is None or threshold < gc_threshold:
-                    gc_threshold = threshold
-                if min_cursor is None or query.cursor < min_cursor:
-                    min_cursor = query.cursor
-            if gc_threshold is not None and gc_threshold > float("-inf"):
-                self._tree.gc(gc_threshold)
-            if min_cursor is not None and min_cursor > self._log_base:
-                del self._log[: min_cursor - self._log_base]
-                self._log_base = min_cursor
-
     def offer(self, element: StreamElement) -> None:
         """Ingest one arriving element and advance every query's schedule.
 
-        Single-threaded convenience equal to :meth:`ingest` followed by
-        :meth:`advance` for every query and one :meth:`collect`; threaded
-        drivers call the three stages from their own threads instead.
+        The element lands in its slice exactly once; each query then runs
+        its release schedule (fixed slack or advisor) on it, closing and
+        retiring windows, and the tree is collected below the lowest
+        ``frontier - feedback_horizon`` of any query.
         """
-        with self._lock:
-            self.ingest(element)
-            for query_id in self._queries:
-                self.advance(query_id)
-            self.collect()
+        if not self._queries:
+            raise ConfigurationError("no queries registered")
+        arrival = element.arrival_time
+        if arrival is None:
+            raise ConfigurationError("shared slices require arrival timestamps")
+        tree = self._tree
+        slice_index = tree.slice_of(element.event_time)
+        key = element.key
+        entry = tree.entry(key, slice_index)
+        self.aggregate.add(entry[0], element.value)
+        entry[1] += 1
+        tree.touch(key, slice_index)
+        clock = self._clock.observe(element.event_time)
+        if arrival > self._last_arrival:
+            self._last_arrival = arrival
+        emit_time = self._last_arrival
+        tracer = tree.tracer
+        if tracer.enabled:
+            tree.sim_time = emit_time
+        horizon_tracked = self.track_feedback
+        gc_threshold = math.inf
+        for query in self._queries.values():
+            view = query.view
+            advisor = query.advisor
+            view.stats.elements_in += 1
+            slack = query.slack if advisor is None else advisor.observe_only(element)
+            frontier = query.frontier.advance(clock - slack)
+            late = view.late_count(slice_index)
+            if late:
+                view.stats.late_dropped += late
+            view.note_slice(key, slice_index)
+            closed = view.close_windows(frontier, emit_time, tracer)
+            if closed:
+                self.results[query.query_id].extend(closed)
+            view.retire_windows(frontier, query.observe_error)
+            threshold = frontier - (view.feedback_horizon if horizon_tracked else 0.0)
+            if threshold < gc_threshold:
+                gc_threshold = threshold
+        if gc_threshold > -math.inf:
+            tree.gc(gc_threshold)
 
     def finish_query(self, query_id: str) -> None:
-        """End-of-stream for one query: drain the log, close everything."""
-        with self._lock:
-            self.advance(query_id)
-            query = self._queries[query_id]
-            emit_time = self._last_arrival
-            tracer = self._tree.tracer
-            if tracer.enabled:
-                self._tree.sim_time = emit_time
-            view = query.view
-            query.frontier.close()
-            closed = view.close_windows(
-                float("inf"), emit_time, tracer, flushed=True
-            )
-            if closed:
-                self.results[query_id].extend(closed)
-            view.retire_windows(float("inf"), query.observe_error)
+        """End-of-stream for one query: close and retire all its windows."""
+        query = self._queries[query_id]
+        emit_time = self._last_arrival
+        tracer = self._tree.tracer
+        if tracer.enabled:
+            self._tree.sim_time = emit_time
+        view = query.view
+        query.frontier.close()
+        closed = view.close_windows(float("inf"), emit_time, tracer, flushed=True)
+        if closed:
+            self.results[query_id].extend(closed)
+        view.retire_windows(float("inf"), query.observe_error)
 
     def finish(self) -> None:
         """Stream ended: close and retire everything for every query."""
-        with self._lock:
-            for query_id in self._queries:
-                self.finish_query(query_id)
-            self._tree.gc(float("inf"))
-            self._log_base += len(self._log)
-            del self._log[:]
+        for query_id in self._queries:
+            self.finish_query(query_id)
+        self._tree.gc(float("inf"))
 
     def slice_count(self) -> int:
         """Currently retained leaf slices of the shared tree."""
-        with self._lock:
-            return self._tree.slice_count()
+        return self._tree.slice_count()
 
     def node_count(self) -> int:
         """Currently cached interior nodes of the shared tree."""
-        with self._lock:
-            return self._tree.node_count()
+        return self._tree.node_count()
 
 
 def run_shared_slices(

@@ -84,15 +84,11 @@ def run_pipeline(
             scalar run sample-for-sample.
         sanitize: ``True`` or ``"stream"`` wraps the operator and its
             handler in the StreamSan runtime checkers (see
-            :mod:`repro.analysis.sanitizer`); ``"race"`` wraps them in the
-            RaceSan lockset race detector instead (see
-            :mod:`repro.analysis.concur.racesan` — single-threaded runs
-            are bit-identical to unsanitized runs and never report);
-            ``"numeric"`` shadow-executes the operator's aggregate against
-            an exact reference and bounds the drift by the aggregate's
-            declared ``__numeric__`` contract (see
-            :mod:`repro.analysis.numeric.numsan` — emitted results are
-            bit-identical to unsanitized runs).  Any violation raises
+            :mod:`repro.analysis.sanitizer`); ``"numeric"`` shadow-executes
+            the operator's aggregate against an exact reference and bounds
+            the drift by the aggregate's declared ``__numeric__`` contract
+            (see :mod:`repro.analysis.numeric.numsan` — emitted results
+            are bit-identical to unsanitized runs).  Any violation raises
             :class:`~repro.errors.SanitizerError` at the call site.  When
             False (the default) nothing is wrapped and there is no
             overhead.

@@ -93,8 +93,6 @@ class ChunkCodecStats:
     by every :func:`encode_chunk` call in the coordinator process.
     """
 
-    __concurrency__ = "single-thread"
-
     chunks_encoded: int = 0
     elements_encoded: int = 0
     pickle_calls: int = 0
@@ -314,8 +312,6 @@ class ProcessShardExecutor(ShardExecutor):
     Shards map to workers stickily (``shard_id % n_workers``), keeping
     each shard's chunks ordered on one worker's queue.
     """
-
-    __concurrency__ = "single-thread"
 
     def __init__(
         self,

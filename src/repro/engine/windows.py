@@ -20,8 +20,6 @@ from repro.streams.timebase import DurationS, EventTimeStamp
 class Window:
     """A half-open event-time interval ``[start, end)``."""
 
-    __concurrency__ = "immutable"
-
     start: float
     end: float
 
@@ -46,8 +44,6 @@ class Window:
 class WindowAssigner(ABC):
     """Maps event timestamps to windows."""
 
-    __concurrency__ = "immutable"
-
     @abstractmethod
     def assign(self, timestamp: EventTimeStamp) -> list[Window]:
         """All windows containing ``timestamp``, in ascending start order."""
@@ -68,8 +64,6 @@ class SlidingWindowAssigner(WindowAssigner):
     the convention of Flink/Beam.  An event at time ``t`` belongs to
     ``ceil(size / slide)`` windows (fewer near the stream start).
     """
-
-    __concurrency__ = "immutable"
 
     def __init__(self, size: DurationS, slide: DurationS) -> None:
         if size <= 0 or slide <= 0:

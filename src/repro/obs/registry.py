@@ -169,8 +169,6 @@ class MetricsRegistry:
     instrument has one writer — the pipeline that created it).
     """
 
-    __concurrency__ = "guarded"
-
     def __init__(self) -> None:
         self._instruments_lock = threading.Lock()
         self._instruments: dict[str, Instrument] = {}

@@ -80,8 +80,6 @@ class TraceEvent:
         fields: Kind-specific payload (see :data:`EVENT_KINDS`).
     """
 
-    __concurrency__ = "immutable"
-
     kind: str
     sim_time: float
     wall_time: float
@@ -101,8 +99,6 @@ class Tracer:
             (``element.admitted``, per-push buffer records); off by
             default because they dominate trace size.
     """
-
-    __concurrency__ = "immutable"
 
     enabled: bool = False
     detail: bool = False
@@ -273,8 +269,6 @@ class TraceRecorder(Tracer):
     advances are stored (the frontier is re-observed on every offer, which
     would otherwise dominate the trace).
     """
-
-    __concurrency__ = "single-thread"
 
     enabled = True
 

@@ -16,6 +16,7 @@ Elements are immutable; derived elements are produced with ``with_arrival``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -43,20 +44,21 @@ class StreamElement:
     seq: int = -1
 
     def __post_init__(self) -> None:
-        if self.event_time < 0:
+        # Both checks are negated comparisons so that NaN, for which every
+        # comparison is false, is rejected with the out-of-range values.
+        if not (0 <= self.event_time < inf):
             raise ConfigurationError(
-                f"event_time must be non-negative, got {self.event_time}"
+                f"event_time must be finite and non-negative, got {self.event_time}"
             )
         # The one sanctioned cross-axis comparison: both axes share the
         # simulation epoch and causality demands arrival >= event time —
         # this check is what makes .delay non-negative by construction.
-        if (
-            self.arrival_time is not None
-            and self.arrival_time < self.event_time  # repro-lint: disable=R06
+        if self.arrival_time is not None and not (
+            self.arrival_time >= self.event_time  # repro-lint: disable=R06
         ):
             raise ConfigurationError(
-                "arrival_time must not precede event_time "
-                f"({self.arrival_time} < {self.event_time})"
+                "arrival_time must be a number not preceding event_time "
+                f"(got {self.arrival_time}, event_time {self.event_time})"
             )
 
     @property

@@ -96,8 +96,6 @@ class MonotoneFrontier:
     sequence its policy produces.
     """
 
-    __concurrency__ = "single-thread"
-
     __slots__ = ("_value",)
 
     def __init__(self, start: EventTimeStamp = float("-inf")) -> None:
@@ -161,8 +159,6 @@ class EventTimeFrontier:
     frontier itself is the most aggressive (zero-slack) watermark available
     without future knowledge.
     """
-
-    __concurrency__ = "single-thread"
 
     __slots__ = ("_max_event_time", "_count")
 

@@ -12,6 +12,7 @@ from repro.analysis.lint.__main__ import main as lint_main
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_SRC = Path(__file__).parent.parent.parent / "src"
 
 
 def findings_for(fixture: str, rule: str):
@@ -160,8 +161,11 @@ def test_cli_exit_codes(capsys):
     assert lint_main([str(FIXTURES / "r03_good.py")]) == 0
     assert lint_main(["--list-rules"]) == 0
     assert lint_main(["--select", "R99", str(FIXTURES)]) == 2
+    # R11-R15 are retired ids, not renumbered: selecting them is an error.
+    assert lint_main(["--select", "R11-R15", str(FIXTURES)]) == 2
     out = capsys.readouterr()
     assert "R01" in out.out
+    assert "unknown lint rule id(s): R11, R12, R13, R14, R15" in out.err
 
 
 def test_fixture_directory_lints_with_findings_from_every_core_rule():
@@ -177,3 +181,57 @@ def test_source_tree_is_lint_clean():
     # analysis/baseline.json entry and a justification in the PR.
     repo_root = Path(__file__).resolve().parents[2]
     assert run_lint([repo_root / "src"]) == []
+
+
+# --------------------------------------------------------------------- #
+# suppression typos are hard errors (not silent no-ops)
+
+# Written to tmp_path rather than the fixtures tree: the directory-wide
+# fixture sweep in test_lint_rules.py must stay lintable.
+SUPPRESS_UNKNOWN = '''"""Fixture: a suppression comment naming an unknown rule id."""
+
+
+def frontier_check(a, b):
+    """The directive below is a typo and must hard-error, not no-op."""
+    return a == b  # repro-lint: disable=R99 -- meant R03
+'''
+
+
+@pytest.fixture
+def typo_file(tmp_path):
+    path = tmp_path / "suppress_unknown.py"
+    path.write_text(SUPPRESS_UNKNOWN, encoding="utf-8")
+    return path
+
+
+def test_unknown_suppression_id_is_a_configuration_error(typo_file):
+    with pytest.raises(ConfigurationError, match=r"unknown rule id.*R99"):
+        run_lint([typo_file])
+
+
+def test_unknown_suppression_id_names_file_and_line(typo_file):
+    with pytest.raises(ConfigurationError, match=r"suppress_unknown\.py:6"):
+        run_lint([typo_file])
+
+
+def test_cli_exits_2_on_unknown_suppression_id(typo_file, capsys):
+    status = lint_main([str(typo_file)])
+    assert status == 2
+    assert "R99" in capsys.readouterr().err
+
+
+def test_docstring_mentions_of_directives_do_not_error(tmp_path):
+    # Only real comments count: documenting `disable=R99` in a docstring
+    # (as the lint package itself does) must not trip the typo check.
+    path = tmp_path / "documented.py"
+    path.write_text(
+        '"""Docs may say `# repro-lint: disable=R99` without erroring."""\n',
+        encoding="utf-8",
+    )
+    assert run_lint([path]) == []
+
+
+def test_known_suppression_ids_do_not_error():
+    # The repo source uses real suppressions; linting src must not raise.
+    findings = run_lint([REPO_SRC], select=["R01", "R03", "R06", "R10", "R18"])
+    assert findings == []

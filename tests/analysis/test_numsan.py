@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.concur.stress import build_elements
 from repro.analysis.numeric.__main__ import main as numeric_main
 from repro.analysis.numeric.numsan import (
     DRIFT_BOUNDS,
@@ -25,6 +24,7 @@ from repro.obs.trace import TraceRecorder
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
+from tests.conftest import build_elements
 
 #: The cancellation window: the fsum reference keeps the 1.0 a naive
 #: left-to-right fold loses entirely.

@@ -369,6 +369,14 @@ def test_accounting_audit_every_offer_catches_miscount():
         handler.offer(element(1.0, 1.5, 0))
 
 
+@pytest.mark.parametrize("kind", ["thread", "race"])
+def test_pipeline_rejects_unknown_sanitizer(kind):
+    with pytest.raises(
+        ConfigurationError, match='unknown sanitizer.*"stream" or "numeric"'
+    ):
+        run_pipeline([], make_operator(KSlackHandler(0.5)), sanitize=kind)
+
+
 def test_probe_without_sanitize_rejected():
     with pytest.raises(ConfigurationError):
         run_pipeline(small_stream(), make_operator(KSlackHandler(0.5)),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.concur.stress import build_elements
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import DisorderHandler, KSlackHandler
@@ -18,6 +17,7 @@ from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import SanitizerError
 from repro.streams.element import StreamElement
+from tests.conftest import build_elements
 
 
 def make_tree_operator(cls=WindowAggregateOperator, handler=None):

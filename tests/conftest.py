@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,27 @@ def make_arrived(spec: list[tuple[float, float, float]]) -> list[StreamElement]:
         for i, (ts, at, val) in enumerate(spec)
     ]
     return sorted(elements, key=StreamElement.arrival_sort_key)
+
+
+def build_elements(seed: int, n_elements: int) -> list[StreamElement]:
+    """A seeded arrival-ordered unkeyed stream with exponential-ish disorder."""
+    rng = random.Random(seed)
+    elements: list[StreamElement] = []
+    arrival = 0.0
+    for seq in range(n_elements):
+        arrival += rng.expovariate(1.0 / 0.05)
+        delay = rng.expovariate(1.0 / 0.4) if rng.random() < 0.4 else 0.0
+        event = max(arrival - delay, 0.0)
+        elements.append(
+            StreamElement(
+                event_time=event,
+                value=rng.uniform(-1.0, 1.0),
+                key=None,
+                arrival_time=arrival,
+                seq=seq,
+            )
+        )
+    return elements
 
 
 def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):

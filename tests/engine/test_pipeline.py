@@ -10,6 +10,8 @@ from repro.engine.handlers import KSlackHandler
 from repro.engine.metrics import LatencySummary
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
+from repro.errors import ConfigurationError
+from tests.conftest import make_arrived
 
 
 def make_operator(k=0.5):
@@ -51,6 +53,14 @@ class TestRunPipeline:
         assert summary.count == sum(1 for r in output.results if not r.flushed)
         with_flushed = output.latency_summary(include_flushed=True)
         assert with_flushed.count == len(output.results)
+
+    @pytest.mark.parametrize("event_time", [math.nan, math.inf])
+    def test_non_finite_timestamp_is_a_typed_error(self, event_time):
+        # Rejected where the stream is built, never as a bare ValueError /
+        # OverflowError out of the window assigner.
+        with pytest.raises(ConfigurationError, match="event_time"):
+            stream = make_arrived([(1.0, 1.5, 2.0), (event_time, event_time, 3.0)])
+            run_pipeline(stream, make_operator())
 
     def test_empty_stream(self):
         output = run_pipeline([], make_operator())

@@ -1,5 +1,7 @@
 """Tests for the stream element data model."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, StreamOrderError
@@ -18,6 +20,19 @@ class TestStreamElement:
     def test_negative_event_time_rejected(self):
         with pytest.raises(ConfigurationError):
             StreamElement(event_time=-0.1, value=0.0)
+
+    @pytest.mark.parametrize(
+        "timestamps",
+        [
+            {"event_time": math.nan},
+            {"event_time": math.inf},
+            {"event_time": math.inf, "arrival_time": math.inf},
+            {"event_time": 1.0, "arrival_time": math.nan},
+        ],
+    )
+    def test_non_finite_timestamps_rejected(self, timestamps):
+        with pytest.raises(ConfigurationError):
+            StreamElement(value=0.0, **timestamps)
 
     def test_arrival_before_event_rejected(self):
         with pytest.raises(ConfigurationError):
