@@ -44,6 +44,8 @@ from repro.streams.element import StreamElement
 from repro.streams.timebase import ArrivalTimeStamp, DurationS, EventTimeStamp
 
 if TYPE_CHECKING:
+    from array import array
+
     from repro.engine.partial_tree import _SliceStore, _SliceTree
 
 
@@ -442,6 +444,13 @@ class WindowAggregateOperator(Operator):
     #: keeps instrumented paths at one attribute check when tracing is off.
     tracer: Tracer = NULL_TRACER
 
+    #: When set to an ``array('d')``, every :meth:`process_many` step at
+    #: which the frontier advances appends the pair ``arrival, frontier``
+    #: to it (the closing element's arrival instant, the frontier it
+    #: advanced to).  The shard runner, which drives batches only, reads
+    #: its frontier timeline from here; the scalar path does not log.
+    frontier_log: array[float] | None = None
+
     def __init__(
         self,
         assigner: WindowAssigner,
@@ -561,6 +570,7 @@ class WindowAggregateOperator(Operator):
         results: list[WindowResult] = []
         now = self._last_arrival
         closed_to = store.close_frontier
+        frontier_log = self.frontier_log
         prev_offset = 0
         for index, element in enumerate(elements):
             arrival = element.arrival_time
@@ -574,6 +584,10 @@ class WindowAggregateOperator(Operator):
                 tracer.frontier_advance(now, frontier, handler.buffered_count())
             if frontier > closed_to:
                 closed_to = frontier
+                if frontier_log is not None:
+                    frontier_log.extend(
+                        (now if arrival is None else arrival, frontier)
+                    )
                 results.extend(store.close(frontier, now, False))
                 store.retire(frontier, now, handler.observe_error)
         store.flush()

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 CHECKPOINT_MAGIC = b"repro-checkpoint-v1\n"
 
 #: Magic prefix for in-memory state snapshots shipped between processes
-#: (shard specs, handler prototypes, partial-aggregate run records).  The
+#: (shard specs, handler prototypes, columnar shard run records).  The
 #: same pickle machinery as file checkpoints, minus the filesystem: the
 #: process-pool shard executor uses these for its control-plane payloads.
 STATE_MAGIC = b"repro-shard-state-v1\n"
@@ -40,7 +40,7 @@ def dumps_state(obj: object) -> bytes:
     Used by the process-pool shard executor for everything that crosses
     the process boundary *except* element chunks (which use the compact
     array codec in :mod:`repro.engine.process_pool`): the shard spec, the
-    handler prototype, and each shard's partial-aggregate run record.
+    handler prototype, and each shard's columnar run record.
     Like file checkpoints, snapshots are a trust boundary — only load
     snapshots produced by this process family.
     """

@@ -38,13 +38,14 @@ chunks to worker processes that each drive the same session class, so
 per-shard semantics agree across executors because both run the same
 lines.  Shard operators are created, driven and finished entirely inside
 their session, and the coordinator reads shard state only from the
-:class:`_ShardRun` snapshots ``collect`` returns, so shard state is
-private to its session and per-shard sanitizers run clean.
+columnar :class:`_ShardRun` records ``collect`` returns, so shard state
+is private to its session and per-shard sanitizers run clean.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, cast
@@ -54,7 +55,7 @@ from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler
 from repro.engine.operator import Operator, WindowResult
-from repro.engine.windows import WindowAssigner
+from repro.engine.windows import Window, WindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, TraceRecorder, Tracer
@@ -96,33 +97,31 @@ def stable_shard(routing_key: object, n_shards: int) -> int:
 
 
 # --------------------------------------------------------------------- #
-# partial capture: keep the mergeable accumulator alongside the float
+# partial capture: keep the mergeable accumulator of groups that can split
 
 
-class _ShardPartial(float):
+class _Partial(float):
     """A window value that remembers the accumulator it came from.
 
-    Per-shard results must stay ordinary floats — the quality feedback
-    loop scores them, latency summaries read them — but the merge stage
-    needs the *mergeable state* behind the value to combine groups that
-    span shards.  A float subclass carries both without widening the
-    :class:`~repro.engine.operator.WindowResult` schema.
+    Only made while a shard is capturing (see :class:`ShardRunner`): the
+    value must stay an ordinary float for the quality feedback loop, and
+    the runner moves the accumulator into its run's column as soon as the
+    result is handed back.
     """
 
     __slots__ = ("accumulator",)
 
     accumulator: Any
 
-    def __new__(cls, value: float, accumulator: Any) -> "_ShardPartial":
+    def __new__(cls, value: float, accumulator: Any) -> "_Partial":
         self = super().__new__(cls, value)
         self.accumulator = accumulator
         return self
 
     def __reduce__(self) -> tuple[Any, ...]:
-        # float's default pickling calls __new__(cls, value) without the
-        # accumulator; spell out both arguments so per-shard results can
-        # cross the process boundary intact.
-        return (type(self), (float(self), self.accumulator))
+        # A traced shard records result values in its trace events; on the
+        # way back to the coordinator those are just the floats.
+        return (float, (float(self),))
 
 
 def _snapshot(accumulator: Any) -> Any:
@@ -137,7 +136,12 @@ def _snapshot(accumulator: Any) -> Any:
 
 
 class _PartialCaptureAggregate:
-    """Delegating aggregate whose ``result`` tags values with their state.
+    """Delegating aggregate whose ``result`` can tag values with their state.
+
+    Routing by element key keeps a keyed group inside one shard, so its
+    value is final and no accumulator needs to travel; ``capturing`` is
+    switched on only for shards whose groups can span shards (a custom
+    routing key, or ``None`` keys dealt round-robin).
 
     Not an :class:`AggregateFunction` subclass on purpose: instances are
     created per shard with an instance-dependent numeric discipline, and
@@ -148,12 +152,13 @@ class _PartialCaptureAggregate:
     it budgets the inner aggregate.
     """
 
-    __slots__ = ("inner", "name", "error_model_kind")
+    __slots__ = ("inner", "name", "error_model_kind", "capturing")
 
     def __init__(self, inner: AggregateFunction) -> None:
         self.inner = inner
         self.name = inner.name
         self.error_model_kind = inner.error_model_kind
+        self.capturing = False
 
     def create(self) -> Any:
         return self.inner.create()
@@ -168,9 +173,10 @@ class _PartialCaptureAggregate:
         return self.inner.merge(accumulator, other)
 
     def result(self, accumulator: Any) -> float:
-        return _ShardPartial(
-            self.inner.result(accumulator), _snapshot(accumulator)
-        )
+        value = self.inner.result(accumulator)
+        if self.capturing:
+            return _Partial(value, _snapshot(accumulator))
+        return value
 
     def describe(self) -> str:
         return f"shard-capture({self.inner.describe()})"
@@ -233,31 +239,46 @@ class ShardSpec:
     sanitize: str | None
     trace_enabled: bool
     trace_detail: bool
+    #: Whether routing can split a keyed group over shards (a custom
+    #: routing key is in use); ``None``-keyed groups always can.
+    split_keyed: bool = False
 
 
 @dataclass(slots=True)
 class _ShardRun:
-    """Everything one shard reports back to the coordinator.
+    """Everything one shard reports back to the coordinator, as columns.
 
     Built entirely inside the shard's session and only read after
-    ``collect`` (initialise-then-publish), so no field needs a lock.
+    ``collect`` (initialise-then-publish), so no field needs a lock.  One
+    row per emitted window, in emission order; ``array`` columns cross
+    the process boundary as raw buffers, never as per-result objects.
     """
 
     shard_id: int
-    results: list[WindowResult]
-    elements_in: int
-    late_dropped: int
-    observed_errors: list[float]
-    #: Parallel arrays: arrival instants at which the shard frontier
+    #: Distinct result keys in first-seen order, and each row's index
+    #: into them.
+    keys: list[object] = field(default_factory=list)
+    key_index: array[int] = field(default_factory=lambda: array("I"))
+    starts: array[float] = field(default_factory=lambda: array("d"))
+    ends: array[float] = field(default_factory=lambda: array("d"))
+    values: array[float] = field(default_factory=lambda: array("d"))
+    counts: array[int] = field(default_factory=lambda: array("q"))
+    #: Accumulator snapshot per row whose group routing can split across
+    #: shards (``None`` for the other rows); empty when no row's can.
+    accumulators: list[Any] = field(default_factory=list)
+    elements_in: int = 0
+    late_dropped: int = 0
+    observed_errors: array[float] = field(default_factory=lambda: array("d"))
+    #: Parallel columns: arrival instants at which the shard frontier
     #: advanced, and the frontier value it advanced to (strictly
     #: increasing), for emit-time reconstruction in the merge stage.
-    frontier_arrivals: list[ArrivalTimeStamp]
-    frontier_values: list[EventTimeStamp]
+    frontier_arrivals: array[float] = field(default_factory=lambda: array("d"))
+    frontier_values: array[float] = field(default_factory=lambda: array("d"))
     #: The shard frontier just before the end-of-stream flush.
-    final_frontier: EventTimeStamp
-    current_slack: DurationS
-    max_buffered: int
-    released: int
+    final_frontier: EventTimeStamp = float("-inf")
+    current_slack: DurationS = 0.0
+    max_buffered: int = 0
+    released: int = 0
     #: Trace events of the shard's own recorder (traced runs only).  The
     #: coordinator re-timestamps these into its own wall clock at merge.
     trace_events: list[Any] = field(default_factory=list)
@@ -271,9 +292,14 @@ class ShardRunner:
 
     The single definition of what "running a shard" means: chunks are
     fed in arrival order as the coordinator dispatches them and
-    :meth:`finish` snapshots the outcome, so per-shard semantics
+    :meth:`finish` completes the run's columns, so per-shard semantics
     (sanitizer wrapping, frontier-timeline capture, stats snapshot) do
     not depend on where the runner lives.
+
+    Accumulators are captured only for groups that routing can split
+    across shards: every group when ``split_keyed`` (a custom routing
+    key), otherwise the ``None``-keyed group alone, from the first chunk
+    that carries a ``None`` key.
     """
 
     def __init__(
@@ -287,76 +313,104 @@ class ShardRunner:
         track_feedback: bool = True,
         sanitize: str | None = None,
         tracer: Tracer = NULL_TRACER,
+        split_keyed: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self._handler = handler
+        self._capture = _capture_wrapper(aggregate)
+        self._capture.capturing = self._split_keyed = split_keyed
         operator = WindowAggregateOperator(
             assigner,
-            cast(AggregateFunction, _capture_wrapper(aggregate)),
+            cast(AggregateFunction, self._capture),
             handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
             mode=mode,
         )
-        self._stats = getattr(operator, "stats")
+        self._stats = operator.stats
+        self._frontier_log = operator.frontier_log = array("d")
         if tracer.enabled:
-            set_tracer = getattr(operator, "set_tracer", None)
-            if set_tracer is not None:
-                set_tracer(tracer)
+            operator.set_tracer(tracer)
         self._driven: Any = (
             guard_operator(operator, sanitize) if sanitize else operator
         )
-        self._results: list[WindowResult] = []
-        self._frontier_arrivals: list[ArrivalTimeStamp] = []
-        self._frontier_values: list[EventTimeStamp] = []
-        self._last_frontier: EventTimeStamp = float("-inf")
-        self._last_arrival: ArrivalTimeStamp = float("-inf")
-        self._elements_in = 0
+        self._run = _ShardRun(shard_id)
+        self._key_ids: dict[object, int] = {}
         self._finished = False
 
     def feed(self, elements: Sequence[StreamElement]) -> None:
-        """Drive a slice of the shard's stream, in arrival order."""
-        process = self._driven.process
-        handler = self._handler
-        for element in elements:
-            arrival = element.arrival_time
-            if arrival is not None and arrival > self._last_arrival:
-                self._last_arrival = arrival
-            emitted = process(element)
-            if emitted:
-                self._results.extend(emitted)
-            frontier = handler.frontier
-            if frontier > self._last_frontier:
-                self._last_frontier = frontier
-                self._frontier_arrivals.append(
-                    arrival if arrival is not None else self._last_arrival
-                )
-                self._frontier_values.append(frontier)
-        self._elements_in += len(elements)
+        """Drive a slice of the shard's stream, in arrival order.
+
+        One ``process_many`` per slice, cut where the handler's next
+        error-fed adaptation fires (as ``run_pipeline`` cuts its batches),
+        so the shard's results and feedback equal an element-by-element
+        run's.
+        """
+        capture = self._capture
+        if not capture.capturing and any(e.key is None for e in elements):
+            capture.capturing = True
+            # The rows gathered so far belong to keyed groups.
+            self._run.accumulators = [None] * len(self._run.ends)
+        next_cut = self._handler.next_adaptation_offset
+        process_many = self._driven.process_many
+        batch = cast("list[StreamElement]", elements)
+        n = len(batch)
+        index = 0
+        while index < n:
+            stop = next_cut(batch, index, n)
+            if stop is None:
+                stop = n
+            self._gather(process_many(batch[index:stop]))
+            index = stop
+        self._run.elements_in += n
+
+    def _gather(self, emitted: list[WindowResult]) -> None:
+        """Append handed-back results to the run's columns."""
+        if not emitted:
+            return
+        run = self._run
+        key_ids = self._key_ids
+        for result in emitted:
+            if result.key not in key_ids:
+                key_ids[result.key] = len(key_ids)
+                run.keys.append(result.key)
+        run.key_index.extend([key_ids[result.key] for result in emitted])
+        run.starts.extend([result.window.start for result in emitted])
+        run.ends.extend([result.window.end for result in emitted])
+        run.values.extend([result.value for result in emitted])
+        run.counts.extend([result.count for result in emitted])
+        if self._capture.capturing:
+            split_keyed = self._split_keyed
+            run.accumulators.extend(
+                [
+                    cast(_Partial, result.value).accumulator
+                    if split_keyed or result.key is None
+                    else None
+                    for result in emitted
+                ]
+            )
 
     def finish(self) -> _ShardRun:
-        """Flush the shard operator and snapshot everything it reports."""
+        """Flush the shard operator and complete the run's columns."""
         if self._finished:
             raise ConfigurationError(
                 f"shard {self.shard_id} was already finished"
             )
         self._finished = True
-        final_frontier = self._last_frontier
-        self._results.extend(self._driven.finish())
+        run = self._run
+        log = self._frontier_log
+        run.frontier_arrivals = log[0::2]
+        run.frontier_values = log[1::2]
+        if log:
+            run.final_frontier = log[-1]
+        self._gather(self._driven.finish())
         handler = self._handler
-        return _ShardRun(
-            shard_id=self.shard_id,
-            results=self._results,
-            elements_in=self._elements_in,
-            late_dropped=self._stats.late_dropped,
-            observed_errors=list(self._stats.observed_errors),
-            frontier_arrivals=self._frontier_arrivals,
-            frontier_values=self._frontier_values,
-            final_frontier=final_frontier,
-            current_slack=handler.current_slack,
-            max_buffered=handler.max_buffered_count(),
-            released=handler.released_count(),
-        )
+        run.late_dropped = self._stats.late_dropped
+        run.observed_errors = array("d", self._stats.observed_errors)
+        run.current_slack = handler.current_slack
+        run.max_buffered = handler.max_buffered_count()
+        run.released = handler.released_count()
+        return run
 
 
 class ShardSession:
@@ -399,6 +453,7 @@ class ShardSession:
                 track_feedback=spec.track_feedback,
                 sanitize=spec.sanitize,
                 tracer=tracer,
+                split_keyed=spec.split_keyed,
             )
             self.metric_deltas[shard_id] = {"chunks": 0, "wire_bytes": 0}
         runner.feed(elements)
@@ -551,14 +606,6 @@ class ShardedHandlerView:
 
 # --------------------------------------------------------------------- #
 # the sharded operator
-
-
-@dataclass(frozen=True, slots=True)
-class _MergedGroup:
-    """Intermediate merge record for one ``(key, window)`` group."""
-
-    result: WindowResult
-    shards: int
 
 
 class ShardedWindowOperator(Operator):
@@ -749,6 +796,7 @@ class ShardedWindowOperator(Operator):
                     sanitize=self._sanitize,
                     trace_enabled=self.tracer.enabled,
                     trace_detail=self.tracer.detail,
+                    split_keyed=self._key_fn is not None,
                 )
             )
         n_bytes = self._executor.dispatch(shard_id, elements)
@@ -762,66 +810,97 @@ class ShardedWindowOperator(Operator):
 
     # -- merge --------------------------------------------------------- #
 
-    @staticmethod
-    def _crossing_arrival(run: _ShardRun, end: EventTimeStamp) -> ArrivalTimeStamp:
-        """Arrival instant at which ``run``'s frontier first reached ``end``."""
-        index = bisect_left(run.frontier_values, end)
-        return run.frontier_arrivals[index]
+    def _merge(self, runs: list[_ShardRun]) -> tuple[list[WindowResult], list[int]]:
+        """Combine the runs' columns at the minimum frontier.
 
-    def _merge(self, runs: list[_ShardRun]) -> list[_MergedGroup]:
-        """Combine per-shard window results at the minimum frontier."""
-        groups: dict[tuple[object, object], list[WindowResult]] = {}
-        for run in runs:
-            for record in run.results:
-                groups.setdefault((record.key, record.window), []).append(record)
+        Returns the merged results in canonical order and, per result,
+        how many shards contributed to it.  A row without an accumulator
+        is a whole group (routing kept its key in one shard); rows with
+        one are regrouped by ``(key, window)`` and folded in shard order.
+        """
         min_frontier = min(run.final_frontier for run in runs)
+        last_arrival = self._last_arrival
         aggregate = self._aggregate
-        merged: list[_MergedGroup] = []
-        for (key, _window_key), records in groups.items():
-            window = records[0].window
-            closed = window.end <= min_frontier
-            if closed:
-                emit_time = max(
-                    self._crossing_arrival(run, window.end) for run in runs
-                )
-            else:
-                emit_time = self._last_arrival
-            if len(records) == 1:
-                value = float(records[0].value)
-            else:
-                partials = [
-                    cast(_ShardPartial, record.value).accumulator
-                    for record in records
-                ]
-                folded = partials[0]
-                for other in partials[1:]:
-                    folded = aggregate.merge(folded, other)
-                value = aggregate.result(folded)
-            merged.append(
-                _MergedGroup(
-                    result=WindowResult(
-                        key=key,
-                        window=window,
-                        value=value,
-                        count=sum(record.count for record in records),
-                        emit_time=emit_time,
-                        latency=emit_time - window.end,
-                        revision=0,
-                        flushed=not closed,
-                    ),
-                    shards=len(records),
-                )
+
+        emissions: dict[EventTimeStamp, tuple[ArrivalTimeStamp, bool]] = {}
+
+        def emission(end: EventTimeStamp) -> tuple[ArrivalTimeStamp, bool]:
+            """Emit time and flushed flag of every merged window ending at ``end``."""
+            emit = emissions.get(end)
+            if emit is None:
+                if end > min_frontier:
+                    emit = (last_arrival, True)
+                else:
+                    # The arrival at which the last shard's frontier reached it.
+                    emit = (
+                        max(
+                            run.frontier_arrivals[bisect_left(run.frontier_values, end)]
+                            for run in runs
+                        ),
+                        False,
+                    )
+                emissions[end] = emit
+            return emit
+
+        windows: dict[tuple[float, float], Window] = {}
+        # Groups that may span shards, by (key, start, end):
+        # [first-seen rank, repr(key), window, value, count, accumulator, shards]
+        split: dict[tuple[object, float, float], list[Any]] = {}
+        # One row per merged group, sort key first: (emit time, flushed,
+        # end, start, repr(key), first-seen rank, key, window, value, count, shards)
+        rows: list[tuple[Any, ...]] = []
+        rank = 0
+        for run in runs:
+            keys = run.keys
+            key_reprs = [repr(key) for key in keys]
+            for key_id, start, end, value, count, accumulator in zip(
+                run.key_index, run.starts, run.ends, run.values, run.counts,
+                run.accumulators or [None] * len(run.ends),
+            ):
+                key = keys[key_id]
+                window = windows.get((start, end))
+                if window is None:
+                    window = windows[(start, end)] = Window(start, end)
+                if accumulator is None:
+                    rows.append(
+                        (*emission(end), end, start, key_reprs[key_id], rank, key,
+                         window, value, count, 1)
+                    )
+                    rank += 1
+                    continue
+                group = split.get((key, start, end))
+                if group is None:
+                    split[(key, start, end)] = [
+                        rank, key_reprs[key_id], window, value, count, accumulator, 1
+                    ]
+                    rank += 1
+                else:
+                    group[4] += count
+                    group[5] = aggregate.merge(group[5], accumulator)
+                    group[6] += 1
+        for (key, start, end), group in split.items():
+            first_seen, key_repr, window, value, count, accumulator, shards = group
+            if shards > 1:
+                value = aggregate.result(accumulator)
+            rows.append(
+                (*emission(end), end, start, key_repr, first_seen, key, window,
+                 value, count, shards)
             )
-        merged.sort(
-            key=lambda group: (
-                group.result.emit_time,
-                group.result.flushed,
-                group.result.window.end,
-                group.result.window.start,
-                repr(group.result.key),
+        rows.sort()
+        results = [
+            WindowResult(
+                key=key,
+                window=window,
+                value=value,
+                count=count,
+                emit_time=emit_time,
+                latency=emit_time - end,
+                revision=0,
+                flushed=flushed,
             )
-        )
-        return merged
+            for emit_time, flushed, end, _, _, _, key, window, value, count, _ in rows
+        ]
+        return results, [row[-1] for row in rows]
 
     def finish(self) -> list[WindowResult]:
         """Collect all shards, merge, and emit in canonical order."""
@@ -845,11 +924,11 @@ class ShardedWindowOperator(Operator):
                 tracer.shard_collect(
                     self._last_arrival,
                     run.shard_id,
-                    len(run.results),
+                    len(run.ends),
                     len(run.trace_events),
                     self._chunks_sent[run.shard_id],
                 )
-        merged = self._merge(runs)
+        merged, shards = self._merge(runs)
         self.handler._finalize(runs)
         stats = self.stats
         stats.results_out = len(merged)
@@ -861,25 +940,24 @@ class ShardedWindowOperator(Operator):
             for run in runs:
                 prefix = f"shard.{run.shard_id}"
                 registry.counter(f"{prefix}.elements_in").set(run.elements_in)
-                registry.counter(f"{prefix}.results_out").set(len(run.results))
+                registry.counter(f"{prefix}.results_out").set(len(run.ends))
                 registry.counter(f"{prefix}.late_dropped").set(run.late_dropped)
                 registry.gauge(f"{prefix}.max_buffered").set(run.max_buffered)
                 registry.gauge(f"{prefix}.final_frontier").set(run.final_frontier)
                 for name, value in run.metric_deltas.items():
                     registry.counter(f"{prefix}.{name}").set(value)
         if tracer.enabled:
-            for group in merged:
-                result = group.result
+            for result, n_shards in zip(merged, shards):
                 tracer.shard_merge(
                     result.emit_time,
                     result.key,
                     result.window.start,
                     result.window.end,
-                    group.shards,
+                    n_shards,
                     float(result.value),
                     result.count,
                 )
-        return [group.result for group in merged]
+        return merged
 
 
 @dataclass(slots=True)

@@ -21,7 +21,10 @@ amortized O(1) in-order inserts, O(log d) out-of-order inserts):
   walk — amortized O(1);
 * a late element patches only the O(log d) path of cached ancestors above
   its slice; every other cached partial stays valid, and retirement
-  corrections reuse the patched partials.
+  corrections reuse the patched partials;
+* retirement re-assembles only the windows a late element reached (the
+  store marks, per key, each slice that changed under a closed window);
+  every other window retires in O(1) with the value it emitted.
 
 Semantics are identical to the per-window store — a late element lands in
 its slice, which already-closed windows no longer read but still-open
@@ -51,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from bisect import bisect_left
 from collections.abc import Callable
 from typing import Any
 
@@ -376,6 +380,7 @@ class _QueryWindowView:
         "_heap_seq",
         "_emitted",
         "_emitted_heap",
+        "_late",
     )
 
     def __init__(
@@ -402,12 +407,16 @@ class _QueryWindowView:
         # Emitted values awaiting feedback retirement: (key, end) -> value.
         self._emitted: dict[tuple[object, float], float] = {}
         self._emitted_heap: list[tuple[float, int, object]] = []
+        # key -> ascending indices of the slices that took an element after
+        # a window containing them had closed; spent marks go at retirement.
+        self._late: dict[object, list[int]] = {}
 
     def late_count(self, slice_index: int) -> int:
         """Already-closed windows containing the slice (lateness verdict).
 
         Mirrors the per-window store's accounting exactly: one drop per
-        closed window with a non-negative start.
+        closed window with a non-negative start.  Window ends ascend with
+        the offset, so the walk stops at the first end still open.
         """
         close_frontier = self.close_frontier
         slide = self.tree.slide
@@ -415,11 +424,31 @@ class _QueryWindowView:
             return 0
         size = self.size
         late = 0
-        for offset in range(self.span):
-            end = (slice_index + 1 + offset) * slide
-            if end <= close_frontier and end - size >= 0:
+        for end_index in range(slice_index + 1, slice_index + 1 + self.span):
+            end = end_index * slide
+            if end > close_frontier:
+                break
+            if end - size >= 0:
                 late += 1
         return late
+
+    def mark_late(self, key: object, slice_index: int) -> None:
+        """Remember that a slice changed under an already-closed window.
+
+        Called whenever :meth:`late_count` is positive for an ingested
+        element: retirement re-assembles exactly the windows whose slice
+        range holds a mark, so every window whose emitted value a late
+        element could have outdated is covered.
+        """
+        if not self.track_feedback:
+            return
+        last_end = (slice_index + self.span) * self.tree.slide
+        if last_end <= self.close_frontier - self.feedback_horizon:
+            return  # every window holding the slice has retired already
+        marks = self._late.setdefault(key, [])
+        at = bisect_left(marks, slice_index)
+        if marks[at : at + 1] != [slice_index]:
+            marks.insert(at, slice_index)
 
     def note_slice(self, key: object, slice_index: int) -> None:
         """Extend the key's closable end range to cover a touched slice.
@@ -548,9 +577,12 @@ class _QueryWindowView:
         """Score emitted-vs-corrected error for windows leaving the horizon.
 
         Only windows that were emitted are scored (a window that closed
-        empty left nothing to compare against).  Corrections reuse the
-        tree: the patched partials above late slices serve every
-        correction in O(log) instead of a fresh merge chain.
+        empty left nothing to compare against).  A window no late element
+        reached (no mark in its slice range) retires with the value it
+        emitted: re-assembling unchanged slices would rebuild that value
+        bit for bit.  Corrections of the others reuse the tree: the
+        patched partials above late slices serve every correction in
+        O(log) instead of a fresh merge chain.
         """
         if not self.track_feedback:
             return
@@ -565,17 +597,29 @@ class _QueryWindowView:
         span = self.span
         tracer = tree.tracer
         tracing = tracer.enabled
+        late = self._late
         while heap and heap[0][0] <= retire_before:
             end, __, key = heapq.heappop(heap)
             emitted = self._emitted.pop((key, end), None)
             if emitted is None:
                 continue
-            end_index = int(round(end / slide))
-            lo = end_index - span
-            accumulator, count, __ = tree.assemble(
-                key, lo if lo > 0 else 0, end_index
-            )
-            corrected = aggregate.result(accumulator) if count else math.nan
+            corrected = emitted
+            marks = late.get(key)
+            if marks is not None:
+                end_index = int(round(end / slide))
+                lo = end_index - span
+                # A key's windows retire in end order, so the marks below
+                # this window's range are below every later one's too.
+                del marks[: bisect_left(marks, lo)]
+                if not marks:
+                    del late[key]
+                elif marks[0] < end_index:
+                    accumulator, count, __ = tree.assemble(
+                        key, lo if lo > 0 else 0, end_index
+                    )
+                    corrected = (
+                        aggregate.result(accumulator) if count else math.nan
+                    )
             error = relative_error(emitted, corrected)
             self.stats.observed_errors.append(error)
             if tracing:
@@ -591,8 +635,9 @@ class _SliceStore(_QueryWindowView):
     """The slice-based window store: a view that owns its tree.
 
     One accumulator add per element; the tree (:class:`_SliceTree` or
-    :class:`_SliceChain`) assembles a window when it closes and again when
-    it retires, and retirement garbage-collects behind the horizon.
+    :class:`_SliceChain`) assembles a window when it closes and, if a late
+    element reached it since, again when it retires; retirement
+    garbage-collects behind the horizon.
     """
 
     __slots__ = ("_gc_horizon", "_groups")
@@ -623,6 +668,7 @@ class _SliceStore(_QueryWindowView):
         late = self.late_count(slice_index)
         if late:
             self.stats.late_dropped += late
+            self.mark_late(key, slice_index)
         tree.aggregate.add(entry[0], element.value)
         entry[1] += 1
         tree.touch(key, slice_index)
@@ -644,6 +690,8 @@ class _SliceStore(_QueryWindowView):
             self.note_slice(key, slice_index)
             group = [entry, [], self.late_count(slice_index)]
             self._groups[(key, slice_index)] = group
+            if group[2]:
+                self.mark_late(key, slice_index)
         group[1].append(element.value)
         if group[2]:
             self.stats.late_dropped += group[2]
@@ -869,6 +917,7 @@ class SharedSliceStore:
             late = view.late_count(slice_index)
             if late:
                 view.stats.late_dropped += late
+                view.mark_late(key, slice_index)
             view.note_slice(key, slice_index)
             closed = view.close_windows(frontier, emit_time, tracer)
             if closed:

@@ -23,12 +23,13 @@ Three design points distinguish this from ``multiprocessing.Pool.map``:
   a unique-key table) — never one pickle per element.  The module-level
   :data:`CODEC_STATS` probe counts pickle calls so tests can assert the
   contract.
-* **Mergeable worker telemetry.**  Workers return picklable
-  :class:`~repro.engine.parallel._ShardRun` snapshots (partial-aggregate
-  accumulators ride along via ``_ShardPartial.__reduce__``) carrying
-  serialized frontier timelines, per-shard trace events (re-timestamped
-  into the coordinator's clock by ``TraceRecorder.absorb``) and metric
-  deltas merged under ``shard.<id>.*``.
+* **Columnar returns.**  A worker sends each shard's
+  :class:`~repro.engine.parallel._ShardRun` back with one pickle
+  (:func:`encode_run`): result columns and frontier timelines are
+  ``array`` buffers, accumulators travel only for groups routing can
+  split across shards, and per-shard trace events (re-timestamped into
+  the coordinator's clock by ``TraceRecorder.absorb``) and metric deltas
+  (merged under ``shard.<id>.*``) ride in the same record.
 
 Failure handling: a worker exception is reported with its full traceback
 and raised on the coordinator as
@@ -51,7 +52,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from queue import Empty
-from typing import Any, Sequence
+from typing import Any, Sequence, cast
 
 from repro.engine.checkpoint import dumps_state, loads_state
 from repro.engine.parallel import (
@@ -69,7 +70,9 @@ __all__ = [
     "ChunkCodecStats",
     "ProcessShardExecutor",
     "decode_chunk",
+    "decode_run",
     "encode_chunk",
+    "encode_run",
 ]
 
 #: Wire header: element count, key-table size, value encoding kind, flags.
@@ -232,6 +235,23 @@ def decode_chunk(payload: bytes) -> list[StreamElement]:
     ]
 
 
+def encode_run(run: _ShardRun) -> bytes:
+    """Encode one shard's run for the trip back to the coordinator.
+
+    One pickle per run, whatever its size: the result columns, frontier
+    timelines and observed errors are ``array`` objects, which pickle as
+    raw buffers; the key table, the accumulators of groups that can span
+    shards and (traced runs) the trace events are the only per-item
+    objects inside it.
+    """
+    return dumps_state(run)
+
+
+def decode_run(payload: bytes) -> _ShardRun:
+    """Restore the run encoded by :func:`encode_run`."""
+    return cast(_ShardRun, loads_state(payload))
+
+
 def _worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
     """Worker process loop: decode chunks, drive a shard session, report.
 
@@ -278,7 +298,7 @@ def _worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
                     shard_id = run.shard_id
                     shard_ids.append(shard_id)
                     result_queue.put(
-                        ("run", session_id, shard_id, dumps_state(run))
+                        ("run", session_id, shard_id, encode_run(run))
                     )
                 result_queue.put(("done", session_id, worker_id, shard_ids))
                 session = None
@@ -440,8 +460,7 @@ class ProcessShardExecutor(ShardExecutor):
             if message[1] != self._session_id:
                 continue
             if kind == "run":
-                run = loads_state(message[3])
-                runs[message[2]] = run  # type: ignore[assignment]
+                runs[message[2]] = decode_run(message[3])
             elif kind == "done":
                 awaiting.discard(message[2])
             elif kind == "error":

@@ -141,3 +141,36 @@ class TestExport:
         path = tmp_path / "a" / "b" / "out.csv"
         to_csv(sample_result(), path)
         assert path.exists()
+
+
+class TestE21Summary:
+    """The quick bench's E21 artifact: core-scoped gates plus one info entry."""
+
+    @staticmethod
+    def summary(monkeypatch, cpu_count, process2_eps):
+        from repro.bench import quick
+
+        monkeypatch.setattr(quick.os, "cpu_count", lambda: cpu_count)
+        result = ExperimentResult(
+            "E21", "t", ["config", "eps", "results_equal", "identical_to_serial"]
+        )
+        for config, eps in [
+            ("single tree", 100.0), ("serial(2)", 50.0),
+            ("process(2)", process2_eps), ("process(4)", 80.0),
+        ]:
+            result.add_row(
+                config=config, eps=eps, results_equal=True, identical_to_serial=None
+            )
+        return quick, quick.summarize_e21(result)
+
+    def test_process2_over_tree_is_recorded_and_never_fails(self, monkeypatch):
+        quick, summary = self.summary(monkeypatch, cpu_count=2, process2_eps=60.0)
+        assert summary["gates"]["process2_over_tree"] == {"status": "info", "ratio": 0.6}
+        assert summary["gates"]["process2_ge_serial2"]["status"] == "pass"
+        assert quick.check_e21(summary) == []
+
+    def test_process2_over_tree_is_skipped_below_two_cores(self, monkeypatch):
+        quick, summary = self.summary(monkeypatch, cpu_count=1, process2_eps=40.0)
+        entry = summary["gates"]["process2_over_tree"]
+        assert entry["status"] == "skipped" and entry["ratio"] == 0.4
+        assert quick.check_e21(summary) == []

@@ -9,21 +9,28 @@ execution.
 
 from __future__ import annotations
 
+import copy
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
+from repro.core.aqk import AQKSlackHandler
+from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import KSlackHandler
+from repro.engine.operator import WindowResult
 from repro.engine.parallel import (
     MAX_SHARDS,
     ShardExecutor,
     ShardedWindowOperator,
+    ShardRunner,
     stable_shard,
 )
 from repro.engine.pipeline import run_pipeline
 from repro.engine.process_pool import ProcessShardExecutor
-from repro.engine.windows import SlidingWindowAssigner
+from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
@@ -264,6 +271,138 @@ def test_cross_shard_mean_within_declared_drift():
         merged_value, merged_count = out_map[group]
         assert merged_count == count
         assert merged_value == pytest.approx(value, rel=1e-9)
+
+
+class RecordingExecutor(ShardExecutor):
+    """The in-process executor, keeping a copy of the runs it hands to the
+    merge (which folds accumulators in place)."""
+
+    def collect(self):
+        runs = super().collect()
+        self.runs = copy.deepcopy(runs)
+        return runs
+
+
+def reference_merge(runs, aggregate, last_arrival):
+    """The merge contract, spelled out over re-materialised shard results.
+
+    Group every shard result by ``(key, window)``; a group closes at the
+    arrival at which the last shard's frontier reached its end (two
+    bisects per group), else it is flushed at the last arrival; a group
+    held by several shards folds their accumulators in shard order.
+    """
+    groups = {}
+    for run in runs:
+        accumulators = run.accumulators or [None] * len(run.ends)
+        for row, key_id in enumerate(run.key_index):
+            slot = (run.keys[key_id], Window(run.starts[row], run.ends[row]))
+            groups.setdefault(slot, []).append(
+                (run.values[row], run.counts[row], accumulators[row])
+            )
+    min_frontier = min(run.final_frontier for run in runs)
+    merged = []
+    for (key, window), records in groups.items():
+        closed = window.end <= min_frontier
+        emit_time = last_arrival
+        if closed:
+            emit_time = max(
+                run.frontier_arrivals[bisect_left(run.frontier_values, window.end)]
+                for run in runs
+            )
+        value = records[0][0]
+        if len(records) > 1:
+            folded = records[0][2]
+            for record in records[1:]:
+                folded = aggregate.merge(folded, record[2])
+            value = aggregate.result(folded)
+        merged.append(
+            WindowResult(
+                key, window, value, sum(record[1] for record in records),
+                emit_time, emit_time - window.end, flushed=not closed,
+            )
+        )
+    merged.sort(
+        key=lambda r: (r.emit_time, r.flushed, r.window.end, r.window.start, repr(r.key))
+    )
+    return merged
+
+
+def split_by_seq(element):
+    return element.seq % 3
+
+
+@pytest.mark.parametrize(
+    "keys, key_fn",
+    [
+        (("a", "b", "c"), split_by_seq),  # a custom routing key splits every key
+        (None, None),  # None keys are dealt round-robin
+        (("a", None, "b", None), None),  # only the None group can split
+    ],
+)
+@pytest.mark.parametrize("aggregate", ["mean", "distinct", "stddev"])
+def test_merge_reads_columns_like_the_reference_merge(keys, key_fn, aggregate):
+    stream = keyed_stream(keys=keys, duration=12.0)
+    executor = RecordingExecutor()
+    executor.chunk_size = 32
+    operator = sharded_operator(3, aggregate, k=0.3, key_fn=key_fn, executor=executor)
+    results = run_pipeline(stream, operator).results
+    runs = executor.runs
+    assert len(runs) > 1
+    # Accumulators travel exactly for the rows whose group can span shards.
+    for run in runs:
+        for row, accumulator in enumerate(run.accumulators or [None] * len(run.ends)):
+            splittable = key_fn is not None or run.keys[run.key_index[row]] is None
+            assert (accumulator is not None) == splittable
+    expected = reference_merge(runs, make_aggregate(aggregate), stream[-1].arrival_time)
+    assert results == expected  # values, emit times, flushed flags, order
+    emit_times = [r.emit_time for r in results]
+    assert len(set(emit_times)) < len(emit_times)  # ties, broken canonically
+    assert any(r.flushed for r in results) and not all(r.flushed for r in results)
+    if keys != ("a", None, "b", None):
+        assert max(r.count for r in results) > max(max(run.counts) for run in runs)
+
+
+def aqk_handler():
+    return AQKSlackHandler(
+        target=QualityTarget(0.05), aggregate=make_aggregate("mean"), window_size=4.0
+    )
+
+
+@pytest.mark.parametrize("make_handler", [lambda: KSlackHandler(0.5), aqk_handler])
+@pytest.mark.parametrize("mode", ["naive", "tree"])
+def test_runner_batched_feed_matches_an_element_by_element_run(make_handler, mode):
+    # The runner drives process_many per chunk and reads its frontier
+    # timeline off the operator's log; the reference drives process per
+    # element and reads the handler's frontier after every call.
+    stream = keyed_stream(duration=40.0)
+    handler = make_handler()
+    operator = WindowAggregateOperator(ASSIGNER, make_aggregate("mean"), handler, mode=mode)
+    scalar, arrivals, frontiers = [], [], []
+    for element in stream:
+        scalar.extend(operator.process(element))
+        if not frontiers or handler.frontier > frontiers[-1]:
+            arrivals.append(element.arrival_time)
+            frontiers.append(handler.frontier)
+    scalar.extend(operator.finish())
+
+    runner = ShardRunner(0, mode, ASSIGNER, make_aggregate("mean"), make_handler())
+    for index in range(0, len(stream), 64):
+        runner.feed(stream[index : index + 64])
+    run = runner.finish()
+    assert list(run.frontier_arrivals) == arrivals
+    assert list(run.frontier_values) == frontiers
+    assert run.final_frontier == frontiers[-1]
+    assert [
+        (run.keys[key_id], start, end, value, count)
+        for key_id, start, end, value, count in zip(
+            run.key_index, run.starts, run.ends, run.values, run.counts
+        )
+    ] == [(r.key, r.window.start, r.window.end, r.value, r.count) for r in scalar]
+    assert list(run.observed_errors) == operator.stats.observed_errors
+    assert run.late_dropped == operator.stats.late_dropped
+    assert run.accumulators == []  # keyed groups, default routing
+    if make_handler is aqk_handler:
+        assert len(handler.adaptations) > 1
 
 
 def test_canonical_output_order_is_deterministic():

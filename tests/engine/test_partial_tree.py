@@ -15,7 +15,11 @@ import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
-from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
+from repro.engine.aggregate_op import (
+    EXECUTION_MODES,
+    WindowAggregateOperator,
+    relative_error,
+)
 from repro.engine.aggregates import (
     CountAggregate,
     DistinctCountAggregate,
@@ -26,7 +30,14 @@ from repro.engine.aggregates import (
     make_aggregate,
 )
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
+from repro.engine.partial_tree import (
+    SharedSliceStore,
+    _QueryWindowView,
+    _SliceChain,
+    _SliceStore,
+    _SliceTree,
+    run_shared_slices,
+)
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.errors import ConfigurationError
@@ -301,6 +312,127 @@ def test_tree_trace_events():
 
 
 # --------------------------------------------------------------------- #
+# lateness verdict and retirement
+
+
+def full_walk_late_count(view, slice_index):
+    """The verdict as a walk over every window containing the slice."""
+    late = 0
+    for offset in range(view.span):
+        end = (slice_index + 1 + offset) * view.tree.slide
+        if end <= view.close_frontier and end - view.size >= 0:
+            late += 1
+    return late
+
+
+@pytest.mark.parametrize("slide, span", [(1.0, 4), (0.125, 64), (0.1, 7), (1 / 3, 3)])
+def test_late_count_stops_early_with_the_full_walks_count(slide, span):
+    rng = np.random.default_rng(5)
+    size = slide * span
+    view = _QueryWindowView(_SliceTree(CountAggregate(), slide, span), size, span, 5 * size, True)
+    frontiers = [-math.inf, math.inf, 0.0, size, *rng.uniform(-2 * size, 40 * size, 200)]
+    for frontier in frontiers:
+        view.close_frontier = frontier
+        around = int(frontier / slide) if math.isfinite(frontier) else 0
+        for slice_index in [*range(around - span - 2, around + 3), *rng.integers(-5, 500, 20)]:
+            assert view.late_count(slice_index) == full_walk_late_count(view, slice_index)
+
+
+class MergeCountingSum(SumAggregate):
+    """Counts the merges it is asked to do."""
+
+    def __init__(self):
+        self.merges = 0
+
+    def merge(self, accumulator, other):
+        self.merges += 1
+        return super().merge(accumulator, other)
+
+
+def slice_store(tree_class, aggregate, horizon=2.0):
+    """Size 4, slide 1: window ``[s, s + 4)`` is slices ``s .. s + 3``."""
+    return _SliceStore(tree_class(aggregate, 1.0, 4), 4.0, 4, horizon, True)
+
+
+def unit_element(event_time, seq=0):
+    return StreamElement(event_time=event_time, value=1.0, seq=seq)
+
+
+@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+def test_untouched_window_retires_without_a_merge(tree_class):
+    aggregate = MergeCountingSum()
+    store = slice_store(tree_class, aggregate)
+    for slice_index in range(4):
+        store.add(unit_element(slice_index + 0.5), 0.0)
+    (closed,) = store.close(4.0, 0.0, False)
+    assert (closed.window.start, closed.value) == (0.0, 4.0)
+    assert aggregate.merges > 0
+    aggregate.merges = 0
+    errors = []
+    store.retire(6.0, 0.0, errors.append)
+    assert errors == store.stats.observed_errors == [0.0]
+    assert aggregate.merges == 0
+
+
+@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+def test_window_patched_after_its_close_is_reassembled(tree_class):
+    aggregate = MergeCountingSum()
+    store = slice_store(tree_class, aggregate)
+    for slice_index in range(4):
+        store.add(unit_element(slice_index + 0.5), 0.0)
+    store.close(4.0, 0.0, False)
+    store.add(unit_element(2.25), 0.0)  # late for [0, 4), the only closed window
+    assert store.stats.late_dropped == 1
+    aggregate.merges = 0
+    errors = []
+    store.retire(6.0, 0.0, errors.append)
+    assert errors == [relative_error(4.0, 5.0)] and errors[0] > 0
+    assert aggregate.merges > 0
+
+
+@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+def test_late_slice_shared_by_retiring_and_retained_windows(tree_class):
+    aggregate = MergeCountingSum()
+    store = slice_store(tree_class, aggregate)
+    for slice_index in range(9):
+        store.add(unit_element(slice_index + 0.5), 0.0)
+    assert [r.window.start for r in store.close(5.0, 0.0, False)] == [0.0, 1.0]
+    # Slice 3: late for [0, 4) and [1, 5), on time for [2, 6) and [3, 7).
+    store.add(unit_element(3.75), 0.0)
+    assert store.stats.late_dropped == 2
+    errors = []
+    store.retire(6.0, 0.0, errors.append)  # retires [0, 4); [1, 5) stays
+    assert errors == [relative_error(4.0, 5.0)]
+    assert [r.value for r in store.close(7.0, 0.0, False)] == [5.0, 5.0]
+    store.retire(7.0, 0.0, errors.append)  # retires [1, 5): the mark survived
+    assert errors[1:] == [relative_error(4.0, 5.0)]
+    # [2, 6) and [3, 7) hold the marked slice but emitted with it: they are
+    # re-assembled to the value they emitted.
+    store.retire(9.0, 0.0, errors.append)
+    assert errors[2:] == [0.0, 0.0]
+    # [4, 8) lies past the mark, which is spent: no merge, no mark left.
+    store.close(8.0, 0.0, False)
+    aggregate.merges = 0
+    store.retire(10.0, 0.0, errors.append)
+    assert errors[4:] == [0.0]
+    assert aggregate.merges == 0
+    assert store._late == {}
+
+
+def test_slice_late_for_windows_all_retired_leaves_no_mark():
+    store = slice_store(_SliceTree, SumAggregate())
+    for slice_index in range(12):
+        store.add(unit_element(slice_index + 0.5), 0.0)
+    store.close(12.0, 0.0, False)
+    store.retire(12.0, 0.0, lambda error: None)  # retires every end <= 10
+    store.add(unit_element(5.5), 0.0)  # its last window, [5, 9), is gone
+    assert store.stats.late_dropped == 4
+    assert store._late == {}
+    store.add(unit_element(7.5), 0.0)  # [7, 11) is still retained
+    assert store._late == {None: [7]}
+
+
+# --------------------------------------------------------------------- #
 # shared slice store
 
 
@@ -347,6 +479,11 @@ def test_shared_store_matches_private_pipelines_fixed_slack():
         solo_results = run_pipeline(stream, solo).results
         assert result_map(shared[qid]) == result_map(solo_results)
         assert store.stats_for(qid).late_dropped == solo.stats.late_dropped
+        # Views mark late slices on the shared offer path as a private
+        # store does on add: same corrections, in the same order.
+        errors = store.stats_for(qid).observed_errors
+        assert errors == solo.stats.observed_errors
+        assert any(error > 0 for error in errors)
 
 
 def test_shared_store_matches_private_pipelines_aqk():

@@ -10,15 +10,23 @@ expensive part of every test) paid once.
 from __future__ import annotations
 
 import os
+import pickletools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.aggregates import CountAggregate, make_aggregate
+from repro.engine import checkpoint
+from repro.engine.checkpoint import STATE_MAGIC
 from repro.engine.handlers import KSlackHandler
 from repro.engine.parallel import (
     DEFAULT_CHUNK_SIZE,
     ShardExecutor,
+    ShardRunner,
+    ShardSession,
+    ShardSpec,
     ShardedWindowOperator,
 )
 from repro.engine.pipeline import run_pipeline
@@ -26,7 +34,9 @@ from repro.engine.process_pool import (
     CODEC_STATS,
     ProcessShardExecutor,
     decode_chunk,
+    decode_run,
     encode_chunk,
+    encode_run,
 )
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError, QueryError, ShardWorkerError
@@ -138,11 +148,145 @@ def test_dispatch_path_is_chunk_encoded_not_per_element(pool):
 
 
 # --------------------------------------------------------------------- #
+# run codec (the return path)
+
+
+class TallyAggregate(CountAggregate):
+    """A count whose accumulator is neither a list nor a set."""
+
+    def create(self):
+        return {"n": 0}
+
+    def add(self, accumulator, value):
+        accumulator["n"] += 1
+
+    def add_many(self, accumulator, values):
+        accumulator["n"] += len(values)
+
+    def result(self, accumulator):
+        return float(accumulator["n"])
+
+    def merge(self, accumulator, other):
+        accumulator["n"] += other["n"]
+        return accumulator
+
+
+RUN_AGGREGATES = {
+    "mean": lambda: make_aggregate("mean"),  # list accumulator
+    "stddev": lambda: make_aggregate("stddev"),
+    "distinct": lambda: make_aggregate("distinct"),  # set accumulator
+    "tally": TallyAggregate,  # deep-copied accumulator
+}
+
+run_rows = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=30.0),  # event time
+        st.floats(min_value=0.0, max_value=3.0),  # delay
+        st.integers(min_value=0, max_value=5).map(float),  # value
+        st.sampled_from(["a", "b", None]),  # key
+    ),
+    max_size=40,
+)
+
+
+@given(
+    run_rows,
+    st.sampled_from(sorted(RUN_AGGREGATES)),
+    st.sampled_from(["naive", "tree"]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, traced):
+    stream = sorted(
+        (
+            StreamElement(event_time=t, value=v, key=key, arrival_time=t + d, seq=i)
+            for i, (t, d, v, key) in enumerate(rows)
+        ),
+        key=StreamElement.arrival_sort_key,
+    )
+    session = ShardSession(
+        ShardSpec(
+            n_shards=1,
+            mode=mode,
+            assigner=ASSIGNER,
+            aggregate=RUN_AGGREGATES[aggregate](),
+            handler_factory=fresh_handler,
+            feedback_horizon=None,
+            track_feedback=True,
+            sanitize=None,
+            trace_enabled=traced,
+            trace_detail=False,
+            split_keyed=split_keyed,
+        )
+    )
+    for index in range(0, len(stream), 16):
+        session.feed(0, stream[index : index + 16], n_bytes=7)
+    for run in session.finish():  # no run at all for an empty stream
+        assert decode_run(encode_run(run)) == run
+        assert len(run.ends) == len(run.key_index) == len(run.values)
+        # Every window still open at stream end was flushed into the run.
+        assert max(run.ends, default=0.0) > run.final_frontier
+        assert bool(run.trace_events) == traced
+        splittable = [
+            split_keyed or run.keys[key_id] is None for key_id in run.key_index
+        ]
+        assert [a is not None for a in run.accumulators] == (
+            splittable if any(splittable) else []
+        )
+
+
+def test_run_codec_round_trips_an_empty_run():
+    run = ShardRunner(3, "tree", ASSIGNER, make_aggregate("sum"), KSlackHandler(1.0)).finish()
+    assert len(run.ends) == 0 and run.final_frontier == float("-inf")
+    assert decode_run(encode_run(run)) == run
+
+
+def test_run_codec_rejects_foreign_payloads():
+    with pytest.raises(ConfigurationError):
+        decode_run(b"not a state snapshot")
+
+
+def test_run_codec_pickles_once_whatever_the_result_count(monkeypatch):
+    def run_of(duration, split_keyed):
+        runner = ShardRunner(
+            0, "tree", ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0),
+            split_keyed=split_keyed,
+        )
+        runner.feed(keyed_stream(duration=duration))
+        return runner.finish()
+
+    # The probe, CODEC_STATS-style: count the pickle calls encoding makes.
+    calls = []
+    real_dumps = checkpoint.pickle.dumps
+    monkeypatch.setattr(
+        checkpoint.pickle, "dumps",
+        lambda *args, **kwargs: calls.append(1) or real_dumps(*args, **kwargs),
+    )
+    small, large = run_of(10.0, False), run_of(400.0, False)
+    assert len(large.ends) > 20 * len(small.ends) > 0
+    payloads = [encode_run(small), encode_run(large)]
+    assert len(calls) == 2
+    # No per-result object hides inside that one pickle: the payload is the
+    # same opcodes around longer buffers (give or take a framing opcode).
+    opcodes = [
+        sum(1 for _ in pickletools.genops(payload[len(STATE_MAGIC):]))
+        for payload in payloads
+    ]
+    assert opcodes[1] <= opcodes[0] + 4
+    columns = 36 * len(large.ends) + 16 * len(large.frontier_values)
+    assert len(payloads[1]) < columns + 8 * len(large.observed_errors) + 4096
+    # Accumulators, when a run must carry them, are the per-result part.
+    carrying = encode_run(run_of(400.0, True))
+    assert len(carrying) > len(payloads[1]) + 8 * len(large.ends)
+
+
+# --------------------------------------------------------------------- #
 # executor parity (the shard contract across executors)
 
 
 @pytest.mark.parametrize("mode", ["naive", "sliced", "tree"])
-def test_process_matches_threads_bit_identical(pool, mode):
+def test_process_matches_serial_bit_identical(pool, mode):
     stream = keyed_stream()
     k = no_late_k(stream)
     serial_out = run_pipeline(
@@ -426,8 +570,7 @@ def test_describe_names_the_strategy():
 # query-builder and CLI plumbing
 
 
-def test_query_builder_process_executor_matches_thread(pool):
-    # The reference is the in-process executor, named "serial".
+def test_query_builder_process_executor_matches_serial(pool):
     from repro.queries.language import ContinuousQuery
 
     stream = keyed_stream(duration=8.0)
@@ -463,7 +606,7 @@ def test_query_builder_rejects_executor_without_shards():
         query.build_operator()
 
 
-def test_query_builder_rejects_chunk_size_for_threads():
+def test_query_builder_rejects_chunk_size_for_serial():
     # Only the process executor has a settable chunk size.
     from repro.queries.language import ContinuousQuery
 
