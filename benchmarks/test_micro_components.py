@@ -166,7 +166,7 @@ def test_naive_window_operator_throughput(benchmark, stream):
     assert benchmark(run) > 0
 
 
-def test_sliced_window_operator_throughput(benchmark, stream):
+def test_tree_window_operator_throughput(benchmark, stream):
     from repro.engine.aggregate_op import WindowAggregateOperator
     from repro.engine.pipeline import run_pipeline
     from repro.engine.windows import SlidingWindowAssigner
@@ -177,7 +177,7 @@ def test_sliced_window_operator_throughput(benchmark, stream):
             MeanAggregate(),
             KSlackHandler(0.5),
             track_feedback=False,
-            mode="sliced",
+            mode="tree",
         )
         return len(run_pipeline(stream, operator).results)
 

@@ -22,6 +22,15 @@ NumSan verifies dynamically —
 ``"reassoc-tolerant"``    relative drift <= 1e-9
 ========================  =============================================
 
+A second moment (``variance``, ``stddev``) cannot hold a flat budget on
+ill-conditioned windows: with condition number ``kappa = sqrt(1 + mean^2 /
+variance)``, the updating algorithms (Welford's add, Chan's combine) carry
+a first-order relative error of ``n * eps * kappa`` (Chan, Golub & LeVeque
+1983) where the textbook sum of squares carries ``n * eps * kappa^2``.
+NumSan computes ``kappa`` from the mirror values and holds those
+aggregates to ``max(declared bound, n * eps * kappa)`` — a correct Welford
+passes at any conditioning, a sum of squares still fails.
+
 A violation raises :class:`~repro.errors.SanitizerError` at the result
 call site.  Aggregates with no reference implementation (sketches whose
 names start with ``~``, top-k) are recorded as *unchecked* rather than
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -57,6 +67,9 @@ DRIFT_BOUNDS: dict[str, float] = {
 
 _QUANTILE_NAME = re.compile(r"^p\d+$")
 
+#: Aggregates whose drift budget widens with the window's conditioning.
+_SECOND_MOMENTS = frozenset({"stddev", "variance", "var"})
+
 
 @dataclass
 class AggregateDriftStats:
@@ -64,6 +77,8 @@ class AggregateDriftStats:
 
     aggregate: str
     discipline: str
+    #: Widest budget a checked window was held to: the declared one,
+    #: unless a second moment's conditioning widened it.
     bound: float
     windows_checked: int = 0
     #: Checked windows whose reference was the exact ``Fraction`` path.
@@ -293,14 +308,28 @@ class _ShadowAggregate(AggregateFunction):
                     f"reference {reference!r} ({ulp:g} ulp) over "
                     f"{len(values)} value(s)"
                 )
-        elif rel > self.bound:
+            return
+        bound = self._budget(values, reference)
+        if bound > stats.bound:
+            stats.bound = bound
+        if rel > bound:
+            kind = "declared" if bound == self.bound else "conditioning-scaled"
             san.fail(
                 f"aggregate '{self.name}' (__numeric__ = "
                 f'"{self.discipline}") drifted {rel:.3e} relative '
                 f"({ulp:g} ulp) from the reference {reference!r}, "
-                f"exceeding the declared bound {self.bound:g} over "
+                f"exceeding the {kind} bound {bound:g} over "
                 f"{len(values)} value(s)"
             )
+
+    def _budget(self, values: list[float], reference: float) -> float:
+        """Drift budget of one window: declared, or conditioning-scaled."""
+        if self.name not in _SECOND_MOMENTS or not reference > 0.0:
+            return self.bound
+        deviation = reference if self.name == "stddev" else math.sqrt(reference)
+        mean = math.fsum(values) / len(values)
+        kappa = math.hypot(1.0, mean / deviation)
+        return max(self.bound, len(values) * sys.float_info.epsilon * kappa)
 
     def _reference(self, values: list[float], exact: bool) -> float | None:
         name = self.name
@@ -323,7 +352,7 @@ class _ShadowAggregate(AggregateFunction):
             if exact:
                 return float(sum(map(Fraction, values), Fraction(0)) / n)
             return math.fsum(values) / n
-        if name in ("stddev", "variance", "var"):
+        if name in _SECOND_MOMENTS:
             variance = self._variance_reference(values, exact)
             if name == "stddev":
                 return math.sqrt(variance)

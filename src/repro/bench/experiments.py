@@ -943,10 +943,10 @@ def e16_pattern_quality(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# E17: execution-path ablation (naive vs sliced window evaluation)
+# E17: execution-path ablation (naive vs slice-based window evaluation)
 
 
-def e17_sliced_execution(scale: float = 1.0) -> ExperimentResult:
+def e17_slice_execution(scale: float = 1.0) -> ExperimentResult:
     """Table E17: slice-based execution — same results, higher throughput.
 
     The win grows with window overlap (size/slide), so the table sweeps
@@ -957,11 +957,11 @@ def e17_sliced_execution(scale: float = 1.0) -> ExperimentResult:
     stream = WorkloadSpec().scaled(scale).build()
     result = ExperimentResult(
         experiment_id="E17",
-        title="Naive vs sliced window execution (mean, K-slack 1s)",
+        title="Naive vs slice-store (tree) window execution (mean, K-slack 1s)",
         columns=[
             "overlap",
             "naive_eps",
-            "sliced_eps",
+            "tree_eps",
             "speedup",
             "results_equal",
         ],
@@ -972,28 +972,28 @@ def e17_sliced_execution(scale: float = 1.0) -> ExperimentResult:
         naive = WindowAggregateOperator(
             assigner, make_aggregate("mean"), KSlackHandler(1.0), track_feedback=False
         )
-        sliced = WindowAggregateOperator(
+        tree = WindowAggregateOperator(
             assigner,
             make_aggregate("mean"),
             KSlackHandler(1.0),
             track_feedback=False,
-            mode="sliced",
+            mode="tree",
         )
         naive_out = run_pipeline(stream, naive)
-        sliced_out = run_pipeline(stream, sliced)
+        tree_out = run_pipeline(stream, tree)
         naive_map = {
             (r.key, r.window): round(r.value, 9) for r in naive_out.results
         }
-        sliced_map = {
-            (r.key, r.window): round(r.value, 9) for r in sliced_out.results
+        tree_map = {
+            (r.key, r.window): round(r.value, 9) for r in tree_out.results
         }
         result.add_row(
             overlap=window / slide,
             naive_eps=naive_out.metrics.throughput_eps,
-            sliced_eps=sliced_out.metrics.throughput_eps,
-            speedup=sliced_out.metrics.throughput_eps
+            tree_eps=tree_out.metrics.throughput_eps,
+            speedup=tree_out.metrics.throughput_eps
             / naive_out.metrics.throughput_eps,
-            results_equal=naive_map == sliced_map,
+            results_equal=naive_map == tree_map,
         )
     return result
 
@@ -1042,13 +1042,13 @@ def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
                 ),
             ),
             (
-                "sliced",
+                "tree",
                 lambda: WindowAggregateOperator(
                     assigner,
                     make_aggregate("mean"),
                     KSlackHandler(1.0),
                     track_feedback=False,
-                    mode="sliced",
+                    mode="tree",
                 ),
             ),
             (
@@ -1097,13 +1097,13 @@ def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
 
 
 def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
-    """Table E19: tree execution vs naive/sliced, plus shared slices.
+    """Table E19: tree execution vs naive, plus shared slices.
 
     Two sections in one table.  The *overlap sweep* (``overlap=N`` rows)
     holds the slide at 0.125s and grows the window, so per-close cost
     dominates: naive mode folds every element into ``overlap`` windows,
-    sliced mode merges an ``overlap``-long slice chain per close, and
-    tree mode merges O(log overlap) cached partials.  The
+    tree mode closes an in-order window with one merge and a late-reached
+    one from O(log overlap) cached partials.  The
     *multi-query* row runs four concurrent AQ-K count queries (the E11
     workload) three ways — one naive pipeline per query (what E11
     measures today), one tree pipeline per query, and a single
@@ -1123,9 +1123,7 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
         columns=[
             "config",
             "naive_eps",
-            "sliced_eps",
             "tree_eps",
-            "tree_over_sliced",
             "shared_eps",
             "shared_over_naive",
             "results_equal",
@@ -1133,7 +1131,7 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
         notes=[
             workload_summary(stream),
             "overlap rows: sliding (overlap*0.125s)/0.125s windows, "
-            "feedback off; tree_over_sliced = tree_eps / sliced_eps",
+            "feedback off",
             "multi-query row: four AQ-K count queries on the E11 workload; "
             "eps counts each element once per query; shared_over_naive = "
             "shared_eps / naive_eps (naive = one pipeline per query)",
@@ -1152,13 +1150,6 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
                 KSlackHandler(1.0),
                 track_feedback=False,
             ),
-            "sliced": WindowAggregateOperator(
-                assigner,
-                make_aggregate("count"),
-                KSlackHandler(1.0),
-                track_feedback=False,
-                mode="sliced",
-            ),
             "tree": WindowAggregateOperator(
                 assigner,
                 make_aggregate("count"),
@@ -1175,13 +1166,10 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
         result.add_row(
             config=f"overlap={overlap}",
             naive_eps=outputs["naive"].metrics.throughput_eps,
-            sliced_eps=outputs["sliced"].metrics.throughput_eps,
             tree_eps=outputs["tree"].metrics.throughput_eps,
-            tree_over_sliced=outputs["tree"].metrics.throughput_eps
-            / outputs["sliced"].metrics.throughput_eps,
             shared_eps=None,
             shared_over_naive=None,
-            results_equal=maps["naive"] == maps["sliced"] == maps["tree"],
+            results_equal=maps["naive"] == maps["tree"],
         )
 
     # Multi-query section: the E11 workload (four concurrent AQ-K count
@@ -1233,9 +1221,7 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
     result.add_row(
         config=f"multi-query({len(thetas)}xAQ-K)",
         naive_eps=naive_eps,
-        sliced_eps=None,
         tree_eps=logical / tree_wall,
-        tree_over_sliced=None,
         shared_eps=shared_eps,
         shared_over_naive=shared_eps / naive_eps,
         results_equal=all(
@@ -1294,7 +1280,7 @@ def _run_timed_configs(
 
 
 def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
-    """Table E20: sharded execution vs single-pipeline sliced/tree.
+    """Table E20: sharded execution vs the single tree pipeline.
 
     A 16-key workload under a high-overlap sliding window (overlap 64:
     8s window, 0.125s slide) — the regime where per-close cost
@@ -1305,14 +1291,13 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
     over the whole run (routing + shard execution + merge).  K is the
     empirical max delay plus epsilon so nothing is late and every config
     is value-comparable (``results_equal`` checks per-group values and
-    counts against the single-pipeline sliced run).
+    counts against the single-pipeline tree run).
 
     Note on parallelism: the sharded rows run the in-process executor,
     every shard on the coordinator's core, so nothing here is
     core-parallelism; per-shard operators track fewer concurrent windows,
-    which beat the old sliced operator's overlap-proportional bookkeeping
-    but not the slice store both single-pipeline rows run on now.  E21
-    puts the same shards on a process pool.
+    which does not pay for routing and the merge on the slice store the
+    single pipeline runs on.  E21 puts the same shards on a process pool.
     """
     from repro.engine.handlers import KSlackHandler
     from repro.engine.parallel import ShardedWindowOperator
@@ -1333,7 +1318,7 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E20",
         title="Sharded execution vs single pipeline (count, overlap 64)",
-        columns=["config", "eps", "speedup_vs_sliced", "results_equal"],
+        columns=["config", "eps", "speedup_vs_single", "results_equal"],
         notes=[
             workload_summary(stream),
             f"16-key workload, sliding {64 * slide:g}s/{slide:g}s window, "
@@ -1349,15 +1334,6 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
         return {
             (r.key, r.window): (round(r.value, 9), r.count) for r in results
         }
-
-    def make_sliced():
-        return WindowAggregateOperator(
-            assigner,
-            make_aggregate(aggregate_name),
-            KSlackHandler(k),
-            track_feedback=False,
-            mode="sliced",
-        )
 
     def make_tree():
         return WindowAggregateOperator(
@@ -1381,24 +1357,24 @@ def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
 
         return build
 
-    configs = [("single sliced", make_sliced), ("single tree", make_tree)]
+    configs = [("single tree", make_tree)]
     configs += [
         (f"sharded({n}) tree", make_sharded(n)) for n in (2, 4, 8)
     ]
     timed = _run_timed_configs(stream, configs)
-    baseline_eps, baseline_results = timed["single sliced"]
+    baseline_eps, baseline_results = timed["single tree"]
     baseline_map = result_map(baseline_results)
     for name, _factory in configs:
         eps, results = timed[name]
         result.add_row(
             config=name,
             eps=eps,
-            speedup_vs_sliced=(
-                eps / baseline_eps if name != "single sliced" else None
+            speedup_vs_single=(
+                eps / baseline_eps if name != "single tree" else None
             ),
             results_equal=(
                 result_map(results) == baseline_map
-                if name != "single sliced"
+                if name != "single tree"
                 else True
             ),
         )
@@ -1562,7 +1538,7 @@ EXPERIMENTS = {
     "E14": e14_ablation_sampling,
     "E15": e15_join_quality,
     "E16": e16_pattern_quality,
-    "E17": e17_sliced_execution,
+    "E17": e17_slice_execution,
     "E18": e18_batched_throughput,
     "E19": e19_tree_execution,
     "E20": e20_sharded_throughput,

@@ -257,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--mode",
-        choices=["naive", "sliced", "tree"],
+        metavar="{naive,tree}",
         default="naive",
-        help="execution mode: naive per-window adds, shared slices, or "
-        "partial-aggregate tree (O(log) closes and late patches)",
+        help="execution mode: naive per-window adds, or shared slices under "
+        "a partial-aggregate tree (one-merge closes, O(log) late patches)",
     )
     run.add_argument(
         "--shards",
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sql.add_argument(
         "--mode",
-        choices=["naive", "sliced", "tree"],
+        metavar="{naive,tree}",
         default=None,
         help="execution mode (default: naive)",
     )

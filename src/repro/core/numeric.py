@@ -110,8 +110,8 @@ def neumaier_merge(accumulator: List[float], other: List[float]) -> None:
     """Merge compensated partial ``other`` into ``accumulator`` in place.
 
     The partial total is folded with compensation and the partial
-    compensation terms are carried over, so merge trees (sliced and
-    partial-aggregate execution) keep the O(1)-ulp error bound.
+    compensation terms are carried over, so merge trees (slice folds and
+    cached partial aggregates) keep the O(1)-ulp error bound.
     """
     neumaier_add(accumulator, other[0])
     accumulator[1] += other[1]

@@ -201,8 +201,8 @@ class _PerWindowStore:
         self.stats = OperatorStats()
         self.tracer: Tracer = NULL_TRACER
         self.close_frontier = float("-inf")
-        self._open: dict[tuple[object, Window], object] = {}
-        self._open_counts: dict[tuple[object, Window], int] = {}
+        # (key, window) -> [accumulator, count]
+        self._open: dict[tuple[object, Window], list[Any]] = {}
         self._open_heap: list[tuple[float, int, object, Window]] = []
         self._heap_seq = 0
         self._closed: OrderedDict[tuple[object, Window], _ClosedRecord] = OrderedDict()
@@ -237,22 +237,20 @@ class _PerWindowStore:
             if window.end <= self.close_frontier:
                 self._record_late(slot, element, window, now)
                 continue
-            accumulator = self._open.get(slot)
-            if accumulator is None:
-                accumulator = self._open_slot(slot, now)
-            self.aggregate.add(accumulator, element.value)
-            self._open_counts[slot] += 1
+            record = self._open.get(slot)
+            if record is None:
+                record = self._open_slot(slot, now)
+            self.aggregate.add(record[0], element.value)
+            record[1] += 1
 
-    def _open_slot(self, slot: tuple[object, Window], now: ArrivalTimeStamp) -> object:
+    def _open_slot(self, slot: tuple[object, Window], now: ArrivalTimeStamp) -> list[Any]:
         key, window = slot
-        accumulator = self.aggregate.create()
-        self._open[slot] = accumulator
-        self._open_counts[slot] = 0
+        record = self._open[slot] = [self.aggregate.create(), 0]
         self._heap_seq += 1
         heapq.heappush(self._open_heap, (window.end, self._heap_seq, key, window))
         if self.tracer.enabled:
             self.tracer.window_open(now, key, window.start, window.end)
-        return accumulator
+        return record
 
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
         """Batched :meth:`add`: the value folds at the next close or flush.
@@ -294,12 +292,11 @@ class _PerWindowStore:
     def _fold(self) -> None:
         aggregate = self.aggregate
         open_slots = self._open
-        open_counts = self._open_counts
         for on_time, values, __, key, __ in self._groups.values():
             for window in on_time:
-                slot = (key, window)
-                aggregate.add_many(open_slots[slot], values)
-                open_counts[slot] += len(values)
+                record = open_slots[(key, window)]
+                aggregate.add_many(record[0], values)
+                record[1] += len(values)
         self._groups.clear()
 
     def flush(self) -> None:
@@ -358,10 +355,10 @@ class _PerWindowStore:
         while heap and heap[0][0] <= frontier:
             end, __, key, window = heapq.heappop(heap)
             slot = (key, window)
-            accumulator = self._open.pop(slot, None)
-            if accumulator is None:
+            record = self._open.pop(slot, None)
+            if record is None:
                 continue
-            count = self._open_counts.pop(slot)
+            accumulator, count = record
             value = self.aggregate.result(accumulator)
             _emit(results, self.tracer, key, window, value, count, emit_time, flushed)
             if self.track_feedback:
@@ -412,7 +409,16 @@ _TREE_MEMBERS = frozenset(
 
 #: ``mode`` names accepted by :class:`WindowAggregateOperator`, the query
 #: builder and the CLI.
-EXECUTION_MODES = ("naive", "sliced", "tree")
+EXECUTION_MODES = ("naive", "tree")
+
+
+def unknown_mode_error(mode: object) -> ConfigurationError:
+    """The error for a ``mode`` outside :data:`EXECUTION_MODES`; for the
+    removed ``"sliced"`` the message names ``"tree"``, the slice store."""
+    hint = '; mode="sliced" is gone, use mode="tree"' if mode == "sliced" else ""
+    return ConfigurationError(
+        f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}{hint}"
+    )
 
 
 class WindowAggregateOperator(Operator):
@@ -426,11 +432,12 @@ class WindowAggregateOperator(Operator):
 
     * ``"naive"`` — one accumulator per window (:class:`_PerWindowStore`),
       the reference; takes any assigner and any aggregate;
-    * ``"sliced"`` / ``"tree"`` — one accumulator per slice, a window
-      assembled by a merge chain / from cached dyadic partials
-      (:mod:`repro.engine.partial_tree`).  Both need the slide to divide
-      the window size and a mergeable aggregate, and score only emitted
-      windows at retirement (no phantom records).
+    * ``"tree"`` — one accumulator per slice; a window closes with one
+      merge from a per-key in-order fold, or from cached dyadic partials
+      where late data reached it (:mod:`repro.engine.partial_tree`).
+      Needs the slide to divide the window size and a mergeable
+      aggregate, and scores only emitted windows at retirement (no
+      phantom records).
 
     A store offers ``add`` (scalar) and ``stage`` + ``flush`` (batched)
     ingestion, ``close(frontier, emit_time, flushed)`` and
@@ -476,15 +483,13 @@ class WindowAggregateOperator(Operator):
                 assigner, aggregate, feedback_horizon, track_feedback
             )
         elif mode not in EXECUTION_MODES:
-            raise ConfigurationError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
+            raise unknown_mode_error(mode)
         elif not isinstance(assigner, SlidingWindowAssigner):
             raise ConfigurationError(
                 f"{mode} execution requires a sliding/tumbling window assigner"
             )
         else:
-            from repro.engine.partial_tree import _SliceChain, _SliceStore, _SliceTree
+            from repro.engine.partial_tree import _SliceStore, _SliceTree
 
             ratio = assigner.size / assigner.slide
             span = round(ratio)
@@ -494,11 +499,9 @@ class WindowAggregateOperator(Operator):
                     f"(got size={assigner.size}, slide={assigner.slide}); "
                     'use mode="naive" for unaligned windows'
                 )
-            tree = (_SliceTree if mode == "tree" else _SliceChain)(
-                aggregate, assigner.slide, span
-            )
             store = _SliceStore(
-                tree, assigner.size, span, feedback_horizon, track_feedback
+                _SliceTree(aggregate, assigner.slide, span),
+                assigner.size, span, feedback_horizon, track_feedback,
             )
         self._store = store
         # The slice tree holds a slice store's aggregate (and its counters);
@@ -608,8 +611,9 @@ class WindowAggregateOperator(Operator):
 
         ``slice_count()`` / ``node_count()`` (retained slices, cached
         interior nodes), ``patch_count``, ``max_patch_depth`` and
-        ``recompute_count`` exist in sliced and tree mode only: the
-        per-window store has no tree.
+        ``recompute_count`` exist in tree mode only (the per-window
+        store has no tree); all but ``slice_count()`` stay 0 until late
+        data sends a window to the node cache.
         """
         if name in _TREE_MEMBERS and self.mode != "naive":
             return getattr(self._holder, name)

@@ -2,7 +2,7 @@
 
 :class:`ShardedWindowOperator` partitions an arrival-ordered stream across
 ``n`` worker shards by a routing key.  Each shard runs a completely
-independent operator — its own execution mode (naive/sliced/tree), its own
+independent operator — its own execution mode (naive/tree), its own
 disorder handler built fresh from a factory (so adaptive AQ-K state never
 crosses shards), and its own per-shard event-time frontier.  A
 :class:`ShardExecutor` feeds every shard its routed chunks while the
@@ -624,7 +624,7 @@ class ShardedWindowOperator(Operator):
             disorder handler per shard.  Handlers are single-threaded
             state machines; sharing one instance across shards is a
             configuration error the query builder rejects.
-        mode: Per-shard execution mode (``"naive"``/``"sliced"``/``"tree"``).
+        mode: Per-shard execution mode (``"naive"``/``"tree"``).
         key_fn: Routing key function.  Defaults to the element key;
             elements whose routing key is ``None`` are distributed
             round-robin (deterministic in arrival order).

@@ -5,30 +5,50 @@ non-overlapping **slices** of ``slide`` seconds (Li et al.'s panes /
 Scotty-style stream slicing): each element is added to exactly one slice
 accumulator instead of ``size/slide`` windows.  :class:`_SliceStore` is
 that window store for
-:class:`~repro.engine.aggregate_op.WindowAggregateOperator`.  A closing
-window merges its slices left to right under ``mode="sliced"``
-(:class:`_SliceChain`); under ``mode="tree"`` (:class:`_SliceTree`) the
-event-time-ordered slices are the leaves of a **dyadic partial-aggregate
-tree**, following the FiBA line of work (Tangwongsan, Hirzel & Schneider:
-amortized O(1) in-order inserts, O(log d) out-of-order inserts):
+:class:`~repro.engine.aggregate_op.WindowAggregateOperator`
+(``mode="tree"``).  A window is assembled one of two ways, following the
+FiBA line of work (Tangwongsan, Hirzel & Schneider: amortized O(1)
+in-order, O(log d) for an out-of-order insert at distance d):
 
-* node ``(level, i)`` caches the merged aggregate of slices
-  ``[i * 2^level, (i + 1) * 2^level)``; nodes are materialized lazily the
-  first time a window reads them and reused by every later window;
-* a closing window combines the ~``2 * log2(size/slide)`` cached nodes of
-  its dyadic decomposition instead of merging ``size/slide`` slices;
-* an in-order append touches one leaf slice and defers a single dirty-mark
-  walk — amortized O(1);
-* a late element patches only the O(log d) path of cached ancestors above
-  its slice; every other cached partial stays valid, and retirement
-  corrections reuse the patched partials;
-* retirement re-assembles only the windows a late element reached (the
-  store marks, per key, each slice that changed under a closed window);
-  every other window retires in O(1) with the value it emitted.
+* **In order — one merge.**  Per key the store keeps a two-stacks fold
+  aligned to blocks of ``span = size/slide`` slices
+  (:meth:`_QueryWindowView._fold_window`): the *suffix partials* of the
+  block holding the window's first slice, built right to left from the
+  leaf slices once per block, and one *running prefix* over the next
+  block, extended by the slices completed since the last close.  A window
+  is ``merge(suffix[lo], prefix)``: about four merges per window
+  amortized (two per slice for the suffixes, one for the prefix, one at
+  the close), no recursion, nothing cached.
+* **Where late data reached — the dyadic tree.**  An element that lands
+  behind the close frontier may change a slice a fold already holds, so it
+  raises the key's *dirty mark*; a window starting at or below the mark is
+  assembled by :meth:`_SliceTree.assemble` instead, and once the key's
+  windows start past the mark it is dropped (what the fold still holds
+  covers later slices only).  The event-time-ordered slices are the leaves
+  of a **dyadic partial-aggregate tree**:
 
-Semantics are identical to the per-window store — a late element lands in
-its slice, which already-closed windows no longer read but still-open
-windows will — enforced by the property suite in
+  * node ``(level, i)`` caches the merged aggregate of slices
+    ``[i * 2^level, (i + 1) * 2^level)``; nodes are materialized lazily
+    the first time a window reads them and reused by every later one;
+  * such a window combines the ~``2 * log2(size/slide)`` cached nodes of
+    its dyadic decomposition instead of merging ``size/slide`` slices;
+  * a late element patches only the O(log d) path of cached ancestors
+    above its slice; every other cached partial stays valid, and
+    retirement corrections reuse the patched partials.
+
+  On an in-order stream no node is ever materialized, and while none is
+  cached an append records nothing to patch.
+* Retirement re-assembles (from the tree) only the windows a late element
+  reached (the store marks, per key, each slice that changed under a
+  closed window); every other window retires in O(1) with the value it
+  emitted.
+
+Either way a window's value is a function of its leaf slices and of which
+path assembled it, and the path depends only on the key's own lateness
+history, which scalar, batched and sharded runs share.  Semantics are
+identical to the per-window store — a late element lands in its slice,
+which already-closed windows no longer read but still-open windows will —
+enforced by the property suite in
 ``tests/property/test_tree_equivalence.py``.  A *mergeable* aggregate is
 required (every exact aggregate in :mod:`repro.engine.aggregates`
 qualifies; P²/SpaceSaving sketches do not).
@@ -36,13 +56,13 @@ qualifies; P²/SpaceSaving sketches do not).
 :class:`SharedSliceStore` extends the sharing across *queries*: concurrent
 queries over the same stream whose windows are multiples of one common
 slide share a single slice stream and a single tree.  Each query keeps only
-its own close/retire cursors and release schedule (fixed slack or an
-adaptive advisor fed observation-only), so per-element aggregation work is
-paid once instead of once per query — the scaling experiment E19 measures
-both effects.
+its own close/retire cursors, folds and release schedule (fixed slack or
+an adaptive advisor fed observation-only), so per-element aggregation work
+is paid once instead of once per query — the scaling experiment E19
+measures both effects.
 
 Numerics: windows and interior nodes are built exclusively with
-``aggregate.merge``, so chain and tree inherit the compensated arithmetic
+``aggregate.merge``, so fold and tree inherit the compensated arithmetic
 of :mod:`repro.core.numeric` for sum/mean — partial totals carry their
 Neumaier compensation term upward, keeping the whole decomposition at
 O(1)-ulp error regardless of depth (``docs/NUMERICS.md``); the NumSan
@@ -177,8 +197,13 @@ class _SliceTree:
         return entry
 
     def touch(self, key: object, slice_index: int) -> None:
-        """Record that a slice's accumulator changed (mark walk deferred)."""
-        self._touched.add((key, slice_index))
+        """Record that a slice's accumulator changed (mark walk deferred).
+
+        While no node is cached there is nothing to mark: a node created
+        later is derived from the leaves as they are then.
+        """
+        if self._nodes:
+            self._touched.add((key, slice_index))
 
     def flush_touched(self) -> None:
         """Dirty-mark the cached ancestors of every touched slice."""
@@ -186,6 +211,9 @@ class _SliceTree:
         if not touched:
             return
         nodes = self._nodes
+        if not nodes:
+            touched.clear()
+            return
         max_level = self.max_level
         tracer = self.tracer
         tracing = tracer.enabled
@@ -326,36 +354,26 @@ class _SliceTree:
         return len(self._nodes)
 
 
-class _SliceChain(_SliceTree):
-    """The same slices without the node cache (``mode="sliced"``).
+class _BlockFold:
+    """One key's in-order fold: suffix partials of a block, prefix of the next.
 
-    A window is one left-to-right merge chain over its slices, so there
-    are no cached ancestors for a touched slice to invalidate.
+    ``suffix[j]`` is ``(accumulator, count)`` over slices ``base + j`` to the
+    end of the block ``[base, base + span)``; ``prefix`` covers
+    ``[base + span, prefix_to)``.  See :meth:`_QueryWindowView._fold_window`.
     """
 
-    __slots__ = ()
+    __slots__ = ("base", "suffix", "prefix", "prefix_count", "prefix_to")
 
-    def touch(self, key: object, slice_index: int) -> None:
-        """Nothing is cached above a slice."""
-
-    def assemble(self, key: object, lo: int, hi: int) -> tuple[object, int, int]:
-        """Merge slices ``[lo, hi)`` into a fresh accumulator."""
-        aggregate = self.aggregate
-        accumulator = aggregate.create()
-        count = 0
-        merged = 0
-        slices = self._slices
-        for index in range(lo, hi):
-            entry = slices.get((key, index))
-            if entry is not None and entry[1]:
-                aggregate.merge(accumulator, entry[0])
-                count += entry[1]
-                merged += 1
-        return accumulator, count, merged
+    def __init__(self, base: int, span: int) -> None:
+        self.base = base
+        self.suffix: list[tuple[object, int] | None] = [None] * span
+        self.prefix: object = None
+        self.prefix_count = 0
+        self.prefix_to = base + span
 
 
 class _QueryWindowView:
-    """Per-query window close/retire cursors over a shared slice tree.
+    """Per-query window close/retire cursors and folds over a slice tree.
 
     Registering every window end of every new slice in a global heap
     would cost O(size/slide) pushes per slice and cap the tree's win
@@ -381,6 +399,8 @@ class _QueryWindowView:
         "_emitted",
         "_emitted_heap",
         "_late",
+        "_folds",
+        "_dirty_to",
     )
 
     def __init__(
@@ -410,6 +430,30 @@ class _QueryWindowView:
         # key -> ascending indices of the slices that took an element after
         # a window containing them had closed; spent marks go at retirement.
         self._late: dict[object, list[int]] = {}
+        # key -> the in-order fold its next window closes from.
+        self._folds: dict[object, _BlockFold] = {}
+        # key -> highest slice that changed behind the close frontier, where
+        # a fold may already hold it: windows starting at or below it are
+        # assembled from the tree instead.
+        self._dirty_to: dict[object, int] = {}
+
+    def late_verdict(self, key: object, slice_index: int) -> int:
+        """Lateness verdict for an element just ingested into a slice.
+
+        Returns :meth:`late_count`.  A slice behind the close frontier —
+        the bare test, :meth:`late_count` is still 0 while every closed
+        window holding the slice starts below 0 — may already be part of
+        the key's fold, so it raises the key's dirty mark; one that
+        outdates an emitted value is marked for retirement too.
+        """
+        if (slice_index + 1) * self.tree.slide > self.close_frontier:
+            return 0
+        if slice_index > self._dirty_to.get(key, -1):
+            self._dirty_to[key] = slice_index
+        late = self.late_count(slice_index)
+        if late:
+            self.mark_late(key, slice_index)
+        return late
 
     def late_count(self, slice_index: int) -> int:
         """Already-closed windows containing the slice (lateness verdict).
@@ -529,12 +573,14 @@ class _QueryWindowView:
         span = self.span
         track = self.track_feedback
         tracing = tracer.enabled
+        dirty_to = self._dirty_to
         results: list[WindowResult] = []
         while pending and pending[0][0] <= frontier:
             __, __, key = heapq.heappop(pending)
             self._scheduled.discard(key)
             next_end = self._next_end[key]
             max_end = self._max_end[key]
+            dirty = dirty_to.get(key, -1)
             while next_end <= max_end:
                 end = next_end * slide
                 if end > frontier:
@@ -545,9 +591,14 @@ class _QueryWindowView:
                 if start < 0:
                     continue
                 lo = end_index - span
-                accumulator, count, nodes_combined = tree.assemble(
-                    key, lo if lo > 0 else 0, end_index
-                )
+                if lo <= dirty:
+                    # Late data reached the window (or rounding put its
+                    # first slice below 0): the fold may be stale here.
+                    accumulator, count, nodes_combined = tree.assemble(
+                        key, lo if lo > 0 else 0, end_index
+                    )
+                else:
+                    accumulator, count, nodes_combined = self._fold_window(key, lo)
                 if tracing:
                     tracer.tree_assemble(emit_time, key, end, nodes_combined)
                 if count == 0:
@@ -562,14 +613,80 @@ class _QueryWindowView:
                     self._heap_seq += 1
                     heapq.heappush(self._emitted_heap, (end, self._heap_seq, key))
             self._next_end[key] = next_end
+            if 0 <= dirty < next_end - span:
+                # Every window still to close starts past the mark; what
+                # the fold keeps covers later slices only, or is rebuilt.
+                del dirty_to[key]
             if next_end <= max_end:
                 self._heap_seq += 1
                 heapq.heappush(pending, (next_end * slide, self._heap_seq, key))
                 self._scheduled.add(key)
+            else:
+                # Idle until a new slice arrives: nothing left to fold.
+                self._folds.pop(key, None)
         if frontier > self.close_frontier:
             self.close_frontier = frontier
         self.stats.results_out += len(results)
         return results
+
+    def _fold_window(self, key: object, lo: int) -> tuple[object, int, int]:
+        """In-order assembly of slices ``[lo, lo + span)``: one merge.
+
+        Two stacks aligned to blocks of ``span`` slices.  The window is the
+        suffix of its block from ``lo`` on, built right to left from the
+        leaves once per block (``suffix[j] = create + slice[j] +
+        suffix[j + 1]``), merged with a running left-to-right prefix of the
+        next block that each close extends by the slices completed since.
+        The value is a function of the leaf slices and ``lo`` alone, and
+        ``suffix[lo]`` is consumed in place: a key's windows close once, in
+        start order.  Same return shape as :meth:`_SliceTree.assemble`;
+        the caller must not use it for a window at or below the key's
+        dirty mark.
+        """
+        tree = self.tree
+        span = self.span
+        aggregate = tree.aggregate
+        slices = tree._slices
+        offset = lo % span
+        fold = self._folds.get(key)
+        if fold is None or fold.base != lo - offset:
+            fold = self._folds[key] = _BlockFold(lo - offset, span)
+            accumulator = None
+            count = 0
+            for index in range(fold.prefix_to - 1, lo - 1, -1):
+                leaf = slices.get((key, index))
+                if leaf is not None and leaf[1]:
+                    partial = aggregate.create()
+                    aggregate.merge(partial, leaf[0])
+                    if count:
+                        aggregate.merge(partial, accumulator)
+                    accumulator = partial
+                    count += leaf[1]
+                elif count:
+                    # An empty slice: its own copy, consumed on its own.
+                    partial = aggregate.create()
+                    aggregate.merge(partial, accumulator)
+                    accumulator = partial
+                fold.suffix[index - fold.base] = (accumulator, count)
+        prefix_to = fold.prefix_to
+        if prefix_to < lo + span:
+            for index in range(prefix_to, lo + span):
+                leaf = slices.get((key, index))
+                if leaf is not None and leaf[1]:
+                    if fold.prefix is None:
+                        fold.prefix = aggregate.create()
+                    aggregate.merge(fold.prefix, leaf[0])
+                    fold.prefix_count += leaf[1]
+            fold.prefix_to = lo + span
+        accumulator, count = fold.suffix[offset]
+        partials = 1 if count else 0
+        if fold.prefix_count:
+            if accumulator is None:
+                accumulator = aggregate.create()
+            aggregate.merge(accumulator, fold.prefix)
+            count += fold.prefix_count
+            partials += 1
+        return accumulator, count, partials
 
     def retire_windows(
         self, frontier: EventTimeStamp, observe_error: Callable[[float], None]
@@ -634,9 +751,9 @@ class _QueryWindowView:
 class _SliceStore(_QueryWindowView):
     """The slice-based window store: a view that owns its tree.
 
-    One accumulator add per element; the tree (:class:`_SliceTree` or
-    :class:`_SliceChain`) assembles a window when it closes and, if a late
-    element reached it since, again when it retires; retirement
+    One accumulator add per element; a window is assembled when it closes
+    (by the fold, or by the tree where late data reached it) and, if a
+    late element reached it since, again when it retires; retirement
     garbage-collects behind the horizon.
     """
 
@@ -665,10 +782,9 @@ class _SliceStore(_QueryWindowView):
         slice_index = tree.slice_of(element.event_time)
         key = element.key
         entry = tree.entry(key, slice_index)
-        late = self.late_count(slice_index)
+        late = self.late_verdict(key, slice_index)
         if late:
             self.stats.late_dropped += late
-            self.mark_late(key, slice_index)
         tree.aggregate.add(entry[0], element.value)
         entry[1] += 1
         tree.touch(key, slice_index)
@@ -688,10 +804,8 @@ class _SliceStore(_QueryWindowView):
             entry = tree.entry(key, slice_index)
             tree.touch(key, slice_index)
             self.note_slice(key, slice_index)
-            group = [entry, [], self.late_count(slice_index)]
+            group = [entry, [], self.late_verdict(key, slice_index)]
             self._groups[(key, slice_index)] = group
-            if group[2]:
-                self.mark_late(key, slice_index)
         group[1].append(element.value)
         if group[2]:
             self.stats.late_dropped += group[2]
@@ -914,10 +1028,9 @@ class SharedSliceStore:
             view.stats.elements_in += 1
             slack = query.slack if advisor is None else advisor.observe_only(element)
             frontier = query.frontier.advance(clock - slack)
-            late = view.late_count(slice_index)
+            late = view.late_verdict(key, slice_index)
             if late:
                 view.stats.late_dropped += late
-                view.mark_late(key, slice_index)
             view.note_slice(key, slice_index)
             closed = view.close_windows(frontier, emit_time, tracer)
             if closed:

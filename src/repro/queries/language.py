@@ -53,7 +53,7 @@ class QueryRun:
     output: RunOutput
     report: QualityReport | None
     handler: DisorderHandler
-    operator: object  # naive, sliced or tree window aggregate operator
+    operator: object  # naive or tree window aggregate operator
 
     @property
     def results(self):
@@ -199,21 +199,22 @@ class ContinuousQuery:
         return self
 
     def mode(self, mode: str) -> "ContinuousQuery":
-        """Choose the execution mode: ``"naive"``, ``"sliced"`` or ``"tree"``.
+        """Choose the execution mode: ``"naive"`` or ``"tree"``.
 
-        ``"sliced"`` shares one accumulator per slice (one add per element);
-        ``"tree"`` additionally caches dyadic partial aggregates over the
-        slices so closing windows and patching late elements are O(log)
-        instead of O(size/slide).  Both require the slide to divide the
-        window size and a mergeable aggregate; all modes produce identical
-        results.
+        ``"tree"`` shares one accumulator per slice (one add per element),
+        closes an in-order window with one merge and patches late elements
+        through cached dyadic partials in O(log) instead of O(size/slide).
+        It requires the slide to divide the window size and a mergeable
+        aggregate; both modes produce identical results.  The removed
+        ``"sliced"`` raises a ``ConfigurationError`` naming ``"tree"``.
         """
-        from repro.engine.aggregate_op import EXECUTION_MODES
+        from repro.engine.aggregate_op import EXECUTION_MODES, unknown_mode_error
 
         if mode not in EXECUTION_MODES:
-            raise QueryError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
+            error = unknown_mode_error(mode)
+            if mode == "sliced":
+                raise error
+            raise QueryError(str(error))
         self._mode = mode
         return self
 

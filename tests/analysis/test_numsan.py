@@ -105,6 +105,53 @@ def test_violation_message_names_discipline_and_bound():
         fold_and_check(NaiveSum(), TORTURE)
 
 
+#: mean^2 / variance ~ 7.6e14: past the flat reassoc-tolerant budget for
+#: an honest Welford (1.08e-9 relative), hopeless for a sum of squares.
+ILL_CONDITIONED = [357913722.0, 357913721.0, 357913694.0]
+
+
+class SumOfSquaresVariance(AggregateFunction):
+    """The textbook one-pass variance: error grows with kappa squared."""
+
+    name = "variance"
+    error_model_kind = "mean"
+    __numeric__ = "reassoc-tolerant"  # a lie on ill-conditioned windows
+
+    def create(self):
+        return [0, 0.0, 0.0]
+
+    def add(self, accumulator, value):
+        accumulator[0] += 1
+        accumulator[1] += value
+        accumulator[2] += value * value
+
+    def result(self, accumulator):
+        n, total, squares = accumulator
+        return squares / n - (total / n) ** 2
+
+    def merge(self, accumulator, other):
+        for index, part in enumerate(other):
+            accumulator[index] += part
+        return accumulator
+
+
+@pytest.mark.parametrize("name", ["variance", "stddev"])
+def test_second_moment_budget_scales_with_conditioning(name):
+    san, __ = fold_and_check(make_aggregate(name), ILL_CONDITIONED, exact_every=1)
+    stats = san.report.stats[name]
+    assert stats.windows_checked == 1
+    # The widened budget is on record, and it is nowhere near a free pass.
+    assert DRIFT_BOUNDS["reassoc-tolerant"] < stats.bound < 1e-7
+    assert stats.max_rel_drift <= stats.bound
+
+
+def test_sum_of_squares_variance_still_violates_the_scaled_budget():
+    with pytest.raises(SanitizerError, match=r"'variance'.*conditioning-scaled"):
+        fold_and_check(SumOfSquaresVariance(), ILL_CONDITIONED)
+    # Well-conditioned windows pass it: the budget is about conditioning.
+    fold_and_check(SumOfSquaresVariance(), [1.0, 2.0, 4.0])
+
+
 def test_lying_exact_discipline_is_caught_bitwise():
     class LyingExactSum(NaiveSum):
         """Claims exactness; one ulp off is already a violation."""

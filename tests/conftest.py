@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -77,6 +80,43 @@ def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
         ExponentialDelay(mean_delay),
         rng,
     )
+
+
+def nan_equal(a, b) -> bool:
+    """``a == b``, except that a NaN equals a NaN.
+
+    Descends lists, tuples, arrays, dicts and dataclasses: a NaN that went
+    through a pickle is another object, so the identity shortcut container
+    equality takes for the very same NaN no longer applies.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if type(a) is not type(b):
+        return a == b
+    if dataclasses.is_dataclass(a):
+        return all(
+            nan_equal(getattr(a, field.name), getattr(b, field.name))
+            for field in dataclasses.fields(a)
+        )
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(nan_equal(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple, array)):
+        return len(a) == len(b) and all(map(nan_equal, a, b))
+    return a == b
+
+
+def emitted_window_errors(recorder) -> list[float]:
+    """Observed errors of a traced naive run, over the windows it emitted.
+
+    The reference for a slice store's ``stats.observed_errors``: naive
+    also scores phantom records of missed windows, which its
+    ``window.retire`` trace records carry as ``emitted = nan``.
+    """
+    return [
+        event.fields["error"]
+        for event in recorder.of_kind("window.retire")
+        if not math.isnan(event.fields["emitted"])
+    ]
 
 
 def result_map(results):

@@ -77,7 +77,9 @@ HANDLERS = {
 
 OPERATORS = {
     "naive": WindowAggregateOperator,
-    "sliced": functools.partial(WindowAggregateOperator, mode="sliced"),
+    # The slice store; the label (and the case ids) predate ``mode="tree"``
+    # being its only name.
+    "sliced": functools.partial(WindowAggregateOperator, mode="tree"),
 }
 
 AGGREGATES = {

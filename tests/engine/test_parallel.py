@@ -133,7 +133,7 @@ def test_unkeyed_elements_round_robin_across_all_shards():
 # shards(1) and key skew are bit-identical to unsharded execution
 
 
-@pytest.mark.parametrize("mode", ["naive", "sliced", "tree"])
+@pytest.mark.parametrize("mode", ["naive", "tree"])
 @pytest.mark.parametrize("aggregate", ["mean", "count"])
 def test_single_shard_is_bit_identical_to_unsharded(mode, aggregate):
     stream = keyed_stream()

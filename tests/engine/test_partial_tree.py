@@ -2,10 +2,10 @@
 
 The contract is semantic equivalence with the naive reference: every
 ``test_tree_equals_naive_*`` test is one row of the mode-parity matrix
-(``assert_modes_match_naive``: sliced and tree, scalar and batched, against
+(``assert_modes_match_naive``: the slice store, scalar and batched, against
 the scalar naive run; ``tests/engine/test_sliced_op.py`` holds the other
-rows).  Tree-specific behavior (O(log) patches, node caching, GC bounds,
-trace events) is covered separately.
+rows).  Tree-specific behavior (the in-order fold, O(log) patches, node
+caching, GC bounds, trace events) is covered separately.
 """
 
 import math
@@ -33,7 +33,6 @@ from repro.engine.handlers import KSlackHandler, NoBufferHandler
 from repro.engine.partial_tree import (
     SharedSliceStore,
     _QueryWindowView,
-    _SliceChain,
     _SliceStore,
     _SliceTree,
     run_shared_slices,
@@ -48,7 +47,7 @@ from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
 from tests.conftest import assert_modes_match_naive as assert_equivalent
 from tests.conftest import disordered_stream as make_stream
-from tests.conftest import result_map
+from tests.conftest import emitted_window_errors, result_map
 
 
 def tree_operator(assigner, aggregate, handler, **options):
@@ -95,9 +94,11 @@ def test_constructor_modes():
         operator = build(mode)
         assert type(operator) is WindowAggregateOperator
         assert operator.mode == mode
-    assert set(EXECUTION_MODES) == {"naive", "sliced", "tree"}
+    assert EXECUTION_MODES == ("naive", "tree")
     with pytest.raises(ConfigurationError):
         build("bogus")
+    with pytest.raises(ConfigurationError, match='use mode="tree"'):
+        build("sliced")
 
 
 # --------------------------------------------------------------------- #
@@ -168,24 +169,29 @@ def test_tree_equals_naive_with_aqk():
 
 
 def test_tree_matches_sliced_stats_and_errors():
+    """Slice-store accounting against the reference (once: against the chain).
+
+    Counters equal naive's; observed errors equal naive's over the windows
+    it emitted.
+    """
     rng = np.random.default_rng(17)
     stream = make_stream(rng, mean_delay=1.5)
-    sliced = WindowAggregateOperator(
-        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5),
-        mode="sliced",
+    naive = WindowAggregateOperator(
+        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
     )
     tree = tree_operator(
         SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
     )
-    run_pipeline(stream, sliced)
+    recorder = TraceRecorder()
+    run_pipeline(stream, naive, trace=recorder)
     run_pipeline(stream, tree)
-    assert tree.stats.elements_in == sliced.stats.elements_in
-    assert tree.stats.results_out == sliced.stats.results_out
-    assert tree.stats.late_dropped == sliced.stats.late_dropped
-    assert len(tree.stats.observed_errors) == len(sliced.stats.observed_errors)
-    for a, b in zip(
-        sorted(sliced.stats.observed_errors), sorted(tree.stats.observed_errors)
-    ):
+    assert tree.stats.elements_in == naive.stats.elements_in
+    assert tree.stats.results_out == naive.stats.results_out
+    assert tree.stats.late_dropped == naive.stats.late_dropped
+    naive_errors = emitted_window_errors(recorder)
+    assert len(tree.stats.observed_errors) == len(naive_errors) > 0
+    assert any(error > 0 for error in naive_errors)
+    for a, b in zip(sorted(naive_errors), sorted(tree.stats.observed_errors)):
         assert (math.isnan(a) and math.isnan(b)) or a == b
 
 
@@ -358,7 +364,7 @@ def unit_element(event_time, seq=0):
     return StreamElement(event_time=event_time, value=1.0, seq=seq)
 
 
-@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+@pytest.mark.parametrize("tree_class", [_SliceTree])
 def test_untouched_window_retires_without_a_merge(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
@@ -374,7 +380,7 @@ def test_untouched_window_retires_without_a_merge(tree_class):
     assert aggregate.merges == 0
 
 
-@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+@pytest.mark.parametrize("tree_class", [_SliceTree])
 def test_window_patched_after_its_close_is_reassembled(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
@@ -390,7 +396,7 @@ def test_window_patched_after_its_close_is_reassembled(tree_class):
     assert aggregate.merges > 0
 
 
-@pytest.mark.parametrize("tree_class", [_SliceTree, _SliceChain])
+@pytest.mark.parametrize("tree_class", [_SliceTree])
 def test_late_slice_shared_by_retiring_and_retained_windows(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
@@ -417,6 +423,50 @@ def test_late_slice_shared_by_retiring_and_retained_windows(tree_class):
     assert errors[4:] == [0.0]
     assert aggregate.merges == 0
     assert store._late == {}
+
+
+def test_in_order_close_is_one_merge_and_caches_no_node():
+    """Overlap 64, three keys, nothing late: the fold serves every window.
+
+    Per window one merge at the close, one per slice for the prefix and two
+    per slice for the suffix (amortized over the block's windows); late
+    elements for one key then send that key alone through the node cache.
+    """
+    span, slide = 64, 0.125
+    keys = ("a", "b", "c")
+    aggregate = MergeCountingSum()
+    operator = tree_operator(
+        SlidingWindowAssigner(span * slide, slide), aggregate, NoBufferHandler()
+    )
+    elements = [
+        StreamElement(
+            event_time=(index + 0.5) * slide, value=1.0, key=key,
+            arrival_time=(index + 0.5) * slide, seq=index * len(keys) + offset,
+        )
+        for index in range(6 * span)
+        for offset, key in enumerate(keys)
+    ]
+    emitted = sum(len(operator.process(element)) for element in elements)
+    assert emitted == (5 * span) * len(keys)
+    assert aggregate.merges <= 4 * emitted + 2 * span * len(keys)
+    assert operator.node_count() == 0
+    assert operator.patch_count == operator.recompute_count == 0
+    # Slices behind the close frontier, still inside "b"'s open windows.
+    last = 6 * span - 1
+    for seq, back in enumerate((3, 20, 40), start=len(elements)):
+        late = StreamElement(
+            event_time=(last - back + 0.5) * slide, value=1.0, key="b",
+            arrival_time=(last + 0.75) * slide, seq=seq,
+        )
+        assert operator.process(late) == []
+    operator.process(
+        StreamElement(
+            event_time=(last + 1.5) * slide, value=1.0, key="b",
+            arrival_time=(last + 1.5) * slide, seq=seq + 1,
+        )
+    )
+    cached_for = {key for key, __, __ in operator._store.tree._nodes}
+    assert cached_for == {"b"}
 
 
 def test_slice_late_for_windows_all_retired_leaves_no_mark():
@@ -534,17 +584,16 @@ def test_elements_after_finish_are_late_not_an_error():
     assert store.stats_for("done").late_dropped > dropped
     assert len(store.results["live"]) > live_before
 
-    for mode in ("sliced", "tree"):
-        operator = WindowAggregateOperator(
-            SlidingWindowAssigner(4.0, 2.0), CountAggregate(), NoBufferHandler(), mode=mode
-        )
-        for seq, t in enumerate([1.0, 3.0, 5.0]):
-            operator.process(element(t, "a", seq))
-        operator.finish()
-        dropped = operator.stats.late_dropped
-        assert operator.process(element(7.0, "b", 3)) == []
-        assert operator.process_many([element(9.0, "c", 4), element(0.5, "a", 5)]) == []
-        assert operator.stats.late_dropped > dropped
+    operator = tree_operator(
+        SlidingWindowAssigner(4.0, 2.0), CountAggregate(), NoBufferHandler()
+    )
+    for seq, t in enumerate([1.0, 3.0, 5.0]):
+        operator.process(element(t, "a", seq))
+    operator.finish()
+    dropped = operator.stats.late_dropped
+    assert operator.process(element(7.0, "b", 3)) == []
+    assert operator.process_many([element(9.0, "c", 4), element(0.5, "a", 5)]) == []
+    assert operator.stats.late_dropped > dropped
 
 
 def test_shared_store_single_tree_memory():
@@ -591,10 +640,11 @@ def test_query_builder_mode_tree():
 
 
 def test_query_builder_sliced_alias():
+    """The removed mode is no alias: the builder points at the survivor."""
     from repro.queries.language import ContinuousQuery
 
-    query = ContinuousQuery().mode("sliced")
-    assert query._mode == "sliced"
+    with pytest.raises(ConfigurationError, match='use mode="tree"'):
+        ContinuousQuery().mode("sliced")
     assert ContinuousQuery()._mode == "naive"
 
 

@@ -1,10 +1,11 @@
-"""Slice-store execution (``mode="sliced"``): parity rows and specifics.
+"""Slice-store execution (``mode="tree"``): parity rows and specifics.
 
 The contract is semantic equivalence with the naive operator.  Every
 ``*_match_naive`` test is one row of the mode-parity matrix
-(``assert_modes_match_naive``: sliced and tree, scalar and batched,
+(``assert_modes_match_naive``: the slice store, scalar and batched,
 against the scalar naive reference); ``tests/engine/test_partial_tree.py``
-holds the remaining rows.
+holds the remaining rows.  (The file and its ids keep the name of the
+former ``mode="sliced"``, whose slice store ``tree`` is.)
 """
 
 import pytest
@@ -79,7 +80,7 @@ class TestEquivalence:
         # Slice stores omit missed-window (phantom) samples, so compare
         # only the overall magnitude.
         naive_errors = operators["naive", 0].stats.observed_errors
-        sliced_errors = operators["sliced", 0].stats.observed_errors
+        sliced_errors = operators["tree", 0].stats.observed_errors
         naive_mean = sum(naive_errors) / len(naive_errors)
         sliced_mean = sum(sliced_errors) / len(sliced_errors)
         assert sliced_mean == pytest.approx(naive_mean, abs=0.02)
@@ -92,7 +93,7 @@ class TestSlicedSpecifics:
                 SlidingWindowAssigner(10, 3),
                 CountAggregate(),
                 NoBufferHandler(),
-                mode="sliced",
+                mode="tree",
             )
 
     def test_session_style_assigner_rejected(self):
@@ -101,7 +102,7 @@ class TestSlicedSpecifics:
                 object(),  # type: ignore[arg-type]
                 CountAggregate(),
                 NoBufferHandler(),
-                mode="sliced",
+                mode="tree",
             )
 
     def test_slice_store_is_pruned(self, rng):
@@ -111,7 +112,7 @@ class TestSlicedSpecifics:
             CountAggregate(),
             KSlackHandler(1.0),
             track_feedback=False,
-            mode="sliced",
+            mode="tree",
         )
         run_pipeline(stream, operator)
         # Retention is a few windows, not the whole stream (120 slices).
@@ -122,7 +123,7 @@ class TestSlicedSpecifics:
         """The point of slicing: one accumulator add per element."""
         stream = make_stream(rng, duration=30)
 
-        calls = {"naive": 0, "sliced": 0}
+        calls = {"naive": 0, "tree": 0}
 
         class CountingAggregate(CountAggregate):
             def __init__(self, label):
@@ -142,5 +143,5 @@ class TestSlicedSpecifics:
                     mode=mode,
                 ),
             )
-        assert calls["sliced"] == len(stream)
-        assert calls["naive"] > 4 * calls["sliced"]
+        assert calls["tree"] == len(stream)
+        assert calls["naive"] > 4 * calls["tree"]

@@ -16,9 +16,9 @@ from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
 from repro.engine.parallel import ShardSession
 from repro.engine.partial_tree import (
+    _BlockFold,
     _QueryWindowView,
     _SharedQuery,
-    _SliceChain,
     _SliceStore,
     _SliceTree,
 )
@@ -58,7 +58,8 @@ HOT_INSTANCES = [
     _tree(),
     _view(),
     _SharedQuery("q", _view(), None, 1.0),
-    _SliceStore(_SliceChain(CountAggregate(), 1.0, 8), 8.0, 8, 40.0, True),
+    _SliceStore(_tree(), 8.0, 8, 40.0, True),
+    _BlockFold(0, 8),
     ShardSession(None),
 ]
 

@@ -6,6 +6,9 @@ quality-target and latency-budget modes), an aggregate, an operator and a
 batch size — including sizes that do not divide the stream length — and
 asserts the full :func:`run_pipeline` observable state matches the scalar
 run: window results, late drops, released counts and observed errors.
+One scenario in three is a :mod:`tests.fold_cases` stream under its own
+window and K-slack, so the slice store's in-order fold is batched through
+each of its paths, with and without feedback tracking.
 
 Quality-mode adaptive cases use order-independent aggregates (count, max,
 median): their folds are bit-exact, so the controller sees bit-identical
@@ -38,6 +41,7 @@ from repro.engine.pipeline import run_pipeline
 from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.element import StreamElement
+from tests.fold_cases import fold_cases
 
 RTOL = 1e-9
 
@@ -69,6 +73,26 @@ HANDLERS = {
 
 @st.composite
 def scenarios(draw):
+    """``(elements, operator factory, batch size)``."""
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        case = draw(
+            fold_cases(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+        )
+        aggregate_cls = ALL_AGGREGATES[draw(st.sampled_from(sorted(ALL_AGGREGATES)))]
+        mode = draw(st.sampled_from(["naive", "tree"]))
+        track_feedback = draw(st.booleans())
+
+        def make_fold_operator():
+            return WindowAggregateOperator(
+                SlidingWindowAssigner(case.size, case.slide),
+                aggregate_cls(),
+                KSlackHandler(case.slack),
+                track_feedback=track_feedback,
+                mode=mode,
+            )
+
+        batch_size = draw(st.integers(min_value=2, max_value=len(case.stream) + 10))
+        return case.stream, make_fold_operator, batch_size
     n = draw(st.integers(min_value=30, max_value=80))
     gaps = draw(
         st.lists(
@@ -97,7 +121,7 @@ def scenarios(draw):
     handler_name = draw(st.sampled_from(sorted(HANDLERS)))
     pool = EXACT_AGGREGATES if handler_name == "aqk-quality" else ALL_AGGREGATES
     aggregate_name = draw(st.sampled_from(sorted(pool)))
-    operator_name = draw(st.sampled_from(["naive", "sliced", "tree"]))
+    operator_name = draw(st.sampled_from(["naive", "tree"]))
     batch_size = draw(st.integers(min_value=2, max_value=n + 10))
 
     event_time = 0.0
@@ -114,7 +138,17 @@ def scenarios(draw):
             )
         )
     elements.sort(key=StreamElement.arrival_sort_key)
-    return elements, handler_name, aggregate_name, operator_name, batch_size
+
+    def make_operator():
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(3.0, 1.0),
+            ALL_AGGREGATES[aggregate_name](),
+            HANDLERS[handler_name](),
+            feedback_horizon=6.0,
+            mode=operator_name,
+        )
+
+    return elements, make_operator, batch_size
 
 
 def close(a: float, b: float) -> bool:
@@ -130,16 +164,7 @@ def close(a: float, b: float) -> bool:
 )
 @given(scenarios())
 def test_batched_run_matches_scalar(scenario):
-    elements, handler_name, aggregate_name, operator_name, batch_size = scenario
-    def make_operator():
-        return WindowAggregateOperator(
-            SlidingWindowAssigner(3.0, 1.0),
-            ALL_AGGREGATES[aggregate_name](),
-            HANDLERS[handler_name](),
-            feedback_horizon=6.0,
-            mode=operator_name,
-        )
-
+    elements, make_operator, batch_size = scenario
     scalar = run_pipeline(list(elements), make_operator())
     batched = run_pipeline(list(elements), make_operator(), batch_size=batch_size)
 

@@ -12,8 +12,9 @@ Three contracts, each over hypothesis-generated value lists:
   declared reassoc-tolerant budget.
 * **NumSan never fires on honest aggregates** — random windows through
   the shipped sum/mean/variance implementations stay within the drift
-  budget their ``__numeric__`` annotation declares; the sanitizer
-  completes without raising and its observed drift obeys the bound.
+  budget their ``__numeric__`` annotation declares (variance: widened by
+  the window's conditioning); the sanitizer completes without raising and
+  its observed drift obeys the bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import statistics
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.numeric.numsan import DRIFT_BOUNDS, NumSan
@@ -111,6 +112,8 @@ def test_variance_single_element_and_empty_corners():
     ),
     name=st.sampled_from(["sum", "mean", "variance"]),
 )
+# mean^2 / variance ~ 7.6e14: Welford drifts 1.08e-9, past the flat 1e-9.
+@example(values=[357913722.0, 357913721.0, 357913694.0], name="variance")
 def test_numsan_accepts_honest_aggregates(values, name):
     san = NumSan(exact_every=2)  # sample the Fraction reference densely
     shadow = san.shadow_aggregate(make_aggregate(name))

@@ -272,7 +272,7 @@ def test_latency_summary_order(xs):
 
 
 # --------------------------------------------------------------------- #
-# sliced vs naive window execution
+# slice store vs naive window execution
 
 
 @given(
@@ -293,7 +293,7 @@ def test_sliced_equals_naive(stream, window_params, k):
         SlidingWindowAssigner(size, slide),
         SumAggregate(),
         KSlackHandler(k),
-        mode="sliced",
+        mode="tree",
     )
     naive_results = run_pipeline(stream, naive).results
     sliced_results = run_pipeline(stream, sliced).results

@@ -177,11 +177,11 @@ def test_sharded_is_at_least_as_complete_under_late_drops(
 @given(
     arrived_streams(value_strategy=coarse_values, max_size=40),
     st.integers(min_value=2, max_value=5),
-    st.sampled_from(["sliced", "tree"]),
+    st.just("tree"),
 )
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_execution_mode_is_value_transparent(stream, n_shards, mode):
-    """Per-shard naive/sliced/tree modes all merge to the same windows."""
+    """Per-shard naive and tree modes merge to the same windows."""
     k = no_late_k(stream)
     naive = run_sharded(stream, n_shards, 4.0, 1.0, k, CountAggregate)
     other = run_sharded(stream, n_shards, 4.0, 1.0, k, CountAggregate, mode=mode)

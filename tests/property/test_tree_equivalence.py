@@ -1,7 +1,8 @@
 """Property tests: tree execution is equivalent to naive execution.
 
-The partial-aggregate tree re-associates merges (dyadic decomposition
-instead of left-to-right slice chains), so the equivalence claim splits:
+The slice store re-associates merges (a suffix/prefix fold in order, a
+dyadic decomposition where late data reached the window), so the
+equivalence claim splits:
 
 * **bit-identical** for order-independent aggregates — count, min, max,
   distinct-count — under arbitrary disorder, late patches and retirement
@@ -9,7 +10,9 @@ instead of left-to-right slice chains), so the equivalence claim splits:
 * **within float-association tolerance** for sum/mean.
 
 A third family checks the shared slice store against private per-query
-pipelines on multi-query (E11-style) workloads.
+pipelines on multi-query (E11-style) workloads.  Every family draws half
+its streams from :mod:`tests.fold_cases`, whose scenarios reach each path
+of the in-order fold by construction (the last test checks that they do).
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ from repro.engine.aggregates import (
 from repro.engine.handlers import KSlackHandler
 from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.pipeline import run_pipeline
-from repro.engine.windows import SlidingWindowAssigner
+from repro.engine.windows import SlidingWindowAssigner, Window
+from repro.obs.trace import TraceRecorder
 from repro.streams.element import StreamElement
+from tests.conftest import emitted_window_errors
+from tests.fold_cases import fold_cases
 
 # --------------------------------------------------------------------- #
 # strategies
@@ -65,18 +71,29 @@ def arrived_streams(draw, max_size=60, value_strategy=values):
     return sorted(elements, key=StreamElement.arrival_sort_key)
 
 
-def run_pair(stream, size, slide, k, aggregate_cls, feedback_horizon=None):
+@st.composite
+def window_cases(draw, value_strategy=values):
+    """``(stream, size, slide, k)``: free-form disorder, or a fold case."""
+    if draw(st.booleans()):
+        case = draw(fold_cases(value_strategy))
+        return case.stream, case.size, case.slide, case.slack
+    size, slide = draw(st.sampled_from(WINDOW_PARAMS))
+    stream = draw(arrived_streams(value_strategy=value_strategy))
+    return stream, size, slide, draw(st.floats(min_value=0.0, max_value=5.0))
+
+
+def run_pair(stream, size, slide, k, aggregate_cls, track_feedback=True):
     naive = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
         KSlackHandler(k),
-        feedback_horizon=feedback_horizon,
+        track_feedback=track_feedback,
     )
     tree = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
         KSlackHandler(k),
-        feedback_horizon=feedback_horizon,
+        track_feedback=track_feedback,
         mode="tree",
     )
     naive_results = run_pipeline(stream, naive).results
@@ -89,62 +106,57 @@ def run_pair(stream, size, slide, k, aggregate_cls, feedback_horizon=None):
 
 
 @given(
-    arrived_streams(value_strategy=coarse_values),
-    st.sampled_from(WINDOW_PARAMS),
-    st.floats(min_value=0.0, max_value=5.0),
+    window_cases(value_strategy=coarse_values),
     st.sampled_from(ORDER_INDEPENDENT),
+    st.booleans(),
 )
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_tree_bit_identical_for_order_independent_aggregates(
-    stream, window_params, k, aggregate_cls
+    window_case, aggregate_cls, track_feedback
 ):
-    size, slide = window_params
+    stream, size, slide, k = window_case
     __, naive_results, __, tree_results = run_pair(
-        stream, size, slide, k, aggregate_cls
+        stream, size, slide, k, aggregate_cls, track_feedback
     )
     naive_map = {(r.key, r.window): (r.value, r.count) for r in naive_results}
     tree_map = {(r.key, r.window): (r.value, r.count) for r in tree_results}
     assert naive_map == tree_map  # exact equality: values, counts, windows
 
 
-@given(
-    arrived_streams(value_strategy=coarse_values),
-    st.sampled_from(WINDOW_PARAMS),
-    st.sampled_from(ORDER_INDEPENDENT),
-)
+@given(window_cases(value_strategy=coarse_values), st.sampled_from(ORDER_INDEPENDENT))
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tree_retirement_corrections_bit_identical(stream, window_params, aggregate_cls):
+def test_tree_retirement_corrections_bit_identical(window_case, aggregate_cls):
     """Late patches feed retirement: observed errors must match exactly.
 
     K = 0 maximizes lateness, and a small feedback horizon forces windows
     to retire (and be re-assembled from patched partials) mid-stream.  The
-    reference is sliced mode: both slice-based modes score emitted
-    windows only, while naive mode additionally scores phantom
-    records for missed windows (see
-    ``test_observed_errors_match_for_emitted_windows`` in the sliced suite).
+    reference is the naive store's retirement of the windows it emitted:
+    the slice store scores emitted windows only, while naive additionally
+    scores phantom records for missed windows (see
+    ``test_observed_errors_match_for_emitted_windows`` in the sliced
+    suite), which its ``window.retire`` trace records carry as
+    ``emitted = nan``.
     """
-    size, slide = window_params
-    sliced = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide),
-        aggregate_cls(),
-        KSlackHandler(0.0),
-        feedback_horizon=size,
-        mode="sliced",
-    )
-    tree = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide),
-        aggregate_cls(),
-        KSlackHandler(0.0),
-        feedback_horizon=size,
-        mode="tree",
-    )
-    sliced_results = run_pipeline(stream, sliced).results
+    stream, size, slide, __ = window_case
+
+    def build(mode):
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(size, slide),
+            aggregate_cls(),
+            KSlackHandler(0.0),
+            feedback_horizon=size,
+            mode=mode,
+        )
+
+    naive, tree = build("naive"), build("tree")
+    recorder = TraceRecorder()
+    naive_results = run_pipeline(stream, naive, trace=recorder).results
     tree_results = run_pipeline(stream, tree).results
-    assert len(sliced_results) == len(tree_results)
-    sliced_errors = sliced.stats.observed_errors
+    assert len(naive_results) == len(tree_results)
+    naive_errors = emitted_window_errors(recorder)
     tree_errors = tree.stats.observed_errors
-    assert len(sliced_errors) == len(tree_errors)
-    for a, b in zip(sorted(sliced_errors), sorted(tree_errors)):
+    assert len(naive_errors) == len(tree_errors)
+    for a, b in zip(sorted(naive_errors), sorted(tree_errors)):
         assert (math.isnan(a) and math.isnan(b)) or a == b
 
 
@@ -152,17 +164,10 @@ def test_tree_retirement_corrections_bit_identical(stream, window_params, aggreg
 # float-association family
 
 
-@given(
-    arrived_streams(),
-    st.sampled_from(WINDOW_PARAMS),
-    st.floats(min_value=0.0, max_value=5.0),
-    st.sampled_from([SumAggregate, MeanAggregate]),
-)
+@given(window_cases(), st.sampled_from([SumAggregate, MeanAggregate]))
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tree_within_association_tolerance_for_sum_mean(
-    stream, window_params, k, aggregate_cls
-):
-    size, slide = window_params
+def test_tree_within_association_tolerance_for_sum_mean(window_case, aggregate_cls):
+    stream, size, slide, k = window_case
     __, naive_results, __, tree_results = run_pair(
         stream, size, slide, k, aggregate_cls
     )
@@ -179,26 +184,38 @@ def test_tree_within_association_tolerance_for_sum_mean(
 # shared store vs per-query pipelines
 
 
-@given(
-    arrived_streams(value_strategy=coarse_values),
-    st.lists(
-        st.tuples(
-            st.sampled_from([2.0, 4.0, 8.0, 16.0]),  # sizes over slide 2.0
-            st.floats(min_value=0.0, max_value=5.0),  # per-query slack
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
+@st.composite
+def shared_cases(draw):
+    """``(stream, slide, [(size, slack), ...])`` for one shared store.
+
+    Free-form streams run queries of 1, 2, 4 or 8 slices over slide 2.0; a
+    fold case runs its own geometry first (the view its scenario is timed
+    for) and further queries over the same slide beside it.
+    """
+    slack = st.floats(min_value=0.0, max_value=5.0)
+    spans = st.sampled_from([1, 2, 4, 8])
+    if draw(st.booleans()):
+        case = draw(fold_cases(coarse_values))
+        others = draw(st.lists(st.tuples(spans, slack), max_size=3))
+        configs = [(case.size, case.slack)]
+        configs += [(n * case.slide, k) for n, k in others]
+        return case.stream, case.slide, configs
+    stream = draw(arrived_streams(value_strategy=coarse_values))
+    configs = draw(st.lists(st.tuples(spans, slack), min_size=1, max_size=4))
+    return stream, 2.0, [(n * 2.0, k) for n, k in configs]
+
+
+@given(shared_cases())
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_shared_store_equals_private_pipelines(stream, query_configs):
-    store = SharedSliceStore(2.0, CountAggregate())
+def test_shared_store_equals_private_pipelines(shared_case):
+    stream, slide, query_configs = shared_case
+    store = SharedSliceStore(slide, CountAggregate())
     for index, (size, slack) in enumerate(query_configs):
         store.register(f"q{index}", size, slack=slack)
     shared = run_shared_slices(stream, store)
     for index, (size, slack) in enumerate(query_configs):
         solo = WindowAggregateOperator(
-            SlidingWindowAssigner(size, 2.0),
+            SlidingWindowAssigner(size, slide),
             CountAggregate(),
             KSlackHandler(slack),
             mode="tree",
@@ -212,3 +229,65 @@ def test_shared_store_equals_private_pipelines(stream, query_configs):
         assert (
             store.stats_for(f"q{index}").late_dropped == solo.stats.late_dropped
         )
+
+
+# --------------------------------------------------------------------- #
+# the fold cases reach the paths they are built for
+
+
+@given(fold_cases(coarse_values), st.booleans())
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fold_cases_hit_the_paths_they_name(case, shared):
+    """Each tagged element finds the store in the state its tag promises.
+
+    Checked against a private store behind K-slack and against a shared
+    store's view with the same slack, just before the element is fed.
+    """
+    span = round(case.size / case.slide)
+    results = []
+    if shared:
+        store = SharedSliceStore(case.slide, CountAggregate())
+        view = store.register("q", case.size, slack=case.slack)
+        results = store.results["q"]
+        feed = store.offer
+    else:
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(case.size, case.slide),
+            CountAggregate(),
+            KSlackHandler(case.slack),
+            mode="tree",
+        )
+        view = operator._store
+
+        def feed(element):
+            results.extend(operator.process(element))
+
+    seen = set()
+    for element in case.stream:
+        tag, late_slice = case.tagged.get(element.seq, (None, None))
+        if tag == "idle":
+            # Every window over the key's old slices closed: no fold kept.
+            assert view._next_end["b"] > view._max_end["b"]
+            assert "b" not in view._folds
+        elif tag is not None:
+            fold = view._folds["a"]
+            next_start = view._next_end["a"] - span
+            assert "a" not in view._dirty_to  # a clean fold, about to go stale
+            assert (late_slice + 1) * case.slide <= view.close_frontier
+            assert next_start <= late_slice < next_start + span
+            if tag == "suffix":
+                assert fold.base <= late_slice < fold.base + span
+            elif tag == "prefix":
+                assert fold.base + span <= late_slice < fold.prefix_to
+            else:
+                assert late_slice == fold.base + span < fold.prefix_to
+                assert late_slice % span == 0
+        feed(element)
+        if tag in ("suffix", "prefix", "boundary"):
+            assert view._dirty_to["a"] == late_slice
+        if tag is not None:
+            seen.add(tag)
+    assert seen == {"suffix", "prefix", "boundary", "idle"}
+    assert ("a", Window(0.0, case.size)) in {(r.key, r.window) for r in results}
+    # The late-reached windows were assembled from the node cache.
+    assert view.tree.recompute_count > 0

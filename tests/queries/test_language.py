@@ -151,6 +151,15 @@ class TestRunResults:
 
 
 class TestSlicedExecution:
+    """The slice store through the builder (``mode="tree"``, once ``"sliced"``)."""
+
+    def test_removed_sliced_mode_names_the_survivor(self):
+        from repro.errors import ConfigurationError
+        from repro.queries.language import ContinuousQuery
+
+        with pytest.raises(ConfigurationError, match='use mode="tree"'):
+            ContinuousQuery().mode("sliced")
+
     def test_sliced_matches_default(self, small_disordered_stream):
         default = base_query(small_disordered_stream).with_slack(1.0).run()
         from repro.queries.language import ContinuousQuery
@@ -162,7 +171,7 @@ class TestSlicedExecution:
             .window(sliding_ctor(5, 1))
             .aggregate("mean")
             .with_slack(1.0)
-            .mode("sliced")
+            .mode("tree")
             .run()
         )
         default_map = {(r.key, r.window): r.value for r in default.results}
@@ -175,16 +184,16 @@ class TestSlicedExecution:
         run = (
             base_query(small_disordered_stream)
             .with_slack(1.0)
-            .mode("sliced")
+            .mode("tree")
             .run()
         )
-        assert run.operator.mode == "sliced"
+        assert run.operator.mode == "tree"
 
     def test_sliced_with_quality_target(self, small_disordered_stream):
         run = (
             base_query(small_disordered_stream)
             .with_quality(0.1)
-            .mode("sliced")
+            .mode("tree")
             .run(assess=True)
         )
         assert run.report.mean_error < 0.5

@@ -130,6 +130,13 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert out.count("lat=") == 3
 
+    def test_removed_sliced_mode_is_error(self, trace, capsys):
+        code = main(
+            ["run", trace, "--window", "5", "--slide", "1", "--mode", "sliced"]
+        )
+        assert code == 2
+        assert 'use mode="tree"' in capsys.readouterr().err
+
     def test_sharded_run(self, trace, capsys):
         code = main(
             ["run", trace, "--window", "5", "--slide", "1",
@@ -218,11 +225,12 @@ class TestQueryCommand:
         assert "aq-k-slack" in out
 
     def test_sliced_flag(self, trace, capsys):
-        code = main(
-            ["query", trace, "--mode", "sliced",
-             "SELECT mean(value) FROM stream GROUP BY HOP(10, 2) WITH SLACK 1"]
-        )
-        assert code == 0
+        sql = "SELECT mean(value) FROM stream GROUP BY HOP(10, 2) WITH SLACK 1"
+        assert main(["query", trace, "--mode", "tree", sql]) == 0
+        capsys.readouterr()
+        # The slice store's former name is rejected, naming the survivor.
+        assert main(["query", trace, "--mode", "sliced", sql]) == 2
+        assert 'use mode="tree"' in capsys.readouterr().err
 
     def test_bad_sql_is_error(self, trace, capsys):
         code = main(["query", trace, "SELECT bogus FROM"])
