@@ -43,7 +43,8 @@ declares.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List
+import numbers
+from typing import Any, Callable, Iterable, List
 
 from repro.errors import ConfigurationError
 
@@ -242,6 +243,21 @@ class RetractableSum:
 
 # --------------------------------------------------------------------- #
 # comparison and drift measurement
+
+
+def as_real(value: Any) -> Any:
+    """``value`` when it is an ``int`` or ``float``, ``float(value)`` for any
+    other real number — ``numpy.int64`` / ``numpy.float32``, what indexing
+    an array yields — and ``None`` for everything else, ``bool`` included.
+
+    Hot callers test ``type(value) is float`` themselves before calling.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return None
 
 
 def floats_close(

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from repro.core.numeric import as_real
 from repro.errors import ConfigurationError
 from repro.streams.timebase import DurationS, EventTimeStamp
 
@@ -217,8 +218,10 @@ class ValueStatsTracker:
 
     def observe(self, value: float) -> None:
         """Fold one stream value in; non-numeric values are ignored."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return
+        if type(value) is not float:
+            value = as_real(value)
+            if value is None:
+                return
         if math.isnan(value) or math.isinf(value):
             return
         self._count += 1

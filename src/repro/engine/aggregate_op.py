@@ -33,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.numeric import relative_drift
+from repro.core.numeric import as_real, relative_drift
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler
 from repro.engine.operator import Operator, WindowResult
@@ -52,8 +52,7 @@ if TYPE_CHECKING:
 class _SliceAssignCache:
     """Memoized sliding-window assignment keyed by slide index.
 
-    ``SlidingWindowAssigner.assign`` is a per-element hot spot in batched
-    ingest.  All timestamps falling into the same slide interval get the same
+    All timestamps falling into the same slide interval get the same
     window list, so the cache stores, per guard index, the window list plus
     the exact float interval ``[low, high)`` over which replaying
     ``assign`` is *provably* bit-identical:
@@ -64,7 +63,7 @@ class _SliceAssignCache:
       of the next-lower candidate window (it must stay excluded).
 
     Both bounds are computed from the same float expressions ``assign``
-    itself evaluates, so cache hits return exactly what ``assign`` would.
+    itself evaluates, so a hit returns exactly what ``assign`` would.
     Timestamps outside the interval — and pathological rounding cases where
     the window list is not a contiguous index run — fall back to ``assign``.
     """
@@ -77,51 +76,47 @@ class _SliceAssignCache:
         self.size = assigner.size
         self.entries: dict[int, tuple[float, float, list[Window]]] = {}
 
-    def assign(self, timestamp: EventTimeStamp) -> list[Window]:
-        slide = self.slide
-        index = math.floor(timestamp / slide)
-        while index * slide > timestamp:
-            index -= 1
-        while (index + 1) * slide <= timestamp:
-            index += 1
+    def lookup(
+        self, index: int, timestamp: EventTimeStamp
+    ) -> tuple[float, float, list[Window]]:
+        """``(low, high, windows)`` for ``timestamp``, whose guard index is ``index``."""
         entry = self.entries.get(index)
         if entry is not None and entry[0] <= timestamp < entry[1]:
-            return entry[2]
+            return entry
+        slide = self.slide
         windows = self.assigner.assign(timestamp)
         low_index = index - len(windows) + 1
         # Exact float equality is intentional here (R03): the cache is only
         # valid when these starts equal the *bit-identical* expressions
         # ``assign`` itself computes; a tolerance would admit wrong hits.
-        if (
+        if not (
             windows
             and windows[-1].start == index * slide  # repro-lint: disable=R03
             and windows[0].start == low_index * slide  # repro-lint: disable=R03
         ):
-            high = min((index + 1) * slide, windows[0].end)
-            low = index * slide
-            if low_index >= 1:
-                previous_end = (low_index - 1) * slide + self.size
-                if previous_end > low:
-                    low = previous_end
-            entries = self.entries
-            if len(entries) > 4096:
-                entries.clear()
-            entries[index] = (low, high, windows)
-        return windows
+            return timestamp, timestamp, windows  # holds for this timestamp only
+        high = min((index + 1) * slide, windows[0].end)
+        low = index * slide
+        if low_index >= 1:
+            previous_end = (low_index - 1) * slide + self.size
+            if previous_end > low:
+                low = previous_end
+        entry = self.entries[index] = (low, high, windows)
+        return entry
 
 
 def relative_error(emitted, truth, eps: float = 1e-9) -> float:
     """Symmetric-denominator relative error in [0, inf).
 
     ``nan`` emitted against real truth (a missed window) counts as full
-    loss (1.0); two ``nan`` values agree (0.0).  Non-numeric results
-    (set-valued aggregates like top-k) are scored exact-match: 0.0 when
-    equal, 1.0 otherwise.
+    loss (1.0); two ``nan`` values agree (0.0).  Results that are not real
+    numbers (set-valued aggregates like top-k) are scored exact-match: 0.0
+    when equal, 1.0 otherwise; numpy scalars are numbers.
     """
-    emitted_numeric = isinstance(emitted, (int, float)) and not isinstance(emitted, bool)
-    truth_numeric = isinstance(truth, (int, float)) and not isinstance(truth, bool)
-    if not emitted_numeric or not truth_numeric:
+    emitted_real, truth_real = as_real(emitted), as_real(truth)
+    if emitted_real is None or truth_real is None:
         return 0.0 if emitted == truth else 1.0
+    emitted, truth = emitted_real, truth_real
     emitted_nan = isinstance(emitted, float) and math.isnan(emitted)
     truth_nan = isinstance(truth, float) and math.isnan(truth)
     if emitted_nan and truth_nan:
@@ -176,6 +171,25 @@ def _emit(
         )
 
 
+@dataclass(slots=True)
+class _Cell:
+    """What one ``(key, slide interval)`` resolves to in the per-window store.
+
+    Elements with ``low <= event_time < high`` (the interval
+    :class:`_SliceAssignCache` proves) share their windows: ``late`` holds
+    those closed before the cell was built, ``on_time`` the rest, ``records``
+    the open ``[accumulator, count]`` of each ``on_time`` window (``None``
+    until an element opens them), ``values`` what the batched path staged.
+    """
+
+    low: float
+    high: float
+    late: list[Window]
+    on_time: list[Window]
+    records: list[list[Any]] | None = None
+    values: list[Any] = field(default_factory=list)
+
+
 class _PerWindowStore:
     """One accumulator per open ``(key, window)``: the reference window store.
 
@@ -185,6 +199,15 @@ class _PerWindowStore:
     ``feedback_horizon`` seconds; late elements keep updating the retained
     accumulator, and a window nobody opened before its close is retained
     as a *phantom* record, so missed windows are scored too.
+
+    Under a sliding assigner an element's windows are found once per
+    ``(key, slide interval)``, not once per element: :meth:`add` and
+    :meth:`stage` share one :class:`_Cell` per interval, keyed by slide
+    index, so an element costs one probe plus its folds.  A cell's
+    late/on-time split stands until a window closes (the frontier cannot
+    pass an open window without :meth:`close` emitting it), so every emitting
+    close drops all cells and the assign memo — which bounds both by the
+    slide intervals that have an open window.
     """
 
     def __init__(
@@ -209,17 +232,16 @@ class _PerWindowStore:
         # Retained records keyed by window end, so retirement pops instead of
         # scanning every retained record per element.
         self._closed_heap: list[tuple[float, int, tuple[object, Window]]] = []
-        # Staged adds are grouped by (key, slide interval): every element of
-        # a group belongs to the same windows.  Other assigners have no such
-        # interval, so their staged adds fold immediately.
+        # Other assigners have no slide interval: they assign per element.
         self._cache = (
             _SliceAssignCache(assigner)
             if isinstance(assigner, SlidingWindowAssigner)
             else None
         )
-        # (key, id(window list)) -> [on-time windows, values, late windows,
-        # key, window list]
-        self._groups: dict[tuple[object, int], list[Any]] = {}
+        # (key, slide index) -> cell
+        self._cells: dict[tuple[object, int], _Cell] = {}
+        # Cells holding staged values, in first-staged order (the fold order).
+        self._staged: list[_Cell] = []
 
     def set_tracer(self, tracer: Tracer) -> None:
         self.tracer = tracer
@@ -232,16 +254,61 @@ class _PerWindowStore:
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
             tracer.element_admitted(now, element.event_time, element.key)
-        for window in self.assigner.assign(element.event_time):
-            slot = (element.key, window)
-            if window.end <= self.close_frontier:
-                self._record_late(slot, element, window, now)
-                continue
-            record = self._open.get(slot)
-            if record is None:
-                record = self._open_slot(slot, now)
-            self.aggregate.add(record[0], element.value)
+        key = element.key
+        cache = self._cache
+        if cache is None:
+            for window in self.assigner.assign(element.event_time):
+                slot = (key, window)
+                if window.end <= self.close_frontier:
+                    self._record_late(element, window, now)
+                    continue
+                record = self._open.get(slot) or self._open_slot(slot, now)
+                self.aggregate.add(record[0], element.value)
+                record[1] += 1
+            return
+        cell = self._cell(cache, key, element.event_time)
+        for window in cell.late:
+            self._record_late(element, window, now)
+        records = cell.records
+        if records is None:
+            records = self._open_cell(cell, key, now)
+        add = self.aggregate.add
+        value = element.value
+        for record in records:
+            add(record[0], value)
             record[1] += 1
+
+    def _cell(
+        self, cache: _SliceAssignCache, key: object, timestamp: EventTimeStamp
+    ) -> _Cell:
+        """The cell ``timestamp`` falls in, rebuilt when its bounds miss."""
+        slide = cache.slide
+        index = math.floor(timestamp / slide)  # assign's guard index
+        while index * slide > timestamp:
+            index -= 1
+        while (index + 1) * slide <= timestamp:
+            index += 1
+        cell = self._cells.get((key, index))
+        if cell is not None and cell.low <= timestamp < cell.high:
+            return cell
+        low, high, windows = cache.lookup(index, timestamp)
+        close_frontier = self.close_frontier
+        late = [w for w in windows if w.end <= close_frontier]  # a prefix: ends ascend
+        cell = _Cell(low, high, late, windows[len(late) :] if late else windows)
+        if cell.on_time:
+            self._cells[(key, index)] = cell
+        else:
+            # Every window is closed: no close is left to drop what is kept.
+            cache.entries.pop(index, None)
+        return cell
+
+    def _open_cell(self, cell: _Cell, key: object, now: ArrivalTimeStamp) -> list[Any]:
+        """Open the cell's on-time windows, in ascending-start order."""
+        records = cell.records = []
+        for window in cell.on_time:
+            slot = (key, window)
+            records.append(self._open.get(slot) or self._open_slot(slot, now))
+        return records
 
     def _open_slot(self, slot: tuple[object, Window], now: ArrivalTimeStamp) -> list[Any]:
         key, window = slot
@@ -253,12 +320,8 @@ class _PerWindowStore:
         return record
 
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
-        """Batched :meth:`add`: the value folds at the next close or flush.
-
-        A group's late/on-time split is taken once, when it is created: the
-        frontier cannot pass one of its open windows without a close, and a
-        close folds first.  Late values reach their records at once.
-        """
+        """Batched :meth:`add`: the value folds at the next close or flush
+        (late values reach their retained records at once)."""
         cache = self._cache
         if cache is None:
             self.add(element, now)
@@ -267,56 +330,35 @@ class _PerWindowStore:
         if tracer.enabled and tracer.detail:
             tracer.element_admitted(now, element.event_time, element.key)
         key = element.key
-        windows = cache.assign(element.event_time)
-        group_key = (key, id(windows))
-        group = self._groups.get(group_key)
-        if group is None:
-            close_frontier = self.close_frontier
-            on_time = windows
-            late: list[Window] = []
-            if windows and windows[0].end <= close_frontier:
-                on_time = [w for w in windows if w.end > close_frontier]
-                late = [w for w in windows if w.end <= close_frontier]
-            for window in on_time:
-                slot = (key, window)
-                if slot not in self._open:
-                    self._open_slot(slot, now)
-            # Keep a reference to the cached list itself: the group key
-            # uses id(windows), which must stay un-recyclable for as long
-            # as the group exists.
-            self._groups[group_key] = group = [on_time, [], late, key, windows]
-        group[1].append(element.value)
-        for window in group[2]:
-            self._record_late((key, window), element, window, now)
-
-    def _fold(self) -> None:
-        aggregate = self.aggregate
-        open_slots = self._open
-        for on_time, values, __, key, __ in self._groups.values():
-            for window in on_time:
-                record = open_slots[(key, window)]
-                aggregate.add_many(record[0], values)
-                record[1] += len(values)
-        self._groups.clear()
+        cell = self._cell(cache, key, element.event_time)
+        if not cell.values:
+            if cell.records is None:
+                self._open_cell(cell, key, now)
+            self._staged.append(cell)
+        cell.values.append(element.value)
+        for window in cell.late:
+            self._record_late(element, window, now)
 
     def flush(self) -> None:
-        """End of a batch: fold what is staged, drop the batch's assign memo."""
-        self._fold()
-        if self._cache is not None:
-            self._cache.entries.clear()
+        """Fold every staged value into the records of its cell."""
+        add_many = self.aggregate.add_many
+        for cell in self._staged:
+            values = cell.values
+            for record in cell.records:
+                add_many(record[0], values)
+                record[1] += len(values)
+            cell.values = []  # not cleared in place: add_many may keep the list
+        self._staged.clear()
 
     def _record_late(
-        self,
-        slot: tuple[object, Window],
-        element: StreamElement,
-        window: Window,
-        now: ArrivalTimeStamp,
+        self, element: StreamElement, window: Window, now: ArrivalTimeStamp
     ) -> None:
         self.stats.late_dropped += 1
         if self.tracer.enabled:
             self.tracer.late_drop(now, element.key, element.event_time, window.end)
         if not self.track_feedback:
             return
+        slot = (element.key, window)
         record = self._closed.get(slot)
         if record is None:
             # Too old to still be retained, or the window never opened
@@ -349,8 +391,12 @@ class _PerWindowStore:
             if frontier > self.close_frontier:
                 self.close_frontier = frontier
             return []
-        if self._groups:
-            self._fold()
+        if self._staged:
+            self.flush()
+        # A window closes: every late/on-time split taken before it is stale.
+        self._cells.clear()
+        if self._cache is not None:
+            self._cache.entries.clear()
         results: list[WindowResult] = []
         while heap and heap[0][0] <= frontier:
             end, __, key, window = heapq.heappop(heap)
@@ -430,8 +476,9 @@ class WindowAggregateOperator(Operator):
     to the handler.  ``mode`` only picks the *window store* — how window
     state is kept and assembled; every mode emits the same results:
 
-    * ``"naive"`` — one accumulator per window (:class:`_PerWindowStore`),
-      the reference; takes any assigner and any aggregate;
+    * ``"naive"`` — one accumulator per window (:class:`_PerWindowStore`):
+      O(overlap) folds and one probe per element; the reference, takes any
+      assigner and any aggregate;
     * ``"tree"`` — one accumulator per slice; a window closes with one
       merge from a per-key in-order fold, or from cached dyadic partials
       where late data reached it (:mod:`repro.engine.partial_tree`).
@@ -547,6 +594,9 @@ class WindowAggregateOperator(Operator):
         frontier = handler.frontier
         if self.tracer.enabled:
             self.tracer.frontier_advance(now, frontier, handler.buffered_count())
+        # Nothing closes or retires while the frontier stands still.
+        if frontier <= store.close_frontier:
+            return []
         results = store.close(frontier, now, False)
         store.retire(frontier, now, handler.observe_error)
         return results

@@ -117,6 +117,26 @@ class TestValueStatsTracker:
         tracker.observe(math.inf)
         assert tracker.count == 0
 
+    @pytest.mark.parametrize(
+        "python_type, numpy_type",
+        [(int, np.int64), (int, np.int32), (float, np.float32), (float, np.float64)],
+        ids=["int64", "int32", "float32", "float64"],
+    )
+    def test_numpy_scalars_count_as_numbers(self, rng, python_type, numpy_type):
+        """What indexing an array yields folds like the Python value it equals."""
+        raw = [numpy_type(value) for value in rng.uniform(0.0, 40.0, size=100)]
+        as_numpy, as_python = ValueStatsTracker(), ValueStatsTracker()
+        for value in raw:
+            as_numpy.observe(value)
+            as_python.observe(python_type(value))
+        assert as_numpy.count == as_python.count == 100
+        assert as_numpy.mean == as_python.mean
+        assert as_numpy.dispersion == as_python.dispersion > 0.0
+        as_numpy.observe(np.float32("nan"))
+        as_numpy.observe(np.bool_(True))
+        as_numpy.observe(True)
+        assert as_numpy.count == 100
+
     def test_single_value(self):
         tracker = ValueStatsTracker()
         tracker.observe(5.0)

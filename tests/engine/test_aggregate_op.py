@@ -1,11 +1,15 @@
 """Tests for the windowed aggregation operator."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.aqk import AQKSlackHandler
+from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator, relative_error
-from repro.engine.aggregates import CountAggregate, MeanAggregate, SumAggregate
+from repro.engine.aggregates import CountAggregate, MeanAggregate, SumAggregate, make_aggregate
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.oracle import oracle_results
 from repro.engine.pipeline import run_pipeline
@@ -16,6 +20,7 @@ from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
 
+from tests.cell_cases import cell_scenario
 from tests.conftest import make_arrived
 
 
@@ -38,6 +43,23 @@ class TestRelativeError:
 
     def test_symmetric_in_sign(self):
         assert relative_error(-9.0, -10.0) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "number", [int, float, np.int64, np.int32, np.float32], ids=lambda t: t.__name__
+    )
+    def test_numpy_scalars_are_numbers(self, number):
+        """Not the exact-match branch: 5 against 10 is half off, in any type."""
+        assert relative_error(number(5), number(10)) == 0.5
+        assert relative_error(number(5), 10.0) == relative_error(5.0, number(10)) == 0.5
+        assert relative_error(number(7), number(7)) == 0.0
+
+    def test_numpy_nan_is_a_missed_window(self):
+        assert relative_error(np.float32("nan"), np.float32(5.0)) == 1.0
+        assert relative_error(np.float32("nan"), np.float32("nan")) == 0.0
+
+    def test_bool_is_not_a_number(self):
+        assert relative_error(True, 2) == 1.0
+        assert relative_error(np.bool_(True), np.bool_(True)) == 0.0
 
 
 class TestInOrderExactness:
@@ -62,6 +84,168 @@ class TestInOrderExactness:
         for slot, (exact, __) in truth.items():
             assert emitted[slot] == pytest.approx(exact)
         assert operator.stats.late_dropped == 0
+
+
+class TestCellScenario:
+    """The scenario of :mod:`tests.cell_cases` at size 4, slide 1, by hand.
+
+    Clock key ``"t"`` ticks at ``j + 0.5`` for ``j`` in 0..20; under K = 0.25
+    tick ``j`` closes the windows ending at ``j`` or before.
+    """
+
+    #: key -> {(start, end): count}, and what the key adds to
+    #: (late_dropped, missed_windows).
+    EXPECTED = {
+        # 4.25 in order; 4.75 after tick 5 closed [1,5).
+        "a": ({(1, 5): 1, (2, 6): 2, (3, 7): 2, (4, 8): 2}, (1, 0)),
+        # 7.25 in order; 7.75 and 7.8 after tick 9 closed [4,8) and [5,9).
+        "d": ({(4, 8): 1, (5, 9): 1, (6, 10): 3, (7, 11): 3}, (4, 0)),
+        # 10.25, the key's first element, after tick 12 closed [7,11), [8,12).
+        "c": ({(9, 13): 1, (10, 14): 1}, (2, 2)),
+        # 13.25 after tick 18 and 13.5 after tick 19: [10,14)..[13,17) all gone.
+        "b": ({}, (8, 4)),
+    }
+
+    @pytest.mark.parametrize("batch_size", [0, 8], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("track_feedback", [True, False], ids=["feedback", "no-feedback"])
+    def test_matches_hand_computation(self, batch_size, track_feedback):
+        elements, __, __ = cell_scenario(4.0, 1.0, 0, [1.0])
+        elements.sort(key=StreamElement.arrival_sort_key)
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 1.0),
+            CountAggregate(),
+            KSlackHandler(0.25),
+            track_feedback=track_feedback,
+        )
+        output = run_pipeline(elements, operator, batch_size=batch_size)
+        for key, (windows, __) in self.EXPECTED.items():
+            emitted = {
+                (r.window.start, r.window.end): r.count
+                for r in output.results
+                if r.key == key
+            }
+            assert emitted == windows, key
+        # The clock key: 21 ticks, four to a window but for the edges.
+        ticks = {r.window.start: r.count for r in output.results if r.key == "t"}
+        assert ticks == {start: min(4, 21 - start) for start in range(21)}
+        late, missed = map(sum, zip(*(counts for __, counts in self.EXPECTED.values())))
+        assert (late, missed) == (15, 6)
+        assert operator.stats.late_dropped == late
+        assert operator.stats.missed_windows == (missed if track_feedback else 0)
+        # Retained [1,5) saw one late element of two; [4,8) and [5,9) two of
+        # three; the six phantom records are full losses.
+        wrong = sorted(error for error in output.observed_errors if error)
+        expected = [0.5, 2 / 3, 2 / 3] + [1.0] * 6 if track_feedback else []
+        assert wrong == pytest.approx(expected)
+
+    @pytest.mark.parametrize("batch_size", [0, 8], ids=["scalar", "batched"])
+    def test_unaligned_windows_split_a_slide_interval(self, batch_size):
+        """Size 5, slide 2: [0,5) holds 4.x but not 5.x, so slide interval
+        [4,6) has two window lists and its cell is rebuilt at each crossing."""
+        stream = make_arrived(
+            [
+                (4.5, 6.0, 1.0),
+                (5.5, 7.0, 1.0),  # frontier 5.5: [0,5) closes with one element
+                (4.6, 8.0, 1.0),  # late for [0,5) only
+                (5.6, 9.0, 1.0),
+                (4.7, 10.0, 1.0),  # late for [0,5) only
+            ]
+        )
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(5.0, 2.0), CountAggregate(), NoBufferHandler()
+        )
+        output = run_pipeline(stream, operator, batch_size=batch_size)
+        counts = {(r.window.start, r.window.end): r.count for r in output.results}
+        assert counts == {(0.0, 5.0): 1, (2.0, 7.0): 5, (4.0, 9.0): 5}
+        assert operator.stats.late_dropped == 2
+        assert operator.stats.missed_windows == 0
+
+
+class _CountingAssigner(SlidingWindowAssigner):
+    """Counts ``assign`` calls: the public seam the store finds windows through."""
+
+    def __init__(self, size, slide):
+        super().__init__(size, slide)
+        self.calls = 0
+
+    def assign(self, timestamp):
+        self.calls += 1
+        return super().assign(timestamp)
+
+
+class _CountingSum(SumAggregate):
+    """Counts the values folded, one at a time or in bulk."""
+
+    folds = 0
+
+    def add(self, accumulator, value):
+        self.folds += 1
+        super().add(accumulator, value)
+
+    def add_many(self, accumulator, values):
+        self.folds += len(values)
+        super().add_many(accumulator, values)
+
+
+class TestCellBookkeeping:
+    """What the per-window store does per element besides folding it."""
+
+    @pytest.mark.parametrize("batch_size", [0, 512], ids=["scalar", "batched"])
+    def test_windows_are_found_per_slide_interval_not_per_element(self, rng, batch_size):
+        """Overlap 5, eight keys, in order: a slide interval's windows are
+        looked up a handful of times (the memo is shared by the keys and
+        dropped at each close), while every fold still happens."""
+        stream = inject_disorder(
+            generate_stream(duration=100, rate=100, rng=rng, keys=tuple("abcdefgh")),
+            ConstantDelay(0.0),
+            rng,
+        )
+        assigner, aggregate = _CountingAssigner(10.0, 2.0), _CountingSum()
+        operator = WindowAggregateOperator(assigner, aggregate, NoBufferHandler())
+        run_pipeline(stream, operator, batch_size=batch_size)
+        intervals = {math.floor(element.event_time / 2.0) for element in stream}
+        assert len(stream) > 50 * len(intervals)
+        assert assigner.calls <= 3 * len(intervals)
+        reference = SlidingWindowAssigner(10.0, 2.0)
+        assert aggregate.folds == sum(
+            len(reference.assign(element.event_time)) for element in stream
+        )
+        assert operator.stats.late_dropped == 0
+
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batched"])
+    def test_cells_last_only_while_one_of_their_windows_is_open(self, rng, batch_size):
+        """Delays around the window size, K far below them and few elements
+        per window: on-time, partly late and never-opened windows all
+        through the run (``tests.cell_cases`` pins the wholly late one)."""
+        stream = inject_disorder(
+            generate_stream(duration=400, rate=6, rng=rng, keys=("a", "b", "c")),
+            ExponentialDelay(3.0),
+            rng,
+        )
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 1.0), CountAggregate(), KSlackHandler(0.3)
+        )
+        store = operator._store
+        step = batch_size or 1
+        most = 0
+        for index in range(0, len(stream), step):
+            if batch_size:
+                operator.process_many(stream[index : index + step])
+            else:
+                operator.process(stream[index])
+            open_intervals = {
+                (key, interval)
+                for key, window in store._open
+                for interval in range(round(window.start), round(window.end))
+            }
+            assert set(store._cells) <= open_intervals
+            assert set(store._cache.entries) <= {interval for __, interval in open_intervals}
+            assert not store._staged
+            most = max(most, len(store._cells))
+        assert most >= 3  # one per key at least: the bound is not met by keeping none
+        assert operator.stats.late_dropped > operator.stats.missed_windows > 0
+        operator.finish()
+        assert not store._cells and not store._cache.entries and not store._open
 
 
 class TestSmallDeterministicScenario:
@@ -201,6 +385,46 @@ class TestFeedback:
         )
         output = run_pipeline(stream, operator)
         assert all(error == 0.0 for error in output.observed_errors)
+
+    @pytest.mark.parametrize(
+        "aggregate_name, python_type, numpy_type",
+        [("mean", int, np.int64), ("max", float, np.float32)],
+        ids=["mean-int64", "max-float32"],
+    )
+    def test_numpy_values_drive_aqk_like_python_values(
+        self, rng, aggregate_name, python_type, numpy_type
+    ):
+        """The quality loop sees numpy-valued elements as it sees their twins.
+
+        (Types whose arithmetic is exact either way: ``mean`` over
+        ``float32`` folds in single precision under numpy's promotion
+        rules, which is the aggregate's arithmetic, not the feedback's.)
+        """
+        stream = inject_disorder(
+            generate_stream(duration=60, rate=100, rng=rng), ExponentialDelay(0.4), rng
+        )
+        raw = [numpy_type(element.value * 10) for element in stream]
+
+        def run(convert):
+            aggregate = make_aggregate(aggregate_name)
+            handler = AQKSlackHandler(
+                target=QualityTarget(0.02), aggregate=aggregate, window_size=10.0
+            )
+            operator = WindowAggregateOperator(
+                SlidingWindowAssigner(10, 2), aggregate, handler
+            )
+            elements = [
+                dataclasses.replace(element, value=convert(value))
+                for element, value in zip(stream, raw)
+            ]
+            return run_pipeline(elements, operator), handler
+
+        as_numpy, numpy_handler = run(lambda value: value)
+        as_python, python_handler = run(python_type)
+        assert numpy_handler.adaptations == python_handler.adaptations
+        assert max(step.k_applied for step in numpy_handler.adaptations) > 0.0
+        assert as_numpy.observed_errors == as_python.observed_errors
+        assert as_numpy.observed_errors
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigurationError):

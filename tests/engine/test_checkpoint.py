@@ -1,17 +1,25 @@
 """Tests for checkpoint/restore: resume equivalence."""
 
+import copy
+
 import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
 from repro.engine.aggregates import CountAggregate, MeanAggregate
-from repro.engine.checkpoint import load_checkpoint, save_checkpoint
+from repro.engine.checkpoint import (
+    dumps_state,
+    load_checkpoint,
+    loads_state,
+    save_checkpoint,
+)
 from repro.engine.handlers import KSlackHandler
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
+from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
 
 
@@ -37,18 +45,24 @@ def drive(operator, elements, finish=True, batch_size=0):
 
 
 class TestResumeEquivalence:
-    def _assert_resume_equivalent(self, make_operator, stream, tmp_path, batch_size=0):
+    def _assert_resume_equivalent(
+        self, make_operator, stream, tmp_path, batch_size=0, half=None, snapshot=None
+    ):
         # Reference: one uninterrupted run.
         uninterrupted = make_operator()
         reference = drive(uninterrupted, list(stream), batch_size=batch_size)
 
-        # Checkpointed: run half, save, load, run the rest.
-        half = len(stream) // 2
+        # Checkpointed: run half, save, load (or ``snapshot``), run the rest.
+        if half is None:
+            half = len(stream) // 2
         first_half = make_operator()
         results = drive(first_half, stream[:half], finish=False, batch_size=batch_size)
-        path = tmp_path / "op.ckpt"
-        save_checkpoint(first_half, path)
-        resumed = load_checkpoint(path)
+        if snapshot is None:
+            path = tmp_path / "op.ckpt"
+            save_checkpoint(first_half, path)
+            resumed = load_checkpoint(path)
+        else:
+            resumed = snapshot(first_half)
         results += drive(resumed, stream[half:], batch_size=batch_size)
 
         assert len(results) == len(reference)
@@ -81,6 +95,33 @@ class TestResumeEquivalence:
         assert results == reference
         assert uninterrupted.stats.observed_errors
         assert resumed.stats.observed_errors == uninterrupted.stats.observed_errors
+
+        # One more input: cut between two elements of one slide interval, so
+        # what the per-window store keeps per interval crosses the snapshot.
+        # In order at 0.05 + 0.1 i under K = 0.5, feeding 309 elements
+        # releases up to 30.35; 30.45 comes next and no window closes
+        # between them.
+        ticks = [
+            StreamElement(
+                event_time=0.05 + 0.1 * i, value=float(i % 7), arrival_time=0.05 + 0.1 * i, seq=i
+            )
+            for i in range(600)
+        ]
+
+        def cut(operator):
+            if mode == "naive":
+                assert list(operator._store._cells) == [(None, 30)]
+            return operator
+
+        for snapshot in (
+            None,  # the file checkpoint
+            lambda operator: copy.deepcopy(cut(operator)),
+            lambda operator: loads_state(dumps_state(cut(operator))),
+        ):
+            reference, __, results, __ = self._assert_resume_equivalent(
+                make_operator, ticks, tmp_path, batch_size, half=309, snapshot=snapshot
+            )
+            assert results == reference
 
     def test_kslack_operator(self, rng, tmp_path):
         stream = make_stream(rng)

@@ -10,7 +10,12 @@ still carries a dict.
 
 import pytest
 
-from repro.engine.aggregate_op import OperatorStats, _ClosedRecord, _SliceAssignCache
+from repro.engine.aggregate_op import (
+    OperatorStats,
+    _Cell,
+    _ClosedRecord,
+    _SliceAssignCache,
+)
 from repro.engine.buffer import SortingBuffer
 from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
@@ -50,6 +55,7 @@ HOT_INSTANCES = [
     EventTimeFrontier(),
     SortingBuffer(),
     _SliceAssignCache(SlidingWindowAssigner(8, 1)),
+    _Cell(0.0, 1.0, [], [Window(0.0, 8.0)]),
     _ClosedRecord(accumulator=[], emitted_value=0.0, emitted_count=0),
     OperatorStats(),
     LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0.0),

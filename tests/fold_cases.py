@@ -40,6 +40,58 @@ class FoldCase:
     tagged: dict[int, tuple[str, int]]
 
 
+class ScenarioWriter:
+    """Collects a scenario's elements, placed in units of the slide."""
+
+    def __init__(self, slide: float, values: list[float]) -> None:
+        self.slide = slide
+        self.values = values
+        self.elements: list[StreamElement] = []
+        self.tagged: dict[int, tuple[str, int]] = {}
+
+    def put(
+        self, key: str, event_slice: float, arrival_slice: float, tag: str | None = None
+    ) -> None:
+        seq = len(self.elements)
+        self.elements.append(
+            StreamElement(
+                event_time=event_slice * self.slide,
+                value=self.values[seq % len(self.values)],
+                key=key,
+                arrival_time=arrival_slice * self.slide,
+                seq=seq,
+            )
+        )
+        if tag is not None:
+            self.tagged[seq] = (tag, int(event_slice))
+
+
+def add_noise(draw, elements: list[StreamElement], end: float, duration: float, value_strategy):
+    """Append free-form disordered noise after ``end``, then sort by arrival."""
+    noise = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=duration, allow_nan=False),
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                value_strategy,
+                st.sampled_from(["a", "b", "c"]),
+            ),
+            max_size=30,
+        )
+    )
+    for event_time, delay, value, key in sorted(noise):
+        elements.append(
+            StreamElement(
+                event_time=end + event_time,
+                value=value,
+                key=key,
+                arrival_time=end + event_time + delay,
+                seq=len(elements),
+            )
+        )
+    elements.sort(key=StreamElement.arrival_sort_key)
+
+
 def fold_scenario(
     size: float, slide: float, phase: int, where: float, values: list[float]
 ) -> tuple[list[StreamElement], dict[int, tuple[str, int]], float]:
@@ -53,22 +105,8 @@ def fold_scenario(
     """
     span = round(size / slide)
     first = 2 + phase % (span - 2)  # the next window's offset in its block
-    elements: list[StreamElement] = []
-    tagged: dict[int, tuple[str, int]] = {}
-
-    def put(key: str, event_slice: float, arrival_slice: float, tag: str | None = None) -> None:
-        seq = len(elements)
-        elements.append(
-            StreamElement(
-                event_time=event_slice * slide,
-                value=values[seq % len(values)],
-                key=key,
-                arrival_time=arrival_slice * slide,
-                seq=seq,
-            )
-        )
-        if tag is not None:
-            tagged[seq] = (tag, int(event_slice))
+    writer = ScenarioWriter(slide, values)
+    put = writer.put
 
     # After in-order slice j the next window starts at j - span + 1; the
     # three visits put that start at offset ``first`` of blocks 1, 3 and 5.
@@ -88,7 +126,7 @@ def fold_scenario(
         put("b", j + 0.25, j + 0.25)
     for j in range(span + 4, span + 7):
         put("b", j + 0.25, j + 0.25, "idle" if j == span + 4 else None)
-    return elements, tagged, (7 * span + first + 2) * slide
+    return writer.elements, writer.tagged, (7 * span + first + 2) * slide
 
 
 @st.composite
@@ -104,26 +142,5 @@ def fold_cases(draw, value_strategy) -> FoldCase:
         draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         values,
     )
-    noise = draw(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
-                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-                value_strategy,
-                st.sampled_from(["a", "b", "c"]),
-            ),
-            max_size=30,
-        )
-    )
-    for event_time, delay, value, key in sorted(noise):
-        elements.append(
-            StreamElement(
-                event_time=end + event_time,
-                value=value,
-                key=key,
-                arrival_time=end + event_time + delay,
-                seq=len(elements),
-            )
-        )
-    elements.sort(key=StreamElement.arrival_sort_key)
+    add_noise(draw, elements, end, 200.0, value_strategy)
     return FoldCase(elements, size, slide, slack, tagged)

@@ -6,9 +6,11 @@ quality-target and latency-budget modes), an aggregate, an operator and a
 batch size — including sizes that do not divide the stream length — and
 asserts the full :func:`run_pipeline` observable state matches the scalar
 run: window results, late drops, released counts and observed errors.
-One scenario in three is a :mod:`tests.fold_cases` stream under its own
+One scenario in four is a :mod:`tests.fold_cases` stream under its own
 window and K-slack, so the slice store's in-order fold is batched through
-each of its paths, with and without feedback tracking.
+each of its paths, with and without feedback tracking; one in four is a
+:mod:`tests.cell_cases` stream, which does the same for the cells that the
+per-window store's ``add`` and ``stage`` share.
 
 Quality-mode adaptive cases use order-independent aggregates (count, max,
 median): their folds are bit-exact, so the controller sees bit-identical
@@ -41,6 +43,7 @@ from repro.engine.pipeline import run_pipeline
 from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.element import StreamElement
+from tests.cell_cases import cell_cases
 from tests.fold_cases import fold_cases
 
 RTOL = 1e-9
@@ -74,10 +77,10 @@ HANDLERS = {
 @st.composite
 def scenarios(draw):
     """``(elements, operator factory, batch size)``."""
-    if draw(st.integers(min_value=0, max_value=2)) == 0:
-        case = draw(
-            fold_cases(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
-        )
+    arm = draw(st.integers(min_value=0, max_value=3))
+    if arm < 2:
+        built = fold_cases if arm == 0 else cell_cases
+        case = draw(built(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)))
         aggregate_cls = ALL_AGGREGATES[draw(st.sampled_from(sorted(ALL_AGGREGATES)))]
         mode = draw(st.sampled_from(["naive", "tree"]))
         track_feedback = draw(st.booleans())

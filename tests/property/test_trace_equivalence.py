@@ -6,7 +6,10 @@ on, live registry plugged in) produces **bit-identical** observable state
 to the untraced run: window results, observed errors, late drops and
 released counts.  Trace hooks execute after the fact on values the engine
 already computed, so even re-associating aggregates must match exactly —
-both runs execute the same arithmetic in the same order.
+both runs execute the same arithmetic in the same order.  One scenario in
+three is a :mod:`tests.cell_cases` stream under its own window and K-slack:
+the ``window.open`` and ``late.drop`` hooks sit where the per-window store
+builds, reuses and drops its cells.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.engine.windows import SlidingWindowAssigner
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.streams.element import StreamElement
+from tests.cell_cases import cell_cases
 
 HANDLERS = {
     "no-buffer": lambda: NoBufferHandler(),
@@ -36,6 +40,24 @@ HANDLERS = {
 
 @st.composite
 def scenarios(draw):
+    """``(elements, operator factory, batch size)``."""
+    aggregate_name = draw(st.sampled_from(["count", "mean", "max"]))
+    batch_size = draw(st.sampled_from([0, 7, 32]))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        case = draw(
+            cell_cases(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+        )
+        track_feedback = draw(st.booleans())
+
+        def make_cell_operator():
+            return WindowAggregateOperator(
+                SlidingWindowAssigner(case.size, case.slide),
+                make_aggregate(aggregate_name),
+                KSlackHandler(case.slack),
+                track_feedback=track_feedback,
+            )
+
+        return case.stream, make_cell_operator, batch_size
     n = draw(st.integers(min_value=30, max_value=70))
     gaps = draw(
         st.lists(
@@ -59,8 +81,6 @@ def scenarios(draw):
         )
     )
     handler_name = draw(st.sampled_from(sorted(HANDLERS)))
-    aggregate_name = draw(st.sampled_from(["count", "mean", "max"]))
-    batch_size = draw(st.sampled_from([0, 7, 32]))
 
     event_time = 0.0
     elements = []
@@ -75,7 +95,16 @@ def scenarios(draw):
             )
         )
     elements.sort(key=StreamElement.arrival_sort_key)
-    return elements, handler_name, aggregate_name, batch_size
+
+    def make_operator():
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(3.0, 1.0),
+            make_aggregate(aggregate_name),
+            HANDLERS[handler_name](),
+            feedback_horizon=6.0,
+        )
+
+    return elements, make_operator, batch_size
 
 
 @settings(
@@ -85,15 +114,7 @@ def scenarios(draw):
 )
 @given(scenarios())
 def test_traced_run_is_bit_identical_to_untraced(scenario):
-    elements, handler_name, aggregate_name, batch_size = scenario
-
-    def make_operator():
-        return WindowAggregateOperator(
-            SlidingWindowAssigner(3.0, 1.0),
-            make_aggregate(aggregate_name),
-            HANDLERS[handler_name](),
-            feedback_horizon=6.0,
-        )
+    elements, make_operator, batch_size = scenario
 
     plain = run_pipeline(list(elements), make_operator(), batch_size=batch_size)
 

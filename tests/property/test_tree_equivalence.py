@@ -12,7 +12,11 @@ equivalence claim splits:
 A third family checks the shared slice store against private per-query
 pipelines on multi-query (E11-style) workloads.  Every family draws half
 its streams from :mod:`tests.fold_cases`, whose scenarios reach each path
-of the in-order fold by construction (the last test checks that they do).
+of the in-order fold by construction; the tree-vs-naive families draw a
+third from :mod:`tests.cell_cases`, which does the same for the cells of
+the per-window store (the slice store, which has none, is the independent
+reference there).  The last two tests check that the scenarios reach the
+paths they name.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceRecorder
 from repro.streams.element import StreamElement
+from tests.cell_cases import cell_cases
 from tests.conftest import emitted_window_errors
 from tests.fold_cases import fold_cases
 
@@ -73,9 +78,10 @@ def arrived_streams(draw, max_size=60, value_strategy=values):
 
 @st.composite
 def window_cases(draw, value_strategy=values):
-    """``(stream, size, slide, k)``: free-form disorder, or a fold case."""
-    if draw(st.booleans()):
-        case = draw(fold_cases(value_strategy))
+    """``(stream, size, slide, k)``: free-form disorder, a fold or a cell case."""
+    built = draw(st.sampled_from([None, fold_cases, cell_cases]))
+    if built is not None:
+        case = draw(built(value_strategy))
         return case.stream, case.size, case.slide, case.slack
     size, slide = draw(st.sampled_from(WINDOW_PARAMS))
     stream = draw(arrived_streams(value_strategy=value_strategy))
@@ -291,3 +297,66 @@ def test_fold_cases_hit_the_paths_they_name(case, shared):
     assert ("a", Window(0.0, case.size)) in {(r.key, r.window) for r in results}
     # The late-reached windows were assembled from the node cache.
     assert view.tree.recompute_count > 0
+
+
+@given(cell_cases(coarse_values))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cell_cases_hit_the_paths_they_name(case):
+    """Each tagged element finds the per-window store in the state its tag
+    promises, just before it is fed, and leaves the cell it names."""
+    span = round(case.size / case.slide)
+    operator = WindowAggregateOperator(
+        SlidingWindowAssigner(case.size, case.slide),
+        CountAggregate(),
+        KSlackHandler(case.slack),
+    )
+    store = operator._store
+    results = []
+    # Windows of its interval each tagged element is late for; then what it
+    # opens as phantom records, and how many late updates they hold after it.
+    late_for = {"split": 1, "revisit": 2, "reuse": 2, "new_key": 2}
+    phantoms = {"new_key": 2, "all_late": span}
+    updates = {"reuse": 2, "all_late_again": 2}
+    seen = set()
+    for element in case.stream:
+        tag, interval = case.tagged.get(element.seq, (None, None))
+        if tag is None:
+            results.extend(operator.process(element))
+            continue
+        seen.add(tag)
+        key, slot = element.key, (element.key, interval)
+        late = late_for.get(tag, span)
+        windows = [
+            Window(n * case.slide, n * case.slide + case.size)
+            for n in range(interval - span + 1, interval + 1)
+        ]
+        assert [w.end <= store.close_frontier for w in windows] == (
+            [True] * late + [False] * (span - late)
+        )
+        before = store._cells.get(slot)
+        # Only "reuse" finds a cell ("revisit" built it, nothing closed
+        # since); for the others a close dropped it, or nothing built it.
+        assert (before is not None) == (tag == "reuse")
+        if tag == "split":
+            assert [r.count for r in results if (r.key, r.window) == (key, windows[0])] == [1]
+        elif tag == "new_key":
+            assert not any(k == key for k, __ in [*store._open, *store._closed])
+        missed = store.stats.missed_windows
+        results.extend(operator.process(element))
+        cell = store._cells.get(slot)
+        if late == span:
+            # No close is left to clean up after this interval: nothing kept.
+            assert cell is None and interval not in store._cache.entries
+        else:
+            assert before is None or before is cell
+            assert cell.late == windows[:late]
+            assert cell.records == [store._open[(key, w)] for w in windows[late:]]
+        retained = [store._closed[(key, w)] for w in windows[:late]]
+        assert store.stats.missed_windows - missed == phantoms.get(tag, 0)
+        assert [math.isnan(r.emitted_value) for r in retained] == (
+            [tag in ("new_key", "all_late", "all_late_again")] * late
+        )
+        assert {r.late_updates for r in retained} == {updates.get(tag, 1)}
+    assert seen == {
+        "split", "revisit", "reuse", "new_key", "all_late", "all_late_again"
+    }
