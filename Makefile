@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif baseline sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick experiments examples artifacts clean
+.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -13,10 +13,9 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Engine-specific invariant linter: syntactic rules R01-R05, the
+# Engine-specific invariant linter: syntactic rules R01-R04, the
 # time-domain dataflow rules R06-R10 and the float-soundness rules
-# R16-R20 (see docs/ANALYSIS.md and docs/NUMERICS.md).  Applies
-# analysis/baseline.json automatically when it exists.
+# R16-R20 (see docs/ANALYSIS.md and docs/NUMERICS.md).
 lint:
 	$(PY) -m repro.analysis.lint src/
 
@@ -24,19 +23,15 @@ lint:
 lint-sarif:
 	$(PY) -m repro.analysis.lint --format sarif --output lint.sarif src/ || true
 
-# Regenerate the grandfathered-findings baseline.  Run after deliberately
-# accepting new debt or after paying existing debt down; CI fails on stale
-# entries via `--check-baseline`.
-baseline:
-	$(PY) -m repro.analysis.lint --write-baseline src/
-
-# StreamSan checker self-tests plus a sanitized end-to-end smoke run.
+# StreamSan checker self-tests plus a sanitized, batched end-to-end smoke
+# run of the contribution's handler (AQ-K, quality target).
 sanitize:
 	$(PY) -m pytest tests/analysis/ -q
 	$(PY) -c "import numpy as np; \
 	from repro.engine.aggregate_op import WindowAggregateOperator; \
 	from repro.engine.aggregates import make_aggregate; \
-	from repro.engine.handlers import KSlackHandler; \
+	from repro.core.aqk import AQKSlackHandler; \
+	from repro.core.spec import QualityTarget; \
 	from repro.engine.pipeline import run_pipeline; \
 	from repro.engine.windows import SlidingWindowAssigner; \
 	from repro.streams.delay import ExponentialDelay; \
@@ -44,13 +39,14 @@ sanitize:
 	from repro.streams.generators import generate_stream; \
 	rng = np.random.default_rng(3); \
 	stream = inject_disorder(generate_stream(duration=60, rate=100, rng=rng), ExponentialDelay(0.5), rng); \
-	op = WindowAggregateOperator(SlidingWindowAssigner(size=4, slide=1), make_aggregate('mean'), KSlackHandler(1.0)); \
-	out = run_pipeline(stream, op, batch_size=256, sanitize=True, sanitize_probe_every=4); \
+	handler = AQKSlackHandler(QualityTarget(0.05), 'mean', window_size=4.0); \
+	op = WindowAggregateOperator(SlidingWindowAssigner(size=4, slide=1), make_aggregate('mean'), handler); \
+	out = run_pipeline(stream, op, batch_size=256, sanitize=True); \
 	print('StreamSan smoke run clean:', len(out.results), 'results')"
 
-# Numeric-safety gate: float-soundness lint (R16-R20, no baseline debt
-# allowed), the annotation inventory, and a NumSan shadow-execution smoke
-# run over the core aggregates (see docs/NUMERICS.md).
+# Numeric-safety gate: float-soundness lint (R16-R20), the annotation
+# inventory, and a NumSan shadow-execution smoke run over the core
+# aggregates (see docs/NUMERICS.md).
 numcheck:
 	$(PY) -m repro.analysis.lint --select R16-R20 src/
 	$(PY) -m repro.analysis.numeric inventory

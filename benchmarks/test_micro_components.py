@@ -289,8 +289,7 @@ def test_sanitized_window_operator_throughput(benchmark, stream):
     Compare against ``test_naive_window_operator_throughput`` (same
     operator, same stream, sanitize off) to read the checker overhead; the
     acceptance bar for the sanitizer is <10% on this workload (see
-    ``docs/ANALYSIS.md``).  The divergence probe is deliberately off here —
-    it deep-copies the operator and is priced separately.
+    ``docs/ANALYSIS.md``).
     """
     from repro.engine.aggregate_op import WindowAggregateOperator
     from repro.engine.pipeline import run_pipeline

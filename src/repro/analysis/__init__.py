@@ -6,12 +6,12 @@ paper assumes but ordinary tests rarely pin down:
 * :mod:`repro.analysis.lint` — **repro-lint**, an AST-based linter with
   engine-specific rules (no wall-clock time in simulated-time code,
   scalar/batched API parity, no exact float comparison of timestamps,
-  stream-element immutability, metrics-field registration).  Run it as
+  stream-element immutability).  Run it as
   ``python -m repro.analysis.lint src/``.
 * :mod:`repro.analysis.sanitizer` — **StreamSan**, ASan-style runtime
   checkers that wrap a pipeline's handler and operator and assert frontier
-  monotonicity, release/buffer bookkeeping, window-retirement ordering and
-  (opt-in) batched-vs-scalar equivalence while real workloads execute.
+  monotonicity, release/buffer bookkeeping and window-retirement ordering
+  while real workloads execute.
   Enable it with ``run_pipeline(..., sanitize=True)``.
 
 See ``docs/ANALYSIS.md`` for the rule catalog and sanitizer flags.
@@ -31,9 +31,7 @@ __all__ = [
 ]
 
 
-def guard_operator(
-    operator: Any, kind: str, tracer: Tracer = NULL_TRACER, probe_every: int = 0
-) -> Any:
+def guard_operator(operator: Any, kind: str, tracer: Tracer = NULL_TRACER) -> Any:
     """Put ``operator`` under the runtime sanitizer named by ``kind``.
 
     The one place a sanitizer name becomes a wrapper — ``"stream"``
@@ -43,34 +41,21 @@ def guard_operator(
     like the sharded coordinator) is told the kind and returned unwrapped.
 
     Raises:
-        ConfigurationError: unknown ``kind``, or a divergence probe
-            (``probe_every``) on anything but a wrapped ``"stream"`` run.
+        ConfigurationError: unknown ``kind``.
     """
     if kind not in ("stream", "numeric"):
         raise ConfigurationError(
             f"unknown sanitizer {kind!r}; expected True, "
             '"stream" or "numeric"'
         )
-    if probe_every and kind != "stream":
-        raise ConfigurationError(
-            "sanitize_probe_every requires the stream sanitizer "
-            '(sanitize=True or sanitize="stream")'
-        )
     configure = getattr(operator, "configure_sanitizer", None)
     if configure is not None:
-        if probe_every:
-            raise ConfigurationError(
-                "sanitize_probe_every is not supported for operators that "
-                "sanitize per shard"
-            )
         configure(kind)
         return operator
     if kind == "stream":
-        from repro.analysis.sanitizer import SanitizerConfig, SanitizingOperator
+        from repro.analysis.sanitizer import SanitizingOperator
 
-        return SanitizingOperator(
-            operator, SanitizerConfig(divergence_probe_every=probe_every)
-        )
+        return SanitizingOperator(operator)
     from repro.analysis.numeric.numsan import NumSan
 
     return NumSan(tracer=tracer).guard_operator(operator)

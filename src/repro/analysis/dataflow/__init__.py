@@ -3,8 +3,8 @@
 Infers which time domain — event time, processing time, duration, count —
 every parameter, return, attribute, and local in ``src/repro`` carries,
 then reports cross-module violations as lint rules R06-R10.  See
-``docs/ANALYSIS.md`` ("Time-domain analysis") for the lattice, the
-seeding sources, and the baseline workflow.
+``docs/ANALYSIS.md`` ("Time-domain analysis") for the lattice and the
+seeding sources.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from repro.analysis.dataflow.propagation import (
     analysis_for,
 )
 from repro.analysis.dataflow.rules import DATAFLOW_RULES
-from repro.analysis.dataflow.baseline import Baseline, finding_fingerprint
-from repro.analysis.dataflow.sarif import render_sarif, sarif_report
+from repro.analysis.dataflow.sarif import (
+    finding_fingerprint,
+    render_sarif,
+    sarif_report,
+)
 from repro.analysis.dataflow.symbols import SymbolTable
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
     "DATAFLOW_RULES",
     "Domain",
     "DomainViolation",

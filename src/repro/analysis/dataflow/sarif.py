@@ -8,6 +8,7 @@ the schema that code scanning reads is emitted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro.analysis.lint.model import Finding
@@ -52,7 +53,7 @@ def sarif_report(
                 }
             ],
             "partialFingerprints": {
-                "reproLint/v1": fingerprint(finding),
+                "reproLint/v1": finding_fingerprint(finding),
             },
         }
         for finding in findings
@@ -82,8 +83,11 @@ def render_sarif(
     return json.dumps(sarif_report(findings, rule_summaries), indent=2) + "\n"
 
 
-def fingerprint(finding: Finding) -> str:
-    """Line-drift-resistant identity of a finding (shared with baseline)."""
-    from repro.analysis.dataflow.baseline import finding_fingerprint
+def finding_fingerprint(finding: Finding) -> str:
+    """Stable identity of a finding: sha1 of rule, path, and message.
 
-    return finding_fingerprint(finding)
+    Not the line number, so unrelated edits that shift code around keep a
+    finding's identity across code-scanning uploads.
+    """
+    payload = f"{finding.rule}|{finding.path}|{finding.message}"
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()

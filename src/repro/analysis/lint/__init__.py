@@ -1,10 +1,11 @@
 """repro-lint: AST-based invariant linter for the disorder-handling engine.
 
 The linter enforces engine-specific invariants that generic tools cannot
-know about.  R01-R05 are per-file syntactic rules; R06-R10 come from the
+know about.  R01-R04 are per-file syntactic rules; R06-R10 come from the
 whole-program time-domain dataflow analysis
 (:mod:`repro.analysis.dataflow`); R16-R20 are the float-soundness rules
-over the numeric inventory (:mod:`repro.analysis.numeric`); R11-R15 (the
+over the numeric inventory (:mod:`repro.analysis.numeric`); R05 (metrics
+fields, now enforced by ``RunMetrics.__slots__``) and R11-R15 (the
 withdrawn concurrency rules) are retired ids and are not reused:
 
 ========  ============================================================
@@ -13,7 +14,6 @@ R02       scalar/batched method parity (``process``/``process_many``,
           ``offer``/``offer_many``, ``add``/``add_many``)
 R03       no ``==``/``!=`` on float timestamps
 R04       no mutation of frozen ``StreamElement`` fields
-R05       ``RunMetrics`` attributes must be registered fields
 R06       no cross-domain time arithmetic/comparison (event ⋈ proc time)
 R07       frontier-contract conformance for ``DisorderHandler``
 R08       no duration/timestamp mixing in slack computations
@@ -35,9 +35,8 @@ hard configuration error — typos must not silently disable nothing.
 Run ``python -m repro.analysis.lint src/`` (exit status 1 on findings) or
 call :func:`run_lint` programmatically.  Suppress a finding with an inline
 ``# repro-lint: disable=Rxx`` comment carrying a justification, or a
-file-level ``# repro-lint: disable-file=Rxx``.  Pre-existing findings can
-be grandfathered in ``analysis/baseline.json`` (see
-:mod:`repro.analysis.dataflow.baseline`).
+file-level ``# repro-lint: disable-file=Rxx`` — the one suppression
+mechanism.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.analysis.lint.reporting import render_json, render_text
 from repro.analysis.lint.rules import CORE_RULES, Rule
 from repro.analysis.dataflow.rules import DATAFLOW_RULES
 from repro.analysis.numeric.rules import NUMERIC_RULES
-from repro.analysis.dataflow.baseline import Baseline
 from repro.errors import ConfigurationError
 
 #: Full rule catalog: per-file syntactic rules + whole-program dataflow
@@ -66,7 +64,6 @@ __all__ = [
     "CORE_RULES",
     "DATAFLOW_RULES",
     "NUMERIC_RULES",
-    "Baseline",
     "Finding",
     "Project",
     "Rule",
@@ -111,7 +108,6 @@ def run_lint(
     paths: list[str | Path],
     select: list[str] | None = None,
     honour_suppressions: bool = True,
-    baseline: Baseline | None = None,
 ) -> list[Finding]:
     """Lint every Python file under ``paths`` and return the findings.
 
@@ -121,8 +117,6 @@ def run_lint(
         honour_suppressions: When False, report findings even on lines
             carrying ``# repro-lint: disable`` comments (used by the rule
             self-tests).
-        baseline: When given, findings covered by the baseline are
-            filtered out (grandfathered debt).
 
     Raises:
         ConfigurationError: when ``select`` names an unknown rule id, or
@@ -165,6 +159,4 @@ def run_lint(
                     continue
                 findings.append(finding)
     findings.sort(key=Finding.sort_key)
-    if baseline is not None:
-        findings = baseline.apply(findings)
     return findings

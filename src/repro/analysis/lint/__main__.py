@@ -1,9 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis.lint [paths...]``.
 
-Exit status is 0 when no findings survive suppression and the baseline,
-1 otherwise, and 2 on usage errors — suitable for ``make lint`` and CI
-gates.  ``--check-baseline`` additionally fails (status 1) when
-``analysis/baseline.json`` contains entries that no longer occur.
+Exit status is 0 when no findings survive suppression, 1 otherwise, and
+2 on usage errors — suitable for ``make lint`` and CI gates.
 """
 
 from __future__ import annotations
@@ -18,10 +16,6 @@ from repro.analysis.lint import (
     render_json,
     render_text,
     run_lint,
-)
-from repro.analysis.dataflow.baseline import (
-    DEFAULT_BASELINE_PATH,
-    Baseline,
 )
 from repro.analysis.dataflow.sarif import render_sarif
 from repro.errors import ConfigurationError
@@ -61,33 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         help="ignore # repro-lint: disable comments",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE_PATH} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report all findings, ignoring any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="capture the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help=(
-            "fail when the baseline contains stale entries (fixed findings "
-            "that were never regenerated away)"
-        ),
-    )
-    parser.add_argument(
         "--output",
         default=None,
         metavar="FILE",
@@ -109,12 +76,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
         return 0
 
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_BASELINE_PATH
-    baseline: Baseline | None = None
-    if not args.no_baseline and not args.write_baseline:
-        if args.baseline or baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-
     try:
         select = expand_rule_ids(args.select) if args.select else None
         findings = run_lint(
@@ -125,29 +86,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(
-            f"repro-lint: baseline of {len(findings)} finding(s) written "
-            f"to {baseline_path}"
-        )
-        return 0
-
-    status = 0
-    if args.check_baseline and baseline is not None:
-        stale = baseline.stale_entries(findings)
-        if stale:
-            print(
-                f"repro-lint: {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} in {baseline_path} — "
-                "the findings were fixed; regenerate with --write-baseline",
-                file=sys.stderr,
-            )
-            status = 1
-
-    if baseline is not None:
-        findings = baseline.apply(findings)
 
     if args.format == "sarif":
         report = render_sarif(
@@ -161,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-    return 1 if findings else status
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""The repro-lint rule catalog (R01–R05).
+"""The repro-lint rule catalog (R01–R04).
 
 Each rule is a class with an ``id``, a one-line ``summary`` and a
 ``check`` method yielding :class:`~repro.analysis.lint.model.Finding`
@@ -368,121 +368,7 @@ class FrozenElementRule(Rule):
             yield node
 
 
-class MetricsRegistryRule(Rule):
-    """R05 — RunMetrics fields must be declared before use.
-
-    :class:`repro.engine.metrics.RunMetrics` is a plain (non-slotted)
-    class, so assigning a misspelled field silently creates a new
-    attribute and the intended metric stays at its default — a wrong
-    number in an experiment table, not an error.  The rule tracks local
-    names bound to ``RunMetrics(...)`` (or annotated as ``RunMetrics``)
-    and checks every attribute read/write against the registry of declared
-    fields, properties and methods.
-    """
-
-    id = "R05"
-    summary = "RunMetrics attributes must be registered fields"
-
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        registry = self._registry(project)
-        if not registry:
-            return
-        # Scopes nest (the module walk also reaches function bodies), so
-        # findings are deduplicated by source position.
-        reported: set[tuple[int, int]] = set()
-        for scope in self._scopes(source.tree):
-            names = self._metrics_names(scope)
-            if not names:
-                continue
-            for node in ast.walk(scope):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in names
-                    and not node.attr.startswith("__")
-                    and node.attr not in registry
-                    and (node.lineno, node.col_offset) not in reported
-                ):
-                    reported.add((node.lineno, node.col_offset))
-                    yield self._finding(
-                        source,
-                        node,
-                        f"unknown RunMetrics attribute .{node.attr} — "
-                        "register the field on RunMetrics first",
-                    )
-
-    @staticmethod
-    def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-        yield tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    @staticmethod
-    def _metrics_names(scope: ast.AST) -> set[str]:
-        names: set[str] = set()
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = scope.args
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-                if arg.annotation is not None and _dotted(arg.annotation).endswith(
-                    "RunMetrics"
-                ):
-                    names.add(arg.arg)
-        for node in ast.walk(scope):
-            value = None
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, list(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, targets = node.value, [node.target]
-            if value is None:
-                continue
-            if (
-                isinstance(value, ast.Call)
-                and _dotted(value.func).split(".")[-1] == "RunMetrics"
-            ):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _registry(project: Project) -> set[str]:
-        info = project.classes.get("RunMetrics")
-        declared: set[str] = set()
-        if info is not None and info.methods is not None:
-            declared |= info.methods
-        for source in project.files:
-            for node in ast.walk(source.tree):
-                if isinstance(node, ast.ClassDef) and node.name == "RunMetrics":
-                    for item in node.body:
-                        if isinstance(item, ast.AnnAssign) and isinstance(
-                            item.target, ast.Name
-                        ):
-                            declared.add(item.target.id)
-                        elif isinstance(item, ast.Assign):
-                            for target in item.targets:
-                                if isinstance(target, ast.Name):
-                                    declared.add(target.id)
-        if not declared:
-            # Linting a fileset that does not contain metrics.py (e.g. the
-            # test fixtures): fall back to the installed class.  RunMetrics
-            # is a plain class (a registry view), so dir() — which sees its
-            # properties, methods and class-body annotations — is the
-            # registry of record.
-            try:
-                from repro.engine.metrics import RunMetrics
-
-                declared = {
-                    name for name in dir(RunMetrics) if not name.startswith("__")
-                }
-                declared |= set(getattr(RunMetrics, "__annotations__", ()))
-            except Exception:  # pragma: no cover - repro always importable here
-                return set()
-        return declared
-
-
-#: The per-file syntactic rules (R01-R05).  The whole-program dataflow
+#: The per-file syntactic rules (R01-R04).  The whole-program dataflow
 #: rules (R06-R10) live in :mod:`repro.analysis.dataflow.rules`; the
 #: combined catalog is composed in :mod:`repro.analysis.lint`.
 CORE_RULES: tuple[Rule, ...] = (
@@ -490,7 +376,6 @@ CORE_RULES: tuple[Rule, ...] = (
     BatchParityRule(),
     NoFloatTimeEqualityRule(),
     FrozenElementRule(),
-    MetricsRegistryRule(),
 )
 
 #: Backwards-compatible alias (pre-dataflow name for the catalog).

@@ -18,7 +18,7 @@ discipline holds:
   rules **R16-R20** (no bare ``+=`` float folds, no subtraction-based
   retraction, no ``==`` on accumulated floats, mandatory ``__numeric__``
   annotations, no mixed scalar/numpy summation orders), reported through
-  the standard repro-lint reporters, suppressions and baseline.
+  the standard repro-lint reporters and suppressions.
 * :mod:`repro.analysis.numeric.numsan` is **NumSan**, a shadow-execution
   sanitizer enabled via ``run_pipeline(sanitize="numeric")``: every
   window fold is re-evaluated against an exact reference

@@ -25,11 +25,7 @@ engine's core invariants *while real workloads execute*:
 * ``retirement ordering`` — a window result is emitted at most once per
   revision, only after the frontier passed the window end (unless flushed),
   with nondecreasing emit times and a latency consistent with
-  ``emit_time − window.end``;
-* ``divergence probe`` (opt-in) — every N-th ``process_many`` chunk is
-  shadow-executed element-by-element through the scalar path on a deep copy
-  of the operator and the emissions are diffed, catching batched/scalar
-  drift on live data.
+  ``emit_time − window.end``.
 
 Every violation raises :class:`~repro.errors.SanitizerError` at the call
 site.  The sanitizer is enabled per run with
@@ -45,7 +41,6 @@ are not wrapped).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -65,7 +60,7 @@ _LATENCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Which StreamSan checkers run, and how often the probe fires.
+    """Which StreamSan checkers run.
 
     Attributes:
         check_frontier: Frontier monotonicity / NaN checks.
@@ -79,10 +74,6 @@ class SanitizerConfig:
             catches every accounting bug — at most N calls late — while
             keeping three proxied count calls off the per-element hot path.
             ``1`` audits every offer.
-        divergence_probe_every: When > 0, shadow-execute every N-th
-            ``process_many`` chunk scalar-wise on a deep copy and diff the
-            emissions.  Expensive (a deep copy per probed chunk); off by
-            default.
     """
 
     check_frontier: bool = True
@@ -91,17 +82,11 @@ class SanitizerConfig:
     check_accounting: bool = True
     check_emissions: bool = True
     accounting_period: int = 32
-    divergence_probe_every: int = 0
 
     def __post_init__(self) -> None:
         if self.accounting_period < 1:
             raise ConfigurationError(
                 f"accounting_period must be >= 1, got {self.accounting_period}"
-            )
-        if self.divergence_probe_every < 0:
-            raise ConfigurationError(
-                "divergence_probe_every must be non-negative, got "
-                f"{self.divergence_probe_every}"
             )
 
 
@@ -471,44 +456,6 @@ class SanitizingHandler(DisorderHandler):
         return getattr(inner, name)
 
 
-#: Relative tolerance for aggregate *values* in the divergence probe —
-#: matches the contract of ``AggregateFunction.add_many``: sum-like bulk
-#: folds may differ from the scalar loop by re-association rounding only
-#: (the same tolerance the batched equivalence suite uses).  All other
-#: result fields must match bit-for-bit.
-_VALUE_RTOL = 1e-9
-
-
-def _values_equal(left: object, right: object) -> bool:
-    """NaN-aware, association-tolerant equality for emitted values."""
-    if isinstance(left, float) and isinstance(right, float):
-        if math.isnan(left) and math.isnan(right):
-            return True
-        if math.isnan(left) or math.isnan(right):
-            return False
-        return left == right or abs(left - right) <= _VALUE_RTOL * max(
-            1.0, abs(left), abs(right)
-        )
-    return left == right
-
-
-def _results_equal(left: WindowResult, right: WindowResult) -> bool:
-    """Field-wise window-result comparison with NaN-aware values."""
-    # Exact float comparison is the point (R03): the batched path promises
-    # *bit-identical* scalar semantics, so any representation drift in emit
-    # times or latencies is a real divergence.
-    return (
-        left.key == right.key
-        and left.window == right.window
-        and _values_equal(left.value, right.value)
-        and left.count == right.count
-        and left.emit_time == right.emit_time  # repro-lint: disable=R03
-        and left.latency == right.latency  # repro-lint: disable=R03
-        and left.revision == right.revision
-        and left.flushed == right.flushed
-    )
-
-
 class SanitizingOperator(Operator):
     """Checked proxy around an :class:`Operator`.
 
@@ -539,7 +486,6 @@ class SanitizingOperator(Operator):
                 inner.handler = self._sanitized_handler  # type: ignore[attr-defined]
         self._emitted: set[tuple[object, float, float, int]] = set()
         self._last_emit_time = float("-inf")
-        self._chunks_processed = 0
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to the proxy and the wrapped operator.
@@ -605,36 +551,6 @@ class SanitizingOperator(Operator):
                         f"emit_time - window.end = {expected!r}",
                     )
 
-    def _probe_divergence(
-        self, elements: list[StreamElement]
-    ) -> list[WindowResult]:
-        """Shadow-run the chunk scalar-wise on a deep copy and diff results."""
-        shadow = copy.deepcopy(self.inner)
-        shadow_handler = getattr(shadow, "handler", None)
-        if isinstance(shadow_handler, SanitizingHandler):
-            # The shadow must run unchecked: its copied checker state is
-            # keyed by the identities of the *copied* elements, while the
-            # probe feeds it the originals.
-            shadow.handler = shadow_handler.inner  # type: ignore[attr-defined]
-        batched = self.inner.process_many(elements)
-        scalar: list[WindowResult] = []
-        for element in elements:
-            scalar.extend(shadow.process(element))
-        if len(batched) != len(scalar) or not all(
-            _results_equal(b, s) for b, s in zip(batched, scalar)
-        ):
-            preview = [
-                (b, s)
-                for b, s in zip(batched, scalar)
-                if not _results_equal(b, s)
-            ][:3]
-            self._fail(
-                "divergence",
-                f"batched path emitted {len(batched)} result(s), scalar "
-                f"shadow emitted {len(scalar)}; first diffs: {preview!r}",
-            )
-        return batched
-
     # ------------------------------------------------------------------ #
     # Operator protocol (checked forwarding)
 
@@ -646,17 +562,8 @@ class SanitizingOperator(Operator):
         return results
 
     def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
-        """Forward a chunk, optionally probing batched-vs-scalar divergence."""
-        self._chunks_processed += 1
-        probe_every = self.config.divergence_probe_every
-        if (
-            probe_every > 0
-            and len(elements) > 1
-            and self._chunks_processed % probe_every == 0
-        ):
-            results = self._probe_divergence(elements)
-        else:
-            results = self.inner.process_many(elements)
+        """Forward a chunk to the wrapped operator and check emissions."""
+        results = self.inner.process_many(elements)
         if results:
             self._check_results(results, flushing=False)
         return results

@@ -28,6 +28,7 @@ downstream window lifecycles stay well-defined.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,21 +43,10 @@ from repro.core.sampling import (
 )
 from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
 from repro.engine.aggregates import AggregateFunction
-from repro.engine.buffer import SortingBuffer
-from repro.engine.handlers import (
-    MIN_BULK_BATCH,
-    Checkpoints,
-    DisorderHandler,
-    bulk_release,
-)
+from repro.engine.handlers import SlackHandler
 from repro.errors import ConfigurationError
 from repro.streams.element import StreamElement
-from repro.streams.timebase import (
-    DurationS,
-    EventTimeFrontier,
-    EventTimeStamp,
-    MonotoneFrontier,
-)
+from repro.streams.timebase import DurationS
 
 
 @dataclass(frozen=True)
@@ -71,8 +61,10 @@ class AdaptationRecord:
     controller_gain: float | None
 
 
-class AQKSlackHandler(DisorderHandler):
-    """Adaptive quality-driven K-slack buffering."""
+class AQKSlackHandler(SlackHandler):
+    """Adaptive quality-driven K-slack buffering: the K rule of a
+    :class:`~repro.engine.handlers.SlackHandler` (which buffers and
+    releases) chosen by the adaptation rounds below."""
 
     name = "aq-k-slack"
 
@@ -161,13 +153,11 @@ class AQKSlackHandler(DisorderHandler):
         self.budget_quantile_cap = budget_quantile_cap
         self.estimation_confidence = estimation_confidence
 
+        super().__init__()
         self.k = k_min
         self.adaptations: list[AdaptationRecord] = []
         self._value_stats = ValueStatsTracker()
         self._rate = RateTracker()
-        self._clock = EventTimeFrontier()
-        self._buffer = SortingBuffer()
-        self._front = MonotoneFrontier()
         self._last_adapt_arrival = float("-inf")
         self._elements_seen = 0
 
@@ -281,35 +271,15 @@ class AQKSlackHandler(DisorderHandler):
             )
 
     # ------------------------------------------------------------------ #
-    # DisorderHandler protocol
+    # the K rule
 
-    def offer(self, element: StreamElement) -> list[StreamElement]:
-        if element.arrival_time is None:
-            raise ConfigurationError(
-                "AQKSlackHandler requires elements with arrival timestamps"
-            )
-        self._elements_seen += 1
-        self.delay_sample.observe(element.delay)
-        self._value_stats.observe(element.value)
-        self._rate.observe(element.event_time)
-        self._clock.observe(element.event_time)
-        self._buffer.push(element)
-        self._maybe_adapt(element.arrival_time)
-        return self._buffer.release_until(
-            self._front.advance(self._clock.value - self.k)
-        )
+    def slack_for(self, element: StreamElement) -> DurationS:
+        """Fold one arrival into the samplers, adapt if a round is due.
 
-    def observe_only(self, element: StreamElement) -> DurationS:
-        """Feed the adaptation path without buffering; return current slack.
-
-        Shared drivers (:class:`~repro.core.shared.SharedAQKBuffer`,
-        :class:`~repro.engine.partial_tree.SharedSliceStore`) keep one copy
-        of the stream and run their own release schedule, so this handler's
-        private buffer and clock must stay untouched — but the advisor still
-        has to see every element to estimate delays and adapt ``K``.  This
-        is exactly the observation prefix of :meth:`offer` minus the
-        buffer/clock updates; the caller applies the returned slack against
-        its own shared clock.
+        This is all a driver with its own buffer and clock needs
+        (:class:`~repro.core.shared.SharedAQKBuffer`,
+        :class:`~repro.engine.partial_tree.SharedSliceStore`): it applies
+        the returned slack against its shared clock.
         """
         if element.arrival_time is None:
             raise ConfigurationError(
@@ -322,72 +292,62 @@ class AQKSlackHandler(DisorderHandler):
         self._maybe_adapt(element.arrival_time)
         return self.k
 
-    def offer_many(
-        self, elements: list[StreamElement]
-    ) -> tuple[list[StreamElement], Checkpoints]:
-        """Batched offer with exact adaptation-round semantics.
+    def slacks_for(
+        self, elements: list[StreamElement], event_times: "np.ndarray"
+    ) -> "np.ndarray":
+        """Batched :meth:`slack_for` with exact adaptation-round semantics.
 
-        Adaptation firing positions depend only on arrival times and the
-        element counter, so they are precomputed; the batch is then split at
-        those positions.  Within a segment no adaptation can fire, so the
-        sampler updates are bulk-folded and the buffer released once — the
-        adaptation at a segment boundary sees exactly the sampler state (and
-        produces exactly the slack) the scalar path would.  Elements before
-        a boundary release under the old K, the boundary element under the
-        new K, matching ``offer`` element-for-element.
+        Where a round fires depends only on arrival times and the element
+        counter, so the batch is split at those positions.  Within a
+        segment no round can fire and the sampler updates are bulk-folded;
+        the round at a segment's end sees exactly the sampler state (and
+        produces exactly the slack) the scalar path would.  Elements
+        before it get the old K, the element that fired it the new K.
         """
-        if len(elements) < MIN_BULK_BATCH:
-            return DisorderHandler.offer_many(self, elements)
         n = len(elements)
         for element in elements:
             if element.arrival_time is None:
                 raise ConfigurationError(
                     "AQKSlackHandler requires elements with arrival timestamps"
                 )
-        event_times = np.fromiter(
-            (element.event_time for element in elements), dtype=float, count=n
-        )
         arrivals = np.fromiter(
             (element.arrival_time for element in elements), dtype=float, count=n
         )
         delays = arrivals - event_times
-        clocks = np.maximum.accumulate(event_times)
-        np.maximum(clocks, self._clock.value, out=clocks)
-
         arrivals_list = arrivals.tolist()
-        boundaries: list[int] = []
+        slacks = np.full(n, self.k)
+        position = 0
+        for fired in self._round_offsets(arrivals_list, 0):
+            self._observe_segment(elements, event_times, delays, position, fired + 1)
+            self._last_adapt_arrival = arrivals_list[fired]
+            self._run_adaptation(arrivals_list[fired])
+            slacks[fired:] = self.k
+            position = fired + 1
+        if position < n:
+            self._observe_segment(elements, event_times, delays, position, n)
+        return slacks
+
+    def _round_offsets(
+        self, arrivals: Iterable[float | None], start: int
+    ) -> Iterator[int]:
+        """Indices (counted from ``start``) at which offering ``arrivals``
+        fires an adaptation round — the one loop that decides it.
+
+        Side-effect free: it reads the element counter and the last round
+        once, when the first index is asked for.  Ends at an element
+        without an arrival time (offering it raises).
+        """
         seen = self._elements_seen
         last_adapt = self._last_adapt_arrival
         warmup = self.warmup_elements
         interval = self.adapt_interval
-        for index, arrival in enumerate(arrivals_list):
+        for index, arrival in enumerate(arrivals, start):
+            if arrival is None:
+                return
             seen += 1
             if seen >= warmup and arrival - last_adapt >= interval:
                 last_adapt = arrival
-                boundaries.append(index)
-
-        released_all: list[StreamElement] = []
-        checkpoints: Checkpoints = []
-        position = 0
-        for boundary in boundaries:
-            self._observe_segment(elements, event_times, delays, position, boundary + 1)
-            if boundary > position:
-                self._release_segment(
-                    elements, clocks, position, boundary, released_all, checkpoints
-                )
-            self._last_adapt_arrival = arrivals_list[boundary]
-            self._run_adaptation(arrivals_list[boundary])
-            self._release_segment(
-                elements, clocks, boundary, boundary + 1, released_all, checkpoints
-            )
-            position = boundary + 1
-        if position < n:
-            self._observe_segment(elements, event_times, delays, position, n)
-            self._release_segment(
-                elements, clocks, position, n, released_all, checkpoints
-            )
-        self._clock.observe_many(float(clocks[-1]), n)
-        return released_all, checkpoints
+                yield index
 
     def _observe_segment(
         self,
@@ -404,47 +364,6 @@ class AQKSlackHandler(DisorderHandler):
         segment = event_times[lo:hi]
         self._rate.observe_many(float(segment.min()), float(segment.max()), hi - lo)
 
-    def _release_segment(
-        self,
-        elements: list[StreamElement],
-        clocks: "np.ndarray",
-        lo: int,
-        hi: int,
-        released_all: list[StreamElement],
-        checkpoints: Checkpoints,
-    ) -> None:
-        """Push and release one constant-K segment through the buffer."""
-        frontiers = clocks[lo:hi] - self.k
-        np.maximum(frontiers, self._front.value, out=frontiers)
-        self._front.advance(float(frontiers[-1]))
-        released, offsets = bulk_release(self._buffer, elements[lo:hi], frontiers)
-        base = len(released_all)
-        released_all.extend(released)
-        checkpoints.extend(
-            (base + offset, frontier)
-            for offset, frontier in zip(offsets, frontiers.tolist())
-        )
-
-    def flush(self) -> list[StreamElement]:
-        return self._buffer.drain()
-
-    @property
-    def frontier(self) -> EventTimeStamp:
-        return self._front.value
-
-    @property
-    def current_slack(self) -> DurationS:
-        return self.k
-
-    def buffered_count(self) -> int:
-        return len(self._buffer)
-
-    def max_buffered_count(self) -> int:
-        return self._buffer.max_size
-
-    def released_count(self) -> int:
-        return self._buffer.released_total
-
     def observe_error(self, error: float) -> None:
         if self.controller is not None:
             self.controller.observe_error(error)
@@ -456,26 +375,16 @@ class AQKSlackHandler(DisorderHandler):
 
         Only meaningful in quality mode: budget adaptations read the delay
         sample alone, which window retirement never touches, so they need
-        no chunk split.  Firing positions depend only on arrival times and
-        the element counter, so they are simulated without side effects.
+        no chunk split.
         """
         if self.controller is None or not isinstance(
             self.target, (QualityTarget, BoundedQualityTarget)
         ):
             return None
-        seen = self._elements_seen
-        last_adapt = self._last_adapt_arrival
-        warmup = self.warmup_elements
-        interval = self.adapt_interval
-        for index in range(start, stop):
-            arrival = elements[index].arrival_time
-            if arrival is None:
-                return None  # offer() will raise; no point splitting
-            seen += 1
-            if seen >= warmup and arrival - last_adapt >= interval:
-                if index > start:
-                    return index
-                last_adapt = arrival
+        arrivals = (elements[index].arrival_time for index in range(start, stop))
+        for fired in self._round_offsets(arrivals, start):
+            if fired > start:
+                return fired
         return None
 
     def describe(self) -> str:

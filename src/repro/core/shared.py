@@ -169,9 +169,9 @@ class SharedAQKBuffer:
         self._insert(element)
         for query_id, advisor in self._advisors.items():
             # Let each advisor observe the element and adapt its slack; the
-            # advisor's own buffer is unused (we bypass it), so we feed the
-            # observation path only.
-            slack = advisor.observe_only(element)
+            # advisor's own buffer is unused (we bypass it), so we ask for
+            # its K rule only.
+            slack = advisor.slack_for(element)
             frontier = self._frontiers[query_id]
             candidate = self._clock.value - slack
             if candidate > frontier:

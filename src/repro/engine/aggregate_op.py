@@ -604,15 +604,32 @@ class WindowAggregateOperator(Operator):
     def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
         """Batched ingest: equivalent to ``process`` element-for-element.
 
-        The handler releases the whole chunk at once; per-element frontier
-        checkpoints then replay closes and retirement at exactly the scalar
-        steps (late/on-time verdicts and feedback timing are unchanged).
-        Between those steps the store only *stages* released elements and
-        folds each group of staged values in one
-        ``AggregateFunction.add_many`` before anything reads them.
+        The input is cut where the handler's next error-fed adaptation
+        fires (``next_adaptation_offset``), so the retirement feedback of
+        every earlier element has been replayed before that round runs —
+        the one place a batch is cut, whoever calls.  Each chunk then goes
+        to the handler at once; per-element frontier checkpoints replay
+        closes and retirement at exactly the scalar steps (late/on-time
+        verdicts and feedback timing are unchanged).  Between those steps
+        the store only *stages* released elements and folds each group of
+        staged values in one ``AggregateFunction.add_many`` before
+        anything reads them.
         """
-        if not elements:
-            return []
+        handler = self.handler
+        results: list[WindowResult] = []
+        n = len(elements)
+        start = 0
+        # A loop, not recursion: a chunk can hold hundreds of rounds.
+        while start < n:
+            stop = handler.next_adaptation_offset(elements, start, n)
+            if stop is None:
+                stop = n
+            results.extend(self._process_chunk(elements[start:stop]))
+            start = stop
+        return results
+
+    def _process_chunk(self, elements: list[StreamElement]) -> list[WindowResult]:
+        """One ``offer_many`` and the replay of its checkpoints."""
         self.stats.elements_in += len(elements)
         handler = self.handler
         released, checkpoints = handler.offer_many(elements)

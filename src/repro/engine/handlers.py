@@ -13,8 +13,9 @@ wrong results under disorder); a frontier lagging by the maximum delay closes
 windows only when they are certainly complete (exact results, worst-case
 latency).
 
-This module provides the baselines; the paper's adaptive, quality-driven
-handler lives in :mod:`repro.core.aqk`.
+This module provides the baselines and :class:`SlackHandler`, the one
+K-slack release path; the paper's adaptive, quality-driven K rule lives
+in :mod:`repro.core.aqk`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from repro.streams.timebase import (
 from repro.engine.buffer import SortingBuffer
 
 #: Below this batch size the bulk release machinery costs more than the
-#: scalar loop it replaces; specialized ``offer_many`` implementations fall
-#: back to the generic per-element path.
+#: scalar loop it replaces; :meth:`SlackHandler.offer_many` falls back to
+#: the generic per-element path.
 MIN_BULK_BATCH = 8
 
 #: ``offer_many`` checkpoints: one ``(released_end_offset, frontier)`` pair
@@ -182,11 +183,12 @@ class DisorderHandler(ABC):
         """First index in ``(start, stop)`` at which a *feedback-coupled*
         adaptation would fire while offering ``elements[start:stop]``.
 
-        Batched drivers split chunks at this index so every error-fed
-        adaptation observes exactly the ``observe_error`` state a scalar
-        run would (retirements for earlier elements are replayed before
-        the boundary element is offered).  Handlers without error-coupled
-        adaptation return ``None``; the batched path then never splits.
+        ``WindowAggregateOperator.process_many`` cuts its input at this
+        index so every error-fed adaptation observes exactly the
+        ``observe_error`` state a scalar run would (retirements for
+        earlier elements are replayed before the boundary element is
+        offered).  Handlers without error-coupled adaptation return
+        ``None``; the batched path then never splits.
         """
         return None
 
@@ -211,18 +213,6 @@ class NoBufferHandler(DisorderHandler):
         self._frontier.observe(element.event_time)
         return [element]
 
-    def offer_many(
-        self, elements: list[StreamElement]
-    ) -> tuple[list[StreamElement], Checkpoints]:
-        frontier = self._frontier
-        checkpoints: Checkpoints = []
-        append = checkpoints.append
-        offset = 0
-        for element in elements:
-            offset += 1
-            append((offset, frontier.observe(element.event_time)))
-        return list(elements), checkpoints
-
     def flush(self) -> list[StreamElement]:
         return []
 
@@ -234,139 +224,71 @@ class NoBufferHandler(DisorderHandler):
         return self._frontier.count
 
 
-class KSlackHandler(DisorderHandler):
-    """Classic fixed K-slack buffering.
+class SlackHandler(DisorderHandler):
+    """K-slack buffering: the one release path; subclasses only decide K.
 
     Elements are buffered and released in event-time order once the running
-    maximum event time ("clock") exceeds their timestamp by at least ``K``.
-    The frontier is ``clock - K`` (monotone because the clock is monotone).
-    Elements delayed by more than ``K`` are still forwarded, but arrive past
-    the frontier and are counted late downstream.
+    maximum event time (the "clock") exceeds their timestamp by at least the
+    slack ``K``; the frontier is ``clock - K``, clamped so it never moves
+    back while ``K`` grows.  Elements delayed by more than ``K`` are still
+    forwarded, but arrive past the frontier and are counted late downstream.
+
+    The class owns the clock, the sorting buffer, the frontier and the
+    scalar and bulk release; a buffer-size policy is a subclass that sets
+    ``k`` and implements :meth:`slack_for` (observe one arrival, return
+    the ``K`` its release runs under) and its batched twin
+    :meth:`slacks_for`.  A driver that keeps its own buffer and clock (the
+    shared stores) calls :meth:`slack_for` alone and applies the returned
+    slack to its own clock.
     """
 
-    name = "k-slack"
+    #: Slack currently in effect; subclasses set it before the first offer.
+    k: DurationS
 
-    def __init__(self, k: DurationS) -> None:
-        if k < 0:
-            raise ConfigurationError(f"slack K must be non-negative, got {k}")
-        self.k = k
+    def __init__(self) -> None:
         self._clock = EventTimeFrontier()
         self._buffer = SortingBuffer()
         self._front = MonotoneFrontier()
 
+    @abstractmethod
+    def slack_for(self, element: StreamElement) -> DurationS:
+        """Observe one arriving element; return the slack it releases under."""
+
+    @abstractmethod
+    def slacks_for(
+        self, elements: list[StreamElement], event_times: "np.ndarray"
+    ) -> "DurationS | np.ndarray":
+        """Batched :meth:`slack_for`: observe ``elements`` in order.
+
+        ``event_times`` holds their event times.  Returns the slack each
+        element's release runs under — one value when it is the same for
+        all of them, else one per element.
+        """
+
     def offer(self, element: StreamElement) -> list[StreamElement]:
-        self._clock.observe(element.event_time)
+        clock = self._clock.observe(element.event_time)
         self._buffer.push(element)
         return self._buffer.release_until(
-            self._front.advance(self._clock.value - self.k)
+            self._front.advance(clock - self.slack_for(element))
         )
 
     def offer_many(
         self, elements: list[StreamElement]
     ) -> tuple[list[StreamElement], Checkpoints]:
-        if len(elements) < MIN_BULK_BATCH:
-            return DisorderHandler.offer_many(self, elements)
-        event_times = np.fromiter(
-            (element.event_time for element in elements),
-            dtype=float,
-            count=len(elements),
-        )
-        clocks = np.maximum.accumulate(event_times)
-        np.maximum(clocks, self._clock.value, out=clocks)
-        frontiers = clocks - self.k
-        np.maximum(frontiers, self._front.value, out=frontiers)
-        self._clock.observe_many(float(clocks[-1]), len(elements))
-        self._front.advance(float(frontiers[-1]))
-        released, offsets = bulk_release(self._buffer, elements, frontiers)
-        return released, list(zip(offsets, frontiers.tolist()))
-
-    def flush(self) -> list[StreamElement]:
-        return self._buffer.drain()
-
-    @property
-    def frontier(self) -> EventTimeStamp:
-        return self._front.value
-
-    @property
-    def current_slack(self) -> DurationS:
-        return self.k
-
-    def buffered_count(self) -> int:
-        return len(self._buffer)
-
-    def max_buffered_count(self) -> int:
-        return self._buffer.max_size
-
-    def released_count(self) -> int:
-        return self._buffer.released_total
-
-    def describe(self) -> str:
-        return f"k-slack(K={self.k:g}s)"
-
-
-class MPKSlackHandler(DisorderHandler):
-    """MP-K-slack: conservative adaptive baseline tracking the max delay.
-
-    ``K`` grows to the largest element delay observed so far (optionally
-    padded by ``safety_factor``), so results become exact once the true
-    worst case has been seen — at the price of worst-case latency forever
-    after.  This is the "conservative" comparison point of experiment E3.
-    """
-
-    name = "mp-k-slack"
-
-    def __init__(self, initial_k: DurationS = 0.0, safety_factor: float = 1.0) -> None:
-        if initial_k < 0:
-            raise ConfigurationError(f"initial K must be non-negative, got {initial_k}")
-        if safety_factor < 1.0:
-            raise ConfigurationError(
-                f"safety_factor must be >= 1, got {safety_factor}"
-            )
-        self.k = initial_k
-        self.safety_factor = safety_factor
-        self._clock = EventTimeFrontier()
-        self._buffer = SortingBuffer()
-        self._front = MonotoneFrontier()
-
-    def offer(self, element: StreamElement) -> list[StreamElement]:
-        if element.arrival_time is not None:
-            observed = element.delay * self.safety_factor
-            if observed > self.k:
-                self.k = observed
-        self._clock.observe(element.event_time)
-        self._buffer.push(element)
-        return self._buffer.release_until(
-            self._front.advance(self._clock.value - self.k)
-        )
-
-    def offer_many(
-        self, elements: list[StreamElement]
-    ) -> tuple[list[StreamElement], Checkpoints]:
-        if len(elements) < MIN_BULK_BATCH:
-            return DisorderHandler.offer_many(self, elements)
+        """One bulk release per chunk, whatever ``K`` did inside it."""
         n = len(elements)
+        if n < MIN_BULK_BATCH:
+            return super().offer_many(elements)
         event_times = np.fromiter(
             (element.event_time for element in elements), dtype=float, count=n
         )
-        # Elements without an arrival time leave K unchanged; a negative
-        # placeholder can never raise K (K >= 0 always).
-        scaled_delays = np.fromiter(
-            (
-                (element.arrival_time - element.event_time) * self.safety_factor
-                if element.arrival_time is not None
-                else -1.0
-                for element in elements
-            ),
-            dtype=float,
-            count=n,
-        )
-        ks = np.maximum.accumulate(scaled_delays)
-        np.maximum(ks, self.k, out=ks)
         clocks = np.maximum.accumulate(event_times)
         np.maximum(clocks, self._clock.value, out=clocks)
-        frontiers = np.maximum.accumulate(clocks - ks)
+        # The running maximum is MonotoneFrontier's clamp, element by element.
+        frontiers = np.maximum.accumulate(
+            clocks - self.slacks_for(elements, event_times)
+        )
         np.maximum(frontiers, self._front.value, out=frontiers)
-        self.k = float(ks[-1])
         self._clock.observe_many(float(clocks[-1]), n)
         self._front.advance(float(frontiers[-1]))
         released, offsets = bulk_release(self._buffer, elements, frontiers)
@@ -391,6 +313,79 @@ class MPKSlackHandler(DisorderHandler):
 
     def released_count(self) -> int:
         return self._buffer.released_total
+
+
+class KSlackHandler(SlackHandler):
+    """Classic fixed K-slack buffering: ``K`` is configured, never adapted."""
+
+    name = "k-slack"
+
+    def __init__(self, k: DurationS) -> None:
+        if k < 0:
+            raise ConfigurationError(f"slack K must be non-negative, got {k}")
+        super().__init__()
+        self.k = k
+
+    def slack_for(self, element: StreamElement) -> DurationS:
+        return self.k
+
+    def slacks_for(
+        self, elements: list[StreamElement], event_times: "np.ndarray"
+    ) -> DurationS:
+        return self.k
+
+    def describe(self) -> str:
+        return f"k-slack(K={self.k:g}s)"
+
+
+class MPKSlackHandler(SlackHandler):
+    """MP-K-slack: conservative adaptive baseline tracking the max delay.
+
+    ``K`` grows to the largest element delay observed so far (optionally
+    padded by ``safety_factor``), so results become exact once the true
+    worst case has been seen — at the price of worst-case latency forever
+    after.  This is the "conservative" comparison point of experiment E3.
+    """
+
+    name = "mp-k-slack"
+
+    def __init__(self, initial_k: DurationS = 0.0, safety_factor: float = 1.0) -> None:
+        if initial_k < 0:
+            raise ConfigurationError(f"initial K must be non-negative, got {initial_k}")
+        if safety_factor < 1.0:
+            raise ConfigurationError(
+                f"safety_factor must be >= 1, got {safety_factor}"
+            )
+        super().__init__()
+        self.k = initial_k
+        self.safety_factor = safety_factor
+
+    def slack_for(self, element: StreamElement) -> DurationS:
+        if element.arrival_time is not None:
+            observed = element.delay * self.safety_factor
+            if observed > self.k:
+                self.k = observed
+        return self.k
+
+    def slacks_for(
+        self, elements: list[StreamElement], event_times: "np.ndarray"
+    ) -> "np.ndarray":
+        # Elements without an arrival time leave K unchanged; a negative
+        # placeholder can never raise K (K >= 0 always).
+        scaled_delays = np.fromiter(
+            (
+                (element.arrival_time - element.event_time) * self.safety_factor
+                if element.arrival_time is not None
+                else -1.0
+                for element in elements
+            ),
+            dtype=float,
+            count=len(elements),
+        )
+        ks = np.maximum.accumulate(scaled_delays)
+        np.maximum(ks, self.k, out=ks)
+        self.k = float(ks[-1])
+        return ks
 
     def describe(self) -> str:
         return f"mp-k-slack(K={self.k:g}s)"

@@ -83,8 +83,21 @@ class RunMetrics:
     A thin view over a :class:`~repro.obs.registry.MetricsRegistry`:
     reading a field reads the backing instrument, assigning a field writes
     it.  Constructing with an existing registry makes this object a live
-    window onto counts another component is still updating.
+    window onto counts another component is still updating.  Slotted, so
+    assigning a misspelled field raises ``AttributeError`` instead of
+    silently creating an attribute no report reads.
     """
+
+    __slots__ = (
+        "registry",
+        "slack_timeline",
+        "_elements_in",
+        "_results_out",
+        "_wall_time",
+        "_late_dropped",
+        "_max_buffered",
+        "_released",
+    )
 
     registry: MetricsRegistry
     slack_timeline: list[SlackSample]

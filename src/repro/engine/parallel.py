@@ -339,30 +339,18 @@ class ShardRunner:
         self._finished = False
 
     def feed(self, elements: Sequence[StreamElement]) -> None:
-        """Drive a slice of the shard's stream, in arrival order.
-
-        One ``process_many`` per slice, cut where the handler's next
-        error-fed adaptation fires (as ``run_pipeline`` cuts its batches),
-        so the shard's results and feedback equal an element-by-element
-        run's.
-        """
+        """Drive a slice of the shard's stream, in arrival order: one
+        ``process_many``, whose results and feedback equal an
+        element-by-element run's."""
         capture = self._capture
         if not capture.capturing and any(e.key is None for e in elements):
             capture.capturing = True
             # The rows gathered so far belong to keyed groups.
             self._run.accumulators = [None] * len(self._run.ends)
-        next_cut = self._handler.next_adaptation_offset
-        process_many = self._driven.process_many
-        batch = cast("list[StreamElement]", elements)
-        n = len(batch)
-        index = 0
-        while index < n:
-            stop = next_cut(batch, index, n)
-            if stop is None:
-                stop = n
-            self._gather(process_many(batch[index:stop]))
-            index = stop
-        self._run.elements_in += n
+        self._gather(
+            self._driven.process_many(cast("list[StreamElement]", elements))
+        )
+        self._run.elements_in += len(elements)
 
     def _gather(self, emitted: list[WindowResult]) -> None:
         """Append handed-back results to the run's columns."""

@@ -80,6 +80,7 @@ from typing import Any
 
 from repro.engine.aggregate_op import OperatorStats, _emit, relative_error
 from repro.engine.aggregates import AggregateFunction
+from repro.engine.handlers import KSlackHandler, SlackHandler
 from repro.engine.operator import WindowResult
 from repro.engine.windows import Window
 from repro.errors import ConfigurationError
@@ -92,10 +93,6 @@ from repro.streams.timebase import (
     EventTimeStamp,
     MonotoneFrontier,
 )
-
-
-def _ignore_error(error: float) -> None:
-    """Error sink for shared queries without an adaptive advisor."""
 
 
 class _SliceTree:
@@ -854,32 +851,15 @@ class _SliceStore(_QueryWindowView):
 class _SharedQuery:
     """Registration record of one query inside a :class:`SharedSliceStore`."""
 
-    __slots__ = (
-        "query_id",
-        "view",
-        "advisor",
-        "slack",
-        "frontier",
-        "observe_error",
-    )
+    __slots__ = ("query_id", "view", "advisor", "frontier")
 
     def __init__(
-        self,
-        query_id: str,
-        view: _QueryWindowView,
-        advisor: object | None,
-        slack: DurationS,
+        self, query_id: str, view: _QueryWindowView, advisor: SlackHandler
     ) -> None:
         self.query_id = query_id
         self.view = view
         self.advisor = advisor
-        self.slack = slack
         self.frontier = MonotoneFrontier()
-        self.observe_error = (
-            advisor.observe_error
-            if advisor is not None and hasattr(advisor, "observe_error")
-            else _ignore_error
-        )
 
 
 class SharedSliceStore:
@@ -889,9 +869,10 @@ class SharedSliceStore:
     multiples of a common ``slide`` (the E11 scenario) duplicate all
     aggregation state when run independently.  The store ingests every
     element **once** into a shared :class:`_SliceTree`; each registered
-    query keeps only its own release schedule (a fixed slack, or an
-    adaptive advisor such as :class:`~repro.core.aqk.AQKSlackHandler` fed
-    through its ``observe_only`` hook) and its own close/retire cursors.
+    query keeps only its own release schedule (the K rule of a
+    :class:`~repro.engine.handlers.SlackHandler`: a fixed slack, or an
+    adaptive advisor such as :class:`~repro.core.aqk.AQKSlackHandler`
+    asked through ``slack_for``) and its own close/retire cursors.
     Per-element aggregation work is therefore O(1) total instead of
     O(queries), and window results per query are identical to running that
     query alone — elements are ingested at arrival rather than at release,
@@ -935,15 +916,18 @@ class SharedSliceStore:
         query_id: str,
         size: DurationS,
         slack: DurationS | None = None,
-        advisor: object | None = None,
+        advisor: SlackHandler | None = None,
         feedback_horizon: DurationS | None = None,
     ) -> _QueryWindowView:
         """Register a query reading windows of ``size`` seconds.
 
-        Exactly one of ``slack`` (fixed K-slack release schedule) or
-        ``advisor`` (an object exposing ``observe_only(element) -> k``,
-        e.g. an :class:`~repro.core.aqk.AQKSlackHandler`) must be given.
-        Returns the query's view, whose ``stats`` mirror an operator's.
+        Exactly one of ``advisor`` (a
+        :class:`~repro.engine.handlers.SlackHandler`, e.g. an
+        :class:`~repro.core.aqk.AQKSlackHandler`, asked for its
+        ``slack_for(element)`` only — its own buffer stays empty) or
+        ``slack`` (sugar for a ``KSlackHandler(slack)`` advisor) must be
+        given.  Returns the query's view, whose ``stats`` mirror an
+        operator's.
         """
         if query_id in self._queries:
             raise ConfigurationError(f"query id {query_id!r} already registered")
@@ -955,13 +939,13 @@ class SharedSliceStore:
             raise ConfigurationError(
                 "exactly one of slack= or advisor= must be provided"
             )
-        if advisor is not None and not hasattr(advisor, "observe_only"):
+        if advisor is None:
+            advisor = KSlackHandler(slack)
+        elif not isinstance(advisor, SlackHandler):
             raise ConfigurationError(
-                "advisor must expose observe_only(element) -> slack "
-                "(see AQKSlackHandler.observe_only)"
+                "advisor must be a SlackHandler (its slack_for(element) is "
+                f"the release schedule), got {type(advisor).__name__}"
             )
-        if slack is not None and slack < 0:
-            raise ConfigurationError(f"slack must be non-negative, got {slack}")
         ratio = size / self.slide
         if size <= 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ConfigurationError(
@@ -976,9 +960,7 @@ class SharedSliceStore:
         view = _QueryWindowView(
             self._tree, size, span, feedback_horizon, self.track_feedback
         )
-        self._queries[query_id] = _SharedQuery(
-            query_id, view, advisor, 0.0 if slack is None else slack
-        )
+        self._queries[query_id] = _SharedQuery(query_id, view, advisor)
         self.results[query_id] = []
         return view
 
@@ -1024,10 +1006,10 @@ class SharedSliceStore:
         gc_threshold = math.inf
         for query in self._queries.values():
             view = query.view
-            advisor = query.advisor
             view.stats.elements_in += 1
-            slack = query.slack if advisor is None else advisor.observe_only(element)
-            frontier = query.frontier.advance(clock - slack)
+            frontier = query.frontier.advance(
+                clock - query.advisor.slack_for(element)
+            )
             late = view.late_verdict(key, slice_index)
             if late:
                 view.stats.late_dropped += late
@@ -1035,7 +1017,7 @@ class SharedSliceStore:
             closed = view.close_windows(frontier, emit_time, tracer)
             if closed:
                 self.results[query.query_id].extend(closed)
-            view.retire_windows(frontier, query.observe_error)
+            view.retire_windows(frontier, query.advisor.observe_error)
             threshold = frontier - (view.feedback_horizon if horizon_tracked else 0.0)
             if threshold < gc_threshold:
                 gc_threshold = threshold
@@ -1054,7 +1036,7 @@ class SharedSliceStore:
         closed = view.close_windows(float("inf"), emit_time, tracer, flushed=True)
         if closed:
             self.results[query_id].extend(closed)
-        view.retire_windows(float("inf"), query.observe_error)
+        view.retire_windows(float("inf"), query.advisor.observe_error)
 
     def finish(self) -> None:
         """Stream ended: close and retire everything for every query."""

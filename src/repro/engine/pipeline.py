@@ -61,7 +61,6 @@ def run_pipeline(
     sample_every: int = 0,
     batch_size: int = 0,
     sanitize: bool | str = False,
-    sanitize_probe_every: int = 0,
     trace: Tracer | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunOutput:
@@ -81,7 +80,8 @@ def run_pipeline(
             (emit times, latencies, feedback, slack timeline) are identical
             to the scalar path; only wall-clock throughput changes.  Chunk
             boundaries are aligned to sampling points so timelines match the
-            scalar run sample-for-sample.
+            scalar run sample-for-sample (where an error-fed adaptation
+            needs a cut, ``process_many`` makes it itself).
         sanitize: ``True`` or ``"stream"`` wraps the operator and its
             handler in the StreamSan runtime checkers (see
             :mod:`repro.analysis.sanitizer`); ``"numeric"`` shadow-executes
@@ -92,10 +92,6 @@ def run_pipeline(
             :class:`~repro.errors.SanitizerError` at the call site.  When
             False (the default) nothing is wrapped and there is no
             overhead.
-        sanitize_probe_every: With ``sanitize=True`` and a batched run,
-            shadow-execute every N-th chunk through the scalar path on a
-            deep copy of the operator and diff the emissions (0 disables
-            the probe).
         trace: A :class:`~repro.obs.trace.Tracer` (usually a
             :class:`~repro.obs.trace.TraceRecorder`) attached to the
             operator, handler and buffer for this run.  ``None`` (default)
@@ -116,14 +112,7 @@ def run_pipeline(
     tracer = trace if trace is not None else NULL_TRACER
     if sanitize:
         operator = guard_operator(
-            operator,
-            "stream" if sanitize is True else sanitize,
-            tracer,
-            sanitize_probe_every,
-        )
-    elif sanitize_probe_every:
-        raise ConfigurationError(
-            "sanitize_probe_every requires sanitize=True"
+            operator, "stream" if sanitize is True else sanitize, tracer
         )
     if tracer.enabled:
         set_tracer = getattr(operator, "set_tracer", None)
@@ -185,9 +174,6 @@ def run_pipeline(
     start = time.perf_counter()  # repro-lint: disable=R01
     if batch_size > 1:
         process_many = operator.process_many
-        boundary_of = (
-            handler.next_adaptation_offset if handler is not None else None
-        )
         index = 0
         while index < n:
             if sampling and sample_anchor < 0:
@@ -204,13 +190,6 @@ def run_pipeline(
                 ahead = (index - sample_anchor) % sample_every
                 next_sample = index + (sample_every - ahead) % sample_every
                 stop = min(stop, next_sample + 1)
-            if boundary_of is not None:
-                # Error-fed adaptations must start their own chunk so that
-                # retirement feedback from earlier elements is replayed
-                # before the adaptation fires (exact scalar interleaving).
-                cut = boundary_of(elements, index, stop)
-                if cut is not None:
-                    stop = cut
             results.extend(process_many(elements[index:stop]))
             if tracer.enabled:
                 tracer.chunk(_sim_time_of(elements[stop - 1]), stop - index)

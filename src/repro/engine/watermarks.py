@@ -56,21 +56,6 @@ class FixedLagWatermarkHandler(DisorderHandler):
         self._maybe_advance(element.arrival_time)
         return [element]
 
-    def offer_many(
-        self, elements: list[StreamElement]
-    ) -> tuple[list[StreamElement], Checkpoints]:
-        clock = self._clock
-        advance = self._maybe_advance
-        checkpoints: Checkpoints = []
-        append = checkpoints.append
-        offset = 0
-        for element in elements:
-            offset += 1
-            clock.observe(element.event_time)
-            advance(element.arrival_time)
-            append((offset, self._front.value))
-        return list(elements), checkpoints
-
     def flush(self) -> list[StreamElement]:
         return []
 
@@ -136,18 +121,6 @@ class HeuristicWatermarkHandler(DisorderHandler):
         self._clock.observe(element.event_time)
         self._front.advance(self._clock.value - self.lag)
         return [element]
-
-    def offer_many(
-        self, elements: list[StreamElement]
-    ) -> tuple[list[StreamElement], Checkpoints]:
-        checkpoints: Checkpoints = []
-        append = checkpoints.append
-        offset = 0
-        for element in elements:
-            offset += 1
-            self.offer(element)
-            append((offset, self._front.value))
-        return list(elements), checkpoints
 
     def flush(self) -> list[StreamElement]:
         return []

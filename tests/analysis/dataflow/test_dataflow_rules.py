@@ -114,7 +114,8 @@ def test_seeded_proc_time_frontier_advance_is_caught_by_r07(tmp_path):
     source = (REPO_SRC / "repro" / "engine" / "handlers.py").read_text(
         encoding="utf-8"
     )
-    buggy = "self._front.advance(self._clock.value - self.k)"
+    # SlackHandler.offer: the one scalar advance of the K-slack handlers.
+    buggy = "self._front.advance(clock - self.slack_for(element))"
     assert buggy in source  # the mutation target must exist
     mutated = source.replace(
         buggy, "self._front.advance(element.arrival_time)"

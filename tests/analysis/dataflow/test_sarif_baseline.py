@@ -1,4 +1,4 @@
-"""SARIF reporter shape, baseline mechanics, and the extended CLI."""
+"""SARIF reporter shape, finding fingerprints, and the extended CLI."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import pytest
 from repro.analysis.lint import expand_rule_ids, run_lint
 from repro.analysis.lint.__main__ import main as lint_main
 from repro.analysis.lint.model import Finding
-from repro.analysis.dataflow.baseline import Baseline, finding_fingerprint
-from repro.analysis.dataflow.sarif import sarif_report
+from repro.analysis.dataflow.sarif import finding_fingerprint, sarif_report
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,40 +50,7 @@ def test_sarif_report_is_json_serializable():
 
 
 # --------------------------------------------------------------------- #
-# baseline
-
-
-def test_baseline_filters_known_findings():
-    findings = _findings()
-    baseline = Baseline.from_findings(findings)
-    assert baseline.apply(findings) == []
-
-
-def test_baseline_absorbs_at_most_recorded_count():
-    finding = _findings()[0]
-    baseline = Baseline.from_findings([finding])
-    # A second identical occurrence exceeds the grandfathered budget.
-    assert baseline.apply([finding, finding]) == [finding]
-
-
-def test_baseline_reports_stale_entries():
-    findings = _findings()
-    baseline = Baseline.from_findings(findings)
-    assert baseline.stale_entries(findings) == []
-    stale = baseline.stale_entries([])
-    assert sorted(stale) == sorted(baseline.entries)
-
-
-def test_baseline_roundtrips_through_disk(tmp_path):
-    findings = _findings()
-    baseline = Baseline.from_findings(findings)
-    path = tmp_path / "analysis" / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.entries == baseline.entries
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert payload["tool"] == "repro-lint"
+# fingerprints
 
 
 def test_fingerprint_is_line_drift_resistant():
@@ -93,15 +59,6 @@ def test_fingerprint_is_line_drift_resistant():
     c = Finding(rule="R06", path="x.py", line=3, col=1, message="other")
     assert finding_fingerprint(a) == finding_fingerprint(b)
     assert finding_fingerprint(a) != finding_fingerprint(c)
-
-
-def test_run_lint_applies_baseline_argument():
-    findings = _findings()
-    baseline = Baseline.from_findings(findings)
-    assert (
-        run_lint([FIXTURES / "r06_bad.py"], select=["R06"], baseline=baseline)
-        == []
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -120,8 +77,8 @@ def test_rule_range_expansion():
 
 def test_cli_accepts_rule_ranges(capsys):
     bad = str(FIXTURES / "r06_bad.py")
-    assert lint_main(["--rules", "R06-R10", "--no-baseline", bad]) == 1
-    assert lint_main(["--rules", "R07-R10", "--no-baseline", bad]) == 0
+    assert lint_main(["--rules", "R06-R10", bad]) == 1
+    assert lint_main(["--rules", "R07-R10", bad]) == 0
     capsys.readouterr()
 
 
@@ -133,7 +90,6 @@ def test_cli_sarif_output(tmp_path, capsys):
             "R06",
             "--format",
             "sarif",
-            "--no-baseline",
             "--output",
             str(out),
             str(FIXTURES / "r06_bad.py"),
@@ -143,40 +99,4 @@ def test_cli_sarif_output(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["version"] == "2.1.0"
     assert report["runs"][0]["results"]
-    capsys.readouterr()
-
-
-def test_cli_baseline_workflow(tmp_path, capsys):
-    bad = str(FIXTURES / "r06_bad.py")
-    baseline_path = tmp_path / "baseline.json"
-    # 1. capture the current debt
-    assert (
-        lint_main(
-            ["--rules", "R06", "--write-baseline", "--baseline", str(baseline_path), bad]
-        )
-        == 0
-    )
-    assert baseline_path.exists()
-    # 2. with the baseline applied the same findings no longer fail
-    assert (
-        lint_main(["--rules", "R06", "--baseline", str(baseline_path), bad]) == 0
-    )
-    # 3. without it they still do
-    assert lint_main(["--rules", "R06", "--no-baseline", bad]) == 1
-    # 4. stale entries fail the --check-baseline gate (fix the findings by
-    #    linting a clean file against the stale baseline)
-    good = str(FIXTURES / "r06_good.py")
-    assert (
-        lint_main(
-            [
-                "--rules",
-                "R06",
-                "--check-baseline",
-                "--baseline",
-                str(baseline_path),
-                good,
-            ]
-        )
-        == 1
-    )
     capsys.readouterr()

@@ -316,13 +316,6 @@ def test_pipeline_numeric_mode_is_bit_identical_to_off():
         assert checked == len(plain.results) + corrections, mode
 
 
-def test_pipeline_rejects_probe_with_numeric_mode():
-    with pytest.raises(ConfigurationError, match="probe"):
-        run_pipeline(
-            [], make_operator(), sanitize="numeric", sanitize_probe_every=2
-        )
-
-
 def test_pipeline_unknown_sanitizer_lists_numeric():
     with pytest.raises(ConfigurationError, match='"numeric"'):
         run_pipeline([], make_operator(), sanitize="float")

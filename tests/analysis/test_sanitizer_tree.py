@@ -1,10 +1,4 @@
-"""StreamSan over tree execution: clean runs pass, seeded tree bugs fail.
-
-The divergence probe, not exact equality, is the contract for batched
-tree runs: merging cached partials in dyadic order can differ from the
-scalar slice chain by one ULP, which the probe's relative tolerance
-absorbs while still catching real drift (missing or extra emissions).
-"""
+"""StreamSan over tree execution: clean runs pass, seeded tree bugs fail."""
 
 from __future__ import annotations
 
@@ -44,14 +38,10 @@ def test_tree_scalar_run_is_unchanged_by_sanitizer():
     assert checked.observed_errors == plain.observed_errors
 
 
-def test_tree_batched_run_with_divergence_probe_is_clean():
+def test_tree_batched_run_is_unchanged_by_sanitizer():
     plain = run_pipeline(ELEMENTS, make_tree_operator(), batch_size=16)
     checked = run_pipeline(
-        ELEMENTS,
-        make_tree_operator(),
-        batch_size=16,
-        sanitize=True,
-        sanitize_probe_every=2,
+        ELEMENTS, make_tree_operator(), batch_size=16, sanitize=True
     )
     assert checked.results == plain.results
 
@@ -73,26 +63,6 @@ def test_duplicate_tree_emission_is_caught():
     with pytest.raises(SanitizerError, match=r"StreamSan\[retirement\].*twice"):
         run_pipeline(
             ELEMENTS, make_tree_operator(DuplicatingTreeOperator), sanitize=True
-        )
-
-
-class DroppingTreeOperator(WindowAggregateOperator):
-    """BUG: the batched path silently drops the last result of a chunk."""
-
-    def process_many(self, elements):
-        """Lose one emission relative to the scalar path."""
-        results = super().process_many(elements)
-        return results[:-1] if results else results
-
-
-def test_tree_batched_scalar_divergence_is_caught():
-    with pytest.raises(SanitizerError, match=r"StreamSan\[divergence\]"):
-        run_pipeline(
-            ELEMENTS,
-            make_tree_operator(DroppingTreeOperator),
-            batch_size=16,
-            sanitize=True,
-            sanitize_probe_every=1,
         )
 
 

@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
+from repro.streams.generators import generate_stream
 
 RTOL = 1e-9
 
@@ -199,3 +200,75 @@ def test_process_many_empty_chunk(stream):
         SlidingWindowAssigner(4.0, 1.0), CountAggregate(), KSlackHandler(1.0)
     )
     assert operator.process_many([]) == []
+
+
+# --------------------------------------------------------------------- #
+# error-fed adaptation rounds: long enough for feedback to steer K
+
+
+def aqk_quality_operator(**handler_options) -> WindowAggregateOperator:
+    return WindowAggregateOperator(
+        SlidingWindowAssigner(4.0, 1.0),
+        MeanAggregate(),
+        AQKSlackHandler(
+            QualityTarget(0.02), "mean", window_size=4.0, **handler_options
+        ),
+    )
+
+
+def run_in_slices(elements, operator, size):
+    """Hand ``process_many`` raw slices: no driver cuts them first."""
+    results = []
+    for start in range(0, len(elements), size):
+        results.extend(operator.process_many(elements[start : start + size]))
+    results.extend(operator.finish())
+    return results
+
+
+def assert_same_run(scalar_results, scalar_op, results, operator) -> None:
+    assert [
+        (r.key, r.window, r.value, r.emit_time) for r in results
+    ] == [(r.key, r.window, r.value, r.emit_time) for r in scalar_results]
+    assert operator.stats.observed_errors == scalar_op.stats.observed_errors
+    assert operator.handler.adaptations == scalar_op.handler.adaptations
+
+
+def test_aqk_feedback_rounds_match_scalar_however_the_batch_is_cut():
+    """A boundary element must release under the K its own round set, and
+    that round must have seen every earlier element's retirement feedback:
+    12k elements, where the 30-800 element streams above agree either way.
+    """
+    rng = np.random.default_rng(3)
+    elements = inject_disorder(
+        generate_stream(duration=120, rate=100, rng=rng), ExponentialDelay(0.5), rng
+    )
+    scalar_op = aqk_quality_operator()
+    scalar = run_pipeline(elements, scalar_op)
+    assert len(scalar_op.handler.adaptations) > 100
+
+    batched_op = aqk_quality_operator()
+    batched = run_pipeline(elements, batched_op, batch_size=512)
+    assert_same_run(scalar.results, scalar_op, batched.results, batched_op)
+    assert batched.observed_errors == scalar.observed_errors
+
+    direct_op = aqk_quality_operator()
+    direct = run_in_slices(elements, direct_op, 512)
+    assert_same_run(scalar.results, scalar_op, direct, direct_op)
+
+
+def test_chunk_in_which_every_element_fires_a_round():
+    """``process_many`` cuts in a loop: 2,000 rounds in one call stay
+    within the interpreter's recursion limit and equal the scalar run."""
+    rng = np.random.default_rng(5)
+    elements = inject_disorder(
+        generate_stream(duration=200, rate=10, rng=rng), ExponentialDelay(0.5), rng
+    )[:2000]
+    gaps = np.diff([element.arrival_time for element in elements])
+    options = {"adapt_interval": float(gaps[gaps > 0].min()) / 2, "warmup_elements": 0}
+    scalar_op = aqk_quality_operator(**options)
+    scalar = run_pipeline(elements, scalar_op)
+    assert len(scalar_op.handler.adaptations) == len(elements)
+
+    direct_op = aqk_quality_operator(**options)
+    direct = run_in_slices(elements, direct_op, len(elements))
+    assert_same_run(scalar.results, scalar_op, direct, direct_op)

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.engine.metrics import METRIC_NAMES, LatencySummary, RunMetrics
 from repro.obs.registry import MetricsRegistry
 
@@ -80,3 +82,18 @@ class TestRunMetricsRegistryView:
         assert payload["max_buffered"] == 4
         assert set(payload) == set(METRIC_NAMES)
         assert "n_elements=2" in repr(metrics)
+
+    def test_misspelled_field_raises_at_the_assignment(self):
+        """The type, not a lint rule: RunMetrics is slotted."""
+        registry = MetricsRegistry()
+        metrics = RunMetrics(registry, n_elements=3)
+        with pytest.raises(AttributeError):
+            metrics.n_element = 4
+        with pytest.raises(AttributeError):
+            metrics.wall_times_s = 1.0
+        assert not hasattr(metrics, "__dict__")
+        assert metrics.n_elements == 3
+        assert metrics.as_dict()["n_elements"] == 3
+        assert "n_elements=3" in repr(metrics)
+        registry.counter(METRIC_NAMES["n_results"]).inc(2)
+        assert metrics.n_results == 2

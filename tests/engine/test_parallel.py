@@ -453,14 +453,6 @@ def test_unknown_sanitizer_kind_is_rejected():
         run_pipeline(stream, sharded_operator(2), sanitize="bogus")
 
 
-def test_probe_is_rejected_for_sharded_operators():
-    stream = keyed_stream(duration=5.0)
-    with pytest.raises(ConfigurationError):
-        run_pipeline(
-            stream, sharded_operator(2), sanitize=True, sanitize_probe_every=4
-        )
-
-
 # --------------------------------------------------------------------- #
 # observability
 

@@ -495,7 +495,7 @@ def test_shared_store_registration_errors():
     with pytest.raises(ConfigurationError):
         store.register("q", 10.0, slack=1.0, advisor=object())  # both
     with pytest.raises(ConfigurationError):
-        store.register("q", 10.0, advisor=object())  # no observe_only
+        store.register("q", 10.0, advisor=object())  # not a SlackHandler
     store.register("q", 10.0, slack=1.0)
     with pytest.raises(ConfigurationError):
         store.register("q", 10.0, slack=1.0)  # duplicate id

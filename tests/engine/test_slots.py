@@ -17,6 +17,7 @@ from repro.engine.aggregate_op import (
     _SliceAssignCache,
 )
 from repro.engine.buffer import SortingBuffer
+from repro.engine.handlers import KSlackHandler
 from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
 from repro.engine.parallel import ShardSession
@@ -63,7 +64,7 @@ HOT_INSTANCES = [
     TraceEvent(kind="meta", sim_time=0.0, wall_time=0.0, fields={}),
     _tree(),
     _view(),
-    _SharedQuery("q", _view(), None, 1.0),
+    _SharedQuery("q", _view(), KSlackHandler(1.0)),
     _SliceStore(_tree(), 8.0, 8, 40.0, True),
     _BlockFold(0, 8),
     ShardSession(None),
