@@ -23,8 +23,9 @@ lint:
 lint-sarif:
 	$(PY) -m repro.analysis.lint --format sarif --output lint.sarif src/ || true
 
-# StreamSan checker self-tests plus a sanitized, batched end-to-end smoke
-# run of the contribution's handler (AQ-K, quality target).
+# StreamSan checker self-tests plus two sanitized, batched end-to-end smoke
+# runs of the contribution's handler (AQ-K, quality target): under the
+# window driver and under the quality-driven interval join.
 sanitize:
 	$(PY) -m pytest tests/analysis/ -q
 	$(PY) -c "import numpy as np; \
@@ -43,6 +44,17 @@ sanitize:
 	op = WindowAggregateOperator(SlidingWindowAssigner(size=4, slide=1), make_aggregate('mean'), handler); \
 	out = run_pipeline(stream, op, batch_size=256, sanitize=True); \
 	print('StreamSan smoke run clean:', len(out.results), 'results')"
+	$(PY) -c "import numpy as np; \
+	from repro.core.pair_quality import QualityDrivenIntervalJoin; \
+	from repro.engine.pipeline import run_pipeline; \
+	from repro.streams.delay import ExponentialDelay; \
+	from repro.streams.disorder import inject_disorder; \
+	from repro.streams.generators import generate_stream; \
+	rng = np.random.default_rng(3); \
+	stream = inject_disorder(generate_stream(duration=60, rate=100, rng=rng, keys=('a', 'b')), ExponentialDelay(0.5), rng); \
+	join = QualityDrivenIntervalJoin(0.5, lambda el: 'left' if el.seq % 2 else 'right', threshold=0.05); \
+	out = run_pipeline(stream, join, batch_size=256, sanitize=True); \
+	print('StreamSan join smoke run clean:', len(out.results), 'pairs,', join.lost, 'lost')"
 
 # Numeric-safety gate: float-soundness lint (R16-R20), the annotation
 # inventory, and a NumSan shadow-execution smoke run over the core
@@ -77,7 +89,7 @@ bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:
-	$(PY) -m repro.bench.quick --scale 0.1 --out BENCH_e18.json --out-e19 BENCH_e19.json --out-e20 BENCH_e20.json --out-e21 BENCH_e21.json
+	$(PY) -m repro.bench.quick --scale 0.1 --out-dir .
 
 experiments:
 	$(PY) -m repro.bench.experiments all

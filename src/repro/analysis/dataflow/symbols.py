@@ -55,10 +55,10 @@ KNOWN_MEMBER_DOMAINS: dict[tuple[str, str], Domain] = {
     ("WindowResult", "emit_time"): Domain.PROC_TIME,
     ("WindowResult", "latency"): Domain.DURATION,
     ("WindowResult", "count"): Domain.COUNT,
-    ("JoinResult", "left_time"): Domain.EVENT_TIME,
-    ("JoinResult", "right_time"): Domain.EVENT_TIME,
-    ("JoinResult", "emit_time"): Domain.PROC_TIME,
-    ("JoinResult", "latency"): Domain.DURATION,
+    ("PairMatch", "first_time"): Domain.EVENT_TIME,
+    ("PairMatch", "second_time"): Domain.EVENT_TIME,
+    ("PairMatch", "emit_time"): Domain.PROC_TIME,
+    ("PairMatch", "latency"): Domain.DURATION,
     ("SlackSample", "arrival_time"): Domain.PROC_TIME,
     ("SlackSample", "slack"): Domain.DURATION,
     ("SlackSample", "frontier"): Domain.EVENT_TIME,

@@ -767,90 +767,100 @@ def e14_ablation_sampling(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# E15: quality-driven joins
+# E15/E16: quality-driven pair operators (interval join, sequence pattern)
 
 
-def e15_join_quality(scale: float = 1.0) -> ExperimentResult:
-    """Table E15: pair recall vs latency for interval joins under disorder."""
-    from repro.core.join_quality import (
-        QualityDrivenIntervalJoin,
-        join_recall,
-        run_join,
-    )
+def _pair_quality_table(
+    experiment_id: str,
+    title: str,
+    columns: list[str],
+    noun: str,
+    scale: float,
+    keys: tuple[str, ...],
+    value_of: Callable[[int], float],
+    quantiles: tuple[str, ...],
+    fixed: Callable[[Any], Any],
+    adaptive: Callable[[float], Any],
+) -> ExperimentResult:
+    """Recall, final slack and mean latency of one pair query per policy.
+
+    ``fixed(handler)`` / ``adaptive(threshold)`` build the operator;
+    ``value_of(i)`` signs the i-th element, which is how the query tells
+    the two roles apart; ``columns`` are policy, recall, slack, latency.
+    """
     from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
-    from repro.engine.join import IntervalJoinOperator, oracle_join_pairs
+    from repro.engine.pairs import oracle_pairs, pair_recall
     from repro.streams.element import StreamElement
     from repro.streams.generators import generate_stream
     from repro.streams.disorder import inject_disorder
 
     rng = np.random.default_rng(42)
-    base = generate_stream(
-        duration=240.0 * scale, rate=120, rng=rng, keys=("a", "b", "c")
-    )
+    base = generate_stream(duration=240.0 * scale, rate=120, rng=rng, keys=keys)
     signed = [
         StreamElement(
-            event_time=el.event_time,
-            value=(1.0 if i % 2 == 0 else -1.0),
-            key=el.key,
-            seq=el.seq,
+            event_time=el.event_time, value=value_of(i), key=el.key, seq=el.seq
         )
         for i, el in enumerate(base)
     ]
     stream = inject_disorder(signed, default_delay_model(), rng)
-
-    def side_of(element: StreamElement) -> str:
-        return "left" if element.value >= 0 else "right"
-
-    bound = 0.5
-    truth = oracle_join_pairs(stream, bound, side_of)
     stats = measure_disorder(stream)
 
+    policies = [("no-buffer", fixed(NoBufferHandler()))]
+    policies += [
+        (f"k-slack({q})", fixed(KSlackHandler(getattr(stats, f"{q}_delay"))))
+        for q in quantiles
+    ]
+    policies.append(("mp-k-slack", fixed(MPKSlackHandler())))
+    policies += [
+        (f"quality(loss<={theta})", adaptive(theta)) for theta in (0.05, 0.01)
+    ]
+    query = policies[0][1]
+    truth = oracle_pairs(stream, query.roles_of, query.in_bound)
+
     result = ExperimentResult(
-        experiment_id="E15",
-        title="Interval join (|dt|<=0.5s) under disorder: recall vs slack",
-        columns=["policy", "pair_recall", "final_slack", "mean_pair_latency"],
-        notes=[workload_summary(stream), f"true pairs: {len(truth)}"],
+        experiment_id=experiment_id,
+        title=title,
+        columns=columns,
+        notes=[workload_summary(stream), f"true {noun}: {len(truth)}"],
     )
-
-    def join_for(name):
-        if name == "no-buffer":
-            return IntervalJoinOperator(bound, NoBufferHandler(), side_of)
-        if name == "k-slack(p95)":
-            return IntervalJoinOperator(bound, KSlackHandler(stats.p95_delay), side_of)
-        if name == "mp-k-slack":
-            return IntervalJoinOperator(bound, MPKSlackHandler(), side_of)
-        if name == "quality(loss<=0.05)":
-            return QualityDrivenIntervalJoin(bound, side_of, threshold=0.05)
-        if name == "quality(loss<=0.01)":
-            return QualityDrivenIntervalJoin(bound, side_of, threshold=0.01)
-        raise ExperimentError(name)
-
-    for name in (
-        "no-buffer",
-        "k-slack(p95)",
-        "mp-k-slack",
-        "quality(loss<=0.05)",
-        "quality(loss<=0.01)",
-    ):
-        operator = join_for(name)
-        results = run_join(stream, operator)
-        latencies = [r.latency for r in results]
-        slack = (
-            operator.current_slack
-            if hasattr(operator, "current_slack")
-            else operator.handler.current_slack
-        )
+    __, recall, slack, latency = columns
+    for name, operator in policies:
+        matches = run_pipeline(stream, operator).results
+        latencies = [m.latency for m in matches]
         result.add_row(
-            policy=name,
-            pair_recall=join_recall(results, truth),
-            final_slack=slack,
-            mean_pair_latency=float(np.mean(latencies)) if latencies else None,
+            **{
+                "policy": name,
+                recall: pair_recall(matches, truth),
+                slack: operator.current_slack,
+                latency: float(np.mean(latencies)) if latencies else None,
+            }
         )
     return result
 
 
-# --------------------------------------------------------------------- #
-# E16: sequence patterns (CEP) under disorder
+def e15_join_quality(scale: float = 1.0) -> ExperimentResult:
+    """Table E15: pair recall vs latency for interval joins under disorder."""
+    from repro.core.pair_quality import QualityDrivenIntervalJoin
+    from repro.engine.pairs import IntervalJoinOperator
+
+    def side_of(element) -> str:
+        return "left" if element.value >= 0 else "right"
+
+    bound = 0.5
+    return _pair_quality_table(
+        "E15",
+        "Interval join (|dt|<=0.5s) under disorder: recall vs slack",
+        ["policy", "pair_recall", "final_slack", "mean_pair_latency"],
+        "pairs",
+        scale,
+        keys=("a", "b", "c"),
+        value_of=lambda i: 1.0 if i % 2 == 0 else -1.0,
+        quantiles=("p95",),
+        fixed=lambda handler: IntervalJoinOperator(bound, handler, side_of),
+        adaptive=lambda theta: QualityDrivenIntervalJoin(
+            bound, side_of, threshold=theta
+        ),
+    )
 
 
 def e16_pattern_quality(scale: float = 1.0) -> ExperimentResult:
@@ -858,88 +868,35 @@ def e16_pattern_quality(scale: float = 1.0) -> ExperimentResult:
 
     Sequence patterns are the extreme of disorder sensitivity: one late
     event deletes an entire match.  The table contrasts the zero-latency
-    baseline, fixed slacks sized at delay quantiles, and the conservative
-    max-delay policy.
+    baseline, fixed slacks sized at delay quantiles, the conservative
+    max-delay policy and the recall-targeted adaptive operator.
     """
-    from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
-    from repro.engine.pattern import (
-        SequencePatternOperator,
-        oracle_pattern_matches,
-        pattern_recall,
-    )
-    from repro.streams.element import StreamElement
-    from repro.streams.generators import generate_stream
-    from repro.streams.disorder import inject_disorder
+    from repro.core.pair_quality import QualityDrivenSequencePattern
+    from repro.engine.pairs import SequencePatternOperator
 
-    rng = np.random.default_rng(42)
-    base = generate_stream(
-        duration=240.0 * scale, rate=120, rng=rng, keys=("x", "y", "z")
-    )
-    typed = [
-        StreamElement(
-            event_time=el.event_time,
-            value=(1.0 if i % 3 else -1.0),  # one third are B events
-            key=el.key,
-            seq=el.seq,
-        )
-        for i, el in enumerate(base)
-    ]
-    stream = inject_disorder(typed, default_delay_model(), rng)
-
-    def is_a(element):
+    def is_a(element) -> bool:
         return element.value > 0
 
-    def is_b(element):
+    def is_b(element) -> bool:
         return element.value < 0
 
     within = 1.0
-    truth = oracle_pattern_matches(stream, is_a, is_b, within)
-    stats = measure_disorder(stream)
-
-    result = ExperimentResult(
-        experiment_id="E16",
-        title="Sequence pattern 'A then B within 1s': recall vs slack",
-        columns=["policy", "match_recall", "slack", "mean_match_latency"],
-        notes=[workload_summary(stream), f"true matches: {len(truth)}"],
+    return _pair_quality_table(
+        "E16",
+        "Sequence pattern 'A then B within 1s': recall vs slack",
+        ["policy", "match_recall", "slack", "mean_match_latency"],
+        "matches",
+        scale,
+        keys=("x", "y", "z"),
+        value_of=lambda i: 1.0 if i % 3 else -1.0,  # one third are B events
+        quantiles=("p50", "p95", "p99"),
+        fixed=lambda handler: SequencePatternOperator(
+            is_a, is_b, within=within, handler=handler
+        ),
+        adaptive=lambda theta: QualityDrivenSequencePattern(
+            is_a, is_b, within=within, threshold=theta
+        ),
     )
-    from repro.core.pattern_quality import QualityDrivenSequencePattern
-
-    def fixed(handler):
-        return SequencePatternOperator(is_a, is_b, within=within, handler=handler)
-
-    policies = [
-        ("no-buffer", fixed(NoBufferHandler())),
-        ("k-slack(p50)", fixed(KSlackHandler(stats.p50_delay))),
-        ("k-slack(p95)", fixed(KSlackHandler(stats.p95_delay))),
-        ("k-slack(p99)", fixed(KSlackHandler(stats.p99_delay))),
-        ("mp-k-slack", fixed(MPKSlackHandler())),
-        (
-            "quality(loss<=0.05)",
-            QualityDrivenSequencePattern(is_a, is_b, within=within, threshold=0.05),
-        ),
-        (
-            "quality(loss<=0.01)",
-            QualityDrivenSequencePattern(is_a, is_b, within=within, threshold=0.01),
-        ),
-    ]
-    for name, operator in policies:
-        matches = []
-        for element in stream:
-            matches.extend(operator.process(element))
-        matches.extend(operator.finish())
-        latencies = [m.latency for m in matches]
-        slack = (
-            operator.current_slack
-            if hasattr(operator, "current_slack")
-            else operator.handler.current_slack
-        )
-        result.add_row(
-            policy=name,
-            match_recall=pattern_recall(matches, truth),
-            slack=slack,
-            mean_match_latency=float(np.mean(latencies)) if latencies else None,
-        )
-    return result
 
 
 # --------------------------------------------------------------------- #

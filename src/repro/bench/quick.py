@@ -2,24 +2,24 @@
 
 CI convenience (``make bench-quick``): runs the throughput-oriented
 experiments small enough for a pull-request gate, prints their tables,
-and writes machine-readable summaries of the batched-execution (E18),
-tree-execution (E19), sharded-execution (E20) and process-pool (E21)
-numbers::
+and writes one machine-readable summary per gated experiment —
+batched execution (E18), tree execution (E19), sharded execution (E20)
+and the process pool (E21) — as ``BENCH_<eid>.json`` under ``--out-dir``::
 
-    python -m repro.bench.quick --scale 0.1 --out BENCH_e18.json \
-        --out-e19 BENCH_e19.json --out-e20 BENCH_e20.json \
-        --out-e21 BENCH_e21.json
+    python -m repro.bench.quick --scale 0.1 --out-dir .
 
 ``--only E21`` (or any subset) restricts the run — the ``process-shard``
 CI job uses this to gate just the process-executor numbers.
 
-The JSON captures elements/second per execution path so regressions in
-the bulk APIs, the partial-aggregate tree, the sharded engine and the
-process pool show up as diffable artifacts.  The run fails (exit 1) when
-any path's results diverge or when an E21 gate fails (E19 and E20 gate
-result equality only; throughput gates for them are yet to be defined
-from fresh runs, ROADMAP item 5a).  The E21
-throughput gates are *core-scoped*: ``process(4) > single tree`` needs a
+Every summary has one shape: ``experiment``, ``title``, the table's
+``rows`` and a ``fingerprint`` under perfbench's field names (``nproc``,
+``python``, ``platform``, ``scale``, ``git_commit``), so elements/second
+from different files — and from ``perfbench/out`` — can be told apart
+by the machine and commit that produced them.  The run fails (exit 1)
+when any path's results diverge or when an E21 gate fails (E19 and E20
+gate result equality only; throughput gates for them are yet to be
+defined from fresh runs, ROADMAP item 5a).  The E21 summary adds its
+``gates``, which are *core-scoped*: ``process(4) > single tree`` needs a
 runner with at least 4 CPUs and ``process(2) >= serial(2)`` needs at
 least 2 — on smaller runners they are recorded as skipped in the
 artifact instead of failing (a 1-core box physically cannot show
@@ -34,62 +34,60 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 from repro.bench.experiments import run_experiment
 from repro.bench.report import ExperimentResult, render_table
 
 QUICK_EXPERIMENTS = ("E8", "E17", "E18", "E19", "E20", "E21")
 
+#: The quick experiments that leave a ``BENCH_<eid>.json`` and are gated.
+SUMMARIZED = ("E18", "E19", "E20", "E21")
 
-def summarize_e18(result: ExperimentResult) -> dict:
-    """Distill the E18 table into the JSON artifact schema."""
+
+def fingerprint(scale: float) -> dict:
+    """Machine, interpreter, scale and commit a summary was produced on."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"  # installed outside a git checkout
     return {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "operators": [
-            {
-                "operator": row["operator"],
-                "scalar_eps": row["scalar_eps"],
-                "batched_eps": row["batched_eps"],
-                "speedup": row["speedup"],
-                "results_equal": row["results_equal"],
-            }
-            for row in result.rows
-        ],
+        "nproc": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "scale": scale,
+        "git_commit": commit,
     }
 
 
-def summarize_e19(result: ExperimentResult) -> dict:
-    """Distill the E19 table into the JSON artifact schema."""
-    return {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "configs": [dict(row) for row in result.rows],
-    }
+def summarize(result: ExperimentResult, scale: float) -> dict:
+    """Distill one experiment table into the JSON artifact schema.
 
-
-def summarize_e20(result: ExperimentResult) -> dict:
-    """Distill the E20 table into the JSON artifact schema."""
-    return {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "configs": [dict(row) for row in result.rows],
-    }
-
-
-def summarize_e21(result: ExperimentResult) -> dict:
-    """Distill the E21 table into the JSON artifact schema.
-
-    Besides the raw rows the summary records ``cpu_count`` and the two
-    core-scoped throughput gates with explicit pass/fail/skipped status,
-    so the checked-in artifact says *why* a gate did or did not apply on
-    the runner that produced it, plus the core-scoped ``"info"`` entry
-    ``process2_over_tree`` (recorded, never enforced).
+    E21 adds ``gates``: the two core-scoped throughput gates with explicit
+    pass/fail/skipped status, so the checked-in artifact says *why* a gate
+    did or did not apply on the runner that produced it, plus the
+    core-scoped ``"info"`` entry ``process2_over_tree`` (recorded, never
+    enforced).
     """
-    cpu_count = os.cpu_count() or 1
-    configs = [dict(row) for row in result.rows]
-    by_config = {row["config"]: row for row in configs}
+    summary = {
+        "experiment": result.experiment_id,
+        "title": result.title,
+        "fingerprint": fingerprint(scale),
+        "rows": [dict(row) for row in result.rows],
+    }
+    if result.experiment_id == "E21":
+        summary["gates"] = _e21_gates(summary["rows"], summary["fingerprint"]["nproc"])
+    return summary
+
+
+def _e21_gates(rows: list[dict], cpu_count: int) -> dict:
+    by_config = {row["config"]: row for row in rows}
 
     def ratio(a: str, b: str) -> float | None:
         row_a, row_b = by_config.get(a), by_config.get(b)
@@ -109,7 +107,7 @@ def summarize_e21(result: ExperimentResult) -> dict:
 
     headline = ratio("process(4)", "single tree")
     parity = ratio("process(2)", "serial(2)")
-    gates = {
+    return {
         "process4_beats_tree": scoped(
             4, headline, "pass" if headline is not None and headline > 1.0 else "fail"
         ),
@@ -118,20 +116,14 @@ def summarize_e21(result: ExperimentResult) -> dict:
         ),
         "process2_over_tree": scoped(2, ratio("process(2)", "single tree"), "info"),
     }
-    return {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "cpu_count": cpu_count,
-        "configs": configs,
-        "gates": gates,
-    }
 
 
 def check_results_equal(summary: dict) -> list[str]:
-    """Result-equality gate over an E19/E20/E21 summary; returns failures."""
+    """Result-equality gate over a summary; returns failures, each naming
+    its row by the table's first column."""
     return [
-        f"{summary['experiment']} result mismatch at {row['config']}"
-        for row in summary["configs"]
+        f"{summary['experiment']} result mismatch at {next(iter(row.values()))}"
+        for row in summary["rows"]
         if not row["results_equal"]
     ]
 
@@ -146,7 +138,7 @@ def check_e21(summary: dict) -> list[str]:
     construction.
     """
     failures = check_results_equal(summary)
-    for row in summary["configs"]:
+    for row in summary["rows"]:
         if row.get("identical_to_serial") is False:
             failures.append(
                 f"E21 {row['config']} not bit-identical to its serial twin"
@@ -182,24 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         help="run only these quick experiments (e.g. --only E21)",
     )
     parser.add_argument(
-        "--out",
-        default="BENCH_e18.json",
-        help="path for the E18 JSON summary (default BENCH_e18.json)",
-    )
-    parser.add_argument(
-        "--out-e19",
-        default="BENCH_e19.json",
-        help="path for the E19 JSON summary (default BENCH_e19.json)",
-    )
-    parser.add_argument(
-        "--out-e20",
-        default="BENCH_e20.json",
-        help="path for the E20 JSON summary (default BENCH_e20.json)",
-    )
-    parser.add_argument(
-        "--out-e21",
-        default="BENCH_e21.json",
-        help="path for the E21 JSON summary (default BENCH_e21.json)",
+        "--out-dir",
+        type=Path,
+        default=Path("."),
+        help="directory for the BENCH_<eid>.json summaries (default .)",
     )
     args = parser.parse_args(argv)
 
@@ -216,51 +194,25 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    summarizers = {
-        "E18": summarize_e18,
-        "E19": summarize_e19,
-        "E20": summarize_e20,
-        "E21": summarize_e21,
-    }
-    out_paths = {
-        "E18": args.out,
-        "E19": args.out_e19,
-        "E20": args.out_e20,
-        "E21": args.out_e21,
-    }
-    summaries = {}
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    failures = []
     for experiment_id in selected:
         result = run_experiment(experiment_id, scale=args.scale)
         print(render_table(result))
         print()
-        summarizer = summarizers.get(experiment_id)
-        if summarizer is not None:
-            summaries[experiment_id] = summarizer(result)
-
-    for experiment_id, summary in summaries.items():
-        path = out_paths[experiment_id]
+        if experiment_id not in SUMMARIZED:
+            continue
+        summary = summarize(result, args.scale)
+        path = args.out_dir / f"BENCH_{experiment_id.lower()}.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)
             handle.write("\n")
         print(f"wrote {path}")
-
-    failures = []
-    if "E18" in summaries:
-        failures.extend(
-            f"E18 result mismatch for: {row['operator']}"
-            for row in summaries["E18"]["operators"]
-            if not row["results_equal"]
-        )
-    for experiment_id in ("E19", "E20"):
-        if experiment_id in summaries:
-            failures.extend(check_results_equal(summaries[experiment_id]))
-    if "E21" in summaries:
-        failures.extend(check_e21(summaries["E21"]))
-    if failures:
-        for failure in failures:
-            print(failure, file=sys.stderr)
-        return 1
-    return 0
+        check = check_e21 if experiment_id == "E21" else check_results_equal
+        failures.extend(check(summary))
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

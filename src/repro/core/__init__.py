@@ -40,12 +40,10 @@ from repro.core.sampling import (
     ValueStatsTracker,
     as_generator,
 )
-from repro.core.join_quality import (
+from repro.core.pair_quality import (
     QualityDrivenIntervalJoin,
-    join_recall,
-    run_join,
+    QualityDrivenSequencePattern,
 )
-from repro.core.pattern_quality import QualityDrivenSequencePattern
 from repro.core.shared import SharedAQKBuffer, run_shared
 from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
 
@@ -86,8 +84,6 @@ __all__ = [
     "assess_quality",
     "calibrate_error_model",
     "error_timeline",
-    "join_recall",
     "make_error_model",
-    "run_join",
     "run_shared",
 ]

@@ -27,7 +27,6 @@ from repro.engine.handlers import (
     MPKSlackHandler,
     NoBufferHandler,
 )
-from repro.engine.join import IntervalJoinOperator, JoinResult, oracle_join_pairs
 from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
 from repro.engine.multisource import MultiSourceWatermarkHandler
 from repro.engine.operator import Operator, WindowResult
@@ -55,11 +54,13 @@ from repro.engine.retraction import (
     initial_latencies,
 )
 from repro.engine.checkpoint import load_checkpoint, save_checkpoint
-from repro.engine.pattern import (
-    PatternMatch,
+from repro.engine.pairs import (
+    IntervalJoinOperator,
+    PairMatch,
+    PairMatchOperator,
     SequencePatternOperator,
-    oracle_pattern_matches,
-    pattern_recall,
+    oracle_pairs,
+    pair_recall,
 )
 from repro.engine.session_op import SessionAggregateOperator
 from repro.engine.topk import ApproxTopKAggregate, TopKCountAggregate
@@ -99,7 +100,6 @@ __all__ = [
     "HeuristicWatermarkHandler",
     "HyperLogLog",
     "IntervalJoinOperator",
-    "JoinResult",
     "KSlackHandler",
     "LatencySummary",
     "MPKSlackHandler",
@@ -112,7 +112,8 @@ __all__ = [
     "Operator",
     "OperatorStats",
     "P2Quantile",
-    "PatternMatch",
+    "PairMatch",
+    "PairMatchOperator",
     "PerfectWatermarkHandler",
     "ProcessShardExecutor",
     "QuantileAggregate",
@@ -148,10 +149,9 @@ __all__ = [
     "initial_latencies",
     "load_checkpoint",
     "make_aggregate",
-    "oracle_join_pairs",
-    "oracle_pattern_matches",
+    "oracle_pairs",
     "oracle_results",
-    "pattern_recall",
+    "pair_recall",
     "relative_error",
     "run_pipeline",
     "run_shared_slices",

@@ -130,12 +130,14 @@ def relative_error(emitted, truth, eps: float = 1e-9) -> float:
 
 @dataclass(slots=True)
 class _ClosedRecord:
-    """Bookkeeping for a finalized window awaiting late corrections."""
+    """Bookkeeping for a finalized window awaiting late corrections
+    (``revision`` counts the speculative operator's re-emissions of it)."""
 
     accumulator: object
     emitted_value: float
     emitted_count: int
     late_updates: int = 0
+    revision: int = 0
 
 
 @dataclass(slots=True)
@@ -223,6 +225,9 @@ class _PerWindowStore:
         self.track_feedback = track_feedback
         self.stats = OperatorStats()
         self.tracer: Tracer = NULL_TRACER
+        #: Called as ``(key, window, record, now)`` after a late element
+        #: changed a retained record (the speculative operator's hook).
+        self.on_late_update: Callable[..., None] | None = None
         self.close_frontier = float("-inf")
         # (key, window) -> [accumulator, count]
         self._open: dict[tuple[object, Window], list[Any]] = {}
@@ -378,6 +383,8 @@ class _PerWindowStore:
         self.aggregate.add(record.accumulator, element.value)
         record.late_updates += 1
         self.stats.late_applied_to_feedback += 1
+        if self.on_late_update is not None:
+            self.on_late_update(element.key, window, record, now)
 
     # ------------------------------------------------------------------ #
     # window lifecycle

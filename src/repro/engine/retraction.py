@@ -10,6 +10,12 @@ Quality is evaluated on the **final** value per window, latency on the
 **initial** emission — the framing under which speculation looks best; the
 evaluation also reports the revision volume, which is its real price.
 
+Speculation is the window driver's per-window store plus one hook.  The
+store already retains closed windows for a horizon, retains a phantom
+record for a window nobody opened, and folds late values into the retained
+accumulator; :class:`SpeculativeAggregateOperator` only listens for those
+late updates and re-emits.
+
 Numerics: revisions are computed by **re-adding** late values to the
 retained accumulator and re-extracting — never by subtracting from an
 emitted result (the drift trap lint rule R17 guards against).  The
@@ -20,26 +26,35 @@ the shared :func:`repro.core.numeric.relative_drift` metric.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from repro.engine.aggregate_op import relative_error
+from repro.engine.aggregate_op import (
+    WindowAggregateOperator,
+    _ClosedRecord,
+    relative_error,
+)
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler, NoBufferHandler
 from repro.engine.operator import Operator, WindowResult
 from repro.engine.windows import WindowAssigner, Window
 from repro.errors import ConfigurationError
 from repro.streams.element import StreamElement
+from repro.streams.timebase import ArrivalTimeStamp, DurationS
 
 
-class SpeculativeAggregateOperator(Operator):
-    """Eager emission with revisions on late arrivals."""
+class SpeculativeAggregateOperator(WindowAggregateOperator):
+    """Eager emission with revisions on late arrivals.
+
+    A naive-mode :class:`WindowAggregateOperator` whose feedback horizon is
+    the revision horizon: a retained record's ``emitted_value`` is the last
+    value sent downstream, so the error it retires with (and reports to the
+    handler) is what the final revision still left uncorrected.
+    """
 
     def __init__(
         self,
         assigner: WindowAssigner,
         aggregate: AggregateFunction,
         handler: DisorderHandler | None = None,
-        revision_horizon: float | None = None,
+        revision_horizon: DurationS | None = None,
         revision_threshold: float = 0.0,
     ) -> None:
         """Args:
@@ -50,12 +65,7 @@ class SpeculativeAggregateOperator(Operator):
         revision_threshold: Minimum relative change of the aggregate value
             required to emit a revision (0 emits on every late element).
         """
-        self.assigner = assigner
-        self.aggregate = aggregate
-        self.handler = handler if handler is not None else NoBufferHandler()
-        if revision_horizon is None:
-            revision_horizon = 5.0 * getattr(assigner, "size", 10.0)
-        if revision_horizon < 0:
+        if revision_horizon is not None and revision_horizon < 0:
             raise ConfigurationError(
                 f"revision_horizon must be non-negative, got {revision_horizon}"
             )
@@ -63,104 +73,53 @@ class SpeculativeAggregateOperator(Operator):
             raise ConfigurationError(
                 f"revision_threshold must be non-negative, got {revision_threshold}"
             )
-        self.revision_horizon = revision_horizon
+        super().__init__(
+            assigner,
+            aggregate,
+            handler if handler is not None else NoBufferHandler(),
+            feedback_horizon=revision_horizon,
+        )
+        self.revision_horizon = self._store.feedback_horizon
         self.revision_threshold = revision_threshold
         self.revisions_emitted = 0
+        # Revisions of the current step, handed back ahead of its closes.
+        self._revisions: list[WindowResult] = []
+        self._store.on_late_update = self._revise
 
-        self._open: dict[tuple[object, Window], tuple[object, int]] = {}
-        # slot -> [accumulator, count, last_emitted_value, revision]
-        self._closed: OrderedDict[tuple[object, Window], list] = OrderedDict()
-        self._close_frontier = float("-inf")
-        self._last_arrival = 0.0
-
-    def _ingest(self, element: StreamElement) -> list[WindowResult]:
-        revisions = []
-        for window in self.assigner.assign(element.event_time):
-            slot = (element.key, window)
-            if window.end <= self._close_frontier:
-                revision = self._apply_late(slot, window, element)
-                if revision is not None:
-                    revisions.append(revision)
-                continue
-            entry = self._open.get(slot)
-            if entry is None:
-                entry = (self.aggregate.create(), 0)
-            self.aggregate.add(entry[0], element.value)
-            self._open[slot] = (entry[0], entry[1] + 1)
-        return revisions
-
-    def _apply_late(
-        self, slot: tuple[object, Window], window: Window, element: StreamElement
-    ) -> WindowResult | None:
-        record = self._closed.get(slot)
-        if record is None:
-            if window.end + self.revision_horizon <= self._close_frontier:
-                return None
-            record = [self.aggregate.create(), 0, float("nan"), 0]
-            self._closed[slot] = record
-        self.aggregate.add(record[0], element.value)
-        record[1] += 1
-        new_value = self.aggregate.result(record[0])
-        if relative_error(record[2], new_value) <= self.revision_threshold:
-            return None
-        record[2] = new_value
-        record[3] += 1
+    def _revise(
+        self, key: object, window: Window, record: _ClosedRecord, now: ArrivalTimeStamp
+    ) -> None:
+        """Re-emit a retained window whose value moved past the threshold."""
+        value = self.aggregate.result(record.accumulator)
+        if relative_error(record.emitted_value, value) <= self.revision_threshold:
+            return
+        record.emitted_value = value
+        record.revision += 1
         self.revisions_emitted += 1
-        return WindowResult(
-            key=slot[0],
-            window=window,
-            value=new_value,
-            count=record[1],
-            emit_time=self._last_arrival,
-            latency=self._last_arrival - window.end,
-            revision=record[3],
+        self._revisions.append(
+            WindowResult(
+                key, window, value, record.emitted_count + record.late_updates,
+                now, now - window.end, revision=record.revision,
+            )
         )
 
-    def _close_windows(self, frontier: float, flushed: bool = False) -> list[WindowResult]:
-        results = []
-        ready = [slot for slot in self._open if slot[1].end <= frontier]
-        ready.sort(key=lambda slot: slot[1].end)
-        for slot in ready:
-            accumulator, count = self._open.pop(slot)
-            value = self.aggregate.result(accumulator)
-            results.append(
-                WindowResult(
-                    key=slot[0],
-                    window=slot[1],
-                    value=value,
-                    count=count,
-                    emit_time=self._last_arrival,
-                    latency=self._last_arrival - slot[1].end,
-                    revision=0,
-                    flushed=flushed,
-                )
-            )
-            self._closed[slot] = [accumulator, count, value, 0]
-        if frontier > self._close_frontier:
-            self._close_frontier = frontier
-        retire_before = frontier - self.revision_horizon
-        stale = [
-            slot for slot, record in self._closed.items() if slot[1].end <= retire_before
-        ]
-        for slot in stale:
-            del self._closed[slot]
-        return results
+    def _with_revisions(self, closes: list[WindowResult]) -> list[WindowResult]:
+        revisions = self._revisions
+        if not revisions:
+            return closes
+        self._revisions = []
+        return revisions + closes
 
     def process(self, element: StreamElement) -> list[WindowResult]:
-        if element.arrival_time is not None:
-            self._last_arrival = max(self._last_arrival, element.arrival_time)
-        emissions = []
-        for out in self.handler.offer(element):
-            emissions.extend(self._ingest(out))
-        emissions.extend(self._close_windows(self.handler.frontier))
-        return emissions
+        return self._with_revisions(super().process(element))
+
+    def process_many(self, elements: list[StreamElement]) -> list[WindowResult]:
+        """The element loop: a revision goes ahead of the closes of its own
+        element, an order the batched replay of the driver does not keep."""
+        return Operator.process_many(self, elements)
 
     def finish(self) -> list[WindowResult]:
-        emissions = []
-        for out in self.handler.flush():
-            emissions.extend(self._ingest(out))
-        emissions.extend(self._close_windows(float("inf"), flushed=True))
-        return emissions
+        return self._with_revisions(super().finish())
 
 
 def final_values(results: list[WindowResult]) -> dict[tuple[object, Window], float]:

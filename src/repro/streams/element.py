@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from math import inf
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamOrderError
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +88,20 @@ class StreamElement:
         """Sort key for event-time order with deterministic tie-breaking."""
         return (self.event_time, self.seq)
 
+    def __lt__(self, other: "StreamElement") -> bool:
+        """Elements have no order of their own: always raises.
+
+        Sorting and heaps order ``(timestamp, seq, element)`` tuples, which
+        ask the elements only when two *distinct* ones tie on the pair
+        before them (field-equal duplicates compare equal first) — a stream
+        whose ``seq`` is not unique, which has no deterministic order.
+        """
+        raise StreamOrderError(
+            f"cannot order {self!r} and {other!r}: they tie on timestamp and "
+            "seq; every element of a stream needs a unique seq (generate_stream, "
+            "inject_disorder and merge_streams assign one, read_trace restores it)"
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class Watermark:
@@ -110,8 +124,6 @@ def ensure_arrival_order(elements: list[StreamElement]) -> list[StreamElement]:
         StreamOrderError: when two consecutive elements are out of arrival
             order, which indicates a bug in disorder injection or trace IO.
     """
-    from repro.errors import StreamOrderError
-
     previous = None
     for element in elements:
         current = element.arrival_sort_key()

@@ -161,7 +161,7 @@ class TestE21Summary:
             result.add_row(
                 config=config, eps=eps, results_equal=True, identical_to_serial=None
             )
-        return quick, quick.summarize_e21(result)
+        return quick, quick.summarize(result, scale=0.1)
 
     def test_process2_over_tree_is_recorded_and_never_fails(self, monkeypatch):
         quick, summary = self.summary(monkeypatch, cpu_count=2, process2_eps=60.0)

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core.join_quality import (
-    QualityDrivenIntervalJoin,
-    join_recall,
-    run_join,
-)
-from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.join import IntervalJoinOperator, oracle_join_pairs
+from repro.core.pair_quality import QualityDrivenIntervalJoin
+from repro.engine.handlers import NoBufferHandler
+from repro.engine.pairs import IntervalJoinOperator, oracle_pairs, pair_recall
+from repro.engine.pipeline import run_pipeline
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
@@ -18,6 +15,15 @@ from repro.streams.generators import generate_stream
 
 def side_of(element: StreamElement) -> str:
     return "left" if element.value >= 0 else "right"
+
+
+def oracle(stream, bound):
+    query = IntervalJoinOperator(bound, NoBufferHandler(), side_of)
+    return oracle_pairs(stream, query.roles_of, query.in_bound)
+
+
+def run(stream, operator):
+    return run_pipeline(stream, operator).results
 
 
 def make_join_stream(rng, duration=120, rate=80, mean_delay=1.0):
@@ -43,8 +49,8 @@ class TestShadowStore:
             side_selector=side_of,
             shadow_horizon=60.0,
         )
-        run_join(stream, operator)
-        assert operator.lost_pairs > 0
+        run(stream, operator)
+        assert operator.lost > 0
         assert 0.0 < operator.recall_loss_estimate() < 1.0
 
     def test_lost_estimate_tracks_true_loss(self, rng):
@@ -55,9 +61,9 @@ class TestShadowStore:
             side_selector=side_of,
             shadow_horizon=120.0,
         )
-        results = run_join(stream, operator)
-        truth = oracle_join_pairs(stream, 0.5, side_of)
-        true_loss = 1.0 - join_recall(results, truth)
+        results = run(stream, operator)
+        truth = oracle(stream, 0.5)
+        true_loss = 1.0 - pair_recall(results, truth)
         assert operator.recall_loss_estimate() == pytest.approx(true_loss, abs=0.05)
 
     def test_shadow_disabled_by_default(self, rng):
@@ -65,8 +71,8 @@ class TestShadowStore:
         operator = IntervalJoinOperator(
             bound=0.5, handler=NoBufferHandler(), side_selector=side_of
         )
-        run_join(stream, operator)
-        assert operator.lost_pairs == 0
+        run(stream, operator)
+        assert operator.lost == 0
         assert operator.shadow_count() == 0
 
     def test_shadow_is_bounded(self, rng):
@@ -77,7 +83,7 @@ class TestShadowStore:
             side_selector=side_of,
             shadow_horizon=10.0,
         )
-        run_join(stream, operator)
+        run(stream, operator)
         # Retention covers ~10s of a ~80 ev/s stream, far below the total.
         assert operator.shadow_count() < len(stream) / 4
 
@@ -97,24 +103,24 @@ class TestQualityDrivenJoin:
         operator = QualityDrivenIntervalJoin(
             bound=0.5, side_selector=side_of, threshold=0.05
         )
-        results = run_join(stream, operator)
-        truth = oracle_join_pairs(stream, 0.5, side_of)
-        recall = join_recall(results, truth)
+        results = run(stream, operator)
+        truth = oracle(stream, 0.5)
+        recall = pair_recall(results, truth)
         assert recall >= 0.93  # loss <= ~theta with small tolerance
 
     def test_beats_no_buffer_recall(self, rng):
         stream = make_join_stream(rng, duration=240)
-        truth = oracle_join_pairs(stream, 0.5, side_of)
+        truth = oracle(stream, 0.5)
 
         eager = IntervalJoinOperator(
             bound=0.5, handler=NoBufferHandler(), side_selector=side_of
         )
-        eager_recall = join_recall(run_join(stream, eager), truth)
+        eager_recall = pair_recall(run(stream, eager), truth)
 
         adaptive = QualityDrivenIntervalJoin(
             bound=0.5, side_selector=side_of, threshold=0.05
         )
-        adaptive_recall = join_recall(run_join(stream, adaptive), truth)
+        adaptive_recall = pair_recall(run(stream, adaptive), truth)
         assert adaptive_recall > eager_recall
 
     def test_slack_below_worst_case(self, rng):
@@ -129,7 +135,7 @@ class TestQualityDrivenJoin:
         operator = QualityDrivenIntervalJoin(
             bound=0.5, side_selector=side_of, threshold=0.05
         )
-        run_join(stream, operator)
+        run(stream, operator)
         assert operator.current_slack < max_delay
 
     def test_stricter_target_larger_slack(self, rng):
@@ -139,7 +145,7 @@ class TestQualityDrivenJoin:
             operator = QualityDrivenIntervalJoin(
                 bound=0.5, side_selector=side_of, threshold=threshold
             )
-            run_join(stream, operator)
+            run(stream, operator)
             slacks[threshold] = operator.current_slack
         assert slacks[0.02] >= slacks[0.3]
 
@@ -148,7 +154,7 @@ class TestQualityDrivenJoin:
         operator = QualityDrivenIntervalJoin(
             bound=0.5, side_selector=side_of, threshold=0.05, feedback_every=100
         )
-        run_join(stream, operator)
+        run(stream, operator)
         assert operator.handler.controller.samples_seen > 0
 
     def test_bad_feedback_every_rejected(self):
@@ -160,4 +166,4 @@ class TestQualityDrivenJoin:
     def test_join_recall_empty_oracle_is_nan(self):
         import math
 
-        assert math.isnan(join_recall([], set()))
+        assert math.isnan(pair_recall([], set()))

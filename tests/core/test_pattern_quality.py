@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.pattern_quality import QualityDrivenSequencePattern
+from repro.core.pair_quality import QualityDrivenSequencePattern
 from repro.engine.handlers import NoBufferHandler
-from repro.engine.pattern import (
-    SequencePatternOperator,
-    oracle_pattern_matches,
-    pattern_recall,
-)
+from repro.engine.pairs import SequencePatternOperator, oracle_pairs, pair_recall
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
@@ -22,6 +18,11 @@ def is_a(element):
 
 def is_b(element):
     return element.value < 0
+
+
+def oracle(stream, within):
+    query = SequencePatternOperator(is_a, is_b, within=within, handler=NoBufferHandler())
+    return oracle_pairs(stream, query.roles_of, query.in_bound)
 
 
 def drive(operator, elements):
@@ -53,7 +54,7 @@ class TestShadowLossCounting:
             is_a, is_b, within=1.0, handler=NoBufferHandler(), shadow_horizon=60.0
         )
         drive(operator, stream)
-        assert operator.matches_lost > 0
+        assert operator.lost > 0
 
     def test_emitted_plus_lost_equals_truth(self, rng):
         """With full shadow coverage the accounting is exact."""
@@ -62,13 +63,13 @@ class TestShadowLossCounting:
             is_a, is_b, within=1.0, handler=NoBufferHandler(), shadow_horizon=500.0
         )
         matches = drive(operator, stream)
-        truth = oracle_pattern_matches(stream, is_a, is_b, 1.0)
+        truth = oracle(stream, within=1.0)
         # Element-level emitted count == set-level here because generated
         # timestamps are continuous (no duplicate-timestamp collapses).
-        assert operator.matches_emitted == len(
+        assert operator.emitted == len(
             {(m.key, m.first_time, m.second_time) for m in matches}
         )
-        assert operator.matches_emitted + operator.matches_lost == len(truth)
+        assert operator.emitted + operator.lost == len(truth)
 
     def test_loss_estimate_tracks_true_loss(self, rng):
         stream = ab_stream(rng, duration=60)
@@ -76,8 +77,8 @@ class TestShadowLossCounting:
             is_a, is_b, within=1.0, handler=NoBufferHandler(), shadow_horizon=500.0
         )
         matches = drive(operator, stream)
-        truth = oracle_pattern_matches(stream, is_a, is_b, 1.0)
-        true_loss = 1.0 - pattern_recall(matches, truth)
+        truth = oracle(stream, within=1.0)
+        true_loss = 1.0 - pair_recall(matches, truth)
         assert operator.recall_loss_estimate() == pytest.approx(true_loss, abs=0.02)
 
     def test_shadow_disabled_by_default(self, rng):
@@ -86,7 +87,7 @@ class TestShadowLossCounting:
             is_a, is_b, within=1.0, handler=NoBufferHandler()
         )
         drive(operator, stream)
-        assert operator.matches_lost == 0
+        assert operator.lost == 0
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -102,18 +103,18 @@ class TestQualityDrivenPattern:
             is_a, is_b, within=1.0, threshold=0.05
         )
         matches = drive(operator, stream)
-        truth = oracle_pattern_matches(stream, is_a, is_b, 1.0)
-        assert pattern_recall(matches, truth) >= 0.93
+        truth = oracle(stream, within=1.0)
+        assert pair_recall(matches, truth) >= 0.93
 
     def test_beats_no_buffer(self, rng):
         stream = ab_stream(rng)
-        truth = oracle_pattern_matches(stream, is_a, is_b, 1.0)
+        truth = oracle(stream, within=1.0)
         eager = SequencePatternOperator(
             is_a, is_b, within=1.0, handler=NoBufferHandler()
         )
-        eager_recall = pattern_recall(drive(eager, stream), truth)
+        eager_recall = pair_recall(drive(eager, stream), truth)
         adaptive = QualityDrivenSequencePattern(is_a, is_b, within=1.0, threshold=0.05)
-        adaptive_recall = pattern_recall(drive(adaptive, stream), truth)
+        adaptive_recall = pair_recall(drive(adaptive, stream), truth)
         assert adaptive_recall > eager_recall
 
     def test_slack_below_worst_case(self, rng):

@@ -1,6 +1,12 @@
 """Tests for the sorting buffer."""
 
+import pytest
+
 from repro.engine.buffer import SortingBuffer
+from repro.engine.pipeline import run_pipeline
+from repro.engine.windows import tumbling
+from repro.errors import StreamOrderError
+from repro.queries.language import ContinuousQuery
 from repro.streams.element import StreamElement
 
 
@@ -129,3 +135,22 @@ class TestBulkBufferAPIs:
         buffer.push_many([])
         assert len(buffer) == 0
         assert buffer.released_total == 0
+
+
+@pytest.mark.parametrize("batch_size", [0, 16])
+def test_duplicate_seq_is_a_typed_error_not_a_heap_type_error(batch_size):
+    """Two sensors reporting at one instant with hand-built (seq-less) elements."""
+
+    def run(second_value):
+        stream = [
+            StreamElement(event_time=1.0, value=1.0, arrival_time=1.0, seq=0),
+            StreamElement(event_time=1.0, value=second_value, arrival_time=1.0, seq=0),
+            StreamElement(event_time=5.0, value=3.0, arrival_time=5.0, seq=1),
+        ]
+        query = ContinuousQuery().window(tumbling(2.0)).aggregate("sum").with_slack(1.0)
+        return run_pipeline(stream, query.build_operator(), batch_size=batch_size)
+
+    with pytest.raises(StreamOrderError, match="unique seq"):
+        run(second_value=2.0)
+    # A field-equal copy of the first element ties without being asked.
+    assert [r.value for r in run(second_value=1.0).results] == [2.0, 3.0]

@@ -1,10 +1,18 @@
-"""Tests for the interval join operator."""
+"""Tests for the interval join operator, and for what it shares with the
+sequence pattern through ``PairMatchOperator``."""
 
 import pytest
 
+from repro.core.pair_quality import QualityDrivenIntervalJoin
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.join import IntervalJoinOperator, oracle_join_pairs
+from repro.engine.pairs import (
+    IntervalJoinOperator,
+    SequencePatternOperator,
+    oracle_pairs,
+)
+from repro.engine.pipeline import run_pipeline
 from repro.errors import ConfigurationError
+from repro.obs.trace import TraceRecorder
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
@@ -50,8 +58,8 @@ class TestIntervalJoin:
         )
         results = drive_join(operator, elements)
         assert len(results) == 1
-        assert results[0].left_time == 1.0
-        assert results[0].right_time == 1.5
+        assert results[0].first_time == 1.0
+        assert results[0].second_time == 1.5
 
     def test_key_isolation(self):
         elements = [
@@ -70,8 +78,8 @@ class TestIntervalJoin:
             bound=0.5, handler=NoBufferHandler(), side_selector=side_by_value_sign
         )
         results = drive_join(operator, arrived)
-        expected = oracle_join_pairs(arrived, 0.5, side_by_value_sign)
-        emitted = {(r.key, r.left_time, r.right_time) for r in results}
+        expected = oracle_pairs(arrived, operator.roles_of, operator.in_bound)
+        emitted = {(r.key, r.first_time, r.second_time) for r in results}
         assert emitted == expected
 
     def test_pairs_emitted_exactly_once(self, rng):
@@ -81,26 +89,26 @@ class TestIntervalJoin:
             bound=0.5, handler=NoBufferHandler(), side_selector=side_by_value_sign
         )
         results = drive_join(operator, arrived)
-        emitted = [(r.key, r.left_time, r.right_time) for r in results]
+        emitted = [(r.key, r.first_time, r.second_time) for r in results]
         assert len(emitted) == len(set(emitted))
 
     def test_disorder_loses_pairs_without_buffering(self, rng):
         elements = make_two_sided(rng, duration=60, rate=80)
         arrived = inject_disorder(elements, ExponentialDelay(1.0), rng)
-        expected = oracle_join_pairs(arrived, 0.5, side_by_value_sign)
 
         no_buffer = IntervalJoinOperator(
             bound=0.5, handler=NoBufferHandler(), side_selector=side_by_value_sign
         )
+        expected = oracle_pairs(arrived, no_buffer.roles_of, no_buffer.in_bound)
         lossy = {
-            (r.key, r.left_time, r.right_time)
+            (r.key, r.first_time, r.second_time)
             for r in drive_join(no_buffer, arrived)
         }
         buffered = IntervalJoinOperator(
             bound=0.5, handler=KSlackHandler(8.0), side_selector=side_by_value_sign
         )
         recovered = {
-            (r.key, r.left_time, r.right_time)
+            (r.key, r.first_time, r.second_time)
             for r in drive_join(buffered, arrived)
         }
         assert lossy <= expected
@@ -132,3 +140,66 @@ class TestIntervalJoin:
             operator.process(
                 StreamElement(event_time=1.0, value=0, key="k", arrival_time=1.0)
             )
+
+
+def is_left(element: StreamElement) -> bool:
+    return element.value >= 0
+
+
+def is_right(element: StreamElement) -> bool:
+    return element.value < 0
+
+
+# The same query on the signed stream through both constructors, except
+# that the pattern takes a left only *before* its right.
+PAIR_OPERATORS = {
+    "join": lambda handler, **kwargs: IntervalJoinOperator(
+        0.5, handler, side_by_value_sign, **kwargs
+    ),
+    "pattern": lambda handler, **kwargs: SequencePatternOperator(
+        is_left, is_right, within=0.5, handler=handler, **kwargs
+    ),
+}
+
+
+@pytest.mark.parametrize("make", PAIR_OPERATORS.values(), ids=PAIR_OPERATORS.keys())
+class TestBothPairOperators:
+    def test_full_slack_is_complete_under_disorder(self, rng, make):
+        arrived = inject_disorder(make_two_sided(rng), ExponentialDelay(1.0), rng)
+        max_delay = max(el.delay for el in arrived)
+        operator = make(KSlackHandler(max_delay + 1e-6), shadow_horizon=60.0)
+        results = run_pipeline(arrived, operator).results
+        emitted = [(r.key, r.first_time, r.second_time) for r in results]
+        expected = oracle_pairs(arrived, operator.roles_of, operator.in_bound)
+        assert len(emitted) == len(set(emitted)) == operator.emitted
+        assert set(emitted) == expected
+        assert operator.lost == 0
+
+    def test_batched_sanitized_traced_run_equals_plain(self, rng, make):
+        arrived = inject_disorder(make_two_sided(rng), ExponentialDelay(1.0), rng)
+        plain = run_pipeline(arrived, make(KSlackHandler(0.5), shadow_horizon=10.0))
+        guarded_operator = make(KSlackHandler(0.5), shadow_horizon=10.0)
+        guarded = run_pipeline(
+            arrived, guarded_operator,
+            batch_size=256, sanitize=True, trace=TraceRecorder(),
+        )
+        assert plain.results
+        assert guarded.results == plain.results
+        assert guarded_operator.lost > 0
+
+
+def test_quality_driven_join_traces_its_adaptations(rng):
+    arrived = inject_disorder(
+        make_two_sided(rng, duration=60, rate=80), ExponentialDelay(1.0), rng
+    )
+    plain = run_pipeline(
+        arrived, QualityDrivenIntervalJoin(0.5, side_by_value_sign, threshold=0.05)
+    )
+    operator = QualityDrivenIntervalJoin(0.5, side_by_value_sign, threshold=0.05)
+    trace = TraceRecorder()
+    guarded = run_pipeline(
+        arrived, operator, batch_size=256, sanitize=True, trace=trace
+    )
+    assert guarded.results == plain.results
+    assert operator.handler.adaptations
+    assert len(list(trace.of_kind("adaptation"))) == len(operator.handler.adaptations)

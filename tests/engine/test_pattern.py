@@ -3,11 +3,7 @@
 import pytest
 
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.pattern import (
-    SequencePatternOperator,
-    oracle_pattern_matches,
-    pattern_recall,
-)
+from repro.engine.pairs import SequencePatternOperator, oracle_pairs, pair_recall
 from repro.engine.watermarks import FixedLagWatermarkHandler
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
@@ -24,6 +20,11 @@ def is_a(element: StreamElement) -> bool:
 
 def is_b(element: StreamElement) -> bool:
     return element.value < 0.0
+
+
+def oracle(stream, within):
+    query = SequencePatternOperator(is_a, is_b, within=within, handler=NoBufferHandler())
+    return oracle_pairs(stream, query.roles_of, query.in_bound)
 
 
 def drive(operator, elements):
@@ -117,7 +118,7 @@ class TestAgainstOracle:
                   sorted(ab_stream(rng), key=lambda e: e.event_sort_key())]
         operator = SequencePatternOperator(is_a, is_b, within=2.0, handler=NoBufferHandler())
         matches = drive(operator, stream)
-        truth = oracle_pattern_matches(stream, is_a, is_b, within=2.0)
+        truth = oracle(stream, within=2.0)
         assert {(m.key, m.first_time, m.second_time) for m in matches} == truth
 
     def test_matches_unique(self, rng):
@@ -129,26 +130,26 @@ class TestAgainstOracle:
 
     def test_disorder_loses_matches_without_buffering(self, rng):
         stream = ab_stream(rng, mean_delay=1.0)
-        truth = oracle_pattern_matches(stream, is_a, is_b, within=2.0)
+        truth = oracle(stream, within=2.0)
 
         eager = SequencePatternOperator(is_a, is_b, within=2.0, handler=NoBufferHandler())
-        eager_recall = pattern_recall(drive(eager, stream), truth)
+        eager_recall = pair_recall(drive(eager, stream), truth)
 
         buffered = SequencePatternOperator(
             is_a, is_b, within=2.0, handler=KSlackHandler(8.0)
         )
-        buffered_recall = pattern_recall(drive(buffered, stream), truth)
+        buffered_recall = pair_recall(drive(buffered, stream), truth)
         assert eager_recall < buffered_recall
 
     def test_watermark_handler_unsorted_release_still_detects(self, rng):
         """Watermark handlers release unsorted; B-before-A release order
         must still produce the match."""
         stream = ab_stream(rng, mean_delay=0.5)
-        truth = oracle_pattern_matches(stream, is_a, is_b, within=2.0)
+        truth = oracle(stream, within=2.0)
         operator = SequencePatternOperator(
             is_a, is_b, within=2.0, handler=FixedLagWatermarkHandler(lag=8.0)
         )
-        recall = pattern_recall(drive(operator, stream), truth)
+        recall = pair_recall(drive(operator, stream), truth)
         assert recall > 0.95
 
     def test_store_pruned(self, rng):
@@ -173,4 +174,4 @@ class TestAgainstOracle:
     def test_pattern_recall_empty_oracle(self):
         import math
 
-        assert math.isnan(pattern_recall([], set()))
+        assert math.isnan(pair_recall([], set()))

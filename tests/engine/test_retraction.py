@@ -1,8 +1,12 @@
 """Tests for speculative processing with retractions."""
 
+import numpy as np
 import pytest
 
+from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import CountAggregate, MeanAggregate
+from repro.engine.checkpoint import load_checkpoint, save_checkpoint
+from repro.engine.handlers import KSlackHandler
 from repro.engine.oracle import oracle_results
 from repro.engine.pipeline import run_pipeline
 from repro.engine.retraction import (
@@ -10,8 +14,9 @@ from repro.engine.retraction import (
     final_values,
     initial_latencies,
 )
-from repro.engine.windows import TumblingWindowAssigner
+from repro.engine.windows import TumblingWindowAssigner, sliding
 from repro.errors import ConfigurationError
+from repro.obs.trace import TraceRecorder
 from repro.streams.delay import ConstantDelay, ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
@@ -115,3 +120,49 @@ class TestSpeculativeOperator:
         finals = final_values(output.results)
         window_zero = [slot for slot in finals if slot[1].start == 0.0][0]
         assert finals[window_zero] == 3.0
+
+
+class TestUnderTheDriverSeams:
+    """The speculative operator is a window driver: every seam reaches it."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        rng = np.random.default_rng(7)
+        base = generate_stream(duration=120, rate=50, rng=rng, keys=("a", "b", "c"))
+        return inject_disorder(base, ExponentialDelay(1.0), rng)
+
+    @staticmethod
+    def make():
+        return SpeculativeAggregateOperator(
+            sliding(4, 1), MeanAggregate(), KSlackHandler(0.3),
+            revision_horizon=6.0, revision_threshold=0.01,
+        )
+
+    def test_sanitized_batched_and_resumed_runs_equal_plain(self, stream, tmp_path):
+        plain = run_pipeline(stream, self.make()).results
+        assert any(r.revision > 0 for r in plain)
+        for seam in ({"sanitize": True}, {"sanitize": "numeric"}, {"batch_size": 64}):
+            assert run_pipeline(stream, self.make(), **seam).results == plain, seam
+
+        operator = self.make()
+        half = len(stream) // 2
+        head = [r for element in stream[:half] for r in operator.process(element)]
+        save_checkpoint(operator, tmp_path / "speculative.ckpt")
+        resumed = load_checkpoint(tmp_path / "speculative.ckpt")
+        tail = run_pipeline(stream[half:], resumed).results
+        assert head + tail == plain
+        assert any(r.revision > 0 for r in tail)
+
+    def test_traced_run_records_the_driver_events(self, stream):
+        trace = TraceRecorder()
+        results = run_pipeline(stream, self.make(), trace=trace).results
+        first_emissions = [r for r in results if r.revision == 0]
+        closes = list(trace.of_kind("window.close", "window.flush"))
+        assert len(closes) == len(first_emissions)
+        assert any(trace.of_kind("late.drop"))
+        assert any(trace.of_kind("window.retire"))
+
+        naive = WindowAggregateOperator(
+            sliding(4, 1), MeanAggregate(), KSlackHandler(0.3), feedback_horizon=6.0
+        )
+        assert first_emissions == run_pipeline(stream, naive).results

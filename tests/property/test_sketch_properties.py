@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.pattern import (
-    SequencePatternOperator,
-    oracle_pattern_matches,
-)
+from repro.engine.pairs import SequencePatternOperator, oracle_pairs
 from repro.engine.sketches import HyperLogLog, P2Quantile, SpaceSaving
 from repro.streams.element import StreamElement
 from repro.streams.multisource import merge_streams
@@ -174,7 +171,7 @@ def test_pattern_emits_subset_of_oracle(stream, within):
         matches.extend(operator.process(element))
     matches.extend(operator.finish())
     emitted = [(m.key, m.first_time, m.second_time) for m in matches]
-    truth = oracle_pattern_matches(stream, is_a, is_b, within)
+    truth = oracle_pairs(stream, operator.roles_of, operator.in_bound)
     assert set(emitted) <= truth
     # Each element-level pair is emitted at most once (duplicates in the
     # emitted list can only come from distinct same-timestamp elements).
@@ -192,7 +189,7 @@ def test_pattern_complete_with_full_buffering(stream, within):
         matches.extend(operator.process(element))
     matches.extend(operator.finish())
     emitted = {(m.key, m.first_time, m.second_time) for m in matches}
-    assert emitted == oracle_pattern_matches(stream, is_a, is_b, within)
+    assert emitted == oracle_pairs(stream, operator.roles_of, operator.in_bound)
 
 
 # --------------------------------------------------------------------- #

@@ -76,6 +76,15 @@ class TestStreamElement:
         with pytest.raises(ConfigurationError):
             el.arrival_sort_key()
 
+    def test_distinct_elements_tying_on_seq_have_no_order(self):
+        first = StreamElement(event_time=1.0, value=1.0, seq=0)
+        clash = StreamElement(event_time=1.0, value=2.0, seq=0)
+        with pytest.raises(StreamOrderError, match="unique seq"):
+            sorted([(1.0, 0, first), (1.0, 0, clash)])
+        # A field-equal duplicate compares equal before ``<`` is asked.
+        copy = StreamElement(event_time=1.0, value=1.0, seq=0)
+        assert sorted([(1.0, 0, first), (1.0, 0, copy)])[0][2] is first
+
     def test_immutability(self):
         el = StreamElement(event_time=1.0, value=2.0)
         with pytest.raises(AttributeError):
