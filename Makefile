@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick experiments examples artifacts clean
+.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -90,6 +90,14 @@ bench:
 
 bench-quick:
 	$(PY) -m repro.bench.quick --scale 0.1 --out-dir .
+
+# Paired perfbench runs against a parent commit (the A/B every perf PR
+# reports): exact metrics and values digest compared to the last digit,
+# median / quartiles / wins for the rest, as the markdown table CHANGES.md
+# takes.  Under a minute per pair at the benchmark's 15 s; run nothing else.
+PAIRS ?= 10
+perf-ab:
+	$(PY) benchmarks/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 experiments:
 	$(PY) -m repro.bench.experiments all

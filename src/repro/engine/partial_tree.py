@@ -75,7 +75,9 @@ import heapq
 import math
 import sys
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Callable
+from operator import itemgetter
 from typing import Any
 
 from repro.engine.aggregate_op import OperatorStats, _emit, relative_error
@@ -109,9 +111,9 @@ class _SliceTree:
 
     Invariant 2 lets the dirty-mark walk stop at the first already-dirty
     ancestor.  Marking itself is deferred: ingestion only records touched
-    slices in a set, and :meth:`flush_touched` walks them immediately
-    before any partials are read — so a burst of appends into one slice
-    costs one walk, not one per element.
+    slices (once each, in first-touched order), and :meth:`flush_touched`
+    walks them immediately before any partials are read — so a burst of
+    appends into one slice costs one walk, not one per element.
     """
 
     __slots__ = (
@@ -143,12 +145,16 @@ class _SliceTree:
         self.patch_count = 0
         self.max_patch_depth = 0
         self.recompute_count = 0
-        # (key, slice_index) -> [accumulator, count]
-        self._slices: dict[tuple[object, int], list] = {}
+        # slice_index -> {key: [accumulator, count, staged values, late count]}
+        # (the last two belong to the owning store's batched path).  A row
+        # expires as a whole: its expiry depends on the index alone.
+        self._slices: dict[int, dict[object, list[Any]]] = {}
         # (key, level, index) -> [accumulator, count, dirty]
         self._nodes: dict[tuple[object, int, int], list] = {}
-        self._touched: set[tuple[object, int]] = set()
-        self._slice_gc: list[tuple[float, int, tuple[object, int]]] = []
+        # Insertion-ordered, so the mark walk does not follow the hash seed.
+        self._touched: dict[tuple[object, int], None] = {}
+        # Min-heap of the row indices in _slices, one push per row.
+        self._slice_gc: list[int] = []
         self._node_gc: list[tuple[float, int, tuple[object, int, int]]] = []
         self._gc_seq = 0
 
@@ -181,16 +187,13 @@ class _SliceTree:
 
     def entry(self, key: object, slice_index: int) -> list:
         """Get-or-create the leaf accumulator entry for a slice."""
-        slot = (key, slice_index)
-        entry = self._slices.get(slot)
+        row = self._slices.get(slice_index)
+        if row is None:
+            row = self._slices[slice_index] = {}
+            heapq.heappush(self._slice_gc, slice_index)
+        entry = row.get(key)
         if entry is None:
-            entry = [self.aggregate.create(), 0]
-            self._slices[slot] = entry
-            self._gc_seq += 1
-            heapq.heappush(
-                self._slice_gc,
-                ((slice_index + self.span) * self.slide, self._gc_seq, slot),
-            )
+            entry = row[key] = [self.aggregate.create(), 0, None, 0]
         return entry
 
     def touch(self, key: object, slice_index: int) -> None:
@@ -200,7 +203,7 @@ class _SliceTree:
         later is derived from the leaves as they are then.
         """
         if self._nodes:
-            self._touched.add((key, slice_index))
+            self._touched[(key, slice_index)] = None
 
     def flush_touched(self) -> None:
         """Dirty-mark the cached ancestors of every touched slice."""
@@ -246,7 +249,8 @@ class _SliceTree:
         ranges; callers skip entries with a zero count.
         """
         if level == 0:
-            return self._slices.get((key, index))
+            row = self._slices.get(index)
+            return None if row is None else row.get(key)
         slot = (key, level, index)
         node = self._nodes.get(slot)
         if node is not None and not node[2]:
@@ -321,7 +325,7 @@ class _SliceTree:
         slice_gc = self._slice_gc
         node_gc = self._node_gc
         return bool(
-            (slice_gc and slice_gc[0][0] <= threshold)
+            (slice_gc and (slice_gc[0] + self.span) * self.slide <= threshold)
             or (node_gc and node_gc[0][0] <= threshold)
         )
 
@@ -332,11 +336,13 @@ class _SliceTree:
         containing ``s`` (ending at ``(s + span) * slide``) is past the
         threshold — the caller subtracts its feedback horizon first.
         """
-        heap = self._slice_gc
+        rows = self._slice_gc
         slices = self._slices
+        span = self.span
+        slide = self.slide
         pop = heapq.heappop
-        while heap and heap[0][0] <= threshold:
-            slices.pop(pop(heap)[2], None)
+        while rows and (rows[0] + span) * slide <= threshold:
+            del slices[pop(rows)]
         heap = self._node_gc
         nodes = self._nodes
         while heap and heap[0][0] <= threshold:
@@ -344,7 +350,7 @@ class _SliceTree:
 
     def slice_count(self) -> int:
         """Currently retained leaf slices (memory proxy)."""
-        return len(self._slices)
+        return sum(map(len, self._slices.values()))
 
     def node_count(self) -> int:
         """Currently cached interior nodes (memory proxy)."""
@@ -393,8 +399,7 @@ class _QueryWindowView:
         "_scheduled",
         "_pending",
         "_heap_seq",
-        "_emitted",
-        "_emitted_heap",
+        "_retiring",
         "_late",
         "_folds",
         "_dirty_to",
@@ -421,9 +426,9 @@ class _QueryWindowView:
         # One entry per key with closable windows: (next end time, seq, key).
         self._pending: list[tuple[float, int, object]] = []
         self._heap_seq = 0
-        # Emitted values awaiting feedback retirement: (key, end) -> value.
-        self._emitted: dict[tuple[object, float], float] = {}
-        self._emitted_heap: list[tuple[float, int, object]] = []
+        # Emitted windows awaiting feedback retirement, (end, key, value) in
+        # ascending end, ties in emission order (see close_windows).
+        self._retiring: deque[tuple[float, object, Any]] = deque()
         # key -> ascending indices of the slices that took an element after
         # a window containing them had closed; spent marks go at retirement.
         self._late: dict[object, list[int]] = {}
@@ -572,10 +577,17 @@ class _QueryWindowView:
         tracing = tracer.enabled
         dirty_to = self._dirty_to
         results: list[WindowResult] = []
+        # One (frozen) Window per distinct end, shared by every key closing there.
+        windows: dict[int, Window] = {}
+        emitted: list[tuple[float, object, Any]] = []
         while pending and pending[0][0] <= frontier:
-            __, __, key = heapq.heappop(pending)
-            self._scheduled.discard(key)
+            due, __, key = heapq.heappop(pending)
             next_end = self._next_end[key]
+            if due < next_end * slide:
+                # Left behind by a rewind: the entry note_slice pushed in its
+                # place closed these ends and re-scheduled the key since.
+                continue
+            self._scheduled.discard(key)
             max_end = self._max_end[key]
             dirty = dirty_to.get(key, -1)
             while next_end <= max_end:
@@ -601,14 +613,12 @@ class _QueryWindowView:
                 if count == 0:
                     continue
                 value = aggregate.result(accumulator)
-                _emit(
-                    results, tracer, key, Window(start, end), value, count,
-                    emit_time, flushed,
-                )
+                window = windows.get(end_index)
+                if window is None:
+                    window = windows[end_index] = Window(start, end)
+                _emit(results, tracer, key, window, value, count, emit_time, flushed)
                 if track:
-                    self._emitted[(key, end)] = value
-                    self._heap_seq += 1
-                    heapq.heappush(self._emitted_heap, (end, self._heap_seq, key))
+                    emitted.append((end, key, value))
             self._next_end[key] = next_end
             if 0 <= dirty < next_end - span:
                 # Every window still to close starts past the mark; what
@@ -621,6 +631,14 @@ class _QueryWindowView:
             else:
                 # Idle until a new slice arrives: nothing left to fold.
                 self._folds.pop(key, None)
+        # The queue stays in (end, emission order): note_slice clamps every
+        # scheduled end above close_frontier and this call emits only ends
+        # <= frontier, so each end here exceeds every earlier call's; inside
+        # the call, keys interleave only when it closed several ends (a
+        # frontier jump, finish) — a stable sort by end.
+        if len(windows) > 1:
+            emitted.sort(key=itemgetter(0))
+        self._retiring.extend(emitted)
         if frontier > self.close_frontier:
             self.close_frontier = frontier
         self.stats.results_out += len(results)
@@ -651,7 +669,8 @@ class _QueryWindowView:
             accumulator = None
             count = 0
             for index in range(fold.prefix_to - 1, lo - 1, -1):
-                leaf = slices.get((key, index))
+                row = slices.get(index)
+                leaf = None if row is None else row.get(key)
                 if leaf is not None and leaf[1]:
                     partial = aggregate.create()
                     aggregate.merge(partial, leaf[0])
@@ -668,7 +687,8 @@ class _QueryWindowView:
         prefix_to = fold.prefix_to
         if prefix_to < lo + span:
             for index in range(prefix_to, lo + span):
-                leaf = slices.get((key, index))
+                row = slices.get(index)
+                leaf = None if row is None else row.get(key)
                 if leaf is not None and leaf[1]:
                     if fold.prefix is None:
                         fold.prefix = aggregate.create()
@@ -694,15 +714,16 @@ class _QueryWindowView:
         empty left nothing to compare against).  A window no late element
         reached (no mark in its slice range) retires with the value it
         emitted: re-assembling unchanged slices would rebuild that value
-        bit for bit.  Corrections of the others reuse the tree: the
+        bit for bit, and a plain float scores 0.0 against itself without
+        the call.  Corrections of the others reuse the tree: the
         patched partials above late slices serve every correction in
         O(log) instead of a fresh merge chain.
         """
         if not self.track_feedback:
             return
-        heap = self._emitted_heap
+        retiring = self._retiring
         retire_before = frontier - self.feedback_horizon
-        if not heap or heap[0][0] > retire_before:
+        if not retiring or retiring[0][0] > retire_before:
             return
         tree = self.tree
         tree.flush_touched()
@@ -712,11 +733,8 @@ class _QueryWindowView:
         tracer = tree.tracer
         tracing = tracer.enabled
         late = self._late
-        while heap and heap[0][0] <= retire_before:
-            end, __, key = heapq.heappop(heap)
-            emitted = self._emitted.pop((key, end), None)
-            if emitted is None:
-                continue
+        while retiring and retiring[0][0] <= retire_before:
+            end, key, emitted = retiring.popleft()
             corrected = emitted
             marks = late.get(key)
             if marks is not None:
@@ -734,7 +752,10 @@ class _QueryWindowView:
                     corrected = (
                         aggregate.result(accumulator) if count else math.nan
                     )
-            error = relative_error(emitted, corrected)
+            if corrected is emitted and type(emitted) is float:
+                error = 0.0  # relative_error(x, x) of any plain float
+            else:
+                error = relative_error(emitted, corrected)
             self.stats.observed_errors.append(error)
             if tracing:
                 # No per-window late counter is kept here: late_updates=None.
@@ -766,8 +787,9 @@ class _SliceStore(_QueryWindowView):
     ) -> None:
         super().__init__(tree, size, span, feedback_horizon, track_feedback)
         self._gc_horizon = feedback_horizon if track_feedback else 0.0
-        # Staged adds: (key, slice index) -> [slice entry, values, late count]
-        self._groups: dict[tuple[object, int], list[Any]] = {}
+        # Slice entries holding staged values, in first-staged order (the
+        # fold order); the values and the group's late count sit on the entry.
+        self._groups: list[list[Any]] = []
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach the tracer that window and tree records go to."""
@@ -790,29 +812,33 @@ class _SliceStore(_QueryWindowView):
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
         """Batched :meth:`add`: the value folds at the next :meth:`flush`.
 
-        The lateness verdict is taken once per group: the frontier cannot
-        pass one of the slice's open windows without a close, which folds.
+        The values wait on the slice entry.  The lateness verdict is taken
+        once per group: the frontier cannot pass one of the slice's open
+        windows without a close, which folds.
         """
         tree = self.tree
         slice_index = tree.slice_of(element.event_time)
         key = element.key
-        group = self._groups.get((key, slice_index))
-        if group is None:
-            entry = tree.entry(key, slice_index)
+        entry = tree.entry(key, slice_index)
+        staged = entry[2]
+        if staged is None:
             tree.touch(key, slice_index)
             self.note_slice(key, slice_index)
-            group = [entry, [], self.late_verdict(key, slice_index)]
-            self._groups[(key, slice_index)] = group
-        group[1].append(element.value)
-        if group[2]:
-            self.stats.late_dropped += group[2]
+            entry[3] = self.late_verdict(key, slice_index)
+            entry[2] = staged = []
+            self._groups.append(entry)
+        staged.append(element.value)
+        if entry[3]:
+            self.stats.late_dropped += entry[3]
 
     def flush(self) -> None:
         """Fold every staged value into its slice accumulator."""
         add_many = self.tree.aggregate.add_many
-        for entry, values, __ in self._groups.values():
+        for entry in self._groups:
+            values = entry[2]
             add_many(entry[0], values)
             entry[1] += len(values)
+            entry[2] = None
         self._groups.clear()
 
     def close(
@@ -835,10 +861,10 @@ class _SliceStore(_QueryWindowView):
         """Score the windows leaving the feedback horizon, then collect
         the slices and nodes no remaining window can read."""
         tree = self.tree
-        heap = self._emitted_heap
+        retiring = self._retiring
         gc_before = frontier - self._gc_horizon
         if not (
-            heap and heap[0][0] <= frontier - self.feedback_horizon
+            retiring and retiring[0][0] <= frontier - self.feedback_horizon
         ) and not tree.gc_due(gc_before):
             return
         if self._groups:

@@ -8,7 +8,11 @@ rows).  Tree-specific behavior (the in-order fold, O(log) patches, node
 caching, GC bounds, trace events) is covered separately.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from repro.engine.aggregates import (
     SumAggregate,
     make_aggregate,
 )
+from repro.engine import partial_tree
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
 from repro.engine.partial_tree import (
     SharedSliceStore,
@@ -38,6 +43,7 @@ from repro.engine.partial_tree import (
     run_shared_slices,
 )
 from repro.engine.pipeline import run_pipeline
+from repro.engine.topk import TopKCountAggregate
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.trace import TraceRecorder
@@ -47,7 +53,7 @@ from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
 from tests.conftest import assert_modes_match_naive as assert_equivalent
 from tests.conftest import disordered_stream as make_stream
-from tests.conftest import emitted_window_errors, result_map
+from tests.conftest import emitted_window_errors, nan_equal, result_map
 
 
 def tree_operator(assigner, aggregate, handler, **options):
@@ -670,3 +676,251 @@ def test_distinct_count_bit_identical_under_disorder():
     naive_map = result_map(run_pipeline(stream, naive).results)
     tree_map = result_map(run_pipeline(stream, tree).results)
     assert naive_map == tree_map
+
+
+# --------------------------------------------------------------------- #
+# state layout: slice rows, the retirement queue, the pending heap
+
+
+@pytest.mark.parametrize(
+    "aggregate, values",
+    [
+        (SumAggregate(), [1e308, 1e308]),  # overflows to inf: a plain float, value check only
+        (SumAggregate(), [1.0, math.nan]),
+        (MaxAggregate(), [3, 7]),  # an int payload comes back an int
+        (MaxAggregate(), [np.float64(2.5)]),  # a float subclass, like the shards' _Partial
+        (TopKCountAggregate(2), [3.0, 3.0, 5.0]),  # a tuple
+    ],
+    ids=["inf", "nan", "int", "numpy", "tuple"],
+)
+def test_unmarked_window_retires_with_relative_error_of_its_value(
+    monkeypatch, aggregate, values
+):
+    """An untouched window scores ``relative_error(v, v)`` whatever ``v`` is;
+    only a plain float gets there without the call."""
+    scored = []
+
+    def spy(emitted, corrected):
+        scored.append((emitted, corrected))
+        return relative_error(emitted, corrected)
+
+    monkeypatch.setattr(partial_tree, "relative_error", spy)
+    store = slice_store(_SliceTree, aggregate)
+    for seq, value in enumerate(values):
+        store.add(StreamElement(event_time=seq + 0.5, value=value, seq=seq), 0.0)
+    store.add(unit_element(5.5, seq=9), 0.0)  # a plain float, for contrast
+    results = store.close(9.0, 0.0, False)
+    first, second = results[0], results[-1]
+    assert (first.window.start, second.window.start) == (0.0, 5.0)
+    errors = []
+    store.retire(12.0, 0.0, errors.append)
+    assert errors == store.stats.observed_errors
+    assert errors[0] == relative_error(first.value, first.value)
+    if type(first.value) is not float:  # int, float subclass, tuple: through the call
+        assert nan_equal(scored[0], (first.value, first.value))
+    # ... and the plain float windows of the same key were not sent through it.
+    if type(second.value) is float:
+        assert all(emitted is not second.value for emitted, __ in scored)
+        assert errors[-1] == 0.0
+
+
+def jump_stream():
+    """Three keys, a frontier jump of six slides, a late element, a tail."""
+    times = [(t + 0.5, key) for t in range(4) for key in ("c", "a", "b")]
+    times += [(9.5, "a"), (2.25, "b"), (9.75, "c"), (10.5, "b"), (7.5, "c"),
+              (16.5, "a"), (17.5, "b")]
+    return [
+        StreamElement(
+            event_time=t, value=float(seq + 1), key=key, arrival_time=20.0 + seq, seq=seq
+        )
+        for seq, (t, key) in enumerate(times)
+    ]
+
+
+#: ``(key, window end)`` of the ``window.retire`` records of ``jump_stream``
+#: under ``sliding(4, 1)`` / ``NoBufferHandler`` / horizon 2, from the commit
+#: that still retired through a ``(end, seq)`` heap.
+JUMP_RETIREMENTS = [
+    ("c", 4), ("a", 4), ("b", 4), ("c", 5), ("a", 5), ("b", 5), ("c", 6), ("a", 6),
+    ("b", 6), ("c", 7), ("a", 7), ("b", 7), ("a", 10), ("c", 10), ("a", 11), ("c", 11),
+    ("b", 11), ("a", 12), ("c", 12), ("b", 12), ("a", 13), ("c", 13), ("b", 13),
+    ("b", 14), ("a", 17), ("a", 18), ("b", 18), ("a", 19), ("b", 19), ("a", 20),
+    ("b", 20), ("b", 21),
+]
+
+
+@pytest.mark.parametrize("batch_size", [0, 64])
+def test_windows_retire_in_end_order_with_ties_in_emission_order(batch_size):
+    """One close emitting several ends per key (a frontier jump, and the
+    ``finish`` flush) emits key by key but retires end by end."""
+    operator = tree_operator(
+        SlidingWindowAssigner(4, 1), SumAggregate(), NoBufferHandler(), feedback_horizon=2.0
+    )
+    recorder = TraceRecorder()
+    results = run_pipeline(
+        jump_stream(), operator, batch_size=batch_size, trace=recorder
+    ).results
+    emitted = [(r.key, r.window.end) for r in results]
+    assert emitted[:8] == [("c", end) for end in (4, 5, 6, 7)] + [
+        ("a", end) for end in (4, 5, 6, 7)
+    ]
+    retired = [
+        (event.fields["key"], event.fields["end"])
+        for event in recorder.of_kind("window.retire")
+    ]
+    assert retired == JUMP_RETIREMENTS
+    assert retired == sorted(emitted, key=lambda pair: pair[1])  # stable: ties as emitted
+    errors = operator.stats.observed_errors
+    assert errors == [0.53125 if pair == ("c", 10) else 0.0 for pair in retired]
+
+
+def test_rewound_key_leaves_no_duplicate_in_the_pending_heap():
+    """A rewind pushes a fresh scheduling entry; the one it replaces must
+    die when it pops, not re-queue itself at every later close."""
+    store = SharedSliceStore(1.0, make_aggregate("sum"))
+    view = store.register("q", size=4.0, slack=100.0)
+    times = [(10.5, 11.0), (8.5, 11.1), (6.5, 11.2)]  # each one rewinds "a"
+    times += [(13.0 + i, 13.1 + i) for i in range(300)]
+    for seq, (event_time, arrival_time) in enumerate(times):
+        store.offer(
+            StreamElement(
+                event_time=event_time, value=1.0, key="a",
+                arrival_time=arrival_time, seq=seq,
+            )
+        )
+        if seq == 2:
+            assert len(view._pending) == 3
+    assert len(store.results["q"]) == 206
+    assert len(view._pending) == 1
+    # Three pushes for the rewinds, then one per frontier crossing (206
+    # emitting closes; the stale entries pop once each and are dropped).
+    assert view._heap_seq == 209
+
+
+def rewind_scenario(seed):
+    """150 elements over three keys, one in five 2-9 s behind its arrival:
+    out of order under a slack of 6 (rewinds), late under 1.5."""
+    rng = np.random.default_rng(seed)
+    n = 150
+    arrivals = np.cumsum(rng.exponential(0.4, n))
+    delays = np.where(rng.random(n) < 0.2, rng.uniform(2.0, 9.0, n), rng.exponential(0.3, n))
+    keys = rng.choice(["a", "b", "c"], n)
+    return [
+        StreamElement(
+            event_time=float(max(arrival - delay, 0.0)), value=float(rng.integers(1, 10)),
+            key=str(key), arrival_time=float(arrival), seq=seq,
+        )
+        for seq, (arrival, delay, key) in enumerate(zip(arrivals, delays, keys))
+    ]
+
+
+def test_rewind_scenarios_emit_and_score_as_before_the_pending_fix():
+    """200 seeded multi-key rewind scenarios over two queries: result lists
+    (order included), observed errors and late drops hash to the digest
+    taken at the commit whose stale entries still re-queued themselves."""
+    digest = hashlib.sha256()
+    for seed in range(200):
+        store = SharedSliceStore(1.0, make_aggregate("sum"))
+        store.register("narrow", size=4.0, slack=1.5)
+        store.register("wide", size=8.0, slack=6.0)
+        run_shared_slices(rewind_scenario(seed), store)
+        for query_id in ("narrow", "wide"):
+            stats = store.stats_for(query_id)
+            rows = [
+                (r.key, r.window.start, r.window.end, r.value, r.count, r.emit_time, r.flushed)
+                for r in store.results[query_id]
+            ]
+            digest.update(repr((rows, stats.observed_errors, stats.late_dropped)).encode())
+    assert digest.hexdigest() == (
+        "1fd8c3d216f34929c29fde94efcdd70226d988f1faa8e20bd585ff3aa4636ff6"
+    )
+
+
+def test_key_explosion_costs_one_gc_entry_per_slice_row():
+    """5,000 one-shot keys over 50 slices: the GC heap holds live slice
+    indices, never keys x slices, and everything goes once the frontier
+    is past the last expiry."""
+    operator = tree_operator(
+        SlidingWindowAssigner(4, 1), CountAggregate(), KSlackHandler(1.0)
+    )
+    tree = operator._store.tree
+    horizon = 5.0 * 4  # the operator's default feedback horizon
+    widest = 0
+    for seq in range(5000):
+        operator.process(
+            StreamElement(
+                event_time=seq * 0.01, value=1.0, key=f"k{seq}",
+                arrival_time=seq * 0.01, seq=seq,
+            )
+        )
+        assert sorted(tree._slice_gc) == sorted(tree._slices)
+        assert len(tree._slice_gc) <= 4 + horizon / 1 + 2
+        widest = max(widest, operator.slice_count())
+    assert widest > 2000  # one entry per key, in a couple of dozen rows
+    operator.finish()
+    assert operator.slice_count() == 0
+    assert tree._slice_gc == [] and tree._slices == {}
+
+
+def test_shared_row_outlives_the_narrow_query_until_the_wide_one_passes():
+    store = SharedSliceStore(1.0, CountAggregate(), track_feedback=False)
+    store.register("narrow", 4.0, slack=0.0)
+    store.register("wide", 8.0, slack=0.0)
+    tree = store._tree
+
+    def offer(seq, event_time):
+        store.offer(
+            StreamElement(event_time=event_time, value=1.0, arrival_time=event_time, seq=seq)
+        )
+
+    for seq, event_time in enumerate([0.5, 4.5, 7.5]):
+        offer(seq, event_time)
+    assert [r.window.end for r in store.results["narrow"]] == [4.0, 5.0, 6.0, 7.0]
+    assert store.results["wide"] == []
+    assert 0 in tree._slices  # no narrow window reads row 0 any more; [0, 8) does
+    offer(3, 8.0)
+    assert [r.window.end for r in store.results["wide"]] == [8.0]
+    assert 0 not in tree._slices and tree._slice_gc[0] == 4
+
+
+HASH_SEED_SCRIPT = """
+import hashlib
+import numpy as np
+from repro import ContinuousQuery, sliding
+from repro.obs.trace import TraceRecorder
+from repro.streams import (
+    ExponentialDelay, MixtureDelay, ParetoDelay, generate_stream, inject_disorder,
+)
+rng = np.random.default_rng(1)
+stream = inject_disorder(
+    generate_stream(duration=200, rate=40, rng=rng, keys=("a", "b", "c", None)),
+    MixtureDelay([(0.9, ExponentialDelay(0.3)), (0.1, ParetoDelay(shape=1.5, scale=1.0))]),
+    rng,
+)
+recorder = TraceRecorder()
+run = (
+    ContinuousQuery().from_elements(stream).window(sliding(4, 1)).aggregate("sum")
+    .mode("tree").with_slack(0.7).run(trace=recorder)
+)
+digest = hashlib.sha256()
+for event in recorder.events:
+    fields = {k: v for k, v in event.fields.items() if k != "wall_time_s"}
+    digest.update(repr((event.kind, event.sim_time, sorted(fields.items()))).encode())
+operator = run.operator
+print(digest.hexdigest(), operator.patch_count, operator.max_patch_depth)
+"""
+
+
+def test_traced_run_does_not_depend_on_the_hash_seed():
+    """``tree.patch`` records follow first-touched order, not set iteration:
+    two interpreters with different hash seeds record the same trace."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(done.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0][1]) > 0  # the stream does patch cached nodes
