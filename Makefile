@@ -94,10 +94,11 @@ bench-quick:
 # Paired perfbench runs against a parent commit (the A/B every perf PR
 # reports): exact metrics and values digest compared to the last digit,
 # median / quartiles / wins for the rest, as the markdown table CHANGES.md
-# takes.  Under a minute per pair at the benchmark's 15 s; run nothing else.
+# takes; WORKLOAD may hold several names (one table each, one extracted
+# parent).  Under a minute per pair at the benchmark's 15 s; run nothing else.
 PAIRS ?= 10
 perf-ab:
-	$(PY) benchmarks/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
+	$(PY) benchmarks/perf_ab.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS)
 
 experiments:
 	$(PY) -m repro.bench.experiments all

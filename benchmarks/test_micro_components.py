@@ -223,6 +223,25 @@ def test_sorting_buffer_bulk_release(benchmark, stream):
     assert benchmark(run) > 0
 
 
+@pytest.mark.parametrize(
+    "lag,size", [(0.5, 256), (20.0, 32)], ids=["chunk-large-vs-heap", "chunk-small-vs-heap"]
+)
+def test_sorting_buffer_push_release_chunk(benchmark, stream, lag, size):
+    """``push_release`` on each side of its size rule: one sort of chunk +
+    heap (~50 held, chunk 256), ``push_many`` + ``release_until`` (~2,000
+    held, chunk 32: sorting the heap per chunk would dominate)."""
+
+    def run():
+        buffer = SortingBuffer()
+        released = 0
+        for start in range(0, len(stream), size):
+            chunk = stream[start : start + size]
+            released += len(buffer.push_release(chunk, chunk[-1].event_time - lag))
+        return released + len(buffer.drain())
+
+    assert benchmark(run) == len(stream)
+
+
 def test_sorting_buffer_push_many_in_order(benchmark):
     """In-order bulk pushes take the append-only fast path (no re-heapify).
 

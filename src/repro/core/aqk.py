@@ -49,6 +49,11 @@ from repro.streams.element import StreamElement
 from repro.streams.timebase import DurationS
 
 
+#: Arrivals a scalar driver may leave unfolded: a stream on which no round
+#: is due (still warming up, arrival time standing still) folds here.
+PENDING_FOLD_LIMIT = 1024
+
+
 @dataclass(frozen=True)
 class AdaptationRecord:
     """One adaptation round, for timelines and debugging."""
@@ -160,6 +165,9 @@ class AQKSlackHandler(SlackHandler):
         self._rate = RateTracker()
         self._last_adapt_arrival = float("-inf")
         self._elements_seen = 0
+        # Arrivals counted by slack_for whose delay, value and event time
+        # the samplers have not seen yet (only a round reads the samplers).
+        self._pending: list[StreamElement] = []
 
     # ------------------------------------------------------------------ #
     # adaptation
@@ -229,14 +237,6 @@ class AQKSlackHandler(SlackHandler):
             )
         )
 
-    def _maybe_adapt(self, arrival_time: float) -> None:
-        if self._elements_seen < self.warmup_elements:
-            return
-        if arrival_time - self._last_adapt_arrival < self.adapt_interval:
-            return
-        self._last_adapt_arrival = arrival_time
-        self._run_adaptation(arrival_time)
-
     def _run_adaptation(self, arrival_time: float) -> None:
         k_before = self.k
         if isinstance(self.target, QualityTarget):
@@ -274,23 +274,45 @@ class AQKSlackHandler(SlackHandler):
     # the K rule
 
     def slack_for(self, element: StreamElement) -> DurationS:
-        """Fold one arrival into the samplers, adapt if a round is due.
+        """Count one arrival, adapt if a round is due.
 
-        This is all a driver with its own buffer and clock needs
+        Only a round reads the samplers, so the arrival waits in
+        ``_pending`` and the samplers are folded when one fires (same
+        condition as :meth:`_round_offsets`) or the list is full.  This is
+        all a driver with its own buffer and clock needs
         (:class:`~repro.core.shared.SharedAQKBuffer`,
         :class:`~repro.engine.partial_tree.SharedSliceStore`): it applies
         the returned slack against its shared clock.
         """
-        if element.arrival_time is None:
+        arrival = element.arrival_time
+        if arrival is None:
             raise ConfigurationError(
                 "AQKSlackHandler requires elements with arrival timestamps"
             )
-        self._elements_seen += 1
-        self.delay_sample.observe(element.delay)
-        self._value_stats.observe(element.value)
-        self._rate.observe(element.event_time)
-        self._maybe_adapt(element.arrival_time)
+        self._elements_seen = seen = self._elements_seen + 1
+        pending = self._pending
+        pending.append(element)
+        if (
+            arrival - self._last_adapt_arrival >= self.adapt_interval
+            and seen >= self.warmup_elements
+        ):
+            self._fold_pending()
+            self._last_adapt_arrival = arrival
+            self._run_adaptation(arrival)
+        elif len(pending) >= PENDING_FOLD_LIMIT:
+            self._fold_pending()
         return self.k
+
+    def _fold_pending(self) -> None:
+        """Fold the arrivals :meth:`slack_for` left pending into the samplers."""
+        pending = self._pending
+        n = len(pending)
+        if not n:
+            return
+        event_times = np.fromiter((e.event_time for e in pending), dtype=float, count=n)
+        arrivals = np.fromiter((e.arrival_time for e in pending), dtype=float, count=n)
+        self._observe_segment(pending, event_times, arrivals - event_times, 0, n)
+        pending.clear()
 
     def slacks_for(
         self, elements: list[StreamElement], event_times: "np.ndarray"
@@ -310,6 +332,7 @@ class AQKSlackHandler(SlackHandler):
                 raise ConfigurationError(
                     "AQKSlackHandler requires elements with arrival timestamps"
                 )
+        self._fold_pending()
         arrivals = np.fromiter(
             (element.arrival_time for element in elements), dtype=float, count=n
         )
@@ -325,6 +348,7 @@ class AQKSlackHandler(SlackHandler):
             position = fired + 1
         if position < n:
             self._observe_segment(elements, event_times, delays, position, n)
+        self._elements_seen += n
         return slacks
 
     def _round_offsets(
@@ -334,7 +358,8 @@ class AQKSlackHandler(SlackHandler):
         fires an adaptation round — the one loop that decides it.
 
         Side-effect free: it reads the element counter and the last round
-        once, when the first index is asked for.  Ends at an element
+        once, when the first index is asked for (``slacks_for`` adds its
+        batch to the counter after the last one).  Ends at an element
         without an arrival time (offering it raises).
         """
         seen = self._elements_seen
@@ -358,7 +383,6 @@ class AQKSlackHandler(SlackHandler):
         hi: int,
     ) -> None:
         """Fold one segment's delays/values/timestamps into the samplers."""
-        self._elements_seen += hi - lo
         self.delay_sample.observe_many(delays[lo:hi])
         self._value_stats.observe_many(elements[index].value for index in range(lo, hi))
         segment = event_times[lo:hi]

@@ -218,31 +218,29 @@ class ValueStatsTracker:
 
     def observe(self, value: float) -> None:
         """Fold one stream value in; non-numeric values are ignored."""
-        if type(value) is not float:
-            value = as_real(value)
-            if value is None:
-                return
-        if math.isnan(value) or math.isinf(value):
-            return
-        self._count += 1
-        if self._count == 1:
-            self._mean = float(value)
-            self._var = 0.0
-            return
-        delta = value - self._mean
-        self._mean += self.alpha * delta
-        self._var = (1 - self.alpha) * (self._var + self.alpha * delta * delta)
+        self.observe_many((value,))
 
     def observe_many(self, values) -> None:
-        """Fold a batch of values; identical to repeated :meth:`observe`.
-
-        The EWMA recurrence is inherently sequential, so this is a loop with
-        the method lookups hoisted — it exists for call-site symmetry with
-        the other trackers' bulk paths.
-        """
-        observe = self.observe
+        """Fold values in order (the EWMA recurrence is sequential);
+        non-numeric and non-finite ones are skipped."""
+        alpha = self.alpha
+        decay = 1 - alpha
+        mean, var, count = self._mean, self._var, self._count
         for value in values:
-            observe(value)
+            if type(value) is not float:
+                value = as_real(value)
+                if value is None:
+                    continue
+            if math.isnan(value) or math.isinf(value):
+                continue
+            count += 1
+            if count == 1:
+                mean, var = float(value), 0.0
+                continue
+            delta = value - mean
+            mean += alpha * delta
+            var = decay * (var + alpha * delta * delta)
+        self._mean, self._var, self._count = mean, var, count
 
     @property
     def count(self) -> int:

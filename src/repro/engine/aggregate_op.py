@@ -5,9 +5,10 @@ aggregate function and a :class:`~repro.engine.handlers.DisorderHandler`:
 
 1. every arriving element is offered to the handler, which may buffer it and
    releases zero or more elements downstream;
-2. released elements are folded into their (still open) windows; elements
-   whose windows were already finalized are **late** — they are dropped from
-   results but recorded for quality feedback;
+2. released elements are staged for their (still open) windows and folded
+   when one of them closes; elements whose windows were already finalized
+   are **late** — they are dropped from results but recorded for quality
+   feedback;
 3. the handler's frontier finalizes windows (``end <= frontier``), emitting
    :class:`~repro.engine.operator.WindowResult` rows stamped with the
    current arrival time.
@@ -47,6 +48,10 @@ if TYPE_CHECKING:
     from array import array
 
     from repro.engine.partial_tree import _SliceStore, _SliceTree
+
+#: Values one cell or slice entry may hold staged: a window that stays open
+#: over more arrivals (an hour-long tumbling one) folds what it holds here.
+STAGED_FOLD_LIMIT = 4096
 
 
 class _SliceAssignCache:
@@ -181,7 +186,7 @@ class _Cell:
     :class:`_SliceAssignCache` proves) share their windows: ``late`` holds
     those closed before the cell was built, ``on_time`` the rest, ``records``
     the open ``[accumulator, count]`` of each ``on_time`` window (``None``
-    until an element opens them), ``values`` what the batched path staged.
+    until an element opens them), ``values`` what waits for the next fold.
     """
 
     low: float
@@ -203,9 +208,10 @@ class _PerWindowStore:
     as a *phantom* record, so missed windows are scored too.
 
     Under a sliding assigner an element's windows are found once per
-    ``(key, slide interval)``, not once per element: :meth:`add` and
-    :meth:`stage` share one :class:`_Cell` per interval, keyed by slide
-    index, so an element costs one probe plus its folds.  A cell's
+    ``(key, slide interval)``, not once per element: :meth:`stage` keeps
+    one :class:`_Cell` per interval, keyed by slide index, so an element
+    costs one probe and one append, and its folds are one ``add_many`` per
+    record when a window closes.  A cell's
     late/on-time split stands until a window closes (the frontier cannot
     pass an open window without :meth:`close` emitting it), so every emitting
     close drops all cells and the assign memo — which bounds both by the
@@ -255,47 +261,26 @@ class _PerWindowStore:
     # ingestion
 
     def add(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
-        """Fold one released element into every window containing it."""
+        """Fold one element into every window the (unaligned) assigner
+        gives it: no slide interval, so nothing to stage under."""
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
             tracer.element_admitted(now, element.event_time, element.key)
         key = element.key
-        cache = self._cache
-        if cache is None:
-            for window in self.assigner.assign(element.event_time):
-                slot = (key, window)
-                if window.end <= self.close_frontier:
-                    self._record_late(element, window, now)
-                    continue
-                record = self._open.get(slot) or self._open_slot(slot, now)
-                self.aggregate.add(record[0], element.value)
-                record[1] += 1
-            return
-        cell = self._cell(cache, key, element.event_time)
-        for window in cell.late:
-            self._record_late(element, window, now)
-        records = cell.records
-        if records is None:
-            records = self._open_cell(cell, key, now)
-        add = self.aggregate.add
-        value = element.value
-        for record in records:
-            add(record[0], value)
+        for window in self.assigner.assign(element.event_time):
+            slot = (key, window)
+            if window.end <= self.close_frontier:
+                self._record_late(element, window, now)
+                continue
+            record = self._open.get(slot) or self._open_slot(slot, now)
+            self.aggregate.add(record[0], element.value)
             record[1] += 1
 
-    def _cell(
-        self, cache: _SliceAssignCache, key: object, timestamp: EventTimeStamp
+    def _build_cell(
+        self, cache: _SliceAssignCache, key: object, index: int, timestamp: EventTimeStamp
     ) -> _Cell:
-        """The cell ``timestamp`` falls in, rebuilt when its bounds miss."""
-        slide = cache.slide
-        index = math.floor(timestamp / slide)  # assign's guard index
-        while index * slide > timestamp:
-            index -= 1
-        while (index + 1) * slide <= timestamp:
-            index += 1
-        cell = self._cells.get((key, index))
-        if cell is not None and cell.low <= timestamp < cell.high:
-            return cell
+        """A fresh cell for ``timestamp`` (guard index ``index``): built when
+        :meth:`stage` finds none, or one whose bounds miss."""
         low, high, windows = cache.lookup(index, timestamp)
         close_frontier = self.close_frontier
         late = [w for w in windows if w.end <= close_frontier]  # a prefix: ends ascend
@@ -307,13 +292,12 @@ class _PerWindowStore:
             cache.entries.pop(index, None)
         return cell
 
-    def _open_cell(self, cell: _Cell, key: object, now: ArrivalTimeStamp) -> list[Any]:
+    def _open_cell(self, cell: _Cell, key: object, now: ArrivalTimeStamp) -> None:
         """Open the cell's on-time windows, in ascending-start order."""
         records = cell.records = []
         for window in cell.on_time:
             slot = (key, window)
             records.append(self._open.get(slot) or self._open_slot(slot, now))
-        return records
 
     def _open_slot(self, slot: tuple[object, Window], now: ArrivalTimeStamp) -> list[Any]:
         key, window = slot
@@ -325,7 +309,7 @@ class _PerWindowStore:
         return record
 
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
-        """Batched :meth:`add`: the value folds at the next close or flush
+        """Take one released element: its value folds when a close emits
         (late values reach their retained records at once)."""
         cache = self._cache
         if cache is None:
@@ -335,12 +319,24 @@ class _PerWindowStore:
         if tracer.enabled and tracer.detail:
             tracer.element_admitted(now, element.event_time, element.key)
         key = element.key
-        cell = self._cell(cache, key, element.event_time)
-        if not cell.values:
-            if cell.records is None:
-                self._open_cell(cell, key, now)
-            self._staged.append(cell)
-        cell.values.append(element.value)
+        timestamp = element.event_time
+        slide = cache.slide
+        index = math.floor(timestamp / slide)  # assign's guard index
+        while index * slide > timestamp:
+            index -= 1
+        while (index + 1) * slide <= timestamp:
+            index += 1
+        cell = self._cells.get((key, index))
+        if cell is None or not cell.low <= timestamp < cell.high:
+            cell = self._build_cell(cache, key, index, timestamp)
+        if cell.on_time:
+            if not cell.values:
+                if cell.records is None:
+                    self._open_cell(cell, key, now)
+                self._staged.append(cell)
+            cell.values.append(element.value)
+            if len(cell.values) >= STAGED_FOLD_LIMIT:
+                self.flush()
         for window in cell.late:
             self._record_late(element, window, now)
 
@@ -493,12 +489,12 @@ class WindowAggregateOperator(Operator):
       aggregate, and scores only emitted windows at retirement (no
       phantom records).
 
-    A store offers ``add`` (scalar) and ``stage`` + ``flush`` (batched)
-    ingestion, ``close(frontier, emit_time, flushed)`` and
-    ``retire(frontier, now, observe_error)`` including its garbage
-    collection — both fold what is staged before reading it and return
-    at once when nothing is due — and the ``close_frontier`` below which
-    elements are late.
+    A store offers ``stage`` (take one released element; lateness is
+    judged at once, the value waits), ``close(frontier, emit_time,
+    flushed)`` and ``retire(frontier, now, observe_error)`` including its
+    garbage collection — both fold what is staged before reading it,
+    nothing else folds, and both return at once when nothing is due — and
+    the ``close_frontier`` below which elements are late.
     """
 
     #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
@@ -597,7 +593,7 @@ class WindowAggregateOperator(Operator):
         store = self._store
         handler = self.handler
         for out in handler.offer(element):
-            store.add(out, now)
+            store.stage(out, now)
         frontier = handler.frontier
         if self.tracer.enabled:
             self.tracer.frontier_advance(now, frontier, handler.buffered_count())
@@ -617,10 +613,8 @@ class WindowAggregateOperator(Operator):
         the one place a batch is cut, whoever calls.  Each chunk then goes
         to the handler at once; per-element frontier checkpoints replay
         closes and retirement at exactly the scalar steps (late/on-time
-        verdicts and feedback timing are unchanged).  Between those steps
-        the store only *stages* released elements and folds each group of
-        staged values in one ``AggregateFunction.add_many`` before
-        anything reads them.
+        verdicts and feedback timing are unchanged).  Released elements
+        are staged exactly as :meth:`process` stages them.
         """
         handler = self.handler
         results: list[WindowResult] = []
@@ -667,7 +661,6 @@ class WindowAggregateOperator(Operator):
                     )
                 results.extend(store.close(frontier, now, False))
                 store.retire(frontier, now, handler.observe_error)
-        store.flush()
         self._last_arrival = now
         return results
 
@@ -675,7 +668,7 @@ class WindowAggregateOperator(Operator):
         now = self._last_arrival
         store = self._store
         for out in self.handler.flush():
-            store.add(out, now)
+            store.stage(out, now)
         results = store.close(float("inf"), now, True)
         store.retire(float("inf"), now, self.handler.observe_error)
         return results

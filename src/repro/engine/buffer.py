@@ -6,9 +6,10 @@ arrival-ordered stream back into an event-time-ordered one up to the chosen
 slack.
 
 The buffer exposes both scalar (``push``/``release_until`` one at a time) and
-bulk (``push_many``, sort-and-split releases) entry points.  The bulk paths
-exist for the batched execution layer: pushing a chunk re-heapifies once
-instead of sifting per element, and a release that would pop a large fraction
+bulk (``push_many``, ``push_release``, sort-and-split releases) entry points.
+The bulk paths exist for the batched execution layer: pushing a chunk
+re-heapifies once instead of sifting per element (or, when most of it leaves
+again at once, is pushed and released with one sort), and a release that would pop a large fraction
 of the heap switches from per-element ``heappop`` (O(m log n)) to sorting the
 backing list and splitting it (O(n log n) with C-speed constants — faster in
 practice once m is a sizeable share of n).  A sorted list is a valid min-heap,
@@ -111,6 +112,39 @@ class SortingBuffer:
             self.tracer.buffer_push(
                 elements[-1].event_time, len(elements), len(heap)
             )
+
+    def push_release(
+        self, elements: list[StreamElement], threshold: float
+    ) -> list[StreamElement]:
+        """:meth:`push_many` then :meth:`release_until`, for one chunk.
+
+        A batch large relative to the heap (:meth:`push_many`'s ``* 8``
+        rule) is pushed and released with one sort of the backing list — a
+        sorted list is a valid heap, also once a prefix is cut off — which
+        beats a heapify, a run of pops and the fallback sort.  A small one
+        must not pay O(heap) per chunk and takes the two calls.  Same
+        counters and trace records either way.
+        """
+        heap = self._heap
+        if len(elements) * 8 <= len(heap):
+            self.push_many(elements)
+            return self.release_until(threshold)
+        heap.extend([(element.event_time, element.seq, element) for element in elements])
+        if len(heap) > self._max_size:
+            self._max_size = len(heap)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.buffer_push(elements[-1].event_time, len(elements), len(heap))
+        heap.sort()
+        if heap[-1][:2] > self._tail_key:
+            self._tail_key = heap[-1][:2]
+        split = self._split_index(threshold)
+        released = [entry[2] for entry in heap[:split]]
+        del heap[:split]
+        self._released_total += split
+        if split and tracer.enabled:
+            tracer.buffer_release(threshold, split, len(heap))
+        return released
 
     def peek_event_time(self) -> float | None:
         """Event time of the oldest buffered element, or ``None`` if empty."""

@@ -21,6 +21,8 @@ in :mod:`repro.core.aqk`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +42,9 @@ from repro.engine.buffer import SortingBuffer
 #: the generic per-element path.
 MIN_BULK_BATCH = 8
 
+#: The buffer's release order (its heap key).
+_BUFFER_ORDER = attrgetter("event_time", "seq")
+
 #: ``offer_many`` checkpoints: one ``(released_end_offset, frontier)`` pair
 #: per offered element, in offer order.
 Checkpoints = list[tuple[int, float]]
@@ -48,38 +53,49 @@ Checkpoints = list[tuple[int, float]]
 def bulk_release(
     buffer: SortingBuffer,
     elements: list[StreamElement],
+    event_times: "np.ndarray",
     frontiers: "np.ndarray",
 ) -> tuple[list[StreamElement], list[int]]:
     """Push a batch and release in bulk, reconstructing per-element steps.
 
-    ``frontiers[i]`` must be the (monotone) frontier in effect after offering
-    ``elements[i]``.  Pushes the whole batch, releases everything at or below
-    the final frontier in one buffer call, then assigns each released element
-    the exact scalar release step: the first i with ``frontiers[i] >=
+    ``event_times[i]`` is the event time of ``elements[i]`` and
+    ``frontiers[i]`` the (monotone) frontier in effect after offering it.
+    Pushes the whole batch, releases everything at or below the final
+    frontier in one buffer call, then assigns each released element the
+    exact scalar release step: the first i with ``frontiers[i] >=
     event_time``, but never before the element's own offer position.  Returns
     the released elements reordered into scalar release order plus, per
     offered element, the end offset of its release slice.
     """
-    buffer.push_many(elements)
     n = len(elements)
-    released = buffer.release_until(float(frontiers[-1]))
+    released = buffer.push_release(elements, float(frontiers[-1]))
     if not released:
         return [], [0] * n
-    position = {id(element): i for i, element in enumerate(elements)}
-    event_times = np.fromiter(
+    released_times = np.fromiter(
         (element.event_time for element in released), dtype=float, count=len(released)
     )
-    steps = np.searchsorted(frontiers, event_times, side="left").tolist()
-    for j, element in enumerate(released):
-        own = position.get(id(element))
-        if own is not None and own > steps[j]:
-            steps[j] = own
+    steps = np.searchsorted(frontiers, released_times, side="left")
+    # Only an element offered at or below its own step's frontier has an
+    # earlier step covering it; it leaves with its own offer.  ``released``
+    # is in (event_time, seq) order: it sits at the first slot of its
+    # timestamp or, on a tie, where its seq puts it (field-equal copies tie
+    # on both and sit side by side).
+    late = np.flatnonzero(event_times <= frontiers)
+    slots = np.searchsorted(released_times, event_times[late], side="left").tolist()
+    for own, slot in zip(late.tolist(), slots):
+        element = elements[own]
+        if released[slot] is not element:
+            slot = bisect_left(
+                released, (element.event_time, element.seq), slot, key=_BUFFER_ORDER
+            )
+            while released[slot] is not element:
+                slot += 1
+        steps[slot] = own
     # Stable sort keeps (event_time, seq) order within a step — exactly the
     # order the scalar heap pops would have produced.
-    order = sorted(range(len(released)), key=steps.__getitem__)
+    order = np.argsort(steps, kind="stable").tolist()
     released_ordered = [released[j] for j in order]
-    counts = np.bincount(np.asarray(steps, dtype=np.intp), minlength=n)
-    offsets = np.cumsum(counts).tolist()
+    offsets = np.cumsum(np.bincount(steps, minlength=n)).tolist()
     return released_ordered, offsets
 
 
@@ -291,7 +307,7 @@ class SlackHandler(DisorderHandler):
         np.maximum(frontiers, self._front.value, out=frontiers)
         self._clock.observe_many(float(clocks[-1]), n)
         self._front.advance(float(frontiers[-1]))
-        released, offsets = bulk_release(self._buffer, elements, frontiers)
+        released, offsets = bulk_release(self._buffer, elements, event_times, frontiers)
         return released, list(zip(offsets, frontiers.tolist()))
 
     def flush(self) -> list[StreamElement]:

@@ -80,7 +80,12 @@ from collections.abc import Callable
 from operator import itemgetter
 from typing import Any
 
-from repro.engine.aggregate_op import OperatorStats, _emit, relative_error
+from repro.engine.aggregate_op import (
+    STAGED_FOLD_LIMIT,
+    OperatorStats,
+    _emit,
+    relative_error,
+)
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import KSlackHandler, SlackHandler
 from repro.engine.operator import WindowResult
@@ -146,7 +151,7 @@ class _SliceTree:
         self.max_patch_depth = 0
         self.recompute_count = 0
         # slice_index -> {key: [accumulator, count, staged values, late count]}
-        # (the last two belong to the owning store's batched path).  A row
+        # (the last two belong to the owning store's ``stage``).  A row
         # expires as a whole: its expiry depends on the index alone.
         self._slices: dict[int, dict[object, list[Any]]] = {}
         # (key, level, index) -> [accumulator, count, dirty]
@@ -769,7 +774,8 @@ class _QueryWindowView:
 class _SliceStore(_QueryWindowView):
     """The slice-based window store: a view that owns its tree.
 
-    One accumulator add per element; a window is assembled when it closes
+    One staged value per element, one ``add_many`` per touched slice when
+    something reads it; a window is assembled when it closes
     (by the fold, or by the tree where late data reached it) and, if a
     late element reached it since, again when it retires; retirement
     garbage-collects behind the horizon.
@@ -795,22 +801,9 @@ class _SliceStore(_QueryWindowView):
         """Attach the tracer that window and tree records go to."""
         self.tree.tracer = tracer
 
-    def add(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
-        """Fold one released element into its slice."""
-        tree = self.tree
-        slice_index = tree.slice_of(element.event_time)
-        key = element.key
-        entry = tree.entry(key, slice_index)
-        late = self.late_verdict(key, slice_index)
-        if late:
-            self.stats.late_dropped += late
-        tree.aggregate.add(entry[0], element.value)
-        entry[1] += 1
-        tree.touch(key, slice_index)
-        self.note_slice(key, slice_index)
-
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
-        """Batched :meth:`add`: the value folds at the next :meth:`flush`.
+        """Take one released element: its value folds into its slice when a
+        close or a retirement reads the slices (:meth:`flush`).
 
         The values wait on the slice entry.  The lateness verdict is taken
         once per group: the frontier cannot pass one of the slice's open
@@ -830,6 +823,8 @@ class _SliceStore(_QueryWindowView):
         staged.append(element.value)
         if entry[3]:
             self.stats.late_dropped += entry[3]
+        if len(staged) >= STAGED_FOLD_LIMIT:
+            self.flush()
 
     def flush(self) -> None:
         """Fold every staged value into its slice accumulator."""

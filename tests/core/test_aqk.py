@@ -4,8 +4,15 @@ import math
 
 import pytest
 
-from repro.core.aqk import AQKSlackHandler
+from repro.core.aqk import PENDING_FOLD_LIMIT, AQKSlackHandler
 from repro.core.controller import NoFeedbackController
+from repro.core.sampling import (
+    P2DelayBank,
+    RateTracker,
+    ReservoirSample,
+    SlidingDelaySample,
+    ValueStatsTracker,
+)
 from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregates import CountAggregate, MeanAggregate
 from repro.errors import ConfigurationError
@@ -231,6 +238,58 @@ class TestValidation:
             target=QualityTarget(0.05), aggregate=CountAggregate()
         )
         assert "0.05" in handler.describe()
+
+
+@pytest.mark.parametrize("delay_sample", [SlidingDelaySample, ReservoirSample, P2DelayBank])
+class TestPendingSamples:
+    """``slack_for`` parks arrivals; the samplers see them when a round is
+    due or the list is full — in arrival order, one by one where the sampler
+    is order-sensitive (reservoir RNG draws, P-squared markers)."""
+
+    def test_no_round_ever_fires_bounded_and_exact(self, rng, delay_sample):
+        stream = make_stream(rng, ExponentialDelay(0.5), duration=30)
+        assert len(stream) > 2 * PENDING_FOLD_LIMIT
+        handler = AQKSlackHandler(
+            QualityTarget(0.05),
+            "mean",
+            window_size=5.0,
+            delay_sample=delay_sample(),
+            warmup_elements=len(stream) + 1,
+        )
+        delays, values, rate = delay_sample(), ValueStatsTracker(), RateTracker()
+        longest = 0
+        for element in stream:
+            handler.offer(element)
+            longest = max(longest, len(handler._pending))
+            delays.observe(element.delay)
+            values.observe(element.value)
+            rate.observe(element.event_time)
+        assert not handler.adaptations
+        assert longest == PENDING_FOLD_LIMIT - 1  # the full list folded inside the call
+        handler._fold_pending()
+        assert not handler._pending
+        assert handler.delay_sample.count == delays.count == len(stream)
+        for q in (0.5, 0.9, 0.99, 1.0):
+            assert handler.delay_sample.quantile(q) == delays.quantile(q)
+        assert handler._value_stats.dispersion == values.dispersion
+        assert handler._rate.rate == rate.rate
+
+    def test_missing_arrival_time_raises_from_the_offer_that_carries_it(
+        self, rng, delay_sample
+    ):
+        stream = make_stream(rng, ExponentialDelay(0.5), duration=1)
+        handler = AQKSlackHandler(
+            QualityTarget(0.05), CountAggregate(), delay_sample=delay_sample()
+        )
+        for element in stream[:10]:
+            handler.offer(element)
+        assert len(handler._pending) == 10  # still warming up: no round yet
+        with pytest.raises(ConfigurationError):
+            handler.offer(StreamElement(event_time=5.0, value=0.0))
+        assert len(handler._pending) == 10
+        for element in stream[10:]:  # and the rounds after it run
+            handler.offer(element)
+        assert handler.adaptations
 
 
 class TestEstimationConfidence:

@@ -230,9 +230,9 @@ class TestCellBookkeeping:
         most = 0
         for index in range(0, len(stream), step):
             if batch_size:
-                operator.process_many(stream[index : index + step])
+                emitted = operator.process_many(stream[index : index + step])
             else:
-                operator.process(stream[index])
+                emitted = operator.process(stream[index])
             open_intervals = {
                 (key, interval)
                 for key, window in store._open
@@ -240,12 +240,20 @@ class TestCellBookkeeping:
             }
             assert set(store._cells) <= open_intervals
             assert set(store._cache.entries) <= {interval for __, interval in open_intervals}
-            assert not store._staged
+            # Staged values wait for a close that emits; it folds them all (a
+            # batch goes on staging after its last close).
+            if emitted and not batch_size:
+                assert not store._staged
+            key_of = {id(cell): key for (key, __), cell in store._cells.items()}
+            for cell in store._staged:
+                assert cell.values and id(cell) in key_of
+                assert all((key_of[id(cell)], w) in store._open for w in cell.on_time)
             most = max(most, len(store._cells))
         assert most >= 3  # one per key at least: the bound is not met by keeping none
         assert operator.stats.late_dropped > operator.stats.missed_windows > 0
         operator.finish()
         assert not store._cells and not store._cache.entries and not store._open
+        assert not store._staged
 
 
 class TestSmallDeterministicScenario:

@@ -187,6 +187,49 @@ def test_offer_many_matches_offer(stream, handler_name):
         assert bulk.released_count() == scalar.released_count()
 
 
+@pytest.mark.parametrize("slack", [0.0, 1.0])
+def test_a_chunk_of_identical_timestamps_matches_scalar(slack):
+    """Coarse timestamps: a whole chunk shares one event time, the next mixes
+    ties with late and newer elements.  With ``K = 0`` every tied element is
+    released by its own offer, so each is located among its ties by seq."""
+    chunk_size = 256
+    times = [i * 0.02 for i in range(chunk_size)]
+    times += [6.0] * chunk_size
+    times += [(6.0, 3.0, 6.5, 7.0)[i % 4] for i in range(chunk_size)]
+    values = np.random.default_rng(5)
+    tied = [
+        StreamElement(
+            event_time=t, key=f"k{i % 3}", value=float(values.uniform(0.0, 100.0)),
+            arrival_time=10.0 + i * 0.02, seq=i,
+        )
+        for i, t in enumerate(times)
+    ]
+    scalar = KSlackHandler(slack)
+    bulk = KSlackHandler(slack)
+    for start in range(0, len(tied), chunk_size):
+        chunk = tied[start : start + chunk_size]
+        released, checkpoints = bulk.offer_many(chunk)
+        prev_offset = 0
+        for element, (end_offset, frontier) in zip(chunk, checkpoints):
+            assert [e.seq for e in released[prev_offset:end_offset]] == [
+                e.seq for e in scalar.offer(element)
+            ]
+            assert frontier == scalar.frontier
+            prev_offset = end_offset
+        assert prev_offset == len(released)
+
+    def make_operator():
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 1.0), MeanAggregate(), KSlackHandler(slack),
+            feedback_horizon=8.0,
+        )
+
+    assert_equivalent(
+        run_pipeline(list(tied), make_operator(), sample_every=50),
+        run_pipeline(list(tied), make_operator(), sample_every=50, batch_size=chunk_size),
+    )
+
+
 def test_negative_batch_size_rejected(stream):
     operator = WindowAggregateOperator(
         SlidingWindowAssigner(4.0, 1.0), CountAggregate(), KSlackHandler(1.0)

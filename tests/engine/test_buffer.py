@@ -90,24 +90,45 @@ class TestBulkBufferAPIs:
         ] == [(e.event_time, e.seq) for e in bulk.release_until(200.0)]
 
     def test_push_many_incremental_chunks(self):
+        # 37 is large against the heap it meets (``push_release`` sorts), 3 is
+        # small once the heap has grown (``push_many`` + ``release_until``).
+        for size in (37, 3):
+            self.check_incremental_chunks(size)
+
+    def check_incremental_chunks(self, size):
         import random
 
         rng = random.Random(6)
         timestamps = [rng.uniform(0, 100) for _ in range(400)]
         one = SortingBuffer()
         bulk = SortingBuffer()
-        for start in range(0, len(timestamps), 37):
-            chunk = timestamps[start : start + 37]
+        both = SortingBuffer()
+        sorted_chunks = []
+        for start in range(0, len(timestamps), size):
+            chunk = timestamps[start : start + size]
             for seq, ts in enumerate(chunk, start):
                 one.push(el(ts, seq=seq))
-            bulk.push_many([el(ts, seq=seq) for seq, ts in enumerate(chunk, start)])
+            elements = [el(ts, seq=seq) for seq, ts in enumerate(chunk, start)]
+            bulk.push_many(elements)
             threshold = max(chunk) - 20.0
-            assert [
-                (e.event_time, e.seq) for e in one.release_until(threshold)
-            ] == [(e.event_time, e.seq) for e in bulk.release_until(threshold)]
-        assert [(e.event_time, e.seq) for e in one.drain()] == [
-            (e.event_time, e.seq) for e in bulk.drain()
-        ]
+            sorted_chunks.append(len(elements) * 8 > len(both))
+            expected = [(e.event_time, e.seq) for e in one.release_until(threshold)]
+            assert expected == [
+                (e.event_time, e.seq) for e in bulk.release_until(threshold)
+            ]
+            assert expected == [
+                (e.event_time, e.seq) for e in both.push_release(elements, threshold)
+            ]
+            assert both.released_total == one.released_total
+            assert both.max_size == one.max_size
+            assert len(both) == len(one)
+        # Both sides of the size rule were taken: all 11 chunks of 37, 31 of 134.
+        assert all(sorted_chunks) if size == 37 else 0 < sum(sorted_chunks) < 40
+        rest = [(e.event_time, e.seq) for e in one.drain()]
+        assert rest == [(e.event_time, e.seq) for e in bulk.drain()]
+        # What ``push_release`` left is a heap for scalar pushes and pops.
+        both.push(el(0.0, seq=1000))
+        assert [(e.event_time, e.seq) for e in both.drain()] == [(0.0, 1000), *rest]
 
     def test_sort_and_split_large_release(self):
         # Releasing most of a large buffer takes the sort-and-split path;

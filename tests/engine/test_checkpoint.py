@@ -150,6 +150,35 @@ class TestResumeEquivalence:
 
         self._assert_resume_equivalent(make_operator, stream, tmp_path)
 
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_resume_with_values_staged_and_samples_pending(self, rng, tmp_path, mode):
+        """The scalar driver leaves released values staged in the store and
+        arrivals unfolded in the handler between calls: both cross the cut."""
+        stream = make_stream(rng)
+
+        def make_operator():
+            return WindowAggregateOperator(
+                SlidingWindowAssigner(5, 1),
+                MeanAggregate(),
+                AQKSlackHandler(QualityTarget(0.02), "mean", window_size=5.0),
+                feedback_horizon=10.0,
+                mode=mode,
+            )
+
+        def cut(operator):
+            store = operator._store
+            assert store._staged if mode == "naive" else store._groups
+            assert operator.handler._pending
+            return loads_state(dumps_state(operator))
+
+        reference, uninterrupted, results, resumed = self._assert_resume_equivalent(
+            make_operator, stream, tmp_path, snapshot=cut
+        )
+        assert results == reference
+        assert resumed.stats.observed_errors == uninterrupted.stats.observed_errors
+        assert resumed.handler.adaptations == uninterrupted.handler.adaptations
+        assert len(resumed.handler.adaptations) > 20
+
     def test_adaptive_state_survives(self, rng, tmp_path):
         stream = make_stream(rng)
         operator = WindowAggregateOperator(

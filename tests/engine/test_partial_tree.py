@@ -375,7 +375,8 @@ def test_untouched_window_retires_without_a_merge(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
     for slice_index in range(4):
-        store.add(unit_element(slice_index + 0.5), 0.0)
+        store.stage(unit_element(slice_index + 0.5), 0.0)
+    store.flush()
     (closed,) = store.close(4.0, 0.0, False)
     assert (closed.window.start, closed.value) == (0.0, 4.0)
     assert aggregate.merges > 0
@@ -391,9 +392,11 @@ def test_window_patched_after_its_close_is_reassembled(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
     for slice_index in range(4):
-        store.add(unit_element(slice_index + 0.5), 0.0)
+        store.stage(unit_element(slice_index + 0.5), 0.0)
+    store.flush()
     store.close(4.0, 0.0, False)
-    store.add(unit_element(2.25), 0.0)  # late for [0, 4), the only closed window
+    store.stage(unit_element(2.25), 0.0)  # late for [0, 4), the only closed window
+    store.flush()
     assert store.stats.late_dropped == 1
     aggregate.merges = 0
     errors = []
@@ -407,10 +410,12 @@ def test_late_slice_shared_by_retiring_and_retained_windows(tree_class):
     aggregate = MergeCountingSum()
     store = slice_store(tree_class, aggregate)
     for slice_index in range(9):
-        store.add(unit_element(slice_index + 0.5), 0.0)
+        store.stage(unit_element(slice_index + 0.5), 0.0)
+    store.flush()
     assert [r.window.start for r in store.close(5.0, 0.0, False)] == [0.0, 1.0]
     # Slice 3: late for [0, 4) and [1, 5), on time for [2, 6) and [3, 7).
-    store.add(unit_element(3.75), 0.0)
+    store.stage(unit_element(3.75), 0.0)
+    store.flush()
     assert store.stats.late_dropped == 2
     errors = []
     store.retire(6.0, 0.0, errors.append)  # retires [0, 4); [1, 5) stays
@@ -478,13 +483,16 @@ def test_in_order_close_is_one_merge_and_caches_no_node():
 def test_slice_late_for_windows_all_retired_leaves_no_mark():
     store = slice_store(_SliceTree, SumAggregate())
     for slice_index in range(12):
-        store.add(unit_element(slice_index + 0.5), 0.0)
+        store.stage(unit_element(slice_index + 0.5), 0.0)
+    store.flush()
     store.close(12.0, 0.0, False)
     store.retire(12.0, 0.0, lambda error: None)  # retires every end <= 10
-    store.add(unit_element(5.5), 0.0)  # its last window, [5, 9), is gone
+    store.stage(unit_element(5.5), 0.0)  # its last window, [5, 9), is gone
+    store.flush()
     assert store.stats.late_dropped == 4
     assert store._late == {}
-    store.add(unit_element(7.5), 0.0)  # [7, 11) is still retained
+    store.stage(unit_element(7.5), 0.0)  # [7, 11) is still retained
+    store.flush()
     assert store._late == {None: [7]}
 
 
@@ -707,8 +715,10 @@ def test_unmarked_window_retires_with_relative_error_of_its_value(
     monkeypatch.setattr(partial_tree, "relative_error", spy)
     store = slice_store(_SliceTree, aggregate)
     for seq, value in enumerate(values):
-        store.add(StreamElement(event_time=seq + 0.5, value=value, seq=seq), 0.0)
-    store.add(unit_element(5.5, seq=9), 0.0)  # a plain float, for contrast
+        store.stage(StreamElement(event_time=seq + 0.5, value=value, seq=seq), 0.0)
+    store.flush()
+    store.stage(unit_element(5.5, seq=9), 0.0)  # a plain float, for contrast
+    store.flush()
     results = store.close(9.0, 0.0, False)
     first, second = results[0], results[-1]
     assert (first.window.start, second.window.start) == (0.0, 5.0)

@@ -133,6 +133,10 @@ class TestSlicedSpecifics:
                 calls[self.label] += 1
                 super().add(accumulator, value)
 
+            def add_many(self, accumulator, values):
+                calls[self.label] += len(values)
+                super().add_many(accumulator, values)
+
         for mode in calls:
             run_pipeline(
                 stream,
