@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab experiments examples artifacts clean
+.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab perfbench-test experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -99,6 +99,13 @@ bench-quick:
 PAIRS ?= 10
 perf-ab:
 	$(PY) benchmarks/perf_ab.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS)
+
+# The benchmark's own self-tests (scale 0.05, under a minute): the only
+# guard on the contract a perf PR must keep without editing perfbench/ --
+# deferred emission on the sharded workload, pickles_per_chunk <= 2, equal
+# digests on the overlap-64 pair.  Run from the repository root.
+perfbench-test:
+	$(PY) -m pytest perfbench/tests -q
 
 experiments:
 	$(PY) -m repro.bench.experiments all

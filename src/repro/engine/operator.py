@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 from repro.engine.windows import Window
 from repro.streams.element import StreamElement
+from repro.streams.timebase import ArrivalTimeStamp, DurationS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WindowResult:
     """One finalized window aggregate.
 
@@ -38,6 +39,30 @@ class WindowResult:
     latency: float
     revision: int = 0
     flushed: bool = False
+
+    def __init__(
+        self, key: object, window: Window, value: float, count: int,
+        emit_time: ArrivalTimeStamp, latency: DurationS,
+        revision: int = 0, flushed: bool = False,
+    ) -> None:
+        # The generated __init__ of a frozen dataclass goes through eight
+        # object.__setattr__ calls, and every emitted window pays for one.
+        _set_key(self, key)
+        _set_window(self, window)
+        _set_value(self, value)
+        _set_count(self, count)
+        _set_emit_time(self, emit_time)
+        _set_latency(self, latency)
+        _set_revision(self, revision)
+        _set_flushed(self, flushed)
+
+
+# The slots' member descriptors write past the frozen __setattr__.  Bound
+# after the decorator ran: slots=True builds the class anew.
+(
+    _set_key, _set_window, _set_value, _set_count,
+    _set_emit_time, _set_latency, _set_revision, _set_flushed,
+) = (vars(WindowResult)[name].__set__ for name in WindowResult.__slots__)
 
 
 class Operator(ABC):

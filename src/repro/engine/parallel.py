@@ -26,7 +26,13 @@ Semantics (the *shard contract*, documented in ``docs/SCALING.md``):
   global frontier, so sharded execution is at least as complete as
   unsharded execution (it drops no element an unsharded run would keep).
 * The merged output is in canonical order: ``(emit_time, flushed,
-  window.end, window.start, key)``.
+  window.end, window.start, repr(key))``, then first-seen rank (shard
+  order, then emission order within a shard).  Shard frontiers never
+  step back, so a merged window's emit time (a max over shards of a step
+  function of its end) is nondecreasing in the end, and every flushed
+  window ends past the minimum frontier, i.e. past every closed one:
+  the same order is ``(window.end, window.start, repr(key), rank)``, and
+  the merge produces it by one walk over the distinct ends.
 
 The executor seam: the coordinator speaks one protocol to however shards
 actually run — ``begin(spec)`` once, ``dispatch(shard_id, elements)`` per
@@ -48,7 +54,11 @@ import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence, cast
+
+import numpy as np
 
 from repro.analysis import guard_operator
 from repro.engine.aggregate_op import WindowAggregateOperator
@@ -798,97 +808,94 @@ class ShardedWindowOperator(Operator):
 
     # -- merge --------------------------------------------------------- #
 
-    def _merge(self, runs: list[_ShardRun]) -> tuple[list[WindowResult], list[int]]:
+    def _merge(self, runs: list[_ShardRun]) -> list[WindowResult]:
         """Combine the runs' columns at the minimum frontier.
 
-        Returns the merged results in canonical order and, per result,
-        how many shards contributed to it.  A row without an accumulator
-        is a whole group (routing kept its key in one shard); rows with
-        one are regrouped by ``(key, window)`` and folded in shard order.
+        One walk over the distinct window ends in ascending order — the
+        canonical order, see the module docstring — recording a
+        ``shard.merge`` per result when traced.  A row without an
+        accumulator is a whole group (routing kept its key in one shard);
+        rows with one are regrouped by ``(key, window)`` and folded in
+        shard order.
         """
         min_frontier = min(run.final_frontier for run in runs)
-        last_arrival = self._last_arrival
         aggregate = self._aggregate
+        tracer = self.tracer
+        traced = tracer.enabled
 
-        emissions: dict[EventTimeStamp, tuple[ArrivalTimeStamp, bool]] = {}
+        # Concatenated, a row's position is its first-seen rank; a run's
+        # rows are end-sorted per key only, hence the (stable) sort.  The
+        # groups of equal ends are cut where the sorted column steps.
+        ends = np.concatenate([run.ends for run in runs])
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        bounds = np.flatnonzero(np.diff(ends, prepend=-np.inf, append=np.inf)).tolist()
+        group_ends: list[EventTimeStamp] = ends[bounds[:-1]].tolist()
+        starts = np.concatenate([run.starts for run in runs])[order]
+        values = np.concatenate([run.values for run in runs])[order]
+        counts = np.concatenate([run.counts for run in runs])[order]
+        keys = [key for run in runs for key in run.keys]
+        key_reprs = [repr(key) for key in keys]
+        first_key_id = np.cumsum([0] + [len(run.keys) for run in runs])
+        key_ids = np.concatenate(
+            [np.asarray(run.key_index) + first for run, first in zip(runs, first_key_id)]
+        )[order]
+        accumulators: list[Any] = []  # stays empty when no run captured any
+        if any(run.accumulators for run in runs):
+            by_rank = [
+                accumulator
+                for run in runs
+                for accumulator in run.accumulators or [None] * len(run.ends)
+            ]
+            accumulators = [by_rank[row] for row in order.tolist()]
+        del ends, order  # the walk reads neither: freed before the results grow
 
-        def emission(end: EventTimeStamp) -> tuple[ArrivalTimeStamp, bool]:
-            """Emit time and flushed flag of every merged window ending at ``end``."""
-            emit = emissions.get(end)
-            if emit is None:
-                if end > min_frontier:
-                    emit = (last_arrival, True)
-                else:
-                    # The arrival at which the last shard's frontier reached it.
-                    emit = (
-                        max(
-                            run.frontier_arrivals[bisect_left(run.frontier_values, end)]
-                            for run in runs
-                        ),
-                        False,
-                    )
-                emissions[end] = emit
-            return emit
-
-        windows: dict[tuple[float, float], Window] = {}
-        # Groups that may span shards, by (key, start, end):
-        # [first-seen rank, repr(key), window, value, count, accumulator, shards]
-        split: dict[tuple[object, float, float], list[Any]] = {}
-        # One row per merged group, sort key first: (emit time, flushed,
-        # end, start, repr(key), first-seen rank, key, window, value, count, shards)
-        rows: list[tuple[Any, ...]] = []
-        rank = 0
-        for run in runs:
-            keys = run.keys
-            key_reprs = [repr(key) for key in keys]
-            for key_id, start, end, value, count, accumulator in zip(
-                run.key_index, run.starts, run.ends, run.values, run.counts,
-                run.accumulators or [None] * len(run.ends),
+        results: list[WindowResult] = []
+        for end, low, high in zip(group_ends, bounds, bounds[1:]):
+            flushed = end > min_frontier
+            # Closed at the arrival at which the last shard's frontier reached it.
+            emit_time = self._last_arrival if flushed else max(
+                run.frontier_arrivals[bisect_left(run.frontier_values, end)] for run in runs
+            )
+            latency = emit_time - end
+            # One entry per merged group, in first-seen order: [start,
+            # repr(key), key, value, count, accumulator, shards]; those
+            # that may span shards are also in ``split``, by (key, start).
+            entries: list[Any] = []
+            split: dict[tuple[object, float], list[Any]] = {}
+            for key_id, start, value, count, accumulator in zip(
+                key_ids[low:high].tolist(), starts[low:high].tolist(),
+                values[low:high].tolist(), counts[low:high].tolist(),
+                accumulators[low:high] or repeat(None),
             ):
                 key = keys[key_id]
-                window = windows.get((start, end))
-                if window is None:
-                    window = windows[(start, end)] = Window(start, end)
                 if accumulator is None:
-                    rows.append(
-                        (*emission(end), end, start, key_reprs[key_id], rank, key,
-                         window, value, count, 1)
-                    )
-                    rank += 1
-                    continue
-                group = split.get((key, start, end))
-                if group is None:
-                    split[(key, start, end)] = [
-                        rank, key_reprs[key_id], window, value, count, accumulator, 1
+                    entries.append((start, key_reprs[key_id], key, value, count, None, 1))
+                elif (group := split.get((key, start))) is None:
+                    group = split[(key, start)] = [
+                        start, key_reprs[key_id], key, value, count, accumulator, 1
                     ]
-                    rank += 1
+                    entries.append(group)
                 else:
                     group[4] += count
                     group[5] = aggregate.merge(group[5], accumulator)
                     group[6] += 1
-        for (key, start, end), group in split.items():
-            first_seen, key_repr, window, value, count, accumulator, shards = group
-            if shards > 1:
-                value = aggregate.result(accumulator)
-            rows.append(
-                (*emission(end), end, start, key_repr, first_seen, key, window,
-                 value, count, shards)
-            )
-        rows.sort()
-        results = [
-            WindowResult(
-                key=key,
-                window=window,
-                value=value,
-                count=count,
-                emit_time=emit_time,
-                latency=emit_time - end,
-                revision=0,
-                flushed=flushed,
-            )
-            for emit_time, flushed, end, _, _, _, key, window, value, count, _ in rows
-        ]
-        return results, [row[-1] for row in rows]
+            entries.sort(key=itemgetter(0, 1))  # stable: ties stay in rank order
+            window_start = float("-inf")
+            for start, _, key, value, count, accumulator, n_shards in entries:
+                if start > window_start:
+                    window_start = start
+                    window = Window(start, end)
+                if n_shards > 1:
+                    value = aggregate.result(accumulator)
+                results.append(
+                    WindowResult(key, window, value, count, emit_time, latency, 0, flushed)
+                )
+                if traced:
+                    tracer.shard_merge(
+                        emit_time, key, start, end, n_shards, float(value), count
+                    )
+        return results
 
     def finish(self) -> list[WindowResult]:
         """Collect all shards, merge, and emit in canonical order."""
@@ -916,7 +923,7 @@ class ShardedWindowOperator(Operator):
                     len(run.trace_events),
                     self._chunks_sent[run.shard_id],
                 )
-        merged, shards = self._merge(runs)
+        merged = self._merge(runs)
         self.handler._finalize(runs)
         stats = self.stats
         stats.results_out = len(merged)
@@ -934,17 +941,6 @@ class ShardedWindowOperator(Operator):
                 registry.gauge(f"{prefix}.final_frontier").set(run.final_frontier)
                 for name, value in run.metric_deltas.items():
                     registry.counter(f"{prefix}.{name}").set(value)
-        if tracer.enabled:
-            for result, n_shards in zip(merged, shards):
-                tracer.shard_merge(
-                    result.emit_time,
-                    result.key,
-                    result.window.start,
-                    result.window.end,
-                    n_shards,
-                    float(result.value),
-                    result.count,
-                )
         return merged
 
 

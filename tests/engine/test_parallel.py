@@ -10,6 +10,8 @@ execution.
 from __future__ import annotations
 
 import copy
+import gc
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -360,6 +362,31 @@ def test_merge_reads_columns_like_the_reference_merge(keys, key_fn, aggregate):
     assert any(r.flushed for r in results) and not all(r.flushed for r in results)
     if keys != ("a", None, "b", None):
         assert max(r.count for r in results) > max(max(run.counts) for run in runs)
+
+
+def test_finish_peaks_near_what_it_leaves_behind():
+    # The merge builds each result once, straight from the runs' columns:
+    # no result-sized list of row tuples to sort, so what finish() holds
+    # at its peak is little more than the results it returns (a ratio, so
+    # the interpreter's object sizes cancel; 1.9 before the walk by end).
+    stream = keyed_stream(keys=tuple("abcdefghijklmnop"), duration=100.0, rate=100.0)
+    operator = ShardedWindowOperator(
+        2,
+        SlidingWindowAssigner(size=4.0, slide=0.25),
+        make_aggregate("sum"),
+        lambda: KSlackHandler(1.0),
+        mode="tree",
+    )
+    operator.process_many(stream)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        results = operator.finish()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) > 5_000
+    assert peak <= 1.5 * live
 
 
 def aqk_handler():

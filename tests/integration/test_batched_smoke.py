@@ -1,9 +1,9 @@
-"""Tier-1 smoke: batched execution is at least as fast as scalar.
+"""Tier-1 smoke: a batched run emits what the scalar run emits.
 
-A 20k-element run is long enough for interpreter-loop overhead to dominate
-and the bulk paths to win decisively (E18 measures ~2-6x; this gate only
-asserts "no slower" so scheduler noise cannot flake it), while staying
-fast enough for the default test suite.
+One 20k-element run per driver.  That the batched one is no slower is
+timed in ``benchmarks/test_e18_batched_throughput.py`` (``make bench``):
+on a shared box two ~50 ms runs cannot carry a timing assertion (it
+failed 2 of 100 trials at PR 21).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
 
 
-def test_batched_throughput_not_slower_than_scalar():
+def test_batched_results_equal_scalar():
     rng = np.random.default_rng(11)
     stream = inject_disorder(
         generate_stream(duration=200.0, rate=100.0, rng=rng),
@@ -37,19 +37,10 @@ def test_batched_throughput_not_slower_than_scalar():
             track_feedback=False,
         )
 
-    def best_eps(batch_size):
-        best = None
-        for __ in range(2):
-            out = run_pipeline(stream, make_operator(), batch_size=batch_size)
-            if best is None or out.metrics.throughput_eps > best.metrics.throughput_eps:
-                best = out
-        return best
-
-    scalar = best_eps(0)
-    batched = best_eps(512)
+    scalar = run_pipeline(stream, make_operator(), batch_size=0)
+    batched = run_pipeline(stream, make_operator(), batch_size=512)
 
     scalar_map = {(r.key, r.window): round(r.value, 9) for r in scalar.results}
     batched_map = {(r.key, r.window): round(r.value, 9) for r in batched.results}
     assert scalar_map == batched_map
     assert len(scalar.results) == len(batched.results)
-    assert batched.metrics.throughput_eps >= scalar.metrics.throughput_eps
