@@ -112,7 +112,7 @@ experiments:
 
 artifacts:
 	$(PY) -m repro.cli experiment E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 \
-	    E11 E12 E13 E14 E15 E16 E17 E18 E19 --out-dir results
+	    E12 E13 E14 E15 E16 E17 E18 E19 --out-dir results
 
 examples:
 	$(PY) examples/quickstart.py --duration 60

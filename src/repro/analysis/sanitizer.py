@@ -34,9 +34,7 @@ overhead is zero.  Checker overhead when on is measured in
 ``benchmarks/test_micro_components.py`` (see ``docs/ANALYSIS.md``).
 
 The accounting checkers assume the handler releases only elements it was
-offered (true for every handler in this package; the shared-buffer query
-cursors of :mod:`repro.core.shared` are driven outside ``run_pipeline`` and
-are not wrapped).
+offered (true for every handler in this package).
 """
 
 from __future__ import annotations

@@ -38,9 +38,8 @@ from repro.core.controller import (
     PureFeedbackController,
 )
 from repro.core.estimators import NaiveModel
-from repro.core.quality import assess_quality, error_timeline
+from repro.core.quality import error_timeline
 from repro.core.sampling import ReservoirSample, SlidingDelaySample
-from repro.core.shared import SharedAQKBuffer, run_shared
 from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
@@ -523,83 +522,6 @@ def e10_window_sweep(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# E11: shared multi-query execution
-
-
-def e11_multiquery(scale: float = 1.0) -> ExperimentResult:
-    """Table E11: one shared buffer vs per-query buffers."""
-    spec = WorkloadSpec().scaled(scale)
-    stream = spec.build()
-    assigner = standard_query()
-    aggregate_name = "count"
-    thetas = [0.01, 0.02, 0.05, 0.2]
-    truth = oracle_results(stream, assigner, make_aggregate(aggregate_name))
-
-    # Shared execution.
-    buffer = SharedAQKBuffer()
-    operators = {}
-    for theta in thetas:
-        qid = f"q{theta}"
-        handler = buffer.register(
-            qid,
-            target=QualityTarget(theta),
-            aggregate=make_aggregate(aggregate_name),
-            window_size=10.0,
-        )
-        operators[qid] = WindowAggregateOperator(
-            standard_query(), make_aggregate(aggregate_name), handler
-        )
-    shared_results = run_shared(stream, buffer, operators)
-
-    result = ExperimentResult(
-        experiment_id="E11",
-        title="Shared buffer vs private buffers (4 concurrent count queries)",
-        columns=[
-            "theta",
-            "shared_error",
-            "shared_latency",
-            "private_error",
-            "private_latency",
-        ],
-        notes=[workload_summary(stream)],
-    )
-
-    private_peak = 0
-    for theta in thetas:
-        qid = f"q{theta}"
-        shared_report = assess_quality(shared_results[qid], truth, threshold=theta)
-        shared_latencies = [r.latency for r in shared_results[qid] if not r.flushed]
-        shared_latency = (
-            np.mean(shared_latencies) if shared_latencies else float("nan")
-        )
-        private = run_policy(
-            stream,
-            assigner,
-            make_aggregate(aggregate_name),
-            AQKSlackHandler(
-                target=QualityTarget(theta),
-                aggregate=make_aggregate(aggregate_name),
-                window_size=10.0,
-            ),
-            threshold=theta,
-            oracle=truth,
-        )
-        private_peak += private.max_buffered
-        result.add_row(
-            theta=theta,
-            shared_error=shared_report.mean_error,
-            shared_latency=float(shared_latency),
-            private_error=private.report.mean_error,
-            private_latency=private.latency.mean,
-        )
-    result.notes.append(
-        f"peak buffered elements: shared={buffer.max_buffered}, "
-        f"sum of private={private_peak}"
-    )
-    return result
-
-
-# --------------------------------------------------------------------- #
 # E12: domain workloads end-to-end
 
 
@@ -1050,48 +972,29 @@ def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# E19: partial-aggregate tree execution and shared slices
+# E19: partial-aggregate tree execution
 
 
 def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
-    """Table E19: tree execution vs naive, plus shared slices.
+    """Table E19: tree execution vs naive over an overlap sweep.
 
-    Two sections in one table.  The *overlap sweep* (``overlap=N`` rows)
-    holds the slide at 0.125s and grows the window, so per-close cost
+    The slide is held at 0.125s and the window grows, so per-close cost
     dominates: naive mode folds every element into ``overlap`` windows,
     tree mode closes an in-order window with one merge and a late-reached
-    one from O(log overlap) cached partials.  The
-    *multi-query* row runs four concurrent AQ-K count queries (the E11
-    workload) three ways — one naive pipeline per query (what E11
-    measures today), one tree pipeline per query, and a single
-    :class:`~repro.engine.partial_tree.SharedSliceStore` — with eps
-    counting each element once per query it serves.
+    one from O(log overlap) cached partials.
     """
-    import time
-
     from repro.engine.handlers import KSlackHandler
-    from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 
     stream = WorkloadSpec().scaled(scale).build()
     slide = 0.125
     result = ExperimentResult(
         experiment_id="E19",
-        title="Tree execution and shared slices (count, K-slack 1s)",
-        columns=[
-            "config",
-            "naive_eps",
-            "tree_eps",
-            "shared_eps",
-            "shared_over_naive",
-            "results_equal",
-        ],
+        title="Tree execution (count, K-slack 1s)",
+        columns=["config", "naive_eps", "tree_eps", "results_equal"],
         notes=[
             workload_summary(stream),
             "overlap rows: sliding (overlap*0.125s)/0.125s windows, "
             "feedback off",
-            "multi-query row: four AQ-K count queries on the E11 workload; "
-            "eps counts each element once per query; shared_over_naive = "
-            "shared_eps / naive_eps (naive = one pipeline per query)",
         ],
     )
 
@@ -1124,73 +1027,8 @@ def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
             config=f"overlap={overlap}",
             naive_eps=outputs["naive"].metrics.throughput_eps,
             tree_eps=outputs["tree"].metrics.throughput_eps,
-            shared_eps=None,
-            shared_over_naive=None,
             results_equal=maps["naive"] == maps["tree"],
         )
-
-    # Multi-query section: the E11 workload (four concurrent AQ-K count
-    # queries over the standard 10s/2s window) served three ways.
-    thetas = [0.01, 0.02, 0.05, 0.2]
-    window_size, mq_slide = 10.0, 2.0
-    aggregate_name = "count"
-
-    def aqk(theta):
-        return AQKSlackHandler(
-            target=QualityTarget(theta),
-            aggregate=make_aggregate(aggregate_name),
-            window_size=window_size,
-        )
-
-    def independent(make_operator):
-        outputs = {}
-        wall = 0.0
-        for theta in thetas:
-            out = run_pipeline(stream, make_operator(aqk(theta)))
-            wall += out.metrics.wall_time_s
-            outputs[theta] = result_map(out.results)
-        return outputs, wall
-
-    naive_maps, naive_wall = independent(
-        lambda handler: WindowAggregateOperator(
-            standard_query(), make_aggregate(aggregate_name), handler
-        )
-    )
-    tree_maps, tree_wall = independent(
-        lambda handler: WindowAggregateOperator(
-            standard_query(), make_aggregate(aggregate_name), handler, mode="tree"
-        )
-    )
-
-    store = SharedSliceStore(mq_slide, make_aggregate(aggregate_name))
-    for theta in thetas:
-        store.register(f"q{theta}", window_size, advisor=aqk(theta))
-    start = time.perf_counter()
-    shared_results = run_shared_slices(stream, store)
-    shared_wall = time.perf_counter() - start
-    shared_maps = {
-        theta: result_map(shared_results[f"q{theta}"]) for theta in thetas
-    }
-
-    logical = len(stream) * len(thetas)
-    naive_eps = logical / naive_wall
-    shared_eps = logical / shared_wall
-    result.add_row(
-        config=f"multi-query({len(thetas)}xAQ-K)",
-        naive_eps=naive_eps,
-        tree_eps=logical / tree_wall,
-        shared_eps=shared_eps,
-        shared_over_naive=shared_eps / naive_eps,
-        results_equal=all(
-            shared_maps[theta] == tree_maps[theta] == naive_maps[theta]
-            for theta in thetas
-        ),
-    )
-    result.notes.append(
-        "shared store leak check: "
-        f"{store.slice_count()} slices / {store.node_count()} tree nodes "
-        "retained after finish (GC should leave 0/0)"
-    )
     return result
 
 
@@ -1489,7 +1327,6 @@ EXPERIMENTS = {
     "E8": e08_overhead,
     "E9": e09_latency_budget,
     "E10": e10_window_sweep,
-    "E11": e11_multiquery,
     "E12": e12_workloads,
     "E13": e13_ablation_controller,
     "E14": e14_ablation_sampling,

@@ -44,7 +44,6 @@ from repro.core.pair_quality import (
     QualityDrivenIntervalJoin,
     QualityDrivenSequencePattern,
 )
-from repro.core.shared import SharedAQKBuffer, run_shared
 from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "RankModel",
     "RateTracker",
     "ReservoirSample",
-    "SharedAQKBuffer",
     "SlackController",
     "SlidingDelaySample",
     "StreamContext",
@@ -85,5 +83,4 @@ __all__ = [
     "calibrate_error_model",
     "error_timeline",
     "make_error_model",
-    "run_shared",
 ]

@@ -278,11 +278,9 @@ class AQKSlackHandler(SlackHandler):
 
         Only a round reads the samplers, so the arrival waits in
         ``_pending`` and the samplers are folded when one fires (same
-        condition as :meth:`_round_offsets`) or the list is full.  This is
-        all a driver with its own buffer and clock needs
-        (:class:`~repro.core.shared.SharedAQKBuffer`,
-        :class:`~repro.engine.partial_tree.SharedSliceStore`): it applies
-        the returned slack against its shared clock.
+        condition as :meth:`_round_offsets`) or the list is full.
+        :meth:`~repro.engine.handlers.SlackHandler.offer` releases the
+        arrival under the returned slack.
         """
         arrival = element.arrival_time
         if arrival is None:

@@ -31,7 +31,6 @@ from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
 from repro.engine.multisource import MultiSourceWatermarkHandler
 from repro.engine.operator import Operator, WindowResult
 from repro.engine.oracle import oracle_results
-from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.parallel import (
     DEFAULT_CHUNK_SIZE,
     ShardExecutor,
@@ -129,7 +128,6 @@ __all__ = [
     "ShardSpec",
     "ShardedHandlerView",
     "ShardedWindowOperator",
-    "SharedSliceStore",
     "SlackSample",
     "SlidingWindowAssigner",
     "SortingBuffer",
@@ -154,7 +152,6 @@ __all__ = [
     "pair_recall",
     "relative_error",
     "run_pipeline",
-    "run_shared_slices",
     "save_checkpoint",
     "sliding",
     "stable_shard",

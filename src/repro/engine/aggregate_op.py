@@ -539,7 +539,7 @@ class WindowAggregateOperator(Operator):
                 f"{mode} execution requires a sliding/tumbling window assigner"
             )
         else:
-            from repro.engine.partial_tree import _SliceStore, _SliceTree
+            from repro.engine.partial_tree import _SliceStore
 
             ratio = assigner.size / assigner.slide
             span = round(ratio)
@@ -550,8 +550,8 @@ class WindowAggregateOperator(Operator):
                     'use mode="naive" for unaligned windows'
                 )
             store = _SliceStore(
-                _SliceTree(aggregate, assigner.slide, span),
-                assigner.size, span, feedback_horizon, track_feedback,
+                aggregate, assigner.slide, assigner.size, span,
+                feedback_horizon, track_feedback,
             )
         self._store = store
         # The slice tree holds a slice store's aggregate (and its counters);

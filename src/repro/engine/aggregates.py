@@ -2,8 +2,8 @@
 
 Each aggregate follows the accumulate/result protocol: ``create()`` builds a
 mutable accumulator, ``add`` folds one value in, ``result`` extracts the
-answer.  Accumulators also support ``merge`` (for shared multi-query
-execution) and, where mathematically possible, late values can simply be
+answer.  Accumulators also support ``merge`` (for tree-mode slices and
+sharded runs) and, where mathematically possible, late values can simply be
 ``add``-ed after a snapshot was taken — which is how the engine measures the
 error of early-emitted results against late-corrected truth.
 

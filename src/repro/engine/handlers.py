@@ -253,9 +253,7 @@ class SlackHandler(DisorderHandler):
     scalar and bulk release; a buffer-size policy is a subclass that sets
     ``k`` and implements :meth:`slack_for` (observe one arrival, return
     the ``K`` its release runs under) and its batched twin
-    :meth:`slacks_for`.  A driver that keeps its own buffer and clock (the
-    shared stores) calls :meth:`slack_for` alone and applies the returned
-    slack to its own clock.
+    :meth:`slacks_for`.
     """
 
     #: Slack currently in effect; subclasses set it before the first offer.

@@ -1,4 +1,4 @@
-"""Slice-based window state: the slice store, its tree, the shared store.
+"""Slice-based window state: the slice store and its tree.
 
 When the slide divides the window size, windows can be assembled from
 non-overlapping **slices** of ``slide`` seconds (Li et al.'s panes /
@@ -12,7 +12,7 @@ in-order, O(log d) for an out-of-order insert at distance d):
 
 * **In order — one merge.**  Per key the store keeps a two-stacks fold
   aligned to blocks of ``span = size/slide`` slices
-  (:meth:`_QueryWindowView._fold_window`): the *suffix partials* of the
+  (:meth:`_SliceStore._fold_window`): the *suffix partials* of the
   block holding the window's first slice, built right to left from the
   leaf slices once per block, and one *running prefix* over the next
   block, extended by the slices completed since the last close.  A window
@@ -53,14 +53,6 @@ enforced by the property suite in
 required (every exact aggregate in :mod:`repro.engine.aggregates`
 qualifies; P²/SpaceSaving sketches do not).
 
-:class:`SharedSliceStore` extends the sharing across *queries*: concurrent
-queries over the same stream whose windows are multiples of one common
-slide share a single slice stream and a single tree.  Each query keeps only
-its own close/retire cursors, folds and release schedule (fixed slack or
-an adaptive advisor fed observation-only), so per-element aggregation work
-is paid once instead of once per query — the scaling experiment E19
-measures both effects.
-
 Numerics: windows and interior nodes are built exclusively with
 ``aggregate.merge``, so fold and tree inherit the compensated arithmetic
 of :mod:`repro.core.numeric` for sum/mean — partial totals carry their
@@ -87,19 +79,11 @@ from repro.engine.aggregate_op import (
     relative_error,
 )
 from repro.engine.aggregates import AggregateFunction
-from repro.engine.handlers import KSlackHandler, SlackHandler
 from repro.engine.operator import WindowResult
 from repro.engine.windows import Window
-from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
-from repro.streams.timebase import (
-    ArrivalTimeStamp,
-    DurationS,
-    EventTimeFrontier,
-    EventTimeStamp,
-    MonotoneFrontier,
-)
+from repro.streams.timebase import ArrivalTimeStamp, DurationS, EventTimeStamp
 
 
 class _SliceTree:
@@ -142,7 +126,12 @@ class _SliceTree:
     def __init__(self, aggregate: AggregateFunction, slide: DurationS, span: int) -> None:
         self.aggregate = aggregate
         self.slide = slide
-        self.set_span(span)
+        # The window extent in slices bounds both garbage-collection expiries
+        # and the height of the dirty-mark walk: decompositions of a
+        # span-length range use nodes up to one level above log2(span); the
+        # +1 absorbs the off-by-one of odd alignments.
+        self.span = span
+        self.max_level = max(1, (span - 1).bit_length() + 1)
         self.tracer: Tracer = NULL_TRACER
         #: Simulated-time stamp for trace records; the owner refreshes it
         #: before driving closes and retirement.
@@ -162,20 +151,6 @@ class _SliceTree:
         self._slice_gc: list[int] = []
         self._node_gc: list[tuple[float, int, tuple[object, int, int]]] = []
         self._gc_seq = 0
-
-    def set_span(self, span: int) -> None:
-        """Set the widest window extent (in slices) any reader uses.
-
-        The span bounds both garbage-collection expiries and the height of
-        the dirty-mark walk; :class:`SharedSliceStore` raises it as queries
-        register (before any element is ingested).
-        """
-        if span < 1:
-            raise ConfigurationError(f"span must be >= 1, got {span}")
-        self.span = span
-        # Decompositions of a span-length range use nodes up to one level
-        # above log2(span); the +1 absorbs the off-by-one of odd alignments.
-        self.max_level = max(1, (span - 1).bit_length() + 1)
 
     # ------------------------------------------------------------------ #
     # ingestion side
@@ -367,7 +342,7 @@ class _BlockFold:
 
     ``suffix[j]`` is ``(accumulator, count)`` over slices ``base + j`` to the
     end of the block ``[base, base + span)``; ``prefix`` covers
-    ``[base + span, prefix_to)``.  See :meth:`_QueryWindowView._fold_window`.
+    ``[base + span, prefix_to)``.  See :meth:`_SliceStore._fold_window`.
     """
 
     __slots__ = ("base", "suffix", "prefix", "prefix_count", "prefix_to")
@@ -380,12 +355,19 @@ class _BlockFold:
         self.prefix_to = base + span
 
 
-class _QueryWindowView:
-    """Per-query window close/retire cursors and folds over a slice tree.
+class _SliceStore:
+    """The slice-based window store: its slice tree, and per-key close and
+    retire cursors and folds over it.
+
+    One staged value per element, one ``add_many`` per touched slice when
+    something reads it; a window is assembled when it closes
+    (by the fold, or by the tree where late data reached it) and, if a
+    late element reached it since, again when it retires; retirement
+    garbage-collects behind the horizon.
 
     Registering every window end of every new slice in a global heap
     would cost O(size/slide) pushes per slice and cap the tree's win
-    exactly where overlap is high.  A view instead tracks, per key, the
+    exactly where overlap is high.  The store instead tracks, per key, the
     contiguous range of window-end indices still to close
     (``next_end..max_end``) plus one scheduling entry per key in a heap:
     closing a window is O(1) amortized regardless of overlap.
@@ -399,6 +381,8 @@ class _QueryWindowView:
         "track_feedback",
         "stats",
         "close_frontier",
+        "_gc_horizon",
+        "_groups",
         "_next_end",
         "_max_end",
         "_scheduled",
@@ -412,19 +396,24 @@ class _QueryWindowView:
 
     def __init__(
         self,
-        tree: _SliceTree,
+        aggregate: AggregateFunction,
+        slide: DurationS,
         size: DurationS,
         span: int,
         feedback_horizon: DurationS,
         track_feedback: bool,
     ) -> None:
-        self.tree = tree
+        self.tree = _SliceTree(aggregate, slide, span)
         self.size = size
         self.span = span
         self.feedback_horizon = feedback_horizon
         self.track_feedback = track_feedback
         self.stats = OperatorStats()
         self.close_frontier = float("-inf")
+        self._gc_horizon = feedback_horizon if track_feedback else 0.0
+        # Slice entries holding staged values, in first-staged order (the
+        # fold order); the values and the group's late count sit on the entry.
+        self._groups: list[list[Any]] = []
         self._next_end: dict[object, int] = {}
         self._max_end: dict[object, int] = {}
         self._scheduled: set[object] = set()
@@ -432,7 +421,7 @@ class _QueryWindowView:
         self._pending: list[tuple[float, int, object]] = []
         self._heap_seq = 0
         # Emitted windows awaiting feedback retirement, (end, key, value) in
-        # ascending end, ties in emission order (see close_windows).
+        # ascending end, ties in emission order (see close).
         self._retiring: deque[tuple[float, object, Any]] = deque()
         # key -> ascending indices of the slices that took an element after
         # a window containing them had closed; spent marks go at retirement.
@@ -504,17 +493,17 @@ class _QueryWindowView:
     def note_slice(self, key: object, slice_index: int) -> None:
         """Extend the key's closable end range to cover a touched slice.
 
-        The range can grow at *both* ends: behind a sorting buffer only the
-        top moves, but the shared store ingests at raw arrival order, so an
-        out-of-order (yet not late) element may touch a slice below the
-        current range start.  Whatever gets scheduled is clamped to the
-        first end above the close frontier: everything at or below it has
-        closed, an unclamped rewind would make every late element cost a
-        re-walk proportional to its lateness, and truly late elements (the
-        common case behind a sorting buffer) never lower ``_next_end`` at
-        all.  So closing twice at one frontier finds nothing the second
-        time, which lets the batched driver skip steps where the frontier
-        did not move.
+        The range can grow at *both* ends.  Behind a sorting buffer only the
+        top moves: it releases in event-time order, at or behind its
+        frontier.  A watermark handler releases every element on arrival,
+        ahead of its frontier, so an out-of-order (yet not late) element may
+        touch a slice below the current range start.  Whatever gets
+        scheduled is clamped to the first end above the close frontier:
+        everything at or below it has closed, an unclamped rewind would make
+        every late element cost a re-walk proportional to its lateness, and
+        truly late elements never lower ``_next_end`` at all.  So closing
+        twice at one frontier finds nothing the second time, which lets the
+        batched driver skip steps where the frontier did not move.
         """
         first_end = slice_index + 1
         last_end = slice_index + self.span
@@ -559,12 +548,8 @@ class _QueryWindowView:
             floor += 1
         return floor
 
-    def close_windows(
-        self,
-        frontier: EventTimeStamp,
-        emit_time: ArrivalTimeStamp,
-        tracer: Tracer,
-        flushed: bool = False,
+    def close(
+        self, frontier: EventTimeStamp, emit_time: ArrivalTimeStamp, flushed: bool
     ) -> list[WindowResult]:
         """Emit every window with ``end <= frontier`` not yet closed."""
         pending = self._pending
@@ -572,13 +557,17 @@ class _QueryWindowView:
             if frontier > self.close_frontier:
                 self.close_frontier = frontier
             return []
+        if self._groups:
+            self.flush()
         tree = self.tree
+        tree.sim_time = emit_time
         tree.flush_touched()
         aggregate = tree.aggregate
         slide = tree.slide
         size = self.size
         span = self.span
         track = self.track_feedback
+        tracer = tree.tracer
         tracing = tracer.enabled
         dirty_to = self._dirty_to
         results: list[WindowResult] = []
@@ -710,10 +699,15 @@ class _QueryWindowView:
             partials += 1
         return accumulator, count, partials
 
-    def retire_windows(
-        self, frontier: EventTimeStamp, observe_error: Callable[[float], None]
+    def retire(
+        self,
+        frontier: EventTimeStamp,
+        now: ArrivalTimeStamp,
+        observe_error: Callable[[float], None],
     ) -> None:
-        """Score emitted-vs-corrected error for windows leaving the horizon.
+        """Score emitted-vs-corrected error for windows leaving the feedback
+        horizon, then collect the slices and nodes no remaining window can
+        read.
 
         Only windows that were emitted are scored (a window that closed
         empty left nothing to compare against).  A window no late element
@@ -724,14 +718,18 @@ class _QueryWindowView:
         patched partials above late slices serve every correction in
         O(log) instead of a fresh merge chain.
         """
-        if not self.track_feedback:
-            return
+        tree = self.tree
         retiring = self._retiring
         retire_before = frontier - self.feedback_horizon
-        if not retiring or retiring[0][0] > retire_before:
+        gc_before = frontier - self._gc_horizon
+        due = bool(retiring) and retiring[0][0] <= retire_before
+        if not due and not tree.gc_due(gc_before):
             return
-        tree = self.tree
-        tree.flush_touched()
+        if self._groups:
+            self.flush()
+        tree.sim_time = now
+        if due:
+            tree.flush_touched()
         aggregate = tree.aggregate
         slide = tree.slide
         span = self.span
@@ -769,33 +767,7 @@ class _QueryWindowView:
                     emitted, corrected, error, None,
                 )
             observe_error(error)
-
-
-class _SliceStore(_QueryWindowView):
-    """The slice-based window store: a view that owns its tree.
-
-    One staged value per element, one ``add_many`` per touched slice when
-    something reads it; a window is assembled when it closes
-    (by the fold, or by the tree where late data reached it) and, if a
-    late element reached it since, again when it retires; retirement
-    garbage-collects behind the horizon.
-    """
-
-    __slots__ = ("_gc_horizon", "_groups")
-
-    def __init__(
-        self,
-        tree: _SliceTree,
-        size: DurationS,
-        span: int,
-        feedback_horizon: DurationS,
-        track_feedback: bool,
-    ) -> None:
-        super().__init__(tree, size, span, feedback_horizon, track_feedback)
-        self._gc_horizon = feedback_horizon if track_feedback else 0.0
-        # Slice entries holding staged values, in first-staged order (the
-        # fold order); the values and the group's late count sit on the entry.
-        self._groups: list[list[Any]] = []
+        tree.gc(gc_before)
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach the tracer that window and tree records go to."""
@@ -835,254 +807,3 @@ class _SliceStore(_QueryWindowView):
             entry[1] += len(values)
             entry[2] = None
         self._groups.clear()
-
-    def close(
-        self, frontier: EventTimeStamp, emit_time: ArrivalTimeStamp, flushed: bool
-    ) -> list[WindowResult]:
-        """Emit every window with ``end <= frontier`` not yet closed."""
-        pending = self._pending
-        if self._groups and pending and pending[0][0] <= frontier:
-            self.flush()
-        tree = self.tree
-        tree.sim_time = emit_time
-        return self.close_windows(frontier, emit_time, tree.tracer, flushed)
-
-    def retire(
-        self,
-        frontier: EventTimeStamp,
-        now: ArrivalTimeStamp,
-        observe_error: Callable[[float], None],
-    ) -> None:
-        """Score the windows leaving the feedback horizon, then collect
-        the slices and nodes no remaining window can read."""
-        tree = self.tree
-        retiring = self._retiring
-        gc_before = frontier - self._gc_horizon
-        if not (
-            retiring and retiring[0][0] <= frontier - self.feedback_horizon
-        ) and not tree.gc_due(gc_before):
-            return
-        if self._groups:
-            self.flush()
-        tree.sim_time = now
-        self.retire_windows(frontier, observe_error)
-        tree.gc(gc_before)
-
-
-class _SharedQuery:
-    """Registration record of one query inside a :class:`SharedSliceStore`."""
-
-    __slots__ = ("query_id", "view", "advisor", "frontier")
-
-    def __init__(
-        self, query_id: str, view: _QueryWindowView, advisor: SlackHandler
-    ) -> None:
-        self.query_id = query_id
-        self.view = view
-        self.advisor = advisor
-        self.frontier = MonotoneFrontier()
-
-
-class SharedSliceStore:
-    """One slice stream and one partial-aggregate tree, many queries.
-
-    Concurrent queries over the same stream whose window sizes are
-    multiples of a common ``slide`` (the E11 scenario) duplicate all
-    aggregation state when run independently.  The store ingests every
-    element **once** into a shared :class:`_SliceTree`; each registered
-    query keeps only its own release schedule (the K rule of a
-    :class:`~repro.engine.handlers.SlackHandler`: a fixed slack, or an
-    adaptive advisor such as :class:`~repro.core.aqk.AQKSlackHandler`
-    asked through ``slack_for``) and its own close/retire cursors.
-    Per-element aggregation work is therefore O(1) total instead of
-    O(queries), and window results per query are identical to running that
-    query alone — elements are ingested at arrival rather than at release,
-    which is safe because a buffered element is always released no later
-    than the close of any window containing it (its event time precedes
-    every such window's end, and release happens before closes within a
-    step).
-
-    Results accumulate in :attr:`results` (``query_id -> [WindowResult]``);
-    drive the store with :func:`run_shared_slices`.
-
-    The store is driven by one thread, one :meth:`offer` per arriving
-    element: every query's schedule must run on an element before the next
-    one is ingested.  Ingesting ahead of a query folds elements that query
-    would count as late into windows it has yet to emit, so it reports
-    them both in the value and in ``late_dropped``.
-    """
-
-    def __init__(
-        self,
-        slide: DurationS,
-        aggregate: AggregateFunction,
-        track_feedback: bool = True,
-    ) -> None:
-        if slide <= 0:
-            raise ConfigurationError(f"slide must be positive, got {slide}")
-        self.slide = slide
-        self.aggregate = aggregate
-        self.track_feedback = track_feedback
-        self._tree = _SliceTree(aggregate, slide, 1)
-        self._queries: dict[str, _SharedQuery] = {}
-        self._clock = EventTimeFrontier()
-        self._last_arrival = 0.0
-        self.results: dict[str, list[WindowResult]] = {}
-
-    # ------------------------------------------------------------------ #
-    # registration
-
-    def register(
-        self,
-        query_id: str,
-        size: DurationS,
-        slack: DurationS | None = None,
-        advisor: SlackHandler | None = None,
-        feedback_horizon: DurationS | None = None,
-    ) -> _QueryWindowView:
-        """Register a query reading windows of ``size`` seconds.
-
-        Exactly one of ``advisor`` (a
-        :class:`~repro.engine.handlers.SlackHandler`, e.g. an
-        :class:`~repro.core.aqk.AQKSlackHandler`, asked for its
-        ``slack_for(element)`` only — its own buffer stays empty) or
-        ``slack`` (sugar for a ``KSlackHandler(slack)`` advisor) must be
-        given.  Returns the query's view, whose ``stats`` mirror an
-        operator's.
-        """
-        if query_id in self._queries:
-            raise ConfigurationError(f"query id {query_id!r} already registered")
-        if self._clock.count:
-            raise ConfigurationError(
-                "register all queries before offering elements"
-            )
-        if (slack is None) == (advisor is None):
-            raise ConfigurationError(
-                "exactly one of slack= or advisor= must be provided"
-            )
-        if advisor is None:
-            advisor = KSlackHandler(slack)
-        elif not isinstance(advisor, SlackHandler):
-            raise ConfigurationError(
-                "advisor must be a SlackHandler (its slack_for(element) is "
-                f"the release schedule), got {type(advisor).__name__}"
-            )
-        ratio = size / self.slide
-        if size <= 0 or abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigurationError(
-                "shared slices require the common slide to divide each "
-                f"window size (got size={size}, slide={self.slide})"
-            )
-        span = int(round(ratio))
-        if span > self._tree.span:
-            self._tree.set_span(span)
-        if feedback_horizon is None:
-            feedback_horizon = 5.0 * size
-        view = _QueryWindowView(
-            self._tree, size, span, feedback_horizon, self.track_feedback
-        )
-        self._queries[query_id] = _SharedQuery(query_id, view, advisor)
-        self.results[query_id] = []
-        return view
-
-    def stats_for(self, query_id: str) -> OperatorStats:
-        """Operator-style counters of one registered query."""
-        return self._queries[query_id].view.stats
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach a tracer to the shared tree."""
-        self._tree.tracer = tracer
-
-    # ------------------------------------------------------------------ #
-    # dispatch
-
-    def offer(self, element: StreamElement) -> None:
-        """Ingest one arriving element and advance every query's schedule.
-
-        The element lands in its slice exactly once; each query then runs
-        its release schedule (fixed slack or advisor) on it, closing and
-        retiring windows, and the tree is collected below the lowest
-        ``frontier - feedback_horizon`` of any query.
-        """
-        if not self._queries:
-            raise ConfigurationError("no queries registered")
-        arrival = element.arrival_time
-        if arrival is None:
-            raise ConfigurationError("shared slices require arrival timestamps")
-        tree = self._tree
-        slice_index = tree.slice_of(element.event_time)
-        key = element.key
-        entry = tree.entry(key, slice_index)
-        self.aggregate.add(entry[0], element.value)
-        entry[1] += 1
-        tree.touch(key, slice_index)
-        clock = self._clock.observe(element.event_time)
-        if arrival > self._last_arrival:
-            self._last_arrival = arrival
-        emit_time = self._last_arrival
-        tracer = tree.tracer
-        if tracer.enabled:
-            tree.sim_time = emit_time
-        horizon_tracked = self.track_feedback
-        gc_threshold = math.inf
-        for query in self._queries.values():
-            view = query.view
-            view.stats.elements_in += 1
-            frontier = query.frontier.advance(
-                clock - query.advisor.slack_for(element)
-            )
-            late = view.late_verdict(key, slice_index)
-            if late:
-                view.stats.late_dropped += late
-            view.note_slice(key, slice_index)
-            closed = view.close_windows(frontier, emit_time, tracer)
-            if closed:
-                self.results[query.query_id].extend(closed)
-            view.retire_windows(frontier, query.advisor.observe_error)
-            threshold = frontier - (view.feedback_horizon if horizon_tracked else 0.0)
-            if threshold < gc_threshold:
-                gc_threshold = threshold
-        if gc_threshold > -math.inf:
-            tree.gc(gc_threshold)
-
-    def finish_query(self, query_id: str) -> None:
-        """End-of-stream for one query: close and retire all its windows."""
-        query = self._queries[query_id]
-        emit_time = self._last_arrival
-        tracer = self._tree.tracer
-        if tracer.enabled:
-            self._tree.sim_time = emit_time
-        view = query.view
-        query.frontier.close()
-        closed = view.close_windows(float("inf"), emit_time, tracer, flushed=True)
-        if closed:
-            self.results[query_id].extend(closed)
-        view.retire_windows(float("inf"), query.advisor.observe_error)
-
-    def finish(self) -> None:
-        """Stream ended: close and retire everything for every query."""
-        for query_id in self._queries:
-            self.finish_query(query_id)
-        self._tree.gc(float("inf"))
-
-    def slice_count(self) -> int:
-        """Currently retained leaf slices of the shared tree."""
-        return self._tree.slice_count()
-
-    def node_count(self) -> int:
-        """Currently cached interior nodes of the shared tree."""
-        return self._tree.node_count()
-
-
-def run_shared_slices(
-    elements: list[StreamElement], store: SharedSliceStore
-) -> dict[str, list[WindowResult]]:
-    """Drive a shared slice store over an arrival-ordered stream.
-
-    Returns ``query_id -> list of WindowResult`` for every registered query.
-    """
-    offer = store.offer
-    for element in elements:
-        offer(element)
-    store.finish()
-    return store.results

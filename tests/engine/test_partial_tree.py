@@ -1,4 +1,4 @@
-"""Tests for partial-aggregate tree execution and the shared slice store.
+"""Tests for partial-aggregate tree execution.
 
 The contract is semantic equivalence with the naive reference: every
 ``test_tree_equals_naive_*`` test is one row of the mode-parity matrix
@@ -35,15 +35,10 @@ from repro.engine.aggregates import (
 )
 from repro.engine import partial_tree
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
-from repro.engine.partial_tree import (
-    SharedSliceStore,
-    _QueryWindowView,
-    _SliceStore,
-    _SliceTree,
-    run_shared_slices,
-)
+from repro.engine.partial_tree import _SliceStore, _SliceTree
 from repro.engine.pipeline import run_pipeline
 from repro.engine.topk import TopKCountAggregate
+from repro.engine.watermarks import FixedLagWatermarkHandler
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.obs.trace import TraceRecorder
@@ -327,12 +322,12 @@ def test_tree_trace_events():
 # lateness verdict and retirement
 
 
-def full_walk_late_count(view, slice_index):
+def full_walk_late_count(store, slice_index):
     """The verdict as a walk over every window containing the slice."""
     late = 0
-    for offset in range(view.span):
-        end = (slice_index + 1 + offset) * view.tree.slide
-        if end <= view.close_frontier and end - view.size >= 0:
+    for offset in range(store.span):
+        end = (slice_index + 1 + offset) * store.tree.slide
+        if end <= store.close_frontier and end - store.size >= 0:
             late += 1
     return late
 
@@ -341,13 +336,13 @@ def full_walk_late_count(view, slice_index):
 def test_late_count_stops_early_with_the_full_walks_count(slide, span):
     rng = np.random.default_rng(5)
     size = slide * span
-    view = _QueryWindowView(_SliceTree(CountAggregate(), slide, span), size, span, 5 * size, True)
+    store = _SliceStore(CountAggregate(), slide, size, span, 5 * size, True)
     frontiers = [-math.inf, math.inf, 0.0, size, *rng.uniform(-2 * size, 40 * size, 200)]
     for frontier in frontiers:
-        view.close_frontier = frontier
+        store.close_frontier = frontier
         around = int(frontier / slide) if math.isfinite(frontier) else 0
         for slice_index in [*range(around - span - 2, around + 3), *rng.integers(-5, 500, 20)]:
-            assert view.late_count(slice_index) == full_walk_late_count(view, slice_index)
+            assert store.late_count(slice_index) == full_walk_late_count(store, slice_index)
 
 
 class MergeCountingSum(SumAggregate):
@@ -363,7 +358,9 @@ class MergeCountingSum(SumAggregate):
 
 def slice_store(tree_class, aggregate, horizon=2.0):
     """Size 4, slide 1: window ``[s, s + 4)`` is slices ``s .. s + 3``."""
-    return _SliceStore(tree_class(aggregate, 1.0, 4), 4.0, 4, horizon, True)
+    store = _SliceStore(aggregate, 1.0, 4.0, 4, horizon, True)
+    assert type(store.tree) is tree_class
+    return store
 
 
 def unit_element(event_time, seq=0):
@@ -496,107 +493,11 @@ def test_slice_late_for_windows_all_retired_leaves_no_mark():
     assert store._late == {None: [7]}
 
 
-# --------------------------------------------------------------------- #
-# shared slice store
-
-
-def test_shared_store_registration_errors():
-    store = SharedSliceStore(2.0, CountAggregate())
-    with pytest.raises(ConfigurationError):
-        store.register("q", 7.0, slack=1.0)  # slide does not divide size
-    with pytest.raises(ConfigurationError):
-        store.register("q", 10.0)  # neither slack nor advisor
-    with pytest.raises(ConfigurationError):
-        store.register("q", 10.0, slack=1.0, advisor=object())  # both
-    with pytest.raises(ConfigurationError):
-        store.register("q", 10.0, advisor=object())  # not a SlackHandler
-    store.register("q", 10.0, slack=1.0)
-    with pytest.raises(ConfigurationError):
-        store.register("q", 10.0, slack=1.0)  # duplicate id
-    with pytest.raises(ConfigurationError):
-        SharedSliceStore(0.0, CountAggregate())
-
-
-def test_shared_store_requires_registration_before_offer():
-    store = SharedSliceStore(2.0, CountAggregate())
-    element = StreamElement(event_time=0.0, value=1.0, arrival_time=0.0, seq=0)
-    with pytest.raises(ConfigurationError):
-        store.offer(element)
-    store.register("q", 10.0, slack=1.0)
-    store.offer(element)
-    with pytest.raises(ConfigurationError):
-        store.register("late", 10.0, slack=1.0)
-
-
-def test_shared_store_matches_private_pipelines_fixed_slack():
-    rng = np.random.default_rng(41)
-    stream = make_stream(rng, mean_delay=1.0)
-    store = SharedSliceStore(2.0, CountAggregate())
-    configs = [("q8", 8.0, 2.0), ("q16", 16.0, 0.5), ("q10", 10.0, 1.0)]
-    for qid, size, slack in configs:
-        store.register(qid, size, slack=slack)
-    shared = run_shared_slices(stream, store)
-    for qid, size, slack in configs:
-        solo = tree_operator(
-            SlidingWindowAssigner(size, 2.0), CountAggregate(), KSlackHandler(slack)
-        )
-        solo_results = run_pipeline(stream, solo).results
-        assert result_map(shared[qid]) == result_map(solo_results)
-        assert store.stats_for(qid).late_dropped == solo.stats.late_dropped
-        # Views mark late slices on the shared offer path as a private
-        # store does on add: same corrections, in the same order.
-        errors = store.stats_for(qid).observed_errors
-        assert errors == solo.stats.observed_errors
-        assert any(error > 0 for error in errors)
-
-
-def test_shared_store_matches_private_pipelines_aqk():
-    rng = np.random.default_rng(42)
-    stream = make_stream(rng, mean_delay=1.0)
-    thetas = [0.02, 0.05, 0.2]
-    store = SharedSliceStore(2.0, CountAggregate())
-    for theta in thetas:
-        advisor = AQKSlackHandler(
-            target=QualityTarget(theta),
-            aggregate=make_aggregate("count"),
-            window_size=10.0,
-        )
-        store.register(f"q{theta}", 10.0, advisor=advisor)
-    shared = run_shared_slices(stream, store)
-    for theta in thetas:
-        handler = AQKSlackHandler(
-            target=QualityTarget(theta),
-            aggregate=make_aggregate("count"),
-            window_size=10.0,
-        )
-        solo = tree_operator(
-            SlidingWindowAssigner(10.0, 2.0), CountAggregate(), handler
-        )
-        solo_results = run_pipeline(stream, solo).results
-        assert result_map(shared[f"q{theta}"]) == result_map(solo_results)
-
-
 def test_elements_after_finish_are_late_not_an_error():
-    # Once a view's close frontier is infinite there is no "first end above
-    # the frontier" to clamp a new, idle or rewound key to.
+    # Once the close frontier is infinite there is no "first end above the
+    # frontier" to clamp a new, idle or rewound key to.
     def element(t, key, seq):
         return StreamElement(event_time=t, value=1.0, arrival_time=t, seq=seq, key=key)
-
-    store = SharedSliceStore(2.0, CountAggregate())
-    store.register("done", 4.0, slack=0.0)
-    store.register("live", 4.0, slack=0.0)
-    for seq, t in enumerate([1.0, 3.0, 5.0, 9.0]):
-        store.offer(element(t, "a", seq))
-    store.finish_query("done")
-    emitted = len(store.results["done"])
-    dropped = store.stats_for("done").late_dropped
-    live_before = len(store.results["live"])
-    # a new key, a known key ahead of its range, a known key behind it
-    for seq, (t, key) in enumerate([(11.0, "b"), (13.0, "a"), (0.5, "a")], start=4):
-        store.offer(element(t, key, seq))
-    assert len(store.results["done"]) == emitted
-    assert store.stats_for("done").late_dropped > dropped
-    assert len(store.results["live"]) > live_before
 
     operator = tree_operator(
         SlidingWindowAssigner(4.0, 2.0), CountAggregate(), NoBufferHandler()
@@ -608,18 +509,6 @@ def test_elements_after_finish_are_late_not_an_error():
     assert operator.process(element(7.0, "b", 3)) == []
     assert operator.process_many([element(9.0, "c", 4), element(0.5, "a", 5)]) == []
     assert operator.stats.late_dropped > dropped
-
-
-def test_shared_store_single_tree_memory():
-    rng = np.random.default_rng(43)
-    stream = make_stream(rng)
-    store = SharedSliceStore(2.0, CountAggregate(), track_feedback=False)
-    for i, size in enumerate([8.0, 10.0, 16.0, 20.0]):
-        store.register(f"q{i}", size, slack=1.0)
-    run_shared_slices(stream, store)
-    # One shared tree: retained slices scale with the widest window, not
-    # with the number of queries.
-    assert store.slice_count() <= 16
 
 
 # --------------------------------------------------------------------- #
@@ -784,32 +673,43 @@ def test_windows_retire_in_end_order_with_ties_in_emission_order(batch_size):
     assert errors == [0.53125 if pair == ("c", 10) else 0.0 for pair in retired]
 
 
+def rewinding_operator(size, lag):
+    """A watermark handler releases every element on arrival, ahead of its
+    frontier: an out-of-order element can rewind its key's end range."""
+    return tree_operator(
+        SlidingWindowAssigner(size, 1.0), make_aggregate("sum"), FixedLagWatermarkHandler(lag)
+    )
+
+
 def test_rewound_key_leaves_no_duplicate_in_the_pending_heap():
     """A rewind pushes a fresh scheduling entry; the one it replaces must
     die when it pops, not re-queue itself at every later close."""
-    store = SharedSliceStore(1.0, make_aggregate("sum"))
-    view = store.register("q", size=4.0, slack=100.0)
+    operator = rewinding_operator(4.0, 100.0)
+    store = operator._store
     times = [(10.5, 11.0), (8.5, 11.1), (6.5, 11.2)]  # each one rewinds "a"
     times += [(13.0 + i, 13.1 + i) for i in range(300)]
+    emitted = 0
     for seq, (event_time, arrival_time) in enumerate(times):
-        store.offer(
-            StreamElement(
-                event_time=event_time, value=1.0, key="a",
-                arrival_time=arrival_time, seq=seq,
+        emitted += len(
+            operator.process(
+                StreamElement(
+                    event_time=event_time, value=1.0, key="a",
+                    arrival_time=arrival_time, seq=seq,
+                )
             )
         )
         if seq == 2:
-            assert len(view._pending) == 3
-    assert len(store.results["q"]) == 206
-    assert len(view._pending) == 1
+            assert len(store._pending) == 3
+    assert emitted == 206
+    assert len(store._pending) == 1
     # Three pushes for the rewinds, then one per frontier crossing (206
     # emitting closes; the stale entries pop once each and are dropped).
-    assert view._heap_seq == 209
+    assert store._heap_seq == 209
 
 
 def rewind_scenario(seed):
     """150 elements over three keys, one in five 2-9 s behind its arrival:
-    out of order under a slack of 6 (rewinds), late under 1.5."""
+    out of order under a lag of 6 (rewinds), late under 1.5."""
     rng = np.random.default_rng(seed)
     n = 150
     arrivals = np.cumsum(rng.exponential(0.4, n))
@@ -825,21 +725,20 @@ def rewind_scenario(seed):
 
 
 def test_rewind_scenarios_emit_and_score_as_before_the_pending_fix():
-    """200 seeded multi-key rewind scenarios over two queries: result lists
-    (order included), observed errors and late drops hash to the digest
-    taken at the commit whose stale entries still re-queued themselves."""
+    """200 seeded multi-key rewind scenarios, each under a narrow and a wide
+    query: result lists (order included), observed errors and late drops
+    hash to the digest taken at the commit whose stale entries still
+    re-queued themselves."""
     digest = hashlib.sha256()
     for seed in range(200):
-        store = SharedSliceStore(1.0, make_aggregate("sum"))
-        store.register("narrow", size=4.0, slack=1.5)
-        store.register("wide", size=8.0, slack=6.0)
-        run_shared_slices(rewind_scenario(seed), store)
-        for query_id in ("narrow", "wide"):
-            stats = store.stats_for(query_id)
+        stream = rewind_scenario(seed)
+        for size, lag in ((4.0, 1.5), (8.0, 6.0)):
+            operator = rewinding_operator(size, lag)
             rows = [
                 (r.key, r.window.start, r.window.end, r.value, r.count, r.emit_time, r.flushed)
-                for r in store.results[query_id]
+                for r in run_pipeline(stream, operator).results
             ]
+            stats = operator.stats
             digest.update(repr((rows, stats.observed_errors, stats.late_dropped)).encode())
     assert digest.hexdigest() == (
         "1fd8c3d216f34929c29fde94efcdd70226d988f1faa8e20bd585ff3aa4636ff6"
@@ -870,27 +769,6 @@ def test_key_explosion_costs_one_gc_entry_per_slice_row():
     operator.finish()
     assert operator.slice_count() == 0
     assert tree._slice_gc == [] and tree._slices == {}
-
-
-def test_shared_row_outlives_the_narrow_query_until_the_wide_one_passes():
-    store = SharedSliceStore(1.0, CountAggregate(), track_feedback=False)
-    store.register("narrow", 4.0, slack=0.0)
-    store.register("wide", 8.0, slack=0.0)
-    tree = store._tree
-
-    def offer(seq, event_time):
-        store.offer(
-            StreamElement(event_time=event_time, value=1.0, arrival_time=event_time, seq=seq)
-        )
-
-    for seq, event_time in enumerate([0.5, 4.5, 7.5]):
-        offer(seq, event_time)
-    assert [r.window.end for r in store.results["narrow"]] == [4.0, 5.0, 6.0, 7.0]
-    assert store.results["wide"] == []
-    assert 0 in tree._slices  # no narrow window reads row 0 any more; [0, 8) does
-    offer(3, 8.0)
-    assert [r.window.end for r in store.results["wide"]] == [8.0]
-    assert 0 not in tree._slices and tree._slice_gc[0] == 4
 
 
 HASH_SEED_SCRIPT = """

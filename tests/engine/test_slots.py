@@ -17,30 +17,15 @@ from repro.engine.aggregate_op import (
     _SliceAssignCache,
 )
 from repro.engine.buffer import SortingBuffer
-from repro.engine.handlers import KSlackHandler
 from repro.engine.metrics import LatencySummary, SlackSample
 from repro.engine.operator import WindowResult
 from repro.engine.parallel import ShardSession
-from repro.engine.partial_tree import (
-    _BlockFold,
-    _QueryWindowView,
-    _SharedQuery,
-    _SliceStore,
-    _SliceTree,
-)
+from repro.engine.partial_tree import _BlockFold, _SliceStore, _SliceTree
 from repro.engine.aggregates import CountAggregate
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceEvent
 from repro.streams.element import StreamElement, Watermark
 from repro.streams.timebase import EventTimeFrontier, MonotoneFrontier, SimulatedClock
-
-
-def _tree():
-    return _SliceTree(CountAggregate(), 1.0, 8)
-
-
-def _view():
-    return _QueryWindowView(_tree(), 8.0, 8, 40.0, True)
 
 
 HOT_INSTANCES = [
@@ -62,10 +47,8 @@ HOT_INSTANCES = [
     LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0.0),
     SlackSample(arrival_time=0.0, slack=0.0, frontier=0.0, buffered=0),
     TraceEvent(kind="meta", sim_time=0.0, wall_time=0.0, fields={}),
-    _tree(),
-    _view(),
-    _SharedQuery("q", _view(), KSlackHandler(1.0)),
-    _SliceStore(_tree(), 8.0, 8, 40.0, True),
+    _SliceTree(CountAggregate(), 1.0, 8),
+    _SliceStore(CountAggregate(), 1.0, 8.0, 8, 40.0, True),
     _BlockFold(0, 8),
     ShardSession(None),
 ]

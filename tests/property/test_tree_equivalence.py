@@ -6,14 +6,14 @@ equivalence claim splits:
 
 * **bit-identical** for order-independent aggregates — count, min, max,
   distinct-count — under arbitrary disorder, late patches and retirement
-  corrections;
+  corrections, behind every feedback-free handler: the sorting buffers
+  release in event-time order, the watermark handlers on arrival, ahead
+  of their frontier, which can touch a slice below a key's open end range;
 * **within float-association tolerance** for sum/mean.
 
-A third family checks the shared slice store against private per-query
-pipelines on multi-query (E11-style) workloads.  Every family draws half
-its streams from :mod:`tests.fold_cases`, whose scenarios reach each path
-of the in-order fold by construction; the tree-vs-naive families draw a
-third from :mod:`tests.cell_cases`, which does the same for the cells of
+Both families draw a third of their streams from :mod:`tests.fold_cases`,
+whose scenarios reach each path of the in-order fold by construction, and
+a third from :mod:`tests.cell_cases`, which does the same for the cells of
 the per-window store (the slice store, which has none, is the independent
 reference there).  The last two tests check that the scenarios reach the
 paths they name.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggregate_op import WindowAggregateOperator
@@ -36,7 +36,6 @@ from repro.engine.aggregates import (
     SumAggregate,
 )
 from repro.engine.handlers import KSlackHandler
-from repro.engine.partial_tree import SharedSliceStore, run_shared_slices
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceRecorder
@@ -44,6 +43,7 @@ from repro.streams.element import StreamElement
 from tests.cell_cases import cell_cases
 from tests.conftest import emitted_window_errors
 from tests.fold_cases import fold_cases
+from tests.property.test_batched_equivalence import HANDLERS
 
 # --------------------------------------------------------------------- #
 # strategies
@@ -57,6 +57,10 @@ coarse_values = st.integers(min_value=0, max_value=12).map(float)
 WINDOW_PARAMS = [(4.0, 1.0), (10.0, 2.0), (6.0, 3.0), (5.0, 5.0), (8.0, 0.5)]
 
 ORDER_INDEPENDENT = [CountAggregate, MinAggregate, MaxAggregate, DistinctCountAggregate]
+
+# The batched property's handlers minus AQ-K, whose trajectory reads each
+# store's own retirement errors (the naive store also scores missed windows).
+FEEDBACK_FREE = sorted(name for name in HANDLERS if not name.startswith("aqk"))
 
 
 @st.composite
@@ -88,17 +92,22 @@ def window_cases(draw, value_strategy=values):
     return stream, size, slide, draw(st.floats(min_value=0.0, max_value=5.0))
 
 
-def run_pair(stream, size, slide, k, aggregate_cls, track_feedback=True):
+def make_handler(name, k):
+    """The named handler; K-slack runs under the case's own slack."""
+    return KSlackHandler(k) if name == "k-slack" else HANDLERS[name]()
+
+
+def run_pair(stream, size, slide, k, aggregate_cls, track_feedback=True, handler="k-slack"):
     naive = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
-        KSlackHandler(k),
+        make_handler(handler, k),
         track_feedback=track_feedback,
     )
     tree = WindowAggregateOperator(
         SlidingWindowAssigner(size, slide),
         aggregate_cls(),
-        KSlackHandler(k),
+        make_handler(handler, k),
         track_feedback=track_feedback,
         mode="tree",
     )
@@ -115,14 +124,27 @@ def run_pair(stream, size, slide, k, aggregate_cls, track_feedback=True):
     window_cases(value_strategy=coarse_values),
     st.sampled_from(ORDER_INDEPENDENT),
     st.booleans(),
+    st.sampled_from(FEEDBACK_FREE),
 )
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(
+    # Released on arrival, 9.5 lands below the key's range (ends 11..14)
+    # while its window [6, 10) is still open: the range must grow down.
+    (
+        [
+            StreamElement(event_time=10.5, value=1.0, arrival_time=10.5, seq=0),
+            StreamElement(event_time=9.5, value=1.0, arrival_time=10.7, seq=1),
+        ],
+        4.0, 1.0, 0.0,
+    ),
+    CountAggregate, True, "fixed-watermark",
+)
 def test_tree_bit_identical_for_order_independent_aggregates(
-    window_case, aggregate_cls, track_feedback
+    window_case, aggregate_cls, track_feedback, handler
 ):
     stream, size, slide, k = window_case
     __, naive_results, __, tree_results = run_pair(
-        stream, size, slide, k, aggregate_cls, track_feedback
+        stream, size, slide, k, aggregate_cls, track_feedback, handler
     )
     naive_map = {(r.key, r.window): (r.value, r.count) for r in naive_results}
     tree_map = {(r.key, r.window): (r.value, r.count) for r in tree_results}
@@ -187,87 +209,25 @@ def test_tree_within_association_tolerance_for_sum_mean(window_case, aggregate_c
 
 
 # --------------------------------------------------------------------- #
-# shared store vs per-query pipelines
-
-
-@st.composite
-def shared_cases(draw):
-    """``(stream, slide, [(size, slack), ...])`` for one shared store.
-
-    Free-form streams run queries of 1, 2, 4 or 8 slices over slide 2.0; a
-    fold case runs its own geometry first (the view its scenario is timed
-    for) and further queries over the same slide beside it.
-    """
-    slack = st.floats(min_value=0.0, max_value=5.0)
-    spans = st.sampled_from([1, 2, 4, 8])
-    if draw(st.booleans()):
-        case = draw(fold_cases(coarse_values))
-        others = draw(st.lists(st.tuples(spans, slack), max_size=3))
-        configs = [(case.size, case.slack)]
-        configs += [(n * case.slide, k) for n, k in others]
-        return case.stream, case.slide, configs
-    stream = draw(arrived_streams(value_strategy=coarse_values))
-    configs = draw(st.lists(st.tuples(spans, slack), min_size=1, max_size=4))
-    return stream, 2.0, [(n * 2.0, k) for n, k in configs]
-
-
-@given(shared_cases())
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_shared_store_equals_private_pipelines(shared_case):
-    stream, slide, query_configs = shared_case
-    store = SharedSliceStore(slide, CountAggregate())
-    for index, (size, slack) in enumerate(query_configs):
-        store.register(f"q{index}", size, slack=slack)
-    shared = run_shared_slices(stream, store)
-    for index, (size, slack) in enumerate(query_configs):
-        solo = WindowAggregateOperator(
-            SlidingWindowAssigner(size, slide),
-            CountAggregate(),
-            KSlackHandler(slack),
-            mode="tree",
-        )
-        solo_results = run_pipeline(stream, solo).results
-        shared_map = {
-            (r.key, r.window): (r.value, r.count) for r in shared[f"q{index}"]
-        }
-        solo_map = {(r.key, r.window): (r.value, r.count) for r in solo_results}
-        assert shared_map == solo_map
-        assert (
-            store.stats_for(f"q{index}").late_dropped == solo.stats.late_dropped
-        )
-
-
-# --------------------------------------------------------------------- #
 # the fold cases reach the paths they are built for
 
 
-@given(fold_cases(coarse_values), st.booleans())
+@given(fold_cases(coarse_values))
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fold_cases_hit_the_paths_they_name(case, shared):
+def test_fold_cases_hit_the_paths_they_name(case):
     """Each tagged element finds the store in the state its tag promises.
 
-    Checked against a private store behind K-slack and against a shared
-    store's view with the same slack, just before the element is fed.
+    Checked against a store behind K-slack, just before the element is fed.
     """
     span = round(case.size / case.slide)
     results = []
-    if shared:
-        store = SharedSliceStore(case.slide, CountAggregate())
-        view = store.register("q", case.size, slack=case.slack)
-        results = store.results["q"]
-        feed = store.offer
-    else:
-        operator = WindowAggregateOperator(
-            SlidingWindowAssigner(case.size, case.slide),
-            CountAggregate(),
-            KSlackHandler(case.slack),
-            mode="tree",
-        )
-        view = operator._store
-
-        def feed(element):
-            results.extend(operator.process(element))
-
+    operator = WindowAggregateOperator(
+        SlidingWindowAssigner(case.size, case.slide),
+        CountAggregate(),
+        KSlackHandler(case.slack),
+        mode="tree",
+    )
+    view = operator._store
     seen = set()
     for element in case.stream:
         tag, late_slice = case.tagged.get(element.seq, (None, None))
@@ -288,7 +248,7 @@ def test_fold_cases_hit_the_paths_they_name(case, shared):
             else:
                 assert late_slice == fold.base + span < fold.prefix_to
                 assert late_slice % span == 0
-        feed(element)
+        results.extend(operator.process(element))
         if tag in ("suffix", "prefix", "boundary"):
             assert view._dirty_to["a"] == late_slice
         if tag is not None:
