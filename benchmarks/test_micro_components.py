@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.aqk import AQKSlackHandler
-from repro.core.sampling import P2DelayBank, SlidingDelaySample
+from repro.core.sampling import SlidingDelaySample
 from repro.core.spec import QualityTarget
 from repro.engine.aggregates import MeanAggregate, make_aggregate
 from repro.engine.buffer import SortingBuffer
 from repro.engine.handlers import KSlackHandler
-from repro.engine.sketches import HyperLogLog, P2Quantile
 from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
@@ -97,18 +96,6 @@ def test_mean_aggregate_fold(benchmark):
     assert benchmark(run) >= 0
 
 
-def test_p2_quantile_observe(benchmark):
-    values = list(np.random.default_rng(0).exponential(1.0, N))
-
-    def run():
-        sketch = P2Quantile(0.95)
-        for value in values:
-            sketch.observe(value)
-        return sketch.value()
-
-    assert benchmark(run) > 0
-
-
 def test_sliding_delay_sample_quantile(benchmark):
     values = list(np.random.default_rng(0).exponential(1.0, N))
 
@@ -120,31 +107,6 @@ def test_sliding_delay_sample_quantile(benchmark):
             if i % 100 == 0:
                 total += sample.quantile(0.95)
         return total
-
-    assert benchmark(run) > 0
-
-
-def test_p2_delay_bank_quantile(benchmark):
-    values = list(np.random.default_rng(0).exponential(1.0, N))
-
-    def run():
-        bank = P2DelayBank()
-        total = 0.0
-        for i, value in enumerate(values):
-            bank.observe(value)
-            if i % 100 == 0:
-                total += bank.quantile(0.95)
-        return total
-
-    assert benchmark(run) > 0
-
-
-def test_hyperloglog_add(benchmark):
-    def run():
-        sketch = HyperLogLog(precision=12)
-        for i in range(N):
-            sketch.add(i % 1000)
-        return sketch.estimate()
 
     assert benchmark(run) > 0
 

@@ -32,11 +32,11 @@ aggregates to ``max(declared bound, n * eps * kappa)`` — a correct Welford
 passes at any conditioning, a sum of squares still fails.
 
 A violation raises :class:`~repro.errors.SanitizerError` at the result
-call site.  Aggregates with no reference implementation (sketches whose
-names start with ``~``, top-k) are recorded as *unchecked* rather than
-silently passed.  The sanitizer never changes emitted results: the
-production accumulator runs untouched next to the mirror, and ``result``
-returns the production value verbatim.
+call site.  Aggregates with no reference implementation (a user's own
+:class:`~repro.engine.aggregates.AggregateFunction`) are recorded as
+*unchecked* rather than silently passed.  The sanitizer never changes
+emitted results: the production accumulator runs untouched next to the
+mirror, and ``result`` returns the production value verbatim.
 
 Enable per run with ``run_pipeline(..., sanitize="numeric")``; overhead
 is budgeted at off < 2%, on < 25% (measured in

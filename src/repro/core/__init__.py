@@ -1,12 +1,6 @@
 """The paper's contribution: quality-driven adaptive disorder handling."""
 
 from repro.core.aqk import AdaptationRecord, AQKSlackHandler
-from repro.core.calibration import (
-    CalibratedErrorModel,
-    CalibrationPoint,
-    CalibrationResult,
-    calibrate_error_model,
-)
 from repro.core.controller import (
     AIMDController,
     NoFeedbackController,
@@ -33,7 +27,6 @@ from repro.core.quality import (
 )
 from repro.core.sampling import (
     DelaySample,
-    P2DelayBank,
     RateTracker,
     ReservoirSample,
     SlidingDelaySample,
@@ -52,9 +45,6 @@ __all__ = [
     "AdaptationRecord",
     "AdditiveMassModel",
     "BoundedQualityTarget",
-    "CalibratedErrorModel",
-    "CalibrationPoint",
-    "CalibrationResult",
     "DelaySample",
     "DistinctModel",
     "ErrorModel",
@@ -63,7 +53,6 @@ __all__ = [
     "MeanModel",
     "NaiveModel",
     "NoFeedbackController",
-    "P2DelayBank",
     "PIController",
     "PureFeedbackController",
     "QualityDrivenIntervalJoin",
@@ -80,7 +69,6 @@ __all__ = [
     "WindowScore",
     "as_generator",
     "assess_quality",
-    "calibrate_error_model",
     "error_timeline",
     "make_error_model",
 ]

@@ -313,63 +313,3 @@ class RateTracker:
             return math.nan
         return rate * window_size
 
-
-class P2DelayBank(DelaySample):
-    """O(1)-memory delay tracker: a bank of P-squared sketches.
-
-    Tracks a fixed grid of quantiles with one
-    :class:`~repro.engine.sketches.P2Quantile` each and answers arbitrary
-    quantile queries by interpolating between grid points.  Like
-    :class:`ReservoirSample` it weighs all history uniformly, so it shares
-    the reservoir's slow reaction to regime changes (ablation E14) — its
-    advantage is constant memory regardless of stream length.
-    """
-
-    __numeric__ = "reassoc-tolerant"  # P-squared parabolic interpolation
-
-    DEFAULT_GRID = (0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999)
-
-    def __init__(self, grid: tuple[float, ...] = DEFAULT_GRID) -> None:
-        from repro.engine.sketches import P2Quantile
-
-        if not grid or list(grid) != sorted(grid):
-            raise ConfigurationError("grid must be non-empty and ascending")
-        if any(not 0.0 < q < 1.0 for q in grid):
-            raise ConfigurationError("grid quantiles must lie in (0, 1)")
-        self.grid = tuple(grid)
-        self._sketches = [P2Quantile(q) for q in self.grid]
-        self._min = math.inf
-        self._max = 0.0
-        self._count = 0
-
-    def observe(self, delay: DurationS) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"delay must be non-negative, got {delay}")
-        self._count += 1
-        self._min = min(self._min, delay)
-        self._max = max(self._max, delay)
-        for sketch in self._sketches:
-            sketch.observe(delay)
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must lie in [0,1], got {q}")
-        if self._count == 0:
-            return 0.0
-        points = [(0.0, self._min)]
-        points += [(g, s.value()) for g, s in zip(self.grid, self._sketches)]
-        points += [(1.0, self._max)]
-        for (q_low, v_low), (q_high, v_high) in zip(points, points[1:]):
-            if q_low <= q <= q_high:
-                if q_high == q_low:
-                    return v_high
-                fraction = (q - q_low) / (q_high - q_low)
-                # Sketch estimates are not guaranteed monotone across the
-                # grid; clamp so interpolation never extrapolates wildly.
-                low, high = min(v_low, v_high), max(v_low, v_high)
-                return low + fraction * (high - low)
-        return self._max
-
-    @property
-    def count(self) -> int:
-        return self._count

@@ -61,22 +61,12 @@ from repro.engine.pairs import (
     oracle_pairs,
     pair_recall,
 )
-from repro.engine.session_op import SessionAggregateOperator
-from repro.engine.topk import ApproxTopKAggregate, TopKCountAggregate
-from repro.engine.sketches import (
-    ApproxDistinctAggregate,
-    ApproxQuantileAggregate,
-    HyperLogLog,
-    P2Quantile,
-    SpaceSaving,
-)
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
     PerfectWatermarkHandler,
 )
 from repro.engine.windows import (
-    SessionWindowMerger,
     SlidingWindowAssigner,
     TumblingWindowAssigner,
     Window,
@@ -87,9 +77,6 @@ from repro.engine.windows import (
 
 __all__ = [
     "AggregateFunction",
-    "ApproxDistinctAggregate",
-    "ApproxQuantileAggregate",
-    "ApproxTopKAggregate",
     "CountAggregate",
     "DEFAULT_CHUNK_SIZE",
     "DisorderHandler",
@@ -97,7 +84,6 @@ __all__ = [
     "EXECUTION_MODES",
     "FixedLagWatermarkHandler",
     "HeuristicWatermarkHandler",
-    "HyperLogLog",
     "IntervalJoinOperator",
     "KSlackHandler",
     "LatencySummary",
@@ -110,7 +96,6 @@ __all__ = [
     "NoBufferHandler",
     "Operator",
     "OperatorStats",
-    "P2Quantile",
     "PairMatch",
     "PairMatchOperator",
     "PerfectWatermarkHandler",
@@ -120,8 +105,6 @@ __all__ = [
     "RunMetrics",
     "RunOutput",
     "SequencePatternOperator",
-    "SessionAggregateOperator",
-    "SessionWindowMerger",
     "ShardExecutor",
     "ShardRunner",
     "ShardSession",
@@ -131,11 +114,9 @@ __all__ = [
     "SlackSample",
     "SlidingWindowAssigner",
     "SortingBuffer",
-    "SpaceSaving",
     "SpeculativeAggregateOperator",
     "StdDevAggregate",
     "SumAggregate",
-    "TopKCountAggregate",
     "TumblingWindowAssigner",
     "Window",
     "WindowAggregateOperator",

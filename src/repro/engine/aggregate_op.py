@@ -114,9 +114,9 @@ def relative_error(emitted, truth, eps: float = 1e-9) -> float:
     """Symmetric-denominator relative error in [0, inf).
 
     ``nan`` emitted against real truth (a missed window) counts as full
-    loss (1.0); two ``nan`` values agree (0.0).  Results that are not real
-    numbers (set-valued aggregates like top-k) are scored exact-match: 0.0
-    when equal, 1.0 otherwise; numpy scalars are numbers.
+    loss (1.0); two ``nan`` values agree (0.0).  Values of user aggregates
+    whose results are not real numbers are scored exact-match: 0.0 when
+    equal, 1.0 otherwise; numpy scalars are numbers.
     """
     emitted_real, truth_real = as_real(emitted), as_real(truth)
     if emitted_real is None or truth_real is None:
@@ -201,7 +201,7 @@ class _PerWindowStore:
     """One accumulator per open ``(key, window)``: the reference window store.
 
     Every element is added to each window containing it, so this is the
-    only store that takes unaligned windows and non-mergeable sketches.
+    only store that takes unaligned windows and aggregates without ``merge``.
     Closed windows stay retained (accumulator included) for
     ``feedback_horizon`` seconds; late elements keep updating the retained
     accumulator, and a window nobody opened before its close is retained

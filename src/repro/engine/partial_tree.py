@@ -51,7 +51,7 @@ which already-closed windows no longer read but still-open windows will —
 enforced by the property suite in
 ``tests/property/test_tree_equivalence.py``.  A *mergeable* aggregate is
 required (every exact aggregate in :mod:`repro.engine.aggregates`
-qualifies; P²/SpaceSaving sketches do not).
+qualifies; an aggregate without ``merge`` does not).
 
 Numerics: windows and interior nodes are built exclusively with
 ``aggregate.merge``, so fold and tree inherit the compensated arithmetic

@@ -1,4 +1,4 @@
-"""Window semantics: sliding, tumbling and session window assigners.
+"""Window semantics: sliding and tumbling window assigners.
 
 A window assigner maps an event timestamp to the set of windows the event
 belongs to.  Windows are half-open event-time intervals ``[start, end)``;
@@ -138,59 +138,3 @@ def tumbling(size: float) -> TumblingWindowAssigner:
     """Convenience constructor used by the fluent query API."""
     return TumblingWindowAssigner(size)
 
-
-class SessionWindowMerger:
-    """Session windows: events closer than ``gap`` merge into one session.
-
-    Unlike sliding windows, session boundaries depend on the data, so the
-    merger tracks per-key open sessions as (start, last_event, values-count)
-    and exposes which sessions can close given a frontier.  This class holds
-    the merge logic only; the session operator composes it with an
-    accumulator store.
-    """
-
-    def __init__(self, gap: DurationS) -> None:
-        if gap <= 0:
-            raise ConfigurationError(f"gap must be positive, got {gap}")
-        self.gap = gap
-        # key -> sorted list of (start, last_event_time)
-        self._sessions: dict[object, list[tuple[float, float]]] = {}
-
-    def add(self, key: object, timestamp: EventTimeStamp) -> tuple[float, float]:
-        """Fold ``timestamp`` into the sessions of ``key``.
-
-        Returns the (start, last_event_time) of the session containing the
-        event after any merges.
-        """
-        sessions = self._sessions.setdefault(key, [])
-        touching = [
-            (start, last)
-            for start, last in sessions
-            if start - self.gap <= timestamp <= last + self.gap
-        ]
-        merged_start = min([timestamp] + [start for start, __ in touching])
-        merged_last = max([timestamp] + [last for __, last in touching])
-        sessions[:] = [entry for entry in sessions if entry not in touching]
-        sessions.append((merged_start, merged_last))
-        sessions.sort()
-        return (merged_start, merged_last)
-
-    def closable(self, key: object, frontier: EventTimeStamp) -> list[tuple[float, float]]:
-        """Sessions of ``key`` that can no longer grow given ``frontier``.
-
-        A session is closable when ``last_event + gap <= frontier``: no
-        future event can extend it.  Closable sessions are removed.
-        """
-        sessions = self._sessions.get(key, [])
-        done = [entry for entry in sessions if entry[1] + self.gap <= frontier]
-        if done:
-            sessions[:] = [entry for entry in sessions if entry not in done]
-        return done
-
-    def keys(self) -> list[object]:
-        """Keys that currently have open sessions."""
-        return list(self._sessions)
-
-    def open_count(self) -> int:
-        """Total open sessions across all keys."""
-        return sum(len(sessions) for sessions in self._sessions.values())

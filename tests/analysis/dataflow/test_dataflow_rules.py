@@ -141,17 +141,18 @@ def test_unmutated_handlers_pass_r07(tmp_path):
 
 
 def test_seeded_instant_addition_is_caught_by_r06(tmp_path):
-    source = (REPO_SRC / "repro" / "engine" / "session_op.py").read_text(
+    source = (REPO_SRC / "repro" / "engine" / "aggregate_op.py").read_text(
         encoding="utf-8"
     )
-    sane = "element.event_time + self.gap"
+    # The per-window store's phantom-record horizon check.
+    sane = "window.end + self.feedback_horizon"
     assert sane in source
-    mutated = source.replace(sane, "element.event_time + self._close_frontier")
-    target = tmp_path / "engine" / "session_op.py"
+    mutated = source.replace(sane, "window.end + self.close_frontier")
+    target = tmp_path / "engine" / "aggregate_op.py"
     target.parent.mkdir()
     target.write_text(mutated, encoding="utf-8")
     findings = run_lint([target], select=["R06"])
-    assert findings, "R06 must catch event_time + frontier"
+    assert findings, "R06 must catch window end + frontier"
     assert all("adding two time instants" in f.message for f in findings)
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.aqk import PENDING_FOLD_LIMIT, AQKSlackHandler
 from repro.core.controller import NoFeedbackController
 from repro.core.sampling import (
-    P2DelayBank,
     RateTracker,
     ReservoirSample,
     SlidingDelaySample,
@@ -240,11 +239,11 @@ class TestValidation:
         assert "0.05" in handler.describe()
 
 
-@pytest.mark.parametrize("delay_sample", [SlidingDelaySample, ReservoirSample, P2DelayBank])
+@pytest.mark.parametrize("delay_sample", [SlidingDelaySample, ReservoirSample])
 class TestPendingSamples:
     """``slack_for`` parks arrivals; the samplers see them when a round is
     due or the list is full — in arrival order, one by one where the sampler
-    is order-sensitive (reservoir RNG draws, P-squared markers)."""
+    is order-sensitive (reservoir RNG draws)."""
 
     def test_no_round_ever_fires_bounded_and_exact(self, rng, delay_sample):
         stream = make_stream(rng, ExponentialDelay(0.5), duration=30)

@@ -190,88 +190,3 @@ class TestRateTracker:
         tracker.observe(1.0)
         assert math.isnan(tracker.rate)
 
-
-class TestP2DelayBank:
-    def test_quantiles_of_known_distribution(self, rng):
-        import math
-
-        from repro.core.sampling import P2DelayBank
-
-        bank = P2DelayBank()
-        for delay in rng.exponential(1.0, size=20000):
-            bank.observe(float(delay))
-        for q in (0.5, 0.9, 0.95, 0.99):
-            exact = -math.log(1 - q)
-            assert bank.quantile(q) == pytest.approx(exact, rel=0.15)
-
-    def test_interpolates_between_grid_points(self, rng):
-        from repro.core.sampling import P2DelayBank
-
-        bank = P2DelayBank()
-        for delay in rng.random(5000):
-            bank.observe(float(delay))
-        # 0.85 lies between grid points 0.8 and 0.9.
-        assert bank.quantile(0.8) <= bank.quantile(0.85) <= bank.quantile(0.9)
-
-    def test_extremes(self, rng):
-        from repro.core.sampling import P2DelayBank
-
-        bank = P2DelayBank()
-        for delay in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            bank.observe(delay)
-        assert bank.quantile(0.0) == 1.0
-        assert bank.quantile(1.0) == 6.0
-
-    def test_empty_is_zero(self):
-        from repro.core.sampling import P2DelayBank
-
-        assert P2DelayBank().quantile(0.9) == 0.0
-
-    def test_count(self):
-        from repro.core.sampling import P2DelayBank
-
-        bank = P2DelayBank()
-        for __ in range(7):
-            bank.observe(1.0)
-        assert bank.count == 7
-
-    def test_bad_grid_rejected(self):
-        from repro.core.sampling import P2DelayBank
-
-        with pytest.raises(ConfigurationError):
-            P2DelayBank(grid=())
-        with pytest.raises(ConfigurationError):
-            P2DelayBank(grid=(0.9, 0.5))
-        with pytest.raises(ConfigurationError):
-            P2DelayBank(grid=(0.0, 0.5))
-
-    def test_negative_delay_rejected(self):
-        from repro.core.sampling import P2DelayBank
-
-        with pytest.raises(ConfigurationError):
-            P2DelayBank().observe(-0.1)
-
-    def test_usable_as_aqk_delay_sample(self, rng):
-        """The O(1)-memory bank drops into the adaptive handler."""
-        from repro.core.aqk import AQKSlackHandler
-        from repro.core.sampling import P2DelayBank
-        from repro.core.spec import QualityTarget
-        from repro.engine.aggregates import CountAggregate
-        from repro.streams.delay import ExponentialDelay
-        from repro.streams.disorder import inject_disorder
-        from repro.streams.generators import generate_stream
-
-        stream = inject_disorder(
-            generate_stream(duration=60, rate=50, rng=rng),
-            ExponentialDelay(0.5),
-            rng,
-        )
-        handler = AQKSlackHandler(
-            target=QualityTarget(0.05),
-            aggregate=CountAggregate(),
-            delay_sample=P2DelayBank(),
-        )
-        for element in stream:
-            handler.offer(element)
-        assert handler.adaptations
-        assert handler.k >= 0.0

@@ -2,11 +2,15 @@
 
 These are the test-suite versions of ``make docs-check`` and
 ``make linkcheck``: CI fails when ``docs/API.md`` drifts from the source
-tree or a Markdown link/anchor breaks.
+tree or a Markdown link/anchor breaks.  DESIGN.md's system inventory is
+held to the code too: every package it names imports, and every system
+names what reads it.
 """
 
 from __future__ import annotations
 
+import importlib
+import re
 from pathlib import Path
 
 from repro.docs import (
@@ -50,6 +54,41 @@ def test_generator_covers_every_package():
 def test_markdown_links_resolve():
     problems = check_links(_docs_files())
     assert problems == [], "\n".join(problems)
+
+
+def _inventory() -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the system inventory table in DESIGN.md."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("## System inventory", 1)[1].split("\n## ", 1)[0]
+    table = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+    header, __, *rows = table  # the second line is the |---| rule
+    return header, rows
+
+
+def test_inventory_packages_import():
+    header, rows = _inventory()
+    column = header.index("Package")
+    for row in rows:
+        names = re.findall(r"`(repro(?:\.[\w*]+)*)`", row[column])
+        assert names, f"{row[0]} names no package"
+        for name in names:
+            importlib.import_module(name.removesuffix(".*"))
+
+
+def test_inventory_every_system_is_read():
+    """A reader is an experiment, a CLI / SQL / builder entry, a perfbench
+    workload, an example or an integration claim test; its own unit tests
+    and docs do not count."""
+    header, rows = _inventory()
+    assert "Read by" in header, "DESIGN.md's inventory has no 'Read by' column"
+    column = header.index("Read by")
+    for row in rows:
+        assert len(row) == len(header), f"{row[0]}: {len(row)} cells"
+        assert row[column], f"{row[0]} is read by nothing"
 
 
 def test_docs_reference_observability_and_glossary():

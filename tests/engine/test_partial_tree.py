@@ -25,6 +25,7 @@ from repro.engine.aggregate_op import (
     relative_error,
 )
 from repro.engine.aggregates import (
+    AggregateFunction,
     CountAggregate,
     DistinctCountAggregate,
     MaxAggregate,
@@ -37,9 +38,12 @@ from repro.engine import partial_tree
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
 from repro.engine.partial_tree import _SliceStore, _SliceTree
 from repro.engine.pipeline import run_pipeline
-from repro.engine.topk import TopKCountAggregate
 from repro.engine.watermarks import FixedLagWatermarkHandler
-from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
+from repro.engine.windows import (
+    SlidingWindowAssigner,
+    TumblingWindowAssigner,
+    WindowAssigner,
+)
 from repro.errors import ConfigurationError
 from repro.obs.trace import TraceRecorder
 from repro.streams.delay import ExponentialDelay
@@ -59,13 +63,19 @@ def tree_operator(assigner, aggregate, handler, **options):
 # construction
 
 
-def test_rejects_non_sliding_assigner():
-    from repro.engine.windows import SessionWindowMerger
+class NoWindows(WindowAssigner):
+    """A window assigner that is not a sliding one."""
 
+    def assign(self, timestamp):
+        return []
+
+    def windows_ending_in(self, start, end):
+        return []
+
+
+def test_rejects_non_sliding_assigner():
     with pytest.raises(ConfigurationError):
-        tree_operator(
-            SessionWindowMerger(gap=1.0), SumAggregate(), KSlackHandler(1.0)
-        )
+        tree_operator(NoWindows(), SumAggregate(), KSlackHandler(1.0))
 
 
 def test_rejects_non_divisible_slide():
@@ -579,6 +589,23 @@ def test_distinct_count_bit_identical_under_disorder():
 # state layout: slice rows, the retirement queue, the pending heap
 
 
+class SortedValues(AggregateFunction):
+    """A user aggregate whose result is a tuple, not a real number."""
+
+    def create(self):
+        return []
+
+    def add(self, accumulator, value):
+        accumulator.append(value)
+
+    def result(self, accumulator):
+        return tuple(sorted(accumulator))
+
+    def merge(self, accumulator, other):
+        accumulator.extend(other)
+        return accumulator
+
+
 @pytest.mark.parametrize(
     "aggregate, values",
     [
@@ -586,7 +613,7 @@ def test_distinct_count_bit_identical_under_disorder():
         (SumAggregate(), [1.0, math.nan]),
         (MaxAggregate(), [3, 7]),  # an int payload comes back an int
         (MaxAggregate(), [np.float64(2.5)]),  # a float subclass, like the shards' _Partial
-        (TopKCountAggregate(2), [3.0, 3.0, 5.0]),  # a tuple
+        (SortedValues(), [3.0, 3.0, 5.0]),  # a tuple
     ],
     ids=["inf", "nan", "int", "numpy", "tuple"],
 )

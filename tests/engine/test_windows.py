@@ -1,11 +1,10 @@
-"""Tests for window assigners and the session merger."""
+"""Tests for window assigners."""
 
 import math
 
 import pytest
 
 from repro.engine.windows import (
-    SessionWindowMerger,
     SlidingWindowAssigner,
     TumblingWindowAssigner,
     Window,
@@ -116,47 +115,3 @@ class TestTumblingWindowAssigner:
         assert isinstance(tumbling(5), TumblingWindowAssigner)
         assert "tumbling" in tumbling(5).describe()
 
-
-class TestSessionWindowMerger:
-    def test_single_event(self):
-        merger = SessionWindowMerger(gap=2.0)
-        assert merger.add("k", 5.0) == (5.0, 5.0)
-
-    def test_events_within_gap_merge(self):
-        merger = SessionWindowMerger(gap=2.0)
-        merger.add("k", 5.0)
-        assert merger.add("k", 6.5) == (5.0, 6.5)
-        assert merger.open_count() == 1
-
-    def test_events_beyond_gap_separate(self):
-        merger = SessionWindowMerger(gap=2.0)
-        merger.add("k", 5.0)
-        merger.add("k", 10.0)
-        assert merger.open_count() == 2
-
-    def test_bridging_event_merges_two_sessions(self):
-        merger = SessionWindowMerger(gap=3.0)
-        merger.add("k", 0.0)
-        merger.add("k", 5.0)
-        assert merger.open_count() == 2
-        assert merger.add("k", 2.5) == (0.0, 5.0)
-        assert merger.open_count() == 1
-
-    def test_keys_isolated(self):
-        merger = SessionWindowMerger(gap=2.0)
-        merger.add("a", 0.0)
-        merger.add("b", 1.0)
-        assert merger.open_count() == 2
-        assert set(merger.keys()) == {"a", "b"}
-
-    def test_closable_respects_gap(self):
-        merger = SessionWindowMerger(gap=2.0)
-        merger.add("k", 0.0)
-        assert merger.closable("k", 1.9) == []
-        assert merger.closable("k", 2.0) == [(0.0, 0.0)]
-        # Closed sessions are removed.
-        assert merger.open_count() == 0
-
-    def test_bad_gap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SessionWindowMerger(gap=0.0)

@@ -1,113 +1,14 @@
-"""Property-based tests for sketches, pattern matching and merging."""
+"""Property-based tests for sequence-pattern matching and stream merging."""
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.handlers import KSlackHandler, NoBufferHandler
 from repro.engine.pairs import SequencePatternOperator, oracle_pairs
-from repro.engine.sketches import HyperLogLog, P2Quantile, SpaceSaving
 from repro.streams.element import StreamElement
 from repro.streams.multisource import merge_streams
-
-values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-# --------------------------------------------------------------------- #
-# P-squared
-
-
-@given(st.lists(values, min_size=1, max_size=300), st.floats(min_value=0.01, max_value=0.99))
-def test_p2_estimate_within_observed_range(xs, q):
-    sketch = P2Quantile(q)
-    for x in xs:
-        sketch.observe(x)
-    assert min(xs) <= sketch.value() <= max(xs)
-    assert sketch.count == len(xs)
-
-
-@given(st.lists(values, min_size=1, max_size=5))
-def test_p2_exact_for_small_inputs(xs):
-    sketch = P2Quantile(0.5)
-    for x in xs:
-        sketch.observe(x)
-    ordered = sorted(xs)
-    assert sketch.value() in ordered
-
-
-# --------------------------------------------------------------------- #
-# HyperLogLog
-
-
-@given(st.lists(st.integers(min_value=0, max_value=10**9), max_size=300))
-def test_hll_idempotent_under_duplication(items):
-    once = HyperLogLog(precision=10)
-    twice = HyperLogLog(precision=10)
-    for item in items:
-        once.add(item)
-        twice.add(item)
-        twice.add(item)
-    assert once.estimate() == twice.estimate()
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=10**9), max_size=200),
-    st.lists(st.integers(min_value=0, max_value=10**9), max_size=200),
-)
-def test_hll_merge_commutative(left_items, right_items):
-    def build(items):
-        sketch = HyperLogLog(precision=8)
-        for item in items:
-            sketch.add(item)
-        return sketch
-
-    ab = build(left_items).merge(build(right_items))
-    ba = build(right_items).merge(build(left_items))
-    assert ab.estimate() == ba.estimate()
-
-
-@given(st.sets(st.integers(min_value=0, max_value=10**9), max_size=300))
-def test_hll_small_range_estimate_close(items):
-    sketch = HyperLogLog(precision=12)
-    for item in items:
-        sketch.add(item)
-    estimate = sketch.estimate()
-    n = len(items)
-    assert abs(estimate - n) <= max(3.0, 6 * sketch.relative_error * max(n, 1))
-
-
-# --------------------------------------------------------------------- #
-# SpaceSaving
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=400),
-    st.integers(min_value=1, max_value=20),
-)
-def test_spacesaving_mass_conservation(items, capacity):
-    """Sum of tracked counters always equals the total weight added."""
-    sketch = SpaceSaving(capacity)
-    for item in items:
-        sketch.add(item)
-    assert sum(count for __, count in sketch.top(capacity)) == len(items)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=400),
-    st.integers(min_value=1, max_value=20),
-)
-def test_spacesaving_never_underestimates_tracked(items, capacity):
-    from collections import Counter
-
-    sketch = SpaceSaving(capacity)
-    for item in items:
-        sketch.add(item)
-    true_counts = Counter(items)
-    for item, estimate in sketch.top(capacity):
-        assert estimate >= true_counts[item]
-
 
 # --------------------------------------------------------------------- #
 # pattern matching
