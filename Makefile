@@ -13,9 +13,9 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Engine-specific invariant linter: syntactic rules R01-R04, the
-# time-domain dataflow rules R06-R10 and the float-soundness rules
-# R16-R20 (see docs/ANALYSIS.md and docs/NUMERICS.md).
+# Engine-specific invariant linter: syntactic rules R01-R03 and the
+# float-soundness rules R16-R20 (see docs/ANALYSIS.md and
+# docs/NUMERICS.md).
 lint:
 	$(PY) -m repro.analysis.lint src/
 

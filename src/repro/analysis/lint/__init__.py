@@ -1,24 +1,19 @@
 """repro-lint: AST-based invariant linter for the disorder-handling engine.
 
 The linter enforces engine-specific invariants that generic tools cannot
-know about.  R01-R04 are per-file syntactic rules; R06-R10 come from the
-whole-program time-domain dataflow analysis
-(:mod:`repro.analysis.dataflow`); R16-R20 are the float-soundness rules
-over the numeric inventory (:mod:`repro.analysis.numeric`); R05 (metrics
-fields, now enforced by ``RunMetrics.__slots__``) and R11-R15 (the
-withdrawn concurrency rules) are retired ids and are not reused:
+know about.  R01-R03 are per-file syntactic rules (R02 resolves class
+ancestry across files); R16-R20 are the float-soundness rules over the
+numeric inventory (:mod:`repro.analysis.numeric`).  Retired ids are not
+reused: R04 and R05 (now enforced by the frozen ``StreamElement`` and
+the slotted ``RunMetrics``), R06-R10 (the time-domain dataflow rules,
+whose seeded bugs the behaviour tests catch) and R11-R15 (the withdrawn
+concurrency rules):
 
 ========  ============================================================
 R01       no wall-clock time or nondeterministic RNG in ``engine``/``core``
 R02       scalar/batched method parity (``process``/``process_many``,
           ``offer``/``offer_many``, ``add``/``add_many``)
 R03       no ``==``/``!=`` on float timestamps
-R04       no mutation of frozen ``StreamElement`` fields
-R06       no cross-domain time arithmetic/comparison (event ⋈ proc time)
-R07       frontier-contract conformance for ``DisorderHandler``
-R08       no duration/timestamp mixing in slack computations
-R09       domain-consistent ``RunMetrics`` fields
-R10       unannotated public time-typed APIs in ``engine``/``core``
 R16       no bare ``+=`` float accumulation in aggregate
           ``add``/``add_many``/``merge``; use the compensated primitives
 R17       no subtraction-based sliding-window retraction; use
@@ -49,20 +44,22 @@ from repro.analysis.lint.model import (
     SourceFile,
     discover_files,
 )
-from repro.analysis.lint.reporting import render_json, render_text
+from repro.analysis.lint.reporting import (
+    render_json,
+    render_sarif,
+    render_text,
+)
 from repro.analysis.lint.rules import CORE_RULES, Rule
-from repro.analysis.dataflow.rules import DATAFLOW_RULES
 from repro.analysis.numeric.rules import NUMERIC_RULES
 from repro.errors import ConfigurationError
 
-#: Full rule catalog: per-file syntactic rules + whole-program dataflow
-#: + float-soundness rules over the numeric inventory.
-ALL_RULES: tuple[Rule, ...] = CORE_RULES + DATAFLOW_RULES + NUMERIC_RULES
+#: Full rule catalog: syntactic rules + float-soundness rules over the
+#: numeric inventory.
+ALL_RULES: tuple[Rule, ...] = CORE_RULES + NUMERIC_RULES
 
 __all__ = [
     "ALL_RULES",
     "CORE_RULES",
-    "DATAFLOW_RULES",
     "NUMERIC_RULES",
     "Finding",
     "Project",
@@ -71,6 +68,7 @@ __all__ = [
     "discover_files",
     "expand_rule_ids",
     "render_json",
+    "render_sarif",
     "render_text",
     "run_lint",
 ]
@@ -79,8 +77,8 @@ __all__ = [
 def expand_rule_ids(spec: str) -> list[str]:
     """Expand a rule selection string into explicit ids.
 
-    Accepts comma-separated ids with optional ranges: ``"R06-R10"`` →
-    ``["R06", ..., "R10"]``; ``"R01,R03"`` passes through.
+    Accepts comma-separated ids with optional ranges: ``"R16-R20"`` →
+    ``["R16", ..., "R20"]``; ``"R01,R03"`` passes through.
 
     Raises:
         ConfigurationError: on malformed ids or inverted ranges.

@@ -14,10 +14,10 @@ from repro.analysis.lint import (
     ALL_RULES,
     expand_rule_ids,
     render_json,
+    render_sarif,
     render_text,
     run_lint,
 )
-from repro.analysis.dataflow.sarif import render_sarif
 from repro.errors import ConfigurationError
 
 
@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "comma-separated rule ids to run; ranges allowed "
-            "(e.g. R06-R10). Default: all"
+            "(e.g. R16-R20). Default: all"
         ),
     )
     parser.add_argument(

@@ -141,13 +141,16 @@ class SourceFile:
 
 @dataclass
 class ClassInfo:
-    """Cross-file class facts used by the parity rule (R02)."""
+    """Cross-file class facts used by the parity rule (R02) and the
+    numeric inventory (R16-R20)."""
 
     name: str
     display_path: str
     line: int
     base_names: list[str]
     methods: set[str]
+    #: The class's AST (None for a name dropped as ambiguous).
+    node: ast.ClassDef | None = None
 
 
 class Project:
@@ -171,6 +174,7 @@ class Project:
                     line=node.lineno,
                     base_names=[_base_name(base) for base in node.bases],
                     methods=methods,
+                    node=node,
                 )
                 # Duplicate simple names across files are dropped from the
                 # index: resolving them would need full import tracking, and

@@ -1,4 +1,4 @@
-"""The repro-lint rule catalog (R01–R04).
+"""The repro-lint syntactic rules (R01–R03).
 
 Each rule is a class with an ``id``, a one-line ``summary`` and a
 ``check`` method yielding :class:`~repro.analysis.lint.model.Finding`
@@ -6,7 +6,7 @@ objects.  The class docstring is the rule's long documentation, printed by
 ``python -m repro.analysis.lint --list-rules``.
 
 Rules are engine-specific by design: they encode invariants of *this*
-codebase (simulated time, scalar/batched parity, frozen stream elements)
+codebase (simulated time, scalar/batched parity, timestamp equality)
 rather than generic style.  See ``docs/ANALYSIS.md`` for the catalog with
 examples and suppression guidance.
 """
@@ -33,11 +33,6 @@ TIME_ATTRIBUTES = {
 }
 
 _TIME_SUFFIXES = ("_time", "_frontier", "frontier_value", "_arrival", "_watermark")
-
-#: Fields of :class:`repro.streams.element.StreamElement` that uniquely
-#: identify it; assigning to them anywhere is a mutation of a frozen
-#: element (R04).  ``value``/``key`` are too generic to match on.
-ELEMENT_FIELDS = {"event_time", "arrival_time", "seq"}
 
 
 class Rule(ABC):
@@ -312,71 +307,10 @@ class NoFloatTimeEqualityRule(Rule):
         return dotted in {"math.inf", "np.inf", "numpy.inf", "math.nan"}
 
 
-class FrozenElementRule(Rule):
-    """R04 — stream elements are immutable after construction.
-
-    :class:`repro.streams.element.StreamElement` is a frozen dataclass;
-    derived elements must be produced with ``with_arrival``/``replace``.
-    Assigning (or deleting) the identifying fields ``event_time``,
-    ``arrival_time`` or ``seq`` through *any* attribute reference is
-    flagged — even on objects the analyser cannot prove to be elements —
-    because sharing those field names with a mutable object invites
-    exactly the aliasing bugs the freeze exists to prevent.
-    """
-
-    id = "R04"
-    summary = "no mutation of StreamElement timestamp/seq fields"
-
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        element_spans = [
-            (node.lineno, max(node.lineno, getattr(node, "end_lineno", node.lineno)))
-            for node in ast.walk(source.tree)
-            if isinstance(node, ast.ClassDef) and node.name == "StreamElement"
-        ]
-        for node in ast.walk(source.tree):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-            else:
-                continue
-            if any(lo <= node.lineno <= hi for lo, hi in element_spans):
-                continue
-            for target in targets:
-                for leaf in self._flatten(target):
-                    if (
-                        isinstance(leaf, ast.Attribute)
-                        and leaf.attr in ELEMENT_FIELDS
-                    ):
-                        yield self._finding(
-                            source,
-                            node,
-                            f"assignment to .{leaf.attr} — stream elements "
-                            "are frozen; build a new element with "
-                            "with_arrival()/dataclasses.replace()",
-                        )
-
-    @staticmethod
-    def _flatten(node: ast.expr) -> Iterator[ast.expr]:
-        if isinstance(node, (ast.Tuple, ast.List)):
-            for item in node.elts:
-                yield from FrozenElementRule._flatten(item)
-        else:
-            yield node
-
-
-#: The per-file syntactic rules (R01-R04).  The whole-program dataflow
-#: rules (R06-R10) live in :mod:`repro.analysis.dataflow.rules`; the
-#: combined catalog is composed in :mod:`repro.analysis.lint`.
+#: The syntactic rules (R01-R03); the combined catalog with the numeric
+#: rules is composed in :mod:`repro.analysis.lint`.
 CORE_RULES: tuple[Rule, ...] = (
     NoWallClockRule(),
     BatchParityRule(),
     NoFloatTimeEqualityRule(),
-    FrozenElementRule(),
 )
-
-#: Backwards-compatible alias (pre-dataflow name for the catalog).
-ALL_RULES = CORE_RULES

@@ -10,10 +10,9 @@ discipline holds:
 * :mod:`repro.analysis.numeric.sites` infers the **numeric inventory**:
   every class descending from the accumulator protocols
   (``AggregateFunction``, ``ErrorModel``, ``SlackController``,
-  ``DelaySample`` plus the explicit accumulator classes), its classified
-  accumulation sites, and its declared ``__numeric__`` rounding
-  discipline.  Unknown annotation values are a hard configuration error
-  (CLI exit 2).
+  ``DelaySample`` plus the explicit accumulator classes) and its
+  declared ``__numeric__`` rounding discipline.  Unknown annotation
+  values are a hard configuration error (CLI exit 2).
 * :mod:`repro.analysis.numeric.rules` turns the inventory into lint
   rules **R16-R20** (no bare ``+=`` float folds, no subtraction-based
   retraction, no ``==`` on accumulated floats, mandatory ``__numeric__``
@@ -32,10 +31,10 @@ The arithmetic the rules point at lives in :mod:`repro.core.numeric`
 
 from __future__ import annotations
 
-# ``sites`` must be imported first: it pulls in the dataflow/lint import
-# cycle, during which ``repro.analysis.lint`` imports ``numeric.rules`` —
-# importing rules here first would leave it partially initialized when the
-# lint package asks for NUMERIC_RULES.
+# The lint package composes its catalog from ``numeric.rules``, whose
+# rules subclass the lint ``Rule``: load it first so ``rules`` always
+# initializes inside it, whichever module a caller imports first.
+import repro.analysis.lint  # noqa: F401
 from repro.analysis.numeric.sites import (
     EXTRA_ROOTS,
     LINEAGE_ROOTS,

@@ -1,13 +1,9 @@
-"""CLI for the numeric analysis: inventory/site dumps and a NumSan smoke run.
+"""CLI for the numeric analysis: the inventory dump and a NumSan smoke run.
 
 ``python -m repro.analysis.numeric inventory`` prints the numeric
 inventory the R16-R20 lint rules govern: every lineage class, its
 declared (or inherited) ``__numeric__`` discipline and how it entered
 the inventory.  Exit status 2 on invalid annotations.
-
-``python -m repro.analysis.numeric sites`` prints the classified
-accumulation sites (fold / merge / retract / compare) per inventoried
-class — where a numeric reviewer should look first.
 
 ``python -m repro.analysis.numeric smoke`` runs a deterministic
 out-of-order workload under ``sanitize="numeric"`` for each core
@@ -53,23 +49,6 @@ def _cmd_inventory(args: argparse.Namespace) -> int:
             f"{name:<{width}}  {discipline:<17} ({origin:<28}) "
             f"via {record.via}  [{record.module}:{record.line}]"
         )
-    return 0
-
-
-def _cmd_sites(args: argparse.Namespace) -> int:
-    from repro.analysis.numeric.sites import build_inventory
-
-    inventory = build_inventory(_load_project(args.path))
-    total = 0
-    for name in sorted(inventory.classes):
-        record = inventory.classes[name]
-        if not record.sites:
-            continue
-        print(f"{name}  [{record.module}:{record.line}]")
-        for site in record.sites:
-            total += 1
-            print(f"  {site.kind:<8} {site.method}():{site.line}")
-    print(f"{total} site(s) across {len(inventory.classes)} inventoried class(es)")
     return 0
 
 
@@ -126,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.numeric",
-        description="Numeric analysis tools (inventory, sites, NumSan smoke).",
+        description="Numeric analysis tools (inventory, NumSan smoke).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,14 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         "path", nargs="?", default="src", help="source root to analyze"
     )
     inventory.set_defaults(func=_cmd_inventory)
-
-    sites = sub.add_parser(
-        "sites", help="print classified accumulation sites per class"
-    )
-    sites.add_argument(
-        "path", nargs="?", default="src", help="source root to analyze"
-    )
-    sites.set_defaults(func=_cmd_sites)
 
     smoke = sub.add_parser(
         "smoke", help="run a NumSan-sanitized workload and print drift"

@@ -44,13 +44,14 @@ import ast
 import re
 from typing import Iterator
 
-# Bound at call time (``sites.inventory_for`` etc.): this module is
-# imported from inside ``repro.analysis.lint.__init__`` while the
-# numeric package may still be mid-initialization, so import-time name
-# binding would fail depending on which package entered the cycle first.
-from repro.analysis.numeric import sites as _sites
 from repro.analysis.lint.model import Finding, Project, SourceFile, _comments
 from repro.analysis.lint.rules import Rule, _dotted
+from repro.analysis.numeric.sites import (
+    FOLD_METHODS,
+    NUMERIC_VALUES,
+    NumericClass,
+    inventory_for,
+)
 from repro.errors import ConfigurationError
 
 #: Legal values of a numeric waiver comment (see the module docstring).
@@ -137,8 +138,8 @@ def _state_target(node: ast.expr) -> bool:
 
 def _inventoried_classes(
     source: SourceFile, project: Project
-) -> Iterator[tuple[ast.ClassDef, "_sites.NumericClass"]]:
-    inventory = _sites.inventory_for(project)
+) -> Iterator[tuple[ast.ClassDef, NumericClass]]:
+    inventory = inventory_for(project)
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -149,10 +150,7 @@ def _inventoried_classes(
 
 def _fold_methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
     for item in node.body:
-        if (
-            isinstance(item, ast.FunctionDef)
-            and item.name in _sites.FOLD_METHODS
-        ):
+        if isinstance(item, ast.FunctionDef) and item.name in FOLD_METHODS:
             yield item
 
 
@@ -383,7 +381,7 @@ class NumericAnnotationRule(Rule):
     )
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        valid = ", ".join(f'"{value}"' for value in _sites.NUMERIC_VALUES)
+        valid = ", ".join(f'"{value}"' for value in NUMERIC_VALUES)
         for class_node, record in _inventoried_classes(source, project):
             if record.effective is not None:
                 continue

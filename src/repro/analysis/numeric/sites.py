@@ -47,12 +47,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-# Bound at call time (``propagation.analysis_for``): the analysis
-# packages form an import cycle and this module can be reached while
-# ``propagation`` is still mid-initialization.
-from repro.analysis.dataflow import propagation
-from repro.analysis.dataflow.symbols import ClassSymbol, SymbolTable
-from repro.analysis.lint.model import Project
+from repro.analysis.lint.model import ClassInfo, Project
 from repro.errors import ConfigurationError
 
 #: Protocol base classes whose descendants form the numeric inventory.
@@ -78,32 +73,10 @@ NUMERIC_VALUES: tuple[str, ...] = ("compensated", "reassoc-tolerant", "exact")
 #: holds to the no-bare-accumulation contract.
 FOLD_METHODS: frozenset[str] = frozenset({"add", "add_many", "merge"})
 
-#: Method names treated as retraction sites for the site classifier.
-_RETRACT_METHODS: frozenset[str] = frozenset(
-    {"retract", "remove", "subtract", "evict"}
-)
-
 #: Base-class names marking exception types (excluded from the inventory).
 _EXCEPTION_BASES: frozenset[str] = frozenset(
     {"Exception", "BaseException", "ValueError", "RuntimeError", "TypeError"}
 )
-
-
-@dataclass(frozen=True)
-class NumericSite:
-    """One accumulation site inside an inventoried class.
-
-    ``kind`` is the site's role in the fold lifecycle:
-
-    * ``"fold"`` — in-place accumulation inside ``add``/``add_many``;
-    * ``"merge"`` — in-place accumulation inside ``merge``;
-    * ``"retract"`` — in-place subtraction from retained state;
-    * ``"compare"`` — ``==``/``!=`` on accumulated floats.
-    """
-
-    kind: str
-    method: str
-    line: int
 
 
 @dataclass
@@ -124,8 +97,6 @@ class NumericClass:
     #: Name of the class the effective value was inherited from ("" when
     #: declared locally or unresolved).
     effective_origin: str = ""
-    #: Classified accumulation sites, in source order.
-    sites: tuple[NumericSite, ...] = ()
 
 
 @dataclass
@@ -142,16 +113,13 @@ class NumericInventory:
         return None
 
 
-def _is_exception(table: SymbolTable, name: str) -> bool:
+def _is_exception(name: str, lineage: list[ClassInfo]) -> bool:
     if name.endswith("Error") or name.endswith("Exception"):
         return True
-    for symbol in table.ancestry(name):
-        if _EXCEPTION_BASES & set(symbol.base_names):
-            return True
-    return False
+    return any(_EXCEPTION_BASES & set(info.base_names) for info in lineage)
 
 
-def _lineage_origin(table: SymbolTable, name: str) -> str | None:
+def _lineage_origin(name: str, lineage: list[ClassInfo]) -> str | None:
     """The root that makes ``name`` a numeric class, or None.
 
     Matches raw base-name strings over the whole ancestry, so lineage
@@ -161,20 +129,20 @@ def _lineage_origin(table: SymbolTable, name: str) -> str | None:
     """
     if name in LINEAGE_ROOTS or name in EXTRA_ROOTS:
         return name
-    for symbol in table.ancestry(name):
-        if symbol.name != name and symbol.name in EXTRA_ROOTS:
-            return symbol.name
-        hit = set(symbol.base_names) & set(LINEAGE_ROOTS)
+    for info in lineage:
+        if info.name != name and info.name in EXTRA_ROOTS:
+            return info.name
+        hit = set(info.base_names) & set(LINEAGE_ROOTS)
         if hit:
             return sorted(hit)[0]
     return None
 
 
-def _declared_numeric(symbol: ClassSymbol) -> tuple[str | None, int]:
+def _declared_numeric(info: ClassInfo) -> tuple[str | None, int]:
     """The literal ``__numeric__`` value and its line; ``("", line)`` for a
     non-literal assignment, ``(None, 0)`` when the class does not declare
     one."""
-    for item in symbol.node.body:
+    for item in info.node.body if info.node is not None else ():
         targets: list[ast.expr] = []
         value: ast.expr | None = None
         if isinstance(item, ast.Assign):
@@ -187,47 +155,6 @@ def _declared_numeric(symbol: ClassSymbol) -> tuple[str | None, int]:
                     return value.value, item.lineno
                 return "", item.lineno  # non-literal: invalid
     return None, 0
-
-
-def _self_state_target(node: ast.expr) -> bool:
-    """True for ``self.x`` / ``x[i]`` / ``self.x[i]`` style state targets."""
-    if isinstance(node, ast.Attribute):
-        return True
-    if isinstance(node, ast.Subscript):
-        return True
-    return False
-
-
-def _classify_sites(symbol: ClassSymbol) -> tuple[NumericSite, ...]:
-    """Accumulation sites of one class, for the inventory dump and docs.
-
-    This is a *survey*, not the rule logic: the rules in
-    :mod:`repro.analysis.numeric.rules` re-walk the AST with their own
-    exemption machinery.  The survey deliberately over-approximates
-    (every in-place ``+=``/``-=`` on attribute or subscript state counts)
-    so ``python -m repro.analysis.numeric sites`` shows reviewers where
-    to look.
-    """
-    sites: list[NumericSite] = []
-    for method_name, method in symbol.methods.items():
-        if method_name in FOLD_METHODS:
-            kind = "merge" if method_name == "merge" else "fold"
-        elif method_name in _RETRACT_METHODS:
-            kind = "retract"
-        else:
-            kind = ""
-        for node in ast.walk(method.node):
-            if isinstance(node, ast.AugAssign) and _self_state_target(node.target):
-                if isinstance(node.op, ast.Sub):
-                    sites.append(NumericSite("retract", method_name, node.lineno))
-                elif isinstance(node.op, ast.Add) and kind:
-                    sites.append(NumericSite(kind, method_name, node.lineno))
-            elif isinstance(node, ast.Compare) and any(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-            ):
-                sites.append(NumericSite("compare", method_name, node.lineno))
-    sites.sort(key=lambda site: site.line)
-    return tuple(sites)
 
 
 def _validate(name: str, module: str, declared: str | None, line: int) -> None:
@@ -248,51 +175,48 @@ def _validate(name: str, module: str, declared: str | None, line: int) -> None:
 
 
 def _effective(
-    table: SymbolTable, name: str, declared: str | None
+    lineage: list[ClassInfo], declared: str | None
 ) -> tuple[str | None, str]:
     """Resolve the annotation through the ancestry (nearest wins)."""
     if declared is not None:
         return declared, ""
-    for symbol in table.ancestry(name):
-        if symbol.name == name:
-            continue
-        inherited, line = _declared_numeric(symbol)
+    for info in lineage[1:]:
+        inherited, line = _declared_numeric(info)
         if inherited is not None:
             # Ancestors outside the inventory (mixins) still get their
             # values validated: an invalid inherited value is as wrong as
             # an invalid local one.
-            _validate(symbol.name, symbol.module, inherited, line)
-            return inherited, symbol.name
+            _validate(info.name, info.display_path, inherited, line)
+            return inherited, info.name
     return None, ""
 
 
 def build_inventory(project: Project) -> NumericInventory:
-    """Collect every lineage descendant from the project's symbol table.
+    """Collect every lineage descendant from the project's class index.
 
     Raises :class:`~repro.errors.ConfigurationError` on unknown or
     non-literal ``__numeric__`` values (satisfying the hard-error policy
     that maps to CLI exit 2).
     """
-    table = propagation.analysis_for(project).table
     inventory = NumericInventory()
-    for name in sorted(table.classes):
-        origin = _lineage_origin(table, name)
-        if origin is None or _is_exception(table, name):
+    for name in sorted(project.classes):
+        info = project.classes[name]
+        lineage = [info, *project.ancestors(name)]
+        origin = _lineage_origin(name, lineage)
+        if origin is None or info.node is None or _is_exception(name, lineage):
             continue
-        symbol = table.classes[name]
-        declared, declared_line = _declared_numeric(symbol)
-        _validate(name, symbol.module, declared, declared_line)
-        effective, effective_origin = _effective(table, name, declared)
+        declared, declared_line = _declared_numeric(info)
+        _validate(name, info.display_path, declared, declared_line)
+        effective, effective_origin = _effective(lineage, declared)
         inventory.classes[name] = NumericClass(
             name=name,
-            module=symbol.module,
-            line=symbol.node.lineno,
+            module=info.display_path,
+            line=info.line,
             via=origin,
             declared=declared,
             declared_line=declared_line,
             effective=effective,
             effective_origin=effective_origin,
-            sites=_classify_sites(symbol),
         )
     return inventory
 

@@ -265,8 +265,8 @@ def floats_close(
     b: float,
     # Unlike times_equal's, these tolerances are dimensionless ratios /
     # value-domain floors, not second-valued durations.
-    rtol: float = FLOAT_EQ_RTOL,  # repro-lint: disable=R10 - dimensionless
-    atol: float = FLOAT_EQ_ATOL,  # repro-lint: disable=R10 - dimensionless
+    rtol: float = FLOAT_EQ_RTOL,
+    atol: float = FLOAT_EQ_ATOL,
 ) -> bool:
     """Tolerance equality for accumulated floats (lint rule R18's target).
 

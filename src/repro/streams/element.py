@@ -54,7 +54,7 @@ class StreamElement:
         # simulation epoch and causality demands arrival >= event time —
         # this check is what makes .delay non-negative by construction.
         if self.arrival_time is not None and not (
-            self.arrival_time >= self.event_time  # repro-lint: disable=R06
+            self.arrival_time >= self.event_time
         ):
             raise ConfigurationError(
                 "arrival_time must be a number not preceding event_time "

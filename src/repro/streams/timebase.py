@@ -19,9 +19,8 @@ class EventTime:
     """Time-domain marker: an **event-time** instant (element timestamps,
     frontiers, watermarks, window bounds).
 
-    Used as ``Annotated[float, EventTime]`` metadata; the whole-program
-    dataflow analysis (:mod:`repro.analysis.dataflow`) seeds its lattice
-    from these markers.  Never instantiated.
+    Used as ``Annotated[float, EventTime]`` metadata that tells the
+    reader which axis a ``float`` lives on.  Never instantiated.
     """
 
 
@@ -31,7 +30,7 @@ class ProcTime:
     In this engine the processing clock is simulated — it is the arrival
     timestamp of the element in flight — but it is still a different axis
     from event time: comparing the two directly is the classic
-    out-of-order-stream bug (repro-lint rule R06).
+    out-of-order-stream bug.
     """
 
 
@@ -40,12 +39,12 @@ class Duration:
 
     Durations may be added to or subtracted from instants; instants may be
     subtracted to produce one.  Adding two instants, or ordering a duration
-    against an instant, is flagged (rules R06/R08).
+    against an instant, is a bug.
     """
 
 
 #: ``Annotated`` aliases for signatures.  ``mypy --strict`` sees plain
-#: ``float``; the dataflow analysis sees the domain.
+#: ``float``; the reader sees the domain.
 EventTimeStamp = Annotated[float, EventTime]
 ArrivalTimeStamp = Annotated[float, ProcTime]
 DurationS = Annotated[float, Duration]

@@ -91,20 +91,6 @@ def test_r03_allows_ordering_sentinels_and_helper():
 
 
 # --------------------------------------------------------------------- #
-# R04 — frozen element mutation
-
-
-def test_r04_catches_field_mutation():
-    findings = findings_for("r04_bad.py", "R04")
-    assert len(findings) == 4
-    assert all("frozen" in f.message for f in findings)
-
-
-def test_r04_allows_replace_and_class_body():
-    assert findings_for("r04_good.py", "R04") == []
-
-
-# --------------------------------------------------------------------- #
 # suppressions, selection, reporters, CLI
 
 
@@ -134,11 +120,11 @@ def test_text_reporter_format():
 
 
 def test_json_reporter_roundtrip():
-    findings = findings_for("r04_bad.py", "R04")
+    findings = findings_for("r03_bad.py", "R03")
     payload = json.loads(render_json(findings))
-    assert payload["total"] == 4
-    assert payload["counts"]["R04"] == 4
-    assert all(item["rule"] == "R04" for item in payload["findings"])
+    assert payload["total"] == 3
+    assert payload["counts"]["R03"] == 3
+    assert all(item["rule"] == "R03" for item in payload["findings"])
 
 
 def test_cli_exit_codes(capsys):
@@ -146,25 +132,25 @@ def test_cli_exit_codes(capsys):
     assert lint_main([str(FIXTURES / "r03_good.py")]) == 0
     assert lint_main(["--list-rules"]) == 0
     assert lint_main(["--select", "R99", str(FIXTURES)]) == 2
-    # R05 and R11-R15 are retired ids, not renumbered: selecting them is
-    # an error.
+    # R04-R15 are retired ids, not renumbered: selecting them is an error.
     assert lint_main(["--select", "R05,R11-R15", str(FIXTURES)]) == 2
+    assert lint_main(["--select", "R04,R06-R10", str(FIXTURES)]) == 2
     out = capsys.readouterr()
     assert "R01" in out.out
     assert "unknown lint rule id(s): R05, R11, R12, R13, R14, R15" in out.err
+    assert "unknown lint rule id(s): R04, R06, R07, R08, R09, R10" in out.err
 
 
 def test_fixture_directory_lints_with_findings_from_every_core_rule():
     findings = run_lint([FIXTURES])
-    # The dataflow rules (R06-R10) may legitimately fire on these fixtures
-    # too (they share the engine/ scoping); the core rules must all fire.
-    assert {f.rule for f in findings} >= {"R01", "R02", "R03", "R04"}
+    # The numeric rules may legitimately fire on these fixtures too; the
+    # syntactic rules must all fire.
+    assert {f.rule for f in findings} >= {"R01", "R02", "R03"}
 
 
 def test_source_tree_is_lint_clean():
-    # src/ must be clean under the FULL rule catalog, R06-R10 included;
-    # an accepted finding carries an inline ``# repro-lint: disable=``
-    # pragma with its reason.
+    # src/ must be clean under the full rule catalog; an accepted finding
+    # carries an inline ``# repro-lint: disable=`` pragma with its reason.
     repo_root = Path(__file__).resolve().parents[2]
     assert run_lint([repo_root / "src"]) == []
 
@@ -219,5 +205,5 @@ def test_docstring_mentions_of_directives_do_not_error(tmp_path):
 
 def test_known_suppression_ids_do_not_error():
     # The repo source uses real suppressions; linting src must not raise.
-    findings = run_lint([REPO_SRC], select=["R01", "R03", "R06", "R10", "R18"])
+    findings = run_lint([REPO_SRC], select=["R01", "R03", "R18"])
     assert findings == []

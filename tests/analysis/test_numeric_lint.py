@@ -65,13 +65,6 @@ def test_inventory_resolves_inherited_annotations():
     assert base.effective_origin == ""  # declared locally
 
 
-def test_inventory_classifies_sites():
-    inventory = build_inventory(project_for("r17_bad.py"))
-    sites = inventory.classes["DriftingSlidingTotal"].sites
-    assert any(site.kind == "retract" for site in sites)
-    assert all(site.method == "evict" for site in sites)
-
-
 def test_inventory_is_cached_per_project():
     project = project_for("r16_bad.py")
     assert inventory_for(project) is inventory_for(project)
@@ -338,10 +331,3 @@ def test_inventory_cli_smoke(capsys):
     assert "SumAggregate" in out
     assert "compensated" in out
     assert "inherited from" in out
-
-
-def test_sites_cli_smoke(capsys):
-    status = numeric_main(["sites", "src"])
-    out = capsys.readouterr().out
-    assert status == 0
-    assert "site(s) across" in out

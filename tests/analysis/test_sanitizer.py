@@ -433,7 +433,7 @@ def test_multisource_sanitizer_catches_seeded_frontier_bug():
             # moves back.
             if not self._sources:
                 return float("-inf")
-            return self._live_minimum() - self.lag  # repro-lint: disable=R07
+            return self._live_minimum() - self.lag
 
     handler = RegressingMultiSource(source_of=lambda e: e.key, lag=0.5)
     operator = WindowAggregateOperator(

@@ -8,6 +8,7 @@ from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import MeanAggregate
 from repro.engine.handlers import KSlackHandler
 from repro.engine.metrics import LatencySummary
+from repro.engine.parallel import ShardedWindowOperator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
@@ -66,6 +67,36 @@ class TestRunPipeline:
         output = run_pipeline([], make_operator())
         assert output.results == []
         assert output.metrics.n_elements == 0
+
+    @pytest.mark.parametrize(
+        "batch_size, shards",
+        [(0, 0), (64, 0), (0, 2)],
+        ids=["scalar", "batch64", "sharded2"],
+    )
+    def test_metrics_equal_handler_and_operator_counters(
+        self, small_disordered_stream, batch_size, shards
+    ):
+        # Each RunMetrics field must be read off the counter it names, on
+        # every driver path (a frontier stored as max_buffered type-checks).
+        if shards:
+            operator = ShardedWindowOperator(
+                shards,
+                SlidingWindowAssigner(5, 1),
+                MeanAggregate(),
+                lambda: KSlackHandler(0.5),
+            )
+        else:
+            operator = make_operator(k=0.5)
+        output = run_pipeline(
+            small_disordered_stream, operator, batch_size=batch_size
+        )
+        metrics, handler = output.metrics, operator.handler
+        n = len(small_disordered_stream)
+        assert metrics.n_elements == n
+        assert metrics.n_results == len(output.results) > 0
+        assert metrics.max_buffered == handler.max_buffered_count() > 0
+        assert metrics.released_count == handler.released_count() == n
+        assert metrics.late_dropped == operator.stats.late_dropped > 0
 
 
 class TestLatencySummary:
