@@ -17,45 +17,7 @@ paper assumes but ordinary tests rarely pin down:
 See ``docs/ANALYSIS.md`` for the rule catalog and sanitizer flags.
 """
 
-from __future__ import annotations
-
-from typing import Any
-
-from repro.errors import ConfigurationError
-from repro.obs.trace import NULL_TRACER, Tracer
-
 __all__ = [
-    "guard_operator",
     "lint",
     "sanitizer",
 ]
-
-
-def guard_operator(operator: Any, kind: str, tracer: Tracer = NULL_TRACER) -> Any:
-    """Put ``operator`` under the runtime sanitizer named by ``kind``.
-
-    The one place a sanitizer name becomes a wrapper — ``"stream"``
-    (StreamSan) or ``"numeric"`` (NumSan) — shared by
-    ``run_pipeline(sanitize=...)`` and the per-shard runners.  An
-    operator that sanitizes its own parts (it has ``configure_sanitizer``,
-    like the sharded coordinator) is told the kind and returned unwrapped.
-
-    Raises:
-        ConfigurationError: unknown ``kind``.
-    """
-    if kind not in ("stream", "numeric"):
-        raise ConfigurationError(
-            f"unknown sanitizer {kind!r}; expected True, "
-            '"stream" or "numeric"'
-        )
-    configure = getattr(operator, "configure_sanitizer", None)
-    if configure is not None:
-        configure(kind)
-        return operator
-    if kind == "stream":
-        from repro.analysis.sanitizer import SanitizingOperator
-
-        return SanitizingOperator(operator)
-    from repro.analysis.numeric.numsan import NumSan
-
-    return NumSan(tracer=tracer).guard_operator(operator)

@@ -2,12 +2,13 @@
 
 The linter enforces engine-specific invariants that generic tools cannot
 know about.  R01-R03 are per-file syntactic rules (R02 resolves class
-ancestry across files); R16-R20 are the float-soundness rules over the
-numeric inventory (:mod:`repro.analysis.numeric`).  Retired ids are not
-reused: R04 and R05 (now enforced by the frozen ``StreamElement`` and
-the slotted ``RunMetrics``), R06-R10 (the time-domain dataflow rules,
-whose seeded bugs the behaviour tests catch) and R11-R15 (the withdrawn
-concurrency rules):
+ancestry across files); R16 and R18-R20 are the float-soundness rules
+over the numeric inventory (:mod:`repro.analysis.numeric`).  Retired ids
+are not reused: R04 and R05 (now enforced by the frozen ``StreamElement``
+and the slotted ``RunMetrics``), R06-R10 (the time-domain dataflow rules,
+whose seeded bugs the behaviour tests catch), R11-R15 (the withdrawn
+concurrency rules) and R17 (subtractive retraction, which the engine
+never does):
 
 ========  ============================================================
 R01       no wall-clock time or nondeterministic RNG in ``engine``/``core``
@@ -16,8 +17,6 @@ R02       scalar/batched method parity (``process``/``process_many``,
 R03       no ``==``/``!=`` on float timestamps
 R16       no bare ``+=`` float accumulation in aggregate
           ``add``/``add_many``/``merge``; use the compensated primitives
-R17       no subtraction-based sliding-window retraction; use
-          ``RetractableSum`` (drift bound + periodic re-summation)
 R18       no ``==``/``!=`` on accumulated floats; use ``floats_close``
 R19       numeric classes declare ``__numeric__`` rounding discipline
 R20       no mixed python/numpy summation orders across scalar/batched
@@ -77,8 +76,8 @@ __all__ = [
 def expand_rule_ids(spec: str) -> list[str]:
     """Expand a rule selection string into explicit ids.
 
-    Accepts comma-separated ids with optional ranges: ``"R16-R20"`` →
-    ``["R16", ..., "R20"]``; ``"R01,R03"`` passes through.
+    Accepts comma-separated ids with optional ranges: ``"R18-R20"`` →
+    ``["R18", "R19", "R20"]``; ``"R01,R03"`` passes through.
 
     Raises:
         ConfigurationError: on malformed ids or inverted ranges.

@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "comma-separated rule ids to run; ranges allowed "
-            "(e.g. R16-R20). Default: all"
+            "(e.g. R16,R18-R20). Default: all"
         ),
     )
     parser.add_argument(

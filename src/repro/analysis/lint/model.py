@@ -142,7 +142,7 @@ class SourceFile:
 @dataclass
 class ClassInfo:
     """Cross-file class facts used by the parity rule (R02) and the
-    numeric inventory (R16-R20)."""
+    numeric inventory (R16, R18-R20)."""
 
     name: str
     display_path: str

@@ -1,15 +1,10 @@
-"""Float-soundness lint rules R16-R20 over the numeric inventory.
+"""Float-soundness lint rules R16 and R18-R20 over the numeric inventory.
 
 ========  ============================================================
 R16       no bare ``+=`` float accumulation inside an inventoried
           aggregate's ``add``/``add_many``/``merge``; folds route
           through a compensated primitive (:mod:`repro.core.numeric`)
           or carry an explicit ``# repro: numeric=reassoc`` waiver
-R17       no subtraction-based sliding-window retraction: ``-=`` on
-          retained state drifts without bound; use
-          :class:`~repro.core.numeric.RetractableSum` (declared drift
-          bound + periodic re-summation) or waive integer state with
-          ``# repro: numeric=exact``
 R18       no ``==``/``!=`` on accumulated floats (extends R03 beyond
           timestamps); compare through
           :func:`~repro.core.numeric.floats_close`
@@ -26,7 +21,7 @@ Waivers are source comments of the form::
     n -= k  # repro: numeric=exact - integer state, no rounding
 
 ``reassoc`` concedes the reassociation (drift must still fit the class's
-declared budget — NumSan checks); ``exact`` asserts the flagged
+declared discipline); ``exact`` asserts the flagged
 statement performs exact arithmetic (integers, set sizes, cursors).
 Unknown waiver values are a hard configuration error (CLI exit 2), like
 unknown rule ids in ``# repro-lint:`` suppressions: a typo'd waiver
@@ -48,6 +43,7 @@ from repro.analysis.lint.model import Finding, Project, SourceFile, _comments
 from repro.analysis.lint.rules import Rule, _dotted
 from repro.analysis.numeric.sites import (
     FOLD_METHODS,
+    LINEAGE_ROOTS,
     NUMERIC_VALUES,
     NumericClass,
     inventory_for,
@@ -163,10 +159,9 @@ class BareAccumulationRule(Rule):
     ``add``/``add_many``/``merge``, accumulation must go through the
     compensated primitives (``neumaier_add`` and friends carry the
     rounding error forward) — or carry a waiver conceding the
-    reassociation, which NumSan then holds to the class's declared
-    drift budget.  Classes declaring ``__numeric__ = "exact"`` are
-    exempt: they promise no float accumulation at all, and NumSan
-    verifies that promise dynamically at zero ULP.
+    reassociation, which the class's declared discipline must then
+    allow.  Classes declaring ``__numeric__ = "exact"`` are exempt: they
+    promise no float accumulation at all.
     """
 
     id = "R16"
@@ -229,66 +224,9 @@ class BareAccumulationRule(Rule):
                 node,
                 f"{class_node.name}.{method.name} accumulates floats with a "
                 f"bare fold; route through repro.core.numeric "
-                f"(neumaier_add/neumaier_add_many/neumaier_merge or "
-                f"CompensatedSum), or concede reassociation with "
+                f"(neumaier_add/neumaier_add_many/neumaier_merge), or "
+                f"concede reassociation with "
                 f"'# repro: numeric=reassoc - <why>'",
-            )
-
-
-class SubtractiveRetractionRule(Rule):
-    """R17 — no subtraction-based retraction from retained float state.
-
-    Evicting a window by subtracting its elements back out
-    (``total -= old``) leaves residual rounding error that *grows without
-    bound* as windows slide — the classic subtract-to-evict drift bug.
-    Retraction must go through
-    :class:`~repro.core.numeric.RetractableSum`, which carries a declared
-    drift bound and re-sums from source every N retractions, or be waived
-    as exact integer bookkeeping (``# repro: numeric=exact``).  Applies
-    to all engine/core files and to inventoried classes anywhere.
-    """
-
-    id = "R17"
-    summary = (
-        "no subtraction-based retraction from retained state; use "
-        "RetractableSum (drift bound + periodic re-summation) or waive "
-        "integer state with # repro: numeric=exact"
-    )
-
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        # The sanctioned implementation itself is exempt: RetractableSum's
-        # internals are exactly the code this rule points everyone at.
-        if source.path.as_posix().endswith("repro/core/numeric.py"):
-            return
-        waived = waivers(source)
-        if source.engine_scoped:
-            yield from self._scan(source, source.tree, waived)
-        else:
-            for class_node, _record in _inventoried_classes(source, project):
-                yield from self._scan(source, class_node, waived)
-
-    def _scan(
-        self, source: SourceFile, root: ast.AST, waived: dict[int, str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(root):
-            if not isinstance(node, ast.AugAssign):
-                continue
-            if not isinstance(node.op, ast.Sub):
-                continue
-            if not _state_target(node.target):
-                continue
-            if _exempt_operand(node.value):
-                continue
-            if node.lineno in waived:
-                continue
-            yield self._finding(
-                source,
-                node,
-                "subtraction-based retraction from retained state drifts "
-                "without bound; use repro.core.numeric.RetractableSum "
-                "(declared drift bound, periodic re-summation) or waive "
-                "exact integer bookkeeping with "
-                "'# repro: numeric=exact - <why>'",
             )
 
 
@@ -364,14 +302,16 @@ class NumericAnnotationRule(Rule):
     """R19 — every inventoried numeric class declares its discipline.
 
     The ``__numeric__`` class attribute is a machine-checked contract:
-    ``"compensated"`` (folds through the compensated primitives; NumSan
-    budget 1e-12 relative),
-    ``"reassoc-tolerant"`` (deliberate reassociation; budget 1e-9) or
-    ``"exact"`` (no float accumulation; zero-ULP budget).  Inheriting
-    the annotation from a base class is accepted — protocol-wide
-    defaults like ``ErrorModel.__numeric__ = "exact"`` cover stateless
-    subclasses.  Unknown values never reach this rule: the inventory
-    hard-errors on them (CLI exit 2).
+    ``"compensated"`` (folds through the compensated primitives; drift
+    below 1e-12 relative),
+    ``"reassoc-tolerant"`` (deliberate reassociation; drift up to 1e-9)
+    or ``"exact"`` (no float accumulation).  Inheriting the annotation
+    from a base class is accepted — protocol-wide defaults like
+    ``ErrorModel.__numeric__ = "exact"`` cover stateless subclasses.
+    The lineage roots themselves need not declare one: a root that
+    gives no default, like ``AggregateFunction``, makes every concrete
+    subclass state its own.  Unknown values never reach this rule: the
+    inventory hard-errors on them (CLI exit 2).
     """
 
     id = "R19"
@@ -383,7 +323,7 @@ class NumericAnnotationRule(Rule):
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         valid = ", ".join(f'"{value}"' for value in NUMERIC_VALUES)
         for class_node, record in _inventoried_classes(source, project):
-            if record.effective is not None:
+            if record.effective is not None or record.name in LINEAGE_ROOTS:
                 continue
             origin = f"numeric lineage via {record.via}"
             yield self._finding(
@@ -469,7 +409,6 @@ class MixedSummationOrderRule(Rule):
 
 NUMERIC_RULES: tuple[Rule, ...] = (
     BareAccumulationRule(),
-    SubtractiveRetractionRule(),
     AccumulatedFloatEqualityRule(),
     NumericAnnotationRule(),
     MixedSummationOrderRule(),

@@ -25,8 +25,7 @@ annotation (rule R19) naming its rounding discipline:
 
 ``"exact"``
     Results are exact or correctly rounded: integer arithmetic,
-    comparisons, single float operations.  NumSan holds such a class to
-    a zero-ULP budget against the exact reference.
+    comparisons, single float operations.
 ``"compensated"``
     Folds run through a compensated-summation primitive
     (:mod:`repro.core.numeric`); drift against the exact reference stays
@@ -37,8 +36,8 @@ annotation (rule R19) naming its rounding discipline:
     ``1e-9`` relative.
 
 An unknown ``__numeric__`` value is a **configuration error** (CLI exit
-2), not a finding: the value selects NumSan's drift budget, so a typo
-would silently verify the wrong contract.  This mirrors the linter's own
+2), not a finding: the value states the class's rounding contract, so a
+typo would silently state the wrong one.  This mirrors the linter's own
 unknown-rule-id policy for suppressions.
 """
 
@@ -62,8 +61,6 @@ LINEAGE_ROOTS: tuple[str, ...] = (
 EXTRA_ROOTS: tuple[str, ...] = (
     "ValueStatsTracker",
     "RateTracker",
-    "CompensatedSum",
-    "RetractableSum",
 )
 
 #: Legal values of the ``__numeric__`` rounding-discipline annotation.
@@ -169,8 +166,8 @@ def _validate(name: str, module: str, declared: str | None, line: int) -> None:
         )
     raise ConfigurationError(
         f"{module}:{line}: class {name} declares __numeric__ = "
-        f"{declared!r}; unknown value (the annotation selects NumSan's "
-        f"drift budget), expected one of {valid}"
+        f"{declared!r}; unknown value (the annotation names the class's "
+        f"rounding discipline), expected one of {valid}"
     )
 
 

@@ -594,10 +594,18 @@ class SanitizingOperator(Operator):
 
 def sanitize_operator(
     operator: Operator, config: SanitizerConfig | None = None
-) -> SanitizingOperator:
-    """Wrap ``operator`` (and its handler) in StreamSan checkers.
+) -> Operator:
+    """Put ``operator`` (and its handler) under the StreamSan checkers.
 
-    Convenience for driving an operator by hand; ``run_pipeline`` applies
-    the same wrapping when called with ``sanitize=True``.
+    What ``run_pipeline(sanitize=True)`` and each sanitized shard runner
+    apply, and the entry point for driving an operator by hand.  An
+    operator that sanitizes its own parts (it has ``configure_sanitizer``,
+    like the sharded coordinator) is told to and returned unwrapped; its
+    shards run under the default :class:`SanitizerConfig`.  Any other
+    operator comes back wrapped in a :class:`SanitizingOperator`.
     """
+    configure = getattr(operator, "configure_sanitizer", None)
+    if configure is not None:
+        configure()
+        return operator
     return SanitizingOperator(operator, config)

@@ -2,17 +2,12 @@
 
 The quality contract the controller reports ("mean relative error <=
 theta") is only as trustworthy as the floating-point arithmetic behind
-it.  Three classic traps show up in streaming aggregation:
+it.  Two classic traps show up in streaming aggregation:
 
 * **Naive summation drift** — folding n values with bare ``+=``
   accumulates up to ``n * ulp`` of relative error, and the *order* of the
   fold changes the answer (scalar loops vs numpy reductions vs merge
   trees all round differently).
-* **Subtraction-based retraction** — sliding a window by subtracting the
-  evicted value is O(1) but the compensation never returns: after k
-  evictions the running sum has absorbed k extra roundings and can drift
-  arbitrarily far from the true window sum (Tangwongsan et al. call this
-  out as the classic invertible-aggregation trap).
 * **Float equality** — ``==`` on two independently accumulated results is
   a coin flip; comparisons need an explicit tolerance with an absolute
   floor near zero.
@@ -25,28 +20,22 @@ This module provides the sanctioned primitives, one per trap:
   ``[total, compensation]``.  Error is O(1) ulp regardless of length,
   and ``add_many`` is the *same* fold as repeated ``add``, so scalar and
   batched paths agree bit-for-bit.
-* :class:`RetractableSum` — drift-bounded sliding subtraction: retraction
-  is compensated *and* the sum is rebuilt from live values every
-  ``resum_every`` retractions, so drift is bounded instead of unbounded.
 * :func:`floats_close` — tolerance comparison with an absolute floor and
   the same infinity semantics as
   :func:`repro.streams.timebase.times_equal`.
 
-The float-soundness lint rules R16-R20 (``docs/NUMERICS.md``) require
+The float-soundness lint rules R16 and R18-R20 (``docs/NUMERICS.md``) require
 accumulation sites to route through these primitives or carry an explicit
-``# repro: numeric=...`` waiver, and the NumSan sanitizer
-(``run_pipeline(sanitize="numeric")``) verifies at runtime that every
-aggregate stays within the drift bound its ``__numeric__`` annotation
-declares.
+``# repro: numeric=...`` waiver.  The engine never subtracts an evicted
+value from a running sum: window stores merge partials and never
+retract, so there is no subtract-on-evict primitive.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Callable, Iterable, List
-
-from repro.errors import ConfigurationError
+from typing import Any, Iterable, List
 
 #: Default relative tolerance for :func:`floats_close` — one part in 1e9,
 #: matching ``TIME_EQ_RTOL`` so value and time comparisons are consistent.
@@ -123,124 +112,6 @@ def neumaier_total(accumulator: List[float]) -> float:
     return accumulator[0] + accumulator[1]
 
 
-def compensated_sum(values: Iterable[float]) -> float:
-    """One-shot compensated sum of an iterable (convenience wrapper)."""
-    accumulator = neumaier_create()
-    neumaier_add_many(accumulator, values)
-    return neumaier_total(accumulator)
-
-
-class CompensatedSum:
-    """Object wrapper over the ``[total, compensation]`` list accumulator.
-
-    For call sites that want a named running sum rather than threading a
-    bare list around (estimator feedback terms, long-lived counters).
-    """
-
-    __numeric__ = "compensated"
-    __slots__ = ("_state",)
-
-    def __init__(self) -> None:
-        self._state = neumaier_create()
-
-    def add(self, value: float) -> None:
-        """Fold one value in with compensation."""
-        neumaier_add(self._state, value)
-
-    def add_many(self, values: Iterable[float]) -> None:
-        """Fold a batch in — bit-identical to repeated :meth:`add`."""
-        neumaier_add_many(self._state, values)
-
-    def merge(self, other: "CompensatedSum") -> None:
-        """Absorb another compensated sum, carrying its compensation."""
-        neumaier_merge(self._state, other._state)
-
-    @property
-    def value(self) -> float:
-        """The compensated running total."""
-        return neumaier_total(self._state)
-
-
-class RetractableSum:
-    """Sliding-window sum with drift-bounded subtraction.
-
-    Subtracting evicted values keeps the window sum O(1) per slide, but
-    every retraction adds a rounding that ordinary summation never takes
-    back.  This wrapper makes the pattern sound (and is the only shape
-    lint rule R17 accepts):
-
-    * additions *and* retractions are compensated (a retraction is a
-      compensated add of ``-value``), and
-    * every ``resum_every`` retractions the sum is rebuilt exactly from
-      the live values supplied by the ``resum`` callable, so accumulated
-      retraction error is bounded by ``drift_bound`` instead of growing
-      without limit.
-
-    ``drift_bound`` is the declared *relative* drift the owner tolerates
-    between re-summations; NumSan and the unit suite verify the bound
-    empirically rather than trusting it.
-    """
-
-    __numeric__ = "compensated"
-    __slots__ = ("_state", "_resum", "drift_bound", "resum_every",
-                 "_retractions_since", "resum_count")
-
-    def __init__(
-        self,
-        resum: Callable[[], Iterable[float]],
-        drift_bound: float = 1e-9,
-        resum_every: int = 64,
-    ) -> None:
-        if resum is None:  # defensive: a hook is mandatory, not optional
-            raise ConfigurationError(
-                "RetractableSum requires a resum callable returning the "
-                "live values; drift-bounded retraction without a "
-                "re-summation hook is exactly what R17 forbids"
-            )
-        if not drift_bound > 0.0:
-            raise ConfigurationError(
-                f"drift_bound must be positive, got {drift_bound}"
-            )
-        if resum_every < 1:
-            raise ConfigurationError(
-                f"resum_every must be >= 1, got {resum_every}"
-            )
-        self._state = neumaier_create()
-        self._resum = resum
-        self.drift_bound = drift_bound
-        self.resum_every = resum_every
-        self._retractions_since = 0
-        self.resum_count = 0
-
-    def add(self, value: float) -> None:
-        """Fold one value in with compensation."""
-        neumaier_add(self._state, value)
-
-    def add_many(self, values: Iterable[float]) -> None:
-        """Fold a batch in — bit-identical to repeated :meth:`add`."""
-        neumaier_add_many(self._state, values)
-
-    def retract(self, value: float) -> None:
-        """Remove one value; triggers a rebuild every ``resum_every``."""
-        neumaier_add(self._state, -value)
-        self._retractions_since += 1
-        if self._retractions_since >= self.resum_every:
-            self.resum_now()
-
-    def resum_now(self) -> None:
-        """Rebuild the compensated sum exactly from the live values."""
-        state = neumaier_create()
-        neumaier_add_many(state, self._resum())
-        self._state = state
-        self._retractions_since = 0
-        self.resum_count += 1
-
-    @property
-    def value(self) -> float:
-        """The current (drift-bounded) window sum."""
-        return neumaier_total(self._state)
-
-
 # --------------------------------------------------------------------- #
 # comparison and drift measurement
 
@@ -301,28 +172,3 @@ def relative_drift(
     if value == reference:  # repro-lint: disable=R03 - drift metric itself
         return 0.0
     return abs(value - reference) / max(abs(reference), eps)
-
-
-def ulp_distance(value: float, reference: float) -> float:
-    """Distance in units-in-the-last-place of ``reference``.
-
-    0.0 means bit-identical; 0.5 is a single correct rounding; large
-    values mean genuine drift.  Non-finite mismatches return ``inf``.
-    """
-    if math.isnan(value) and math.isnan(reference):
-        return 0.0
-    if not math.isfinite(value) or not math.isfinite(reference):
-        return 0.0 if value == reference else math.inf
-    if value == reference:  # repro-lint: disable=R03 - ulp metric itself
-        return 0.0
-    return abs(value - reference) / math.ulp(max(abs(reference), 5e-324))
-
-
-def drift_exceeded(old: float, new: float, threshold: float) -> bool:
-    """Does replacing ``old`` by ``new`` exceed a relative-drift threshold?
-
-    The revision machinery in :mod:`repro.engine.retraction` uses this to
-    decide whether a late element moved a closed window's value enough to
-    warrant emitting a correction.
-    """
-    return relative_drift(old, new) > threshold

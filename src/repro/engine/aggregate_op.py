@@ -562,16 +562,8 @@ class WindowAggregateOperator(Operator):
 
     @property
     def aggregate(self) -> AggregateFunction:
-        """The aggregate behind every fold, merge and result of the store.
-
-        Assigning replaces it inside the store: the one seam a wrapper
-        such as NumSan's shadow needs, in any mode.
-        """
+        """The aggregate behind every fold, merge and result of the store."""
         return self._holder.aggregate
-
-    @aggregate.setter
-    def aggregate(self, aggregate: AggregateFunction) -> None:
-        self._holder.aggregate = aggregate
 
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to this operator, its store and its handler."""

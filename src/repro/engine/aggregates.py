@@ -27,8 +27,8 @@ floating-point error discipline (``"exact"``, ``"compensated"`` or
 ``"reassoc-tolerant"`` — see ``docs/NUMERICS.md``).  Sum-like folds route
 through the Neumaier primitives in :mod:`repro.core.numeric`, which makes
 scalar and batched folds bit-identical and bounds accumulation error at
-O(1) ulp; the NumSan sanitizer (``run_pipeline(sanitize="numeric")``)
-verifies the declared discipline against an exact reference at runtime.
+O(1) ulp; ``tests/property/test_numeric_properties.py`` holds every
+discipline to an exact rational reference.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ _NUMPY_FOLD_MIN = 32
 class AggregateFunction(ABC):
     """Protocol for incremental window aggregates."""
 
-    # The protocol itself holds no accumulator state; concrete aggregates
-    # each declare their own discipline (lint rule R19).
-    __numeric__ = "exact"
+    # No ``__numeric__`` default here: concrete aggregates each declare
+    # their own discipline (lint rule R19).
 
     name: str = "aggregate"
     error_model_kind: str = "additive_mass"
@@ -249,7 +248,7 @@ class StdDevAggregate(AggregateFunction):
     name = "stddev"
     error_model_kind = "mean"
     # Welford/Chan recurrences are the numerically *stable* forms but are
-    # order-sensitive; drift is declared (and NumSan-bounded) at 1e-9
+    # order-sensitive; drift is declared (and property-tested) at 1e-9
     # rather than eliminated, since compensating the running mean would
     # abandon the well-studied error bound.
     __numeric__ = "reassoc-tolerant"
@@ -271,8 +270,8 @@ class StdDevAggregate(AggregateFunction):
         n_b = float(batch.size)
         # The batched path intentionally folds in a different order than
         # scalar Welford: Chan's batch combine is *more* accurate, and the
-        # scalar/batched equivalence suite plus NumSan bound the
-        # divergence at the declared 1e-9.
+        # scalar/batched equivalence suite bounds the divergence at the
+        # declared 1e-9.
         mean_b = float(batch.mean())  # repro: numeric=reassoc - Chan combine
         m2_b = float(((batch - mean_b) ** 2).sum())  # repro: numeric=reassoc - Chan combine
         # Chan et al. pairwise combine — the same math as merge().

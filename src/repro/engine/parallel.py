@@ -60,7 +60,6 @@ from typing import Any, Callable, Iterator, Sequence, cast
 
 import numpy as np
 
-from repro.analysis import guard_operator
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import DisorderHandler
@@ -153,13 +152,10 @@ class _PartialCaptureAggregate:
     switched on only for shards whose groups can span shards (a custom
     routing key, or ``None`` keys dealt round-robin).
 
-    Not an :class:`AggregateFunction` subclass on purpose: instances are
-    created per shard with an instance-dependent numeric discipline, and
-    the static numeric inventory requires literal ``__numeric__``
-    declarations on the real lineage.  The per-discipline subclasses below
-    carry the literal the NumSan shadow resolves at type level, so
-    ``run_pipeline(sanitize="numeric")`` budgets shard results exactly as
-    it budgets the inner aggregate.
+    Not an :class:`AggregateFunction` subclass on purpose: it adds no
+    arithmetic of its own, so it stays out of the numeric inventory and
+    the inner aggregate's ``__numeric__`` discipline is the one that
+    holds.
     """
 
     __slots__ = ("inner", "name", "error_model_kind", "capturing")
@@ -192,39 +188,6 @@ class _PartialCaptureAggregate:
         return f"shard-capture({self.inner.describe()})"
 
 
-class _PartialCaptureExact(_PartialCaptureAggregate):
-    __numeric__ = "exact"
-
-
-class _PartialCaptureCompensated(_PartialCaptureAggregate):
-    __numeric__ = "compensated"
-
-
-class _PartialCaptureReassoc(_PartialCaptureAggregate):
-    __numeric__ = "reassoc-tolerant"
-
-
-_CAPTURE_BY_DISCIPLINE: dict[str, type[_PartialCaptureAggregate]] = {
-    "exact": _PartialCaptureExact,
-    "compensated": _PartialCaptureCompensated,
-    "reassoc-tolerant": _PartialCaptureReassoc,
-}
-
-
-def _capture_wrapper(inner: AggregateFunction) -> _PartialCaptureAggregate:
-    """Wrap ``inner`` in the capture class matching its discipline."""
-    discipline = getattr(type(inner), "__numeric__", None)
-    wrapper_class = _CAPTURE_BY_DISCIPLINE.get(
-        discipline if isinstance(discipline, str) else ""
-    )
-    if wrapper_class is None:
-        raise ConfigurationError(
-            f"cannot shard aggregate {type(inner).__name__}: it declares "
-            f"no known __numeric__ discipline ({discipline!r})"
-        )
-    return wrapper_class(inner)
-
-
 # --------------------------------------------------------------------- #
 # shard spec, outcomes, the per-shard session and the executor seam
 
@@ -246,7 +209,7 @@ class ShardSpec:
     handler_factory: Callable[[], DisorderHandler]
     feedback_horizon: DurationS | None
     track_feedback: bool
-    sanitize: str | None
+    sanitize: bool
     trace_enabled: bool
     trace_detail: bool
     #: Whether routing can split a keyed group over shards (a custom
@@ -321,13 +284,13 @@ class ShardRunner:
         handler: DisorderHandler,
         feedback_horizon: DurationS | None = None,
         track_feedback: bool = True,
-        sanitize: str | None = None,
+        sanitize: bool = False,
         tracer: Tracer = NULL_TRACER,
         split_keyed: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self._handler = handler
-        self._capture = _capture_wrapper(aggregate)
+        self._capture = _PartialCaptureAggregate(aggregate)
         self._capture.capturing = self._split_keyed = split_keyed
         operator = WindowAggregateOperator(
             assigner,
@@ -341,9 +304,11 @@ class ShardRunner:
         self._frontier_log = operator.frontier_log = array("d")
         if tracer.enabled:
             operator.set_tracer(tracer)
-        self._driven: Any = (
-            guard_operator(operator, sanitize) if sanitize else operator
-        )
+        self._driven: Any = operator
+        if sanitize:
+            from repro.analysis.sanitizer import sanitize_operator
+
+            self._driven = sanitize_operator(operator)
         self._run = _ShardRun(shard_id)
         self._key_ids: dict[object, int] = {}
         self._finished = False
@@ -673,7 +638,7 @@ class ShardedWindowOperator(Operator):
         prototype_handler = handler_factory()
         WindowAggregateOperator(
             assigner,
-            cast(AggregateFunction, _capture_wrapper(aggregate)),
+            cast(AggregateFunction, _PartialCaptureAggregate(aggregate)),
             prototype_handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
@@ -685,7 +650,7 @@ class ShardedWindowOperator(Operator):
         self._pending: list[list[StreamElement]] = [[] for _ in range(n_shards)]
         self._round_robin = 0
         self._last_arrival: ArrivalTimeStamp = float("-inf")
-        self._sanitize: str | None = None
+        self._sanitize = False
         self._registry: MetricsRegistry | None = None
         self._finished = False
         self._chunk_size = self._executor.chunk_size
@@ -708,16 +673,16 @@ class ShardedWindowOperator(Operator):
         """
         self.tracer = tracer
 
-    def configure_sanitizer(self, kind: str) -> None:
-        """Arrange for each shard operator to run under a sanitizer.
+    def configure_sanitizer(self) -> None:
+        """Arrange for each shard operator to run under StreamSan.
 
-        Called by :func:`repro.analysis.guard_operator` (which has
-        checked ``kind``) instead of wrapping the coordinator: sanitizers
-        assume the scalar operator protocol (one element in, results
-        out), which the two-phase coordinator does not follow, while each
-        shard operator follows it exactly.
+        Called by :func:`repro.analysis.sanitizer.sanitize_operator`
+        instead of wrapping the coordinator: the sanitizer assumes the
+        scalar operator protocol (one element in, results out), which the
+        two-phase coordinator does not follow, while each shard operator
+        follows it exactly.
         """
-        self._sanitize = kind
+        self._sanitize = True
 
     def set_registry(self, registry: MetricsRegistry) -> None:
         """Publish per-shard metrics into ``registry`` at finish."""

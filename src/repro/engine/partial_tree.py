@@ -57,8 +57,7 @@ Numerics: windows and interior nodes are built exclusively with
 ``aggregate.merge``, so fold and tree inherit the compensated arithmetic
 of :mod:`repro.core.numeric` for sum/mean — partial totals carry their
 Neumaier compensation term upward, keeping the whole decomposition at
-O(1)-ulp error regardless of depth (``docs/NUMERICS.md``); the NumSan
-sanitizer verifies this against an exact reference in every mode.
+O(1)-ulp error regardless of depth (``docs/NUMERICS.md``).
 """
 
 from __future__ import annotations

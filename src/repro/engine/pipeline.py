@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis import guard_operator
 from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
 from repro.engine.operator import Operator, WindowResult
 from repro.errors import ConfigurationError
@@ -60,7 +59,7 @@ def run_pipeline(
     operator: Operator,
     sample_every: int = 0,
     batch_size: int = 0,
-    sanitize: bool | str = False,
+    sanitize: bool = False,
     trace: Tracer | None = None,
     registry: MetricsRegistry | None = None,
 ) -> RunOutput:
@@ -82,16 +81,13 @@ def run_pipeline(
             boundaries are aligned to sampling points so timelines match the
             scalar run sample-for-sample (where an error-fed adaptation
             needs a cut, ``process_many`` makes it itself).
-        sanitize: ``True`` or ``"stream"`` wraps the operator and its
-            handler in the StreamSan runtime checkers (see
-            :mod:`repro.analysis.sanitizer`); ``"numeric"`` shadow-executes
-            the operator's aggregate against an exact reference and bounds
-            the drift by the aggregate's declared ``__numeric__`` contract
-            (see :mod:`repro.analysis.numeric.numsan` — emitted results
-            are bit-identical to unsanitized runs).  Any violation raises
+        sanitize: ``True`` wraps the operator and its handler in the
+            StreamSan runtime checkers (see
+            :mod:`repro.analysis.sanitizer`); any violation raises
             :class:`~repro.errors.SanitizerError` at the call site.  When
-            False (the default) nothing is wrapped and there is no
-            overhead.
+            ``False`` (the default) nothing is wrapped and there is no
+            overhead.  Any other value raises
+            :class:`~repro.errors.ConfigurationError`.
         trace: A :class:`~repro.obs.trace.Tracer` (usually a
             :class:`~repro.obs.trace.TraceRecorder`) attached to the
             operator, handler and buffer for this run.  ``None`` (default)
@@ -109,11 +105,15 @@ def run_pipeline(
     """
     if batch_size < 0:
         raise ConfigurationError(f"batch_size must be non-negative, got {batch_size}")
+    if type(sanitize) is not bool:
+        raise ConfigurationError(
+            f"sanitize must be True or False, got {sanitize!r}"
+        )
     tracer = trace if trace is not None else NULL_TRACER
     if sanitize:
-        operator = guard_operator(
-            operator, "stream" if sanitize is True else sanitize, tracer
-        )
+        from repro.analysis.sanitizer import sanitize_operator
+
+        operator = sanitize_operator(operator)
     if tracer.enabled:
         set_tracer = getattr(operator, "set_tracer", None)
         if set_tracer is not None:
@@ -167,7 +167,7 @@ def run_pipeline(
             handler.describe() if handler is not None else type(operator).__name__,
             n,
             batch_size,
-            bool(sanitize),
+            sanitize,
         )
     # Wall-clock reads are banned in engine code (R01); this pair only
     # feeds the throughput metric and never influences results.

@@ -18,7 +18,7 @@ late updates and re-emits.
 
 Numerics: revisions are computed by **re-adding** late values to the
 retained accumulator and re-extracting — never by subtracting from an
-emitted result (the drift trap lint rule R17 guards against).  The
+emitted result, whose rounding error would never come back.  The
 "did the value move enough to re-emit" decision runs through
 :func:`~repro.engine.aggregate_op.relative_error`, whose numeric branch is
 the shared :func:`repro.core.numeric.relative_drift` metric.

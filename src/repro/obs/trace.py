@@ -57,8 +57,6 @@ EVENT_KINDS = (
     "adaptation",  # k_before, k_after, k_estimate, allowed_late_fraction,
     #               error_ewma, gain, residual, target
     "sanitizer.finding",  # check, message
-    "numeric.drift",  # aggregate, discipline, value, reference, rel_drift,
-    #                   ulp, exact (NumSan shadow-execution drift per window)
     "meta",  # free-form run metadata
 )
 
@@ -226,19 +224,6 @@ class Tracer:
 
     def sanitizer_finding(self, sim_time: float, check: str, message: str) -> None:
         """A StreamSan checker is about to raise ``SanitizerError``."""
-
-    def numeric_drift(
-        self,
-        sim_time: float,
-        aggregate: str,
-        discipline: str,
-        value: float,
-        reference: float,
-        rel_drift: float,
-        ulp: float,
-        exact: bool,
-    ) -> None:
-        """NumSan compared one window result against its reference."""
 
     def meta(self, sim_time: float, **fields: object) -> None:
         """Attach free-form metadata to the trace."""
@@ -555,37 +540,6 @@ class TraceRecorder(Tracer):
     def sanitizer_finding(self, sim_time: float, check: str, message: str) -> None:
         """Record a StreamSan finding just before it raises."""
         self._emit("sanitizer.finding", sim_time, {"check": check, "message": message})
-
-    def numeric_drift(
-        self,
-        sim_time: float,
-        aggregate: str,
-        discipline: str,
-        value: float,
-        reference: float,
-        rel_drift: float,
-        ulp: float,
-        exact: bool,
-    ) -> None:
-        """Record one NumSan window comparison (detail mode only).
-
-        Drift records are per checked window and would dominate the trace
-        like ``element.admitted`` does; the NumSan report aggregates the
-        maxima regardless of the tracer."""
-        if self.detail:
-            self._emit(
-                "numeric.drift",
-                sim_time,
-                {
-                    "aggregate": aggregate,
-                    "discipline": discipline,
-                    "value": value,
-                    "reference": reference,
-                    "rel_drift": rel_drift,
-                    "ulp": ulp,
-                    "exact": exact,
-                },
-            )
 
     def meta(self, sim_time: float, **fields: object) -> None:
         """Record free-form metadata."""

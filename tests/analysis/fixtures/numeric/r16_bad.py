@@ -31,13 +31,13 @@ class NaiveRunningSum(AggregateFunction):
 
 
 class WaivedRunningSum(AggregateFunction):
-    """A waived fold is conceded, not flagged (NumSan holds the budget)."""
+    """A waived fold is conceded, not flagged (the class declares reassoc)."""
 
     __numeric__ = "reassoc-tolerant"
 
     def add(self, acc, value):
         """The waiver concedes reassociation on this line."""
-        acc[0] += value  # repro: numeric=reassoc - drift budget held by NumSan
+        acc[0] += value  # repro: numeric=reassoc - drift within the declared budget
         return acc
 
 

@@ -58,5 +58,5 @@ class WaivedBatch(AggregateFunction):
         return acc + value
 
     def add_many(self, acc, values):
-        """Waived: the class declares reassoc-tolerant and NumSan checks."""
+        """Waived: the class declares reassoc-tolerant."""
         return acc + np.sum(values)  # repro: numeric=reassoc - pairwise ok

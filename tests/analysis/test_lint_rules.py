@@ -132,13 +132,17 @@ def test_cli_exit_codes(capsys):
     assert lint_main([str(FIXTURES / "r03_good.py")]) == 0
     assert lint_main(["--list-rules"]) == 0
     assert lint_main(["--select", "R99", str(FIXTURES)]) == 2
-    # R04-R15 are retired ids, not renumbered: selecting them is an error.
+    # R04-R15 and R17 are retired ids, not renumbered: selecting them is
+    # an error.
     assert lint_main(["--select", "R05,R11-R15", str(FIXTURES)]) == 2
     assert lint_main(["--select", "R04,R06-R10", str(FIXTURES)]) == 2
+    assert lint_main(["--select", "R17", str(FIXTURES)]) == 2
+    assert lint_main(["--select", "R16-R20", str(FIXTURES)]) == 2
     out = capsys.readouterr()
     assert "R01" in out.out
     assert "unknown lint rule id(s): R05, R11, R12, R13, R14, R15" in out.err
     assert "unknown lint rule id(s): R04, R06, R07, R08, R09, R10" in out.err
+    assert "unknown lint rule id(s): R17" in out.err
 
 
 def test_fixture_directory_lints_with_findings_from_every_core_rule():

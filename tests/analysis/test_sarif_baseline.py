@@ -68,7 +68,7 @@ def test_fingerprint_is_line_drift_resistant():
 def test_rule_range_expansion():
     assert expand_rule_ids("R01-R03") == ["R01", "R02", "R03"]
     assert expand_rule_ids("r01,R03") == ["R01", "R03"]
-    assert expand_rule_ids("R01,R16-R17") == ["R01", "R16", "R17"]
+    assert expand_rule_ids("R01,R18-R19") == ["R01", "R18", "R19"]
     with pytest.raises(ConfigurationError):
         expand_rule_ids("R20-R16")
     with pytest.raises(ConfigurationError):

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.core.numeric import (
-    CompensatedSum,
-    RetractableSum,
-    compensated_sum,
-    drift_exceeded,
     floats_close,
     neumaier_add,
     neumaier_add_many,
@@ -18,12 +12,17 @@ from repro.core.numeric import (
     neumaier_merge,
     neumaier_total,
     relative_drift,
-    ulp_distance,
 )
-from repro.errors import ConfigurationError
 
 #: The textbook cancellation case: a bare left-to-right fold loses the 1.0.
 TORTURE = [1e16, 1.0, -1e16]
+
+
+def compensated_sum(values: list[float]) -> float:
+    """One batched Neumaier fold of ``values``."""
+    acc = neumaier_create()
+    neumaier_add_many(acc, values)
+    return neumaier_total(acc)
 
 
 # --------------------------------------------------------------------- #
@@ -83,93 +82,6 @@ def test_neumaier_merge_carries_compensation():
 def test_long_sum_matches_fsum():
     values = [0.1] * 10_000
     assert compensated_sum(values) == math.fsum(values)
-
-
-# --------------------------------------------------------------------- #
-# CompensatedSum wrapper
-
-
-def test_compensated_sum_object_paths_agree():
-    values = [1e16, 1.0, -1e16, 0.3, 0.7]
-    scalar = CompensatedSum()
-    for value in values:
-        scalar.add(value)
-    batched = CompensatedSum()
-    batched.add_many(values)
-    assert scalar.value == batched.value == 2.0
-
-
-def test_compensated_sum_merge():
-    left = CompensatedSum()
-    left.add_many([1e16, 1.0])
-    right = CompensatedSum()
-    right.add(-1e16)
-    left.merge(right)
-    assert left.value == 1.0
-
-
-# --------------------------------------------------------------------- #
-# RetractableSum
-
-
-def test_retractable_sum_tracks_sliding_window():
-    window: list[float] = []
-    total = RetractableSum(lambda: window, resum_every=4)
-    for value in [0.1, 0.2, 0.3, 0.4]:
-        window.append(value)
-        total.add(value)
-    for _ in range(3):
-        evicted = window.pop(0)
-        total.retract(evicted)
-    assert floats_close(total.value, 0.4)
-
-
-def test_retractable_sum_resums_periodically():
-    window: list[float] = []
-    total = RetractableSum(lambda: window, resum_every=8)
-    for step in range(64):
-        value = 1e12 + step * 0.1
-        window.append(value)
-        total.add(value)
-        if len(window) > 4:
-            total.retract(window.pop(0))
-    assert total.resum_count == (64 - 4) // 8
-    # After enough slides the drift-free answer is the exact window sum.
-    total.resum_now()
-    assert total.value == compensated_sum(window)
-
-
-def test_retractable_sum_bounds_drift():
-    # Adversarial magnitudes: naive subtract-to-evict drifts visibly here.
-    window: list[float] = []
-    total = RetractableSum(lambda: window, drift_bound=1e-12, resum_every=16)
-    naive = 0.0
-    for step in range(512):
-        # A transient 1e16 passes through the window; small values folded
-        # while it dominates the naive total are rounded away entirely
-        # (ulp(1e16) = 2.0) and never come back after its eviction.
-        value = 1e16 if step % 64 == 0 else 0.001 * (step + 1)
-        window.append(value)
-        total.add(value)
-        naive = naive + value
-        if len(window) > 8:
-            evicted = window.pop(0)
-            total.retract(evicted)
-            naive = naive - evicted
-    exact = math.fsum(window)
-    assert relative_drift(total.value, exact) <= total.drift_bound
-    # The same schedule through bare +=/-= drifts beyond the bound,
-    # proving the test would catch an unsound implementation.
-    assert relative_drift(naive, exact) > total.drift_bound
-
-
-def test_retractable_sum_validates_configuration():
-    with pytest.raises(ConfigurationError, match="resum callable"):
-        RetractableSum(None)
-    with pytest.raises(ConfigurationError, match="drift_bound"):
-        RetractableSum(lambda: [], drift_bound=0.0)
-    with pytest.raises(ConfigurationError, match="resum_every"):
-        RetractableSum(lambda: [], resum_every=0)
 
 
 # --------------------------------------------------------------------- #
@@ -237,17 +149,3 @@ def test_relative_drift_nan_semantics():
     assert relative_drift(math.nan, math.nan) == 0.0
     assert relative_drift(math.nan, 1.0) == math.inf
     assert relative_drift(1.0, math.nan) == math.inf
-
-
-def test_ulp_distance_counts_roundings():
-    assert ulp_distance(1.0, 1.0) == 0.0
-    one_ulp = math.nextafter(1.0, 2.0)
-    assert ulp_distance(one_ulp, 1.0) == 1.0
-    assert ulp_distance(math.inf, math.inf) == 0.0
-    assert ulp_distance(math.inf, 1.0) == math.inf
-    assert ulp_distance(math.nan, math.nan) == 0.0
-
-
-def test_drift_exceeded_thresholds():
-    assert not drift_exceeded(1.0, 1.0 + 1e-12, 1e-9)
-    assert drift_exceeded(1.0, 1.001, 1e-9)

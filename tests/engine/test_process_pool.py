@@ -221,7 +221,7 @@ def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, 
             handler_factory=fresh_handler,
             feedback_horizon=None,
             track_feedback=True,
-            sanitize=None,
+            sanitize=False,
             trace_enabled=traced,
             trace_detail=False,
             split_keyed=split_keyed,
@@ -334,7 +334,7 @@ def test_empty_stream_finishes_empty(pool):
 def test_process_shards_run_sanitizer_clean(pool):
     stream = keyed_stream(duration=8.0)
     operator = sharded_operator(2, pool, k=no_late_k(stream), mode="tree")
-    output = run_pipeline(stream, operator, sanitize="stream")
+    output = run_pipeline(stream, operator, sanitize=True)
     assert output.results
 
 
