@@ -380,9 +380,13 @@ class AQKSlackHandler(SlackHandler):
         lo: int,
         hi: int,
     ) -> None:
-        """Fold one segment's delays/values/timestamps into the samplers."""
+        """Fold one segment's delays/values/timestamps into the samplers
+        (the values only when the error model reads their dispersion)."""
         self.delay_sample.observe_many(delays[lo:hi])
-        self._value_stats.observe_many(elements[index].value for index in range(lo, hi))
+        if self.error_model.reads_dispersion:
+            self._value_stats.observe_many(
+                elements[index].value for index in range(lo, hi)
+            )
         segment = event_times[lo:hi]
         self._rate.observe_many(float(segment.min()), float(segment.max()), hi - lo)
 

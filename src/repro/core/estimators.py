@@ -53,6 +53,10 @@ class ErrorModel(ABC):
     # Error models are stateless maps: no accumulated float state, each
     # estimate is a fresh bounded-rounding expression (lint rule R19).
     __numeric__ = "exact"
+    #: Whether the model reads ``StreamContext.dispersion``.  The adaptive
+    #: handler feeds its per-value dispersion tracker only when it does; a
+    #: model that ignores dispersion declares ``False``.
+    reads_dispersion: bool = True
 
     @abstractmethod
     def error_from_late_fraction(self, p: float, context: StreamContext) -> float:
@@ -87,6 +91,7 @@ class AdditiveMassModel(ErrorModel):
     """
 
     kind = "additive_mass"
+    reads_dispersion = False
 
     def error_from_late_fraction(self, p: float, context: StreamContext) -> float:
         return _check_fraction(p)
@@ -167,6 +172,7 @@ class DistinctModel(ErrorModel):
     """
 
     kind = "distinct"
+    reads_dispersion = False
 
     def error_from_late_fraction(self, p: float, context: StreamContext) -> float:
         return _check_fraction(p)
@@ -184,6 +190,7 @@ class NaiveModel(ErrorModel):
     """
 
     kind = "naive"
+    reads_dispersion = False
 
     def error_from_late_fraction(self, p: float, context: StreamContext) -> float:
         return _check_fraction(p)

@@ -5,9 +5,13 @@ releases, on demand, every element at or below a threshold — turning an
 arrival-ordered stream back into an event-time-ordered one up to the chosen
 slack.
 
-The buffer exposes both scalar (``push``/``release_until`` one at a time) and
-bulk (``push_many``, ``push_release``, sort-and-split releases) entry points.
-The bulk paths exist for the batched execution layer: pushing a chunk
+The buffer exposes scalar (``push``/``release_until`` one at a time, and
+``push_release_one``, both for one arrival) and bulk (``push_many``,
+``push_release``, sort-and-split releases) entry points.  The per-arrival
+path of a K-slack handler is ``push_release_one``: an arrival that is due
+while nothing buffered is leaves without entering the heap, and one that
+releases nothing skips the release scan.  The bulk paths exist for the
+batched execution layer: pushing a chunk
 re-heapifies once instead of sifting per element (or, when most of it leaves
 again at once, is pushed and released with one sort), and a release that would pop a large fraction
 of the heap switches from per-element ``heappop`` (O(m log n)) to sorting the
@@ -74,6 +78,42 @@ class SortingBuffer:
             self._max_size = len(self._heap)
         if self.tracer.enabled:
             self.tracer.buffer_push(element.event_time, 1, len(self._heap))
+
+    def push_release_one(
+        self, element: StreamElement, threshold: float
+    ) -> list[StreamElement]:
+        """:meth:`push` then :meth:`release_until`, for one arrival.
+
+        A due element (``event_time <= threshold``) that is due alone —
+        the heap is empty or its minimum lies above ``threshold`` — is
+        returned without touching the heap: pushing it would sift it to
+        the root and popping it would restore the heap exactly.  After a
+        push that leaves the heap minimum above ``threshold`` nothing can
+        be due, so the release scan is skipped.  Same counters (including
+        the momentary ``len + 1`` high-water mark) and trace records as
+        the two calls.
+        """
+        heap = self._heap
+        event_time = element.event_time
+        key = (event_time, element.seq)
+        if key > self._tail_key:
+            self._tail_key = key
+        size = len(heap) + 1
+        if size > self._max_size:
+            self._max_size = size
+        tracer = self.tracer
+        if event_time <= threshold and (not heap or heap[0][0] > threshold):
+            self._released_total += 1
+            if tracer.enabled:
+                tracer.buffer_push(event_time, 1, size)
+                tracer.buffer_release(threshold, 1, size - 1)
+            return [element]
+        heapq.heappush(heap, (event_time, element.seq, element))
+        if tracer.enabled:
+            tracer.buffer_push(event_time, 1, size)
+        if heap[0][0] > threshold:
+            return []
+        return self.release_until(threshold)
 
     def push_many(self, elements: list[StreamElement]) -> None:
         """Insert a batch of elements.

@@ -33,7 +33,6 @@ from repro.streams.timebase import (
     DurationS,
     EventTimeFrontier,
     EventTimeStamp,
-    MonotoneFrontier,
 )
 from repro.engine.buffer import SortingBuffer
 
@@ -167,7 +166,9 @@ class DisorderHandler(ABC):
         across any sequence of :meth:`offer` / :meth:`offer_many` /
         :meth:`flush` calls the frontier NEVER decreases — a window closed
         at frontier T must stay closed.  ``flush`` may jump it to ``+inf``.
-        Implementations should store their frontier in a
+        Implementations clamp every advance: :class:`SlackHandler` keeps
+        its frontier as a float raised by one ``if`` per arrival (a running
+        ``np.maximum`` per batch), the other handlers store theirs in a
         :class:`~repro.streams.timebase.MonotoneFrontier`, whose
         ``advance`` clamps regressions structurally; the StreamSan runtime
         checkers (:mod:`repro.analysis.sanitizer`) additionally enforce the
@@ -260,9 +261,12 @@ class SlackHandler(DisorderHandler):
     k: DurationS
 
     def __init__(self) -> None:
-        self._clock = EventTimeFrontier()
+        # The running maximum event time and the frontier, as plain floats:
+        # ``offer`` clamps each with one ``if``, ``offer_many`` with
+        # ``np.maximum``, so neither ever moves back.
+        self._clock: EventTimeStamp = float("-inf")
+        self._front: EventTimeStamp = float("-inf")
         self._buffer = SortingBuffer()
-        self._front = MonotoneFrontier()
 
     @abstractmethod
     def slack_for(self, element: StreamElement) -> DurationS:
@@ -280,11 +284,13 @@ class SlackHandler(DisorderHandler):
         """
 
     def offer(self, element: StreamElement) -> list[StreamElement]:
-        clock = self._clock.observe(element.event_time)
-        self._buffer.push(element)
-        return self._buffer.release_until(
-            self._front.advance(clock - self.slack_for(element))
-        )
+        clock = self._clock
+        if element.event_time > clock:
+            self._clock = clock = element.event_time
+        front = clock - self.slack_for(element)
+        if front > self._front:
+            self._front = front
+        return self._buffer.push_release_one(element, self._front)
 
     def offer_many(
         self, elements: list[StreamElement]
@@ -297,14 +303,14 @@ class SlackHandler(DisorderHandler):
             (element.event_time for element in elements), dtype=float, count=n
         )
         clocks = np.maximum.accumulate(event_times)
-        np.maximum(clocks, self._clock.value, out=clocks)
-        # The running maximum is MonotoneFrontier's clamp, element by element.
+        np.maximum(clocks, self._clock, out=clocks)
+        # The running maximum is ``offer``'s clamp, element by element.
         frontiers = np.maximum.accumulate(
             clocks - self.slacks_for(elements, event_times)
         )
-        np.maximum(frontiers, self._front.value, out=frontiers)
-        self._clock.observe_many(float(clocks[-1]), n)
-        self._front.advance(float(frontiers[-1]))
+        np.maximum(frontiers, self._front, out=frontiers)
+        self._clock = float(clocks[-1])
+        self._front = float(frontiers[-1])
         released, offsets = bulk_release(self._buffer, elements, event_times, frontiers)
         return released, list(zip(offsets, frontiers.tolist()))
 
@@ -313,7 +319,7 @@ class SlackHandler(DisorderHandler):
 
     @property
     def frontier(self) -> EventTimeStamp:
-        return self._front.value
+        return self._front
 
     @property
     def current_slack(self) -> DurationS:

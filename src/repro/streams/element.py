@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from math import inf
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ConfigurationError, StreamOrderError
 
 
@@ -44,6 +46,13 @@ class StreamElement:
     seq: int = -1
 
     def __post_init__(self) -> None:
+        # A numpy floating payload (float32 and float16 included) becomes a
+        # Python float, so every aggregate folds it in double precision
+        # under numpy's promotion rules too.  Ints, bools and non-numeric
+        # payloads stay as they are: large integer IDs stay exact.
+        value = self.value
+        if type(value) is not float and isinstance(value, np.floating):
+            object.__setattr__(self, "value", float(value))
         # Both checks are negated comparisons so that NaN, for which every
         # comparison is false, is rejected with the out-of-range values.
         if not (0 <= self.event_time < inf):

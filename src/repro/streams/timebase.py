@@ -181,14 +181,3 @@ class EventTimeFrontier:
         if event_time > self._max_event_time:
             self._max_event_time = event_time
         return self._max_event_time
-
-    def observe_many(self, max_event_time: EventTimeStamp, count: int) -> EventTimeStamp:
-        """Fold a pre-reduced batch (its max timestamp and size) at once.
-
-        Equivalent to ``count`` scalar observations whose running maximum is
-        ``max_event_time``; used by the batched handler paths.
-        """
-        self._count += count
-        if max_event_time > self._max_event_time:
-            self._max_event_time = max_event_time
-        return self._max_event_time

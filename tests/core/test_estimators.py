@@ -2,16 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.aqk import AQKSlackHandler
 from repro.core.estimators import (
     AdditiveMassModel,
+    ErrorModel,
     DistinctModel,
     ExtremumModel,
     MeanModel,
     NaiveModel,
     RankModel,
     StreamContext,
+    _MODELS,
     make_error_model,
 )
 from repro.engine.aggregates import (
@@ -20,7 +26,11 @@ from repro.engine.aggregates import (
     MeanAggregate,
     MedianAggregate,
 )
+from repro.core.spec import QualityTarget
 from repro.errors import ConfigurationError
+from repro.streams.delay import ExponentialDelay
+from repro.streams.disorder import inject_disorder
+from repro.streams.generators import generate_stream
 
 ALL_MODELS = [
     AdditiveMassModel(),
@@ -138,3 +148,71 @@ class TestMakeErrorModel:
 
     def test_describe(self):
         assert make_error_model("mean").describe() == "mean"
+
+
+class TestReadsDispersion:
+    """``reads_dispersion`` is what the adaptive handler trusts when it
+    skips the per-value dispersion tracker: it must match the model."""
+
+    @pytest.mark.parametrize(
+        "model", [m for m in ALL_MODELS if not m.reads_dispersion], ids=lambda m: m.kind
+    )
+    @given(
+        p=st.floats(0.0, 1.0),
+        theta=st.floats(0.0, 10.0),
+        dispersions=st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+        count=st.one_of(st.just(math.nan), st.floats(0.0, 1e6)),
+    )
+    def test_undeclared_dispersion_never_moves_the_model(
+        self, model, p, theta, dispersions, count
+    ):
+        first, second = (
+            StreamContext(dispersion=d, expected_window_count=count) for d in dispersions
+        )
+        assert model.error_from_late_fraction(p, first) == (
+            model.error_from_late_fraction(p, second)
+        )
+        assert model.late_fraction_for_error(theta, first) == (
+            model.late_fraction_for_error(theta, second)
+        )
+
+    @pytest.mark.parametrize(
+        "model", [m for m in ALL_MODELS if m.reads_dispersion], ids=lambda m: m.kind
+    )
+    def test_declared_dispersion_moves_the_model(self, model):
+        calm, wild = (
+            StreamContext(dispersion=d, expected_window_count=100.0) for d in (0.1, 2.0)
+        )
+        assert model.error_from_late_fraction(0.1, calm) != (
+            model.error_from_late_fraction(0.1, wild)
+        )
+        assert model.late_fraction_for_error(0.01, calm) != (
+            model.late_fraction_for_error(0.01, wild)
+        )
+
+    def test_every_builtin_kind_is_covered(self):
+        assert {model.kind for model in ALL_MODELS} == set(_MODELS)
+
+    @pytest.mark.parametrize("fed", [True, False])
+    def test_handler_feeds_the_tracker_only_for_a_reading_model(self, fed):
+        class Undeclared(ErrorModel):
+            kind = "undeclared"
+
+            def error_from_late_fraction(self, p, context):
+                return p
+
+            def late_fraction_for_error(self, theta, context):
+                return min(1.0, theta)
+
+        model = Undeclared() if fed else AdditiveMassModel()
+        rng = np.random.default_rng(7)
+        stream = inject_disorder(
+            generate_stream(duration=20, rate=50, rng=rng), ExponentialDelay(0.3), rng
+        )
+        handler = AQKSlackHandler(QualityTarget(0.05), model, window_size=5.0)
+        for element in stream:
+            handler.offer(element)
+        handler._fold_pending()
+        assert handler.adaptations
+        assert handler.delay_sample.count == len(stream)
+        assert handler._value_stats.count == (len(stream) if fed else 0)

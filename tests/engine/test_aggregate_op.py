@@ -396,22 +396,22 @@ class TestFeedback:
 
     @pytest.mark.parametrize(
         "aggregate_name, python_type, numpy_type",
-        [("mean", int, np.int64), ("max", float, np.float32)],
-        ids=["mean-int64", "max-float32"],
+        [("mean", int, np.int64), ("max", float, np.float32), ("mean", float, np.float32)],
+        ids=["mean-int64", "max-float32", "mean-float32"],
     )
     def test_numpy_values_drive_aqk_like_python_values(
         self, rng, aggregate_name, python_type, numpy_type
     ):
         """The quality loop sees numpy-valued elements as it sees their twins.
 
-        (Types whose arithmetic is exact either way: ``mean`` over
-        ``float32`` folds in single precision under numpy's promotion
-        rules, which is the aggregate's arithmetic, not the feedback's.)
+        (``float32`` included: an element turns a numpy floating payload
+        into a Python float, so ``mean`` folds it in double precision.)
         """
         stream = inject_disorder(
             generate_stream(duration=60, rate=100, rng=rng), ExponentialDelay(0.4), rng
         )
-        raw = [numpy_type(element.value * 10) for element in stream]
+        # Centred low enough that the mean's dispersion keeps K above zero.
+        raw = [numpy_type(element.value * 10 - 2) for element in stream]
 
         def run(convert):
             aggregate = make_aggregate(aggregate_name)
@@ -433,6 +433,31 @@ class TestFeedback:
         assert max(step.k_applied for step in numpy_handler.adaptations) > 0.0
         assert as_numpy.observed_errors == as_python.observed_errors
         assert as_numpy.observed_errors
+
+    @pytest.mark.parametrize("mode", ["naive", "tree"])
+    @pytest.mark.parametrize("aggregate_name", ["sum", "mean", "median", "variance"])
+    def test_float32_payloads_fold_in_double_precision(self, rng, aggregate_name, mode):
+        stream = inject_disorder(
+            generate_stream(duration=30, rate=50, rng=rng), ExponentialDelay(0.3), rng
+        )
+        raw = [np.float32(element.value * 10) for element in stream]
+
+        def run(convert):
+            elements = [
+                dataclasses.replace(element, value=convert(value))
+                for element, value in zip(stream, raw)
+            ]
+            operator = WindowAggregateOperator(
+                SlidingWindowAssigner(5, 1),
+                make_aggregate(aggregate_name),
+                KSlackHandler(1.0),
+                mode=mode,
+            )
+            return run_pipeline(elements, operator).results
+
+        as_float32, as_float = run(lambda value: value), run(float)
+        assert as_float32 == as_float
+        assert all(type(result.value) is float for result in as_float32)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,16 @@
 """Tests for the sorting buffer."""
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.buffer import SortingBuffer
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import tumbling
 from repro.errors import StreamOrderError
+from repro.obs.trace import TraceRecorder
 from repro.queries.language import ContinuousQuery
 from repro.streams.element import StreamElement
 
@@ -156,6 +161,80 @@ class TestBulkBufferAPIs:
         buffer.push_many([])
         assert len(buffer) == 0
         assert buffer.released_total == 0
+
+
+#: Event times on a coarse grid, so that most ties are broken by ``seq``.
+GRID = st.integers(0, 24).map(lambda step: step * 0.5)
+
+#: Where a step's threshold lies: relative to the heap minimum (or to the
+#: arriving element on an empty heap), at the element, at a drawn grid
+#: time, or at the heap's upper quartile (a release of most of a large heap
+#: takes ``release_until``'s sort fallback).
+THRESHOLDS = ("-inf", "below-min", "at-min", "above-min", "element", "grid", "most")
+
+
+def resolve_threshold(kind, buffer, element, grid_time):
+    times = sorted(entry[0] for entry in buffer._heap)
+    floor = times[0] if times else element.event_time
+    return {
+        "-inf": float("-inf"),
+        "below-min": floor - 0.25,
+        "at-min": floor,
+        "above-min": floor + 0.25,
+        "element": element.event_time,
+        "grid": grid_time,
+        "most": times[(3 * len(times)) // 4] if times else element.event_time,
+    }[kind]
+
+
+def trace_records(recorder):
+    return [(event.kind, event.sim_time, event.fields) for event in recorder.events]
+
+
+@st.composite
+def buffer_scripts(draw):
+    size = draw(st.sampled_from([0, 1, 5, 80, 200]))
+    held = draw(st.lists(GRID, min_size=size, max_size=size))
+    steps = draw(
+        st.lists(st.tuples(GRID, st.sampled_from(THRESHOLDS), GRID), min_size=1, max_size=40)
+    )
+    batch = sorted(draw(st.lists(GRID, max_size=12)))
+    return held, steps, batch
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(buffer_scripts())
+def test_push_release_one_equals_push_then_release_until(script):
+    """The scalar verb is ``push`` + ``release_until``, counters and trace too."""
+    held, steps, batch = script
+    fast, twin = SortingBuffer(), SortingBuffer()
+    fast.tracer, twin.tracer = TraceRecorder(detail=True), TraceRecorder(detail=True)
+    seqs = itertools.count()
+    for time in held:
+        element = el(time, seq=next(seqs))
+        fast.push(element)
+        twin.push(element)
+    for time, kind, grid_time in steps:
+        element = el(time, seq=next(seqs))
+        threshold = resolve_threshold(kind, twin, element, grid_time)
+        twin.push(element)
+        expected = twin.release_until(threshold)
+        released = fast.push_release_one(element, threshold)
+        assert len(released) == len(expected)
+        assert all(a is b for a, b in zip(released, expected))
+        assert len(fast) == len(twin)
+        assert fast.max_size == twin.max_size
+        assert fast.released_total == twin.released_total
+        assert fast.peek_event_time() == twin.peek_event_time()
+    # An ascending batch extends the heap tail only above ``_tail_key``.
+    elements = [el(time, seq=next(seqs)) for time in batch]
+    fast.push_many(elements)
+    twin.push_many(elements)
+    assert fast._tail_key == twin._tail_key
+    assert [(t, s, id(e)) for t, s, e in fast._heap] == [
+        (t, s, id(e)) for t, s, e in twin._heap
+    ]
+    assert trace_records(fast.tracer) == trace_records(twin.tracer)
 
 
 @pytest.mark.parametrize("batch_size", [0, 16])

@@ -10,7 +10,9 @@ One scenario in four is a :mod:`tests.fold_cases` stream under its own
 window and K-slack, so the slice store's in-order fold is batched through
 each of its paths, with and without feedback tracking; one in four is a
 :mod:`tests.cell_cases` stream, which does the same for the cells that the
-per-window store's ``add`` and ``stage`` share.
+per-window store's ``add`` and ``stage`` share.  A fixed late-heavy burst
+cell after the property pins the scalar buffer verb's no-heap path, which
+the random draws rarely take, against the batched path.
 
 Quality-mode adaptive cases use order-independent aggregates (count, max,
 median): their folds are bit-exact, so the controller sees bit-identical
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,11 +42,15 @@ from repro.engine.aggregates import (
     MedianAggregate,
     SumAggregate,
 )
+from repro.engine.buffer import SortingBuffer
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.pipeline import run_pipeline
 from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
 from repro.engine.windows import SlidingWindowAssigner
+from repro.streams.delay import BurstyDelay, ExponentialDelay
+from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
+from repro.streams.generators import generate_stream
 from tests.cell_cases import cell_cases
 from tests.fold_cases import fold_cases
 
@@ -194,3 +202,70 @@ def test_batched_run_matches_scalar(scenario):
     assert len(scalar.observed_errors) == len(batched.observed_errors)
     for expected, actual in zip(scalar.observed_errors, batched.observed_errors):
         assert close(expected, actual)
+
+
+class CountingBuffer(SortingBuffer):
+    """Counts the arrivals that are due the moment they are offered."""
+
+    __slots__ = ("due",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.due = 0
+
+    def push_release_one(self, element, threshold):
+        self.due += element.event_time <= threshold
+        return super().push_release_one(element, threshold)
+
+
+class TwoCallBuffer(SortingBuffer):
+    """The scalar verb spelled as the two calls it stands for."""
+
+    __slots__ = ()
+
+    def push_release_one(self, element, threshold):
+        self.push(element)
+        return self.release_until(threshold)
+
+
+@pytest.mark.parametrize("mode", ["tree", "naive"])
+def test_late_heavy_burst_batched_matches_scalar(mode):
+    """A delay burst under AQ-K: the feedback loop holds K below the
+    delays, so half the burst's arrivals and over 30% of the stream are due
+    the moment they arrive (the scalar verb's no-heap path).  The scalar
+    run equals one through ``push`` + ``release_until`` in every counter,
+    and the batched run (chunks of 64) equals both, except that its
+    high-water mark also counts a chunk pushed ahead of its release."""
+    rng = np.random.default_rng(21)
+    duration = 240.0
+    stream = inject_disorder(
+        generate_stream(duration=duration, rate=100, rng=rng, keys=("a", "b", "c", "d")),
+        BurstyDelay(
+            ExponentialDelay(0.3), ExponentialDelay(0.5), duration / 3, 2 * duration / 3
+        ),
+        rng,
+    )
+
+    def run(buffer, batch_size=0):
+        aggregate = SumAggregate()
+        handler = AQKSlackHandler(QualityTarget(0.05), aggregate, window_size=8.0)
+        handler._buffer = buffer
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(8.0, 0.5), aggregate, handler, mode=mode
+        )
+        return run_pipeline(list(stream), operator, batch_size=batch_size), handler
+
+    counting = CountingBuffer()
+    scalar, handler = run(counting)
+    assert counting.due >= 0.3 * len(stream)
+    assert scalar.metrics.late_dropped > 0
+    two_calls, two_call_handler = run(TwoCallBuffer())
+    batched, batched_handler = run(SortingBuffer(), batch_size=64)
+    for output, other in ((two_calls, two_call_handler), (batched, batched_handler)):
+        assert output.results == scalar.results
+        assert other.adaptations == handler.adaptations
+        assert output.metrics.late_dropped == scalar.metrics.late_dropped
+        assert other.released_count() == handler.released_count()
+    assert two_call_handler.max_buffered_count() == handler.max_buffered_count()
+    extra = batched_handler.max_buffered_count() - handler.max_buffered_count()
+    assert 0 <= extra <= 64
