@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab perfbench-test experiments examples artifacts clean
+.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab calls perfbench-test experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -97,6 +97,13 @@ bench-quick:
 PAIRS ?= 10
 perf-ab:
 	$(PY) benchmarks/perf_ab.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS)
+
+# Python calls per input element, by function and by file, for one
+# perfbench workload (scale 0.1, seed 42; coordinator process only): a
+# deterministic count that attributes a change in Python work to the
+# functions that gained or lost it, where wall-clock pairs are noisy.
+calls:
+	$(PY) benchmarks/calls_per_element.py --workload $(WORKLOAD)
 
 # The benchmark's own self-tests (scale 0.05, under a minute): the only
 # guard on the contract a perf PR must keep without editing perfbench/ --

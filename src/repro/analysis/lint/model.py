@@ -163,10 +163,10 @@ class Project:
             for node in ast.walk(source.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                methods = {
-                    item.name
+                methods = {  # a def, or a binding such as ``add = staticmethod(f)``
+                    ast.unparse(item.targets[0]) if isinstance(item, ast.Assign) else item.name
                     for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Assign))
                 }
                 info = ClassInfo(
                     name=node.name,

@@ -96,15 +96,25 @@ def neumaier_add_many(accumulator: List[float], values: Iterable[float]) -> None
     accumulator[1] = compensation
 
 
-def neumaier_merge(accumulator: List[float], other: List[float]) -> None:
-    """Merge compensated partial ``other`` into ``accumulator`` in place.
+def neumaier_merge(accumulator: List[float], other: List[float]) -> List[float]:
+    """Merge compensated partial ``other`` into ``accumulator``; return it.
 
     The partial total is folded with compensation and the partial
     compensation terms are carried over, so merge trees (slice folds and
-    cached partial aggregates) keep the O(1)-ulp error bound.
+    cached partial aggregates) keep the O(1)-ulp error bound.  The same
+    operations, in the same order, as ``neumaier_add(accumulator,
+    other[0]); accumulator[1] += other[1]``, in one frame.
     """
-    neumaier_add(accumulator, other[0])
-    accumulator[1] += other[1]
+    total = accumulator[0]
+    value = other[0]
+    fold = total + value
+    if abs(total) >= abs(value):
+        compensation = accumulator[1] + ((total - fold) + value)
+    else:
+        compensation = accumulator[1] + ((value - fold) + total)
+    accumulator[0] = fold
+    accumulator[1] = compensation + other[1]
+    return accumulator
 
 
 def neumaier_total(accumulator: List[float]) -> float:

@@ -129,7 +129,10 @@ class SumAggregate(AggregateFunction):
     Scalar and batched folds perform the identical compensated addition
     sequence, so ``add_many`` matches repeated ``add`` bit-for-bit (the
     old numpy fast path used a different summation order and rounded
-    differently — see ``docs/NUMERICS.md``).
+    differently — see ``docs/NUMERICS.md``).  The accumulator is the
+    primitives' own ``[total, compensation]`` pair, so the folds *are* the
+    primitives of :mod:`repro.core.numeric`: a merge costs one Python
+    frame, not a method forwarding to one.
     """
 
     name = "sum"
@@ -139,18 +142,10 @@ class SumAggregate(AggregateFunction):
     def create(self) -> list[float]:
         return [0.0, 0.0]  # [total, compensation]
 
-    def add(self, accumulator: list[float], value: float) -> None:
-        neumaier_add(accumulator, value)
-
-    def add_many(self, accumulator: list[float], values: list[float]) -> None:
-        neumaier_add_many(accumulator, values)
-
-    def result(self, accumulator: list[float]) -> float:
-        return neumaier_total(accumulator)
-
-    def merge(self, accumulator: list[float], other: list[float]) -> list[float]:
-        neumaier_merge(accumulator, other)
-        return accumulator
+    add = staticmethod(neumaier_add)
+    add_many = staticmethod(neumaier_add_many)
+    result = staticmethod(neumaier_total)
+    merge = staticmethod(neumaier_merge)
 
 
 class MeanAggregate(AggregateFunction):

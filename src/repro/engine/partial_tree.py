@@ -11,14 +11,13 @@ FiBA line of work (Tangwongsan, Hirzel & Schneider: amortized O(1)
 in-order, O(log d) for an out-of-order insert at distance d):
 
 * **In order — one merge.**  Per key the store keeps a two-stacks fold
-  aligned to blocks of ``span = size/slide`` slices
-  (:meth:`_SliceStore._fold_window`): the *suffix partials* of the
-  block holding the window's first slice, built right to left from the
-  leaf slices once per block, and one *running prefix* over the next
-  block, extended by the slices completed since the last close.  A window
-  is ``merge(suffix[lo], prefix)``: about four merges per window
-  amortized (two per slice for the suffixes, one for the prefix, one at
-  the close), no recursion, nothing cached.
+  aligned to blocks of ``span = size/slide`` slices: the *suffix partials*
+  of the block holding the window's first slice, built right to left from
+  the leaves once per block (:meth:`_SliceStore._fold_block`), and one
+  *running prefix* over the next block, extended at each close.  A window
+  is ``merge(suffix[lo], prefix)``, read in :meth:`_SliceStore.close`:
+  3.46 merges per window at overlap 64 (at most two per slice for the
+  suffixes, one for the prefix, one at the close), nothing cached.
 * **Where late data reached — the dyadic tree.**  An element that lands
   behind the close frontier may change a slice a fold already holds, so it
   raises the key's *dirty mark*; a window starting at or below the mark is
@@ -66,7 +65,7 @@ import heapq
 import math
 import sys
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable
 from operator import itemgetter
 from typing import Any
@@ -139,8 +138,8 @@ class _SliceTree:
         self.max_patch_depth = 0
         self.recompute_count = 0
         # slice_index -> {key: [accumulator, count, staged values, late count]}
-        # (the last two belong to the owning store's ``stage``).  A row
-        # expires as a whole: its expiry depends on the index alone.
+        # (created and, in the last two slots, used by the owning store's
+        # ``stage``).  A row expires as a whole: its expiry is the index's.
         self._slices: dict[int, dict[object, list[Any]]] = {}
         # (key, level, index) -> [accumulator, count, dirty]
         self._nodes: dict[tuple[object, int, int], list] = {}
@@ -153,27 +152,6 @@ class _SliceTree:
 
     # ------------------------------------------------------------------ #
     # ingestion side
-
-    def slice_of(self, timestamp: EventTimeStamp) -> int:
-        """Slice index containing ``timestamp`` (FP-guarded floor)."""
-        slide = self.slide
-        index = math.floor(timestamp / slide)
-        while index * slide > timestamp:
-            index -= 1
-        while (index + 1) * slide <= timestamp:
-            index += 1
-        return index
-
-    def entry(self, key: object, slice_index: int) -> list:
-        """Get-or-create the leaf accumulator entry for a slice."""
-        row = self._slices.get(slice_index)
-        if row is None:
-            row = self._slices[slice_index] = {}
-            heapq.heappush(self._slice_gc, slice_index)
-        entry = row.get(key)
-        if entry is None:
-            entry = row[key] = [self.aggregate.create(), 0, None, 0]
-        return entry
 
     def touch(self, key: object, slice_index: int) -> None:
         """Record that a slice's accumulator changed (mark walk deferred).
@@ -341,7 +319,7 @@ class _BlockFold:
 
     ``suffix[j]`` is ``(accumulator, count)`` over slices ``base + j`` to the
     end of the block ``[base, base + span)``; ``prefix`` covers
-    ``[base + span, prefix_to)``.  See :meth:`_SliceStore._fold_window`.
+    ``[base + span, prefix_to)``.  Built by :meth:`_SliceStore._fold_block`.
     """
 
     __slots__ = ("base", "suffix", "prefix", "prefix_count", "prefix_to")
@@ -368,8 +346,9 @@ class _SliceStore:
     would cost O(size/slide) pushes per slice and cap the tree's win
     exactly where overlap is high.  The store instead tracks, per key, the
     contiguous range of window-end indices still to close
-    (``next_end..max_end``) plus one scheduling entry per key in a heap:
-    closing a window is O(1) amortized regardless of overlap.
+    (``next_end..max_end``) and files each key under its next end: a
+    bucket of keys per end index, plus a min-heap of those indices.
+    Closing a window is O(1) amortized regardless of overlap.
     """
 
     __slots__ = (
@@ -385,8 +364,8 @@ class _SliceStore:
         "_next_end",
         "_max_end",
         "_scheduled",
-        "_pending",
-        "_heap_seq",
+        "_buckets",
+        "_ends",
         "_retiring",
         "_late",
         "_folds",
@@ -416,9 +395,10 @@ class _SliceStore:
         self._next_end: dict[object, int] = {}
         self._max_end: dict[object, int] = {}
         self._scheduled: set[object] = set()
-        # One entry per key with closable windows: (next end time, seq, key).
-        self._pending: list[tuple[float, int, object]] = []
-        self._heap_seq = 0
+        # end index -> keys filed there, in filing order (a rewind leaves a
+        # stale copy behind: see close), and the min-heap of those indices.
+        self._buckets: defaultdict[int, list[object]] = defaultdict(list)
+        self._ends: list[int] = []
         # Emitted windows awaiting feedback retirement, (end, key, value) in
         # ascending end, ties in emission order (see close).
         self._retiring: deque[tuple[float, object, Any]] = deque()
@@ -528,10 +508,10 @@ class _SliceStore:
             # A new, rewound or idle key: skip the ends that closed meanwhile.
             self._next_end[key] = next_end = self._open_end(self._next_end[key])
             if next_end <= max_end:
-                self._heap_seq += 1
-                heapq.heappush(
-                    self._pending, (next_end * self.tree.slide, self._heap_seq, key)
-                )
+                bucket = self._buckets[next_end]
+                if not bucket:
+                    heapq.heappush(self._ends, next_end)
+                bucket.append(key)
                 self._scheduled.add(key)
 
     def _open_end(self, end_index: int) -> int:
@@ -550,80 +530,111 @@ class _SliceStore:
     def close(
         self, frontier: EventTimeStamp, emit_time: ArrivalTimeStamp, flushed: bool
     ) -> list[WindowResult]:
-        """Emit every window with ``end <= frontier`` not yet closed."""
-        pending = self._pending
-        if not pending or pending[0][0] > frontier:
+        """Emit every window with ``end <= frontier`` not yet closed.
+
+        Ends close in ascending order, the keys filed under one end in
+        filing order.  The stale copy a rewind left in a key's old bucket
+        is dropped once the key's next end is past that bucket.
+        """
+        ends = self._ends
+        tree = self.tree
+        slide = tree.slide
+        if not ends or ends[0] * slide > frontier:
             if frontier > self.close_frontier:
                 self.close_frontier = frontier
             return []
         if self._groups:
             self.flush()
-        tree = self.tree
         tree.sim_time = emit_time
         tree.flush_touched()
         aggregate = tree.aggregate
-        slide = tree.slide
+        merge = aggregate.merge
+        slices = tree._slices
         size = self.size
         span = self.span
         track = self.track_feedback
         tracer = tree.tracer
         tracing = tracer.enabled
         dirty_to = self._dirty_to
+        folds = self._folds
+        buckets = self._buckets
         results: list[WindowResult] = []
         # One (frozen) Window per distinct end, shared by every key closing there.
         windows: dict[int, Window] = {}
         emitted: list[tuple[float, object, Any]] = []
-        while pending and pending[0][0] <= frontier:
-            due, __, key = heapq.heappop(pending)
-            next_end = self._next_end[key]
-            if due < next_end * slide:
-                # Left behind by a rewind: the entry note_slice pushed in its
-                # place closed these ends and re-scheduled the key since.
-                continue
-            self._scheduled.discard(key)
-            max_end = self._max_end[key]
-            dirty = dirty_to.get(key, -1)
-            while next_end <= max_end:
-                end = next_end * slide
-                if end > frontier:
-                    break
-                end_index = next_end
-                next_end += 1
-                start = end - size
-                if start < 0:
-                    continue
-                lo = end_index - span
-                if lo <= dirty:
-                    # Late data reached the window (or rounding put its
-                    # first slice below 0): the fold may be stale here.
-                    accumulator, count, nodes_combined = tree.assemble(
-                        key, lo if lo > 0 else 0, end_index
-                    )
+        while ends and ends[0] * slide <= frontier:
+            due_index = heapq.heappop(ends)
+            for key in buckets.pop(due_index):
+                next_end = self._next_end[key]
+                if due_index < next_end:
+                    continue  # a stale copy left behind by a rewind
+                max_end = self._max_end[key]
+                dirty = dirty_to.get(key, -1)
+                fold = folds.get(key)
+                while next_end <= max_end:
+                    end = next_end * slide
+                    if end > frontier:
+                        break
+                    end_index = next_end
+                    next_end += 1
+                    start = end - size
+                    if start < 0:
+                        continue
+                    lo = end_index - span
+                    if lo <= dirty:
+                        # Late data reached the window (or rounding put its
+                        # first slice below 0): the fold may be stale here.
+                        accumulator, count, nodes_combined = tree.assemble(
+                            key, lo if lo > 0 else 0, end_index
+                        )
+                    else:
+                        # In order: merge(suffix[lo], prefix of the next block).
+                        if fold is None or not 0 <= lo - fold.base < span:
+                            fold = self._fold_block(key, lo)
+                        for index in range(fold.prefix_to, end_index):
+                            row = slices.get(index)
+                            leaf = None if row is None else row.get(key)
+                            if leaf is not None and leaf[1]:
+                                if fold.prefix is None:
+                                    fold.prefix = aggregate.create()
+                                merge(fold.prefix, leaf[0])
+                                fold.prefix_count += leaf[1]
+                        fold.prefix_to = end_index
+                        accumulator, count = fold.suffix[lo - fold.base]
+                        nodes_combined = 1 if count else 0
+                        if fold.prefix_count:
+                            if accumulator is None:
+                                accumulator = aggregate.create()
+                            merge(accumulator, fold.prefix)
+                            count += fold.prefix_count
+                            nodes_combined += 1
+                    if tracing:
+                        tracer.tree_assemble(emit_time, key, end, nodes_combined)
+                    if count == 0:
+                        continue
+                    value = aggregate.result(accumulator)
+                    window = windows.get(end_index)
+                    if window is None:
+                        window = windows[end_index] = Window(start, end)
+                    _emit(results, tracer, key, window, value, count, emit_time, flushed)
+                    if track:
+                        emitted.append((end, key, value))
+                self._next_end[key] = next_end
+                if 0 <= dirty < next_end - span:
+                    # Every window still to close starts past the mark; what
+                    # the fold keeps covers later slices only, or is rebuilt.
+                    del dirty_to[key]
+                if next_end <= max_end:
+                    # next_end is past the frontier: never this call's bucket.
+                    bucket = buckets[next_end]
+                    if not bucket:
+                        heapq.heappush(ends, next_end)
+                    bucket.append(key)
                 else:
-                    accumulator, count, nodes_combined = self._fold_window(key, lo)
-                if tracing:
-                    tracer.tree_assemble(emit_time, key, end, nodes_combined)
-                if count == 0:
-                    continue
-                value = aggregate.result(accumulator)
-                window = windows.get(end_index)
-                if window is None:
-                    window = windows[end_index] = Window(start, end)
-                _emit(results, tracer, key, window, value, count, emit_time, flushed)
-                if track:
-                    emitted.append((end, key, value))
-            self._next_end[key] = next_end
-            if 0 <= dirty < next_end - span:
-                # Every window still to close starts past the mark; what
-                # the fold keeps covers later slices only, or is rebuilt.
-                del dirty_to[key]
-            if next_end <= max_end:
-                self._heap_seq += 1
-                heapq.heappush(pending, (next_end * slide, self._heap_seq, key))
-                self._scheduled.add(key)
-            else:
-                # Idle until a new slice arrives: nothing left to fold.
-                self._folds.pop(key, None)
+                    # Idle until a new slice arrives: nothing left to fold.
+                    self._scheduled.discard(key)
+                    folds.pop(key, None)
+                    fold = None  # not held until the call returns
         # The queue stays in (end, emission order): note_slice clamps every
         # scheduled end above close_frontier and this call emits only ends
         # <= frontier, so each end here exceeds every earlier call's; inside
@@ -637,66 +648,37 @@ class _SliceStore:
         self.stats.results_out += len(results)
         return results
 
-    def _fold_window(self, key: object, lo: int) -> tuple[object, int, int]:
-        """In-order assembly of slices ``[lo, lo + span)``: one merge.
+    def _fold_block(self, key: object, lo: int) -> _BlockFold:
+        """The key's in-order fold for the block holding slice ``lo``.
 
-        Two stacks aligned to blocks of ``span`` slices.  The window is the
-        suffix of its block from ``lo`` on, built right to left from the
-        leaves once per block (``suffix[j] = create + slice[j] +
-        suffix[j + 1]``), merged with a running left-to-right prefix of the
-        next block that each close extends by the slices completed since.
-        The value is a function of the leaf slices and ``lo`` alone, and
-        ``suffix[lo]`` is consumed in place: a key's windows close once, in
-        start order.  Same return shape as :meth:`_SliceTree.assemble`;
-        the caller must not use it for a window at or below the key's
-        dirty mark.
+        The suffixes of the block from ``lo`` on, right to left from the
+        leaves (``suffix[j] = create + slice[j] + suffix[j + 1]``); the
+        window starting at ``j`` consumes ``suffix[j]`` in place, merged
+        with the prefix :meth:`close` extends.  Values depend on the leaf
+        slices and ``lo`` alone.  Never used at or below the dirty mark.
         """
-        tree = self.tree
-        span = self.span
-        aggregate = tree.aggregate
-        slices = tree._slices
-        offset = lo % span
-        fold = self._folds.get(key)
-        if fold is None or fold.base != lo - offset:
-            fold = self._folds[key] = _BlockFold(lo - offset, span)
-            accumulator = None
-            count = 0
-            for index in range(fold.prefix_to - 1, lo - 1, -1):
-                row = slices.get(index)
-                leaf = None if row is None else row.get(key)
-                if leaf is not None and leaf[1]:
-                    partial = aggregate.create()
-                    aggregate.merge(partial, leaf[0])
-                    if count:
-                        aggregate.merge(partial, accumulator)
-                    accumulator = partial
-                    count += leaf[1]
-                elif count:
-                    # An empty slice: its own copy, consumed on its own.
-                    partial = aggregate.create()
+        aggregate = self.tree.aggregate
+        slices = self.tree._slices
+        fold = self._folds[key] = _BlockFold(lo - lo % self.span, self.span)
+        accumulator = None
+        count = 0
+        for index in range(fold.prefix_to - 1, lo - 1, -1):
+            row = slices.get(index)
+            leaf = None if row is None else row.get(key)
+            if leaf is not None and leaf[1]:
+                partial = aggregate.create()
+                aggregate.merge(partial, leaf[0])
+                if count:
                     aggregate.merge(partial, accumulator)
-                    accumulator = partial
-                fold.suffix[index - fold.base] = (accumulator, count)
-        prefix_to = fold.prefix_to
-        if prefix_to < lo + span:
-            for index in range(prefix_to, lo + span):
-                row = slices.get(index)
-                leaf = None if row is None else row.get(key)
-                if leaf is not None and leaf[1]:
-                    if fold.prefix is None:
-                        fold.prefix = aggregate.create()
-                    aggregate.merge(fold.prefix, leaf[0])
-                    fold.prefix_count += leaf[1]
-            fold.prefix_to = lo + span
-        accumulator, count = fold.suffix[offset]
-        partials = 1 if count else 0
-        if fold.prefix_count:
-            if accumulator is None:
-                accumulator = aggregate.create()
-            aggregate.merge(accumulator, fold.prefix)
-            count += fold.prefix_count
-            partials += 1
-        return accumulator, count, partials
+                accumulator = partial
+                count += leaf[1]
+            elif count:
+                # An empty slice: its own copy, consumed on its own.
+                partial = aggregate.create()
+                aggregate.merge(partial, accumulator)
+                accumulator = partial
+            fold.suffix[index - fold.base] = (accumulator, count)
+        return fold
 
     def retire(
         self,
@@ -781,9 +763,22 @@ class _SliceStore:
         windows without a close, which folds.
         """
         tree = self.tree
-        slice_index = tree.slice_of(element.event_time)
+        # The slice holding the event time: a floor guarded against rounding.
+        timestamp = element.event_time
+        slide = tree.slide
+        slice_index = math.floor(timestamp / slide)
+        while slice_index * slide > timestamp:
+            slice_index -= 1
+        while (slice_index + 1) * slide <= timestamp:
+            slice_index += 1
         key = element.key
-        entry = tree.entry(key, slice_index)
+        row = tree._slices.get(slice_index)
+        if row is None:
+            row = tree._slices[slice_index] = {}
+            heapq.heappush(tree._slice_gc, slice_index)
+        entry = row.get(key)
+        if entry is None:
+            entry = row[key] = [tree.aggregate.create(), 0, None, 0]
         staged = entry[2]
         if staged is None:
             tree.touch(key, slice_index)

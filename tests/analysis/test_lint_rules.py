@@ -76,6 +76,15 @@ def test_r02_accepts_parity_preserving_aggregates():
     assert findings_for("r02_agg_good.py", "R02") == []
 
 
+def test_r02_sees_folds_bound_in_the_class_body():
+    findings = findings_for("r02_agg_bound.py", "R02")
+    assert len(findings) == 2
+    messages = " ".join(f.message for f in findings)
+    assert "BoundBatchedOnly overrides add_many without overriding add" in messages
+    assert "BoundScalarChild overrides add but inherits the specialized add_many" in messages
+    assert "BoundPair " not in messages
+
+
 # --------------------------------------------------------------------- #
 # R03 — float timestamp equality
 

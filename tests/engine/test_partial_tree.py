@@ -675,29 +675,70 @@ JUMP_RETIREMENTS = [
 ]
 
 
+def staggered_jump_stream():
+    """Three keys filed under three different ends (a watermark lag of 3
+    holds the frontier back), one jump closing several ends of each, a
+    second round that ``finish`` closes the same way."""
+    times = [(4.5, "a"), (5.5, "b"), (6.5, "c"), (5.25, "a"), (7.75, "c"),
+             (20.5, "a"), (18.5, "b"), (21.5, "c"), (19.5, "a")]
+    return [
+        StreamElement(
+            event_time=t, value=float(seq + 1), key=key, arrival_time=20.0 + seq, seq=seq
+        )
+        for seq, (t, key) in enumerate(times)
+    ]
+
+
+#: ``(key, window end, value)`` of ``staggered_jump_stream`` under
+#: ``sliding(4, 1)`` / ``FixedLagWatermarkHandler(3)``, in emission order,
+#: from the commit that still scheduled keys through a ``(due, seq, key)`` heap.
+STAGGERED_RESULTS = [
+    ("a", 5, 1.0), ("a", 6, 5.0), ("a", 7, 5.0), ("a", 8, 5.0), ("a", 9, 4.0),
+    ("b", 6, 2.0), ("b", 7, 2.0), ("b", 8, 2.0), ("b", 9, 2.0),
+    ("c", 7, 3.0), ("c", 8, 8.0), ("c", 9, 8.0), ("c", 10, 8.0), ("c", 11, 5.0),
+    ("a", 20, 9.0), ("a", 21, 15.0), ("a", 22, 15.0), ("a", 23, 15.0), ("a", 24, 6.0),
+    ("b", 19, 7.0), ("b", 20, 7.0), ("b", 21, 7.0), ("b", 22, 7.0),
+    ("c", 22, 8.0), ("c", 23, 8.0), ("c", 24, 8.0), ("c", 25, 8.0),
+]
+
+
+def run_retiring(stream, handler, batch_size):
+    """The operator, its results and its ``(key, end)`` retirement order."""
+    operator = tree_operator(
+        SlidingWindowAssigner(4, 1), SumAggregate(), handler, feedback_horizon=2.0
+    )
+    recorder = TraceRecorder()
+    results = run_pipeline(stream, operator, batch_size=batch_size, trace=recorder).results
+    retired = [
+        (event.fields["key"], event.fields["end"])
+        for event in recorder.of_kind("window.retire")
+    ]
+    return operator, results, retired
+
+
 @pytest.mark.parametrize("batch_size", [0, 64])
 def test_windows_retire_in_end_order_with_ties_in_emission_order(batch_size):
     """One close emitting several ends per key (a frontier jump, and the
     ``finish`` flush) emits key by key but retires end by end."""
-    operator = tree_operator(
-        SlidingWindowAssigner(4, 1), SumAggregate(), NoBufferHandler(), feedback_horizon=2.0
-    )
-    recorder = TraceRecorder()
-    results = run_pipeline(
-        jump_stream(), operator, batch_size=batch_size, trace=recorder
-    ).results
+    operator, results, retired = run_retiring(jump_stream(), NoBufferHandler(), batch_size)
     emitted = [(r.key, r.window.end) for r in results]
     assert emitted[:8] == [("c", end) for end in (4, 5, 6, 7)] + [
         ("a", end) for end in (4, 5, 6, 7)
-    ]
-    retired = [
-        (event.fields["key"], event.fields["end"])
-        for event in recorder.of_kind("window.retire")
     ]
     assert retired == JUMP_RETIREMENTS
     assert retired == sorted(emitted, key=lambda pair: pair[1])  # stable: ties as emitted
     errors = operator.stats.observed_errors
     assert errors == [0.53125 if pair == ("c", 10) else 0.0 for pair in retired]
+    # Keys filed under different ends: ends in order, the keys of one end
+    # in filing order, each key closing all its due ends when its turn comes.
+    operator, results, retired = run_retiring(
+        staggered_jump_stream(), FixedLagWatermarkHandler(3.0), batch_size
+    )
+    assert [(r.key, r.window.end, r.value) for r in results] == STAGGERED_RESULTS
+    assert retired == sorted(
+        [(key, end) for key, end, __ in STAGGERED_RESULTS], key=lambda pair: pair[1]
+    )
+    assert operator.stats.observed_errors == [0.0] * len(STAGGERED_RESULTS)
 
 
 def rewinding_operator(size, lag):
@@ -709,8 +750,9 @@ def rewinding_operator(size, lag):
 
 
 def test_rewound_key_leaves_no_duplicate_in_the_pending_heap():
-    """A rewind pushes a fresh scheduling entry; the one it replaces must
-    die when it pops, not re-queue itself at every later close."""
+    """A rewind files the key again under a lower end; the copy it leaves
+    behind must die when its bucket is taken, not re-file itself at every
+    later close, and no end index enters the heap of ends twice."""
     operator = rewinding_operator(4.0, 100.0)
     store = operator._store
     times = [(10.5, 11.0), (8.5, 11.1), (6.5, 11.2)]  # each one rewinds "a"
@@ -725,13 +767,14 @@ def test_rewound_key_leaves_no_duplicate_in_the_pending_heap():
                 )
             )
         )
+        assert len(set(store._ends)) == len(store._ends)
+        assert sorted(store._ends) == sorted(store._buckets)
         if seq == 2:
-            assert len(store._pending) == 3
+            assert store._buckets == {11: ["a"], 9: ["a"], 7: ["a"]}
     assert emitted == 206
-    assert len(store._pending) == 1
-    # Three pushes for the rewinds, then one per frontier crossing (206
-    # emitting closes; the stale entries pop once each and are dropped).
-    assert store._heap_seq == 209
+    # The two stale copies went with their buckets; "a" is filed once.
+    assert len(store._ends) == 1
+    assert list(store._buckets.values()) == [["a"]]
 
 
 def rewind_scenario(seed):

@@ -1,7 +1,12 @@
 """Property tests for the numeric layer.
 
-Four contracts, each against an exact reference:
+Five contracts, each against an exact reference:
 
+* **One-frame merge ≡ add then carry, bit-for-bit** —
+  :func:`~repro.core.numeric.neumaier_merge` performs the operations of
+  ``neumaier_add(a, b[0]); a[1] += b[1]`` in their order, signed zeros,
+  infinities, NaN and subnormals included, and so do the sum and mean
+  merges built on it.
 * **Scalar ≡ batched, bit-for-bit** — ``SumAggregate``/``MeanAggregate``
   fold batches through the *same* Neumaier sequence as repeated ``add``,
   so the twins agree exactly (including across the 32-element threshold
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import struct
 import sys
 from fractions import Fraction
 
@@ -33,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.numeric import relative_drift
+from repro.core.numeric import neumaier_add, neumaier_merge, relative_drift
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import (
     MeanAggregate,
@@ -91,6 +97,46 @@ def assert_within_budget(name: str, value: float, values: list[float]) -> None:
         kappa = math.hypot(1.0, mean / math.sqrt(reference))
         bound = max(bound, len(values) * sys.float_info.epsilon * kappa)
     assert relative_drift(value, reference) <= bound, (name, value, reference)
+
+
+#: Operands at the edges of the compensated fold: signed zeros, infinities,
+#: NaN, subnormals, magnitudes near 1e±300, and any float at all.
+edge_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+    ),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=-1e-299, max_value=-1e-301),
+    st.floats(max_value=1e-307, min_value=-1e-307),  # subnormals and zeros
+    st.floats(),
+)
+
+
+def bit_patterns(accumulator: list[float]) -> list[bytes]:
+    """The IEEE-754 bytes of each slot: -0.0 is not 0.0, NaN equals its twin."""
+    return [struct.pack("<d", slot) for slot in accumulator]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_floats, min_size=5, max_size=5))
+def test_merge_is_add_then_carry_bit_for_bit(slots):
+    total, compensation, other_total, other_compensation, count = slots
+    expected = [total, compensation]
+    neumaier_add(expected, other_total)
+    expected[1] += other_compensation
+    merged = [total, compensation]
+    assert neumaier_merge(merged, [other_total, other_compensation]) is merged
+    assert bit_patterns(merged) == bit_patterns(expected)
+    summed = [total, compensation]
+    assert SumAggregate().merge(summed, [other_total, other_compensation]) is summed
+    assert bit_patterns(summed) == bit_patterns(expected)
+    # The mean's merge is the same fold plus the counts, carried after it.
+    mean = [total, compensation, count]
+    other = [other_total, other_compensation, abs(count)]
+    assert MeanAggregate().merge(mean, other) is mean
+    assert bit_patterns(mean) == bit_patterns(expected + [count + abs(count)])
 
 
 #: Wide but finite magnitudes: large enough to force cancellation and
