@@ -56,7 +56,7 @@ class LatencyBudget:
     seconds: float
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
+        if not self.seconds >= 0:
             raise ConfigurationError(
                 f"latency budget must be non-negative, got {self.seconds}"
             )
@@ -90,7 +90,7 @@ class BoundedQualityTarget:
             raise ConfigurationError(
                 f"quality threshold must lie in (0, 1), got {self.threshold}"
             )
-        if self.budget_seconds < 0:
+        if not self.budget_seconds >= 0:
             raise ConfigurationError(
                 f"latency budget must be non-negative, got {self.budget_seconds}"
             )

@@ -12,8 +12,9 @@ lists, dicts, heaps, numpy arrays), so the checkpoint format is a pickle of
 the operator object.  Two consequences:
 
 * any callables wired into the operator (side selectors, predicates,
-  ``source_of``) must be module-level functions, not lambdas or closures,
-  or pickling fails;
+  ``source_of``, a shard handler factory) must be module-level functions,
+  not lambdas or closures, and its shards must run in-process, or
+  :func:`save_checkpoint` raises :class:`~repro.errors.ConfigurationError`;
 * checkpoints are a *trust boundary*: like every pickle, loading one
   executes code, so only load checkpoints you wrote.
 """
@@ -65,10 +66,24 @@ def save_checkpoint(operator, path: str | Path) -> int:
     """Serialize ``operator`` (with all its state) to ``path``.
 
     Returns the number of bytes written.
+
+    Raises:
+        ConfigurationError: some part of the operator does not pickle — a
+            process-pool executor (its live worker handles), a lambda or
+            closure wired in, an attached metrics registry.  No file is
+            written.
     """
     path = Path(path)
+    try:
+        body = pickle.dumps(operator, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as error:
+        raise ConfigurationError(
+            f"cannot checkpoint {type(operator).__name__}: part of its state "
+            f"does not pickle ({error}); checkpoints need module-level "
+            "functions and in-process executors"
+        ) from None
+    payload = CHECKPOINT_MAGIC + body
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = CHECKPOINT_MAGIC + pickle.dumps(operator, protocol=pickle.HIGHEST_PROTOCOL)
     path.write_bytes(payload)
     return len(payload)
 

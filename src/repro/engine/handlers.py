@@ -341,7 +341,7 @@ class KSlackHandler(SlackHandler):
     name = "k-slack"
 
     def __init__(self, k: DurationS) -> None:
-        if k < 0:
+        if not k >= 0:
             raise ConfigurationError(f"slack K must be non-negative, got {k}")
         super().__init__()
         self.k = k
@@ -370,9 +370,9 @@ class MPKSlackHandler(SlackHandler):
     name = "mp-k-slack"
 
     def __init__(self, initial_k: DurationS = 0.0, safety_factor: float = 1.0) -> None:
-        if initial_k < 0:
+        if not initial_k >= 0:
             raise ConfigurationError(f"initial K must be non-negative, got {initial_k}")
-        if safety_factor < 1.0:
+        if not safety_factor >= 1.0:
             raise ConfigurationError(
                 f"safety_factor must be >= 1, got {safety_factor}"
             )

@@ -44,7 +44,7 @@ class MultiSourceWatermarkHandler(DisorderHandler):
             advanced cannot retract it (frontiers are monotone), and its
             whole backlog counts late.
         """
-        if lag < 0:
+        if not lag >= 0:
             raise ConfigurationError(f"lag must be non-negative, got {lag}")
         if idle_timeout <= 0:
             raise ConfigurationError(

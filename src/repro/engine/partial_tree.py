@@ -47,8 +47,8 @@ path assembled it, and the path depends only on the key's own lateness
 history, which scalar, batched and sharded runs share.  Semantics are
 identical to the per-window store — a late element lands in its slice,
 which already-closed windows no longer read but still-open windows will —
-enforced by the property suite in
-``tests/property/test_tree_equivalence.py``.  A *mergeable* aggregate is
+enforced by the store axis of the execution matrix in
+``tests/property/test_execution_matrix.py``.  A *mergeable* aggregate is
 required (every exact aggregate in :mod:`repro.engine.aggregates`
 qualifies; an aggregate without ``merge`` does not).
 

@@ -34,9 +34,9 @@ class FixedLagWatermarkHandler(DisorderHandler):
     name = "watermark-fixed"
 
     def __init__(self, lag: DurationS, period: DurationS = 0.0) -> None:
-        if lag < 0:
+        if not lag >= 0:
             raise ConfigurationError(f"lag must be non-negative, got {lag}")
-        if period < 0:
+        if not period >= 0:
             raise ConfigurationError(f"period must be non-negative, got {period}")
         self.lag = lag
         self.period = period
@@ -96,6 +96,10 @@ class HeuristicWatermarkHandler(DisorderHandler):
             )
         if window_size <= 0 or update_every <= 0:
             raise ConfigurationError("window_size and update_every must be positive")
+        if not initial_lag >= 0:
+            raise ConfigurationError(
+                f"initial_lag must be non-negative, got {initial_lag}"
+            )
         self.delay_quantile = delay_quantile
         self.window_size = window_size
         self.update_every = update_every

@@ -23,7 +23,7 @@ The recorder stays out of the engine's simulated-time discipline on
 purpose: wall-clock reads happen *here*, never in ``repro.engine`` /
 ``repro.core`` (repro-lint rule R01), and trace content never feeds back
 into results — a traced run emits bit-identical window results to an
-untraced one (property-tested in ``tests/property/test_trace_equivalence.py``).
+untraced one (the observe axis of ``tests/property/test_execution_matrix.py``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for checkpoint/restore: resume equivalence."""
 
 import copy
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.engine.checkpoint import (
     save_checkpoint,
 )
 from repro.engine.handlers import KSlackHandler
+from repro.engine.parallel import ShardedWindowOperator
+from repro.engine.process_pool import ProcessShardExecutor
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay
@@ -225,3 +228,36 @@ class TestCheckpointFormat:
         path = tmp_path / "deep" / "nested" / "op.ckpt"
         save_checkpoint(operator, path)
         assert path.exists()
+
+
+class TestUnpicklableOperators:
+    """What does not pickle is refused with a typed error, and no file."""
+
+    def test_process_executor_after_dispatch(self, rng, tmp_path):
+        stream = make_stream(rng)
+        executor = ProcessShardExecutor(max_workers=1, chunk_size=64)
+        try:
+            operator = ShardedWindowOperator(
+                2,
+                SlidingWindowAssigner(5, 1),
+                CountAggregate(),
+                partial(KSlackHandler, 1.0),  # pickles: not the cause here
+                executor=executor,
+            )
+            operator.process_many(stream[:300])
+            path = tmp_path / "sharded.ckpt"
+            with pytest.raises(ConfigurationError, match="does not pickle"):
+                save_checkpoint(operator, path)
+            assert not path.exists()
+        finally:
+            executor.close()
+
+    def test_lambda_handler_factory(self, rng, tmp_path):
+        operator = ShardedWindowOperator(
+            2, SlidingWindowAssigner(5, 1), CountAggregate(), lambda: KSlackHandler(1.0)
+        )
+        operator.process_many(make_stream(rng)[:300])
+        path = tmp_path / "deep" / "lambda.ckpt"
+        with pytest.raises(ConfigurationError, match="does not pickle"):
+            save_checkpoint(operator, path)
+        assert not path.parent.exists()

@@ -1,8 +1,13 @@
 """Tests for the baseline disorder handlers."""
 
+import math
+
 import pytest
 
+from repro.core.spec import BoundedQualityTarget, LatencyBudget
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
+from repro.engine.multisource import MultiSourceWatermarkHandler
+from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay, UniformDelay
 from repro.streams.disorder import inject_disorder, measure_disorder
@@ -163,3 +168,32 @@ class TestMPKSlackHandler:
         handler = MPKSlackHandler()
         handler.offer(StreamElement(event_time=1.0, value=0))
         assert handler.k == 0.0
+
+
+def source_of(element):
+    return element.key
+
+
+#: Every constructor argument that is a duration (or, for the safety
+#: factor, a multiplier of one), as a one-argument constructor.
+DURATIONS = {
+    "k-slack K": KSlackHandler,
+    "mp-k initial K": lambda x: MPKSlackHandler(initial_k=x),
+    "mp-k safety factor": lambda x: MPKSlackHandler(safety_factor=x),
+    "fixed-lag lag": FixedLagWatermarkHandler,
+    "fixed-lag period": lambda x: FixedLagWatermarkHandler(1.0, period=x),
+    "heuristic initial lag": lambda x: HeuristicWatermarkHandler(initial_lag=x),
+    "multi-source lag": lambda x: MultiSourceWatermarkHandler(source_of, lag=x),
+    "latency budget": LatencyBudget,
+    "bounded budget": lambda x: BoundedQualityTarget(0.05, budget_seconds=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("build", DURATIONS.values(), ids=DURATIONS.keys())
+def test_nan_and_negative_durations_are_rejected(build, value):
+    # ``x < 0`` lets NaN through: a NaN K keeps the frontier at -inf, so
+    # everything stays buffered until flush.
+    with pytest.raises(ConfigurationError):
+        build(value)
+    build(math.inf)

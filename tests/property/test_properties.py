@@ -28,6 +28,7 @@ from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.delay import ConstantDelay
 from repro.streams.disorder import count_inversions, inject_disorder
 from repro.streams.element import StreamElement
+from tests.matrix import MATRIX, check, draws
 
 # --------------------------------------------------------------------- #
 # strategies
@@ -271,36 +272,10 @@ def test_latency_summary_order(xs):
     assert min(xs) - slack <= summary.mean <= max(xs) + slack
 
 
-# --------------------------------------------------------------------- #
-# slice store vs naive window execution
-
-
-@given(
-    arrived_streams(max_size=50),
-    st.sampled_from([(4.0, 1.0), (10.0, 2.0), (6.0, 3.0), (5.0, 5.0)]),
-    st.floats(min_value=0.0, max_value=5.0),
-)
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_sliced_equals_naive(stream, window_params, k):
-    from repro.engine.aggregate_op import WindowAggregateOperator
-    from repro.engine.pipeline import run_pipeline
-
-    size, slide = window_params
-    naive = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide), SumAggregate(), KSlackHandler(k)
-    )
-    sliced = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide),
-        SumAggregate(),
-        KSlackHandler(k),
-        mode="tree",
-    )
-    naive_results = run_pipeline(stream, naive).results
-    sliced_results = run_pipeline(stream, sliced).results
-    naive_map = {(r.key, r.window): (r.value, r.count) for r in naive_results}
-    sliced_map = {(r.key, r.window): (r.value, r.count) for r in sliced_results}
-    assert set(naive_map) == set(sliced_map)
-    for slot, (value, count) in naive_map.items():
-        s_value, s_count = sliced_map[slot]
-        assert s_count == count
-        assert s_value == value or abs(s_value - value) <= 1e-6 * max(1.0, abs(value))
+@MATRIX
+@given(draws(
+    shards=st.just(0), store=st.just("tree"), handler=st.just("k-slack"), aggregate=st.just("sum")
+))
+def test_sliced_equals_naive(draw):
+    """The slice store under K-slack against the naive store (R2)."""
+    check(*draw)

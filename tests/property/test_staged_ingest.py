@@ -1,19 +1,12 @@
-"""Released elements are staged and AQ-K's samplers fold per round: what
+"""Released elements are staged, and AQ-K's samplers fold per round: what
 that may not change.
 
-Both drivers hand released elements to ``store.stage`` and the store
-folds them when a close, a retirement or ``finish`` reads them;
-``AQKSlackHandler.slack_for`` parks each arrival and folds the samplers
-when a round is due.  Two things no other suite crosses:
-
-* one operator driven by an arbitrary interleaving of ``process`` and
-  ``process_many`` (``slacks_for`` meets arrivals a scalar call left
-  pending, ``_process_chunk`` meets values a scalar call staged) ends
-  where the all-scalar run ends;
-* after every scalar call, everything a caller can read equals an operator
+* Any interleaving of ``process`` and ``process_many`` (the cuts driver of
+  :mod:`tests.matrix`) emits what the scalar run emits (R1).
+* After every scalar call, everything a caller can read equals an operator
   that folds eagerly (a test-local subclass: the store is flushed and the
-  samplers are folded after each element);
-* a window that stays open over far more arrivals than a close ever folds
+  samplers are folded after each element).
+* A window that stays open over far more arrivals than a close ever folds
   holds at most ``STAGED_FOLD_LIMIT`` raw values, and emits what the eager
   fold emits.
 """
@@ -22,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given
 
 from repro import ContinuousQuery, sliding, tumbling
 from repro.engine.aggregate_op import (
@@ -35,19 +27,7 @@ from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
-
-N_ELEMENTS = 1500
-
-
-def make_stream(seed: int):
-    rng = np.random.default_rng(seed)
-    stream = inject_disorder(
-        generate_stream(duration=60, rate=30, rng=rng, keys=("a", "b", "c")),
-        ExponentialDelay(0.8),
-        rng,
-    )
-    return stream[:N_ELEMENTS]
-
+from tests.matrix import INTERLEAVED, MATRIX, Base, check, draws, generated_stream
 
 def build_operator(mode: str, quality: bool) -> WindowAggregateOperator:
     query = ContinuousQuery().window(sliding(4.0, 1.0)).aggregate("mean").mode(mode)
@@ -70,40 +50,6 @@ def observable(operator: WindowAggregateOperator, results) -> tuple:
     )
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    mode=st.sampled_from(EXECUTION_MODES),
-    quality=st.booleans(),
-    seed=st.integers(min_value=0, max_value=50),
-    cuts=st.lists(st.integers(min_value=0, max_value=N_ELEMENTS), max_size=10),
-    scalar_first=st.booleans(),
-)
-def test_interleaved_process_and_process_many_match_the_scalar_run(
-    mode, quality, seed, cuts, scalar_first
-):
-    stream = make_stream(seed)
-    reference = build_operator(mode, quality)
-    expected = [result for element in stream for result in reference.process(element)]
-    expected += reference.finish()
-
-    operator = build_operator(mode, quality)
-    results = []
-    scalar = scalar_first
-    bounds = [0, *sorted(set(cuts)), len(stream)]
-    for start, stop in zip(bounds, bounds[1:]):
-        if scalar:
-            for element in stream[start:stop]:
-                results.extend(operator.process(element))
-        else:
-            results.extend(operator.process_many(stream[start:stop]))
-        scalar = not scalar
-    results += operator.finish()
-
-    assert observable(operator, results) == observable(reference, expected)
-    if quality:
-        assert len(operator.handler.adaptations) > 20
-
-
 class _EagerOperator(WindowAggregateOperator):
     """Folds what each call staged and parked before handing back."""
 
@@ -119,7 +65,9 @@ class _EagerOperator(WindowAggregateOperator):
 @pytest.mark.parametrize("quality", [False, True], ids=["k-slack", "aq-k"])
 @pytest.mark.parametrize("mode", EXECUTION_MODES)
 def test_every_scalar_call_leaves_what_an_eager_fold_leaves(mode, quality):
-    stream = make_stream(7)
+    rng = np.random.default_rng(7)
+    generated = generate_stream(duration=60, rate=30, rng=rng, keys=("a", "b", "c"))
+    stream = inject_disorder(generated, ExponentialDelay(0.8), rng)[:1500]
     deferred = build_operator(mode, quality)
     eager = build_operator(mode, quality)
     eager.__class__ = _EagerOperator
@@ -191,3 +139,10 @@ def test_a_long_open_window_holds_a_bounded_number_of_staged_values(mode, batche
     results += operator.finish()
     assert len(results) == 2
     assert observable(operator, results) == observable(eager, expected)
+
+
+@MATRIX
+@given(draws(driver="cuts"))
+@example((Base(generated_stream(0), 4.0, 1.0, "mean", "mp-k-slack"), INTERLEAVED))
+def test_interleaved_process_and_process_many_match_the_scalar_run(checkpoint, draw):
+    check(*draw, checkpoint=checkpoint)

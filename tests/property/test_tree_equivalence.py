@@ -1,215 +1,64 @@
-"""Property tests: tree execution is equivalent to naive execution.
+"""The tree store against the naive store, and the stream builders that
+reach the store paths they are built for.
 
-The slice store re-associates merges (a suffix/prefix fold in order, a
-dyadic decomposition where late data reached the window), so the
-equivalence claim splits:
+The properties pin the store axis of :mod:`tests.matrix` to ``tree`` under
+feedback-free handlers and hold it to R2: values and counts bitwise for
+order-independent aggregates, sum and mean within 1e-6, and at K = 0 the
+errors scored for the windows the naive store emitted.
 
-* **bit-identical** for order-independent aggregates — count, min, max,
-  distinct-count — under arbitrary disorder, late patches and retirement
-  corrections, behind every feedback-free handler: the sorting buffers
-  release in event-time order, the watermark handlers on arrival, ahead
-  of their frontier, which can touch a slice below a key's open end range;
-* **within float-association tolerance** for sum/mean.
-
-Both families draw a third of their streams from :mod:`tests.fold_cases`,
-whose scenarios reach each path of the in-order fold by construction, and
-a third from :mod:`tests.cell_cases`, which does the same for the cells of
-the per-window store (the slice store, which has none, is the independent
-reference there).  The last two tests check that the scenarios reach the
-paths they name.
+:mod:`tests.fold_cases` times its scenarios for the slice store's in-order
+fold, :mod:`tests.cell_cases` for the per-window store's cells; the matrix
+draws bases from both.  Each drawn scenario must find the store in the
+state its tags name, element by element.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggregate_op import WindowAggregateOperator
-from repro.engine.aggregates import (
-    CountAggregate,
-    DistinctCountAggregate,
-    MaxAggregate,
-    MeanAggregate,
-    MinAggregate,
-    SumAggregate,
-)
+from repro.engine.aggregates import CountAggregate
 from repro.engine.handlers import KSlackHandler
-from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner, Window
-from repro.obs.trace import TraceRecorder
-from repro.streams.element import StreamElement
 from tests.cell_cases import cell_cases
-from tests.conftest import emitted_window_errors
 from tests.fold_cases import fold_cases
-from tests.property.test_batched_equivalence import HANDLERS
+from tests.matrix import EXACT, FEEDBACK_FREE, MATRIX, REWIND, Base, Cell, check, draws
 
-# --------------------------------------------------------------------- #
-# strategies
-
-delays = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
-event_times = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
-values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-# Small universe so distinct-count windows actually collide.
 coarse_values = st.integers(min_value=0, max_value=12).map(float)
 
-WINDOW_PARAMS = [(4.0, 1.0), (10.0, 2.0), (6.0, 3.0), (5.0, 5.0), (8.0, 0.5)]
 
-ORDER_INDEPENDENT = [CountAggregate, MinAggregate, MaxAggregate, DistinctCountAggregate]
-
-# The batched property's handlers minus AQ-K, whose trajectory reads each
-# store's own retirement errors (the naive store also scores missed windows).
-FEEDBACK_FREE = sorted(name for name in HANDLERS if not name.startswith("aqk"))
-
-
-@st.composite
-def arrived_streams(draw, max_size=60, value_strategy=values):
-    """Arrival-ordered streams with arbitrary bounded delays."""
-    pairs = draw(
-        st.lists(
-            st.tuples(event_times, delays, value_strategy),
-            min_size=1,
-            max_size=max_size,
-        )
+def tree_cells(aggregates):
+    return draws(
+        store=st.just("tree"), aggregate=st.sampled_from(aggregates),
+        handler=st.sampled_from(FEEDBACK_FREE),
     )
-    elements = [
-        StreamElement(event_time=ts, value=v, arrival_time=ts + d, seq=i)
-        for i, (ts, d, v) in enumerate(sorted(pairs))
-    ]
-    return sorted(elements, key=StreamElement.arrival_sort_key)
 
 
-@st.composite
-def window_cases(draw, value_strategy=values):
-    """``(stream, size, slide, k)``: free-form disorder, a fold or a cell case."""
-    built = draw(st.sampled_from([None, fold_cases, cell_cases]))
-    if built is not None:
-        case = draw(built(value_strategy))
-        return case.stream, case.size, case.slide, case.slack
-    size, slide = draw(st.sampled_from(WINDOW_PARAMS))
-    stream = draw(arrived_streams(value_strategy=value_strategy))
-    return stream, size, slide, draw(st.floats(min_value=0.0, max_value=5.0))
+@MATRIX
+@given(tree_cells(EXACT))
+@example((Base(REWIND, 4.0, 1.0, "count", "fixed-lag"), Cell(store="tree")))
+def test_tree_bit_identical_for_order_independent_aggregates(checkpoint, draw):
+    check(*draw, checkpoint=checkpoint)
 
 
-def make_handler(name, k):
-    """The named handler; K-slack runs under the case's own slack."""
-    return KSlackHandler(k) if name == "k-slack" else HANDLERS[name]()
+@MATRIX
+@given(tree_cells(EXACT))
+def test_tree_retirement_corrections_bit_identical(checkpoint, draw):
+    """At K = 0 with ``feedback_horizon = size`` every late arrival is
+    scored against an emitted window, by both stores alike."""
+    base, cell = draw
+    base = replace(base, k=0.0, feedback_horizon=base.size, track_feedback=True)
+    check(base, cell, checkpoint=checkpoint)
 
 
-def run_pair(stream, size, slide, k, aggregate_cls, track_feedback=True, handler="k-slack"):
-    naive = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide),
-        aggregate_cls(),
-        make_handler(handler, k),
-        track_feedback=track_feedback,
-    )
-    tree = WindowAggregateOperator(
-        SlidingWindowAssigner(size, slide),
-        aggregate_cls(),
-        make_handler(handler, k),
-        track_feedback=track_feedback,
-        mode="tree",
-    )
-    naive_results = run_pipeline(stream, naive).results
-    tree_results = run_pipeline(stream, tree).results
-    return naive, naive_results, tree, tree_results
-
-
-# --------------------------------------------------------------------- #
-# bit-identical family
-
-
-@given(
-    window_cases(value_strategy=coarse_values),
-    st.sampled_from(ORDER_INDEPENDENT),
-    st.booleans(),
-    st.sampled_from(FEEDBACK_FREE),
-)
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@example(
-    # Released on arrival, 9.5 lands below the key's range (ends 11..14)
-    # while its window [6, 10) is still open: the range must grow down.
-    (
-        [
-            StreamElement(event_time=10.5, value=1.0, arrival_time=10.5, seq=0),
-            StreamElement(event_time=9.5, value=1.0, arrival_time=10.7, seq=1),
-        ],
-        4.0, 1.0, 0.0,
-    ),
-    CountAggregate, True, "fixed-watermark",
-)
-def test_tree_bit_identical_for_order_independent_aggregates(
-    window_case, aggregate_cls, track_feedback, handler
-):
-    stream, size, slide, k = window_case
-    __, naive_results, __, tree_results = run_pair(
-        stream, size, slide, k, aggregate_cls, track_feedback, handler
-    )
-    naive_map = {(r.key, r.window): (r.value, r.count) for r in naive_results}
-    tree_map = {(r.key, r.window): (r.value, r.count) for r in tree_results}
-    assert naive_map == tree_map  # exact equality: values, counts, windows
-
-
-@given(window_cases(value_strategy=coarse_values), st.sampled_from(ORDER_INDEPENDENT))
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tree_retirement_corrections_bit_identical(window_case, aggregate_cls):
-    """Late patches feed retirement: observed errors must match exactly.
-
-    K = 0 maximizes lateness, and a small feedback horizon forces windows
-    to retire (and be re-assembled from patched partials) mid-stream.  The
-    reference is the naive store's retirement of the windows it emitted:
-    the slice store scores emitted windows only, while naive additionally
-    scores phantom records for missed windows (see
-    ``test_observed_errors_match_for_emitted_windows`` in the sliced
-    suite), which its ``window.retire`` trace records carry as
-    ``emitted = nan``.
-    """
-    stream, size, slide, __ = window_case
-
-    def build(mode):
-        return WindowAggregateOperator(
-            SlidingWindowAssigner(size, slide),
-            aggregate_cls(),
-            KSlackHandler(0.0),
-            feedback_horizon=size,
-            mode=mode,
-        )
-
-    naive, tree = build("naive"), build("tree")
-    recorder = TraceRecorder()
-    naive_results = run_pipeline(stream, naive, trace=recorder).results
-    tree_results = run_pipeline(stream, tree).results
-    assert len(naive_results) == len(tree_results)
-    naive_errors = emitted_window_errors(recorder)
-    tree_errors = tree.stats.observed_errors
-    assert len(naive_errors) == len(tree_errors)
-    for a, b in zip(sorted(naive_errors), sorted(tree_errors)):
-        assert (math.isnan(a) and math.isnan(b)) or a == b
-
-
-# --------------------------------------------------------------------- #
-# float-association family
-
-
-@given(window_cases(), st.sampled_from([SumAggregate, MeanAggregate]))
-@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tree_within_association_tolerance_for_sum_mean(window_case, aggregate_cls):
-    stream, size, slide, k = window_case
-    __, naive_results, __, tree_results = run_pair(
-        stream, size, slide, k, aggregate_cls
-    )
-    naive_map = {(r.key, r.window): (r.value, r.count) for r in naive_results}
-    tree_map = {(r.key, r.window): (r.value, r.count) for r in tree_results}
-    assert set(naive_map) == set(tree_map)
-    for slot, (value, count) in naive_map.items():
-        t_value, t_count = tree_map[slot]
-        assert t_count == count
-        assert t_value == value or abs(t_value - value) <= 1e-6 * max(1.0, abs(value))
-
-
-# --------------------------------------------------------------------- #
-# the fold cases reach the paths they are built for
+@MATRIX
+@given(tree_cells(("sum", "mean")))
+def test_tree_within_association_tolerance_for_sum_mean(checkpoint, draw):
+    check(*draw, checkpoint=checkpoint)
 
 
 @given(fold_cases(coarse_values))
