@@ -77,11 +77,13 @@ def save_checkpoint(operator, path: str | Path) -> int:
     try:
         body = pickle.dumps(operator, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError) as error:
+        if not isinstance(error, pickle.PicklingError) and "pickl" not in str(error).lower():
+            raise  # a bug in some __reduce__, not an unpicklable part
         raise ConfigurationError(
             f"cannot checkpoint {type(operator).__name__}: part of its state "
             f"does not pickle ({error}); checkpoints need module-level "
             "functions and in-process executors"
-        ) from None
+        ) from error
     payload = CHECKPOINT_MAGIC + body
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(payload)

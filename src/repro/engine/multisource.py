@@ -46,7 +46,7 @@ class MultiSourceWatermarkHandler(DisorderHandler):
         """
         if not lag >= 0:
             raise ConfigurationError(f"lag must be non-negative, got {lag}")
-        if idle_timeout <= 0:
+        if not idle_timeout > 0:
             raise ConfigurationError(
                 f"idle_timeout must be positive, got {idle_timeout}"
             )

@@ -8,8 +8,8 @@ cores: a persistent warm pool of spawn-started worker processes each
 drives a subset of the shards on the exact same
 :class:`~repro.engine.parallel.ShardSession` the in-process executor
 drives, so results are bit-identical across executors because both run
-the same lines (the process cells of
-``tests/property/test_execution_matrix.py``).
+the same lines (the process cells of the execution matrix,
+``tests/property/test_process_equivalence.py``).
 
 Three design points distinguish this from ``multiprocessing.Pool.map``:
 

@@ -94,7 +94,7 @@ class HeuristicWatermarkHandler(DisorderHandler):
             raise ConfigurationError(
                 f"delay_quantile must lie in [0,1], got {delay_quantile}"
             )
-        if window_size <= 0 or update_every <= 0:
+        if not (window_size > 0 and update_every > 0):
             raise ConfigurationError("window_size and update_every must be positive")
         if not initial_lag >= 0:
             raise ConfigurationError(

@@ -1,6 +1,7 @@
 """Tests for checkpoint/restore: resume equivalence."""
 
 import copy
+import pickle
 from functools import partial
 
 import pytest
@@ -258,6 +259,17 @@ class TestUnpicklableOperators:
         )
         operator.process_many(make_stream(rng)[:300])
         path = tmp_path / "deep" / "lambda.ckpt"
-        with pytest.raises(ConfigurationError, match="does not pickle"):
+        with pytest.raises(ConfigurationError, match="does not pickle") as refusal:
             save_checkpoint(operator, path)
         assert not path.parent.exists()
+        assert isinstance(refusal.value.__cause__, (pickle.PicklingError, AttributeError))
+
+    def test_a_failing_reduce_is_not_reported_as_unpicklable(self, tmp_path):
+        class Broken:
+            def __reduce__(self):
+                raise AttributeError("no attribute '_state'")
+
+        path = tmp_path / "broken.ckpt"
+        with pytest.raises(AttributeError, match="_state"):
+            save_checkpoint(Broken(), path)
+        assert not path.exists()

@@ -183,7 +183,10 @@ DURATIONS = {
     "fixed-lag lag": FixedLagWatermarkHandler,
     "fixed-lag period": lambda x: FixedLagWatermarkHandler(1.0, period=x),
     "heuristic initial lag": lambda x: HeuristicWatermarkHandler(initial_lag=x),
+    "heuristic window size": lambda x: HeuristicWatermarkHandler(window_size=x),
+    "heuristic update interval": lambda x: HeuristicWatermarkHandler(update_every=x),
     "multi-source lag": lambda x: MultiSourceWatermarkHandler(source_of, lag=x),
+    "multi-source idle timeout": lambda x: MultiSourceWatermarkHandler(source_of, idle_timeout=x),
     "latency budget": LatencyBudget,
     "bounded budget": lambda x: BoundedQualityTarget(0.05, budget_seconds=x),
 }

@@ -261,7 +261,8 @@ def values(results):
 
 
 def check(base, cell, pool=None, checkpoint=None):
-    """Run ``cell`` and hold it to every relation its draw qualifies for."""
+    """Run ``cell`` and hold it to every relation its draw qualifies for;
+    return what R1 compares."""
     results, observable, __ = run(base, cell, pool, checkpoint)
     got = values(results)
     exact = base.aggregate in EXACT
@@ -278,9 +279,10 @@ def check(base, cell, pool=None, checkpoint=None):
 
     if cell.shards:
         ends = [(r.window.end, r.window.start, repr(r.key)) for r in results]  # R4
-        assert ends == sorted(ends)
-        stamps = [(r.emit_time, r.flushed) for r in results]
-        assert stamps == sorted(stamps)
+        assert ends == sorted(ends) and len(set(ends)) == len(ends)  # one per group
+        assert [r.emit_time for r in results] == sorted(r.emit_time for r in results)
+        flushed = [r.flushed for r in results]
+        assert flushed == sorted(flushed)  # the flushed results are a suffix
         keyed = not cell.split_key and None not in {e.key for e in base.stream}
         expected = []
         if keyed:  # R3: one run per shard's substream, bitwise whatever the aggregate
@@ -300,6 +302,7 @@ def check(base, cell, pool=None, checkpoint=None):
         assigner = SlidingWindowAssigner(base.size, base.slide)
         truth = oracle_results(base.stream, assigner, make_aggregate(base.aggregate))
         assert_windows(got, truth, exact)
+    return observable
 
 
 # --------------------------------------------------------------------- #
@@ -307,10 +310,11 @@ def check(base, cell, pool=None, checkpoint=None):
 
 
 @st.composite
-def free_streams(draw):
-    """Arrival-ordered streams: bounded delays, a key style, and a hole in
-    event time that a frontier jumps over in one step."""
-    keys = draw(st.sampled_from([("a", "b", "c", "d"), (None,), ("a", None, "b"), ("hot",)]))
+def free_streams(draw, keys=None):
+    """Arrival-ordered streams: bounded delays, a key style (``keys`` fixes
+    it), and a hole in event time that a frontier jumps over in one step."""
+    styles = [("a", "b", "c", "d"), (None,), ("a", None, "b"), ("hot",)]
+    keys = keys or draw(st.sampled_from(styles))
     horizon, max_delay = draw(st.sampled_from([(40.0, 8.0), (1000.0, 50.0)]))
     row = st.tuples(
         st.floats(min_value=0.0, max_value=horizon),
@@ -338,15 +342,18 @@ def generated_stream(seed):
 
 
 @st.composite
-def bases(draw):
-    source = draw(st.sampled_from(["free", "generated", "fold", "cell"]))
+def bases(draw, source=None, keys=None):
+    """``source`` fixes where the stream comes from; ``keys``, the free
+    streams' key style."""
+    if source is None:
+        source = "free" if keys else draw(st.sampled_from(["free", "generated", "fold", "cell"]))
     if source in ("fold", "cell"):
         built = fold_cases if source == "fold" else cell_cases
         case = draw(built(draw(st.sampled_from([COARSE, WIDE]))))
         stream, (size, slide), k = case.stream, (case.size, case.slide), case.slack
     else:
         if source == "free":
-            stream = draw(free_streams())
+            stream = draw(free_streams(keys))
         else:
             stream = generated_stream(draw(st.integers(min_value=0, max_value=50)))
         size, slide = draw(st.sampled_from(WINDOWS))
@@ -365,14 +372,14 @@ def bases(draw):
 
 
 @st.composite
-def draws(draw, executor="serial", driver=None, shards=None, **pins):
+def draws(draw, executor="serial", driver=None, shards=None, source=None, keys=None, **pins):
     """``(base, cell)``: process cells shard 2 to 4 ways, the others 0 to 4.
 
-    ``driver`` fixes the driver; ``shards`` and each of ``pins`` (a
-    :class:`Base` or :class:`Cell` field) name the strategy that axis is
-    drawn from instead.
+    ``driver`` fixes the driver, ``source`` and ``keys`` the stream (see
+    :func:`bases`); ``shards`` and each of ``pins`` (a :class:`Base` or
+    :class:`Cell` field) name the strategy that axis is drawn from instead.
     """
-    base = draw(bases())
+    base = draw(bases(source, keys))
     base = replace(base, **{f: draw(s) for f, s in pins.items() if f in BASE_FIELDS})
     n = len(base.stream)
     process = executor == "process"

@@ -1,9 +1,10 @@
 """The execution matrix: every cell emits what its references emit.
 
 Each draw crosses every axis of :mod:`tests.matrix` at once (store,
-driver, shards or process pool, restore, observe, sanitize) and is held to
+driver, in-process shards, restore, observe, sanitize) and is held to
 every relation it qualifies for; the table is in ``docs/INTERNALS.md``,
-"The execution matrix".
+"The execution matrix".  The process-executor cells are drawn by
+``test_process_equivalence.py``, which holds the module's warm pool.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 
 from repro.errors import SanitizerError
 from tests.matrix import (
-    HOT_KEY, INTERLEAVED, MATRIX, REWIND, Base, Cell, check, draws, generated_stream,
+    INTERLEAVED, MATRIX, REWIND, Base, Cell, check, draws, generated_stream,
 )
 
 
@@ -23,13 +24,6 @@ from tests.matrix import (
 @example((Base(generated_stream(0), 4.0, 1.0, "mean", "mp-k-slack"), INTERLEAVED))
 def test_cells_match_their_references(checkpoint, draw):
     check(*draw, checkpoint=checkpoint)
-
-
-@MATRIX
-@given(draws(executor="process"))
-@example((Base(HOT_KEY, 4.0, 1.0, "count", "k-slack", 3.0), Cell(shards=4, executor="process")))
-def test_process_cells_match_their_references(pool, checkpoint, draw):
-    check(*draw, pool=pool, checkpoint=checkpoint)
 
 
 @pytest.mark.xfail(strict=True, raises=SanitizerError, reason=(

@@ -9,26 +9,26 @@ module, so even small streams are dispatched in several chunks.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.matrix import EXACT, HOT_KEY, MATRIX, WINDOWS, Base, Cell, check, covering, draws
+from tests.matrix import EXACT, HOT_KEY, MATRIX, Base, Cell, check, covering, draws
 
 PROPERTY = settings(MATRIX, max_examples=10)
 
 
-@PROPERTY
+@MATRIX  # the process cells' widest draw: twice the others' budget
 @given(draws(executor="process"))
 def test_process_bit_identical_to_threads_for_all_aggregates(pool, checkpoint, draw):
     check(*draw, pool=pool, checkpoint=checkpoint)
 
 
 @PROPERTY
-@given(st.sampled_from(WINDOWS), st.sampled_from(EXACT), st.integers(2, 4))
-def test_key_skew_with_empty_shards_matches_threads(pool, window, aggregate, shards):
+@given(draws(executor="process", keys=("hot",)))
+@example((Base(HOT_KEY, 4.0, 1.0, "count", "k-slack", 3.0), Cell(shards=4, executor="process")))
+def test_key_skew_with_empty_shards_matches_threads(pool, checkpoint, draw):
     """One hot key: every shard but one stays empty."""
-    base = Base(HOT_KEY, *window, aggregate, "k-slack", 3.0)
-    check(base, Cell(shards=shards, executor="process"), pool=pool)
+    check(*draw, pool=pool, checkpoint=checkpoint)
 
 
 @PROPERTY

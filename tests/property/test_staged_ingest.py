@@ -2,7 +2,8 @@
 that may not change.
 
 * Any interleaving of ``process`` and ``process_many`` (the cuts driver of
-  :mod:`tests.matrix`) emits what the scalar run emits (R1).
+  :mod:`tests.matrix`) emits what the scalar run emits (R1), also where
+  the cuts fall among dozens of AQ-K rounds.
 * After every scalar call, everything a caller can read equals an operator
   that folds eagerly (a test-local subclass: the store is flushed and the
   samplers are folded after each element).
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import ContinuousQuery, sliding, tumbling
 from repro.engine.aggregate_op import (
@@ -141,8 +143,20 @@ def test_a_long_open_window_holds_a_bounded_number_of_staged_values(mode, batche
     assert observable(operator, results) == observable(eager, expected)
 
 
+#: ``(adapts, draw)``: when ``adapts``, an unsharded AQ-K cell over a
+#: generated stream, whose reference must adapt more than 20 times.
+ROUNDS = draws(
+    driver="cuts", source="generated", shards=st.just(0),
+    handler=st.sampled_from(["aqk-quality", "aqk-bounded", "aqk-budget"]),
+)
+CUTS = st.tuples(st.just(False), draws(driver="cuts")) | st.tuples(st.just(True), ROUNDS)
+
+
 @MATRIX
-@given(draws(driver="cuts"))
-@example((Base(generated_stream(0), 4.0, 1.0, "mean", "mp-k-slack"), INTERLEAVED))
-def test_interleaved_process_and_process_many_match_the_scalar_run(checkpoint, draw):
-    check(*draw, checkpoint=checkpoint)
+@given(CUTS)
+@example((False, (Base(generated_stream(0), 4.0, 1.0, "mean", "mp-k-slack"), INTERLEAVED)))
+@example((True, (Base(generated_stream(1), 4.0, 1.0, "mean", "aqk-quality"), INTERLEAVED)))
+def test_interleaved_process_and_process_many_match_the_scalar_run(checkpoint, cuts):
+    adapts, (base, cell) = cuts
+    adaptations = check(base, cell, checkpoint=checkpoint)[-1]
+    assert not adapts or len(adaptations) > 20
