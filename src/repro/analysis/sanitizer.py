@@ -119,12 +119,14 @@ class SanitizingHandler(DisorderHandler):
         # ``(arrival_time, seq)`` tuple so the hot path allocates nothing.
         self._last_arrival_time = float("-inf")
         self._last_arrival_seq = -1
-        # Elements offered but not yet released, keyed by identity (the
-        # engine forwards the same objects it is offered).  The heap allows
-        # an O(log n) "smallest buffered event time" probe with lazy
-        # deletion of already-released entries.
-        self._inflight: dict[int, StreamElement] = {}
-        self._inflight_heap: list[tuple[float, int, int]] = []
+        # How many offered elements are not yet released, per sort key
+        # ``(event_time, seq)``: a key outlives a ``loads_state`` round trip,
+        # which hands the handler copies of the elements it buffered, and a
+        # count keeps field-equal duplicates apart.  The heap allows an
+        # O(log n) "smallest buffered event time" probe with lazy deletion
+        # of already-released keys.
+        self._inflight: dict[tuple[float, int], int] = {}
+        self._inflight_heap: list[tuple[float, int]] = []
         self._tracks_released = (
             type(inner).released_count is not DisorderHandler.released_count
         )
@@ -142,7 +144,9 @@ class SanitizingHandler(DisorderHandler):
 
     def _fail(self, check: str, message: str) -> None:
         if self.tracer.enabled:
-            self.tracer.sanitizer_finding(self._last_arrival_time, check, message)
+            self.tracer.emit(
+                "sanitizer.finding", self._last_arrival_time, check=check, message=message
+            )
         raise SanitizerError(
             f"StreamSan[{check}] on {self.inner.describe()}: {message}"
         )
@@ -152,11 +156,9 @@ class SanitizingHandler(DisorderHandler):
         if arrival is not None:
             self._check_arrival_order(arrival, element.seq)
         self._offered_total += 1
-        marker = id(element)
-        self._inflight[marker] = element
-        heappush(
-            self._inflight_heap, (element.event_time, element.seq, marker)
-        )
+        marker = (element.event_time, element.seq)
+        self._inflight[marker] = self._inflight.get(marker, 0) + 1
+        heappush(self._inflight_heap, marker)
 
     def _check_arrival_order(self, arrival: float, seq: int) -> None:
         last_arrival = self._last_arrival_time
@@ -182,7 +184,10 @@ class SanitizingHandler(DisorderHandler):
         inflight = self._inflight
         for element in released:
             self._returned_total += 1
-            inflight.pop(id(element), None)
+            key = (element.event_time, element.seq)
+            held = inflight.pop(key, 0)
+            if held > 1:
+                inflight[key] = held - 1
 
     def _check_frontier_step(self, where: str) -> float:
         frontier = self.inner.frontier
@@ -203,7 +208,7 @@ class SanitizingHandler(DisorderHandler):
             return
         heap = self._inflight_heap
         inflight = self._inflight
-        while heap and heap[0][2] not in inflight:
+        while heap and heap[0] not in inflight:
             heappop(heap)
         if heap and heap[0][0] <= frontier:
             self._fail(
@@ -314,19 +319,19 @@ class SanitizingHandler(DisorderHandler):
         self._returned_total += n_released
         inflight = self._inflight
         if not (n_released == 1 and released[0] is element):
-            marker = id(element)
+            marker = (element.event_time, element.seq)
             passed_through = False
             for item in released:
-                item_id = id(item)
-                if item_id == marker:
+                key = (item.event_time, item.seq)
+                if key == marker and not passed_through:
                     passed_through = True
                 else:
-                    inflight.pop(item_id, None)
+                    held = inflight.pop(key, 0)
+                    if held > 1:
+                        inflight[key] = held - 1
             if not passed_through:
-                inflight[marker] = element
-                heappush(
-                    self._inflight_heap, (element.event_time, element.seq, marker)
-                )
+                inflight[marker] = inflight.get(marker, 0) + 1
+                heappush(self._inflight_heap, marker)
         frontier = self.inner.frontier
         last = self._last_frontier
         if frontier > last:
@@ -345,7 +350,7 @@ class SanitizingHandler(DisorderHandler):
             # Entries above the frontier are fine whether stale or live, so
             # lazy deletion only has to run once the top dips below it.
             if heap and heap[0][0] <= frontier:
-                while heap and heap[0][2] not in inflight:
+                while heap and heap[0] not in inflight:
                     heappop(heap)
                 if heap and heap[0][0] <= frontier:
                     self._fail(
@@ -385,13 +390,11 @@ class SanitizingHandler(DisorderHandler):
         self._check_frontier_step("flush")
         self._check_accounting("flush")
         if self.config.check_release and self._inflight:
-            stuck = min(
-                self._inflight.values(), key=StreamElement.event_sort_key
-            )
             self._fail(
                 "release",
-                f"{len(self._inflight)} offered element(s) never released "
-                f"(earliest event_time={stuck.event_time:g}) after flush",
+                f"{sum(self._inflight.values())} offered element(s) never "
+                f"released (earliest event_time={min(self._inflight)[0]:g}) "
+                "after flush",
             )
         return released
 
@@ -502,7 +505,9 @@ class SanitizingOperator(Operator):
 
     def _fail(self, check: str, message: str) -> None:
         if self.tracer.enabled:
-            self.tracer.sanitizer_finding(self._last_emit_time, check, message)
+            self.tracer.emit(
+                "sanitizer.finding", self._last_emit_time, check=check, message=message
+            )
         raise SanitizerError(f"StreamSan[{check}]: {message}")
 
     def _check_results(

@@ -258,7 +258,8 @@ class AQKSlackHandler(SlackHandler):
         if self.tracer.enabled:
             record = self.adaptations[-1]
             state = self.controller.state() if self.controller is not None else {}
-            self.tracer.adaptation(
+            self.tracer.emit(
+                "adaptation",
                 arrival_time,
                 k_before=k_before,
                 k_after=record.k_applied,

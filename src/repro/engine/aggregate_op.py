@@ -173,8 +173,10 @@ def _emit(
         WindowResult(key, window, value, count, emit_time, latency, flushed=flushed)
     )
     if tracer.enabled:
-        tracer.window_close(
-            emit_time, key, window.start, window.end, value, count, latency, flushed
+        tracer.emit(
+            "window.flush" if flushed else "window.close", emit_time,
+            key=key, start=window.start, end=window.end, value=value, count=count,
+            latency=latency,
         )
 
 
@@ -265,7 +267,9 @@ class _PerWindowStore:
         gives it: no slide interval, so nothing to stage under."""
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
-            tracer.element_admitted(now, element.event_time, element.key)
+            tracer.emit(
+                "element.admitted", now, event_time=element.event_time, key=element.key
+            )
         key = element.key
         for window in self.assigner.assign(element.event_time):
             slot = (key, window)
@@ -305,7 +309,9 @@ class _PerWindowStore:
         self._heap_seq += 1
         heapq.heappush(self._open_heap, (window.end, self._heap_seq, key, window))
         if self.tracer.enabled:
-            self.tracer.window_open(now, key, window.start, window.end)
+            self.tracer.emit(
+                "window.open", now, key=key, start=window.start, end=window.end
+            )
         return record
 
     def stage(self, element: StreamElement, now: ArrivalTimeStamp) -> None:
@@ -317,7 +323,9 @@ class _PerWindowStore:
             return
         tracer = self.tracer
         if tracer.enabled and tracer.detail:
-            tracer.element_admitted(now, element.event_time, element.key)
+            tracer.emit(
+                "element.admitted", now, event_time=element.event_time, key=element.key
+            )
         key = element.key
         timestamp = element.event_time
         slide = cache.slide
@@ -356,7 +364,10 @@ class _PerWindowStore:
     ) -> None:
         self.stats.late_dropped += 1
         if self.tracer.enabled:
-            self.tracer.late_drop(now, element.key, element.event_time, window.end)
+            self.tracer.emit(
+                "late.drop", now, key=element.key, event_time=element.event_time,
+                window_end=window.end,
+            )
         if not self.track_feedback:
             return
         slot = (element.key, window)
@@ -445,9 +456,10 @@ class _PerWindowStore:
             self.stats.observed_errors.append(error)
             if tracing:
                 key, window = slot
-                self.tracer.window_retire(
-                    now, key, window.start, window.end, record.emitted_value,
-                    corrected, error, record.late_updates,
+                self.tracer.emit(
+                    "window.retire", now, key=key, start=window.start, end=window.end,
+                    emitted=record.emitted_value, corrected=corrected, error=error,
+                    late_updates=record.late_updates,
                 )
             observe_error(error)
 
@@ -587,11 +599,14 @@ class WindowAggregateOperator(Operator):
         for out in handler.offer(element):
             store.stage(out, now)
         frontier = handler.frontier
-        if self.tracer.enabled:
-            self.tracer.frontier_advance(now, frontier, handler.buffered_count())
         # Nothing closes or retires while the frontier stands still.
         if frontier <= store.close_frontier:
             return []
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "frontier.advance", now, frontier=frontier,
+                buffered=handler.buffered_count(),
+            )
         results = store.close(frontier, now, False)
         store.retire(frontier, now, handler.observe_error)
         return results
@@ -643,10 +658,13 @@ class WindowAggregateOperator(Operator):
             while prev_offset < end_offset:
                 stage(released[prev_offset], now)
                 prev_offset += 1
-            if tracing:
-                tracer.frontier_advance(now, frontier, handler.buffered_count())
             if frontier > closed_to:
                 closed_to = frontier
+                if tracing:
+                    tracer.emit(
+                        "frontier.advance", now, frontier=frontier,
+                        buffered=handler.buffered_count(),
+                    )
                 if frontier_log is not None:
                     frontier_log.extend(
                         (now if arrival is None else arrival, frontier)

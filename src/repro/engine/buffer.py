@@ -32,11 +32,11 @@ class SortingBuffer:
     """Min-heap of stream elements ordered by (event_time, seq).
 
     When a :class:`~repro.obs.trace.Tracer` is attached (handlers propagate
-    theirs via ``set_tracer``), pushes, releases and the end-of-stream drain
-    emit ``buffer.*`` trace records.  Buffer records are stamped with the
-    **event-time** threshold of the operation (the buffer sits below the
-    arrival clock and never sees arrival timestamps); the trace schema
-    documents this domain caveat.
+    theirs via ``set_tracer``), pushes and releases emit ``buffer.*`` trace
+    records.  Buffer records are stamped with the **event-time** threshold
+    of the operation (the buffer sits below the arrival clock and never
+    sees arrival timestamps); the trace schema documents this domain
+    caveat.
     """
 
     __slots__ = ("tracer", "_heap", "_max_size", "_released_total", "_tail_key")
@@ -76,8 +76,10 @@ class SortingBuffer:
         heapq.heappush(self._heap, (element.event_time, element.seq, element))
         if len(self._heap) > self._max_size:
             self._max_size = len(self._heap)
-        if self.tracer.enabled:
-            self.tracer.buffer_push(element.event_time, 1, len(self._heap))
+        if self.tracer.enabled and self.tracer.detail:
+            self.tracer.emit(
+                "buffer.push", element.event_time, count=1, buffered=len(self._heap)
+            )
 
     def push_release_one(
         self, element: StreamElement, threshold: float
@@ -105,12 +107,13 @@ class SortingBuffer:
         if event_time <= threshold and (not heap or heap[0][0] > threshold):
             self._released_total += 1
             if tracer.enabled:
-                tracer.buffer_push(event_time, 1, size)
-                tracer.buffer_release(threshold, 1, size - 1)
+                if tracer.detail:
+                    tracer.emit("buffer.push", event_time, count=1, buffered=size)
+                tracer.emit("buffer.release", threshold, count=1, buffered=size - 1)
             return [element]
         heapq.heappush(heap, (event_time, element.seq, element))
-        if tracer.enabled:
-            tracer.buffer_push(event_time, 1, size)
+        if tracer.enabled and tracer.detail:
+            tracer.emit("buffer.push", event_time, count=1, buffered=size)
         if heap[0][0] > threshold:
             return []
         return self.release_until(threshold)
@@ -148,9 +151,10 @@ class SortingBuffer:
             self._tail_key = batch_max
         if len(heap) > self._max_size:
             self._max_size = len(heap)
-        if elements and self.tracer.enabled:
-            self.tracer.buffer_push(
-                elements[-1].event_time, len(elements), len(heap)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "buffer.push", elements[-1].event_time,
+                count=len(elements), buffered=len(heap),
             )
 
     def push_release(
@@ -174,7 +178,10 @@ class SortingBuffer:
             self._max_size = len(heap)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.buffer_push(elements[-1].event_time, len(elements), len(heap))
+            tracer.emit(
+                "buffer.push", elements[-1].event_time,
+                count=len(elements), buffered=len(heap),
+            )
         heap.sort()
         if heap[-1][:2] > self._tail_key:
             self._tail_key = heap[-1][:2]
@@ -183,7 +190,7 @@ class SortingBuffer:
         del heap[:split]
         self._released_total += split
         if split and tracer.enabled:
-            tracer.buffer_release(threshold, split, len(heap))
+            tracer.emit("buffer.release", threshold, count=split, buffered=len(heap))
         return released
 
     def peek_event_time(self) -> float | None:
@@ -217,7 +224,9 @@ class SortingBuffer:
                 break
         self._released_total += len(released)
         if released and self.tracer.enabled:
-            self.tracer.buffer_release(threshold, len(released), len(heap))
+            self.tracer.emit(
+                "buffer.release", threshold, count=len(released), buffered=len(heap)
+            )
         return released
 
     def _split_index(self, threshold: float) -> int:
@@ -239,6 +248,4 @@ class SortingBuffer:
         released = [entry[2] for entry in heap]
         heap.clear()
         self._released_total += len(released)
-        if released and self.tracer.enabled:
-            self.tracer.buffer_flush(released[-1].event_time, len(released))
         return released

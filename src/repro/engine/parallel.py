@@ -655,7 +655,6 @@ class ShardedWindowOperator(Operator):
         self._finished = False
         self._chunk_size = self._executor.chunk_size
         self._chunks_sent = [0] * n_shards
-        self._elements_sent = [0] * n_shards
         # Whatever the executor cannot carry (a process pool pickles every
         # query part) is rejected here at build time with a clear error,
         # not at first dispatch with an opaque traceback mid-run.
@@ -765,10 +764,10 @@ class ShardedWindowOperator(Operator):
         n_bytes = self._executor.dispatch(shard_id, elements)
         chunk = self._chunks_sent[shard_id]
         self._chunks_sent[shard_id] = chunk + 1
-        self._elements_sent[shard_id] += len(elements)
         if self.tracer.enabled:
-            self.tracer.shard_dispatch(
-                self._last_arrival, shard_id, chunk, len(elements), n_bytes
+            self.tracer.emit(
+                "shard.dispatch", self._last_arrival, shard=shard_id, chunk=chunk,
+                count=len(elements), bytes=n_bytes,
             )
 
     # -- merge --------------------------------------------------------- #
@@ -857,8 +856,9 @@ class ShardedWindowOperator(Operator):
                     WindowResult(key, window, value, count, emit_time, latency, 0, flushed)
                 )
                 if traced:
-                    tracer.shard_merge(
-                        emit_time, key, start, end, n_shards, float(value), count
+                    tracer.emit(
+                        "shard.merge", emit_time, key=key, start=start, end=end,
+                        shards=n_shards, value=float(value), count=count,
                     )
         return results
 
@@ -873,20 +873,14 @@ class ShardedWindowOperator(Operator):
         if not any(self._chunks_sent):
             self.handler._finalize(())
             return []
-        if tracer.enabled:
-            for shard_id, count in enumerate(self._elements_sent):
-                if count:
-                    tracer.shard_ingest(self._last_arrival, shard_id, count)
         runs = self._executor.collect()
         if tracer.enabled:
             for run in runs:
                 tracer.absorb(run.trace_events)
-                tracer.shard_collect(
-                    self._last_arrival,
-                    run.shard_id,
-                    len(run.ends),
-                    len(run.trace_events),
-                    self._chunks_sent[run.shard_id],
+                tracer.emit(
+                    "shard.collect", self._last_arrival, shard=run.shard_id,
+                    results=len(run.ends), events=len(run.trace_events),
+                    chunks=self._chunks_sent[run.shard_id],
                 )
         merged = self._merge(runs)
         self.handler._finalize(runs)

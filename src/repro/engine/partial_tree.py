@@ -191,7 +191,9 @@ class _SliceTree:
                 if depth > self.max_patch_depth:
                     self.max_patch_depth = depth
                 if tracing:
-                    tracer.tree_patch(self.sim_time, index, depth)
+                    tracer.emit(
+                        "tree.patch", self.sim_time, slice_index=index, depth=depth
+                    )
         touched.clear()
 
     # ------------------------------------------------------------------ #
@@ -239,19 +241,18 @@ class _SliceTree:
             node[2] = False
         return node
 
-    def assemble(self, key: object, lo: int, hi: int) -> tuple[object, int, int]:
+    def assemble(self, key: object, lo: int, hi: int) -> tuple[object, int]:
         """Combine cached partials covering slices ``[lo, hi)``.
 
         Classic bottom-up dyadic decomposition: ~``2 * log2(hi - lo)``
         node reads, each served from cache or recomputed along its dirty
-        path.  Returns ``(accumulator, count, nodes_combined)``; the
-        accumulator is fresh (cached partials are never mutated).
+        path.  Returns ``(accumulator, count)``; the accumulator is fresh
+        (cached partials are never mutated).
         Callers must :meth:`flush_touched` first.
         """
         aggregate = self.aggregate
         accumulator = aggregate.create()
         count = 0
-        nodes_combined = 0
         node_value = self._node_value
         level = 0
         while lo < hi:
@@ -261,18 +262,16 @@ class _SliceTree:
                 if entry is not None and entry[1]:
                     aggregate.merge(accumulator, entry[0])
                     count += entry[1]
-                    nodes_combined += 1
             if hi & 1:
                 hi -= 1
                 entry = node_value(key, level, hi)
                 if entry is not None and entry[1]:
                     aggregate.merge(accumulator, entry[0])
                     count += entry[1]
-                    nodes_combined += 1
             lo >>= 1
             hi >>= 1
             level += 1
-        return accumulator, count, nodes_combined
+        return accumulator, count
 
     # ------------------------------------------------------------------ #
     # retention
@@ -554,7 +553,6 @@ class _SliceStore:
         span = self.span
         track = self.track_feedback
         tracer = tree.tracer
-        tracing = tracer.enabled
         dirty_to = self._dirty_to
         folds = self._folds
         buckets = self._buckets
@@ -584,7 +582,7 @@ class _SliceStore:
                     if lo <= dirty:
                         # Late data reached the window (or rounding put its
                         # first slice below 0): the fold may be stale here.
-                        accumulator, count, nodes_combined = tree.assemble(
+                        accumulator, count = tree.assemble(
                             key, lo if lo > 0 else 0, end_index
                         )
                     else:
@@ -601,15 +599,11 @@ class _SliceStore:
                                 fold.prefix_count += leaf[1]
                         fold.prefix_to = end_index
                         accumulator, count = fold.suffix[lo - fold.base]
-                        nodes_combined = 1 if count else 0
                         if fold.prefix_count:
                             if accumulator is None:
                                 accumulator = aggregate.create()
                             merge(accumulator, fold.prefix)
                             count += fold.prefix_count
-                            nodes_combined += 1
-                    if tracing:
-                        tracer.tree_assemble(emit_time, key, end, nodes_combined)
                     if count == 0:
                         continue
                     value = aggregate.result(accumulator)
@@ -730,7 +724,7 @@ class _SliceStore:
                 if not marks:
                     del late[key]
                 elif marks[0] < end_index:
-                    accumulator, count, __ = tree.assemble(
+                    accumulator, count = tree.assemble(
                         key, lo if lo > 0 else 0, end_index
                     )
                     corrected = (
@@ -743,9 +737,10 @@ class _SliceStore:
             self.stats.observed_errors.append(error)
             if tracing:
                 # No per-window late counter is kept here: late_updates=None.
-                tracer.window_retire(
-                    tree.sim_time, key, end - self.size, end,
-                    emitted, corrected, error, None,
+                tracer.emit(
+                    "window.retire", tree.sim_time, key=key, start=end - self.size,
+                    end=end, emitted=emitted, corrected=corrected, error=error,
+                    late_updates=None,
                 )
             observe_error(error)
         tree.gc(gc_before)

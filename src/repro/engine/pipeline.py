@@ -92,7 +92,7 @@ def run_pipeline(
             :class:`~repro.obs.trace.TraceRecorder`) attached to the
             operator, handler and buffer for this run.  ``None`` (default)
             leaves the shared null tracer in place — the hot path pays one
-            attribute check per hook site.  Trace content never influences
+            attribute check per trace site.  Trace content never influences
             results: a traced run emits bit-identical windows.
         registry: Back the run's :class:`RunMetrics` with this registry
             and keep its instruments current while the run executes
@@ -162,12 +162,15 @@ def run_pipeline(
         )
 
     if tracer.enabled:
-        tracer.run_start(
+        tracer.emit(
+            "run.start",
             _sim_time_of(elements[0]) if elements else float("-inf"),
-            handler.describe() if handler is not None else type(operator).__name__,
-            n,
-            batch_size,
-            sanitize,
+            handler=(
+                handler.describe() if handler is not None else type(operator).__name__
+            ),
+            n_elements=n,
+            batch_size=batch_size,
+            sanitize=sanitize,
         )
     # Wall-clock reads are banned in engine code (R01); this pair only
     # feeds the throughput metric and never influences results.
@@ -191,8 +194,6 @@ def run_pipeline(
                 next_sample = index + (sample_every - ahead) % sample_every
                 stop = min(stop, next_sample + 1)
             results.extend(process_many(elements[index:stop]))
-            if tracer.enabled:
-                tracer.chunk(_sim_time_of(elements[stop - 1]), stop - index)
             if sampling:
                 maybe_sample(stop - 1)
             if live:
@@ -227,9 +228,10 @@ def run_pipeline(
         observed_errors = list(getattr(stats, "observed_errors", []))
 
     if tracer.enabled:
-        tracer.run_end(
+        tracer.emit(
+            "run.end",
             _sim_time_of(elements[-1]) if elements else float("-inf"),
-            len(results),
-            metrics.wall_time_s,
+            n_results=len(results),
+            wall_time_s=metrics.wall_time_s,
         )
     return RunOutput(results=results, metrics=metrics, observed_errors=observed_errors)

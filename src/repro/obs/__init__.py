@@ -5,10 +5,10 @@ execution layer and the static-analysis suite): a window into *why* a run
 behaved as it did — adaptation rounds, frontier stalls, buffer growth,
 burst response.  Three pieces:
 
-* :mod:`repro.obs.trace` — :class:`TraceRecorder` collects typed
-  span/event records from hooks threaded through the engine and the
-  adaptive core; the default :data:`NULL_TRACER` keeps the hot path at
-  one attribute check when tracing is off.
+* :mod:`repro.obs.trace` — :class:`TraceRecorder` collects the
+  span/event records the engine and the adaptive core ``emit`` under the
+  one schema :data:`EVENT_KINDS`; the default :data:`NULL_TRACER` keeps
+  the hot path at one attribute check when tracing is off.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` holds named
   counters/gauges/histograms; :class:`~repro.engine.metrics.RunMetrics`
   is a live view over one.

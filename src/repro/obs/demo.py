@@ -43,8 +43,7 @@ def burst_demo_run(
         rate: Events per second.
         theta: Mean-relative-error quality target of the AQ-K handler.
         seed: Stream seed — the run is deterministic given the arguments.
-        batch_size: Pipeline chunk size (the batched path also exercises
-            ``chunk`` records); pass 0 for the scalar path.
+        batch_size: Pipeline chunk size; pass 0 for the scalar path.
         detail: Record per-element events too (large traces).
 
     Returns:

@@ -114,6 +114,34 @@ class HoardingHandler(DisorderHandler):
         return self._max_event
 
 
+class HalfReleasingHandler(DisorderHandler):
+    """BUG: buffers until a newer element arrives, then releases only the
+    first of what it holds while the frontier passes all of it."""
+
+    name = "half-releaser"
+
+    def __init__(self) -> None:
+        self._held: list[StreamElement] = []
+        self._frontier = float("-inf")
+
+    def offer(self, element: StreamElement) -> list[StreamElement]:
+        """Hold an element unless it is newer than what is held."""
+        if self._held and element.event_time > self._held[0].event_time:
+            self._frontier = element.event_time
+            return [self._held.pop(0), element]
+        self._held.append(element)
+        return []
+
+    def flush(self) -> list[StreamElement]:
+        """Release the rest."""
+        held, self._held = self._held, []
+        return held
+
+    @property
+    def frontier(self) -> float:
+        return self._frontier
+
+
 class SwallowingHandler(DisorderHandler):
     """BUG: drops elements instead of releasing them, even at flush."""
 
@@ -210,6 +238,14 @@ def test_nan_frontier_is_caught():
 def test_element_lingering_below_frontier_is_caught():
     with pytest.raises(SanitizerError, match=r"StreamSan\[release\].*still buffered"):
         run_scalar(HoardingHandler(), [element(1.0, 1.5, 0)])
+
+
+def test_one_of_two_equal_elements_held_past_the_frontier_is_caught():
+    # StreamSan counts in-flight elements per (event_time, seq): releasing
+    # one of two field-equal elements leaves the other one on the books.
+    twins = [element(1.0, 1.5, 0), element(1.0, 1.5, 0)]
+    with pytest.raises(SanitizerError, match=r"StreamSan\[release\].*still buffered"):
+        run_scalar(HalfReleasingHandler(), [*twins, element(2.0, 2.5, 1)])
 
 
 def test_swallowed_elements_are_caught_at_flush():

@@ -310,13 +310,9 @@ def test_tree_trace_events():
     recorder = TraceRecorder(detail=True)
     run_pipeline(stream, operator, trace=recorder)
     patches = list(recorder.of_kind("tree.patch"))
-    assembles = list(recorder.of_kind("tree.assemble"))
     assert len(patches) == operator.patch_count
-    assert assembles, "detail mode records per-window assembly"
     for event in patches:
         assert event.fields["depth"] >= 1
-    for event in assembles:
-        assert event.fields["nodes"] >= 0
     # Traced run emits identical results to an untraced one.
     untraced = tree_operator(
         SlidingWindowAssigner(8, 0.5), CountAggregate(), KSlackHandler(0.25)

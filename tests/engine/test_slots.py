@@ -46,7 +46,7 @@ HOT_INSTANCES = [
     OperatorStats(),
     LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0.0),
     SlackSample(arrival_time=0.0, slack=0.0, frontier=0.0, buffered=0),
-    TraceEvent(kind="meta", sim_time=0.0, wall_time=0.0, fields={}),
+    TraceEvent(kind="run.end", sim_time=0.0, wall_time=0.0, fields={}),
     _SliceTree(CountAggregate(), 1.0, 8),
     _SliceStore(CountAggregate(), 1.0, 8.0, 8, 40.0, True),
     _BlockFold(0, 8),

@@ -394,7 +394,7 @@ def draws(draw, executor="serial", driver=None, shards=None, source=None, keys=N
         executor=executor,
         restore=restore,
         observe=draw(st.booleans()),
-        sanitize=restore is None and draw(st.booleans()),  # see the strict xfail
+        sanitize=draw(st.booleans()),
     )
     cell = replace(cell, **{f: draw(s) for f, s in pins.items() if f not in BASE_FIELDS})
     driver = driver or draw(st.sampled_from(["scalar", "batched", "cuts"]))

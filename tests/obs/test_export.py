@@ -31,7 +31,7 @@ def test_jsonl_round_trip_is_lossless(tmp_path, burst_run):
 def test_jsonl_round_trips_non_finite_floats(tmp_path):
     events = [
         TraceEvent(
-            kind="meta",
+            kind="window.flush",
             sim_time=-math.inf,
             wall_time=0.0,
             fields={"nan": math.nan, "inf": math.inf, "nested": [-math.inf]},

@@ -9,10 +9,8 @@ every relation it qualifies for; the table is in ``docs/INTERNALS.md``,
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 
-from repro.errors import SanitizerError
 from tests.matrix import (
     INTERLEAVED, MATRIX, REWIND, Base, Cell, check, draws, generated_stream,
 )
@@ -26,10 +24,6 @@ def test_cells_match_their_references(checkpoint, draw):
     check(*draw, checkpoint=checkpoint)
 
 
-@pytest.mark.xfail(strict=True, raises=SanitizerError, reason=(
-    "StreamSan tracks buffered elements by id(), and a restored handler "
-    "buffers copies: each one it releases still counts as buffered"
-))
 def test_a_restored_sanitized_operator_checks_clean():
     base = Base(generated_stream(0), 4.0, 1.0, "count", "k-slack", k=6.5)
     check(base, Cell(sanitize=True, restore=1))
