@@ -86,6 +86,9 @@ linkcheck:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
+# E8, E17 and E21 at scale 0.1, every eps from one clock (warmup + median
+# of 3 interleaved rounds); writes BENCH_e17.json and BENCH_e21.json here
+# and exits 1 on a result divergence or a failed E21 core-scoped gate.
 bench-quick:
 	$(PY) -m repro.bench.quick --scale 0.1 --out-dir .
 
@@ -117,7 +120,7 @@ experiments:
 
 artifacts:
 	$(PY) -m repro.cli experiment E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 \
-	    E12 E13 E14 E15 E16 E17 E18 E19 --out-dir results
+	    E12 E13 E14 E15 E16 E17 --out-dir results
 
 examples:
 	$(PY) examples/quickstart.py --duration 60

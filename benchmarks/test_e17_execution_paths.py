@@ -1,8 +1,9 @@
-"""E18: batched execution equals scalar semantics at higher throughput."""
+"""E17: every window execution path returns the naive scalar results; the
+slice store pays with overlap and batching pays on every store."""
 
 import numpy as np
 
-from repro.bench.experiments import e18_batched_throughput
+from repro.bench.experiments import e17_execution_paths
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import MeanAggregate
 from repro.engine.handlers import KSlackHandler
@@ -14,22 +15,38 @@ from repro.streams.generators import generate_stream
 
 from benchmarks.conftest import run_and_render
 
+#: Row -> the floor its ``ratio`` (eps over its baseline's eps) must beat.
+RATIO_FLOORS = {
+    # tree / naive: at high window overlap the slice store clearly wins;
+    # at overlap 1 (tumbling) the two paths do the same work, so only a
+    # large regression fails.
+    "tree ov=20": 1.5,
+    "tree ov=10": 1.2,
+    "tree ov=1": 0.5,
+    # batched / scalar at overlap 20: >= 2x on the naive operator; the
+    # slice store (already O(1) per element) still gains from bulk
+    # release and fold, but less; batching composes with the adaptive
+    # handler (feedback on).
+    "naive batched ov=20": 2.0,
+    "tree batched ov=20": 1.2,
+    "naive+aq-k batched ov=20": 2.0,
+}
 
-def test_e18_batched_throughput(benchmark):
-    result = run_and_render(benchmark, e18_batched_throughput, scale=0.3)
+
+def test_e17_execution_paths(benchmark):
+    result = run_and_render(benchmark, e17_execution_paths, scale=0.3)
 
     for row in result.rows:
-        # Batching never changes results.
+        # No execution path changes results.
         assert row["results_equal"], row
 
-    by_operator = {row["operator"]: row for row in result.rows}
-    # The headline claim: >=2x single-thread throughput on the naive
-    # operator at overlap 20; the slice store (already O(1) per
-    # element) still gains from bulk release/fold but less.
-    assert by_operator["naive"]["speedup"] > 2.0
-    assert by_operator["tree"]["speedup"] > 1.2
-    # Batching composes with the adaptive handler (feedback on).
-    assert by_operator["naive+aq-k"]["speedup"] > 2.0
+    ratio = {row["config"]: row["ratio"] for row in result.rows}
+    below = {
+        config: ratio[config]
+        for config, floor in RATIO_FLOORS.items()
+        if not ratio[config] > floor
+    }
+    assert not below, below
 
 
 def test_batched_throughput_not_slower_than_scalar(benchmark):

@@ -1,7 +1,8 @@
-"""E21: process-pool shards use the cores, with results bit-identical
-to the in-process executor for every shard count.  The throughput headline
-(process(4) beats the single tree) only applies on runners with at least
-4 cores, so it is asserted conditionally and always recorded."""
+"""E21: sharded execution, in-process (the serial(n) reference rows) and
+on the process pool, with per-group values equal to the single tree and
+every process(n) run bit-identical to its serial(n) twin.  The throughput
+headline (process(4) beats the single tree) only applies on runners with
+at least 4 cores, so it is asserted conditionally and always recorded."""
 
 import os
 

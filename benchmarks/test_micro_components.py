@@ -247,7 +247,7 @@ def test_kslack_offer_many(benchmark, stream):
 
 
 def test_batched_window_operator_throughput(benchmark, stream):
-    """Batched naive operator: the E18 fast path in isolation."""
+    """Batched naive operator: the fast path of E17's batched rows in isolation."""
     from repro.engine.aggregate_op import WindowAggregateOperator
     from repro.engine.pipeline import run_pipeline
     from repro.engine.windows import SlidingWindowAssigner

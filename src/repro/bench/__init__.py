@@ -7,7 +7,6 @@ from repro.bench.harness import (
     make_policy,
     run_policy,
     standard_query,
-    sweep,
     workload_summary,
 )
 from repro.bench.report import (
@@ -31,6 +30,5 @@ __all__ = [
     "run_experiment",
     "run_policy",
     "standard_query",
-    "sweep",
     "workload_summary",
 ]

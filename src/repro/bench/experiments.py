@@ -13,6 +13,7 @@ scale::
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from statistics import median
@@ -43,10 +44,11 @@ from repro.core.sampling import ReservoirSample, SlidingDelaySample
 from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
+from repro.engine.handlers import KSlackHandler
 from repro.engine.oracle import oracle_results
-from repro.engine.pipeline import run_pipeline
+from repro.engine.pipeline import RunOutput, run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.streams.delay import BurstyDelay, ExponentialDelay, MixtureDelay, ParetoDelay
 from repro.streams.disorder import measure_disorder
 from repro.workloads.financial import financial_ticks
@@ -404,6 +406,64 @@ def e07_disorder_sweep(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
+# Throughput: one clock for every eps in the suite (E8, E17, E21)
+
+#: The table note every timed experiment carries.
+TIMING_NOTE = "methodology: warmup round + median of 3 interleaved repeats"
+
+
+def _run_timed_configs(
+    stream: Sequence[Any],
+    configs: Sequence[tuple[str, Callable[[], Any], int]],
+    repeats: int = 3,
+) -> dict[str, tuple[float, RunOutput]]:
+    """The one throughput methodology of the suite (E8, E17, E21).
+
+    One discarded warmup round (imports, allocator warmup, process-pool
+    spawn) followed by ``repeats`` timed rounds run *interleaved* across
+    configs, so slow drift (thermal, co-tenant noise) hits every config
+    equally instead of biasing whichever ran last.  Per config the
+    **median** eps of the timed rounds is reported, which is what keeps
+    the gates from flaking on noisy runners.
+
+    Args:
+        stream: The arrival-ordered element list every run consumes.
+        configs: ``(name, operator_factory, batch_size)`` triples;
+            factories build a fresh operator per run (operators are
+            single-use), and ``batch_size`` is handed to
+            :func:`~repro.engine.pipeline.run_pipeline` (0 = scalar).
+        repeats: Timed rounds per config (median-of-``repeats``).
+
+    Returns:
+        ``name -> (median_eps, output)`` with the output of the first
+        timed round (identical across rounds for these deterministic
+        pipelines).
+    """
+    for _name, factory, batch_size in configs:
+        run_pipeline(stream, factory(), batch_size=batch_size)
+    eps_samples: dict[str, list[float]] = {name: [] for name, _, _ in configs}
+    outputs: dict[str, RunOutput] = {}
+    for _round in range(repeats):
+        for name, factory, batch_size in configs:
+            output = run_pipeline(stream, factory(), batch_size=batch_size)
+            eps_samples[name].append(output.metrics.throughput_eps)
+            outputs.setdefault(name, output)
+    return {
+        name: (float(median(eps_samples[name])), outputs[name])
+        for name, _, _ in configs
+    }
+
+
+def _same_results(results: Sequence[Any], baseline: Sequence[Any]) -> bool:
+    """Equal result count, and per group the value (rounded) and count."""
+
+    def groups(rows):
+        return {(r.key, r.window): (round(r.value, 9), r.count) for r in rows}
+
+    return len(results) == len(baseline) and groups(results) == groups(baseline)
+
+
+# --------------------------------------------------------------------- #
 # E8: runtime overhead of adaptation
 
 
@@ -426,29 +486,35 @@ def e08_overhead(scale: float = 1.0) -> ExperimentResult:
             workload_summary(stream),
             "absolute numbers are Python-simulator artifacts; ratios transfer",
             "released = elements the handler let through (rest dropped/held)",
+            TIMING_NOTE,
         ],
     )
-    baseline_eps = None
-    for name, params in [
-        ("no-buffer", {}),
-        ("k-slack", {"k": 1.0}),
-        ("aq-k", {"theta": THETA_DEFAULT}),
-    ]:
-        run = run_policy(
-            stream,
-            assigner,
-            make_aggregate("count"),
-            make_policy(name, aggregate, 10.0, **dict(params)),
+    configs = [
+        (
+            name,
+            lambda name=name, params=params: WindowAggregateOperator(
+                assigner,
+                make_aggregate("count"),
+                make_policy(name, aggregate, 10.0, **params),
+            ),
+            0,
         )
-        eps = run.output.metrics.throughput_eps
-        if baseline_eps is None:
-            baseline_eps = eps
+        for name, params in (
+            ("no-buffer", {}),
+            ("k-slack", {"k": 1.0}),
+            ("aq-k", {"theta": THETA_DEFAULT}),
+        )
+    ]
+    timed = _run_timed_configs(stream, configs)
+    baseline_eps = timed["no-buffer"][0]
+    for name, _factory, _batch_size in configs:
+        eps, output = timed[name]
         result.add_row(
             policy=name,
-            wall_time_s=run.output.metrics.wall_time_s,
+            wall_time_s=len(stream) / eps,
             throughput_eps=eps,
             relative_throughput=eps / baseline_eps,
-            released=run.output.metrics.released_count,
+            released=output.metrics.released_count,
         )
     return result
 
@@ -710,7 +776,7 @@ def _pair_quality_table(
     ``value_of(i)`` signs the i-th element, which is how the query tells
     the two roles apart; ``columns`` are policy, recall, slack, latency.
     """
-    from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
+    from repro.engine.handlers import MPKSlackHandler, NoBufferHandler
     from repro.engine.pairs import oracle_pairs, pair_recall
     from repro.streams.element import StreamElement
     from repro.streams.generators import generate_stream
@@ -822,382 +888,132 @@ def e16_pattern_quality(scale: float = 1.0) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# E17: execution-path ablation (naive vs slice-based window evaluation)
+# E17: window execution paths (naive vs tree, scalar vs batched)
+
+#: E17's overlap sweep: overlap factor -> (window size, slide) in seconds.
+E17_WINDOWS = {
+    1: (10.0, 10.0),
+    5: (10.0, 2.0),
+    8: (1.0, 0.125),
+    10: (10.0, 1.0),
+    20: (20.0, 1.0),
+    64: (8.0, 0.125),
+    256: (32.0, 0.125),
+}
 
 
-def e17_slice_execution(scale: float = 1.0) -> ExperimentResult:
-    """Table E17: slice-based execution — same results, higher throughput.
+def e17_execution_paths(scale: float = 1.0) -> ExperimentResult:
+    """Table E17: one window query down every execution path.
 
-    The win grows with window overlap (size/slide), so the table sweeps
-    the overlap factor.
+    Naive execution folds every element into each of its ``overlap``
+    windows; the slice store (``mode="tree"``) folds it once into its
+    slice and closes an in-order window with one merge from a per-key
+    suffix/prefix fold, so it pulls away from naive as the overlap grows.
+    At overlap 20 both stores also run batched (``batch_size=512``
+    through ``process_many`` / ``offer_many`` / ``add_many``), and naive
+    runs under AQ-K with feedback on, scalar and batched.
+
+    Every row names its baseline: a tree row the naive row at the same
+    overlap, a batched row the scalar row of the same store.  ``ratio``
+    is eps over the baseline's eps, and ``results_equal`` checks the
+    result count and each group's rounded value and count against it.
     """
-    from repro.engine.handlers import KSlackHandler
-
     stream = WorkloadSpec().scaled(scale).build()
+    batch_size = 512
     result = ExperimentResult(
         experiment_id="E17",
-        title="Naive vs slice-store (tree) window execution (mean, K-slack 1s)",
-        columns=[
-            "overlap",
-            "naive_eps",
-            "tree_eps",
-            "speedup",
-            "results_equal",
+        title="Window execution paths: naive vs tree, scalar vs batched (mean)",
+        columns=["config", "overlap", "eps", "baseline", "ratio", "results_equal"],
+        notes=[
+            workload_summary(stream),
+            "overlap = window size / slide; K-slack 1s with feedback off, "
+            f"except aq-k (theta={THETA_DEFAULT}, feedback on)",
+            f"batched = run_pipeline(batch_size={batch_size}) through the bulk APIs",
+            TIMING_NOTE,
         ],
-        notes=[workload_summary(stream), "overlap = window size / slide"],
     )
-    for window, slide in ((10.0, 10.0), (10.0, 2.0), (10.0, 1.0), (20.0, 1.0)):
-        assigner = SlidingWindowAssigner(size=window, slide=slide)
-        naive = WindowAggregateOperator(
-            assigner, make_aggregate("mean"), KSlackHandler(1.0), track_feedback=False
-        )
-        tree = WindowAggregateOperator(
-            assigner,
+
+    def window_operator(size, slide, mode="naive"):
+        return lambda: WindowAggregateOperator(
+            SlidingWindowAssigner(size=size, slide=slide),
             make_aggregate("mean"),
             KSlackHandler(1.0),
             track_feedback=False,
-            mode="tree",
+            mode=mode,
         )
-        naive_out = run_pipeline(stream, naive)
-        tree_out = run_pipeline(stream, tree)
-        naive_map = {
-            (r.key, r.window): round(r.value, 9) for r in naive_out.results
-        }
-        tree_map = {
-            (r.key, r.window): round(r.value, 9) for r in tree_out.results
-        }
-        result.add_row(
-            overlap=window / slide,
-            naive_eps=naive_out.metrics.throughput_eps,
-            tree_eps=tree_out.metrics.throughput_eps,
-            speedup=tree_out.metrics.throughput_eps
-            / naive_out.metrics.throughput_eps,
-            results_equal=naive_map == tree_map,
-        )
-    return result
 
-
-# --------------------------------------------------------------------- #
-# E18: batched execution throughput
-
-
-def e18_batched_throughput(scale: float = 1.0) -> ExperimentResult:
-    """Table E18: batched vs scalar execution — same results, higher eps.
-
-    Drives the same operators through ``run_pipeline(batch_size=512)`` and
-    the scalar path on the E17 overlap-20 workload (sliding 20s/1s, mean,
-    K-slack 1s) plus an adaptive AQ-K row; per-element simulated-time
-    semantics are identical, so ``results_equal`` is checked in-table.
-    """
-    from repro.engine.handlers import KSlackHandler
-
-    stream = WorkloadSpec().scaled(scale).build()
-    assigner = SlidingWindowAssigner(size=20.0, slide=1.0)
-    result = ExperimentResult(
-        experiment_id="E18",
-        title="Scalar vs batched execution (sliding 20s/1s, mean, batch 512)",
-        columns=[
-            "operator",
-            "scalar_eps",
-            "batched_eps",
-            "speedup",
-            "results_equal",
-        ],
-        notes=[
-            workload_summary(stream),
-            "batched path uses process_many / offer_many / add_many bulk APIs",
-        ],
-    )
-
-    def make_ops():
-        return [
-            (
-                "naive",
-                lambda: WindowAggregateOperator(
-                    assigner,
-                    make_aggregate("mean"),
-                    KSlackHandler(1.0),
-                    track_feedback=False,
-                ),
-            ),
-            (
-                "tree",
-                lambda: WindowAggregateOperator(
-                    assigner,
-                    make_aggregate("mean"),
-                    KSlackHandler(1.0),
-                    track_feedback=False,
-                    mode="tree",
-                ),
-            ),
-            (
-                "naive+aq-k",
-                lambda: WindowAggregateOperator(
-                    assigner,
-                    make_aggregate("mean"),
-                    AQKSlackHandler(
-                        QualityTarget(THETA_DEFAULT), "mean", window_size=20.0
-                    ),
-                ),
-            ),
-        ]
-
-    def best_of(make_op, batch_size, repeats=2):
-        best = None
-        for __ in range(repeats):
-            out = run_pipeline(stream, make_op(), batch_size=batch_size)
-            if best is None or out.metrics.wall_time_s < best.metrics.wall_time_s:
-                best = out
-        return best
-
-    for name, make_op in make_ops():
-        scalar = best_of(make_op, 0)
-        batched = best_of(make_op, 512)
-        scalar_map = {
-            (r.key, r.window): round(r.value, 9) for r in scalar.results
-        }
-        batched_map = {
-            (r.key, r.window): round(r.value, 9) for r in batched.results
-        }
-        result.add_row(
-            operator=name,
-            scalar_eps=scalar.metrics.throughput_eps,
-            batched_eps=batched.metrics.throughput_eps,
-            speedup=batched.metrics.throughput_eps
-            / scalar.metrics.throughput_eps,
-            results_equal=scalar_map == batched_map
-            and len(scalar.results) == len(batched.results),
-        )
-    return result
-
-
-# --------------------------------------------------------------------- #
-# E19: partial-aggregate tree execution
-
-
-def e19_tree_execution(scale: float = 1.0) -> ExperimentResult:
-    """Table E19: tree execution vs naive over an overlap sweep.
-
-    The slide is held at 0.125s and the window grows, so per-close cost
-    dominates: naive mode folds every element into ``overlap`` windows,
-    tree mode closes an in-order window with one merge and a late-reached
-    one from O(log overlap) cached partials.
-    """
-    from repro.engine.handlers import KSlackHandler
-
-    stream = WorkloadSpec().scaled(scale).build()
-    slide = 0.125
-    result = ExperimentResult(
-        experiment_id="E19",
-        title="Tree execution (count, K-slack 1s)",
-        columns=["config", "naive_eps", "tree_eps", "results_equal"],
-        notes=[
-            workload_summary(stream),
-            "overlap rows: sliding (overlap*0.125s)/0.125s windows, "
-            "feedback off",
-        ],
-    )
-
-    def result_map(results):
-        return {(r.key, r.window): round(r.value, 9) for r in results}
-
-    for overlap in (8, 64, 256):
-        assigner = SlidingWindowAssigner(size=overlap * slide, slide=slide)
-        operators = {
-            "naive": WindowAggregateOperator(
-                assigner,
-                make_aggregate("count"),
-                KSlackHandler(1.0),
-                track_feedback=False,
-            ),
-            "tree": WindowAggregateOperator(
-                assigner,
-                make_aggregate("count"),
-                KSlackHandler(1.0),
-                track_feedback=False,
-                mode="tree",
-            ),
-        }
-        outputs = {
-            name: run_pipeline(stream, operator)
-            for name, operator in operators.items()
-        }
-        maps = {name: result_map(out.results) for name, out in outputs.items()}
-        result.add_row(
-            config=f"overlap={overlap}",
-            naive_eps=outputs["naive"].metrics.throughput_eps,
-            tree_eps=outputs["tree"].metrics.throughput_eps,
-            results_equal=maps["naive"] == maps["tree"],
-        )
-    return result
-
-
-def _run_timed_configs(
-    stream: Sequence[Any],
-    configs: Sequence[tuple[str, Callable[[], Any]]],
-    repeats: int = 3,
-) -> dict[str, tuple[float, list[Any]]]:
-    """Throughput methodology shared by the E20/E21 scaling tables.
-
-    One discarded warmup round (imports, allocator warmup, process-pool
-    spawn) followed by ``repeats`` timed rounds run *interleaved* across
-    configs — like the sanitizer-overhead benchmarks — so slow drift
-    (thermal, co-tenant noise) hits every config equally instead of
-    biasing whichever ran last.  Per config the **median** eps of the
-    timed rounds is reported, which is what keeps the CI gates from
-    flaking on noisy runners.
-
-    Args:
-        stream: The arrival-ordered element list every run consumes.
-        configs: ``(name, operator_factory)`` pairs; factories build a
-            fresh operator per run (operators are single-use).
-        repeats: Timed rounds per config (median-of-``repeats``).
-
-    Returns:
-        ``name -> (median_eps, results)`` with the results of the first
-        timed round (identical across rounds for these deterministic
-        pipelines).
-    """
-    for _name, factory in configs:
-        run_pipeline(stream, factory())
-    eps_samples: dict[str, list[float]] = {name: [] for name, _ in configs}
-    results: dict[str, list[Any]] = {}
-    for round_index in range(repeats):
-        for name, factory in configs:
-            output = run_pipeline(stream, factory())
-            eps_samples[name].append(output.metrics.throughput_eps)
-            if round_index == 0:
-                results[name] = output.results
-    return {
-        name: (float(median(eps_samples[name])), results[name])
-        for name, _ in configs
-    }
-
-
-def e20_sharded_throughput(scale: float = 1.0) -> ExperimentResult:
-    """Table E20: sharded execution vs the single tree pipeline.
-
-    A 16-key workload under a high-overlap sliding window (overlap 64:
-    8s window, 0.125s slide) — the regime where per-close cost
-    dominates.  Sharding routes
-    each key to one of N shards, so every shard closes windows over 1/N
-    of the keys with its own tree-mode operator; the deterministic merge then
-    recombines per-shard windows.  Throughput is wall-clock elements/s
-    over the whole run (routing + shard execution + merge).  K is the
-    empirical max delay plus epsilon so nothing is late and every config
-    is value-comparable (``results_equal`` checks per-group values and
-    counts against the single-pipeline tree run).
-
-    Note on parallelism: the sharded rows run the in-process executor,
-    every shard on the coordinator's core, so nothing here is
-    core-parallelism; per-shard operators track fewer concurrent windows,
-    which does not pay for routing and the merge on the slice store the
-    single pipeline runs on.  E21 puts the same shards on a process pool.
-    """
-    from repro.engine.handlers import KSlackHandler
-    from repro.engine.parallel import ShardedWindowOperator
-
-    stream = (
-        WorkloadSpec(
-            delay_model=ExponentialDelay(0.25),
-            keys=tuple(f"s{i}" for i in range(16)),
-        )
-        .scaled(scale)
-        .build()
-    )
-    k = max(e.arrival_time - e.event_time for e in stream) + 1e-6
-    slide = 0.125
-    assigner = SlidingWindowAssigner(size=64 * slide, slide=slide)
-    aggregate_name = "count"
-
-    result = ExperimentResult(
-        experiment_id="E20",
-        title="Sharded execution vs single pipeline (count, overlap 64)",
-        columns=["config", "eps", "speedup_vs_single", "results_equal"],
-        notes=[
-            workload_summary(stream),
-            f"16-key workload, sliding {64 * slide:g}s/{slide:g}s window, "
-            f"K-slack K={k:.3f}s (max delay + eps: no late drops), "
-            "feedback off; sharded rows run tree mode per shard",
-            "sharded rows run in-process: any speedup is algorithmic (fewer "
-            "windows per shard), not core-parallelism; see docs/SCALING.md",
-            "methodology: warmup round + median of 3 interleaved repeats",
-        ],
-    )
-
-    def result_map(results):
-        return {
-            (r.key, r.window): (round(r.value, 9), r.count) for r in results
-        }
-
-    def make_tree():
+    def aqk_operator():
         return WindowAggregateOperator(
-            assigner,
-            make_aggregate(aggregate_name),
-            KSlackHandler(k),
-            track_feedback=False,
-            mode="tree",
+            SlidingWindowAssigner(size=20.0, slide=1.0),
+            make_aggregate("mean"),
+            AQKSlackHandler(QualityTarget(THETA_DEFAULT), "mean", window_size=20.0),
         )
 
-    def make_sharded(n_shards):
-        def build():
-            return ShardedWindowOperator(
-                n_shards,
-                assigner,
-                make_aggregate(aggregate_name),
-                lambda: KSlackHandler(k),
-                mode="tree",
-                track_feedback=False,
-            )
-
-        return build
-
-    configs = [("single tree", make_tree)]
-    configs += [
-        (f"sharded({n}) tree", make_sharded(n)) for n in (2, 4, 8)
+    # (config, overlap, factory, batch size, baseline config)
+    rows = []
+    for overlap, (size, slide) in E17_WINDOWS.items():
+        naive = f"naive ov={overlap}"
+        rows.append((naive, overlap, window_operator(size, slide), 0, None))
+        rows.append(
+            (f"tree ov={overlap}", overlap, window_operator(size, slide, "tree"), 0, naive)
+        )
+    rows.append(("naive+aq-k ov=20", 20, aqk_operator, 0, None))
+    rows += [
+        (name.replace(" ov=20", " batched ov=20"), 20, factory, batch_size, name)
+        for name, overlap, factory, _, _ in rows
+        if overlap == 20
     ]
-    timed = _run_timed_configs(stream, configs)
-    baseline_eps, baseline_results = timed["single tree"]
-    baseline_map = result_map(baseline_results)
-    for name, _factory in configs:
-        eps, results = timed[name]
+
+    timed = _run_timed_configs(
+        stream, [(name, factory, batch) for name, _, factory, batch, _ in rows]
+    )
+    for name, overlap, _factory, _batch, baseline in rows:
+        eps, output = timed[name]
         result.add_row(
             config=name,
+            overlap=overlap,
             eps=eps,
-            speedup_vs_single=(
-                eps / baseline_eps if name != "single tree" else None
-            ),
-            results_equal=(
-                result_map(results) == baseline_map
-                if name != "single tree"
-                else True
-            ),
+            baseline=baseline,
+            ratio=eps / timed[baseline][0] if baseline else None,
+            results_equal=baseline is None
+            or _same_results(output.results, timed[baseline][1].results),
         )
     return result
+
+
+# --------------------------------------------------------------------- #
+# E21: sharded execution, in-process and on a process pool
 
 
 def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
-    """Table E21: process-pool shard execution vs in-process and single tree.
+    """Table E21: process-pool shards vs in-process shards vs single tree.
 
-    The same 16-key, overlap-64 workload as E20, but the sharded configs
-    now compare the in-process executor (``serial(n)``) against the process pool
-    (:class:`~repro.engine.process_pool.ProcessShardExecutor`): chunked
-    incremental dispatch onto a warm pool of spawn-started workers, so
-    shards compute on real cores in parallel.  Each process config keeps
-    one executor alive across the warmup round and all timed repeats —
-    the warm-pool amortization the executor is designed around — and its
-    eps includes routing, chunk encoding, IPC and the merge.
+    A 16-key workload under a high-overlap sliding window (overlap 64:
+    8s window, 0.125s slide), the regime where per-close cost dominates.
+    Sharding routes each key to one of n shards, each closing windows over
+    1/n of the keys with its own tree-mode operator, and a deterministic
+    merge recombines the per-shard windows.  K is the empirical max delay
+    plus epsilon, so nothing is late and every config is value-comparable.
+
+    ``serial(n)`` runs the shards in-process, every shard on the
+    coordinator's core: these rows are the reference the process rows
+    must reproduce, not a speedup (per-shard operators track fewer
+    windows, which does not pay for routing and the merge).  ``process(n)``
+    runs them on a :class:`~repro.engine.process_pool.ProcessShardExecutor`:
+    chunked incremental dispatch onto a warm pool of spawn-started
+    workers, kept alive across the warmup round and all timed repeats, so
+    shards compute on real cores; its eps includes routing, chunk
+    encoding, IPC and the merge.
 
     ``results_equal`` checks rounded per-group values/counts against the
-    single tree baseline; ``identical_to_serial`` checks the process
-    run's full result list bit-for-bit against the in-process run with
-    the same shard count (the executor-independence half of the shard
-    contract).  Headline (on a >=4-core runner): process(4) beats the
-    single tree; CI gates process(2) >= serial(2).  ``cpu_count`` is
-    recorded in the notes so gates can be scoped to runners that can
-    physically show parallel speedup.
+    single tree; ``identical_to_serial`` checks the process run's full
+    result list bit-for-bit against the in-process run with the same
+    shard count (the executor-independence half of the shard contract).
+    Headline (on a >=4-core runner): process(4) beats the single tree;
+    CI gates process(2) >= serial(2).  ``cpu_count`` is recorded in the
+    notes so gates can be scoped to runners that can physically show
+    parallel speedup.
     """
-    from repro.engine.handlers import KSlackHandler
     from repro.engine.parallel import ShardExecutor, ShardedWindowOperator
     from repro.engine.process_pool import ProcessShardExecutor
 
@@ -1228,11 +1044,14 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
         notes=[
             workload_summary(stream),
             f"16-key workload, sliding {64 * slide:g}s/{slide:g}s window, "
-            f"K-slack K={k:.3f}s, tree mode per shard, feedback off",
+            f"K-slack K={k:.3f}s (max delay + eps: no late drops), "
+            "tree mode per shard, feedback off",
+            "serial rows run in-process: the reference, not core-parallelism; "
+            "see docs/SCALING.md",
             "process rows: warm spawn pool, chunked dispatch "
             "(chunk_size=512), eps includes encode+IPC+merge",
             f"cpu_count={cpu_count}",
-            "methodology: warmup round + median of 3 interleaved repeats",
+            TIMING_NOTE,
         ],
     )
 
@@ -1264,16 +1083,17 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
         n: ProcessShardExecutor(max_workers=n) for n in shard_counts
     }
     try:
-        configs: list[tuple[str, Callable[[], Any]]] = [
-            ("single tree", make_tree)
+        configs: list[tuple[str, Callable[[], Any], int]] = [
+            ("single tree", make_tree, 0)
         ]
         for n in shard_counts:
-            configs.append((f"serial({n})", make_sharded(n, ShardExecutor)))
+            configs.append((f"serial({n})", make_sharded(n, ShardExecutor), 0))
         for n in shard_counts:
             configs.append(
                 (
                     f"process({n})",
                     make_sharded(n, lambda n=n: process_executors[n]),
+                    0,
                 )
             )
         timed = _run_timed_configs(stream, configs)
@@ -1281,36 +1101,26 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
         for executor in process_executors.values():
             executor.close()
 
-    def result_map(results):
-        return {
-            (r.key, r.window): (round(r.value, 9), r.count) for r in results
-        }
-
     def exact(results):
         return [
             (r.key, r.window, float(r.value), r.count, r.emit_time, r.flushed)
             for r in results
         ]
 
-    baseline_eps, baseline_results = timed["single tree"]
-    baseline_map = result_map(baseline_results)
-    for name, _factory in configs:
-        eps, results = timed[name]
+    baseline_eps, baseline = timed["single tree"]
+    for name, _factory, _batch_size in configs:
+        eps, output = timed[name]
         identical = None
         if name.startswith("process("):
             serial_twin = "serial(" + name[len("process("):]
-            identical = exact(results) == exact(timed[serial_twin][1])
+            identical = exact(output.results) == exact(timed[serial_twin][1].results)
         result.add_row(
             config=name,
             eps=eps,
             speedup_vs_tree=(
                 eps / baseline_eps if name != "single tree" else None
             ),
-            results_equal=(
-                result_map(results) == baseline_map
-                if name != "single tree"
-                else True
-            ),
+            results_equal=_same_results(output.results, baseline.results),
             identical_to_serial=identical,
         )
     return result
@@ -1332,10 +1142,7 @@ EXPERIMENTS = {
     "E14": e14_ablation_sampling,
     "E15": e15_join_quality,
     "E16": e16_pattern_quality,
-    "E17": e17_slice_execution,
-    "E18": e18_batched_throughput,
-    "E19": e19_tree_execution,
-    "E20": e20_sharded_throughput,
+    "E17": e17_execution_paths,
     "E21": e21_process_throughput,
 }
 
@@ -1353,17 +1160,21 @@ def run_experiment(experiment_id: str, scale: float = 1.0) -> ExperimentResult:
 
 def main(argv: list[str] | None = None) -> int:
     """Script entry point: render selected experiments as tables."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    scale = 1.0
-    if "--scale" in argv:
-        index = argv.index("--scale")
-        scale = float(argv[index + 1])
-        del argv[index : index + 2]
-    if not argv or argv == ["all"]:
-        argv = list(EXPERIMENTS)
-    for experiment_id in argv:
-        print(render_table(run_experiment(experiment_id, scale=scale)))
-        print()
+    parser = argparse.ArgumentParser(
+        prog="repro.bench.experiments",
+        description="Render reconstructed experiments as ASCII tables.",
+    )
+    parser.add_argument("ids", nargs="*", help="experiment ids, or all (default)")
+    parser.add_argument("--scale", type=float, default=1.0)
+    args = parser.parse_args(argv)
+    ids = list(EXPERIMENTS) if args.ids in ([], ["all"]) else args.ids
+    try:
+        for experiment_id in ids:
+            print(render_table(run_experiment(experiment_id, scale=args.scale)))
+            print()
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

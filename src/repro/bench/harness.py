@@ -12,8 +12,8 @@ three steps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class WorkloadSpec:
 
     def scaled(self, scale: float) -> "WorkloadSpec":
         """Shrink/grow the workload duration (benchmarks run scaled down)."""
-        if scale <= 0:
-            raise ExperimentError(f"scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ExperimentError(f"scale must be positive and finite, got {scale}")
         return WorkloadSpec(
             duration=self.duration * scale,
             rate=self.rate,
@@ -177,14 +177,6 @@ def run_policy(
         final_slack=handler.current_slack,
         max_buffered=handler.max_buffered_count(),
     )
-
-
-def sweep(
-    values: list,
-    runner: Callable[[object], PolicyRun],
-) -> list[tuple[object, PolicyRun]]:
-    """Run one policy per sweep value."""
-    return [(value, runner(value)) for value in values]
 
 
 def standard_query(window: float = 10.0, slide: float = 2.0) -> SlidingWindowAssigner:

@@ -1,10 +1,10 @@
-"""Quick throughput check: E8 + E17 + E18 + E19 + E20 + E21 at reduced scale.
+"""Quick throughput check: E8 + E17 + E21 at reduced scale.
 
-CI convenience (``make bench-quick``): runs the throughput-oriented
-experiments small enough for a pull-request gate, prints their tables,
-and writes one machine-readable summary per gated experiment —
-batched execution (E18), tree execution (E19), sharded execution (E20)
-and the process pool (E21) — as ``BENCH_<eid>.json`` under ``--out-dir``::
+CI convenience (``make bench-quick``): runs the throughput experiments
+small enough for a pull-request gate, prints their tables, and writes one
+machine-readable summary per gated experiment — the window execution
+paths (E17) and sharded execution (E21) — as ``BENCH_<eid>.json`` under
+``--out-dir``::
 
     python -m repro.bench.quick --scale 0.1 --out-dir .
 
@@ -16,9 +16,10 @@ Every summary has one shape: ``experiment``, ``title``, the table's
 ``python``, ``platform``, ``scale``, ``git_commit``), so elements/second
 from different files — and from ``perfbench/out`` — can be told apart
 by the machine and commit that produced them.  The run fails (exit 1)
-when any path's results diverge or when an E21 gate fails (E19 and E20
-gate result equality only; throughput gates for them are yet to be
-defined from fresh runs, ROADMAP item 5a).  The E21 summary adds its
+when any path's results diverge or when an E21 gate fails (E17 gates
+result equality only; its throughput gates live in ``benchmarks/``,
+ROADMAP item 6), and exits 2 on a bad argument such as a non-positive
+scale.  The E21 summary adds its
 ``gates``, which are *core-scoped*: ``process(4) > single tree`` needs a
 runner with at least 4 CPUs and ``process(2) >= serial(2)`` needs at
 least 2 — on smaller runners they are recorded as skipped in the
@@ -41,11 +42,12 @@ from pathlib import Path
 
 from repro.bench.experiments import run_experiment
 from repro.bench.report import ExperimentResult, render_table
+from repro.errors import ReproError
 
-QUICK_EXPERIMENTS = ("E8", "E17", "E18", "E19", "E20", "E21")
+QUICK_EXPERIMENTS = ("E8", "E17", "E21")
 
 #: The quick experiments that leave a ``BENCH_<eid>.json`` and are gated.
-SUMMARIZED = ("E18", "E19", "E20", "E21")
+SUMMARIZED = ("E17", "E21")
 
 
 def fingerprint(scale: float) -> dict:
@@ -157,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro.bench.quick",
         description=(
             "Run the quick throughput experiments "
-            "(E8, E17, E18, E19, E20, E21)."
+            f"({', '.join(QUICK_EXPERIMENTS)})."
         ),
     )
     parser.add_argument(
@@ -197,7 +199,11 @@ def main(argv: list[str] | None = None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     for experiment_id in selected:
-        result = run_experiment(experiment_id, scale=args.scale)
+        try:
+            result = run_experiment(experiment_id, scale=args.scale)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(render_table(result))
         print()
         if experiment_id not in SUMMARIZED:

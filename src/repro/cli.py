@@ -124,12 +124,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         query = query.without_buffering()
     query = query.mode(args.mode)
+    if args.chunk_size is not None and args.executor != "process":
+        raise ConfigurationError(
+            "chunk_size only applies to the \"process\" executor"
+        )
     if args.shards:
         query = query.shards(args.shards)
         if args.executor:
-            query = query.executor(
-                args.executor, chunk_size=args.chunk_size or None
-            )
+            query = query.executor(args.executor, chunk_size=args.chunk_size)
     elif args.executor:
         raise ConfigurationError("--executor requires --shards N")
 
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--chunk-size",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
         help="elements per dispatched chunk for --executor process "
         "(default 512)",

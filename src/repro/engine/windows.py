@@ -48,10 +48,6 @@ class WindowAssigner(ABC):
     def assign(self, timestamp: EventTimeStamp) -> list[Window]:
         """All windows containing ``timestamp``, in ascending start order."""
 
-    @abstractmethod
-    def windows_ending_in(self, start: EventTimeStamp, end: EventTimeStamp) -> list[Window]:
-        """All windows whose end lies in ``(start, end]`` — used by oracles."""
-
     def describe(self) -> str:
         """Short label for logs and experiment tables."""
         return type(self).__name__
@@ -100,19 +96,6 @@ class SlidingWindowAssigner(WindowAssigner):
                 windows.append(window)
             index -= 1
         windows.reverse()
-        return windows
-
-    def windows_ending_in(self, start: EventTimeStamp, end: EventTimeStamp) -> list[Window]:
-        first_end = math.floor(start / self.slide) * self.slide + self.size
-        while first_end <= start:
-            first_end += self.slide
-        windows = []
-        window_end = first_end
-        while window_end <= end:
-            window_start = window_end - self.size
-            if window_start >= 0:
-                windows.append(Window(window_start, window_end))
-            window_end += self.slide
         return windows
 
     def describe(self) -> str:

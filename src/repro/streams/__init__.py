@@ -36,7 +36,6 @@ from repro.streams.multisource import merge_streams
 from repro.streams.timebase import (
     EventTimeFrontier,
     MonotoneFrontier,
-    SimulatedClock,
     times_equal,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "RandomWalkValues",
     "RegimeSwitchingDelay",
     "ShiftedDelay",
-    "SimulatedClock",
     "SinusoidValues",
     "SpikyValues",
     "StreamElement",

@@ -172,10 +172,10 @@ def generate_stream(
     Returns:
         Elements sorted by event time, without arrival timestamps.
     """
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    if rate <= 0:
-        raise ConfigurationError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(f"duration must be positive and finite, got {duration}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ConfigurationError(f"rate must be positive and finite, got {rate}")
     if arrival not in ("poisson", "uniform"):
         raise ConfigurationError(f"unknown arrival process {arrival!r}")
 

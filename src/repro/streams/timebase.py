@@ -1,4 +1,4 @@
-"""Simulated clocks and time-domain helpers.
+"""Time-domain markers, frontiers and helpers.
 
 The engine runs on *simulated time*: the processing clock of a pipeline is
 the arrival timestamp of the element currently being processed, which makes
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Annotated
 
-from repro.errors import ConfigurationError
 
 
 class EventTime:
@@ -115,40 +114,6 @@ class MonotoneFrontier:
         """End of stream: jump the frontier to ``+inf`` and return it."""
         self._value = float("inf")
         return self._value
-
-
-class SimulatedClock:
-    """A monotone simulated clock driven by observed timestamps.
-
-    The clock never moves backwards; feeding it an older timestamp leaves it
-    unchanged.  This mirrors how stream processors derive their event-time
-    frontier from the maximum timestamp seen so far.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: ArrivalTimeStamp = 0.0) -> None:
-        if start < 0:
-            raise ConfigurationError(f"clock start must be non-negative, got {start}")
-        self._now = start
-
-    @property
-    def now(self) -> ArrivalTimeStamp:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def advance_to(self, timestamp: ArrivalTimeStamp) -> ArrivalTimeStamp:
-        """Advance the clock to ``timestamp`` if it is ahead; return now."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
-    def advance_by(self, delta: DurationS) -> ArrivalTimeStamp:
-        """Advance the clock by a non-negative delta; return now."""
-        if delta < 0:
-            raise ConfigurationError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
 
 
 class EventTimeFrontier:

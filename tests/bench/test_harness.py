@@ -8,7 +8,6 @@ from repro.bench.harness import (
     make_policy,
     run_policy,
     standard_query,
-    sweep,
     workload_summary,
 )
 from repro.core.aqk import AQKSlackHandler
@@ -43,6 +42,11 @@ class TestWorkloadSpec:
     def test_bad_scale_rejected(self):
         with pytest.raises(ExperimentError):
             WorkloadSpec().scaled(0.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ExperimentError, match="finite"):
+            WorkloadSpec().scaled(scale)
 
     def test_arrival_ordered_output(self):
         stream = WorkloadSpec(duration=10, rate=20).build()
@@ -112,14 +116,13 @@ class TestRunPolicy:
 
 
 class TestHelpers:
-    def test_sweep_runs_each_value(self):
+    def test_latency_grows_with_k(self):
         stream = WorkloadSpec(duration=40, rate=20).build()
-        results = sweep(
-            [0.0, 1.0],
-            lambda k: run_policy(stream, standard_query(), "count", KSlackHandler(k)),
+        short, long = (
+            run_policy(stream, standard_query(), "count", KSlackHandler(k))
+            for k in (0.0, 1.0)
         )
-        assert [value for value, __ in results] == [0.0, 1.0]
-        assert results[1][1].latency.mean > results[0][1].latency.mean
+        assert long.latency.mean > short.latency.mean
 
     def test_workload_summary_mentions_disorder(self):
         stream = WorkloadSpec(duration=10, rate=20).build()

@@ -1,6 +1,8 @@
 """Tests for experiment result containers and table rendering."""
 
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -174,3 +176,54 @@ class TestE21Summary:
         entry = summary["gates"]["process2_over_tree"]
         assert entry["status"] == "skipped" and entry["ratio"] == 0.4
         assert quick.check_e21(summary) == []
+
+
+class TestE17Summary:
+    """The quick bench's E17 artifact fails the run on any diverging row."""
+
+    def test_one_diverging_row_fails_the_check(self):
+        from repro.bench import quick
+
+        result = ExperimentResult(
+            "E17", "t", ["config", "overlap", "eps", "baseline", "ratio", "results_equal"]
+        )
+        result.add_row(
+            config="naive ov=20", overlap=20, eps=100.0, baseline=None,
+            ratio=None, results_equal=True,
+        )
+        result.add_row(
+            config="tree ov=20", overlap=20, eps=150.0, baseline="naive ov=20",
+            ratio=1.5, results_equal=False,
+        )
+        summary = quick.summarize(result, scale=0.1)
+        assert quick.check_results_equal(summary) == [
+            "E17 result mismatch at tree ov=20"
+        ]
+
+
+class TestCheckedInArtifacts:
+    """The ``BENCH_e*.json`` files at the repository root are one
+    ``make bench-quick`` run: exactly the summarized experiments, each in
+    the summary schema, all from one commit at one scale."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+    def test_artifacts_are_one_quick_run(self):
+        from repro.bench import quick
+
+        expected = {f"BENCH_{eid.lower()}.json": eid for eid in quick.SUMMARIZED}
+        paths = sorted(self.ROOT.glob("BENCH_e*.json"))
+        assert [path.name for path in paths] == sorted(expected)
+        summaries = [json.loads(path.read_text()) for path in paths]
+        for path, summary in zip(paths, summaries):
+            eid = expected[path.name]
+            assert summary["experiment"] == eid
+            assert set(summary) == {"experiment", "title", "fingerprint", "rows"} | (
+                {"gates"} if eid == "E21" else set()
+            )
+            assert set(summary["fingerprint"]) == {
+                "nproc", "python", "platform", "scale", "git_commit"
+            }
+            assert summary["rows"] and all(row["results_equal"] for row in summary["rows"])
+        assert len({s["fingerprint"]["git_commit"] for s in summaries}) == 1
+        assert len({s["fingerprint"]["scale"] for s in summaries}) == 1

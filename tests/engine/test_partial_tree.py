@@ -69,9 +69,6 @@ class NoWindows(WindowAssigner):
     def assign(self, timestamp):
         return []
 
-    def windows_ending_in(self, start, end):
-        return []
-
 
 def test_rejects_non_sliding_assigner():
     with pytest.raises(ConfigurationError):

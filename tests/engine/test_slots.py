@@ -25,7 +25,7 @@ from repro.engine.aggregates import CountAggregate
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceEvent
 from repro.streams.element import StreamElement, Watermark
-from repro.streams.timebase import EventTimeFrontier, MonotoneFrontier, SimulatedClock
+from repro.streams.timebase import EventTimeFrontier, MonotoneFrontier
 
 
 HOT_INSTANCES = [
@@ -37,7 +37,6 @@ HOT_INSTANCES = [
         latency=0.0,
     ),
     MonotoneFrontier(),
-    SimulatedClock(),
     EventTimeFrontier(),
     SortingBuffer(),
     _SliceAssignCache(SlidingWindowAssigner(8, 1)),

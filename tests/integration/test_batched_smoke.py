@@ -1,7 +1,7 @@
 """Tier-1 smoke: a batched run emits what the scalar run emits.
 
 One 20k-element run per driver.  That the batched one is no slower is
-timed in ``benchmarks/test_e18_batched_throughput.py`` (``make bench``):
+timed in ``benchmarks/test_e17_execution_paths.py`` (``make bench``):
 on a shared box two ~50 ms runs cannot carry a timing assertion (it
 failed 2 of 100 trials at PR 21).
 """

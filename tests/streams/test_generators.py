@@ -65,6 +65,11 @@ class TestGenerateStream:
             {"duration": 0, "rate": 1},
             {"duration": 10, "rate": 0},
             {"duration": 10, "rate": 5, "arrival": "bogus"},
+            # Non-finite sizes: the arrival loop would never reach them.
+            {"duration": float("nan"), "rate": 1},
+            {"duration": float("inf"), "rate": 1},
+            {"duration": 10, "rate": float("inf")},
+            {"duration": 10, "rate": float("nan")},
         ],
     )
     def test_invalid_parameters_rejected(self, rng, kwargs):

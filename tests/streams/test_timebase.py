@@ -1,40 +1,6 @@
-"""Tests for simulated clocks and the event-time frontier."""
+"""Tests for the event-time frontiers and time-domain helpers."""
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.streams.timebase import EventTimeFrontier, SimulatedClock, times_equal
-
-
-class TestSimulatedClock:
-    def test_starts_at_zero(self):
-        assert SimulatedClock().now == 0.0
-
-    def test_custom_start(self):
-        assert SimulatedClock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulatedClock(-1.0)
-
-    def test_advance_to_moves_forward(self):
-        clock = SimulatedClock()
-        assert clock.advance_to(3.0) == 3.0
-        assert clock.now == 3.0
-
-    def test_advance_to_never_regresses(self):
-        clock = SimulatedClock()
-        clock.advance_to(3.0)
-        assert clock.advance_to(1.0) == 3.0
-        assert clock.now == 3.0
-
-    def test_advance_by(self):
-        clock = SimulatedClock(1.0)
-        assert clock.advance_by(0.5) == 1.5
-
-    def test_advance_by_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulatedClock().advance_by(-0.1)
+from repro.streams.timebase import EventTimeFrontier, times_equal
 
 
 class TestEventTimeFrontier:

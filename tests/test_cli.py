@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_delay_model
@@ -164,6 +169,22 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--shards", "2"], ["--shards", "2", "--executor", "serial"]],
+        ids=["unsharded", "sharded", "serial"],
+    )
+    def test_chunk_size_needs_the_process_executor(self, trace, capsys, extra):
+        code = main(
+            ["run", trace, "--window", "5", "--slide", "1",
+             "--chunk-size", "64", *extra]
+        )
+        assert code == 2
+        assert (
+            'chunk_size only applies to the "process" executor'
+            in capsys.readouterr().err
+        )
+
     def test_missing_trace_is_error(self, tmp_path, capsys):
         code = main(
             ["run", str(tmp_path / "absent.csv"), "--window", "5", "--slide", "1"]
@@ -236,3 +257,50 @@ class TestQueryCommand:
         code = main(["query", trace, "SELECT bogus FROM"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_module(*args):
+    """Run ``python -m <args>`` from the repository root, bounded in time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestNonFiniteSizes:
+    """A NaN or infinite size is refused at once (it used to loop forever)."""
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_generate(self, tmp_path, duration):
+        done = run_module(
+            "repro", "generate", "--duration", duration, "--rate", "10",
+            "--out", str(tmp_path / "trace.csv"),
+        )
+        assert done.returncode == 2
+        assert "finite" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_experiment(self, scale):
+        done = run_module("repro", "experiment", "E8", "--scale", scale)
+        assert done.returncode == 2
+        assert "finite" in done.stderr and "Traceback" not in done.stderr
+
+    def test_quick_bench_rejects_zero_scale(self, tmp_path):
+        done = run_module(
+            "repro.bench.quick", "--scale", "0", "--out-dir", str(tmp_path)
+        )
+        assert done.returncode == 2
+        assert "scale must be positive" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_experiments_script_needs_a_scale_value(self):
+        done = run_module("repro.bench.experiments", "E8", "--scale")
+        assert done.returncode == 2
+        assert "--scale" in done.stderr and "Traceback" not in done.stderr
