@@ -41,7 +41,6 @@ def main(duration: float = 450.0) -> None:
         .window(sliding(10, 2))
         .aggregate("mean")
         .with_quality(0.05)
-        .sampling_timeline(200)
         .run()
     )
 

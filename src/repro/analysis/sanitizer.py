@@ -40,13 +40,12 @@ offered (true for every handler in this package).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Iterable
 
 from repro.engine.handlers import Checkpoints, DisorderHandler
 from repro.engine.operator import Operator, WindowResult
-from repro.errors import ConfigurationError, SanitizerError
+from repro.errors import SanitizerError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
 
@@ -56,36 +55,12 @@ from repro.streams.element import StreamElement
 _LATENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SanitizerConfig:
-    """Which StreamSan checkers run.
-
-    Attributes:
-        check_frontier: Frontier monotonicity / NaN checks.
-        check_release: No element lingers at or below the frontier.
-        check_checkpoints: ``offer_many`` checkpoint structure checks.
-        check_accounting: ``released_count``/``buffered_count`` bookkeeping.
-        check_emissions: Window lifecycle checks on operator results.
-        accounting_period: Audit the accounting counters on the first and
-            then every N-th ``offer`` (``offer_many`` and ``flush`` always
-            audit).  Counter drift is permanent, so a periodic audit still
-            catches every accounting bug — at most N calls late — while
-            keeping three proxied count calls off the per-element hot path.
-            ``1`` audits every offer.
-    """
-
-    check_frontier: bool = True
-    check_release: bool = True
-    check_checkpoints: bool = True
-    check_accounting: bool = True
-    check_emissions: bool = True
-    accounting_period: int = 32
-
-    def __post_init__(self) -> None:
-        if self.accounting_period < 1:
-            raise ConfigurationError(
-                f"accounting_period must be >= 1, got {self.accounting_period}"
-            )
+#: ``offer`` audits the accounting counters on its first call and then on
+#: every N-th (``offer_many`` and ``flush`` always audit).  Counter drift is
+#: permanent, so a periodic audit still catches every accounting bug — at
+#: most N calls late — while keeping three proxied count calls off the
+#: per-element hot path.
+ACCOUNTING_PERIOD = 32
 
 
 class SanitizingHandler(DisorderHandler):
@@ -96,18 +71,9 @@ class SanitizingHandler(DisorderHandler):
     introspects concrete handlers keeps working.
     """
 
-    def __init__(
-        self, inner: DisorderHandler, config: SanitizerConfig | None = None
-    ) -> None:
+    def __init__(self, inner: DisorderHandler) -> None:
         self.inner = inner
-        self.config = config or SanitizerConfig()
         self.name = getattr(inner, "name", "handler")
-        # The per-element hot path reads these instead of chasing the
-        # config dataclass's attributes on every offer.
-        self._chk_frontier = self.config.check_frontier
-        self._chk_release = self.config.check_release
-        self._chk_accounting = self.config.check_accounting
-        self._audit_period = self.config.accounting_period
         # Countdown to the next accounting audit; starts at 1 so the very
         # first offer is audited (miswired handlers surface immediately).
         self._audit_in = 1
@@ -191,21 +157,18 @@ class SanitizingHandler(DisorderHandler):
 
     def _check_frontier_step(self, where: str) -> float:
         frontier = self.inner.frontier
-        if self.config.check_frontier:
-            if isinstance(frontier, float) and math.isnan(frontier):
-                self._fail("frontier", f"frontier is NaN after {where}")
-            if frontier < self._last_frontier:
-                self._fail(
-                    "frontier",
-                    f"frontier moved backwards after {where}: "
-                    f"{self._last_frontier} -> {frontier}",
-                )
+        if isinstance(frontier, float) and math.isnan(frontier):
+            self._fail("frontier", f"frontier is NaN after {where}")
+        if frontier < self._last_frontier:
+            self._fail(
+                "frontier",
+                f"frontier moved backwards after {where}: "
+                f"{self._last_frontier} -> {frontier}",
+            )
         self._last_frontier = max(self._last_frontier, frontier)
         return frontier
 
     def _check_release_invariant(self, frontier: float, where: str) -> None:
-        if not self.config.check_release:
-            return
         heap = self._inflight_heap
         inflight = self._inflight
         while heap and heap[0] not in inflight:
@@ -219,8 +182,6 @@ class SanitizingHandler(DisorderHandler):
             )
 
     def _check_accounting(self, where: str) -> None:
-        if not self.config.check_accounting:
-            return
         if self._tracks_released:
             reported = self.inner.released_count()
             # Both sides are integer element counters, not float folds.
@@ -253,8 +214,6 @@ class SanitizingHandler(DisorderHandler):
         checkpoints: Checkpoints,
         frontier_before: float,
     ) -> None:
-        if not self.config.check_checkpoints:
-            return
         if len(checkpoints) != len(elements):
             self._fail(
                 "checkpoints",
@@ -338,33 +297,32 @@ class SanitizingHandler(DisorderHandler):
             self._last_frontier = frontier
         # Exact comparisons are deliberate (R03): a stalled frontier repeats
         # the identical float, so anything not >, == or NaN moved backwards.
-        elif frontier != last and self._chk_frontier:  # repro-lint: disable=R03
+        elif frontier != last:  # repro-lint: disable=R03
             if frontier != frontier:  # repro-lint: disable=R03 - NaN probe
                 self._fail("frontier", "frontier is NaN after offer")
             self._fail(
                 "frontier",
                 f"frontier moved backwards after offer: {last} -> {frontier}",
             )
-        if self._chk_release:
-            heap = self._inflight_heap
-            # Entries above the frontier are fine whether stale or live, so
-            # lazy deletion only has to run once the top dips below it.
+        heap = self._inflight_heap
+        # Entries above the frontier are fine whether stale or live, so
+        # lazy deletion only has to run once the top dips below it.
+        if heap and heap[0][0] <= frontier:
+            while heap and heap[0] not in inflight:
+                heappop(heap)
             if heap and heap[0][0] <= frontier:
-                while heap and heap[0] not in inflight:
-                    heappop(heap)
-                if heap and heap[0][0] <= frontier:
-                    self._fail(
-                        "release",
-                        f"element with event_time={heap[0][0]:g} still "
-                        f"buffered at or below the frontier {frontier:g} "
-                        "after offer — it must be released the moment the "
-                        "frontier passes it",
-                    )
+                self._fail(
+                    "release",
+                    f"element with event_time={heap[0][0]:g} still "
+                    f"buffered at or below the frontier {frontier:g} "
+                    "after offer — it must be released the moment the "
+                    "frontier passes it",
+                )
         countdown = self._audit_in - 1
         if countdown > 0:
             self._audit_in = countdown
         else:
-            self._audit_in = self._audit_period
+            self._audit_in = ACCOUNTING_PERIOD
             self._check_accounting("offer")
         return released
 
@@ -389,7 +347,7 @@ class SanitizingHandler(DisorderHandler):
         self._note_released(released)
         self._check_frontier_step("flush")
         self._check_accounting("flush")
-        if self.config.check_release and self._inflight:
+        if self._inflight:
             self._fail(
                 "release",
                 f"{sum(self._inflight.values())} offered element(s) never "
@@ -469,11 +427,8 @@ class SanitizingOperator(Operator):
     #: Attached tracer; a class attribute so reads never hit ``__getattr__``.
     tracer: Tracer = NULL_TRACER
 
-    def __init__(
-        self, inner: Operator, config: SanitizerConfig | None = None
-    ) -> None:
+    def __init__(self, inner: Operator) -> None:
         self.inner = inner
-        self.config = config or SanitizerConfig()
         self._inner_process = inner.process
         self._sanitized_handler: SanitizingHandler | None = None
         inner_handler = getattr(inner, "handler", None)
@@ -481,9 +436,7 @@ class SanitizingOperator(Operator):
             if isinstance(inner_handler, SanitizingHandler):
                 self._sanitized_handler = inner_handler
             else:
-                self._sanitized_handler = SanitizingHandler(
-                    inner_handler, self.config
-                )
+                self._sanitized_handler = SanitizingHandler(inner_handler)
                 inner.handler = self._sanitized_handler  # type: ignore[attr-defined]
         self._emitted: set[tuple[object, float, float, int]] = set()
         self._last_emit_time = float("-inf")
@@ -513,8 +466,6 @@ class SanitizingOperator(Operator):
     def _check_results(
         self, results: list[WindowResult], flushing: bool
     ) -> None:
-        if not self.config.check_emissions:
-            return
         handler = self._sanitized_handler
         frontier = handler.frontier if handler is not None else None
         for result in results:
@@ -597,20 +548,18 @@ class SanitizingOperator(Operator):
         return getattr(inner, name)
 
 
-def sanitize_operator(
-    operator: Operator, config: SanitizerConfig | None = None
-) -> Operator:
+def sanitize_operator(operator: Operator) -> Operator:
     """Put ``operator`` (and its handler) under the StreamSan checkers.
 
     What ``run_pipeline(sanitize=True)`` and each sanitized shard runner
     apply, and the entry point for driving an operator by hand.  An
     operator that sanitizes its own parts (it has ``configure_sanitizer``,
     like the sharded coordinator) is told to and returned unwrapped; its
-    shards run under the default :class:`SanitizerConfig`.  Any other
-    operator comes back wrapped in a :class:`SanitizingOperator`.
+    shards run under the same checkers.  Any other operator comes back
+    wrapped in a :class:`SanitizingOperator`.
     """
     configure = getattr(operator, "configure_sanitizer", None)
     if configure is not None:
         configure()
         return operator
-    return SanitizingOperator(operator, config)
+    return SanitizingOperator(operator)

@@ -156,13 +156,12 @@ def run_policy(
     oracle: dict | None = None,
     name: str | None = None,
     keep_scores: bool = False,
-    sample_every: int = 0,
 ) -> PolicyRun:
     """Run one policy over a stream; score against the oracle."""
     if isinstance(aggregate, str):
         aggregate = make_aggregate(aggregate)
     operator = WindowAggregateOperator(assigner, aggregate, handler)
-    output = run_pipeline(stream, operator, sample_every=sample_every)
+    output = run_pipeline(stream, operator)
     if oracle is None:
         oracle = oracle_results(stream, assigner, aggregate)
     report = assess_quality(

@@ -27,7 +27,7 @@ from repro.engine.handlers import (
     MPKSlackHandler,
     NoBufferHandler,
 )
-from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
+from repro.engine.metrics import LatencySummary, RunMetrics
 from repro.engine.multisource import MultiSourceWatermarkHandler
 from repro.engine.operator import Operator, WindowResult
 from repro.engine.oracle import oracle_results
@@ -111,7 +111,6 @@ __all__ = [
     "ShardSpec",
     "ShardedHandlerView",
     "ShardedWindowOperator",
-    "SlackSample",
     "SlidingWindowAssigner",
     "SortingBuffer",
     "SpeculativeAggregateOperator",

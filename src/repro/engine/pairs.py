@@ -34,6 +34,7 @@ from abc import abstractmethod
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
+from repro.engine.aggregate_op import OperatorStats
 from repro.engine.handlers import DisorderHandler
 from repro.engine.operator import Operator
 from repro.errors import ConfigurationError
@@ -110,7 +111,8 @@ class PairMatchOperator(Operator):
         self._shadows: tuple[_RoleStore, _RoleStore] = ({}, {})
         self.emitted = 0
         self.lost = 0
-        self.late_dropped = 0
+        # run_pipeline reads the late drops from here, as from every operator.
+        self.stats = OperatorStats()
         self._prune_frontier = float("-inf")
         self._last_arrival = 0.0
         self._arrivals = 0
@@ -127,6 +129,11 @@ class PairMatchOperator(Operator):
     def set_tracer(self, tracer: Tracer) -> None:
         """Attach a tracer to the handler (and its buffer)."""
         self.handler.set_tracer(tracer)
+
+    @property
+    def late_dropped(self) -> int:
+        """Elements ingested below the prune line: their pairs are lost."""
+        return self.stats.late_dropped
 
     @property
     def current_slack(self) -> DurationS:
@@ -160,7 +167,7 @@ class PairMatchOperator(Operator):
         roles = self.roles_of(element)
         if element.event_time < self._prune_frontier:
             # Partners below the prune line are gone: their pairs are lost.
-            self.late_dropped += 1
+            self.stats.late_dropped += 1
         if self.shadow_horizon > 0:
             # Every element is checked, not only flagged-late ones: an
             # on-time element can have in-bound partners that were pruned

@@ -687,6 +687,13 @@ class ShardedWindowOperator(Operator):
         """Publish per-shard metrics into ``registry`` at finish."""
         self._registry = registry
 
+    def __getstate__(self) -> dict[str, Any]:
+        # A registry holds a lock and does not pickle: a checkpoint leaves
+        # it out, and the next ``set_registry`` attaches one again.
+        state = self.__dict__.copy()
+        state["_registry"] = None
+        return state
+
     # -- routing ------------------------------------------------------- #
 
     def _route(self, element: StreamElement) -> int:

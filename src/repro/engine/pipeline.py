@@ -6,9 +6,10 @@ processed; wall-clock time is measured separately for throughput numbers.
 Observability: ``run_pipeline`` accepts a
 :class:`~repro.obs.trace.Tracer` (``trace=``) — attached to the operator,
 its handler and the sorting buffer for the duration of the run — and a
-:class:`~repro.obs.registry.MetricsRegistry` (``registry=``), which the
-run keeps current chunk-by-chunk so callers holding the registry can
-sample progress live.  Both default to off and cost nothing when unused.
+:class:`~repro.obs.registry.MetricsRegistry` (``registry=``), whose
+progress instruments the run keeps current chunk-by-chunk and into which
+it publishes its :class:`RunMetrics` when it ends.  Both default to off
+and cost nothing when unused.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.engine.metrics import LatencySummary, RunMetrics, SlackSample
+from repro.engine.metrics import METRIC_NAMES, LatencySummary, RunMetrics
 from repro.engine.operator import Operator, WindowResult
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -57,7 +58,6 @@ def _sim_time_of(element: StreamElement) -> float:
 def run_pipeline(
     elements: list[StreamElement],
     operator: Operator,
-    sample_every: int = 0,
     batch_size: int = 0,
     sanitize: bool = False,
     trace: Tracer | None = None,
@@ -68,19 +68,12 @@ def run_pipeline(
     Args:
         elements: Arrival-ordered stream (see ``inject_disorder``).
         operator: The operator under test.
-        sample_every: When positive and the operator exposes a disorder
-            handler, record a :class:`SlackSample` every N elements for
-            adaptation-timeline plots.  Sampling is anchored at the first
-            element that caused a release, so timelines never start with a
-            spurious ``-inf`` frontier point.
         batch_size: When > 1, drive the operator through
             :meth:`~repro.engine.operator.Operator.process_many` in chunks
             of up to ``batch_size`` elements.  Simulated-time semantics
-            (emit times, latencies, feedback, slack timeline) are identical
-            to the scalar path; only wall-clock throughput changes.  Chunk
-            boundaries are aligned to sampling points so timelines match the
-            scalar run sample-for-sample (where an error-fed adaptation
-            needs a cut, ``process_many`` makes it itself).
+            (emit times, latencies, feedback) are identical to the scalar
+            path; only wall-clock throughput changes (where an error-fed
+            adaptation needs a cut, ``process_many`` makes it itself).
         sanitize: ``True`` wraps the operator and its handler in the
             StreamSan runtime checkers (see
             :mod:`repro.analysis.sanitizer`); any violation raises
@@ -94,11 +87,12 @@ def run_pipeline(
             leaves the shared null tracer in place — the hot path pays one
             attribute check per trace site.  Trace content never influences
             results: a traced run emits bit-identical windows.
-        registry: Back the run's :class:`RunMetrics` with this registry
-            and keep its instruments current while the run executes
-            (element/result counts per chunk, live buffer occupancy under
-            ``handler.buffered``).  ``None`` (default) uses a private
-            registry updated only at the end of the run.
+        registry: Keep ``pipeline.elements_in``, ``pipeline.results_out``
+            and ``handler.buffered`` in this registry current while the run
+            executes (per chunk, or per element on the scalar path), and
+            publish the finished :class:`RunMetrics` into it under
+            :data:`~repro.engine.metrics.METRIC_NAMES`.  ``None`` (default)
+            touches no registry.
 
     Returns:
         :class:`RunOutput` with all emitted window results and run metrics.
@@ -118,48 +112,22 @@ def run_pipeline(
         set_tracer = getattr(operator, "set_tracer", None)
         if set_tracer is not None:
             set_tracer(tracer)
-    metrics = RunMetrics(registry)
     if registry is not None:
         set_registry = getattr(operator, "set_registry", None)
         if set_registry is not None:
             set_registry(registry)
-    results: list[WindowResult] = []
-    handler = getattr(operator, "handler", None)
-    sampling = sample_every > 0 and handler is not None
-    n = len(elements)
-    sample_anchor = -1
-    timeline = metrics.slack_timeline
-    live = registry is not None
-    if registry is not None:
         live_elements = registry.counter("pipeline.elements_in")
         live_results = registry.counter("pipeline.results_out")
         live_buffered = registry.gauge("handler.buffered")
+    results: list[WindowResult] = []
+    handler = getattr(operator, "handler", None)
+    n = len(elements)
 
     def update_live(processed: int) -> None:
         live_elements.inc(processed)
         live_results.set(len(results))
         if handler is not None:
             live_buffered.set(handler.buffered_count())
-
-    def maybe_sample(index: int) -> None:
-        nonlocal sample_anchor
-        if sample_anchor < 0:
-            if handler.released_count() <= 0:
-                return
-            sample_anchor = index
-        if (index - sample_anchor) % sample_every:
-            return
-        element = elements[index]
-        if element.arrival_time is None:
-            return
-        timeline.append(
-            SlackSample(
-                arrival_time=element.arrival_time,
-                slack=handler.current_slack,
-                frontier=handler.frontier,
-                buffered=handler.buffered_count(),
-            )
-        )
 
     if tracer.enabled:
         tracer.emit(
@@ -177,61 +145,48 @@ def run_pipeline(
     start = time.perf_counter()  # repro-lint: disable=R01
     if batch_size > 1:
         process_many = operator.process_many
-        index = 0
-        while index < n:
-            if sampling and sample_anchor < 0:
-                # Scan one element at a time until the first release, so the
-                # sampling anchor lands on the same element as a scalar run.
-                results.extend(process_many(elements[index : index + 1]))
-                maybe_sample(index)
-                if live:
-                    update_live(1)
-                index += 1
-                continue
-            stop = min(index + batch_size, n)
-            if sampling:
-                ahead = (index - sample_anchor) % sample_every
-                next_sample = index + (sample_every - ahead) % sample_every
-                stop = min(stop, next_sample + 1)
-            results.extend(process_many(elements[index:stop]))
-            if sampling:
-                maybe_sample(stop - 1)
-            if live:
-                update_live(stop - index)
-            index = stop
-    elif sampling or live:
+        for index in range(0, n, batch_size):
+            chunk = elements[index : index + batch_size]
+            results.extend(process_many(chunk))
+            if registry is not None:
+                update_live(len(chunk))
+    elif registry is not None:
         process = operator.process
-        for index in range(n):
-            results.extend(process(elements[index]))
-            if sampling:
-                maybe_sample(index)
-            if live:
-                update_live(1)
+        for element in elements:
+            results.extend(process(element))
+            update_live(1)
     else:
         process = operator.process
         extend = results.extend
         for element in elements:
             extend(process(element))
     results.extend(operator.finish())
-    metrics.wall_time_s = time.perf_counter() - start  # repro-lint: disable=R01
+    wall_time_s = time.perf_counter() - start  # repro-lint: disable=R01
 
-    metrics.n_elements = n
-    metrics.n_results = len(results)
-    if handler is not None:
-        metrics.max_buffered = handler.max_buffered_count()
-        metrics.released_count = handler.released_count()
-
-    observed_errors: list[float] = []
     stats = getattr(operator, "stats", None)
-    if stats is not None:
-        metrics.late_dropped = getattr(stats, "late_dropped", 0)
-        observed_errors = list(getattr(stats, "observed_errors", []))
+    metrics = RunMetrics(
+        n_elements=n,
+        n_results=len(results),
+        wall_time_s=wall_time_s,
+        late_dropped=getattr(stats, "late_dropped", 0),
+        max_buffered=handler.max_buffered_count() if handler is not None else 0,
+        released_count=handler.released_count() if handler is not None else 0,
+    )
+    if registry is not None:
+        counter, gauge = registry.counter, registry.gauge
+        counter(METRIC_NAMES["n_elements"]).set(metrics.n_elements)
+        counter(METRIC_NAMES["n_results"]).set(metrics.n_results)
+        gauge(METRIC_NAMES["wall_time_s"]).set(metrics.wall_time_s)
+        counter(METRIC_NAMES["late_dropped"]).set(metrics.late_dropped)
+        gauge(METRIC_NAMES["max_buffered"]).set(metrics.max_buffered)
+        counter(METRIC_NAMES["released_count"]).set(metrics.released_count)
 
     if tracer.enabled:
         tracer.emit(
             "run.end",
             _sim_time_of(elements[-1]) if elements else float("-inf"),
             n_results=len(results),
-            wall_time_s=metrics.wall_time_s,
+            wall_time_s=wall_time_s,
         )
+    observed_errors = list(getattr(stats, "observed_errors", []))
     return RunOutput(results=results, metrics=metrics, observed_errors=observed_errors)

@@ -2,8 +2,8 @@
 
 The in-process executor in :mod:`repro.engine.parallel` runs every shard
 on the coordinator's core, so sharding buys algorithmic wins (smaller
-per-shard windows) but no CPU parallelism — E20 measured sharded(4)
-*slower* than a single tree.  :class:`ProcessShardExecutor` uses the
+per-shard windows) but no CPU parallelism — E21's serial rows measure
+sharded(4) *slower* than a single tree.  :class:`ProcessShardExecutor` uses the
 cores: a persistent warm pool of spawn-started worker processes each
 drives a subset of the shards on the exact same
 :class:`~repro.engine.parallel.ShardSession` the in-process executor

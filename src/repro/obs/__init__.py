@@ -10,8 +10,8 @@ burst response.  Three pieces:
   one schema :data:`EVENT_KINDS`; the default :data:`NULL_TRACER` keeps
   the hot path at one attribute check when tracing is off.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` holds named
-  counters/gauges/histograms; :class:`~repro.engine.metrics.RunMetrics`
-  is a live view over one.
+  counters and gauges; a run keeps its progress counters current there
+  and publishes its :class:`~repro.engine.metrics.RunMetrics` into it.
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — JSONL and Chrome
   ``trace_event`` (Perfetto) exporters plus a terminal summarizer,
   also available as ``python -m repro.obs``.
@@ -29,7 +29,6 @@ from repro.obs.export import (
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     Instrument,
     MetricsRegistry,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Counter",
     "EVENT_KINDS",
     "Gauge",
-    "Histogram",
     "Instrument",
     "MetricsRegistry",
     "NULL_TRACER",

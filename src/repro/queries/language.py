@@ -79,7 +79,6 @@ class ContinuousQuery:
         self._aggregate: AggregateFunction | None = None
         self._handler_factory = None
         self._handler_label: str | None = None
-        self._sample_every = 0
         self._mode = "naive"
         self._shards: int | None = None
         self._shard_key = None
@@ -192,11 +191,6 @@ class ContinuousQuery:
 
     # ------------------------------------------------------------------ #
     # execution
-
-    def sampling_timeline(self, every: int) -> "ContinuousQuery":
-        """Record a slack/frontier sample every N elements (for plots)."""
-        self._sample_every = every
-        return self
 
     def mode(self, mode: str) -> "ContinuousQuery":
         """Choose the execution mode: ``"naive"`` or ``"tree"``.
@@ -363,17 +357,14 @@ class ContinuousQuery:
                 :class:`~repro.obs.trace.TraceRecorder`) attached for the
                 run; see ``docs/OBSERVABILITY.md``.
             registry: Optional :class:`~repro.obs.registry.MetricsRegistry`
-                kept live during the run.
+                kept live during the run; the run's metrics are published
+                into it at the end.
         """
         if self._elements is None:
             raise QueryError("query has no source; call .from_elements(...)")
         operator = self.build_operator()
         output = run_pipeline(
-            self._elements,
-            operator,
-            self._sample_every,
-            trace=trace,
-            registry=registry,
+            self._elements, operator, trace=trace, registry=registry
         )
         report = None
         if assess:

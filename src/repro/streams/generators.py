@@ -16,6 +16,7 @@ stream an operator sees.
 from __future__ import annotations
 
 import math
+import zlib
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -118,7 +119,13 @@ class SinusoidValues(ValueProcess):
         self.phase_per_key = phase_per_key
 
     def sample(self, rng: np.random.Generator, event_time: float, key: object) -> float:
-        phase = self.phase_per_key * (hash(key) % 16) if key is not None else 0.0
+        # CRC-32, not the builtin hash: string hashing is salted per process,
+        # which would move every key's phase from one run to the next.
+        phase = (
+            self.phase_per_key * (zlib.crc32(repr(key).encode()) % 16)
+            if key is not None
+            else 0.0
+        )
         clean = self.base + self.amplitude * math.sin(
             2 * math.pi * event_time / self.period + phase
         )

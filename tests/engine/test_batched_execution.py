@@ -3,10 +3,11 @@
 One seeded disordered stream, every disorder handler (including the
 adaptive handler in all three target modes), both window operators, and
 batch sizes that do not divide the stream length.  Emit times, latencies,
-counts, keys, windows, late drops, released counts, observed-error
-sequences and slack timelines must match the scalar run exactly; window
-values and error magnitudes are compared with a tiny relative tolerance
-because bulk folds may re-associate floating-point sums.
+counts, keys, windows, late drops, released counts and observed-error
+sequences must match the scalar run exactly, and so must the handler's
+frontier, slack and buffer occupancy after every step of a run driven by
+hand; window values and error magnitudes are compared with a tiny relative
+tolerance because bulk folds may re-associate floating-point sums.
 """
 
 from __future__ import annotations
@@ -136,14 +137,42 @@ def assert_equivalent(scalar, batched) -> None:
     assert len(scalar.observed_errors) == len(batched.observed_errors)
     for expected, actual in zip(scalar.observed_errors, batched.observed_errors):
         assert close(expected, actual)
-    assert len(scalar.metrics.slack_timeline) == len(batched.metrics.slack_timeline)
-    for expected, actual in zip(
-        scalar.metrics.slack_timeline, batched.metrics.slack_timeline
-    ):
-        assert expected.arrival_time == actual.arrival_time
-        assert expected.frontier == actual.frontier
-        assert close(expected.slack, actual.slack)
-        assert expected.buffered == actual.buffered
+
+
+#: Elements between two reads of the handler state in a run driven by hand.
+STEP = 50
+
+
+def handler_states(operator, elements, batch_size):
+    """Drive ``operator`` by hand, ``STEP`` elements at a time (through
+    ``process`` when ``batch_size`` is 0, else ``process_many`` in chunks
+    of at most ``batch_size`` within the step), and return the handler's
+    frontier, slack and buffer occupancy after every step."""
+    handler = operator.handler
+    states = []
+    for start in range(0, len(elements), STEP):
+        step = elements[start : start + STEP]
+        if batch_size:
+            for offset in range(0, len(step), batch_size):
+                operator.process_many(step[offset : offset + batch_size])
+        else:
+            for element in step:
+                operator.process(element)
+        states.append(
+            (handler.frontier, handler.current_slack, handler.buffered_count())
+        )
+    operator.finish()
+    return states
+
+
+def assert_same_handler_states(make_operator, elements, batch_size) -> None:
+    scalar = handler_states(make_operator(), elements, 0)
+    batched = handler_states(make_operator(), elements, batch_size)
+    assert len(scalar) == len(batched)
+    for (frontier, slack, buffered), actual in zip(scalar, batched):
+        assert frontier == actual[0]
+        assert close(slack, actual[1])
+        assert buffered == actual[2]
 
 
 @pytest.mark.parametrize("handler_name,op_name,agg_name,batch_size", CASES)
@@ -156,12 +185,11 @@ def test_batched_equals_scalar(stream, handler_name, op_name, agg_name, batch_si
             feedback_horizon=8.0,
         )
 
-    scalar = run_pipeline(list(stream), make_operator(), sample_every=50)
-    batched = run_pipeline(
-        list(stream), make_operator(), sample_every=50, batch_size=batch_size
-    )
+    scalar = run_pipeline(list(stream), make_operator())
+    batched = run_pipeline(list(stream), make_operator(), batch_size=batch_size)
     assert_equivalent(scalar, batched)
     assert scalar.metrics.released_count > 0
+    assert_same_handler_states(make_operator, list(stream), batch_size)
 
 
 @pytest.mark.parametrize("handler_name", sorted(HANDLERS))
@@ -225,9 +253,10 @@ def test_a_chunk_of_identical_timestamps_matches_scalar(slack):
         )
 
     assert_equivalent(
-        run_pipeline(list(tied), make_operator(), sample_every=50),
-        run_pipeline(list(tied), make_operator(), sample_every=50, batch_size=chunk_size),
+        run_pipeline(list(tied), make_operator()),
+        run_pipeline(list(tied), make_operator(), batch_size=chunk_size),
     )
+    assert_same_handler_states(make_operator, list(tied), chunk_size)
 
 
 def test_negative_batch_size_rejected(stream):

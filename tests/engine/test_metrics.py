@@ -1,10 +1,17 @@
-"""RunMetrics as a registry view, and LatencySummary edge cases."""
+"""RunMetrics, what a run publishes into a registry, and LatencySummary
+edge cases."""
 
 import math
 
 import pytest
 
+from repro.engine.aggregate_op import WindowAggregateOperator
+from repro.engine.aggregates import MeanAggregate
+from repro.engine.handlers import KSlackHandler
 from repro.engine.metrics import METRIC_NAMES, LatencySummary, RunMetrics
+from repro.engine.operator import Operator
+from repro.engine.pipeline import run_pipeline
+from repro.engine.windows import SlidingWindowAssigner
 from repro.obs.registry import MetricsRegistry
 
 
@@ -40,6 +47,36 @@ class TestLatencySummary:
         assert summary.p50 <= summary.p95 <= summary.p99 <= summary.maximum
 
 
+class RecordingOperator(Operator):
+    """Delegates to ``inner`` and reads the registry's progress counter
+    after every chunk it is handed."""
+
+    def __init__(self, inner, registry):
+        self.inner = inner
+        self.handler = inner.handler
+        self.stats = inner.stats
+        self._elements_in = registry.counter("pipeline.elements_in")
+        self.seen = []
+
+    def process(self, element):
+        self.seen.append(self._elements_in.value)
+        return self.inner.process(element)
+
+    def process_many(self, elements):
+        self.seen.append(self._elements_in.value)
+        return self.inner.process_many(elements)
+
+    def finish(self):
+        self.seen.append(self._elements_in.value)
+        return self.inner.finish()
+
+
+def make_operator():
+    return WindowAggregateOperator(
+        SlidingWindowAssigner(5, 1), MeanAggregate(), KSlackHandler(1.0)
+    )
+
+
 class TestRunMetricsRegistryView:
     def test_default_construction_matches_legacy_behaviour(self):
         metrics = RunMetrics(n_elements=10, n_results=3, wall_time_s=2.0)
@@ -47,30 +84,6 @@ class TestRunMetricsRegistryView:
         assert metrics.n_results == 3
         assert metrics.throughput_eps == 5.0
         assert metrics.late_dropped == 0
-        assert metrics.slack_timeline == []
-
-    def test_fields_are_registry_backed(self):
-        registry = MetricsRegistry()
-        metrics = RunMetrics(registry)
-        metrics.n_elements = 42
-        assert registry.counter(METRIC_NAMES["n_elements"]).value == 42
-        registry.counter(METRIC_NAMES["late_dropped"]).inc(3)
-        assert metrics.late_dropped == 3
-
-    def test_live_registry_values_survive_construction(self):
-        """Constructing a view over a mid-flight registry must not reset it."""
-        registry = MetricsRegistry()
-        registry.counter(METRIC_NAMES["n_elements"]).inc(17)
-        registry.gauge(METRIC_NAMES["max_buffered"]).set(9)
-        metrics = RunMetrics(registry)
-        assert metrics.n_elements == 17
-        assert metrics.max_buffered == 9
-
-    def test_nonzero_initializers_overwrite(self):
-        registry = MetricsRegistry()
-        registry.counter(METRIC_NAMES["n_elements"]).inc(17)
-        metrics = RunMetrics(registry, n_elements=100)
-        assert metrics.n_elements == 100
 
     def test_throughput_nan_without_wall_time(self):
         assert math.isnan(RunMetrics(n_elements=5).throughput_eps)
@@ -85,8 +98,7 @@ class TestRunMetricsRegistryView:
 
     def test_misspelled_field_raises_at_the_assignment(self):
         """The type, not a lint rule: RunMetrics is slotted."""
-        registry = MetricsRegistry()
-        metrics = RunMetrics(registry, n_elements=3)
+        metrics = RunMetrics(n_elements=3)
         with pytest.raises(AttributeError):
             metrics.n_element = 4
         with pytest.raises(AttributeError):
@@ -95,5 +107,29 @@ class TestRunMetricsRegistryView:
         assert metrics.n_elements == 3
         assert metrics.as_dict()["n_elements"] == 3
         assert "n_elements=3" in repr(metrics)
-        registry.counter(METRIC_NAMES["n_results"]).inc(2)
-        assert metrics.n_results == 2
+
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batch64"])
+    def test_elements_in_rises_during_a_run(self, small_disordered_stream, batch_size):
+        registry = MetricsRegistry()
+        operator = RecordingOperator(make_operator(), registry)
+        run_pipeline(
+            small_disordered_stream, operator, batch_size=batch_size, registry=registry
+        )
+        step = batch_size or 1
+        n = len(small_disordered_stream)
+        assert operator.seen == [*range(0, n, step), n]
+
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batch64"])
+    def test_registry_holds_the_run_metrics_after_the_run(
+        self, small_disordered_stream, batch_size
+    ):
+        registry = MetricsRegistry()
+        output = run_pipeline(
+            small_disordered_stream, make_operator(), batch_size=batch_size,
+            registry=registry,
+        )
+        published = {
+            field: registry.get(name).value for field, name in METRIC_NAMES.items()
+        }
+        assert published == output.metrics.as_dict()
+        assert output.metrics.late_dropped > 0

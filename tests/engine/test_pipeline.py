@@ -6,13 +6,14 @@ import pytest
 
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import MeanAggregate
-from repro.engine.handlers import KSlackHandler
+from repro.engine.handlers import KSlackHandler, NoBufferHandler
 from repro.engine.metrics import LatencySummary
+from repro.engine.pairs import SequencePatternOperator
 from repro.engine.parallel import ShardedWindowOperator
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
-from tests.conftest import make_arrived
+from tests.conftest import disordered_stream, make_arrived
 
 
 def make_operator(k=0.5):
@@ -32,17 +33,6 @@ class TestRunPipeline:
         output = run_pipeline(small_disordered_stream, make_operator())
         assert output.metrics.wall_time_s > 0
         assert output.metrics.throughput_eps > 0
-
-    def test_slack_timeline_sampled(self, small_disordered_stream):
-        output = run_pipeline(small_disordered_stream, make_operator(), sample_every=50)
-        assert len(output.metrics.slack_timeline) >= 1
-        for sample in output.metrics.slack_timeline:
-            assert sample.slack == 0.5
-            assert sample.buffered >= 0
-
-    def test_no_sampling_by_default(self, small_disordered_stream):
-        output = run_pipeline(small_disordered_stream, make_operator())
-        assert output.metrics.slack_timeline == []
 
     def test_max_buffered_recorded(self, small_disordered_stream):
         output = run_pipeline(small_disordered_stream, make_operator(k=2.0))
@@ -97,6 +87,15 @@ class TestRunPipeline:
         assert metrics.max_buffered == handler.max_buffered_count() > 0
         assert metrics.released_count == handler.released_count() == n
         assert metrics.late_dropped == operator.stats.late_dropped > 0
+
+    def test_pair_operator_late_drops_reach_the_metrics(self, rng):
+        stream = disordered_stream(rng, mean_delay=2.0, keys=("x", "y"))
+        operator = SequencePatternOperator(
+            lambda el: el.value >= 0.0, lambda el: el.value < 0.0,
+            within=1.0, handler=NoBufferHandler(),
+        )
+        output = run_pipeline(stream, operator)
+        assert output.metrics.late_dropped == operator.late_dropped > 0
 
 
 class TestLatencySummary:

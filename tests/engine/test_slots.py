@@ -17,7 +17,7 @@ from repro.engine.aggregate_op import (
     _SliceAssignCache,
 )
 from repro.engine.buffer import SortingBuffer
-from repro.engine.metrics import LatencySummary, SlackSample
+from repro.engine.metrics import LatencySummary
 from repro.engine.operator import WindowResult
 from repro.engine.parallel import ShardSession
 from repro.engine.partial_tree import _BlockFold, _SliceStore, _SliceTree
@@ -44,7 +44,6 @@ HOT_INSTANCES = [
     _ClosedRecord(accumulator=[], emitted_value=0.0, emitted_count=0),
     OperatorStats(),
     LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0.0),
-    SlackSample(arrival_time=0.0, slack=0.0, frontier=0.0, buffered=0),
     TraceEvent(kind="run.end", sim_time=0.0, wall_time=0.0, fields={}),
     _SliceTree(CountAggregate(), 1.0, 8),
     _SliceStore(CountAggregate(), 1.0, 8.0, 8, 40.0, True),

@@ -154,7 +154,7 @@ class Driven:
     """The cell's operator as ``run_pipeline`` sees it: chunks cut at the
     cuts, each piece handed on by the verb in force, and at the restore cut
     a ``dumps_state`` / ``loads_state`` round trip.  An operator holding a
-    process pool or a registry must refuse the checkpoint instead."""
+    process pool must refuse the checkpoint instead."""
 
     def __init__(self, operator, cell, checkpoint):
         self.inner = operator
@@ -179,7 +179,7 @@ class Driven:
         cell = self._cell
         if self._seen != cell.restore:
             return
-        if cell.shards and (cell.executor == "process" or cell.observe):
+        if cell.shards and cell.executor == "process":
             with pytest.raises(ConfigurationError, match="does not pickle"):
                 save_checkpoint(self.inner, self._checkpoint)
             assert not self._checkpoint.exists()

@@ -1,11 +1,9 @@
 """Semantics of the metrics registry and its instruments."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -39,47 +37,6 @@ class TestGauge:
         assert gauge.maximum == 7.5
 
 
-class TestHistogram:
-    def test_empty_histogram_is_nan(self):
-        histogram = Histogram("h")
-        assert histogram.count == 0
-        assert math.isnan(histogram.mean)
-        assert math.isnan(histogram.quantile(0.5))
-        assert math.isnan(histogram.minimum)
-        assert math.isnan(histogram.maximum)
-
-    def test_single_sample(self):
-        histogram = Histogram("h")
-        histogram.observe(3.5)
-        assert histogram.count == 1
-        assert histogram.mean == 3.5
-        assert histogram.quantile(0.0) == 3.5
-        assert histogram.quantile(1.0) == 3.5
-
-    def test_nan_samples_are_dropped(self):
-        histogram = Histogram("h")
-        histogram.observe_many([1.0, math.nan, 3.0, math.nan])
-        assert histogram.count == 2
-        assert histogram.mean == 2.0
-
-    def test_quantile_interpolates(self):
-        histogram = Histogram("h")
-        histogram.observe_many([4.0, 1.0, 2.0, 3.0])
-        assert histogram.quantile(0.5) == pytest.approx(2.5)
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 4.0
-
-    def test_quantile_out_of_range_rejected(self):
-        histogram = Histogram("h")
-        with pytest.raises(ConfigurationError):
-            histogram.quantile(1.5)
-
-    def test_summary_keys(self):
-        histogram = Histogram("h")
-        histogram.observe_many([1.0, 2.0])
-        assert set(histogram.summary()) == {"count", "mean", "p50", "p95", "max"}
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -93,14 +50,15 @@ class TestMetricsRegistry:
         registry.counter("x")
         with pytest.raises(ConfigurationError):
             registry.gauge("x")
+        registry.gauge("y")
         with pytest.raises(ConfigurationError):
-            registry.histogram("x")
+            registry.counter("y")
 
     def test_iteration_is_name_ordered(self):
         registry = MetricsRegistry()
         registry.counter("zebra")
         registry.gauge("alpha")
-        registry.histogram("mid")
+        registry.counter("mid")
         assert [instrument.name for instrument in registry] == [
             "alpha",
             "mid",
@@ -119,9 +77,6 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
         registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(1.0)
         snapshot = registry.snapshot()
-        assert snapshot["c"] == 2
-        assert snapshot["g"] == 1.5
-        assert isinstance(snapshot["h"], dict)
-        assert snapshot["h"]["count"] == 1.0
+        assert snapshot == {"c": 2, "g": 1.5}
+        assert list(snapshot) == ["c", "g"]

@@ -118,15 +118,6 @@ class TestRunResults:
         assert run.latency.count > 0
         assert run.latency.mean >= 0.0
 
-    def test_sampling_timeline(self, small_disordered_stream):
-        run = (
-            base_query(small_disordered_stream)
-            .with_slack(1.0)
-            .sampling_timeline(50)
-            .run()
-        )
-        assert run.output.metrics.slack_timeline
-
     def test_aggregate_instance_accepted(self, small_disordered_stream):
         from repro.engine.aggregates import MaxAggregate
 

@@ -1,5 +1,9 @@
 """Tests for the synthetic domain workloads."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,6 +78,26 @@ class TestSensorWorkload:
         calm = [model.sample(rng, 5.0) for __ in range(500)]
         burst = [model.sample(rng, 15.0) for __ in range(500)]
         assert np.median(burst) > 5 * np.median(calm)
+
+    def test_stream_does_not_depend_on_the_hash_seed(self):
+        """Each sensor's phase comes from a stable hash of its key: two
+        interpreters with different hash seeds generate the same stream."""
+        script = (
+            "import numpy as np\n"
+            "from repro.workloads import sensor_readings\n"
+            "stream = sensor_readings(duration=30, rate=50, rng=np.random.default_rng(3))\n"
+            "print([(el.key, el.event_time, el.arrival_time, el.value) for el in stream])\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("sensor-") > 1000
 
 
 class TestSoccerWorkload:
