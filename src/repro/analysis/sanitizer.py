@@ -74,6 +74,7 @@ class SanitizingHandler(DisorderHandler):
     def __init__(self, inner: DisorderHandler) -> None:
         self.inner = inner
         self.name = getattr(inner, "name", "handler")
+        self.takes_feedback = inner.takes_feedback
         # Countdown to the next accounting audit; starts at 1 so the very
         # first offer is audited (miswired handlers surface immediately).
         self._audit_in = 1

@@ -938,7 +938,6 @@ def e17_execution_paths(scale: float = 1.0) -> ExperimentResult:
             SlidingWindowAssigner(size=size, slide=slide),
             make_aggregate("mean"),
             KSlackHandler(1.0),
-            track_feedback=False,
             mode=mode,
         )
 
@@ -1060,7 +1059,6 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
             assigner,
             make_aggregate(aggregate_name),
             KSlackHandler(k),
-            track_feedback=False,
             mode="tree",
         )
 
@@ -1072,7 +1070,6 @@ def e21_process_throughput(scale: float = 1.0) -> ExperimentResult:
                 make_aggregate(aggregate_name),
                 lambda: KSlackHandler(k),
                 mode="tree",
-                track_feedback=False,
                 executor=executor_factory(),
             )
 

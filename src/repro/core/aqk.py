@@ -145,6 +145,9 @@ class AQKSlackHandler(SlackHandler):
         self.delay_sample = (
             delay_sample if delay_sample is not None else SlidingDelaySample()
         )
+        # Quality mode reads feedback; budget rounds read the delay sample
+        # alone, which window retirement never touches.
+        self.takes_feedback = isinstance(target, (QualityTarget, BoundedQualityTarget))
         if controller is None and isinstance(
             target, (QualityTarget, BoundedQualityTarget)
         ):
@@ -400,13 +403,10 @@ class AQKSlackHandler(SlackHandler):
     ) -> int | None:
         """First adaptation firing strictly after ``start`` (see base class).
 
-        Only meaningful in quality mode: budget adaptations read the delay
-        sample alone, which window retirement never touches, so they need
-        no chunk split.
+        Only meaningful while the handler takes feedback: budget
+        adaptations need no chunk split.
         """
-        if self.controller is None or not isinstance(
-            self.target, (QualityTarget, BoundedQualityTarget)
-        ):
+        if not self.takes_feedback:
             return None
         arrivals = (elements[index].arrival_time for index in range(start, stop))
         for fired in self._round_offsets(arrivals, start):

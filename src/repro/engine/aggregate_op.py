@@ -16,7 +16,8 @@ aggregate function and a :class:`~repro.engine.handlers.DisorderHandler`:
 Quality feedback loop
 ---------------------
 
-Closed windows are retained (accumulator included) for ``feedback_horizon``
+When ``track_feedback`` (default: the handler's ``takes_feedback``) is set,
+closed windows are retained (accumulator included) for ``feedback_horizon``
 seconds of event time.  Late elements arriving within the horizon keep
 updating the retained accumulator, so when a record retires the operator
 knows both the value it *emitted* and the best late-corrected value — their
@@ -488,8 +489,9 @@ class WindowAggregateOperator(Operator):
     The one driver of the window-aggregate protocol: admit what the
     handler releases, close the windows the frontier passed, retire the
     windows leaving the feedback horizon and report their observed error
-    to the handler.  ``mode`` only picks the *window store* — how window
-    state is kept and assembled; every mode emits the same results:
+    to the handler (only under ``track_feedback``, see above).  ``mode``
+    only picks the *window store* — how window state is kept and
+    assembled; every mode emits the same results:
 
     * ``"naive"`` — one accumulator per window (:class:`_PerWindowStore`):
       O(overlap) folds and one probe per element; the reference, takes any
@@ -526,9 +528,11 @@ class WindowAggregateOperator(Operator):
         aggregate: AggregateFunction,
         handler: DisorderHandler,
         feedback_horizon: DurationS | None = None,
-        track_feedback: bool = True,
+        track_feedback: bool | None = None,
         mode: str = "naive",
     ) -> None:
+        if track_feedback is None:
+            track_feedback = handler.takes_feedback
         if feedback_horizon is None:
             feedback_horizon = 5.0 * getattr(assigner, "size", 10.0)
         if feedback_horizon < 0:

@@ -17,6 +17,10 @@ the operator object.  Two consequences:
   :func:`save_checkpoint` raises :class:`~repro.errors.ConfigurationError`;
 * checkpoints are a *trust boundary*: like every pickle, loading one
   executes code, so only load checkpoints you wrote.
+
+Observers are never state: a tracer or metrics registry pickles detached
+(their ``__reduce__``: ``NULL_TRACER``, no registry) until the caller
+attaches one again.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ def save_checkpoint(operator, path: str | Path) -> int:
     Raises:
         ConfigurationError: some part of the operator does not pickle — a
             process-pool executor (its live worker handles), a lambda or
-            closure wired in, an attached metrics registry.  No file is
-            written.
+            closure wired in.  No file is written.
     """
     path = Path(path)
     try:

@@ -103,6 +103,10 @@ class DisorderHandler(ABC):
 
     name = "handler"
 
+    #: Whether :meth:`observe_error` reads its errors (else no window is kept
+    #: to score); ``True`` by default, so forwarding wrappers keep feedback.
+    takes_feedback = True
+
     #: Attached tracer (see :mod:`repro.obs.trace`); the shared null tracer
     #: keeps instrumented paths at one attribute check when tracing is off.
     tracer: Tracer = NULL_TRACER
@@ -222,6 +226,7 @@ class NoBufferHandler(DisorderHandler):
     """
 
     name = "no-buffer"
+    takes_feedback = False
 
     def __init__(self) -> None:
         self._frontier = EventTimeFrontier()
@@ -339,6 +344,7 @@ class KSlackHandler(SlackHandler):
     """Classic fixed K-slack buffering: ``K`` is configured, never adapted."""
 
     name = "k-slack"
+    takes_feedback = False
 
     def __init__(self, k: DurationS) -> None:
         if not k >= 0:
@@ -368,6 +374,7 @@ class MPKSlackHandler(SlackHandler):
     """
 
     name = "mp-k-slack"
+    takes_feedback = False
 
     def __init__(self, initial_k: DurationS = 0.0, safety_factor: float = 1.0) -> None:
         if not initial_k >= 0:

@@ -25,6 +25,7 @@ class MultiSourceWatermarkHandler(DisorderHandler):
     """Frontier = min over live sources of (source max event time) - lag."""
 
     name = "multi-source-watermark"
+    takes_feedback = False
 
     def __init__(
         self,

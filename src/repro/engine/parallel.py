@@ -208,7 +208,7 @@ class ShardSpec:
     aggregate: AggregateFunction
     handler_factory: Callable[[], DisorderHandler]
     feedback_horizon: DurationS | None
-    track_feedback: bool
+    track_feedback: bool | None
     sanitize: bool
     trace_enabled: bool
     trace_detail: bool
@@ -283,7 +283,7 @@ class ShardRunner:
         aggregate: AggregateFunction,
         handler: DisorderHandler,
         feedback_horizon: DurationS | None = None,
-        track_feedback: bool = True,
+        track_feedback: bool | None = None,
         sanitize: bool = False,
         tracer: Tracer = NULL_TRACER,
         split_keyed: bool = False,
@@ -391,7 +391,7 @@ class ShardSession:
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.runners: dict[int, ShardRunner] = {}
-        self.tracers: dict[int, TraceRecorder] = {}
+        self.tracers: dict[int, Tracer] = {}
         self.metric_deltas: dict[int, dict[str, float]] = {}
 
     def feed(
@@ -429,7 +429,7 @@ class ShardSession:
         for shard_id in sorted(self.runners):
             run = self.runners[shard_id].finish()
             tracer = self.tracers.get(shard_id)
-            if tracer is not None:
+            if isinstance(tracer, TraceRecorder):  # not one a restore detached
                 run.trace_events = list(tracer.events)
             run.metric_deltas = self.metric_deltas[shard_id]
             yield run
@@ -614,7 +614,7 @@ class ShardedWindowOperator(Operator):
         key_fn: Callable[[StreamElement], object] | None = None,
         executor: ShardExecutor | None = None,
         feedback_horizon: DurationS | None = None,
-        track_feedback: bool = True,
+        track_feedback: bool | None = None,
     ) -> None:
         if not isinstance(n_shards, int) or isinstance(n_shards, bool):
             raise ConfigurationError(
@@ -686,13 +686,6 @@ class ShardedWindowOperator(Operator):
     def set_registry(self, registry: MetricsRegistry) -> None:
         """Publish per-shard metrics into ``registry`` at finish."""
         self._registry = registry
-
-    def __getstate__(self) -> dict[str, Any]:
-        # A registry holds a lock and does not pickle: a checkpoint leaves
-        # it out, and the next ``set_registry`` attaches one again.
-        state = self.__dict__.copy()
-        state["_registry"] = None
-        return state
 
     # -- routing ------------------------------------------------------- #
 

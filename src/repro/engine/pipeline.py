@@ -31,6 +31,8 @@ class RunOutput:
 
     results: list[WindowResult]
     metrics: RunMetrics
+    #: One error per retired window; empty when the run's handler takes no
+    #: feedback (``DisorderHandler.takes_feedback``) and none was tracked.
     observed_errors: list[float] = field(default_factory=list)
 
     def latency_summary(self, include_flushed: bool = False) -> LatencySummary:

@@ -78,6 +78,7 @@ class SpeculativeAggregateOperator(WindowAggregateOperator):
             aggregate,
             handler if handler is not None else NoBufferHandler(),
             feedback_horizon=revision_horizon,
+            track_feedback=True,  # revisions update the retained records
         )
         self.revision_horizon = self._store.feedback_horizon
         self.revision_threshold = revision_threshold

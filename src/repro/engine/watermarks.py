@@ -32,6 +32,7 @@ class FixedLagWatermarkHandler(DisorderHandler):
     """Periodic watermark at ``newest event time - lag``."""
 
     name = "watermark-fixed"
+    takes_feedback = False
 
     def __init__(self, lag: DurationS, period: DurationS = 0.0) -> None:
         if not lag >= 0:
@@ -82,6 +83,7 @@ class HeuristicWatermarkHandler(DisorderHandler):
     """
 
     name = "watermark-heuristic"
+    takes_feedback = False
 
     def __init__(
         self,
@@ -157,6 +159,7 @@ class PerfectWatermarkHandler(DisorderHandler):
     """
 
     name = "watermark-perfect"
+    takes_feedback = False
 
     def __init__(self, arrival_ordered: list[StreamElement]) -> None:
         # frontier after arrival i = min over j > i of event_time[j], capped

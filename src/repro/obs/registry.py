@@ -15,7 +15,7 @@ and allocation-light: one attribute bump per update.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Union
+from typing import Any, Iterator, Union
 
 from repro.errors import ConfigurationError
 
@@ -82,6 +82,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments_lock = threading.Lock()
         self._instruments: dict[str, Instrument] = {}
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Observers are not state: a snapshot of whatever holds a registry
+        # loads without one (``NoneType()`` is ``None``) until set_registry.
+        return type(None), ()
 
     def __len__(self) -> int:
         return len(self._instruments)

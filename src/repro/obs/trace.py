@@ -117,6 +117,11 @@ class Tracer:
     enabled: bool = False
     detail: bool = False
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Observers are not state: a snapshot (checkpoint, deepcopy) of
+        # whatever holds a tracer loads with the null one until set_tracer.
+        return _null_tracer, ()
+
     def emit(self, kind: str, sim_time: float, **fields: Any) -> None:
         """Record one ``kind`` event; ``fields`` are ``EVENT_KINDS[kind]``."""
 
@@ -137,6 +142,10 @@ class NullTracer(Tracer):
 #: Shared default instance; engine classes point at this when no recorder
 #: is attached, so ``tracer.enabled`` is always a valid (False) check.
 NULL_TRACER = NullTracer()
+
+
+def _null_tracer() -> NullTracer:
+    return NULL_TRACER
 
 
 class TraceRecorder(Tracer):

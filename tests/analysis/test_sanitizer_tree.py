@@ -15,11 +15,13 @@ from tests.conftest import build_elements
 
 
 def make_tree_operator(cls=WindowAggregateOperator, handler=None):
-    """A sliding-mean tree operator (size 2, slide 1) over K-slack."""
+    """A sliding-mean tree operator (size 2, slide 1) over K-slack; it
+    scores its closed windows, so sanitized runs compare observed errors."""
     return cls(
         SlidingWindowAssigner(size=2, slide=1),
         make_aggregate("mean"),
         handler if handler is not None else KSlackHandler(k=1.0),
+        track_feedback=True,
         mode="tree",
     )
 

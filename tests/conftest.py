@@ -127,7 +127,8 @@ def result_map(results):
 
 
 def assert_modes_match_naive(
-    stream, assigner, aggregate_factory, handler_factory, feedback_horizon=None
+    stream, assigner, aggregate_factory, handler_factory, feedback_horizon=None,
+    track_feedback=None,
 ):
     """One row of the mode-parity matrix: every store equals the reference.
 
@@ -143,7 +144,8 @@ def assert_modes_match_naive(
         for batch_size in (0, 64):
             operator = WindowAggregateOperator(
                 assigner, aggregate_factory(), handler_factory(),
-                feedback_horizon=feedback_horizon, mode=mode,
+                feedback_horizon=feedback_horizon, track_feedback=track_feedback,
+                mode=mode,
             )
             output = run_pipeline(stream, operator, batch_size=batch_size)
             operators[mode, batch_size] = operator

@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 from repro.core.aqk import AQKSlackHandler
-from repro.core.spec import QualityTarget
+from repro.core.controller import PIController
+from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator, relative_error
 from repro.engine.aggregates import CountAggregate, MeanAggregate, SumAggregate, make_aggregate
-from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
+from repro.engine.handlers import (
+    DisorderHandler,
+    KSlackHandler,
+    MPKSlackHandler,
+    NoBufferHandler,
+)
 from repro.engine.oracle import oracle_results
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
@@ -223,7 +229,8 @@ class TestCellBookkeeping:
             rng,
         )
         operator = WindowAggregateOperator(
-            SlidingWindowAssigner(4.0, 1.0), CountAggregate(), KSlackHandler(0.3)
+            SlidingWindowAssigner(4.0, 1.0), CountAggregate(), KSlackHandler(0.3),
+            track_feedback=True,
         )
         store = operator._store
         step = batch_size or 1
@@ -348,6 +355,7 @@ class TestFeedback:
             CountAggregate(),
             NoBufferHandler(),
             feedback_horizon=10.0,
+            track_feedback=True,
         )
         output = run_pipeline(stream, operator)
         assert len(output.observed_errors) > 0
@@ -360,7 +368,8 @@ class TestFeedback:
         assigner = SlidingWindowAssigner(5, 1)
         aggregate = CountAggregate()
         operator = WindowAggregateOperator(
-            assigner, aggregate, NoBufferHandler(), feedback_horizon=30.0
+            assigner, aggregate, NoBufferHandler(), feedback_horizon=30.0,
+            track_feedback=True,
         )
         output = run_pipeline(stream, operator)
         truth = oracle_results(stream, assigner, aggregate)
@@ -389,9 +398,11 @@ class TestFeedback:
             generate_stream(duration=30, rate=40, rng=rng), ConstantDelay(0.1), rng
         )
         operator = WindowAggregateOperator(
-            SlidingWindowAssigner(5, 1), SumAggregate(), MPKSlackHandler()
+            SlidingWindowAssigner(5, 1), SumAggregate(), MPKSlackHandler(),
+            track_feedback=True,
         )
         output = run_pipeline(stream, operator)
+        assert output.observed_errors
         assert all(error == 0.0 for error in output.observed_errors)
 
     @pytest.mark.parametrize(
@@ -469,6 +480,147 @@ class TestFeedback:
             )
 
 
+class ForwardingHandler(DisorderHandler):
+    """A wrapper shaped like a profiling proxy: it forwards every call,
+    feedback included, and declares nothing about ``takes_feedback``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def offer(self, element):
+        return self.inner.offer(element)
+
+    def offer_many(self, elements):
+        return self.inner.offer_many(elements)
+
+    def flush(self):
+        return self.inner.flush()
+
+    def observe_error(self, error):
+        self.inner.observe_error(error)
+
+    def next_adaptation_offset(self, elements, start, stop):
+        return self.inner.next_adaptation_offset(elements, start, stop)
+
+    @property
+    def frontier(self):
+        return self.inner.frontier
+
+    @property
+    def current_slack(self):
+        return self.inner.current_slack
+
+    def buffered_count(self):
+        return self.inner.buffered_count()
+
+    def max_buffered_count(self):
+        return self.inner.max_buffered_count()
+
+    def released_count(self):
+        return self.inner.released_count()
+
+
+class TestFeedbackDefault:
+    """``track_feedback`` defaults to the handler's ``takes_feedback``."""
+
+    @pytest.mark.parametrize(
+        "handler, takes",
+        [
+            (NoBufferHandler(), False),
+            (KSlackHandler(1.0), False),
+            (MPKSlackHandler(), False),
+            (AQKSlackHandler(QualityTarget(0.05), "mean", window_size=5.0), True),
+            (AQKSlackHandler(BoundedQualityTarget(0.05, 1.0), "mean", window_size=5.0), True),
+            (AQKSlackHandler(LatencyBudget(1.0), "mean", window_size=5.0), False),
+            (
+                AQKSlackHandler(
+                    LatencyBudget(1.0), "mean", window_size=5.0,
+                    controller=PIController(target=0.05),
+                ),
+                False,
+            ),
+            (ForwardingHandler(KSlackHandler(1.0)), True),
+        ],
+        ids=[
+            "no-buffer", "k-slack", "mp-k-slack", "aqk-quality", "aqk-bounded",
+            "aqk-budget", "aqk-budget-with-controller", "undeclared-wrapper",
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["naive", "tree"])
+    def test_store_follows_the_handler_unless_told(self, handler, takes, mode):
+        assert handler.takes_feedback is takes
+        assigner = SlidingWindowAssigner(5, 1)
+
+        def store(**kwargs):
+            operator = WindowAggregateOperator(
+                assigner, MeanAggregate(), handler, mode=mode, **kwargs
+            )
+            return operator._store
+
+        assert store().track_feedback is takes
+        assert store(track_feedback=True).track_feedback is True
+        assert store(track_feedback=False).track_feedback is False
+
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("mode", ["naive", "tree"])
+    def test_an_undeclared_wrapper_still_feeds_aqk(self, rng, mode, batch_size):
+        """A wrapper that forwards ``observe_error`` without declaring
+        ``takes_feedback`` leaves the AQ-K loop exactly as the bare handler
+        runs it."""
+        stream = inject_disorder(
+            generate_stream(duration=60, rate=50, rng=rng), ExponentialDelay(0.5), rng
+        )
+
+        def run(wrap):
+            handler = AQKSlackHandler(QualityTarget(0.02), "mean", window_size=5.0)
+            operator = WindowAggregateOperator(
+                SlidingWindowAssigner(5, 1), MeanAggregate(), wrap(handler), mode=mode
+            )
+            return run_pipeline(stream, operator, batch_size=batch_size), handler
+
+        bare, bare_handler = run(lambda handler: handler)
+        wrapped, wrapped_handler = run(ForwardingHandler)
+        assert wrapped.results == bare.results
+        assert wrapped.observed_errors == bare.observed_errors
+        assert bare.observed_errors
+        assert wrapped_handler.adaptations == bare_handler.adaptations
+
+    def test_fixed_k_tree_keeps_only_the_slices_open_windows_read(self):
+        """Under fixed K-slack no closed window is kept: retained slices stay
+        within one window span plus the slack, at every step."""
+        rng = np.random.default_rng(5)
+        stream = inject_disorder(
+            generate_stream(duration=120, rate=40, rng=rng), ExponentialDelay(0.5), rng
+        )
+        k, size, slide = 1.0, 4.0, 0.5
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(size, slide), MeanAggregate(), KSlackHandler(k),
+            mode="tree",
+        )
+        bound = round(size / slide) + math.ceil(k / slide) + 2
+        for element in stream:
+            operator.process(element)
+            assert operator.slice_count() <= bound
+        assert operator.stats.late_dropped  # late elements reached closed slices
+        operator.finish()
+        assert operator.stats.observed_errors == []
+
+    def test_fixed_k_naive_retains_no_closed_record(self, rng):
+        stream = inject_disorder(
+            generate_stream(duration=60, rate=40, rng=rng), ExponentialDelay(0.5), rng
+        )
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(5, 1), MeanAggregate(), KSlackHandler(0.5)
+        )
+        for element in stream:
+            operator.process(element)
+            assert not operator._store._closed and not operator._store._closed_heap
+        operator.finish()
+        stats = operator.stats
+        assert stats.late_dropped and stats.results_out
+        assert stats.observed_errors == [] and stats.missed_windows == 0
+
+
 class TestKeyedStreams:
     def test_keys_aggregated_independently(self, rng):
         stream = generate_stream(duration=30, rate=60, rng=rng, keys=("a", "b"))
@@ -497,6 +649,7 @@ class TestKeyedStreams:
             CountAggregate(),
             NoBufferHandler(),
             feedback_horizon=100.0,
+            track_feedback=True,
         )
         output = run_pipeline(stream, operator)
         assert operator.stats.missed_windows == 1

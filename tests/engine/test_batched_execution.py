@@ -77,11 +77,15 @@ HANDLERS = {
     ),
 }
 
+# Both keep and score closed windows under every handler, the fixed ones
+# too (they take no feedback by default): scoring must not move either.
 OPERATORS = {
-    "naive": WindowAggregateOperator,
+    "naive": functools.partial(WindowAggregateOperator, track_feedback=True),
     # The slice store; the label (and the case ids) predate ``mode="tree"``
     # being its only name.
-    "sliced": functools.partial(WindowAggregateOperator, mode="tree"),
+    "sliced": functools.partial(
+        WindowAggregateOperator, mode="tree", track_feedback=True
+    ),
 }
 
 AGGREGATES = {
@@ -249,7 +253,7 @@ def test_a_chunk_of_identical_timestamps_matches_scalar(slack):
     def make_operator():
         return WindowAggregateOperator(
             SlidingWindowAssigner(4.0, 1.0), MeanAggregate(), KSlackHandler(slack),
-            feedback_horizon=8.0,
+            feedback_horizon=8.0, track_feedback=True,
         )
 
     assert_equivalent(

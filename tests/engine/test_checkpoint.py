@@ -21,6 +21,8 @@ from repro.engine.parallel import ShardedWindowOperator
 from repro.engine.process_pool import ProcessShardExecutor
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, TraceRecorder
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
@@ -90,6 +92,7 @@ class TestResumeEquivalence:
                 MeanAggregate(),
                 KSlackHandler(0.5),
                 feedback_horizon=10.0,
+                track_feedback=True,
                 mode=mode,
             )
 
@@ -229,6 +232,67 @@ class TestCheckpointFormat:
         path = tmp_path / "deep" / "nested" / "op.ckpt"
         save_checkpoint(operator, path)
         assert path.exists()
+
+
+class TestObserversAreNotState:
+    """A checkpoint leaves the attached tracer out; the restored operator
+    records nowhere until the caller attaches one again."""
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_traced_checkpoint_is_no_larger_and_restores_detached(
+        self, rng, tmp_path, mode
+    ):
+        stream = make_stream(rng)
+        head, tail = stream[:1500], stream[1500:]
+
+        def fed(tracer=None):
+            operator = WindowAggregateOperator(
+                SlidingWindowAssigner(5, 1), MeanAggregate(), KSlackHandler(1.0),
+                mode=mode,
+            )
+            if tracer is not None:
+                operator.set_tracer(tracer)
+            drive(operator, head, finish=False)
+            return operator
+
+        recorder = TraceRecorder()
+        traced = fed(recorder)
+        assert recorder.events
+        payload = dumps_state(traced)
+        # Equal to a run traced by the null tracer, byte for byte; a few
+        # bytes above a run that never had a tracer attached (the
+        # detached references).
+        assert payload == dumps_state(fed(NULL_TRACER))
+        assert len(payload) <= len(dumps_state(fed())) + 64
+
+        path = tmp_path / "traced.ckpt"
+        save_checkpoint(traced, path)
+        for restored in (loads_state(payload), load_checkpoint(path)):
+            assert restored.tracer is NULL_TRACER
+            assert restored.handler.tracer is NULL_TRACER
+            assert restored.handler._buffer.tracer is NULL_TRACER
+            store = restored._store
+            assert getattr(store, "tree", store).tracer is NULL_TRACER
+        seen = len(recorder.events)
+        drive(restored, tail[:100], finish=False)
+        assert len(recorder.events) == seen  # the restored copy records nowhere
+        restored.set_tracer(recorder)
+        drive(restored, tail[100:])
+        assert len(recorder.events) > seen
+        closes = [event.sim_time for event in recorder.of_kind("window.close")]
+        assert closes[-1] > tail[100].arrival_time
+
+    def test_sharded_operator_drops_its_registry_and_tracer(self, rng):
+        operator = ShardedWindowOperator(
+            2, SlidingWindowAssigner(5, 1), CountAggregate(), partial(KSlackHandler, 1.0)
+        )
+        operator.set_registry(MetricsRegistry())
+        operator.set_tracer(TraceRecorder())
+        operator.process_many(make_stream(rng)[:300])
+        restored = loads_state(dumps_state(operator))
+        assert restored._registry is None
+        assert restored.tracer is NULL_TRACER
+        assert restored.finish()
 
 
 class TestUnpicklableOperators:

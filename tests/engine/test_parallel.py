@@ -36,6 +36,7 @@ from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceRecorder
+from repro.streams.element import StreamElement
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
@@ -107,6 +108,41 @@ def test_stable_shard_is_deterministic_and_in_range():
         first = stable_shard(key, 8)
         assert 0 <= first < 8
         assert all(stable_shard(key, 8) == first for _ in range(5))
+
+
+class RoutingRecorder(ShardExecutor):
+    """In-process shards that remember which shard each element went to."""
+
+    def __init__(self):
+        self.routed = {}
+
+    def dispatch(self, shard_id, elements):
+        for element in elements:
+            self.routed[element.seq] = shard_id
+        return super().dispatch(shard_id, elements)
+
+
+@pytest.mark.parametrize("batch_size", [0, 256], ids=["scalar", "batched"])
+def test_every_element_routes_to_its_stable_shard(batch_size):
+    """Over 10k elements, scalar or batched, every element goes to the
+    ``stable_shard`` of its key: keys that compare equal across types
+    (1, True, 1.0; 0, 0.0, -0.0) but print differently keep their own
+    shards."""
+    keys = [f"sensor-{index}" for index in range(16)] + [1, True, 1.0, 0, 0.0, -0.0, ("a", 1)]
+    stream = [
+        StreamElement(
+            event_time=0.01 * seq, value=1.0, arrival_time=0.01 * seq,
+            key=keys[(seq * 7) % len(keys)], seq=seq,
+        )
+        for seq in range(10_000)
+    ]
+    executor = RoutingRecorder()
+    operator = sharded_operator(5, aggregate="count", executor=executor)
+    run_pipeline(stream, operator, batch_size=batch_size)
+    assert len(executor.routed) == len(stream)
+    for element in stream:
+        assert executor.routed[element.seq] == stable_shard(element.key, 5)
+    assert len({stable_shard(key, 5) for key in keys}) > 1
 
 
 def test_default_routing_groups_by_element_key():
@@ -384,6 +420,7 @@ def test_finish_peaks_near_what_it_leaves_behind():
         make_aggregate("sum"),
         lambda: KSlackHandler(1.0),
         mode="tree",
+        track_feedback=True,
     )
     operator.process_many(stream)
     gc.collect()
@@ -411,7 +448,10 @@ def test_runner_batched_feed_matches_an_element_by_element_run(make_handler, mod
     # element and reads the handler's frontier after every call.
     stream = keyed_stream(duration=40.0)
     handler = make_handler()
-    operator = WindowAggregateOperator(ASSIGNER, make_aggregate("mean"), handler, mode=mode)
+    # Scored under K-slack too, so the observed errors below are compared.
+    operator = WindowAggregateOperator(
+        ASSIGNER, make_aggregate("mean"), handler, track_feedback=True, mode=mode
+    )
     scalar, arrivals, frontiers = [], [], []
     for element in stream:
         scalar.extend(operator.process(element))
@@ -420,7 +460,9 @@ def test_runner_batched_feed_matches_an_element_by_element_run(make_handler, mod
             frontiers.append(handler.frontier)
     scalar.extend(operator.finish())
 
-    runner = ShardRunner(0, mode, ASSIGNER, make_aggregate("mean"), make_handler())
+    runner = ShardRunner(
+        0, mode, ASSIGNER, make_aggregate("mean"), make_handler(), track_feedback=True
+    )
     for index in range(0, len(stream), 64):
         runner.feed(stream[index : index + 64])
     run = runner.finish()

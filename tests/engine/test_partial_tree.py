@@ -185,10 +185,12 @@ def test_tree_matches_sliced_stats_and_errors():
     rng = np.random.default_rng(17)
     stream = make_stream(rng, mean_delay=1.5)
     naive = WindowAggregateOperator(
-        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
+        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5),
+        track_feedback=True,
     )
     tree = tree_operator(
-        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5)
+        SlidingWindowAssigner(10, 2), CountAggregate(), KSlackHandler(0.5),
+        track_feedback=True,
     )
     recorder = TraceRecorder()
     run_pipeline(stream, naive, trace=recorder)
@@ -214,7 +216,8 @@ def test_batched_equals_scalar(batch_size):
 
     def build():
         return tree_operator(
-            SlidingWindowAssigner(10, 2), SumAggregate(), KSlackHandler(1.0)
+            SlidingWindowAssigner(10, 2), SumAggregate(), KSlackHandler(1.0),
+            track_feedback=True,
         )
 
     scalar_op, batched_op = build(), build()
@@ -698,7 +701,8 @@ STAGGERED_RESULTS = [
 def run_retiring(stream, handler, batch_size):
     """The operator, its results and its ``(key, end)`` retirement order."""
     operator = tree_operator(
-        SlidingWindowAssigner(4, 1), SumAggregate(), handler, feedback_horizon=2.0
+        SlidingWindowAssigner(4, 1), SumAggregate(), handler, feedback_horizon=2.0,
+        track_feedback=True,
     )
     recorder = TraceRecorder()
     results = run_pipeline(stream, operator, batch_size=batch_size, trace=recorder).results
@@ -738,7 +742,8 @@ def rewinding_operator(size, lag):
     """A watermark handler releases every element on arrival, ahead of its
     frontier: an out-of-order element can rewind its key's end range."""
     return tree_operator(
-        SlidingWindowAssigner(size, 1.0), make_aggregate("sum"), FixedLagWatermarkHandler(lag)
+        SlidingWindowAssigner(size, 1.0), make_aggregate("sum"), FixedLagWatermarkHandler(lag),
+        track_feedback=True,
     )
 
 
@@ -813,7 +818,8 @@ def test_key_explosion_costs_one_gc_entry_per_slice_row():
     indices, never keys x slices, and everything goes once the frontier
     is past the last expiry."""
     operator = tree_operator(
-        SlidingWindowAssigner(4, 1), CountAggregate(), KSlackHandler(1.0)
+        SlidingWindowAssigner(4, 1), CountAggregate(), KSlackHandler(1.0),
+        track_feedback=True,
     )
     tree = operator._store.tree
     horizon = 5.0 * 4  # the operator's default feedback horizon

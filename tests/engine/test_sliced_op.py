@@ -76,6 +76,7 @@ class TestEquivalence:
             CountAggregate,
             NoBufferHandler,
             feedback_horizon=20.0,
+            track_feedback=True,
         )
         # Slice stores omit missed-window (phantom) samples, so compare
         # only the overall magnitude.

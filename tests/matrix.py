@@ -4,8 +4,9 @@ A draw is a *base* (stream, window, aggregate, disorder handler) and a
 *cell* of execution axes on top of it: store, driver, shards, restore,
 observe, sanitize.  :func:`check` runs the cell through
 :func:`run_pipeline` and holds it to every relation its draw qualifies
-for: R1 exact axes, R2 store, R3 shards, R4 merge order, R5 oracle (the
-table is in ``docs/INTERNALS.md``, "The execution matrix").  Handler
+for: R1 exact axes, R2 store, R3 shards, R4 merge order, R5 oracle, R6
+feedback default (the table is in ``docs/INTERNALS.md``, "The execution
+matrix").  Handler
 factories are module-level partials, so sharded cells pickle.
 
 ``tests/property/test_execution_matrix.py`` draws every axis at once; the
@@ -97,11 +98,16 @@ class Base:
     handler: str
     k: float = 0.0
     feedback_horizon: float | None = None
-    track_feedback: bool = True
+    track_feedback: bool | None = True  # None: the handler's takes_feedback
 
     @property
     def max_delay(self) -> float:
         return max(e.arrival_time - e.event_time for e in self.stream)
+
+    @property
+    def takes_feedback(self) -> bool:
+        """What the handler declares (``track_feedback=None`` follows it)."""
+        return handler_factory(self.handler, self.k, self.aggregate, self.size)().takes_feedback
 
     @property
     def covered(self) -> bool:
@@ -162,10 +168,12 @@ class Driven:
         self._cell = cell
         self._checkpoint = checkpoint
         self._seen = 0
+        self._tracer = None
 
     stats = property(lambda self: self.inner.stats)
 
     def set_tracer(self, tracer):
+        self._tracer = tracer
         self.inner.set_tracer(tracer)
 
     def set_registry(self, registry):
@@ -185,6 +193,8 @@ class Driven:
             assert not self._checkpoint.exists()
         else:
             self.inner = loads_state(dumps_state(self.inner))
+            if self._tracer is not None:  # observers are not state: re-attach
+                self.inner.set_tracer(self._tracer)
 
     def process(self, element):
         self._maybe_restore()
@@ -270,8 +280,14 @@ def check(base, cell, pool=None, checkpoint=None):
     if reference != cell:  # R1
         assert nan_equal(observable, run(base, reference)[1])
 
+    if base.track_feedback is None and not base.takes_feedback:  # R6
+        untracked = run(replace(base, track_feedback=False), reference)[1]
+        assert nan_equal(observable, untracked) and not observable[1]
+
     if cell.store == "tree" and not base.handler.startswith("aqk"):  # R2
         scored = base.track_feedback
+        if scored is None:
+            scored = base.takes_feedback
         naive, __, trace = run(base, replace(reference, store="naive", observe=scored))
         assert_windows(got, values(naive), exact)
         if scored:  # the naive store also scores the windows it missed
@@ -367,7 +383,7 @@ def bases(draw, source=None, keys=None):
         handler=draw(st.sampled_from(ADAPTIVE) if source == "generated" else handlers),
         k=draw(st.sampled_from([k, 0.0]) | st.floats(min_value=0.0, max_value=5.0)),
         feedback_horizon=draw(st.sampled_from([None, size])),
-        track_feedback=draw(st.booleans()),
+        track_feedback=draw(st.sampled_from([None, True, False])),
     )
 
 

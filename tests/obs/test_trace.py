@@ -152,6 +152,7 @@ def _mode_run(mode, batch_size, trace=None):
         make_aggregate("mean"),
         KSlackHandler(0.5),
         feedback_horizon=8.0,
+        track_feedback=True,
         mode=mode,
     )
     return run_pipeline(stream, operator, batch_size=batch_size, trace=trace)

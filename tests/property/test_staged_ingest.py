@@ -19,12 +19,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro import ContinuousQuery, sliding, tumbling
+from repro import ContinuousQuery, sliding
 from repro.engine.aggregate_op import (
     EXECUTION_MODES,
     STAGED_FOLD_LIMIT,
     WindowAggregateOperator,
 )
+from repro.engine.aggregates import make_aggregate
+from repro.engine.handlers import KSlackHandler
+from repro.engine.windows import SlidingWindowAssigner, TumblingWindowAssigner
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
@@ -32,12 +35,16 @@ from repro.streams.generators import generate_stream
 from tests.matrix import INTERLEAVED, MATRIX, Base, check, draws, generated_stream
 
 def build_operator(mode: str, quality: bool) -> WindowAggregateOperator:
+    if not quality:
+        # Fixed K takes no feedback: keep and score closed windows anyway,
+        # so the observed errors below are compared, not two empty lists.
+        return WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 1.0), make_aggregate("mean"),
+            KSlackHandler(0.4), track_feedback=True, mode=mode,
+        )
     query = ContinuousQuery().window(sliding(4.0, 1.0)).aggregate("mean").mode(mode)
-    if quality:
-        # Short warm-up and interval: dozens of rounds inside the stream.
-        query.with_quality(0.02, warmup_elements=20, adapt_interval=0.5)
-    else:
-        query.with_slack(0.4)
+    # Short warm-up and interval: dozens of rounds inside the stream.
+    query.with_quality(0.02, warmup_elements=20, adapt_interval=0.5)
     return query.build_operator()
 
 
@@ -115,8 +122,10 @@ def test_a_long_open_window_holds_a_bounded_number_of_staged_values(mode, batche
     ]
 
     def build(cls=WindowAggregateOperator):
-        query = ContinuousQuery().window(tumbling(3600.0)).aggregate("sum").mode(mode)
-        operator = query.with_slack(1.0).build_operator()
+        operator = WindowAggregateOperator(
+            TumblingWindowAssigner(3600.0), make_aggregate("sum"), KSlackHandler(1.0),
+            track_feedback=True, mode=mode,
+        )
         operator.__class__ = cls
         return operator
 

@@ -118,6 +118,7 @@ def test_cell_cases_hit_the_paths_they_name(case):
         SlidingWindowAssigner(case.size, case.slide),
         CountAggregate(),
         KSlackHandler(case.slack),
+        track_feedback=True,  # the phantom and retained records are the subject
     )
     store = operator._store
     results = []
