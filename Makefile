@@ -102,9 +102,11 @@ perf-ab:
 	$(PY) benchmarks/perf_ab.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) --pairs $(PAIRS)
 
 # Python calls per input element, by function and by file, for one
-# perfbench workload (scale 0.1, seed 42; coordinator process only): a
-# deterministic count that attributes a change in Python work to the
-# functions that gained or lost it, where wall-clock pairs are noisy.
+# perfbench workload (scale 0.1, seed 42; the calling process, and for a
+# sharded workload a second table: shard 0's chunks replayed in-process
+# as one worker runs them): a deterministic count that attributes a
+# change in Python work to the functions that gained or lost it, where
+# wall-clock pairs are noisy.
 calls:
 	$(PY) benchmarks/calls_per_element.py --workload $(WORKLOAD)
 

@@ -70,9 +70,7 @@ def bulk_release(
     released = buffer.push_release(elements, float(frontiers[-1]))
     if not released:
         return [], [0] * n
-    released_times = np.fromiter(
-        (element.event_time for element in released), dtype=float, count=len(released)
-    )
+    released_times = np.array([element.event_time for element in released], dtype=float)
     steps = np.searchsorted(frontiers, released_times, side="left")
     # Only an element offered at or below its own step's frontier has an
     # earlier step covering it; it leaves with its own offer.  ``released``
@@ -304,8 +302,8 @@ class SlackHandler(DisorderHandler):
         n = len(elements)
         if n < MIN_BULK_BATCH:
             return super().offer_many(elements)
-        event_times = np.fromiter(
-            (element.event_time for element in elements), dtype=float, count=n
+        event_times = np.array(
+            [element.event_time for element in elements], dtype=float
         )
         clocks = np.maximum.accumulate(event_times)
         np.maximum(clocks, self._clock, out=clocks)

@@ -101,8 +101,23 @@ def stable_shard(routing_key: object, n_shards: int) -> int:
     every key on every run; CRC-32 of the key's ``repr`` is stable across
     processes and Python versions, so shard assignment is part of the
     reproducible configuration rather than an accident of the interpreter.
+    Keys that compare equal share a shard, as they share a group: numbers
+    (numpy scalars too) and tuples of them hash one spelling per value.
     """
+    if type(routing_key) is not str and type(routing_key) is not int:
+        routing_key = _canonical_key(routing_key)
     return zlib.crc32(repr(routing_key).encode("utf-8")) % n_shards
+
+
+def _canonical_key(key: Any) -> Any:
+    """The one spelling :func:`stable_shard` hashes for ``key``'s ``==`` class."""
+    if isinstance(key, tuple):
+        return tuple(map(_canonical_key, key))
+    if isinstance(key, np.generic):
+        key = key.item()
+    if isinstance(key, float) and key.is_integer():
+        return int(key)
+    return int(key) if isinstance(key, int) else key
 
 
 # --------------------------------------------------------------------- #
@@ -158,25 +173,22 @@ class _PartialCaptureAggregate:
     holds.
     """
 
-    __slots__ = ("inner", "name", "error_model_kind", "capturing")
+    __slots__ = (
+        "inner", "name", "error_model_kind", "capturing",
+        "create", "add", "add_many", "merge",
+    )
 
     def __init__(self, inner: AggregateFunction) -> None:
         self.inner = inner
         self.name = inner.name
         self.error_model_kind = inner.error_model_kind
         self.capturing = False
-
-    def create(self) -> Any:
-        return self.inner.create()
-
-    def add(self, accumulator: Any, value: float) -> None:
-        self.inner.add(accumulator, value)
-
-    def add_many(self, accumulator: Any, values: list[float]) -> None:
-        self.inner.add_many(accumulator, values)
-
-    def merge(self, accumulator: Any, other: Any) -> Any:
-        return self.inner.merge(accumulator, other)
+        # The inner aggregate's own bound methods: a forwarding method
+        # would add a frame to every fold and merge of every shard.
+        self.create = inner.create
+        self.add = inner.add
+        self.add_many = inner.add_many
+        self.merge = inner.merge
 
     def result(self, accumulator: Any) -> float:
         value = self.inner.result(accumulator)
@@ -318,7 +330,7 @@ class ShardRunner:
         ``process_many``, whose results and feedback equal an
         element-by-element run's."""
         capture = self._capture
-        if not capture.capturing and any(e.key is None for e in elements):
+        if not capture.capturing and any([e.key is None for e in elements]):
             capture.capturing = True
             # The rows gathered so far belong to keyed groups.
             self._run.accumulators = [None] * len(self._run.ends)

@@ -52,7 +52,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from queue import Empty
-from typing import Any, Sequence, cast
+from typing import Any, Iterable, Sequence, cast
 
 from repro.engine.checkpoint import dumps_state, loads_state
 from repro.engine.parallel import (
@@ -124,19 +124,16 @@ def encode_chunk(elements: Sequence[StreamElement]) -> bytes:
     independent of the element count.
     """
     n = len(elements)
-    event_times = array("d", (element.event_time for element in elements))
-    arrivals = array(
-        "d",
-        (
-            element.arrival_time if element.arrival_time is not None else math.nan
-            for element in elements
-        ),
-    )
-    seqs = array("q", (element.seq for element in elements))
+    event_times = array("d", [element.event_time for element in elements])
+    arrivals = array("d", [
+        math.nan if element.arrival_time is None else element.arrival_time
+        for element in elements
+    ])
+    seqs = array("q", [element.seq for element in elements])
 
     pickle_calls = 0
     values = [element.value for element in elements]
-    if all(type(value) is float for value in values):
+    if set(map(type, values)) <= {float}:
         values_kind = _VALUES_FLOAT64
         values_blob = array("d", values).tobytes()
     else:
@@ -144,26 +141,17 @@ def encode_chunk(elements: Sequence[StreamElement]) -> bytes:
         values_blob = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
         pickle_calls += 1
 
-    flags = 0
-    key_indices = b""
-    key_table_blob = b""
-    n_keys = 0
+    flags = n_keys = 0
+    key_indices = key_table_blob = b""
     if all(element.key is None for element in elements):
-        flags |= _FLAG_NO_KEYS
+        flags = _FLAG_NO_KEYS
     else:
         table: dict[Any, int] = {}
-        indices = array("I")
-        for element in elements:
-            index = table.get(element.key)
-            if index is None:
-                index = len(table)
-                table[element.key] = index
-            indices.append(index)
+        key_indices = array(
+            "I", [table.setdefault(element.key, len(table)) for element in elements]
+        ).tobytes()
         n_keys = len(table)
-        key_indices = indices.tobytes()
-        key_table_blob = pickle.dumps(
-            list(table), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        key_table_blob = pickle.dumps(list(table), protocol=pickle.HIGHEST_PROTOCOL)
         pickle_calls += 1
 
     payload = b"".join(
@@ -190,48 +178,37 @@ def decode_chunk(payload: bytes) -> list[StreamElement]:
     n, n_keys, values_kind, flags = _CHUNK_HEADER.unpack_from(payload, 0)
     offset = _CHUNK_HEADER.size
 
-    event_times = array("d")
-    event_times.frombytes(payload[offset : offset + 8 * n])
-    offset += 8 * n
-    arrivals = array("d")
-    arrivals.frombytes(payload[offset : offset + 8 * n])
-    offset += 8 * n
-    seqs = array("q")
-    seqs.frombytes(payload[offset : offset + 8 * n])
-    offset += 8 * n
+    view = memoryview(payload)
+    event_times = view[offset : offset + 8 * n].cast("d")
+    arrivals = view[offset + 8 * n : offset + 16 * n].cast("d")
+    seqs = view[offset + 16 * n : offset + 24 * n].cast("q")
+    offset += 24 * n
 
     (values_length,) = struct.unpack_from("<I", payload, offset)
     offset += 4
-    values_blob = payload[offset : offset + values_length]
+    values_blob = view[offset : offset + values_length]
     offset += values_length
     if values_kind == _VALUES_FLOAT64:
-        values_array = array("d")
-        values_array.frombytes(values_blob)
-        values: Sequence[Any] = values_array
+        values: Sequence[Any] = values_blob.cast("d")
     elif values_kind == _VALUES_PICKLE:
         values = pickle.loads(values_blob)
     else:
         raise ConfigurationError(f"unknown chunk value encoding {values_kind}")
 
-    keys: Sequence[Any]
+    keys: Iterable[Any]
     if flags & _FLAG_NO_KEYS:
         keys = (None,) * n
     else:
-        indices = array("I")
-        indices.frombytes(payload[offset : offset + 4 * n])
-        offset += 4 * n
-        table = pickle.loads(payload[offset:])
-        keys = [table[index] for index in indices]
+        table = pickle.loads(view[offset + 4 * n :])
+        keys = map(table.__getitem__, view[offset : offset + 4 * n].cast("I"))
 
     return [
         StreamElement(
-            event_time=event_times[i],
-            value=values[i],
-            key=keys[i],
-            arrival_time=None if math.isnan(arrivals[i]) else arrivals[i],
-            seq=seqs[i],
+            event_time, value, key, None if math.isnan(arrival) else arrival, seq
         )
-        for i in range(n)
+        for event_time, value, key, arrival, seq in zip(
+            event_times, values, keys, arrivals, seqs
+        )
     ]
 
 

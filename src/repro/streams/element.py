@@ -15,7 +15,7 @@ Elements are immutable; derived elements are produced with ``with_arrival``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf
 from typing import Any
 
@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError, StreamOrderError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StreamElement:
     """One timestamped record of a data stream.
 
@@ -45,30 +45,35 @@ class StreamElement:
     arrival_time: float | None = None
     seq: int = -1
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, event_time: float, value: Any, key: Any = None,
+        arrival_time: float | None = None, seq: int = -1,
+    ) -> None:
         # A numpy floating payload (float32 and float16 included) becomes a
         # Python float, so every aggregate folds it in double precision
         # under numpy's promotion rules too.  Ints, bools and non-numeric
         # payloads stay as they are: large integer IDs stay exact.
-        value = self.value
         if type(value) is not float and isinstance(value, np.floating):
-            object.__setattr__(self, "value", float(value))
+            value = float(value)
         # Both checks are negated comparisons so that NaN, for which every
         # comparison is false, is rejected with the out-of-range values.
-        if not (0 <= self.event_time < inf):
+        if not (0 <= event_time < inf):
             raise ConfigurationError(
-                f"event_time must be finite and non-negative, got {self.event_time}"
+                f"event_time must be finite and non-negative, got {event_time}"
             )
         # The one sanctioned cross-axis comparison: both axes share the
         # simulation epoch and causality demands arrival >= event time —
         # this check is what makes .delay non-negative by construction.
-        if self.arrival_time is not None and not (
-            self.arrival_time >= self.event_time
-        ):
+        if arrival_time is not None and not (arrival_time >= event_time):
             raise ConfigurationError(
                 "arrival_time must be a number not preceding event_time "
-                f"(got {self.arrival_time}, event_time {self.event_time})"
+                f"(got {arrival_time}, event_time {event_time})"
             )
+        _set_event_time(self, event_time)
+        _set_value(self, value)
+        _set_key(self, key)
+        _set_arrival_time(self, arrival_time)
+        _set_seq(self, seq)
 
     @property
     def delay(self) -> float:
@@ -83,9 +88,10 @@ class StreamElement:
 
     def with_arrival(self, arrival_time: float, seq: int | None = None) -> "StreamElement":
         """Return a copy of this element with an arrival timestamp set."""
-        if seq is None:
-            return replace(self, arrival_time=arrival_time)
-        return replace(self, arrival_time=arrival_time, seq=seq)
+        return StreamElement(
+            self.event_time, self.value, self.key, arrival_time,
+            self.seq if seq is None else seq,
+        )
 
     def arrival_sort_key(self) -> tuple[float, int]:
         """Sort key for arrival order with deterministic tie-breaking."""
@@ -110,6 +116,13 @@ class StreamElement:
             "seq; every element of a stream needs a unique seq (generate_stream, "
             "inject_disorder and merge_streams assign one, read_trace restores it)"
         )
+
+
+# Slot setters, bound after the decorator ran (slots=True builds the class
+# anew): one C call per field past the frozen __setattr__, per element.
+_set_event_time, _set_value, _set_key, _set_arrival_time, _set_seq = (
+    vars(StreamElement)[name].__set__ for name in StreamElement.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,3 +82,22 @@ def test_calls_per_element_is_deterministic():
     # Python 3.10 prints ``stage``, later versions ``_SliceStore.stage``.
     assert re.search(r"engine/partial_tree\.py:\d+ (_SliceStore\.)?stage`", tables[0])
     assert lines[-1].endswith("| **total** |")
+
+
+def test_calls_per_element_counts_one_worker_of_a_sharded_run():
+    """A sharded workload adds shard 0's table, the same in two interpreters."""
+    command = [sys.executable, "benchmarks/calls_per_element.py",
+               "--workload", "sharded_proc2_ov64", "--scale", "0.02"]
+    workers = []
+    for __ in range(2):
+        table = subprocess.run(
+            command, cwd=ROOT, capture_output=True, text=True, check=True, timeout=120
+        ).stdout
+        coordinator, worker = re.split(r"\n\n(?=\d+ elements of shard 0)", table)
+        assert coordinator.splitlines()[0].endswith("input elements")
+        assert worker.splitlines()[0].endswith("elements of shard 0")
+        workers.append(worker)
+    assert workers[0] == workers[1]
+    assert re.search(r"engine/process_pool\.py:\d+ decode_chunk`", workers[0])
+    assert re.search(r"engine/parallel\.py:\d+ (ShardSession\.)?feed`", workers[0])
+    assert workers[0].splitlines()[-1].endswith("| **total** |")

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
+from repro.engine.aggregates import make_aggregate
+from repro.engine.handlers import KSlackHandler
+from repro.engine.parallel import ShardedWindowOperator
 from repro.engine.pipeline import run_pipeline
+from repro.engine.windows import SlidingWindowAssigner
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
@@ -79,6 +83,56 @@ def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
         generate_stream(duration=duration, rate=rate, rng=rng, keys=keys),
         ExponentialDelay(mean_delay),
         rng,
+    )
+
+
+#: Routing keys in ``==`` classes across types (bool, int, float, numpy
+#: scalars, tuples of them), mixed with strings, one of which prints as
+#: a number.  A store folds each class into one group.
+EQUAL_KEYS = (
+    1, 1.0, True, np.int64(1), 0, 0.0, -0.0, False, np.float32(3.0), 3,
+    ("t", 1), ("t", 1.0), ("t", np.bool_(True)), "a", "b", "1",
+)
+
+
+def equal_keys_rows(executor, n_shards: int, mode: str) -> tuple[list, list]:
+    """Rows of a sharded sum over :data:`EQUAL_KEYS` and of the unsharded one.
+
+    Integer values keep every sum exact whatever the fold order, and K
+    covers every delay, so the two runs must emit the same windows.  A
+    row names its group by the first key of the class: which member a
+    store reports for the class is not specified.
+    """
+    rng = np.random.default_rng(11)
+    stream = inject_disorder(
+        [
+            StreamElement(
+                0.1 * seq, float(rng.integers(0, 10)),
+                EQUAL_KEYS[seq % len(EQUAL_KEYS)], seq=seq,
+            )
+            for seq in range(400)
+        ],
+        ExponentialDelay(0.3),
+        rng,
+    )
+    k = max(element.delay for element in stream) + 1e-6
+    assigner = SlidingWindowAssigner(size=4.0, slide=2.0)
+    single = WindowAggregateOperator(
+        assigner, make_aggregate("sum"), KSlackHandler(k), mode=mode
+    )
+    sharded = ShardedWindowOperator(
+        n_shards, assigner, make_aggregate("sum"), lambda: KSlackHandler(k),
+        mode=mode, executor=executor,
+    )
+    group_of: dict = {}
+    for index, key in enumerate(EQUAL_KEYS):
+        group_of.setdefault(key, index)
+    return tuple(
+        sorted(
+            (r.window.start, r.window.end, group_of[r.key], r.value, r.count)
+            for r in run_pipeline(stream, operator).results
+        )
+        for operator in (sharded, single)
     )
 
 

@@ -40,7 +40,7 @@ from repro.streams.element import StreamElement
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
-from tests.conftest import make_arrived
+from tests.conftest import equal_keys_rows, make_arrived
 
 ASSIGNER = SlidingWindowAssigner(size=4.0, slide=1.0)
 
@@ -126,8 +126,7 @@ class RoutingRecorder(ShardExecutor):
 def test_every_element_routes_to_its_stable_shard(batch_size):
     """Over 10k elements, scalar or batched, every element goes to the
     ``stable_shard`` of its key: keys that compare equal across types
-    (1, True, 1.0; 0, 0.0, -0.0) but print differently keep their own
-    shards."""
+    (1, True, 1.0; 0, 0.0, -0.0) but print differently share a shard."""
     keys = [f"sensor-{index}" for index in range(16)] + [1, True, 1.0, 0, 0.0, -0.0, ("a", 1)]
     stream = [
         StreamElement(
@@ -143,6 +142,15 @@ def test_every_element_routes_to_its_stable_shard(batch_size):
     for element in stream:
         assert executor.routed[element.seq] == stable_shard(element.key, 5)
     assert len({stable_shard(key, 5) for key in keys}) > 1
+
+
+@pytest.mark.parametrize("mode", ["naive", "tree"])
+@pytest.mark.parametrize("n_shards", [2, 3, 4, 5])
+def test_keys_that_compare_equal_share_a_shard(n_shards, mode):
+    """1, 1.0 and True (0, 0.0 and -0.0, ...) are one group unsharded, so
+    one shard holds each: the sharded run emits the unsharded rows."""
+    sharded, single = equal_keys_rows(ShardExecutor(), n_shards, mode)
+    assert sharded == single
 
 
 def test_default_routing_groups_by_element_key():

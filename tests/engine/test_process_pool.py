@@ -46,7 +46,7 @@ from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
-from tests.conftest import nan_equal
+from tests.conftest import equal_keys_rows, nan_equal
 
 ASSIGNER = SlidingWindowAssigner(size=4.0, slide=1.0)
 
@@ -314,6 +314,15 @@ def test_process_matches_serial_for_exact_aggregates(pool, aggregate):
         stream, sharded_operator(3, pool, aggregate=aggregate, k=k)
     )
     assert canonical(process_out.results) == canonical(serial_out.results)
+
+
+@pytest.mark.parametrize("mode", ["naive", "tree"])
+@pytest.mark.parametrize("n_shards", [2, 3, 4, 5])
+def test_keys_that_compare_equal_share_a_shard(pool, n_shards, mode):
+    """Routing in the coordinator is the same for every executor: keys that
+    compare equal land on one worker's shard and merge as one group."""
+    sharded, single = equal_keys_rows(pool, n_shards, mode)
+    assert sharded == single
 
 
 def test_warm_pool_is_reused_across_runs(pool):

@@ -5,8 +5,8 @@ Five contracts, each against an exact reference:
 * **One-frame merge ≡ add then carry, bit-for-bit** —
   :func:`~repro.core.numeric.neumaier_merge` performs the operations of
   ``neumaier_add(a, b[0]); a[1] += b[1]`` in their order, signed zeros,
-  infinities, NaN and subnormals included, and so do the sum and mean
-  merges built on it.
+  infinities and subnormals included (a NaN slot need only be NaN), and
+  so do the sum and mean merges built on it.
 * **Scalar ≡ batched, bit-for-bit** — ``SumAggregate``/``MeanAggregate``
   fold batches through the *same* Neumaier sequence as repeated ``add``,
   so the twins agree exactly (including across the 32-element threshold
@@ -115,8 +115,18 @@ edge_floats = st.one_of(
 
 
 def bit_patterns(accumulator: list[float]) -> list[bytes]:
-    """The IEEE-754 bytes of each slot: -0.0 is not 0.0, NaN equals its twin."""
-    return [struct.pack("<d", slot) for slot in accumulator]
+    """The IEEE-754 bytes of each slot: -0.0 is not 0.0, every NaN is one.
+
+    IEEE 754 leaves open which NaN a sum of two NaNs keeps, and CPython
+    3.11's specialized float ``+`` keeps the other operand's than the
+    generic one: ``nan + -nan`` reads ``0xfff8...`` cold and
+    ``0x7ff8...`` once the adding code has been specialized.  So a NaN
+    slot compares by being NaN; every other slot compares bit for bit.
+    """
+    return [
+        struct.pack("<d", math.nan if math.isnan(slot) else slot)
+        for slot in accumulator
+    ]
 
 
 @settings(max_examples=300, deadline=None)

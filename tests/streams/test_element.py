@@ -1,9 +1,15 @@
 """Tests for the stream element data model."""
 
+import dataclasses
 import math
+import pickle
+import struct
 
+import numpy as np
 import pytest
 
+from repro.engine import process_pool
+from repro.engine.process_pool import decode_chunk, encode_chunk
 from repro.errors import ConfigurationError, StreamOrderError
 from repro.streams.element import StreamElement, Watermark, ensure_arrival_order
 
@@ -89,6 +95,57 @@ class TestStreamElement:
         el = StreamElement(event_time=1.0, value=2.0)
         with pytest.raises(AttributeError):
             el.value = 3.0  # type: ignore[misc]
+
+
+class TestConstructorContract:
+    """The hand-written constructor keeps the dataclass's behaviour."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_floating_payloads_become_float(self, dtype):
+        el = StreamElement(1.0, dtype(2.5), "k", 1.5, 0)
+        assert type(el.value) is float and el.value == 2.5
+        # An element built past the constructor still holds the numpy
+        # value; with_arrival goes through the constructor and converts it.
+        raw = StreamElement.__new__(StreamElement)
+        object.__setattr__(raw, "event_time", 1.0)
+        object.__setattr__(raw, "value", dtype(0.5))
+        object.__setattr__(raw, "key", None)
+        object.__setattr__(raw, "arrival_time", None)
+        object.__setattr__(raw, "seq", 3)
+        moved = raw.with_arrival(2.0)
+        assert type(moved.value) is float and moved.value == 0.5
+        assert moved.seq == 3
+
+    def test_ints_bools_and_objects_stay_as_they_are(self):
+        big = 2**63 + 1
+        for value in (big, True, "text", (1, 2), np.int64(7)):
+            assert StreamElement(0.0, value).value is value
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = StreamElement(1.0, 2.0, "k", 3.0, 4)
+        keyword = StreamElement(
+            seq=4, arrival_time=3.0, key="k", value=2.0, event_time=1.0
+        )
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert StreamElement(1.0, 2.0) == StreamElement(
+            event_time=1.0, value=2.0, key=None, arrival_time=None, seq=-1
+        )
+
+    def test_pickle_and_replace_round_trips(self):
+        el = StreamElement(1.0, 2.0, ("k", 1), 3.0, 4)
+        assert pickle.loads(pickle.dumps(el)) == el
+        assert dataclasses.replace(el) == el
+        assert dataclasses.replace(el, seq=5) == StreamElement(1.0, 2.0, ("k", 1), 3.0, 5)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(el, arrival_time=0.5)
+
+    @pytest.mark.parametrize("event_time", [-1.0, math.nan])
+    def test_decode_chunk_validates_forged_event_times(self, event_time):
+        payload = bytearray(encode_chunk([StreamElement(1.0, 2.0, "k", 3.0, 0)]))
+        struct.pack_into("<d", payload, process_pool._CHUNK_HEADER.size, event_time)
+        with pytest.raises(ConfigurationError, match="event_time"):
+            decode_chunk(bytes(payload))
 
 
 class TestWatermark:
