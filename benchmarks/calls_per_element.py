@@ -110,7 +110,7 @@ def count_worker_calls(workload_name, scale=0.1):
 
     def replay():
         for payload in recorder.payloads:
-            session.feed(0, decode_chunk(payload), len(payload))
+            session.feed(0, decode_chunk(payload))
         for run in session.finish():
             encode_run(run)
 

@@ -130,7 +130,7 @@ def e03_headline(scale: float = 1.0) -> ExperimentResult:
 
     policies = [
         ("no-buffer", {}),
-        ("watermark-heuristic", {"delay_quantile": 0.95}),
+        ("watermark-heuristic", {}),
         ("k-slack", {"k": stats.p95_delay}),
         ("mp-k-slack", {}),
         ("aq-k", {"theta": 0.05}),

@@ -115,7 +115,7 @@ def make_policy(name: str, aggregate: AggregateFunction, window_size: float, **p
     """Named policy factory used across experiments.
 
     Known names: ``no-buffer``, ``k-slack`` (param ``k``), ``mp-k-slack``,
-    ``watermark-heuristic`` (param ``delay_quantile``), ``aq-k`` (param
+    ``watermark-heuristic``, ``aq-k`` (param
     ``theta`` plus optional AQK kwargs), ``aq-k-budget`` (param ``budget``).
     """
     if name == "no-buffer":
@@ -125,9 +125,7 @@ def make_policy(name: str, aggregate: AggregateFunction, window_size: float, **p
     if name == "mp-k-slack":
         return MPKSlackHandler()
     if name == "watermark-heuristic":
-        return HeuristicWatermarkHandler(
-            delay_quantile=params.get("delay_quantile", 0.95)
-        )
+        return HeuristicWatermarkHandler()
     if name == "aq-k":
         theta = params.pop("theta")
         return AQKSlackHandler(

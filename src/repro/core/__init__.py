@@ -37,14 +37,13 @@ from repro.core.pair_quality import (
     QualityDrivenIntervalJoin,
     QualityDrivenSequencePattern,
 )
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 
 __all__ = [
     "AIMDController",
     "AQKSlackHandler",
     "AdaptationRecord",
     "AdditiveMassModel",
-    "BoundedQualityTarget",
     "DelaySample",
     "DistinctModel",
     "ErrorModel",

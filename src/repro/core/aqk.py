@@ -41,7 +41,7 @@ from repro.core.sampling import (
     SlidingDelaySample,
     ValueStatsTracker,
 )
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.handlers import SlackHandler
 from repro.errors import ConfigurationError
@@ -52,6 +52,13 @@ from repro.streams.timebase import DurationS
 #: Arrivals a scalar driver may leave unfolded: a stream on which no round
 #: is due (still warming up, arrival time standing still) folds here.
 PENDING_FOLD_LIMIT = 1024
+
+#: Floor on the allowed late fraction, so a very strict target does not
+#: push the required delay quantile into the sample maximum.
+MIN_LATE_FRACTION = 1e-4
+
+#: In budget mode, the delay quantile beyond which more slack buys nothing.
+BUDGET_QUANTILE_CAP = 0.999
 
 
 @dataclass(frozen=True)
@@ -75,18 +82,13 @@ class AQKSlackHandler(SlackHandler):
 
     def __init__(
         self,
-        target: QualityTarget | BoundedQualityTarget | LatencyBudget,
+        target: QualityTarget | LatencyBudget,
         aggregate: AggregateFunction | str | ErrorModel,
         window_size: DurationS | None = None,
         delay_sample: DelaySample | None = None,
         controller: SlackController | None = None,
         adapt_interval: DurationS = 1.0,
         warmup_elements: int = 50,
-        k_min: DurationS = 0.0,
-        k_max: DurationS = math.inf,
-        min_late_fraction: float = 1e-4,
-        budget_quantile_cap: float = 0.999,
-        estimation_confidence: float = 0.0,
     ) -> None:
         """Args:
         target: The user requirement (quality target or latency budget).
@@ -100,17 +102,7 @@ class AQKSlackHandler(SlackHandler):
             :class:`~repro.core.controller.PIController` in quality mode.
         adapt_interval: Minimum arrival-time seconds between adaptations.
         warmup_elements: Elements observed before the first adaptation;
-            until then ``K`` stays at ``k_min`` plus whatever the sample
-            already supports at the 95th percentile (a safe cold start).
-        k_min / k_max: Hard clamps on the applied slack.
-        min_late_fraction: Floor on the allowed late fraction, preventing
-            the required delay quantile from running into the sample max
-            for very strict targets.
-        budget_quantile_cap: In budget mode, the delay quantile beyond
-            which extra slack is considered useless.
-        estimation_confidence: z-score padding of the delay-quantile rank
-            against sampling error (0 disables).  Positive values make the
-            handler conservative while the delay sample is small.
+            until that round ``K`` stays at 0.
         """
         if adapt_interval <= 0:
             raise ConfigurationError(
@@ -119,21 +111,6 @@ class AQKSlackHandler(SlackHandler):
         if warmup_elements < 0:
             raise ConfigurationError(
                 f"warmup_elements must be non-negative, got {warmup_elements}"
-            )
-        if not 0 <= k_min <= k_max:
-            raise ConfigurationError(f"need 0 <= k_min <= k_max, got {k_min}, {k_max}")
-        if not 0 < min_late_fraction <= 1:
-            raise ConfigurationError(
-                f"min_late_fraction must lie in (0,1], got {min_late_fraction}"
-            )
-        if not 0 < budget_quantile_cap <= 1:
-            raise ConfigurationError(
-                f"budget_quantile_cap must lie in (0,1], got {budget_quantile_cap}"
-            )
-        if estimation_confidence < 0:
-            raise ConfigurationError(
-                "estimation_confidence must be non-negative, got "
-                f"{estimation_confidence}"
             )
 
         self.target = target
@@ -147,22 +124,15 @@ class AQKSlackHandler(SlackHandler):
         )
         # Quality mode reads feedback; budget rounds read the delay sample
         # alone, which window retirement never touches.
-        self.takes_feedback = isinstance(target, (QualityTarget, BoundedQualityTarget))
-        if controller is None and isinstance(
-            target, (QualityTarget, BoundedQualityTarget)
-        ):
+        self.takes_feedback = isinstance(target, QualityTarget)
+        if controller is None and isinstance(target, QualityTarget):
             controller = PIController(target=target.threshold)
         self.controller = controller
         self.adapt_interval = adapt_interval
         self.warmup_elements = warmup_elements
-        self.k_min = k_min
-        self.k_max = k_max
-        self.min_late_fraction = min_late_fraction
-        self.budget_quantile_cap = budget_quantile_cap
-        self.estimation_confidence = estimation_confidence
 
         super().__init__()
-        self.k = k_min
+        self.k = 0.0
         self.adaptations: list[AdaptationRecord] = []
         self._value_stats = ValueStatsTracker()
         self._rate = RateTracker()
@@ -184,35 +154,21 @@ class AQKSlackHandler(SlackHandler):
             expected_window_count=expected,
         )
 
-    def _confident_quantile(self, q: float) -> float:
-        """Quantile query padded for sampling uncertainty.
-
-        With ``estimation_confidence`` z > 0 the rank is shifted up by z
-        standard errors of the empirical quantile rank
-        (``sqrt(q(1-q)/n)``), so a freshly-filled or small delay sample
-        yields a conservatively larger slack; the padding vanishes as the
-        sample grows.
-        """
-        z = self.estimation_confidence
-        if z > 0:
-            n = max(1, self.delay_sample.count)
-            q = q + z * math.sqrt(q * (1.0 - q) / n)
-            q = min(1.0, q)
-        return self.delay_sample.quantile(q)
-
     def _adapt_quality(self, arrival_time: float, theta: float) -> None:
         context = self._context()
         p_allowed = self.error_model.late_fraction_for_error(theta, context)
-        p_allowed = max(self.min_late_fraction, min(1.0, p_allowed))
+        p_allowed = max(MIN_LATE_FRACTION, min(1.0, p_allowed))
         if p_allowed >= 1.0:
             k_estimate = 0.0
         else:
-            k_estimate = self._confident_quantile(1.0 - p_allowed)
+            k_estimate = self.delay_sample.quantile(1.0 - p_allowed)
         if self.controller is not None:
             k_applied = self.controller.adjust(k_estimate)
         else:
             k_applied = k_estimate
-        self.k = max(self.k_min, min(self.k_max, k_applied))
+        # Clamp at 0; ``min`` keeps ``inf`` against a NaN, so a NaN K holds
+        # everything back rather than releasing it.
+        self.k = max(0.0, min(math.inf, k_applied))
         state = self.controller.state() if self.controller is not None else {}
         self.adaptations.append(
             AdaptationRecord(
@@ -226,9 +182,9 @@ class AQKSlackHandler(SlackHandler):
         )
 
     def _adapt_budget(self, arrival_time: float, budget: float) -> None:
-        useful = self.delay_sample.quantile(self.budget_quantile_cap)
+        useful = self.delay_sample.quantile(BUDGET_QUANTILE_CAP)
         k_applied = min(budget, useful)
-        self.k = max(self.k_min, min(self.k_max, k_applied))
+        self.k = max(0.0, min(math.inf, k_applied))
         self.adaptations.append(
             AdaptationRecord(
                 arrival_time=arrival_time,
@@ -244,18 +200,6 @@ class AQKSlackHandler(SlackHandler):
         k_before = self.k
         if isinstance(self.target, QualityTarget):
             self._adapt_quality(arrival_time, self.target.threshold)
-        elif isinstance(self.target, BoundedQualityTarget):
-            self._adapt_quality(arrival_time, self.target.threshold)
-            if self.k > self.target.budget_seconds:
-                self.k = self.target.budget_seconds
-                self.adaptations[-1] = AdaptationRecord(
-                    arrival_time=self.adaptations[-1].arrival_time,
-                    allowed_late_fraction=self.adaptations[-1].allowed_late_fraction,
-                    k_estimate=self.adaptations[-1].k_estimate,
-                    k_applied=self.k,
-                    observed_error_ewma=self.adaptations[-1].observed_error_ewma,
-                    controller_gain=self.adaptations[-1].controller_gain,
-                )
         else:
             self._adapt_budget(arrival_time, self.target.seconds)
         if self.tracer.enabled:

@@ -64,7 +64,6 @@ from repro.engine.pairs import (
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
-    PerfectWatermarkHandler,
 )
 from repro.engine.windows import (
     SlidingWindowAssigner,
@@ -98,7 +97,6 @@ __all__ = [
     "OperatorStats",
     "PairMatch",
     "PairMatchOperator",
-    "PerfectWatermarkHandler",
     "ProcessShardExecutor",
     "QuantileAggregate",
     "RangeAggregate",

@@ -365,29 +365,22 @@ class KSlackHandler(SlackHandler):
 class MPKSlackHandler(SlackHandler):
     """MP-K-slack: conservative adaptive baseline tracking the max delay.
 
-    ``K`` grows to the largest element delay observed so far (optionally
-    padded by ``safety_factor``), so results become exact once the true
-    worst case has been seen — at the price of worst-case latency forever
-    after.  This is the "conservative" comparison point of experiment E3.
+    ``K`` starts at 0 and grows to the largest element delay observed so
+    far, so results become exact once the true worst case has been seen —
+    at the price of worst-case latency forever after.  This is the
+    "conservative" comparison point of experiment E3.
     """
 
     name = "mp-k-slack"
     takes_feedback = False
 
-    def __init__(self, initial_k: DurationS = 0.0, safety_factor: float = 1.0) -> None:
-        if not initial_k >= 0:
-            raise ConfigurationError(f"initial K must be non-negative, got {initial_k}")
-        if not safety_factor >= 1.0:
-            raise ConfigurationError(
-                f"safety_factor must be >= 1, got {safety_factor}"
-            )
+    def __init__(self) -> None:
         super().__init__()
-        self.k = initial_k
-        self.safety_factor = safety_factor
+        self.k = 0.0
 
     def slack_for(self, element: StreamElement) -> DurationS:
         if element.arrival_time is not None:
-            observed = element.delay * self.safety_factor
+            observed = element.delay
             if observed > self.k:
                 self.k = observed
         return self.k
@@ -397,9 +390,9 @@ class MPKSlackHandler(SlackHandler):
     ) -> "np.ndarray":
         # Elements without an arrival time leave K unchanged; a negative
         # placeholder can never raise K (K >= 0 always).
-        scaled_delays = np.fromiter(
+        delays = np.fromiter(
             (
-                (element.arrival_time - element.event_time) * self.safety_factor
+                element.arrival_time - element.event_time
                 if element.arrival_time is not None
                 else -1.0
                 for element in elements
@@ -407,7 +400,7 @@ class MPKSlackHandler(SlackHandler):
             dtype=float,
             count=len(elements),
         )
-        ks = np.maximum.accumulate(scaled_delays)
+        ks = np.maximum.accumulate(delays)
         np.maximum(ks, self.k, out=ks)
         self.k = float(ks[-1])
         return ks

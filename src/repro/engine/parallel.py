@@ -267,9 +267,6 @@ class _ShardRun:
     #: Trace events of the shard's own recorder (traced runs only).  The
     #: coordinator re-timestamps these into its own wall clock at merge.
     trace_events: list[Any] = field(default_factory=list)
-    #: Session-side telemetry counters (``chunks``, ``wire_bytes``)
-    #: merged into the coordinator registry under ``shard.<id>.*``.
-    metric_deltas: dict[str, float] = field(default_factory=dict)
 
 
 class ShardRunner:
@@ -398,18 +395,15 @@ class ShardSession:
     nothing and reports nothing.
     """
 
-    __slots__ = ("spec", "runners", "tracers", "metric_deltas")
+    __slots__ = ("spec", "runners", "tracers")
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
         self.runners: dict[int, ShardRunner] = {}
         self.tracers: dict[int, Tracer] = {}
-        self.metric_deltas: dict[int, dict[str, float]] = {}
 
-    def feed(
-        self, shard_id: int, elements: Sequence[StreamElement], n_bytes: int = 0
-    ) -> None:
-        """Drive one chunk (``n_bytes`` on the wire) through its shard."""
+    def feed(self, shard_id: int, elements: Sequence[StreamElement]) -> None:
+        """Drive one chunk through its shard."""
         runner = self.runners.get(shard_id)
         if runner is None:
             spec = self.spec
@@ -430,11 +424,7 @@ class ShardSession:
                 tracer=tracer,
                 split_keyed=spec.split_keyed,
             )
-            self.metric_deltas[shard_id] = {"chunks": 0, "wire_bytes": 0}
         runner.feed(elements)
-        deltas = self.metric_deltas[shard_id]
-        deltas["chunks"] += 1
-        deltas["wire_bytes"] += n_bytes
 
     def finish(self) -> Iterator[_ShardRun]:
         """Finish every shard that saw a chunk; yield runs by shard id."""
@@ -443,7 +433,6 @@ class ShardSession:
             tracer = self.tracers.get(shard_id)
             if isinstance(tracer, TraceRecorder):  # not one a restore detached
                 run.trace_events = list(tracer.events)
-            run.metric_deltas = self.metric_deltas[shard_id]
             yield run
 
 
@@ -565,15 +554,6 @@ class ShardedHandlerView:
         """Total elements the shard handlers released downstream."""
         return self._released
 
-    def next_adaptation_offset(
-        self, elements: list[StreamElement], start: int, stop: int
-    ) -> int | None:
-        """No global adaptation boundaries: shards adapt internally."""
-        return None
-
-    def observe_error(self, error: float) -> None:
-        """Quality feedback is consumed per shard; nothing to do here."""
-
     def describe(self) -> str:
         """Label the sharded configuration, e.g. ``sharded(4)xK=1s``."""
         return f"sharded({self._n_shards})x{self._prototype.describe()}"
@@ -667,6 +647,7 @@ class ShardedWindowOperator(Operator):
         self._finished = False
         self._chunk_size = self._executor.chunk_size
         self._chunks_sent = [0] * n_shards
+        self._bytes_sent = [0] * n_shards
         # Whatever the executor cannot carry (a process pool pickles every
         # query part) is rejected here at build time with a clear error,
         # not at first dispatch with an opaque traceback mid-run.
@@ -776,6 +757,7 @@ class ShardedWindowOperator(Operator):
         n_bytes = self._executor.dispatch(shard_id, elements)
         chunk = self._chunks_sent[shard_id]
         self._chunks_sent[shard_id] = chunk + 1
+        self._bytes_sent[shard_id] += n_bytes
         if self.tracer.enabled:
             self.tracer.emit(
                 "shard.dispatch", self._last_arrival, shard=shard_id, chunk=chunk,
@@ -904,14 +886,15 @@ class ShardedWindowOperator(Operator):
         if self._registry is not None:
             registry = self._registry
             for run in runs:
-                prefix = f"shard.{run.shard_id}"
+                shard_id = run.shard_id
+                prefix = f"shard.{shard_id}"
                 registry.counter(f"{prefix}.elements_in").set(run.elements_in)
                 registry.counter(f"{prefix}.results_out").set(len(run.ends))
                 registry.counter(f"{prefix}.late_dropped").set(run.late_dropped)
                 registry.gauge(f"{prefix}.max_buffered").set(run.max_buffered)
                 registry.gauge(f"{prefix}.final_frontier").set(run.final_frontier)
-                for name, value in run.metric_deltas.items():
-                    registry.counter(f"{prefix}.{name}").set(value)
+                registry.counter(f"{prefix}.chunks").set(self._chunks_sent[shard_id])
+                registry.counter(f"{prefix}.wire_bytes").set(self._bytes_sent[shard_id])
         return merged
 
 

@@ -28,8 +28,8 @@ Three design points distinguish this from ``multiprocessing.Pool.map``:
   (:func:`encode_run`): result columns and frontier timelines are
   ``array`` buffers, accumulators travel only for groups routing can
   split across shards, and per-shard trace events (re-timestamped into
-  the coordinator's clock by ``TraceRecorder.absorb``) and metric deltas
-  (merged under ``shard.<id>.*``) ride in the same record.
+  the coordinator's clock by ``TraceRecorder.absorb``) ride in the same
+  record.
 
 Failure handling: a worker exception is reported with its full traceback
 and raised on the coordinator as
@@ -113,14 +113,28 @@ class ChunkCodecStats:
 CODEC_STATS = ChunkCodecStats()
 
 
+def _spelling(key: Any) -> tuple[Any, ...]:
+    """The key with its type, item by item inside tuples.
+
+    Keys that compare equal but differ in type (``1``, ``1.0``, ``True``,
+    ``np.int64(1)``) spell differently, so the key table keeps each one
+    the chunk carries; the key itself is the second item.
+    """
+    if isinstance(key, tuple):
+        return (type(key), key, tuple(map(_spelling, key)))
+    return (type(key), key)
+
+
 def encode_chunk(elements: Sequence[StreamElement]) -> bytes:
     """Encode an arrival-ordered element slice into the compact wire form.
 
     Timestamps and seqs travel as raw ``array`` buffers (``None`` arrival
     becomes a NaN sentinel); values take a float64 fast path when every
     payload is exactly a float, otherwise one pickle for the whole list;
-    keys are deduplicated into a table pickled once per chunk plus a
-    ``uint32`` index array.  At most two ``pickle.dumps`` calls per chunk,
+    keys are deduplicated by type and value (:func:`_spelling`; ``str``
+    and ``None`` keys by value alone) into a table pickled once per chunk
+    plus a ``uint32`` index array, so each element decodes with a key of
+    its own type.  At most two ``pickle.dumps`` calls per chunk,
     independent of the element count.
     """
     n = len(elements)
@@ -143,15 +157,23 @@ def encode_chunk(elements: Sequence[StreamElement]) -> bytes:
 
     flags = n_keys = 0
     key_indices = key_table_blob = b""
-    if all(element.key is None for element in elements):
+    keys = [element.key for element in elements]
+    key_types = set(map(type, keys))
+    if key_types <= {type(None)}:
         flags = _FLAG_NO_KEYS
     else:
+        plain = key_types <= {str, type(None)}
         table: dict[Any, int] = {}
         key_indices = array(
-            "I", [table.setdefault(element.key, len(table)) for element in elements]
+            "I",
+            [
+                table.setdefault(spelling, len(table))
+                for spelling in (keys if plain else map(_spelling, keys))
+            ],
         ).tobytes()
         n_keys = len(table)
-        key_table_blob = pickle.dumps(list(table), protocol=pickle.HIGHEST_PROTOCOL)
+        key_table = list(table) if plain else [spelling[1] for spelling in table]
+        key_table_blob = pickle.dumps(key_table, protocol=pickle.HIGHEST_PROTOCOL)
         pickle_calls += 1
 
     payload = b"".join(
@@ -267,8 +289,7 @@ def _worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
                 raise ConfigurationError(f"{kind} received before begin")
             if kind == "chunk":
                 shard_id = message[2]
-                payload = message[3]
-                session.feed(shard_id, decode_chunk(payload), len(payload))
+                session.feed(shard_id, decode_chunk(message[3]))
             elif kind == "finish":
                 shard_ids = []
                 for run in session.finish():

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.quality import QualityReport, assess_quality
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregates import AggregateFunction, make_aggregate
 from repro.engine.handlers import (
     DisorderHandler,
@@ -132,23 +132,6 @@ class ContinuousQuery:
 
         return self._set_handler(f"quality<={threshold:g}", factory)
 
-    def with_bounded_quality(
-        self, threshold: float, budget: float, **aqk_kwargs
-    ) -> "ContinuousQuery":
-        """Quality target clamped by a hard latency ceiling."""
-
-        def factory(query: "ContinuousQuery") -> DisorderHandler:
-            return AQKSlackHandler(
-                target=BoundedQualityTarget(threshold, budget),
-                aggregate=query._require_aggregate(),
-                window_size=getattr(query._assigner, "size", None),
-                **aqk_kwargs,
-            )
-
-        return self._set_handler(
-            f"quality<={threshold:g}&latency<={budget:g}s", factory
-        )
-
     def with_latency_budget(self, seconds: float, **aqk_kwargs) -> "ContinuousQuery":
         """Latency-bounded adaptive buffering: slack <= budget."""
 
@@ -166,18 +149,15 @@ class ContinuousQuery:
         """Fixed K-slack buffering."""
         return self._set_handler(f"K={k:g}s", lambda query: KSlackHandler(k))
 
-    def with_max_delay_slack(self, safety_factor: float = 1.0) -> "ContinuousQuery":
+    def with_max_delay_slack(self) -> "ContinuousQuery":
         """Conservative adaptive baseline: K tracks the max observed delay."""
-        return self._set_handler(
-            "mp-k-slack",
-            lambda query: MPKSlackHandler(safety_factor=safety_factor),
-        )
+        return self._set_handler("mp-k-slack", lambda query: MPKSlackHandler())
 
-    def with_watermark(self, lag: float, period: float = 0.0) -> "ContinuousQuery":
-        """Fixed-lag periodic watermarks (Flink-style)."""
+    def with_watermark(self, lag: float) -> "ContinuousQuery":
+        """Fixed-lag watermarks (Flink-style), advanced on every arrival."""
         return self._set_handler(
             f"watermark(lag={lag:g})",
-            lambda query: FixedLagWatermarkHandler(lag, period),
+            lambda query: FixedLagWatermarkHandler(lag),
         )
 
     def without_buffering(self) -> "ContinuousQuery":

@@ -95,16 +95,11 @@ EQUAL_KEYS = (
 )
 
 
-def equal_keys_rows(executor, n_shards: int, mode: str) -> tuple[list, list]:
-    """Rows of a sharded sum over :data:`EQUAL_KEYS` and of the unsharded one.
-
-    Integer values keep every sum exact whatever the fold order, and K
-    covers every delay, so the two runs must emit the same windows.  A
-    row names its group by the first key of the class: which member a
-    store reports for the class is not specified.
-    """
+def equal_keys_stream() -> list[StreamElement]:
+    """400 arrival-ordered elements cycling through :data:`EQUAL_KEYS`,
+    with integer values (every sum is exact whatever the fold order)."""
     rng = np.random.default_rng(11)
-    stream = inject_disorder(
+    return inject_disorder(
         [
             StreamElement(
                 0.1 * seq, float(rng.integers(0, 10)),
@@ -115,6 +110,17 @@ def equal_keys_rows(executor, n_shards: int, mode: str) -> tuple[list, list]:
         ExponentialDelay(0.3),
         rng,
     )
+
+
+def equal_keys_rows(executor, n_shards: int, mode: str) -> tuple[list, list]:
+    """Rows of a sharded sum over :data:`equal_keys_stream` and of the
+    unsharded one.
+
+    K covers every delay, so the two runs must emit the same windows.  A
+    row names its group by the first key of the class: which member a
+    store reports for the class is not specified.
+    """
+    stream = equal_keys_stream()
     k = max(element.delay for element in stream) + 1e-6
     assigner = SlidingWindowAssigner(size=4.0, slide=2.0)
     single = WindowAggregateOperator(

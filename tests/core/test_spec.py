@@ -10,16 +10,11 @@ class TestQualityTarget:
     def test_construction(self):
         target = QualityTarget(0.05)
         assert target.threshold == 0.05
-        assert target.metric == "mean_relative_error"
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.5])
     def test_out_of_range_rejected(self, threshold):
         with pytest.raises(ConfigurationError):
             QualityTarget(threshold)
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QualityTarget(0.05, metric="bogus")
 
     def test_describe(self):
         assert "0.05" in QualityTarget(0.05).describe()
@@ -43,24 +38,3 @@ class TestLatencyBudget:
 
     def test_describe(self):
         assert "2" in LatencyBudget(2.0).describe()
-
-
-class TestBoundedQualityTarget:
-    def test_construction(self):
-        from repro.core.spec import BoundedQualityTarget
-
-        target = BoundedQualityTarget(0.05, 2.0)
-        assert target.threshold == 0.05
-        assert target.budget_seconds == 2.0
-        assert "0.05" in target.describe()
-        assert "2" in target.describe()
-
-    @pytest.mark.parametrize(
-        "threshold,budget",
-        [(0.0, 1.0), (1.0, 1.0), (0.05, -1.0)],
-    )
-    def test_invalid_rejected(self, threshold, budget):
-        from repro.core.spec import BoundedQualityTarget
-
-        with pytest.raises(ConfigurationError):
-            BoundedQualityTarget(threshold, budget)

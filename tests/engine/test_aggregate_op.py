@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.controller import PIController
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator, relative_error
 from repro.engine.aggregates import CountAggregate, MeanAggregate, SumAggregate, make_aggregate
 from repro.engine.handlers import (
@@ -530,7 +530,6 @@ class TestFeedbackDefault:
             (KSlackHandler(1.0), False),
             (MPKSlackHandler(), False),
             (AQKSlackHandler(QualityTarget(0.05), "mean", window_size=5.0), True),
-            (AQKSlackHandler(BoundedQualityTarget(0.05, 1.0), "mean", window_size=5.0), True),
             (AQKSlackHandler(LatencyBudget(1.0), "mean", window_size=5.0), False),
             (
                 AQKSlackHandler(
@@ -542,7 +541,7 @@ class TestFeedbackDefault:
             (ForwardingHandler(KSlackHandler(1.0)), True),
         ],
         ids=[
-            "no-buffer", "k-slack", "mp-k-slack", "aqk-quality", "aqk-bounded",
+            "no-buffer", "k-slack", "mp-k-slack", "aqk-quality",
             "aqk-budget", "aqk-budget-with-controller", "undeclared-wrapper",
         ],
     )

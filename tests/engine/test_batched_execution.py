@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.aqk import AQKSlackHandler
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import (
     CountAggregate,
@@ -33,7 +33,6 @@ from repro.engine.pipeline import run_pipeline
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
-    PerfectWatermarkHandler,
 )
 from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
@@ -65,12 +64,8 @@ HANDLERS = {
     "mp-k-slack": lambda stream: MPKSlackHandler(),
     "fixed-watermark": lambda stream: FixedLagWatermarkHandler(1.0),
     "heuristic-watermark": lambda stream: HeuristicWatermarkHandler(),
-    "perfect-watermark": lambda stream: PerfectWatermarkHandler(stream),
     "aqk-quality": lambda stream: AQKSlackHandler(
         QualityTarget(0.05), "mean", window_size=4.0
-    ),
-    "aqk-bounded": lambda stream: AQKSlackHandler(
-        BoundedQualityTarget(0.05, 2.0), "mean", window_size=4.0
     ),
     "aqk-budget": lambda stream: AQKSlackHandler(
         LatencyBudget(1.5), "mean", window_size=4.0
@@ -109,12 +104,8 @@ CASES = [
     ("fixed-watermark", "sliced", "count", 7),
     ("heuristic-watermark", "naive", "median", 63),
     ("heuristic-watermark", "sliced", "sum", 97),
-    ("perfect-watermark", "naive", "mean", 256),
-    ("perfect-watermark", "sliced", "count", 511),
     ("aqk-quality", "naive", "mean", 97),
     ("aqk-quality", "sliced", "median", 63),
-    ("aqk-bounded", "naive", "count", 97),
-    ("aqk-bounded", "sliced", "mean", 31),
     ("aqk-budget", "naive", "mean", 256),
     ("aqk-budget", "sliced", "median", 31),
 ]

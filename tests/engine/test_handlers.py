@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from repro.core.spec import BoundedQualityTarget, LatencyBudget
+from repro.core.spec import LatencyBudget
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
 from repro.engine.multisource import MultiSourceWatermarkHandler
-from repro.engine.watermarks import FixedLagWatermarkHandler, HeuristicWatermarkHandler
+from repro.engine.watermarks import FixedLagWatermarkHandler
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay, UniformDelay
 from repro.streams.disorder import inject_disorder, measure_disorder
@@ -122,15 +122,6 @@ class TestMPKSlackHandler:
         drive(handler, stream)
         assert handler.k == pytest.approx(stats.max_delay)
 
-    def test_safety_factor_pads_k(self, rng):
-        stream = inject_disorder(
-            generate_stream(duration=30, rate=30, rng=rng), UniformDelay(0, 1.5), rng
-        )
-        stats = measure_disorder(stream)
-        handler = MPKSlackHandler(safety_factor=2.0)
-        drive(handler, stream)
-        assert handler.k == pytest.approx(2.0 * stats.max_delay)
-
     def test_k_never_shrinks(self, rng):
         stream = inject_disorder(
             generate_stream(duration=30, rate=30, rng=rng), ExponentialDelay(0.5), rng
@@ -158,12 +149,6 @@ class TestMPKSlackHandler:
         released, __ = drive(handler, stream)
         assert len(released) == len(stream)
 
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MPKSlackHandler(initial_k=-1.0)
-        with pytest.raises(ConfigurationError):
-            MPKSlackHandler(safety_factor=0.5)
-
     def test_handles_elements_without_arrival(self):
         handler = MPKSlackHandler()
         handler.offer(StreamElement(event_time=1.0, value=0))
@@ -174,21 +159,14 @@ def source_of(element):
     return element.key
 
 
-#: Every constructor argument that is a duration (or, for the safety
-#: factor, a multiplier of one), as a one-argument constructor.
+#: Every constructor argument that is a duration, as a one-argument
+#: constructor.
 DURATIONS = {
     "k-slack K": KSlackHandler,
-    "mp-k initial K": lambda x: MPKSlackHandler(initial_k=x),
-    "mp-k safety factor": lambda x: MPKSlackHandler(safety_factor=x),
     "fixed-lag lag": FixedLagWatermarkHandler,
-    "fixed-lag period": lambda x: FixedLagWatermarkHandler(1.0, period=x),
-    "heuristic initial lag": lambda x: HeuristicWatermarkHandler(initial_lag=x),
-    "heuristic window size": lambda x: HeuristicWatermarkHandler(window_size=x),
-    "heuristic update interval": lambda x: HeuristicWatermarkHandler(update_every=x),
     "multi-source lag": lambda x: MultiSourceWatermarkHandler(source_of, lag=x),
     "multi-source idle timeout": lambda x: MultiSourceWatermarkHandler(source_of, idle_timeout=x),
     "latency budget": LatencyBudget,
-    "bounded budget": lambda x: BoundedQualityTarget(0.05, budget_seconds=x),
 }
 
 

@@ -588,7 +588,6 @@ def test_handler_view_reports_combined_state():
     assert view.released_count() == len(stream)
     assert view.current_slack == pytest.approx(2.0)
     assert view.frontier > float("-inf")
-    assert view.next_adaptation_offset(stream, 0, len(stream)) is None
 
 
 # --------------------------------------------------------------------- #

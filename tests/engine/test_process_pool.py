@@ -46,7 +46,7 @@ from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
-from tests.conftest import equal_keys_rows, nan_equal
+from tests.conftest import equal_keys_rows, equal_keys_stream, nan_equal
 
 ASSIGNER = SlidingWindowAssigner(size=4.0, slide=1.0)
 
@@ -228,7 +228,7 @@ def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, 
         )
     )
     for index in range(0, len(stream), 16):
-        session.feed(0, stream[index : index + 16], n_bytes=7)
+        session.feed(0, stream[index : index + 16])
     for run in session.finish():  # no run at all for an empty stream
         assert nan_equal(decode_run(encode_run(run)), run)
         assert len(run.ends) == len(run.key_index) == len(run.values)
@@ -325,6 +325,24 @@ def test_keys_that_compare_equal_share_a_shard(pool, n_shards, mode):
     assert sharded == single
 
 
+def test_process_reports_the_key_objects_the_serial_executor_reports(pool):
+    """Keys that compare equal but differ in type (``1``, ``1.0``, ``True``,
+    ``np.int64(1)``) cross the wire each as itself, so row by row both
+    executors name a group with the same key object."""
+    stream = equal_keys_stream()
+    k = no_late_k(stream)
+    serial, process = (
+        [
+            (type(r.key), repr(r.key), r.window, r.value)
+            for r in run_pipeline(
+                stream, sharded_operator(3, executor, aggregate="sum", k=k)
+            ).results
+        ]
+        for executor in (ShardExecutor(), pool)
+    )
+    assert process == serial
+
+
 def test_warm_pool_is_reused_across_runs(pool):
     stream = keyed_stream(duration=5.0)
     k = no_late_k(stream)
@@ -414,8 +432,9 @@ def test_worker_trace_events_are_absorbed_and_retimestamped(pool):
 def test_registry_merges_worker_metric_deltas(pool):
     stream = keyed_stream()
     registry = MetricsRegistry()
+    recorder = TraceRecorder()
     operator = sharded_operator(4, pool, k=no_late_k(stream))
-    run_pipeline(stream, operator, registry=registry)
+    run_pipeline(stream, operator, registry=registry, trace=recorder)
     shard_ids = {
         shard for shard in range(4)
         if registry.counter(f"shard.{shard}.elements_in").value
@@ -429,6 +448,13 @@ def test_registry_merges_worker_metric_deltas(pool):
     )
     assert total_chunks >= len(shard_ids)
     assert total_wire > 0
+    dispatches = [e.fields for e in recorder.events if e.kind == "shard.dispatch"]
+    for shard in shard_ids:
+        sent = [fields for fields in dispatches if fields["shard"] == shard]
+        assert registry.counter(f"shard.{shard}.chunks").value == len(sent)
+        assert registry.counter(f"shard.{shard}.wire_bytes").value == sum(
+            fields["bytes"] for fields in sent
+        )
 
 
 # --------------------------------------------------------------------- #

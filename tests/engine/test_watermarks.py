@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.engine.aggregate_op import WindowAggregateOperator
-from repro.engine.aggregates import MeanAggregate
-from repro.engine.oracle import oracle_results
-from repro.engine.pipeline import run_pipeline
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
-    PerfectWatermarkHandler,
 )
-from repro.engine.windows import SlidingWindowAssigner
 from repro.errors import ConfigurationError
-from repro.streams.delay import ExponentialDelay, UniformDelay
+from repro.streams.delay import UniformDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
@@ -36,20 +30,15 @@ class TestFixedLagWatermarkHandler:
         handler.offer(el(3.0, 5.3))  # older event does not move frontier
         assert handler.frontier == 4.0
 
-    def test_periodic_emission_batches_advances(self):
-        handler = FixedLagWatermarkHandler(lag=0.0, period=10.0)
-        handler.offer(el(0.0, 0.0))
-        frontier_after_first = handler.frontier
-        handler.offer(el(5.0, 5.0))  # within the period: no new watermark
-        assert handler.frontier == frontier_after_first
-        handler.offer(el(11.0, 11.0))  # period elapsed: watermark advances
-        assert handler.frontier == 11.0
+    def test_frontier_advances_on_every_arrival(self):
+        handler = FixedLagWatermarkHandler(lag=0.0)
+        for event_time in (0.0, 5.0, 11.0):
+            handler.offer(el(event_time, event_time))
+            assert handler.frontier == event_time
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             FixedLagWatermarkHandler(lag=-1.0)
-        with pytest.raises(ConfigurationError):
-            FixedLagWatermarkHandler(lag=1.0, period=-1.0)
 
     def test_slack_is_lag(self):
         assert FixedLagWatermarkHandler(lag=2.5).current_slack == 2.5
@@ -57,73 +46,14 @@ class TestFixedLagWatermarkHandler:
 
 class TestHeuristicWatermarkHandler:
     def test_lag_converges_to_delay_quantile(self, rng):
+        """The lag settles at the 95th percentile of recent delays."""
         stream = inject_disorder(
             generate_stream(duration=60, rate=100, rng=rng),
             UniformDelay(0.0, 1.0),
             rng,
         )
-        handler = HeuristicWatermarkHandler(delay_quantile=0.5, update_every=50)
+        handler = HeuristicWatermarkHandler()
+        assert handler.lag == 0.0
         for element in stream:
             handler.offer(element)
-        assert handler.lag == pytest.approx(0.5, abs=0.15)
-
-    def test_higher_quantile_means_larger_lag(self, rng):
-        stream = inject_disorder(
-            generate_stream(duration=60, rate=100, rng=rng),
-            ExponentialDelay(0.5),
-            rng,
-        )
-        lags = {}
-        for q in (0.5, 0.95):
-            handler = HeuristicWatermarkHandler(delay_quantile=q, update_every=50)
-            for element in stream:
-                handler.offer(element)
-            lags[q] = handler.lag
-        assert lags[0.95] > lags[0.5]
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HeuristicWatermarkHandler(delay_quantile=1.5)
-        with pytest.raises(ConfigurationError):
-            HeuristicWatermarkHandler(window_size=0)
-
-
-class TestPerfectWatermarkHandler:
-    def test_yields_exact_results(self, rng):
-        """Closing windows at the perfect watermark loses nothing."""
-        stream = inject_disorder(
-            generate_stream(duration=30, rate=50, rng=rng), ExponentialDelay(0.5), rng
-        )
-        assigner = SlidingWindowAssigner(size=5, slide=1)
-        aggregate = MeanAggregate()
-        operator = WindowAggregateOperator(
-            assigner, aggregate, PerfectWatermarkHandler(stream)
-        )
-        output = run_pipeline(stream, operator)
-        truth = oracle_results(stream, assigner, aggregate)
-        emitted = {(r.key, r.window): r.value for r in output.results}
-        assert set(emitted) == set(truth)
-        for slot, (exact, __) in truth.items():
-            assert emitted[slot] == pytest.approx(exact)
-
-    def test_frontier_never_passes_inflight_event(self):
-        # Event at t=1 arrives last: frontier must stay below 1 until then.
-        stream = [
-            StreamElement(event_time=2.0, value=0, arrival_time=2.0, seq=1),
-            StreamElement(event_time=3.0, value=0, arrival_time=3.0, seq=2),
-            StreamElement(event_time=1.0, value=0, arrival_time=4.0, seq=0),
-        ]
-        handler = PerfectWatermarkHandler(stream)
-        handler.offer(stream[0])
-        assert handler.frontier <= 1.0
-        handler.offer(stream[1])
-        assert handler.frontier <= 1.0
-        handler.offer(stream[2])
-        assert handler.frontier == 3.0
-
-    def test_overfeeding_rejected(self):
-        stream = [StreamElement(event_time=1.0, value=0, arrival_time=1.0)]
-        handler = PerfectWatermarkHandler(stream)
-        handler.offer(stream[0])
-        with pytest.raises(ConfigurationError):
-            handler.offer(stream[0])
+        assert handler.lag == pytest.approx(0.95, abs=0.05)

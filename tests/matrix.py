@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.sanitizer import sanitize_operator
 from repro.core.aqk import AQKSlackHandler
-from repro.core.spec import BoundedQualityTarget, LatencyBudget, QualityTarget
+from repro.core.spec import LatencyBudget, QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.checkpoint import dumps_state, loads_state, save_checkpoint
@@ -51,9 +51,9 @@ from tests.fold_cases import fold_cases
 EXACT = ("count", "min", "max", "distinct", "median")  # folds that do not re-associate
 HANDLERS = (
     "no-buffer", "k-slack", "mp-k-slack", "fixed-lag", "heuristic",
-    "aqk-quality", "aqk-bounded", "aqk-budget",
+    "aqk-quality", "aqk-budget",
 )
-ADAPTIVE = ("mp-k-slack", "aqk-quality", "aqk-bounded", "aqk-budget")
+ADAPTIVE = ("mp-k-slack", "aqk-quality", "aqk-budget")
 FEEDBACK_FREE = tuple(h for h in HANDLERS if not h.startswith("aqk"))  # R2 applies
 WINDOWS = [(4.0, 1.0), (10.0, 2.0), (6.0, 3.0), (5.0, 5.0), (8.0, 0.5)]
 COARSE = st.integers(min_value=0, max_value=12).map(float)  # distinct values collide
@@ -73,7 +73,6 @@ def handler_factory(name, k, aggregate, size):
         "fixed-lag": partial(FixedLagWatermarkHandler, 0.8),
         "heuristic": HeuristicWatermarkHandler,
         "aqk-quality": partial(aqk, QualityTarget(0.05)),
-        "aqk-bounded": partial(aqk, BoundedQualityTarget(0.05, 1.0)),
         "aqk-budget": partial(aqk, LatencyBudget(1.0)),
     }[name]
 
@@ -169,6 +168,7 @@ class Driven:
         self._checkpoint = checkpoint
         self._seen = 0
         self._tracer = None
+        self._registry = None
 
     stats = property(lambda self: self.inner.stats)
 
@@ -177,6 +177,7 @@ class Driven:
         self.inner.set_tracer(tracer)
 
     def set_registry(self, registry):
+        self._registry = registry
         if hasattr(self.inner, "set_registry"):
             self.inner.set_registry(registry)
 
@@ -195,6 +196,8 @@ class Driven:
             self.inner = loads_state(dumps_state(self.inner))
             if self._tracer is not None:  # observers are not state: re-attach
                 self.inner.set_tracer(self._tracer)
+            if self._registry is not None:
+                self.set_registry(self._registry)
 
     def process(self, element):
         self._maybe_restore()
@@ -246,6 +249,11 @@ def run(base, cell, pool=None, checkpoint=None, stream=None):
         assert recorder.events
         assert registry.counter("pipeline.elements_in").value == output.metrics.n_elements
         assert registry.counter("pipeline.results_out").value == output.metrics.n_results
+        if cell.shards:  # every routed element reached a shard that reports it
+            assert sum(
+                value for name, value in registry.snapshot().items()
+                if name.startswith("shard.") and name.endswith(".elements_in")
+            ) == output.metrics.n_elements
     metrics = output.metrics  # results compare field by field: emit times, flags and all
     observable = (output.results, output.observed_errors, metrics.late_dropped,
                   metrics.released_count, getattr(driven.handler, "adaptations", None))

@@ -156,7 +156,7 @@ def test_a_long_open_window_holds_a_bounded_number_of_staged_values(mode, batche
 #: generated stream, whose reference must adapt more than 20 times.
 ROUNDS = draws(
     driver="cuts", source="generated", shards=st.just(0),
-    handler=st.sampled_from(["aqk-quality", "aqk-bounded", "aqk-budget"]),
+    handler=st.sampled_from(["aqk-quality", "aqk-budget"]),
 )
 CUTS = st.tuples(st.just(False), draws(driver="cuts")) | st.tuples(st.just(True), ROUNDS)
 

@@ -134,10 +134,10 @@ class TestRunResults:
     def test_quality_clause_passes_kwargs(self, small_disordered_stream):
         run = (
             base_query(small_disordered_stream)
-            .with_quality(0.05, k_max=0.5, adapt_interval=0.25)
+            .with_quality(0.05, warmup_elements=10, adapt_interval=0.25)
             .run()
         )
-        assert run.handler.k_max == 0.5
+        assert run.handler.warmup_elements == 10
         assert run.handler.adapt_interval == 0.25
 
 
@@ -188,20 +188,6 @@ class TestSlicedExecution:
             .run(assess=True)
         )
         assert run.report.mean_error < 0.5
-
-
-class TestBoundedQualityClause:
-    def test_with_bounded_quality(self, small_disordered_stream):
-        from repro.core.spec import BoundedQualityTarget
-
-        run = (
-            base_query(small_disordered_stream)
-            .with_bounded_quality(0.05, budget=1.0)
-            .run(assess=True)
-        )
-        assert isinstance(run.handler.target, BoundedQualityTarget)
-        assert run.handler.current_slack <= 1.0
-        assert run.report is not None
 
 
 class TestShardedExecution:
