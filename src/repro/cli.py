@@ -124,14 +124,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         query = query.without_buffering()
     query = query.mode(args.mode)
-    if args.chunk_size is not None and args.executor != "process":
-        raise ConfigurationError(
-            "chunk_size only applies to the \"process\" executor"
-        )
     if args.shards:
         query = query.shards(args.shards)
         if args.executor:
-            query = query.executor(args.executor, chunk_size=args.chunk_size)
+            query = query.executor(args.executor)
     elif args.executor:
         raise ConfigurationError("--executor requires --shards N")
 
@@ -279,14 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard execution strategy (requires --shards): \"serial\" "
         "(the default) runs shards in this process, \"process\" on a warm "
         "multi-core worker pool with chunked dispatch",
-    )
-    run.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="elements per dispatched chunk for --executor process "
-        "(default 512)",
     )
     run.add_argument("--no-assess", action="store_true", help="skip the oracle")
     run.add_argument(

@@ -1,24 +1,20 @@
 """Sharded parallel execution: keyed partitioning with a deterministic merge.
 
 :class:`ShardedWindowOperator` partitions an arrival-ordered stream across
-``n`` worker shards by a routing key.  Each shard runs a completely
+``n`` worker shards by element key.  Each shard runs a completely
 independent operator — its own execution mode (naive/tree), its own
 disorder handler built fresh from a factory (so adaptive AQ-K state never
 crosses shards), and its own per-shard event-time frontier.  A
 :class:`ShardExecutor` feeds every shard its routed chunks while the
 stream arrives; when the stream ends it finishes every non-empty shard
-and a deterministic merge stage combines the per-shard window results
-with the existing mergeable-aggregate machinery
-(:meth:`~repro.engine.aggregates.AggregateFunction.merge`).
+and a deterministic merge stage interleaves the per-shard window results.
 
 Semantics (the *shard contract*, documented in ``docs/SCALING.md``):
 
-* Elements are routed by key, so a keyed window ``(key, window)`` normally
-  lives in exactly one shard and its merged value is the shard's value,
-  bit for bit.  When one logical group spans shards (unkeyed streams are
-  routed round-robin), the merge folds the captured per-shard accumulators
-  in shard order — bit-identical for exact aggregates (count/min/max),
-  within the declared ``__numeric__`` drift budget for compensated ones.
+* Every element is routed by :func:`stable_shard` of its key, ``None``
+  included, so a group ``(key, window)`` lives in exactly one shard and
+  its merged value is the shard's value, bit for bit.  An unkeyed stream
+  runs in one shard and emits what the unsharded operator emits.
 * A merged window closes at the **minimum frontier across the non-empty
   shards**: its emit time is the arrival instant at which the *last*
   shard's frontier passed the window end, and windows some shard never
@@ -32,7 +28,8 @@ Semantics (the *shard contract*, documented in ``docs/SCALING.md``):
   function of its end) is nondecreasing in the end, and every flushed
   window ends past the minimum frontier, i.e. past every closed one:
   the same order is ``(window.end, window.start, repr(key), rank)``, and
-  the merge produces it by one walk over the distinct ends.
+  the merge produces it by one sort of the rows and one walk over the
+  distinct ends.
 
 The executor seam: the coordinator speaks one protocol to however shards
 actually run — ``begin(spec)`` once, ``dispatch(shard_id, elements)`` per
@@ -54,8 +51,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from numbers import Number
 from typing import Any, Callable, Iterator, Sequence, cast
 
 import numpy as np
@@ -89,8 +85,8 @@ MAX_SHARDS = 64
 #: Elements per dispatched chunk.  Large enough that the fixed per-chunk
 #: costs (queue round trip, header, key-table pickle) amortize to well
 #: under a microsecond per element, small enough that workers start
-#: computing long before stream end (see the tuning table in
-#: ``docs/SCALING.md``).
+#: computing long before stream end.  ``ProcessShardExecutor(chunk_size=)``
+#: is the one way to pick another.
 DEFAULT_CHUNK_SIZE = 512
 
 
@@ -102,7 +98,8 @@ def stable_shard(routing_key: object, n_shards: int) -> int:
     processes and Python versions, so shard assignment is part of the
     reproducible configuration rather than an accident of the interpreter.
     Keys that compare equal share a shard, as they share a group: numbers
-    (numpy scalars too) and tuples of them hash one spelling per value.
+    of any type (numpy scalars, ``Decimal``, ``Fraction``, ``complex``
+    too) and tuples of them hash one spelling per value.
     """
     if type(routing_key) is not str and type(routing_key) is not int:
         routing_key = _canonical_key(routing_key)
@@ -110,94 +107,28 @@ def stable_shard(routing_key: object, n_shards: int) -> int:
 
 
 def _canonical_key(key: Any) -> Any:
-    """The one spelling :func:`stable_shard` hashes for ``key``'s ``==`` class."""
+    """The one spelling :func:`stable_shard` hashes for ``key``'s ``==`` class.
+
+    A number with an integral value is spelled as an ``int``, any other
+    real one as a ``float`` (a complex with a zero imaginary part is its
+    real part); infinities and NaNs keep whatever spelling ``float``
+    gives them, or their own where it gives none.
+    """
     if isinstance(key, tuple):
         return tuple(map(_canonical_key, key))
     if isinstance(key, np.generic):
         key = key.item()
-    if isinstance(key, float) and key.is_integer():
-        return int(key)
-    return int(key) if isinstance(key, int) else key
-
-
-# --------------------------------------------------------------------- #
-# partial capture: keep the mergeable accumulator of groups that can split
-
-
-class _Partial(float):
-    """A window value that remembers the accumulator it came from.
-
-    Only made while a shard is capturing (see :class:`ShardRunner`): the
-    value must stay an ordinary float for the quality feedback loop, and
-    the runner moves the accumulator into its run's column as soon as the
-    result is handed back.
-    """
-
-    __slots__ = ("accumulator",)
-
-    accumulator: Any
-
-    def __new__(cls, value: float, accumulator: Any) -> "_Partial":
-        self = super().__new__(cls, value)
-        self.accumulator = accumulator
-        return self
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # A traced shard records result values in its trace events; on the
-        # way back to the coordinator those are just the floats.
-        return (float, (float(self),))
-
-
-def _snapshot(accumulator: Any) -> Any:
-    """Copy an accumulator so the merge stage owns it outright."""
-    if isinstance(accumulator, list):
-        return list(accumulator)
-    if isinstance(accumulator, set):
-        return set(accumulator)
-    import copy
-
-    return copy.deepcopy(accumulator)
-
-
-class _PartialCaptureAggregate:
-    """Delegating aggregate whose ``result`` can tag values with their state.
-
-    Routing by element key keeps a keyed group inside one shard, so its
-    value is final and no accumulator needs to travel; ``capturing`` is
-    switched on only for shards whose groups can span shards (a custom
-    routing key, or ``None`` keys dealt round-robin).
-
-    Not an :class:`AggregateFunction` subclass on purpose: it adds no
-    arithmetic of its own, so it stays out of the numeric inventory and
-    the inner aggregate's ``__numeric__`` discipline is the one that
-    holds.
-    """
-
-    __slots__ = (
-        "inner", "name", "error_model_kind", "capturing",
-        "create", "add", "add_many", "merge",
-    )
-
-    def __init__(self, inner: AggregateFunction) -> None:
-        self.inner = inner
-        self.name = inner.name
-        self.error_model_kind = inner.error_model_kind
-        self.capturing = False
-        # The inner aggregate's own bound methods: a forwarding method
-        # would add a frame to every fold and merge of every shard.
-        self.create = inner.create
-        self.add = inner.add
-        self.add_many = inner.add_many
-        self.merge = inner.merge
-
-    def result(self, accumulator: Any) -> float:
-        value = self.inner.result(accumulator)
-        if self.capturing:
-            return _Partial(value, _snapshot(accumulator))
-        return value
-
-    def describe(self) -> str:
-        return f"shard-capture({self.inner.describe()})"
+    if not isinstance(key, Number) or getattr(key, "imag", 0):
+        return key  # not a number, or a complex no real number equals
+    key = key.real
+    try:
+        whole = int(key)
+    except (ArithmeticError, ValueError):  # infinite or NaN
+        try:
+            return float(key)
+        except ValueError:  # a signalling NaN, which no group can hold
+            return key
+    return whole if whole == key else float(key)
 
 
 # --------------------------------------------------------------------- #
@@ -224,9 +155,6 @@ class ShardSpec:
     sanitize: bool
     trace_enabled: bool
     trace_detail: bool
-    #: Whether routing can split a keyed group over shards (a custom
-    #: routing key is in use); ``None``-keyed groups always can.
-    split_keyed: bool = False
 
 
 @dataclass(slots=True)
@@ -248,9 +176,6 @@ class _ShardRun:
     ends: array[float] = field(default_factory=lambda: array("d"))
     values: array[float] = field(default_factory=lambda: array("d"))
     counts: array[int] = field(default_factory=lambda: array("q"))
-    #: Accumulator snapshot per row whose group routing can split across
-    #: shards (``None`` for the other rows); empty when no row's can.
-    accumulators: list[Any] = field(default_factory=list)
     elements_in: int = 0
     late_dropped: int = 0
     observed_errors: array[float] = field(default_factory=lambda: array("d"))
@@ -277,11 +202,6 @@ class ShardRunner:
     :meth:`finish` completes the run's columns, so per-shard semantics
     (sanitizer wrapping, frontier-timeline capture, stats snapshot) do
     not depend on where the runner lives.
-
-    Accumulators are captured only for groups that routing can split
-    across shards: every group when ``split_keyed`` (a custom routing
-    key), otherwise the ``None``-keyed group alone, from the first chunk
-    that carries a ``None`` key.
     """
 
     def __init__(
@@ -294,16 +214,12 @@ class ShardRunner:
         feedback_horizon: DurationS | None = None,
         track_feedback: bool | None = None,
         sanitize: bool = False,
-        tracer: Tracer = NULL_TRACER,
-        split_keyed: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self._handler = handler
-        self._capture = _PartialCaptureAggregate(aggregate)
-        self._capture.capturing = self._split_keyed = split_keyed
         operator = WindowAggregateOperator(
             assigner,
-            cast(AggregateFunction, self._capture),
+            aggregate,
             handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
@@ -311,8 +227,6 @@ class ShardRunner:
         )
         self._stats = operator.stats
         self._frontier_log = operator.frontier_log = array("d")
-        if tracer.enabled:
-            operator.set_tracer(tracer)
         self._driven: Any = operator
         if sanitize:
             from repro.analysis.sanitizer import sanitize_operator
@@ -322,15 +236,14 @@ class ShardRunner:
         self._key_ids: dict[object, int] = {}
         self._finished = False
 
+    def set_tracer(self, tracer: Tracer) -> None:
+        """Trace the shard's operator, its store and its handler."""
+        self._driven.set_tracer(tracer)
+
     def feed(self, elements: Sequence[StreamElement]) -> None:
         """Drive a slice of the shard's stream, in arrival order: one
         ``process_many``, whose results and feedback equal an
         element-by-element run's."""
-        capture = self._capture
-        if not capture.capturing and any([e.key is None for e in elements]):
-            capture.capturing = True
-            # The rows gathered so far belong to keyed groups.
-            self._run.accumulators = [None] * len(self._run.ends)
         self._gather(
             self._driven.process_many(cast("list[StreamElement]", elements))
         )
@@ -351,16 +264,6 @@ class ShardRunner:
         run.ends.extend([result.window.end for result in emitted])
         run.values.extend([result.value for result in emitted])
         run.counts.extend([result.count for result in emitted])
-        if self._capture.capturing:
-            split_keyed = self._split_keyed
-            run.accumulators.extend(
-                [
-                    cast(_Partial, result.value).accumulator
-                    if split_keyed or result.key is None
-                    else None
-                    for result in emitted
-                ]
-            )
 
     def finish(self) -> _ShardRun:
         """Flush the shard operator and complete the run's columns."""
@@ -392,7 +295,10 @@ class ShardSession:
     process-pool worker owns one holding its subset.  Runners (and, in
     traced runs, a recorder per shard) are built lazily at a shard's
     first chunk, so a shard that never receives an element costs
-    nothing and reports nothing.
+    nothing and reports nothing.  A recorder is an observer, not state:
+    a restored session loads every recorder detached, and a shard's
+    trace resumes in a fresh recorder at its first chunk after the
+    restore.
     """
 
     __slots__ = ("spec", "runners", "tracers")
@@ -404,14 +310,9 @@ class ShardSession:
 
     def feed(self, shard_id: int, elements: Sequence[StreamElement]) -> None:
         """Drive one chunk through its shard."""
+        spec = self.spec
         runner = self.runners.get(shard_id)
         if runner is None:
-            spec = self.spec
-            tracer: Tracer = NULL_TRACER
-            if spec.trace_enabled:
-                tracer = self.tracers[shard_id] = TraceRecorder(
-                    detail=spec.trace_detail
-                )
             runner = self.runners[shard_id] = ShardRunner(
                 shard_id,
                 spec.mode,
@@ -421,9 +322,12 @@ class ShardSession:
                 feedback_horizon=spec.feedback_horizon,
                 track_feedback=spec.track_feedback,
                 sanitize=spec.sanitize,
-                tracer=tracer,
-                split_keyed=spec.split_keyed,
             )
+        if spec.trace_enabled and not isinstance(
+            self.tracers.get(shard_id), TraceRecorder
+        ):
+            tracer = self.tracers[shard_id] = TraceRecorder(detail=spec.trace_detail)
+            runner.set_tracer(tracer)
         runner.feed(elements)
 
     def finish(self) -> Iterator[_ShardRun]:
@@ -431,7 +335,7 @@ class ShardSession:
         for shard_id in sorted(self.runners):
             run = self.runners[shard_id].finish()
             tracer = self.tracers.get(shard_id)
-            if isinstance(tracer, TraceRecorder):  # not one a restore detached
+            if isinstance(tracer, TraceRecorder):  # not detached by a restore
                 run.trace_events = list(tracer.events)
             yield run
 
@@ -572,26 +476,22 @@ class ShardedWindowOperator(Operator):
             unsharded operator (property-tested), which is what makes the
             merge stage testable in isolation.
         assigner: Window assigner shared by every shard.
-        aggregate: The user's aggregate.  Shards fold into a capture
-            wrapper so the merge stage can combine per-shard accumulators
-            with :meth:`AggregateFunction.merge`.
+        aggregate: The user's aggregate, folded by every shard.
         handler_factory: Zero-argument callable producing a **fresh**
             disorder handler per shard.  Handlers are single-threaded
             state machines; sharing one instance across shards is a
             configuration error the query builder rejects.
         mode: Per-shard execution mode (``"naive"``/``"tree"``).
-        key_fn: Routing key function.  Defaults to the element key;
-            elements whose routing key is ``None`` are distributed
-            round-robin (deterministic in arrival order).
         executor: Shard execution strategy; defaults to the in-process
             :class:`ShardExecutor`.
         feedback_horizon: Passed through to every shard operator.
         track_feedback: Passed through to every shard operator.
 
-    The operator is two-phase: ``process``/``process_many`` route and
-    dispatch full chunks to the executor (so a shard failure may surface
-    there), and ``finish`` dispatches the remainders, collects every
-    shard run, merges, and emits everything in canonical order.
+    The operator is two-phase: ``process``/``process_many`` route every
+    element to the :func:`stable_shard` of its key, ``None`` included,
+    and dispatch full chunks to the executor (so a shard failure may
+    surface there), and ``finish`` dispatches the remainders, collects
+    every shard run, merges, and emits everything in canonical order.
     Elements offered after ``finish`` are counted in
     ``stats.late_dropped`` and go nowhere.
     """
@@ -603,7 +503,6 @@ class ShardedWindowOperator(Operator):
         aggregate: AggregateFunction,
         handler_factory: Callable[[], DisorderHandler],
         mode: str = "naive",
-        key_fn: Callable[[StreamElement], object] | None = None,
         executor: ShardExecutor | None = None,
         feedback_horizon: DurationS | None = None,
         track_feedback: bool | None = None,
@@ -621,7 +520,6 @@ class ShardedWindowOperator(Operator):
         self._aggregate = aggregate
         self._handler_factory = handler_factory
         self._mode = mode
-        self._key_fn = key_fn
         self._executor = executor if executor is not None else ShardExecutor()
         self._feedback_horizon = feedback_horizon
         self._track_feedback = track_feedback
@@ -630,7 +528,7 @@ class ShardedWindowOperator(Operator):
         prototype_handler = handler_factory()
         WindowAggregateOperator(
             assigner,
-            cast(AggregateFunction, _PartialCaptureAggregate(aggregate)),
+            aggregate,
             prototype_handler,
             feedback_horizon=feedback_horizon,
             track_feedback=track_feedback,
@@ -640,7 +538,6 @@ class ShardedWindowOperator(Operator):
         self.stats = _MergedStats()
         self.tracer: Tracer = NULL_TRACER
         self._pending: list[list[StreamElement]] = [[] for _ in range(n_shards)]
-        self._round_robin = 0
         self._last_arrival: ArrivalTimeStamp = float("-inf")
         self._sanitize = False
         self._registry: MetricsRegistry | None = None
@@ -682,23 +579,13 @@ class ShardedWindowOperator(Operator):
 
     # -- routing ------------------------------------------------------- #
 
-    def _route(self, element: StreamElement) -> int:
-        routing_key = (
-            self._key_fn(element) if self._key_fn is not None else element.key
-        )
-        if routing_key is None:
-            shard = self._round_robin
-            self._round_robin = (shard + 1) % self._n_shards
-            return shard
-        return stable_shard(routing_key, self._n_shards)
-
     def process(self, element: StreamElement) -> list[WindowResult]:
         """Route one element to its shard; results all come from finish."""
         self.stats.elements_in += 1
         if self._finished:
             self.stats.late_dropped += 1
             return []
-        shard = self._route(element)
+        shard = stable_shard(element.key, self._n_shards)
         pending = self._pending[shard]
         pending.append(element)
         arrival = element.arrival_time
@@ -715,15 +602,15 @@ class ShardedWindowOperator(Operator):
         if self._finished:
             self.stats.late_dropped += len(elements)
             return []
-        route = self._route
+        n_shards = self._n_shards
         pending = self._pending
         for element in elements:
-            pending[route(element)].append(element)
+            pending[stable_shard(element.key, n_shards)].append(element)
             arrival = element.arrival_time
             if arrival is not None and arrival > self._last_arrival:
                 self._last_arrival = arrival
         self.handler._note_routed(len(elements))
-        for shard in range(self._n_shards):
+        for shard in range(n_shards):
             if len(pending[shard]) >= self._chunk_size:
                 self._dispatch_shard(shard)
         return []
@@ -751,7 +638,6 @@ class ShardedWindowOperator(Operator):
                     sanitize=self._sanitize,
                     trace_enabled=self.tracer.enabled,
                     trace_detail=self.tracer.detail,
-                    split_keyed=self._key_fn is not None,
                 )
             )
         n_bytes = self._executor.dispatch(shard_id, elements)
@@ -767,45 +653,41 @@ class ShardedWindowOperator(Operator):
     # -- merge --------------------------------------------------------- #
 
     def _merge(self, runs: list[_ShardRun]) -> list[WindowResult]:
-        """Combine the runs' columns at the minimum frontier.
+        """Interleave the runs' columns at the minimum frontier.
 
-        One walk over the distinct window ends in ascending order — the
-        canonical order, see the module docstring — recording a
-        ``shard.merge`` per result when traced.  A row without an
-        accumulator is a whole group (routing kept its key in one shard);
-        rows with one are regrouped by ``(key, window)`` and folded in
-        shard order.
+        Every row is a whole group (routing keeps a key in one shard), so
+        the merge only orders the rows and stamps them: one stable sort
+        into the canonical order (see the module docstring), then one
+        walk over the distinct window ends, recording a ``shard.merge``
+        per result when traced.
         """
         min_frontier = min(run.final_frontier for run in runs)
-        aggregate = self._aggregate
         tracer = self.tracer
         traced = tracer.enabled
 
-        # Concatenated, a row's position is its first-seen rank; a run's
-        # rows are end-sorted per key only, hence the (stable) sort.  The
-        # groups of equal ends are cut where the sorted column steps.
-        ends = np.concatenate([run.ends for run in runs])
-        order = np.argsort(ends, kind="stable")
-        ends = ends[order]
-        bounds = np.flatnonzero(np.diff(ends, prepend=-np.inf, append=np.inf)).tolist()
-        group_ends: list[EventTimeStamp] = ends[bounds[:-1]].tolist()
-        starts = np.concatenate([run.starts for run in runs])[order]
-        values = np.concatenate([run.values for run in runs])[order]
-        counts = np.concatenate([run.counts for run in runs])[order]
+        # Concatenated, a row's position is its first-seen rank; the sort
+        # by (end, start, repr(key)) is stable, so ties stay in rank order.
+        # A key's place among the sorted reprs stands in for its repr.
         keys = [key for run in runs for key in run.keys]
-        key_reprs = [repr(key) for key in keys]
+        reprs = [repr(key) for key in keys]
+        places = {text: place for place, text in enumerate(sorted(set(reprs)))}
         first_key_id = np.cumsum([0] + [len(run.keys) for run in runs])
         key_ids = np.concatenate(
             [np.asarray(run.key_index) + first for run, first in zip(runs, first_key_id)]
-        )[order]
-        accumulators: list[Any] = []  # stays empty when no run captured any
-        if any(run.accumulators for run in runs):
-            by_rank = [
-                accumulator
-                for run in runs
-                for accumulator in run.accumulators or [None] * len(run.ends)
-            ]
-            accumulators = [by_rank[row] for row in order.tolist()]
+        )
+        ends = np.concatenate([run.ends for run in runs])
+        starts = np.concatenate([run.starts for run in runs])
+        key_places = np.array([places[text] for text in reprs], dtype=np.int64)
+        order = np.lexsort((key_places[key_ids], starts, ends))
+        del reprs, places, key_places
+        # The groups of equal ends are cut where the sorted column steps.
+        ends = ends[order]
+        bounds = np.flatnonzero(np.diff(ends, prepend=-np.inf, append=np.inf)).tolist()
+        group_ends: list[EventTimeStamp] = ends[bounds[:-1]].tolist()
+        starts = starts[order]
+        key_ids = key_ids[order]
+        values = np.concatenate([run.values for run in runs])[order]
+        counts = np.concatenate([run.counts for run in runs])[order]
         del ends, order  # the walk reads neither: freed before the results grow
 
         results: list[WindowResult] = []
@@ -816,43 +698,22 @@ class ShardedWindowOperator(Operator):
                 run.frontier_arrivals[bisect_left(run.frontier_values, end)] for run in runs
             )
             latency = emit_time - end
-            # One entry per merged group, in first-seen order: [start,
-            # repr(key), key, value, count, accumulator, shards]; those
-            # that may span shards are also in ``split``, by (key, start).
-            entries: list[Any] = []
-            split: dict[tuple[object, float], list[Any]] = {}
-            for key_id, start, value, count, accumulator in zip(
+            window_start = float("-inf")
+            for key_id, start, value, count in zip(
                 key_ids[low:high].tolist(), starts[low:high].tolist(),
                 values[low:high].tolist(), counts[low:high].tolist(),
-                accumulators[low:high] or repeat(None),
             ):
-                key = keys[key_id]
-                if accumulator is None:
-                    entries.append((start, key_reprs[key_id], key, value, count, None, 1))
-                elif (group := split.get((key, start))) is None:
-                    group = split[(key, start)] = [
-                        start, key_reprs[key_id], key, value, count, accumulator, 1
-                    ]
-                    entries.append(group)
-                else:
-                    group[4] += count
-                    group[5] = aggregate.merge(group[5], accumulator)
-                    group[6] += 1
-            entries.sort(key=itemgetter(0, 1))  # stable: ties stay in rank order
-            window_start = float("-inf")
-            for start, _, key, value, count, accumulator, n_shards in entries:
                 if start > window_start:
                     window_start = start
                     window = Window(start, end)
-                if n_shards > 1:
-                    value = aggregate.result(accumulator)
+                key = keys[key_id]
                 results.append(
                     WindowResult(key, window, value, count, emit_time, latency, 0, flushed)
                 )
                 if traced:
                     tracer.emit(
                         "shard.merge", emit_time, key=key, start=start, end=end,
-                        shards=n_shards, value=float(value), count=count,
+                        value=value, count=count,
                     )
         return results
 

@@ -26,9 +26,8 @@ Three design points distinguish this from ``multiprocessing.Pool.map``:
 * **Columnar returns.**  A worker sends each shard's
   :class:`~repro.engine.parallel._ShardRun` back with one pickle
   (:func:`encode_run`): result columns and frontier timelines are
-  ``array`` buffers, accumulators travel only for groups routing can
-  split across shards, and per-shard trace events (re-timestamped into
-  the coordinator's clock by ``TraceRecorder.absorb``) ride in the same
+  ``array`` buffers, and per-shard trace events (re-timestamped into the
+  coordinator's clock by ``TraceRecorder.absorb``) ride in the same
   record.
 
 Failure handling: a worker exception is reported with its full traceback
@@ -239,9 +238,8 @@ def encode_run(run: _ShardRun) -> bytes:
 
     One pickle per run, whatever its size: the result columns, frontier
     timelines and observed errors are ``array`` objects, which pickle as
-    raw buffers; the key table, the accumulators of groups that can span
-    shards and (traced runs) the trace events are the only per-item
-    objects inside it.
+    raw buffers; the key table and (traced runs) the trace events are the
+    only per-item objects inside it.
     """
     return dumps_state(run)
 

@@ -50,7 +50,7 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "tree.patch": ("slice_index", "depth"),  # partial-aggregate path invalidated
     "shard.dispatch": ("shard", "chunk", "count", "bytes"),  # one chunk shipped
     "shard.collect": ("shard", "results", "events", "chunks"),  # one run joined
-    "shard.merge": ("key", "start", "end", "shards", "value", "count"),
+    "shard.merge": ("key", "start", "end", "value", "count"),
     "adaptation": (
         "k_before", "k_after", "k_estimate", "allowed_late_fraction",
         "error_ewma", "gain", "residual", "target",

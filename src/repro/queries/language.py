@@ -81,10 +81,8 @@ class ContinuousQuery:
         self._handler_label: str | None = None
         self._mode = "naive"
         self._shards: int | None = None
-        self._shard_key = None
         self._handler_is_instance = False
         self._executor_spec = None
-        self._chunk_size: int | None = None
 
     # ------------------------------------------------------------------ #
     # inputs
@@ -192,10 +190,11 @@ class ContinuousQuery:
         self._mode = mode
         return self
 
-    def shards(self, n: int, key=None) -> "ContinuousQuery":
+    def shards(self, n: int) -> "ContinuousQuery":
         """Partition execution across ``n`` keyed shards.
 
-        Each shard runs an independent operator in the configured
+        Every element goes to the shard of its key (``None`` is a key like
+        any other, so an unkeyed stream runs in one shard).  Each shard runs an independent operator in the configured
         :meth:`mode` with its own disorder handler (built fresh from the
         configured clause), and a deterministic merge stage combines the
         per-shard windows at the minimum frontier across shards — see
@@ -204,17 +203,13 @@ class ContinuousQuery:
         Args:
             n: Shard count (>= 1).  ``shards(1)`` exercises the full
                 sharded path and is bit-identical to unsharded execution.
-            key: Optional routing key function ``element -> hashable``.
-                Defaults to the element key; elements with routing key
-                ``None`` are distributed round-robin.
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise QueryError(f"shard count must be an int >= 1, got {n!r}")
         self._shards = n
-        self._shard_key = key
         return self
 
-    def executor(self, kind="serial", chunk_size: int | None = None) -> "ContinuousQuery":
+    def executor(self, kind="serial") -> "ContinuousQuery":
         """Choose how shards execute: ``"serial"`` (the default) or ``"process"``.
 
         ``"serial"`` runs every shard in the calling process.
@@ -224,13 +219,11 @@ class ContinuousQuery:
         aggregate, disorder handler — to be picklable, which is checked at
         build time.  An already-constructed
         :class:`~repro.engine.parallel.ShardExecutor` instance is also
-        accepted (e.g. a shared warm pool reused across queries).
+        accepted (e.g. a shared warm pool reused across queries, or one
+        with its own ``chunk_size``).
 
         Args:
             kind: Executor name or instance.
-            chunk_size: Elements per dispatched chunk; only settable for
-                ``"process"`` (defaults to
-                :data:`~repro.engine.parallel.DEFAULT_CHUNK_SIZE`).
 
         Requires :meth:`shards`; checked when the operator is built.
         """
@@ -246,21 +239,7 @@ class ContinuousQuery:
             raise QueryError(
                 f"executor must be a name or a ShardExecutor, got {kind!r}"
             )
-        if chunk_size is not None:
-            if (
-                not isinstance(chunk_size, int)
-                or isinstance(chunk_size, bool)
-                or chunk_size < 1
-            ):
-                raise QueryError(
-                    f"chunk_size must be a positive int, got {chunk_size!r}"
-                )
-            if kind != "process":
-                raise QueryError(
-                    "chunk_size only applies to the \"process\" executor"
-                )
         self._executor_spec = kind
-        self._chunk_size = chunk_size
         return self
 
     def _make_executor(self):
@@ -269,8 +248,6 @@ class ContinuousQuery:
         if spec == "process":
             from repro.engine.process_pool import ProcessShardExecutor
 
-            if self._chunk_size is not None:
-                return ProcessShardExecutor(chunk_size=self._chunk_size)
             return ProcessShardExecutor()
         return None if spec == "serial" else spec
 
@@ -305,7 +282,6 @@ class ContinuousQuery:
                 aggregate,
                 lambda: handler_factory(self),
                 mode=self._mode,
-                key_fn=self._shard_key,
                 executor=self._make_executor(),
             )
         if self._executor_spec is not None:

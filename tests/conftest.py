@@ -6,10 +6,15 @@ import dataclasses
 import math
 import random
 from array import array
+from decimal import Decimal
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.aqk import AQKSlackHandler
+from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import EXECUTION_MODES, WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
 from repro.engine.handlers import KSlackHandler
@@ -87,10 +92,13 @@ def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
 
 
 #: Routing keys in ``==`` classes across types (bool, int, float, numpy
-#: scalars, tuples of them), mixed with strings, one of which prints as
-#: a number.  A store folds each class into one group.
+#: scalars, ``Decimal``, ``Fraction``, ``complex``, tuples of them), mixed
+#: with strings, one of which prints as a number.  A store folds each
+#: class into one group.  (``Decimal(1) == np.int64(1)`` raises, so no
+#: class holds both.)
 EQUAL_KEYS = (
-    1, 1.0, True, np.int64(1), 0, 0.0, -0.0, False, np.float32(3.0), 3,
+    1, 1.0, True, Decimal(1), Fraction(1), 1 + 0j, 0, 0.0, -0.0, False,
+    np.float32(3.0), 3, np.int64(3),
     ("t", 1), ("t", 1.0), ("t", np.bool_(True)), "a", "b", "1",
 )
 
@@ -140,6 +148,32 @@ def equal_keys_rows(executor, n_shards: int, mode: str) -> tuple[list, list]:
         )
         for operator in (sharded, single)
     )
+
+
+#: The disorder handlers an unkeyed sharded run is checked under: K-slack
+#: below the largest delay (late drops) and AQ-K (feedback-driven K).
+UNKEYED_HANDLERS = {
+    "k-slack": partial(KSlackHandler, 0.3),
+    "aqk": partial(AQKSlackHandler, QualityTarget(0.05), "mean", window_size=4.0),
+}
+
+
+def unkeyed_runs(executor, n_shards: int, handler: str) -> tuple:
+    """Outputs of a sharded and the unsharded mean over an unkeyed stream.
+
+    ``None`` is a key like any other, so the sharded run holds the whole
+    stream in one shard and must emit what the unsharded run emits.
+    """
+    stream = disordered_stream(
+        np.random.default_rng(5), duration=60, rate=50, mean_delay=0.8
+    )
+    factory = UNKEYED_HANDLERS[handler]
+    assigner = SlidingWindowAssigner(size=4.0, slide=1.0)
+    sharded = ShardedWindowOperator(
+        n_shards, assigner, make_aggregate("mean"), factory, executor=executor
+    )
+    single = WindowAggregateOperator(assigner, make_aggregate("mean"), factory())
+    return tuple(run_pipeline(stream, operator) for operator in (sharded, single))
 
 
 def nan_equal(a, b) -> bool:

@@ -9,10 +9,10 @@ execution.
 
 from __future__ import annotations
 
-import copy
 import gc
 import tracemalloc
 from bisect import bisect_left
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
+from repro.engine.checkpoint import dumps_state, loads_state
 from repro.engine.handlers import KSlackHandler
 from repro.engine.operator import WindowResult
 from repro.engine.parallel import (
@@ -40,7 +41,7 @@ from repro.streams.element import StreamElement
 from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.generators import generate_stream
-from tests.conftest import equal_keys_rows, make_arrived
+from tests.conftest import UNKEYED_HANDLERS, equal_keys_rows, unkeyed_runs
 
 ASSIGNER = SlidingWindowAssigner(size=4.0, slide=1.0)
 
@@ -163,24 +164,14 @@ def test_default_routing_groups_by_element_key():
     assert len(ingests) <= 4
 
 
-def test_custom_key_function_controls_routing():
-    stream = keyed_stream()
-    recorder = TraceRecorder()
-    operator = sharded_operator(4, key_fn=lambda e: "same")
-    run_pipeline(stream, operator, trace=recorder)
-    ingests = shard_counts(recorder)
-    assert list(ingests.values()) == [len(stream)]  # key skew: all on one shard
-
-
-def test_unkeyed_elements_round_robin_across_all_shards():
-    stream = keyed_stream(keys=None)
-    assert all(e.key is None for e in stream)
-    recorder = TraceRecorder()
-    operator = sharded_operator(4)
-    run_pipeline(stream, operator, trace=recorder)
-    ingests = shard_counts(recorder)
-    assert set(ingests) == {0, 1, 2, 3}
-    assert max(ingests.values()) - min(ingests.values()) <= 1
+@pytest.mark.parametrize("handler", sorted(UNKEYED_HANDLERS))
+@pytest.mark.parametrize("n_shards", [2, 3])
+def test_unkeyed_stream_matches_the_unsharded_run(n_shards, handler):
+    """``None`` routes like any key: the whole stream runs in one shard,
+    so the sharded run keeps, drops and emits what the unsharded one does."""
+    sharded, single = unkeyed_runs(ShardExecutor(), n_shards, handler)
+    assert sharded.results == single.results  # every field, emit times too
+    assert sharded.metrics.late_dropped == single.metrics.late_dropped > 0
 
 
 # --------------------------------------------------------------------- #
@@ -202,15 +193,14 @@ def test_single_shard_is_bit_identical_to_unsharded(mode, aggregate):
 
 
 def test_key_skew_single_hot_shard_is_bit_identical_to_unsharded():
-    stream = keyed_stream()
+    stream = keyed_stream(keys=("hot",))
     base = run_pipeline(
         stream,
         WindowAggregateOperator(
             ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0), mode="naive"
         ),
     )
-    skewed = sharded_operator(8, key_fn=lambda e: "hot")
-    out = run_pipeline(stream, skewed)
+    out = run_pipeline(stream, sharded_operator(8))
     assert canonical(out.results) == canonical(base.results)
 
 
@@ -242,20 +232,29 @@ def test_empty_stream_finishes_empty():
     assert operator.handler.frontier == float("-inf")
 
 
+def keyed_arrived(spec):
+    """Elements of value 1 from ``(event_time, arrival_time, key)`` rows,
+    in arrival order."""
+    return sorted(
+        (
+            StreamElement(event_time=t, value=1.0, arrival_time=at, key=key, seq=seq)
+            for seq, (t, at, key) in enumerate(spec)
+        ),
+        key=StreamElement.arrival_sort_key,
+    )
+
+
 def test_lagging_shard_gates_the_merge_frontier():
     # Shard "lead" sees event times up to 12; shard "lag" stops at 3.
     # Windows ending after the lag shard's frontier (3 - 1 = 2.0) must be
     # flushed even though the lead shard closed them long ago.
-    elements = make_arrived(
-        [(t, t, 1.0) for t in (0.5, 1.5, 2.5, 3.0)]  # the lag population
-        + [(t, t, 1.0) for t in (4.0, 6.0, 8.0, 10.0, 12.0)]  # the lead
+    assert stable_shard("lag", 2) != stable_shard("lead", 2)
+    elements = keyed_arrived(
+        [(t, t, "lag") for t in (0.5, 1.5, 2.5, 3.0)]
+        + [(t, t, "lead") for t in (4.0, 6.0, 8.0, 10.0, 12.0)]
     )
     operator = ShardedWindowOperator(
-        2,
-        ASSIGNER,
-        make_aggregate("count"),
-        lambda: KSlackHandler(1.0),
-        key_fn=lambda e: "lag" if e.event_time < 3.5 else "lead",
+        2, ASSIGNER, make_aggregate("count"), lambda: KSlackHandler(1.0)
     )
     out = run_pipeline(elements, operator)
     lag_frontier = 3.0 - 1.0
@@ -268,15 +267,16 @@ def test_lagging_shard_gates_the_merge_frontier():
 
 
 def test_merged_emit_time_is_the_last_shards_frontier_crossing():
-    # Unkeyed round-robin over 2 shards.  Window [0, 2) closes on shard 0
-    # when element (4.5) arrives at 6.0 and on shard 1 when (3.5) arrives
-    # at 5.0; the merged window must be stamped with the *later* crossing.
-    elements = make_arrived(
+    # Keys "a" and "b" on different shards.  Window [0, 2) closes on a's
+    # shard when (3.5) arrives at 5.0 and on b's when (4.5) arrives at
+    # 6.0; both groups must be stamped with the *later* crossing.
+    assert stable_shard("a", 2) != stable_shard("b", 2)
+    elements = keyed_arrived(
         [
-            (0.5, 1.0, 1.0),  # -> shard 0
-            (1.5, 2.0, 1.0),  # -> shard 1
-            (3.5, 5.0, 1.0),  # -> shard 0: frontier 2.5 at arrival 5.0
-            (4.5, 6.0, 1.0),  # -> shard 1: frontier 3.5 at arrival 6.0
+            (0.5, 1.0, "a"),
+            (1.5, 2.0, "b"),
+            (3.5, 5.0, "a"),  # a's frontier 2.5 at arrival 5.0
+            (4.5, 6.0, "b"),  # b's frontier 3.5 at arrival 6.0
         ]
     )
     operator = ShardedWindowOperator(
@@ -286,134 +286,76 @@ def test_merged_emit_time_is_the_last_shards_frontier_crossing():
         lambda: KSlackHandler(1.0),
     )
     out = run_pipeline(elements, operator)
-    window_02 = [r for r in out.results if r.window.start == 0.0][0]
-    assert not window_02.flushed
-    assert window_02.emit_time == pytest.approx(6.0)
-    assert window_02.count == 2
-    assert window_02.latency == pytest.approx(6.0 - 2.0)
-
-
-def test_cross_shard_groups_merge_accumulators():
-    stream = keyed_stream(keys=None)  # unkeyed: every window spans shards
-    k = no_late_k(stream)
-    base = run_pipeline(
-        stream,
-        WindowAggregateOperator(
-            ASSIGNER, make_aggregate("count"), KSlackHandler(k), mode="naive"
-        ),
-    )
-    recorder = TraceRecorder()
-    out = run_pipeline(stream, sharded_operator(4, "count", k=k), trace=recorder)
-    assert value_map(out.results) == value_map(base.results)  # exact: bitwise
-    merges = list(recorder.of_kind("shard.merge"))
-    assert merges and max(e.fields["shards"] for e in merges) > 1
-
-
-def test_cross_shard_mean_within_declared_drift():
-    stream = keyed_stream(keys=None)
-    k = no_late_k(stream)
-    base = run_pipeline(
-        stream,
-        WindowAggregateOperator(
-            ASSIGNER, make_aggregate("mean"), KSlackHandler(k), mode="naive"
-        ),
-    )
-    out = run_pipeline(stream, sharded_operator(6, "mean", k=k))
-    base_map, out_map = value_map(base.results), value_map(out.results)
-    assert set(base_map) == set(out_map)
-    for group, (value, count) in base_map.items():
-        merged_value, merged_count = out_map[group]
-        assert merged_count == count
-        assert merged_value == pytest.approx(value, rel=1e-9)
+    windows_02 = [r for r in out.results if r.window.start == 0.0]
+    assert [r.key for r in windows_02] == ["a", "b"]
+    for window_02 in windows_02:
+        assert not window_02.flushed
+        assert window_02.emit_time == pytest.approx(6.0)
+        assert window_02.count == 1
+        assert window_02.latency == pytest.approx(6.0 - 2.0)
 
 
 class RecordingExecutor(ShardExecutor):
-    """The in-process executor, keeping a copy of the runs it hands to the
-    merge (which folds accumulators in place)."""
+    """The in-process executor, keeping the runs it hands to the merge."""
 
     def collect(self):
-        runs = super().collect()
-        self.runs = copy.deepcopy(runs)
-        return runs
+        self.runs = super().collect()
+        return self.runs
 
 
-def reference_merge(runs, aggregate, last_arrival):
+def reference_merge(runs, last_arrival):
     """The merge contract, spelled out over re-materialised shard results.
 
-    Group every shard result by ``(key, window)``; a group closes at the
-    arrival at which the last shard's frontier reached its end (two
-    bisects per group), else it is flushed at the last arrival; a group
-    held by several shards folds their accumulators in shard order.
+    Every shard result is a whole ``(key, window)`` group; it closes at
+    the arrival at which the last shard's frontier reached its end (two
+    bisects per group), else it is flushed at the last arrival.
     """
-    groups = {}
-    for run in runs:
-        accumulators = run.accumulators or [None] * len(run.ends)
-        for row, key_id in enumerate(run.key_index):
-            slot = (run.keys[key_id], Window(run.starts[row], run.ends[row]))
-            groups.setdefault(slot, []).append(
-                (run.values[row], run.counts[row], accumulators[row])
-            )
-    min_frontier = min(run.final_frontier for run in runs)
     merged = []
-    for (key, window), records in groups.items():
-        closed = window.end <= min_frontier
-        emit_time = last_arrival
-        if closed:
-            emit_time = max(
-                run.frontier_arrivals[bisect_left(run.frontier_values, window.end)]
-                for run in runs
+    min_frontier = min(run.final_frontier for run in runs)
+    for run in runs:
+        for row, key_id in enumerate(run.key_index):
+            window = Window(run.starts[row], run.ends[row])
+            closed = window.end <= min_frontier
+            emit_time = last_arrival
+            if closed:
+                emit_time = max(
+                    run.frontier_arrivals[bisect_left(run.frontier_values, window.end)]
+                    for run in runs
+                )
+            merged.append(
+                WindowResult(
+                    run.keys[key_id], window, run.values[row], run.counts[row],
+                    emit_time, emit_time - window.end, flushed=not closed,
+                )
             )
-        value = records[0][0]
-        if len(records) > 1:
-            folded = records[0][2]
-            for record in records[1:]:
-                folded = aggregate.merge(folded, record[2])
-            value = aggregate.result(folded)
-        merged.append(
-            WindowResult(
-                key, window, value, sum(record[1] for record in records),
-                emit_time, emit_time - window.end, flushed=not closed,
-            )
-        )
     merged.sort(
         key=lambda r: (r.emit_time, r.flushed, r.window.end, r.window.start, repr(r.key))
     )
     return merged
 
 
-def split_by_seq(element):
-    return element.seq % 3
-
-
 @pytest.mark.parametrize(
-    "keys, key_fn",
-    [
-        (("a", "b", "c"), split_by_seq),  # a custom routing key splits every key
-        (None, None),  # None keys are dealt round-robin
-        (("a", None, "b", None), None),  # only the None group can split
-    ],
+    "keys",
+    [("a", "b", "c"), ("a", None, "b", None)],
+    ids=["keyed", "none-keyed"],
 )
 @pytest.mark.parametrize("aggregate", ["mean", "distinct", "stddev"])
-def test_merge_reads_columns_like_the_reference_merge(keys, key_fn, aggregate):
+def test_merge_reads_columns_like_the_reference_merge(keys, aggregate):
     stream = keyed_stream(keys=keys, duration=12.0)
     executor = RecordingExecutor()
     executor.chunk_size = 32
-    operator = sharded_operator(3, aggregate, k=0.3, key_fn=key_fn, executor=executor)
+    operator = sharded_operator(3, aggregate, k=0.3, executor=executor)
     results = run_pipeline(stream, operator).results
     runs = executor.runs
     assert len(runs) > 1
-    # Accumulators travel exactly for the rows whose group can span shards.
-    for run in runs:
-        for row, accumulator in enumerate(run.accumulators or [None] * len(run.ends)):
-            splittable = key_fn is not None or run.keys[run.key_index[row]] is None
-            assert (accumulator is not None) == splittable
-    expected = reference_merge(runs, make_aggregate(aggregate), stream[-1].arrival_time)
+    # One row per group: no (key, window) is reported by two shards.
+    groups = [(r.key, r.window) for r in results]
+    assert len(set(groups)) == len(groups) == sum(len(run.ends) for run in runs)
+    expected = reference_merge(runs, stream[-1].arrival_time)
     assert results == expected  # values, emit times, flushed flags, order
     emit_times = [r.emit_time for r in results]
     assert len(set(emit_times)) < len(emit_times)  # ties, broken canonically
     assert any(r.flushed for r in results) and not all(r.flushed for r in results)
-    if keys != ("a", None, "b", None):
-        assert max(r.count for r in results) > max(max(run.counts) for run in runs)
 
 
 def test_finish_peaks_near_what_it_leaves_behind():
@@ -485,7 +427,6 @@ def test_runner_batched_feed_matches_an_element_by_element_run(make_handler, mod
     ] == [(r.key, r.window.start, r.window.end, r.value, r.count) for r in scalar]
     assert list(run.observed_errors) == operator.stats.observed_errors
     assert run.late_dropped == operator.stats.late_dropped
-    assert run.accumulators == []  # keyed groups, default routing
     if make_handler is aqk_handler:
         assert len(handler.adaptations) > 1
 
@@ -558,6 +499,29 @@ def test_trace_records_shard_ingest_and_merge():
     for result in out.results:
         group = (result.key, result.window.start, result.window.end)
         assert by_group[group] == result.count
+
+
+def test_a_restored_run_traces_every_shard_it_feeds():
+    # A recorder is an observer: the restore loads each shard's detached,
+    # and every shard fed after it traces into a fresh one.
+    stream = keyed_stream(duration=80.0)[:3000]
+    executor = ShardExecutor()
+    executor.chunk_size = 16
+    operator = ShardedWindowOperator(
+        2, ASSIGNER, make_aggregate("mean"), partial(KSlackHandler, 1.0),
+        executor=executor,
+    )
+    operator.set_tracer(TraceRecorder())
+    operator.process_many(stream[:1500])
+    restored = loads_state(dumps_state(operator))
+    recorder = TraceRecorder()
+    restored.set_tracer(recorder)
+    restored.process_many(stream[1500:])
+    assert restored.finish()
+    collects = list(recorder.of_kind("shard.collect"))
+    assert [event.fields["shard"] for event in collects] == [0, 1]
+    assert all(event.fields["events"] > 0 for event in collects)
+    assert recorder.of_kind("window.close")
 
 
 def test_registry_collects_per_shard_metrics():

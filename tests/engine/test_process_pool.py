@@ -46,7 +46,13 @@ from repro.streams.delay import ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement
 from repro.streams.generators import generate_stream
-from tests.conftest import equal_keys_rows, equal_keys_stream, nan_equal
+from tests.conftest import (
+    UNKEYED_HANDLERS,
+    equal_keys_rows,
+    equal_keys_stream,
+    nan_equal,
+    unkeyed_runs,
+)
 
 ASSIGNER = SlidingWindowAssigner(size=4.0, slide=1.0)
 
@@ -176,7 +182,7 @@ RUN_AGGREGATES = {
     "mean": lambda: make_aggregate("mean"),  # list accumulator
     "stddev": lambda: make_aggregate("stddev"),
     "distinct": lambda: make_aggregate("distinct"),  # set accumulator
-    "tally": TallyAggregate,  # deep-copied accumulator
+    "tally": TallyAggregate,  # dict accumulator
 }
 
 run_rows = st.lists(
@@ -195,16 +201,15 @@ run_rows = st.lists(
     st.sampled_from(sorted(RUN_AGGREGATES)),
     st.sampled_from(["naive", "tree"]),
     st.booleans(),
-    st.booleans(),
 )
 # The late second element opens a phantom record, whose window.retire
 # trace event carries emitted=nan: equal after the pickle, not identical.
 @example(
     rows=[(5.0, 0.0, 0.0, "a"), (2.0, 3.0, 0.0, "a")],
-    aggregate="distinct", mode="naive", split_keyed=False, traced=True,
+    aggregate="distinct", mode="naive", traced=True,
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, traced):
+def test_run_codec_round_trips_every_column(rows, aggregate, mode, traced):
     stream = sorted(
         (
             StreamElement(event_time=t, value=v, key=key, arrival_time=t + d, seq=i)
@@ -224,7 +229,6 @@ def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, 
             sanitize=False,
             trace_enabled=traced,
             trace_detail=False,
-            split_keyed=split_keyed,
         )
     )
     for index in range(0, len(stream), 16):
@@ -235,12 +239,6 @@ def test_run_codec_round_trips_every_column(rows, aggregate, mode, split_keyed, 
         # Every window still open at stream end was flushed into the run.
         assert max(run.ends, default=0.0) > run.final_frontier
         assert bool(run.trace_events) == traced
-        splittable = [
-            split_keyed or run.keys[key_id] is None for key_id in run.key_index
-        ]
-        assert [a is not None for a in run.accumulators] == (
-            splittable if any(splittable) else []
-        )
 
 
 def test_run_codec_round_trips_an_empty_run():
@@ -255,10 +253,9 @@ def test_run_codec_rejects_foreign_payloads():
 
 
 def test_run_codec_pickles_once_whatever_the_result_count(monkeypatch):
-    def run_of(duration, split_keyed):
+    def run_of(duration):
         runner = ShardRunner(
-            0, "tree", ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0),
-            split_keyed=split_keyed,
+            0, "tree", ASSIGNER, make_aggregate("mean"), KSlackHandler(1.0)
         )
         runner.feed(keyed_stream(duration=duration))
         return runner.finish()
@@ -270,7 +267,7 @@ def test_run_codec_pickles_once_whatever_the_result_count(monkeypatch):
         checkpoint.pickle, "dumps",
         lambda *args, **kwargs: calls.append(1) or real_dumps(*args, **kwargs),
     )
-    small, large = run_of(10.0, False), run_of(400.0, False)
+    small, large = run_of(10.0), run_of(400.0)
     assert len(large.ends) > 20 * len(small.ends) > 0
     payloads = [encode_run(small), encode_run(large)]
     assert len(calls) == 2
@@ -283,9 +280,6 @@ def test_run_codec_pickles_once_whatever_the_result_count(monkeypatch):
     assert opcodes[1] <= opcodes[0] + 4
     columns = 36 * len(large.ends) + 16 * len(large.frontier_values)
     assert len(payloads[1]) < columns + 8 * len(large.observed_errors) + 4096
-    # Accumulators, when a run must carry them, are the per-result part.
-    carrying = encode_run(run_of(400.0, True))
-    assert len(carrying) > len(payloads[1]) + 8 * len(large.ends)
 
 
 # --------------------------------------------------------------------- #
@@ -323,6 +317,16 @@ def test_keys_that_compare_equal_share_a_shard(pool, n_shards, mode):
     compare equal land on one worker's shard and merge as one group."""
     sharded, single = equal_keys_rows(pool, n_shards, mode)
     assert sharded == single
+
+
+@pytest.mark.parametrize("handler", sorted(UNKEYED_HANDLERS))
+@pytest.mark.parametrize("n_shards", [2, 3])
+def test_unkeyed_stream_matches_the_unsharded_run(pool, n_shards, handler):
+    """``None`` routes like any key on every executor: the whole stream
+    runs on one worker's shard and emits what the unsharded run emits."""
+    sharded, single = unkeyed_runs(pool, n_shards, handler)
+    assert sharded.results == single.results  # every field, emit times too
+    assert sharded.metrics.late_dropped == single.metrics.late_dropped > 0
 
 
 def test_process_reports_the_key_objects_the_serial_executor_reports(pool):
@@ -649,11 +653,13 @@ def test_query_builder_rejects_executor_without_shards():
 
 
 def test_query_builder_rejects_chunk_size_for_serial():
-    # Only the process executor has a settable chunk size.
+    # The builder takes no chunk size for any executor:
+    # ProcessShardExecutor(chunk_size=) is the one way to set it.
     from repro.queries.language import ContinuousQuery
 
-    with pytest.raises(QueryError, match="chunk_size only applies"):
-        ContinuousQuery().executor("serial", chunk_size=128)
+    for kind in ("serial", "process"):
+        with pytest.raises(TypeError, match="chunk_size"):
+            ContinuousQuery().executor(kind, chunk_size=128)
 
 
 def test_query_builder_rejects_unknown_executor(capsys):

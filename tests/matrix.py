@@ -77,11 +77,6 @@ def handler_factory(name, k, aggregate, size):
     }[name]
 
 
-def split_by_seq(element):
-    """A routing key that splits every key over the shards."""
-    return element.seq % 3
-
-
 class SmallChunks(ShardExecutor):
     """In-process shards at the pool's chunk size: a restore lands mid-session."""
 
@@ -128,7 +123,6 @@ class Cell:
     cuts: tuple[int, ...] = ()
     scalar_first: bool = False
     shards: int = 0  # 0: unsharded
-    split_key: bool = False
     executor: str = "serial"
     restore: int | None = None  # snapshot the operator after this many elements
     observe: bool = False
@@ -231,8 +225,7 @@ def run(base, cell, pool=None, checkpoint=None, stream=None):
     if cell.shards:
         operator = ShardedWindowOperator(
             cell.shards, assigner, make_aggregate(base.aggregate), factory,
-            mode=cell.store, key_fn=split_by_seq if cell.split_key else None,
-            executor=pool if cell.executor == "process" else SmallChunks(), **feedback,
+            mode=cell.store, executor=pool if cell.executor == "process" else SmallChunks(), **feedback,
         )
     else:
         operator = WindowAggregateOperator(
@@ -307,20 +300,18 @@ def check(base, cell, pool=None, checkpoint=None):
         assert [r.emit_time for r in results] == sorted(r.emit_time for r in results)
         flushed = [r.flushed for r in results]
         assert flushed == sorted(flushed)  # the flushed results are a suffix
-        keyed = not cell.split_key and None not in {e.key for e in base.stream}
-        expected = []
-        if keyed:  # R3: one run per shard's substream, bitwise whatever the aggregate
-            for shard in range(cell.shards):
-                part = [e for e in base.stream if stable_shard(e.key, cell.shards) == shard]
-                expected += run(base, Cell(store=cell.store), stream=part)[0] if part else []
-            assert_windows(got, values(expected), exact=True)
-        elif base.handler == "k-slack":  # R3 for split groups: shard frontiers lag
-            expected = run(base, Cell(store=cell.store))[0]
-            assert_windows(got, values(expected), exact, complete=base.covered)
+        expected = []  # R3: one run per shard's substream, bitwise whatever the aggregate
+        for shard in range(cell.shards):
+            part = [e for e in base.stream if stable_shard(e.key, cell.shards) == shard]
+            expected += run(base, Cell(store=cell.store), stream=part)[0] if part else []
+        assert_windows(got, values(expected), exact=True)
         emits = {(r.key, r.window): (r.emit_time, r.flushed) for r in results}
-        for r in expected if keyed or base.covered else []:
+        for r in expected:
             emit_time, flushed = emits[(r.key, r.window)]
             assert emit_time >= r.emit_time and (flushed or not r.flushed)
+        if base.handler == "k-slack":  # shard frontiers lag: never less complete
+            unsharded = run(base, Cell(store=cell.store))[0]
+            assert_windows(got, values(unsharded), exact, complete=base.covered)
 
     if base.covered:  # R5
         assigner = SlidingWindowAssigner(base.size, base.slide)
@@ -414,7 +405,6 @@ def draws(draw, executor="serial", driver=None, shards=None, source=None, keys=N
     cell = Cell(
         store=draw(st.sampled_from(["naive", "tree"])),
         shards=shards,
-        split_key=shards > 0 and draw(st.integers(0, 3)) == 0,
         executor=executor,
         restore=restore,
         observe=draw(st.booleans()),

@@ -3,9 +3,8 @@
 The merge walks distinct window ends in ascending order and never sorts
 by emit time (``repro.engine.parallel``).  The property checks the order
 (relation R4 of :mod:`tests.matrix`) on sharded cells over keyed,
-``None``, mixed and hot-key routing, a custom split key and gapped
-streams; the two fixed cases pin a frontier jump that closes several ends
-at one emit time, and keys that are one dict key but route apart.
+``None``, mixed and hot-key routing and gapped streams; the fixed case
+pins a frontier jump that closes several ends at one emit time.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.aggregate_op import WindowAggregateOperator
-from repro.engine.aggregates import CountAggregate, SumAggregate
+from repro.engine.aggregates import CountAggregate
 from repro.engine.handlers import KSlackHandler
 from repro.engine.parallel import ShardedWindowOperator, stable_shard
 from repro.engine.pipeline import run_pipeline
@@ -48,31 +46,3 @@ def test_a_frontier_jump_closes_several_ends_in_order():
     at_the_jump = [(r.window.end, r.key) for r in results if r.emit_time == 34.0 + 0.1]
     assert at_the_jump == [(end, key) for end in (4.0, 5.0, 6.0, 7.0) for key in "ab"]
     assert any(r.flushed for r in results)
-
-
-def test_hash_equal_keys_split_over_shards_merge_into_one_group():
-    # 1, 1.0 and True are one dict key, so one group in the unsharded
-    # operator; routed apart by their reprs they must still merge into it.
-    keys = (1, 1.0, True)
-    stream = [
-        StreamElement(
-            event_time=0.25 * seq, value=float(seq % 5), arrival_time=0.25 * seq + 0.1,
-            key=keys[seq % 3], seq=seq,
-        )
-        for seq in range(120)
-    ]
-    assigner = SlidingWindowAssigner(4.0, 1.0)
-    sharded = ShardedWindowOperator(
-        3, assigner, SumAggregate(), lambda: KSlackHandler(1.0),
-        key_fn=lambda element: repr(element.key),
-    )
-    assert len({stable_shard(repr(key), 3) for key in keys}) > 1
-    merged = run_pipeline(stream, sharded).results
-    single = run_pipeline(
-        stream, WindowAggregateOperator(assigner, SumAggregate(), KSlackHandler(1.0))
-    ).results
-    assert len(merged) == len(single) == len({r.window for r in single})
-    assert {r.window: (r.key, r.value, r.count) for r in merged} == {
-        r.window: (r.key, r.value, r.count) for r in single
-    }
-    assert max(r.count for r in merged) > 120 // 3 // 4  # groups did span shards
