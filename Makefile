@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab calls perfbench-test experiments examples artifacts clean
+.PHONY: install test lint lint-sarif sanitize numcheck typecheck docs docs-check linkcheck bench bench-quick perf-ab calls peak perfbench-test experiments examples artifacts clean
 
 # Editable install; --no-build-isolation keeps it working offline (the
 # deprecated `setup.py develop` path is gone).
@@ -109,6 +109,13 @@ perf-ab:
 # wall-clock pairs are noisy.
 calls:
 	$(PY) benchmarks/calls_per_element.py --workload $(WORKLOAD)
+
+# Where one perfbench workload's memory peak goes (scale 0.1, seed 42, one
+# untraced run under tracemalloc as perfbench's memory pass measures it;
+# the coordinator of a sharded workload): the peak above the run-start
+# level, the bytes still held, and the top 15 allocation sites of those.
+peak:
+	$(PY) benchmarks/peak_sites.py --workload $(WORKLOAD)
 
 # The benchmark's own self-tests (scale 0.05, under a minute): the only
 # guard on the contract a perf PR must keep without editing perfbench/ --

@@ -166,10 +166,14 @@ def _emit(
     value: float,
     count: int,
     emit_time: ArrivalTimeStamp,
+    latency: DurationS,
     flushed: bool,
 ) -> None:
-    """Append one finalized window to ``results`` and trace its close."""
-    latency = emit_time - window.end
+    """Append one finalized window to ``results`` and trace its close.
+
+    ``latency`` is ``emit_time - window.end``, computed by the caller once
+    per end: every key closing at one end in one close shares the float.
+    """
     results.append(
         WindowResult(key, window, value, count, emit_time, latency, flushed=flushed)
     )
@@ -413,15 +417,28 @@ class _PerWindowStore:
         if self._cache is not None:
             self._cache.entries.clear()
         results: list[WindowResult] = []
+        # Ends pop in ascending order, so every key closing at one end
+        # shares one latency and (an aligned assigner's) one Window.
+        last_end = float("-inf")
+        shared: Window | None = None
+        latency = 0.0
         while heap and heap[0][0] <= frontier:
             end, __, key, window = heapq.heappop(heap)
             slot = (key, window)
             record = self._open.pop(slot, None)
             if record is None:
                 continue
+            if end > last_end:
+                last_end = end
+                latency = emit_time - end
+                shared = window
+            elif window is not shared and window == shared:
+                window = shared
             accumulator, count = record
             value = self.aggregate.result(accumulator)
-            _emit(results, self.tracer, key, window, value, count, emit_time, flushed)
+            _emit(
+                results, self.tracer, key, window, value, count, emit_time, latency, flushed
+            )
             if self.track_feedback:
                 self._closed[slot] = _ClosedRecord(
                     accumulator=accumulator,

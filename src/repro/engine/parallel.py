@@ -652,69 +652,48 @@ class ShardedWindowOperator(Operator):
 
     # -- merge --------------------------------------------------------- #
 
-    def _merge(self, runs: list[_ShardRun]) -> list[WindowResult]:
-        """Interleave the runs' columns at the minimum frontier.
+    def _merge(self, rows: _MergeRows) -> list[WindowResult]:
+        """Stamp the sorted rows at the minimum frontier, in their order.
 
-        Every row is a whole group (routing keeps a key in one shard), so
-        the merge only orders the rows and stamps them: one stable sort
-        into the canonical order (see the module docstring), then one
-        walk over the distinct window ends, recording a ``shard.merge``
-        per result when traced.
+        One walk over the distinct window ends: a group's emit time and
+        latency are computed once, and its rows share one ``Window`` per
+        start.  The walk pops ``rows.blocks``, dropping each block once
+        its results are built.  Records a ``shard.merge`` per result when
+        traced.
         """
-        min_frontier = min(run.final_frontier for run in runs)
         tracer = self.tracer
         traced = tracer.enabled
-
-        # Concatenated, a row's position is its first-seen rank; the sort
-        # by (end, start, repr(key)) is stable, so ties stay in rank order.
-        # A key's place among the sorted reprs stands in for its repr.
-        keys = [key for run in runs for key in run.keys]
-        reprs = [repr(key) for key in keys]
-        places = {text: place for place, text in enumerate(sorted(set(reprs)))}
-        first_key_id = np.cumsum([0] + [len(run.keys) for run in runs])
-        key_ids = np.concatenate(
-            [np.asarray(run.key_index) + first for run, first in zip(runs, first_key_id)]
-        )
-        ends = np.concatenate([run.ends for run in runs])
-        starts = np.concatenate([run.starts for run in runs])
-        key_places = np.array([places[text] for text in reprs], dtype=np.int64)
-        order = np.lexsort((key_places[key_ids], starts, ends))
-        del reprs, places, key_places
-        # The groups of equal ends are cut where the sorted column steps.
-        ends = ends[order]
-        bounds = np.flatnonzero(np.diff(ends, prepend=-np.inf, append=np.inf)).tolist()
-        group_ends: list[EventTimeStamp] = ends[bounds[:-1]].tolist()
-        starts = starts[order]
-        key_ids = key_ids[order]
-        values = np.concatenate([run.values for run in runs])[order]
-        counts = np.concatenate([run.counts for run in runs])[order]
-        del ends, order  # the walk reads neither: freed before the results grow
-
+        keys = rows.keys
+        timelines = rows.timelines
+        min_frontier = rows.min_frontier
+        blocks = rows.blocks
         results: list[WindowResult] = []
-        for end, low, high in zip(group_ends, bounds, bounds[1:]):
-            flushed = end > min_frontier
-            # Closed at the arrival at which the last shard's frontier reached it.
-            emit_time = self._last_arrival if flushed else max(
-                run.frontier_arrivals[bisect_left(run.frontier_values, end)] for run in runs
-            )
-            latency = emit_time - end
-            window_start = float("-inf")
-            for key_id, start, value, count in zip(
-                key_ids[low:high].tolist(), starts[low:high].tolist(),
-                values[low:high].tolist(), counts[low:high].tolist(),
-            ):
-                if start > window_start:
-                    window_start = start
-                    window = Window(start, end)
-                key = keys[key_id]
-                results.append(
-                    WindowResult(key, window, value, count, emit_time, latency, 0, flushed)
+        while blocks:
+            group_ends, bounds, key_ids, starts, values, counts = blocks.pop()
+            for end, low, high in zip(group_ends, bounds, bounds[1:]):
+                flushed = end > min_frontier
+                # Closed at the arrival at which the last shard's frontier reached it.
+                emit_time = self._last_arrival if flushed else max(
+                    arrivals[bisect_left(frontier, end)] for frontier, arrivals in timelines
                 )
-                if traced:
-                    tracer.emit(
-                        "shard.merge", emit_time, key=key, start=start, end=end,
-                        value=value, count=count,
+                latency = emit_time - end
+                window_start = float("-inf")
+                for key_id, start, value, count in zip(
+                    key_ids[low:high].tolist(), starts[low:high].tolist(),
+                    values[low:high].tolist(), counts[low:high].tolist(),
+                ):
+                    if start > window_start:
+                        window_start = start
+                        window = Window(start, end)
+                    key = keys[key_id]
+                    results.append(
+                        WindowResult(key, window, value, count, emit_time, latency, 0, flushed)
                     )
+                    if traced:
+                        tracer.emit(
+                            "shard.merge", emit_time, key=key, start=start, end=end,
+                            value=value, count=count,
+                        )
         return results
 
     def finish(self) -> list[WindowResult]:
@@ -722,13 +701,24 @@ class ShardedWindowOperator(Operator):
         if self._finished:
             return []
         self._finished = True
-        tracer = self.tracer
         for shard_id in range(self._n_shards):
             self._dispatch_shard(shard_id)
         if not any(self._chunks_sent):
             self.handler._finalize(())
             return []
+        merged = self._merge(self._collect())
+        self.stats.results_out = len(merged)
+        return merged
+
+    def _collect(self) -> _MergeRows:
+        """Read all the coordinator needs from the shard runs, rows included.
+
+        The runs go when this returns, so the merge holds each row once,
+        in its own sorted columns, while it builds the results.  The runs
+        are only read: the executor that returned them may keep them.
+        """
         runs = self._executor.collect()
+        tracer = self.tracer
         if tracer.enabled:
             for run in runs:
                 tracer.absorb(run.trace_events)
@@ -737,10 +727,8 @@ class ShardedWindowOperator(Operator):
                     results=len(run.ends), events=len(run.trace_events),
                     chunks=self._chunks_sent[run.shard_id],
                 )
-        merged = self._merge(runs)
         self.handler._finalize(runs)
         stats = self.stats
-        stats.results_out = len(merged)
         for run in runs:
             stats.late_dropped += run.late_dropped
             stats.observed_errors.extend(run.observed_errors)
@@ -756,7 +744,88 @@ class ShardedWindowOperator(Operator):
                 registry.gauge(f"{prefix}.final_frontier").set(run.final_frontier)
                 registry.counter(f"{prefix}.chunks").set(self._chunks_sent[shard_id])
                 registry.counter(f"{prefix}.wire_bytes").set(self._bytes_sent[shard_id])
-        return merged
+        return _MergeRows.of(runs)
+
+
+#: Rows per block of the merge's sorted columns.  A block holds whole
+#: groups of equal ends (so a larger group is one block), and the merge
+#: drops each block once its results are built: the columns shrink while
+#: the results grow.
+MERGE_BLOCK_ROWS = 1024
+
+#: One block of sorted rows: its distinct ends, the row bounds of each
+#: one's group within the block (one more bound than ends), then the
+#: ``key_ids``, ``starts``, ``values`` and ``counts`` columns.
+_Block = tuple[
+    list[EventTimeStamp], list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]
+
+
+@dataclass(slots=True)
+class _MergeRows:
+    """Every shard run's rows in canonical order, one copy of each.
+
+    Built by :meth:`of` from concatenations of the runs' columns, and
+    holding no reference to a run: with the frontier timelines it is all
+    the merge reads.
+    """
+
+    keys: list[object]
+    #: The sorted rows in blocks, the last block first (the merge pops them).
+    blocks: list[_Block]
+    #: ``(frontier_values, frontier_arrivals)`` per run.
+    timelines: list[tuple[array[float], array[float]]]
+    min_frontier: EventTimeStamp
+
+    @classmethod
+    def of(cls, runs: Sequence[_ShardRun]) -> _MergeRows:
+        """Concatenate the runs' columns once, then sort from those copies.
+
+        Concatenated, a row's position is its first-seen rank; the sort
+        by (end, start, repr(key)) is stable, so ties stay in rank order.
+        A key's place among the sorted reprs stands in for its repr.
+        """
+        keys = [key for run in runs for key in run.keys]
+        first_key_id = np.cumsum([0] + [len(run.keys) for run in runs])
+        key_ids = np.concatenate(
+            [np.asarray(run.key_index) + first for run, first in zip(runs, first_key_id)]
+        )
+        starts = np.concatenate([run.starts for run in runs])
+        ends = np.concatenate([run.ends for run in runs])
+        values = np.concatenate([run.values for run in runs])
+        counts = np.concatenate([run.counts for run in runs])
+        reprs = [repr(key) for key in keys]
+        places = {text: place for place, text in enumerate(sorted(set(reprs)))}
+        key_places = np.array([places[text] for text in reprs], dtype=np.int64)
+        order = np.lexsort((key_places[key_ids], starts, ends))
+        del reprs, places, key_places
+        # The groups of equal ends are cut where the sorted column steps.
+        sorted_ends = ends[order]
+        bounds = np.flatnonzero(np.diff(sorted_ends, prepend=-np.inf, append=np.inf)).tolist()
+        group_ends: list[EventTimeStamp] = sorted_ends[bounds[:-1]].tolist()
+        del ends, sorted_ends
+        blocks: list[_Block] = []
+        first = 0
+        while first < len(group_ends):
+            # The first group bound at least a block's rows past this one's.
+            last = min(
+                bisect_left(bounds, bounds[first] + MERGE_BLOCK_ROWS, first + 1),
+                len(group_ends),
+            )
+            low = bounds[first]
+            taken = order[low : bounds[last]]
+            blocks.append((
+                group_ends[first:last], [bound - low for bound in bounds[first : last + 1]],
+                key_ids[taken], starts[taken], values[taken], counts[taken],
+            ))
+            first = last
+        blocks.reverse()
+        return cls(
+            keys=keys,
+            blocks=blocks,
+            timelines=[(run.frontier_values, run.frontier_arrivals) for run in runs],
+            min_frontier=min(run.final_frontier for run in runs),
+        )
 
 
 @dataclass(slots=True)

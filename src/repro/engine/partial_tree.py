@@ -557,8 +557,9 @@ class _SliceStore:
         folds = self._folds
         buckets = self._buckets
         results: list[WindowResult] = []
-        # One (frozen) Window per distinct end, shared by every key closing there.
-        windows: dict[int, Window] = {}
+        # One (frozen) Window and one latency per distinct end, shared by
+        # every key closing there.
+        windows: dict[int, tuple[Window, DurationS]] = {}
         emitted: list[tuple[float, object, Any]] = []
         while ends and ends[0] * slide <= frontier:
             due_index = heapq.heappop(ends)
@@ -607,10 +608,16 @@ class _SliceStore:
                     if count == 0:
                         continue
                     value = aggregate.result(accumulator)
-                    window = windows.get(end_index)
-                    if window is None:
-                        window = windows[end_index] = Window(start, end)
-                    _emit(results, tracer, key, window, value, count, emit_time, flushed)
+                    shared = windows.get(end_index)
+                    if shared is None:
+                        shared = windows[end_index] = (
+                            Window(start, end), emit_time - end
+                        )
+                    window, latency = shared
+                    _emit(
+                        results, tracer, key, window, value, count, emit_time, latency,
+                        flushed,
+                    )
                     if track:
                         emitted.append((end, key, value))
                 self._next_end[key] = next_end

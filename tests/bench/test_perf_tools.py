@@ -101,3 +101,23 @@ def test_calls_per_element_counts_one_worker_of_a_sharded_run():
     assert re.search(r"engine/process_pool\.py:\d+ decode_chunk`", workers[0])
     assert re.search(r"engine/parallel\.py:\d+ (ShardSession\.)?feed`", workers[0])
     assert workers[0].splitlines()[-1].endswith("| **total** |")
+
+
+def test_peak_sites_puts_the_results_on_top():
+    """On the single tree store the results are what the run leaves held:
+    the top site is the line that builds a ``WindowResult``."""
+    table = subprocess.run(
+        [sys.executable, "benchmarks/peak_sites.py", "--workload", "tree_close_ov64"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    lines = table.splitlines()
+    assert lines[0].startswith("tree_close_ov64: ") and "scale 0.1, seed 42" in lines[0]
+    peak = float(re.search(r"^peak above run start: ([\d.]+) MB$", table, re.M)[1])
+    held = float(re.search(r"^held after the run: ([\d.]+) MB$", table, re.M)[1])
+    assert 0 < held <= peak
+    sites = [line for line in lines if line.startswith("| ") and line.endswith("` |")]
+    assert len(sites) == 15
+    source = (ROOT / "src/repro/engine/aggregate_op.py").read_text().splitlines()
+    builds = [n for n, text in enumerate(source, 1) if "WindowResult(" in text]
+    assert len(builds) == 1
+    assert sites[0].endswith(f"| `repro/engine/aggregate_op.py:{builds[0]}` |")

@@ -344,6 +344,33 @@ class TestLatencyProperties:
         ends = [r.window.end for r in output.results]
         assert ends == sorted(ends)
 
+    @pytest.mark.parametrize("batch_size", [0, 64], ids=["process", "process_many"])
+    @pytest.mark.parametrize("mode", ["naive", "tree"])
+    def test_results_closed_together_share_one_latency_and_window(self, mode, batch_size):
+        """Every key closing at one end in one close gets the same latency
+        float and the same ``Window``: no per-result 24-byte float."""
+        rng = np.random.default_rng(5)
+        stream = inject_disorder(
+            generate_stream(duration=60.0, rate=200.0, rng=rng, keys=list("abcdef")),
+            ExponentialDelay(0.5),
+            rng,
+        )
+        operator = WindowAggregateOperator(
+            SlidingWindowAssigner(4.0, 0.5), MeanAggregate(), KSlackHandler(0.5), mode=mode
+        )
+        results = run_pipeline(stream, operator, batch_size=batch_size).results
+        # A window end closes once: one close's results at one end share both.
+        closes: dict[tuple[float, float], list] = {}
+        for result in results:
+            closes.setdefault((result.emit_time, result.window.end), []).append(result)
+        assert sum(len(group) > 1 for group in closes.values()) > 100
+        assert any(result.flushed for result in results)
+        for group in closes.values():
+            assert len({id(result.latency) for result in group}) == 1
+            assert len({id(result.window) for result in group}) == 1
+            for result in group:
+                assert result.latency.hex() == (result.emit_time - result.window.end).hex()
+
 
 class TestFeedback:
     def test_observed_errors_collected(self, rng):

@@ -242,11 +242,15 @@ def run(base, cell, pool=None, checkpoint=None, stream=None):
         assert recorder.events
         assert registry.counter("pipeline.elements_in").value == output.metrics.n_elements
         assert registry.counter("pipeline.results_out").value == output.metrics.n_results
-        if cell.shards:  # every routed element reached a shard that reports it
-            assert sum(
-                value for name, value in registry.snapshot().items()
-                if name.startswith("shard.") and name.endswith(".elements_in")
-            ) == output.metrics.n_elements
+        if cell.shards:  # every routed element reached a shard that reports it,
+            # and every merged result is a row some shard reported
+            snapshot = registry.snapshot()
+            for counter, total in (("elements_in", output.metrics.n_elements),
+                                   ("results_out", len(output.results))):
+                assert sum(
+                    value for name, value in snapshot.items()
+                    if name.startswith("shard.") and name.endswith(f".{counter}")
+                ) == total
     metrics = output.metrics  # results compare field by field: emit times, flags and all
     observable = (output.results, output.observed_errors, metrics.late_dropped,
                   metrics.released_count, getattr(driven.handler, "adaptations", None))
