@@ -19,9 +19,9 @@ import pytest
 
 from repro.core.aqk import AQKSlackHandler
 from repro.core.spec import QualityTarget
+from repro.engine import parallel
 from repro.engine.aggregate_op import WindowAggregateOperator
 from repro.engine.aggregates import make_aggregate
-from repro.engine import parallel
 from repro.engine.checkpoint import dumps_state, loads_state
 from repro.engine.handlers import KSlackHandler
 from repro.engine.operator import WindowResult
@@ -412,7 +412,7 @@ def test_finish_on_the_process_executor_peaks_near_what_it_leaves_behind():
     finally:
         pool.close()
     assert len(results) > 5_000
-    assert peak <= 1.2 * live  # 1.05 here; 1.34 while the runs outlived the merge
+    assert peak <= 1.2 * live  # reads 1.05; 1.34 while the runs outlived the merge
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
