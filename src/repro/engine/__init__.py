@@ -28,7 +28,6 @@ from repro.engine.handlers import (
     NoBufferHandler,
 )
 from repro.engine.metrics import LatencySummary, RunMetrics
-from repro.engine.multisource import MultiSourceWatermarkHandler
 from repro.engine.operator import Operator, WindowResult
 from repro.engine.oracle import oracle_results
 from repro.engine.parallel import (
@@ -64,6 +63,7 @@ from repro.engine.pairs import (
 from repro.engine.watermarks import (
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
+    MultiSourceWatermarkHandler,
 )
 from repro.engine.windows import (
     SlidingWindowAssigner,

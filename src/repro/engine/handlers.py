@@ -13,9 +13,11 @@ wrong results under disorder); a frontier lagging by the maximum delay closes
 windows only when they are certainly complete (exact results, worst-case
 latency).
 
-This module provides the baselines and :class:`SlackHandler`, the one
-K-slack release path; the paper's adaptive, quality-driven K rule lives
-in :mod:`repro.core.aqk`.
+This module provides the two release paths and their simplest rules:
+:class:`WatermarkHandler`, the one pass-through path (its lag rules live
+in :mod:`repro.engine.watermarks`), and :class:`SlackHandler`, the one
+K-slack path; the paper's adaptive, quality-driven K rule lives in
+:mod:`repro.core.aqk`.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
-from repro.streams.timebase import (
-    DurationS,
-    EventTimeFrontier,
-    EventTimeStamp,
-)
+from repro.streams.timebase import DurationS, EventTimeStamp
 from repro.engine.buffer import SortingBuffer
 
 #: Below this batch size the bulk release machinery costs more than the
@@ -168,13 +166,12 @@ class DisorderHandler(ABC):
         across any sequence of :meth:`offer` / :meth:`offer_many` /
         :meth:`flush` calls the frontier NEVER decreases — a window closed
         at frontier T must stay closed.  ``flush`` may jump it to ``+inf``.
-        Implementations clamp every advance: :class:`SlackHandler` keeps
-        its frontier as a float raised by one ``if`` per arrival (a running
-        ``np.maximum`` per batch), the other handlers store theirs in a
-        :class:`~repro.streams.timebase.MonotoneFrontier`, whose
-        ``advance`` clamps regressions structurally; the StreamSan runtime
-        checkers (:mod:`repro.analysis.sanitizer`) additionally enforce the
-        contract on every call when a pipeline runs with ``sanitize=True``.
+        Implementations clamp every advance: :class:`SlackHandler` and
+        :class:`WatermarkHandler` keep the frontier as a float raised by one
+        ``if`` per arrival (:class:`SlackHandler` by a running
+        ``np.maximum`` per batch); the StreamSan runtime checkers
+        (:mod:`repro.analysis.sanitizer`) additionally enforce the contract
+        on every call when a pipeline runs with ``sanitize=True``.
         """
 
     @property
@@ -216,21 +213,39 @@ class DisorderHandler(ABC):
         return self.name
 
 
-class NoBufferHandler(DisorderHandler):
-    """Zero-latency baseline: release immediately, frontier = newest event.
+class WatermarkHandler(DisorderHandler):
+    """Pass-through release: the one path that forwards every arrival.
 
-    Every out-of-order element whose windows already closed is dropped by the
-    operator downstream — this is the quality floor of the evaluation.
+    Every element leaves on arrival, unordered; elements behind the
+    frontier are counted late downstream.  The class owns the newest-event
+    clock, the frontier (plain floats, each raised by one ``if``, so
+    neither moves back) and the released count; a watermark rule is a
+    subclass that sets ``lag`` and may override :meth:`watermark` (observe
+    one arrival, return the frontier candidate, by default ``clock -
+    lag``).
     """
 
-    name = "no-buffer"
     takes_feedback = False
 
+    #: Seconds the default watermark trails the clock by; rules may move it.
+    lag: DurationS = 0.0
+
     def __init__(self) -> None:
-        self._frontier = EventTimeFrontier()
+        self._clock: EventTimeStamp = float("-inf")
+        self._front: EventTimeStamp = float("-inf")
+        self._released = 0
+
+    def watermark(self, element: StreamElement) -> EventTimeStamp:
+        """Observe one arriving element; return the frontier candidate."""
+        return self._clock - self.lag
 
     def offer(self, element: StreamElement) -> list[StreamElement]:
-        self._frontier.observe(element.event_time)
+        if element.event_time > self._clock:
+            self._clock = element.event_time
+        front = self.watermark(element)
+        if front > self._front:
+            self._front = front
+        self._released += 1
         return [element]
 
     def flush(self) -> list[StreamElement]:
@@ -238,10 +253,24 @@ class NoBufferHandler(DisorderHandler):
 
     @property
     def frontier(self) -> EventTimeStamp:
-        return self._frontier.value
+        return self._front
+
+    @property
+    def current_slack(self) -> DurationS:
+        return self.lag
 
     def released_count(self) -> int:
-        return self._frontier.count
+        return self._released
+
+
+class NoBufferHandler(WatermarkHandler):
+    """Zero-latency baseline: release immediately, frontier = newest event.
+
+    Every out-of-order element whose windows already closed is dropped by the
+    operator downstream — this is the quality floor of the evaluation.
+    """
+
+    name = "no-buffer"
 
 
 class SlackHandler(DisorderHandler):

@@ -20,7 +20,7 @@ from repro.streams.disorder import (
     inject_fifo_disorder,
     measure_disorder,
 )
-from repro.streams.element import StreamElement, Watermark, ensure_arrival_order
+from repro.streams.element import StreamElement, ensure_arrival_order
 from repro.streams.generators import (
     ConstantValues,
     GaussianValues,
@@ -33,11 +33,7 @@ from repro.streams.generators import (
 )
 from repro.streams.io import read_trace, write_trace
 from repro.streams.multisource import merge_streams
-from repro.streams.timebase import (
-    EventTimeFrontier,
-    MonotoneFrontier,
-    times_equal,
-)
+from repro.streams.timebase import times_equal
 
 __all__ = [
     "BurstyDelay",
@@ -45,13 +41,11 @@ __all__ = [
     "ConstantValues",
     "DelayModel",
     "DisorderStats",
-    "EventTimeFrontier",
     "ExponentialDelay",
     "GaussianDelay",
     "GaussianValues",
     "LognormalDelay",
     "MixtureDelay",
-    "MonotoneFrontier",
     "ParetoDelay",
     "RandomWalkValues",
     "RegimeSwitchingDelay",
@@ -62,7 +56,6 @@ __all__ = [
     "UniformDelay",
     "UniformValues",
     "ValueProcess",
-    "Watermark",
     "empirical_quantile",
     "ensure_arrival_order",
     "generate_stream",

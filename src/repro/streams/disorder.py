@@ -157,7 +157,7 @@ def inject_fifo_disorder(
     arrival), while elements of *different* channels still interleave
     arbitrarily.  With a single channel the output is fully in order —
     cross-channel skew is the only disorder source, which is the regime
-    :class:`repro.engine.multisource.MultiSourceWatermarkHandler` exploits.
+    :class:`repro.engine.watermarks.MultiSourceWatermarkHandler` exploits.
 
     Args:
         elements: In-order stream (ascending event time).

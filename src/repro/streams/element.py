@@ -1,4 +1,4 @@
-"""Stream data model: timestamped elements and watermarks.
+"""Stream data model: timestamped elements.
 
 Every record flowing through the engine is a :class:`StreamElement`.  It
 carries two timestamps:
@@ -123,18 +123,6 @@ class StreamElement:
 _set_event_time, _set_value, _set_key, _set_arrival_time, _set_seq = (
     vars(StreamElement)[name].__set__ for name in StreamElement.__slots__
 )
-
-
-@dataclass(frozen=True, slots=True)
-class Watermark:
-    """An assertion that no element with ``event_time < timestamp`` follows.
-
-    Watermark-based disorder handling injects these into the stream; an
-    operator receiving a watermark may finalize every window that ends at or
-    before the watermark's timestamp.
-    """
-
-    timestamp: float
 
 
 def ensure_arrival_order(elements: list[StreamElement]) -> list[StreamElement]:

@@ -5,7 +5,7 @@ Real deployments ingest one logical stream from many physical sources
 mutually skewed.  :func:`merge_streams` interleaves several
 arrival-ordered streams into the single arrival-ordered stream an operator
 consumes; the companion frontier rule lives in
-:mod:`repro.engine.multisource`.
+:class:`repro.engine.watermarks.MultiSourceWatermarkHandler`.
 """
 
 from __future__ import annotations

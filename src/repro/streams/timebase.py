@@ -1,4 +1,4 @@
-"""Time-domain markers, frontiers and helpers.
+"""Time-domain markers and helpers.
 
 The engine runs on *simulated time*: the processing clock of a pipeline is
 the arrival timestamp of the element currently being processed, which makes
@@ -80,69 +80,3 @@ def times_equal(
         # are never "close": rtol * inf would otherwise swallow everything.
         return False
     return abs(a - b) <= max(atol, rtol * max(abs(a), abs(b)))
-
-
-class MonotoneFrontier:
-    """A never-decreasing event-time frontier value.
-
-    Every :class:`~repro.engine.handlers.DisorderHandler` promises that its
-    ``frontier`` property never moves backwards; this class makes that
-    promise structural instead of re-implementing ``if candidate > value``
-    at every advance site.  :meth:`advance` clamps regressions (an older
-    candidate leaves the frontier unchanged), so a handler that stores its
-    frontier here cannot violate the contract no matter what candidate
-    sequence its policy produces.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, start: EventTimeStamp = float("-inf")) -> None:
-        self._value = start
-
-    @property
-    def value(self) -> EventTimeStamp:
-        """Current frontier; ``-inf`` before the first advance."""
-        return self._value
-
-    def advance(self, candidate: EventTimeStamp) -> EventTimeStamp:
-        """Raise the frontier to ``candidate`` if ahead; return the frontier."""
-        if candidate > self._value:
-            self._value = candidate
-        return self._value
-
-    def close(self) -> EventTimeStamp:
-        """End of stream: jump the frontier to ``+inf`` and return it."""
-        self._value = float("inf")
-        return self._value
-
-
-class EventTimeFrontier:
-    """Tracks the maximum event time observed on a stream.
-
-    ``frontier - K`` is the release threshold of a K-slack buffer; the
-    frontier itself is the most aggressive (zero-slack) watermark available
-    without future knowledge.
-    """
-
-    __slots__ = ("_max_event_time", "_count")
-
-    def __init__(self) -> None:
-        self._max_event_time = float("-inf")
-        self._count = 0
-
-    @property
-    def value(self) -> EventTimeStamp:
-        """Maximum event time seen, or ``-inf`` before any observation."""
-        return self._max_event_time
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded into the frontier."""
-        return self._count
-
-    def observe(self, event_time: EventTimeStamp) -> EventTimeStamp:
-        """Fold one event timestamp into the frontier; return the frontier."""
-        self._count += 1
-        if event_time > self._max_event_time:
-            self._max_event_time = event_time
-        return self._max_event_time

@@ -399,7 +399,7 @@ def multisource_stream():
 
 def make_multisource_operator():
     """Sliding mean over a per-source watermark handler."""
-    from repro.engine.multisource import MultiSourceWatermarkHandler
+    from repro.engine.watermarks import MultiSourceWatermarkHandler
 
     handler = MultiSourceWatermarkHandler(
         source_of=lambda e: e.key, lag=0.5, expected_sources={"a", "b"}
@@ -430,19 +430,22 @@ def test_multisource_batched_pipeline_passes_sanitizer():
 
 def test_multisource_sanitizer_catches_seeded_frontier_bug():
     """A regressing multisource frontier must trip the frontier checker."""
-    from repro.engine.multisource import MultiSourceWatermarkHandler
+    from repro.engine.watermarks import MultiSourceWatermarkHandler
 
     class RegressingMultiSource(MultiSourceWatermarkHandler):
-        """BUG: reports a frontier that ignores the monotone store."""
+        """BUG: reports the newest watermark instead of the clamped frontier."""
+
+        _raw = float("-inf")
+
+        def watermark(self, element) -> float:
+            # When a new source first speaks behind the others the raw
+            # minimum moves back.
+            self._raw = super().watermark(element)
+            return self._raw
 
         @property
         def frontier(self) -> float:
-            # Recompute from live sources without the monotone clamp: when
-            # a new source first speaks behind the others the raw minimum
-            # moves back.
-            if not self._sources:
-                return float("-inf")
-            return self._live_minimum() - self.lag
+            return self._raw
 
     handler = RegressingMultiSource(source_of=lambda e: e.key, lag=0.5)
     operator = WindowAggregateOperator(

@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.spec import LatencyBudget
 from repro.engine.handlers import KSlackHandler, MPKSlackHandler, NoBufferHandler
-from repro.engine.multisource import MultiSourceWatermarkHandler
-from repro.engine.watermarks import FixedLagWatermarkHandler
+from repro.engine.watermarks import (
+    FixedLagWatermarkHandler,
+    MultiSourceWatermarkHandler,
+)
 from repro.errors import ConfigurationError
 from repro.streams.delay import ExponentialDelay, UniformDelay
 from repro.streams.disorder import inject_disorder, measure_disorder
@@ -44,6 +46,34 @@ class TestNoBufferHandler:
 
     def test_flush_empty(self):
         assert NoBufferHandler().flush() == []
+
+    def test_starts_at_minus_inf_with_nothing_released(self):
+        handler = NoBufferHandler()
+        assert handler.frontier == float("-inf")
+        assert handler.released_count() == 0
+
+    def test_frontier_tracks_the_maximum_after_every_offer(self):
+        handler = NoBufferHandler()
+        for event_time, expected in ((3.0, 3.0), (1.0, 3.0), (5.0, 5.0)):
+            handler.offer(StreamElement(event_time, 0, arrival_time=6.0))
+            assert handler.frontier == expected
+
+    def test_released_count_counts_every_offer(self):
+        handler = NoBufferHandler()
+        for offered, event_time in enumerate((2.0, 1.0, 2.0), start=1):
+            handler.offer(StreamElement(event_time, 0, arrival_time=3.0))
+            assert handler.released_count() == offered
+
+    def test_is_the_zero_lag_watermark(self, rng):
+        stream = inject_disorder(
+            generate_stream(duration=20, rate=50, rng=rng), ExponentialDelay(0.5), rng
+        )
+        no_buffer, zero_lag = NoBufferHandler(), FixedLagWatermarkHandler(0.0)
+        for element in stream:
+            assert no_buffer.offer(element) == zero_lag.offer(element) == [element]
+            assert no_buffer.frontier == zero_lag.frontier
+            assert no_buffer.released_count() == zero_lag.released_count()
+        assert no_buffer.released_count() == len(stream) > 0
 
 
 class TestKSlackHandler:

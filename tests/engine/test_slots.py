@@ -24,20 +24,16 @@ from repro.engine.partial_tree import _BlockFold, _SliceStore, _SliceTree
 from repro.engine.aggregates import CountAggregate
 from repro.engine.windows import SlidingWindowAssigner, Window
 from repro.obs.trace import TraceEvent
-from repro.streams.element import StreamElement, Watermark
-from repro.streams.timebase import EventTimeFrontier, MonotoneFrontier
+from repro.streams.element import StreamElement
 
 
 HOT_INSTANCES = [
     StreamElement(event_time=0.0, value=1.0, arrival_time=0.0, seq=0),
-    Watermark(timestamp=0.0),
     Window(0.0, 1.0),
     WindowResult(
         key=None, window=Window(0.0, 1.0), value=1.0, count=1, emit_time=1.0,
         latency=0.0,
     ),
-    MonotoneFrontier(),
-    EventTimeFrontier(),
     SortingBuffer(),
     _SliceAssignCache(SlidingWindowAssigner(8, 1)),
     _Cell(0.0, 1.0, [], [Window(0.0, 8.0)]),

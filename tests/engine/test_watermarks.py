@@ -1,8 +1,12 @@
 """Tests for watermark-based disorder handlers."""
 
+import numpy as np
 import pytest
 
 from repro.engine.watermarks import (
+    LAG_DELAY_QUANTILE,
+    LAG_SAMPLE_SIZE,
+    LAG_UPDATE_EVERY,
     FixedLagWatermarkHandler,
     HeuristicWatermarkHandler,
 )
@@ -43,6 +47,9 @@ class TestFixedLagWatermarkHandler:
     def test_slack_is_lag(self):
         assert FixedLagWatermarkHandler(lag=2.5).current_slack == 2.5
 
+    def test_describe_names_the_lag(self):
+        assert FixedLagWatermarkHandler(lag=0.7).describe() == "watermark(lag=0.7s)"
+
 
 class TestHeuristicWatermarkHandler:
     def test_lag_converges_to_delay_quantile(self, rng):
@@ -57,3 +64,31 @@ class TestHeuristicWatermarkHandler:
         for element in stream:
             handler.offer(element)
         assert handler.lag == pytest.approx(0.95, abs=0.05)
+
+    def test_lag_equals_the_sorted_list_reference_after_every_arrival(self):
+        """The lag is the rank-floor(0.95 (n - 1)) delay of the last 1,000,
+        re-read every 100 arrivals that carry an arrival time."""
+        rng = np.random.default_rng(5)
+        handler = HeuristicWatermarkHandler()
+        delays: list[float] = []
+        since_update = 0
+        lag = 0.0
+        for index in range(2600):
+            event_time = index * 0.01
+            if index % 97 == 0:
+                element = StreamElement(event_time=event_time, value=0.0)
+            else:
+                # Delays on a 0.1 s grid: most ranks fall among ties.
+                delay = float(rng.integers(0, 20)) / 10
+                element = el(event_time, event_time + delay)
+                delays.append(element.delay)
+                del delays[:-LAG_SAMPLE_SIZE]
+                since_update += 1
+                if since_update == LAG_UPDATE_EVERY:
+                    since_update = 0
+                    ordered = sorted(delays)
+                    lag = ordered[int(LAG_DELAY_QUANTILE * (len(ordered) - 1))]
+            handler.offer(element)
+            assert handler.lag == lag
+            assert handler.current_slack == lag
+        assert len(delays) == LAG_SAMPLE_SIZE and lag > 0

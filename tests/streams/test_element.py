@@ -11,7 +11,7 @@ import pytest
 from repro.engine import process_pool
 from repro.engine.process_pool import decode_chunk, encode_chunk
 from repro.errors import ConfigurationError, StreamOrderError
-from repro.streams.element import StreamElement, Watermark, ensure_arrival_order
+from repro.streams.element import StreamElement, ensure_arrival_order
 
 
 class TestStreamElement:
@@ -146,11 +146,6 @@ class TestConstructorContract:
         struct.pack_into("<d", payload, process_pool._CHUNK_HEADER.size, event_time)
         with pytest.raises(ConfigurationError, match="event_time"):
             decode_chunk(bytes(payload))
-
-
-class TestWatermark:
-    def test_construction(self):
-        assert Watermark(5.0).timestamp == 5.0
 
 
 class TestEnsureArrivalOrder:

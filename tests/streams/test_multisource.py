@@ -12,7 +12,7 @@ from repro.streams.delay import ConstantDelay, ExponentialDelay
 from repro.streams.disorder import inject_disorder
 from repro.streams.element import StreamElement, ensure_arrival_order
 from repro.streams.generators import generate_stream
-from repro.engine.multisource import MultiSourceWatermarkHandler
+from repro.engine.watermarks import MultiSourceWatermarkHandler
 from repro.streams.multisource import merge_streams
 
 
@@ -111,13 +111,23 @@ class TestMultiSourceWatermarkHandler:
         assert handler.frontier == 10.0  # monotone despite rejoin
         assert handler.idle_sources() == []
 
-    def test_all_sources_idle_falls_back(self):
+    def test_offering_source_is_never_idle(self):
+        """A source is stamped with the handler's arrival clock, so the one
+        that just spoke is live even when its arrival time went back."""
         handler = MultiSourceWatermarkHandler(
             source_of=lambda e: e.key, idle_timeout=1.0
         )
-        handler.offer(el("a", 5.0, 5.0))
-        handler.offer(el("a", 6.0, 16.0))
-        assert handler.frontier >= 5.0
+        for source, ts, at in (
+            ("a", 5.0, 5.0),
+            ("a", 6.0, 16.0),  # a silent for 11s > 1s, but it just spoke
+            ("b", 7.0, 17.0),
+            ("a", 8.0, 9.0),  # arrival regression: 8s behind the clock
+            ("b", 9.0, 10.0),
+        ):
+            handler.offer(el(source, ts, at))
+            assert source not in handler.idle_sources()
+        assert handler.idle_sources() == []
+        assert handler.frontier == 8.0
 
     def test_requires_arrival(self):
         handler = MultiSourceWatermarkHandler(source_of=lambda e: e.key)

@@ -1,26 +1,6 @@
-"""Tests for the event-time frontiers and time-domain helpers."""
+"""Tests for the time-domain helpers."""
 
-from repro.streams.timebase import EventTimeFrontier, times_equal
-
-
-class TestEventTimeFrontier:
-    def test_initial_state(self):
-        frontier = EventTimeFrontier()
-        assert frontier.value == float("-inf")
-        assert frontier.count == 0
-
-    def test_observe_tracks_max(self):
-        frontier = EventTimeFrontier()
-        frontier.observe(3.0)
-        frontier.observe(1.0)
-        frontier.observe(5.0)
-        assert frontier.value == 5.0
-        assert frontier.count == 3
-
-    def test_observe_returns_frontier(self):
-        frontier = EventTimeFrontier()
-        assert frontier.observe(2.0) == 2.0
-        assert frontier.observe(1.0) == 2.0
+from repro.streams.timebase import times_equal
 
 
 class TestTimesEqual:
