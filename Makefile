@@ -111,9 +111,10 @@ calls:
 	$(PY) benchmarks/calls_per_element.py --workload $(WORKLOAD)
 
 # Where one perfbench workload's memory peak goes (scale 0.1, seed 42, one
-# untraced run under tracemalloc as perfbench's memory pass measures it;
-# the coordinator of a sharded workload): the peak above the run-start
-# level, the bytes still held, and the top 15 allocation sites of those.
+# warm-up run, then one untraced run under tracemalloc as perfbench's memory
+# pass measures it; the coordinator of a sharded workload): the peak above
+# the run-start level, the bytes still held and their top 15 allocation
+# sites, then a sampled pass's top 15 sites live at its highest level.
 peak:
 	$(PY) benchmarks/peak_sites.py --workload $(WORKLOAD)
 

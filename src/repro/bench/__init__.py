@@ -15,10 +15,8 @@ from repro.bench.report import (
     is_monotone,
     render_table,
 )
-from repro.bench.experiments import EXPERIMENTS, run_experiment
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentResult",
     "PolicyRun",
     "WorkloadSpec",
@@ -27,7 +25,6 @@ __all__ = [
     "is_monotone",
     "make_policy",
     "render_table",
-    "run_experiment",
     "run_policy",
     "standard_query",
     "workload_summary",

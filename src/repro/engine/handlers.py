@@ -39,7 +39,7 @@ from repro.engine.buffer import SortingBuffer
 #: the generic per-element path.
 MIN_BULK_BATCH = 8
 
-#: The buffer's release order (its heap key).
+#: The buffer's release order (its sort key).
 _BUFFER_ORDER = attrgetter("event_time", "seq")
 
 #: ``offer_many`` checkpoints: one ``(released_end_offset, frontier)`` pair
@@ -87,7 +87,7 @@ def bulk_release(
                 slot += 1
         steps[slot] = own
     # Stable sort keeps (event_time, seq) order within a step — exactly the
-    # order the scalar heap pops would have produced.
+    # order the scalar releases would have produced.
     order = np.argsort(steps, kind="stable").tolist()
     released_ordered = [released[j] for j in order]
     offsets = np.cumsum(np.bincount(steps, minlength=n)).tolist()

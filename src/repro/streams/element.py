@@ -109,7 +109,8 @@ class StreamElement:
         Sorting and heaps order ``(timestamp, seq, element)`` tuples, which
         ask the elements only when two *distinct* ones tie on the pair
         before them (field-equal duplicates compare equal first) — a stream
-        whose ``seq`` is not unique, which has no deterministic order.
+        whose ``seq`` is not unique, which has no deterministic order.  The
+        sorting buffer asks the same way when an insert meets such a tie.
         """
         raise StreamOrderError(
             f"cannot order {self!r} and {other!r}: they tie on timestamp and "

@@ -6,6 +6,11 @@ broken experiment fails in the unit suite and not first in a long benchmark
 run.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
@@ -44,3 +49,20 @@ def test_main_renders_selected(capsys):
     assert main(["E8", "--scale", str(TINY)]) == 0
     out = capsys.readouterr().out
     assert "E8:" in out
+
+
+def test_module_runs_once_under_python_dash_m():
+    """``python -m repro.bench.experiments`` is not imported by its package
+    first, so runpy has no half-run copy to warn about."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.bench.experiments",
+         "--help"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout

@@ -121,3 +121,27 @@ def test_peak_sites_puts_the_results_on_top():
     builds = [n for n, text in enumerate(source, 1) if "WindowResult(" in text]
     assert len(builds) == 1
     assert sites[0].endswith(f"| `repro/engine/aggregate_op.py:{builds[0]}` |")
+
+
+def test_peak_sites_samples_what_is_live_at_the_high():
+    """The sampled pass prints a second table: the top sites live at the
+    highest sampled level, which together stay within the untouched
+    pass's peak."""
+    table = subprocess.run(
+        [sys.executable, "benchmarks/peak_sites.py", "--workload", "burst_adapt_tree"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    peak = float(re.search(r"^peak above run start: ([\d.]+) MB$", table, re.M)[1])
+    found = re.search(
+        r"^live at the sampled high: ([\d.]+) MB after (\d+) input elements", table, re.M
+    )
+    level, fed = float(found[1]), int(found[2])
+    total = int(table.splitlines()[0].split(": ")[1].split()[0])
+    assert level > 0 and 0 < fed <= total
+    sampled = table[found.end():]
+    rows = re.findall(r"^\| ([\d.]+) \| (\d+) \| `[^`]+:\d+` \| ([\d.]+)% \|$", sampled, re.M)
+    assert len(rows) == 15
+    sizes = [float(kib) * 1024 for kib, _, _ in rows]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) <= peak * 1e6
+    assert sum(float(share) for _, _, share in rows) <= 100.0

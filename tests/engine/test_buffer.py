@@ -1,12 +1,15 @@
 """Tests for the sorting buffer."""
 
+import gc
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.buffer import SortingBuffer
+from repro.engine.buffer import MERGE_RATIO, SortingBuffer
 from repro.engine.pipeline import run_pipeline
 from repro.engine.windows import tumbling
 from repro.errors import StreamOrderError
@@ -95,8 +98,8 @@ class TestBulkBufferAPIs:
         ] == [(e.event_time, e.seq) for e in bulk.release_until(200.0)]
 
     def test_push_many_incremental_chunks(self):
-        # 37 is large against the heap it meets (``push_release`` sorts), 3 is
-        # small once the heap has grown (``push_many`` + ``release_until``).
+        # 37 is large against the buffer it meets (merged by one sort), 3 is
+        # small once the buffer has grown (inserted one by one).
         for size in (37, 3):
             self.check_incremental_chunks(size)
 
@@ -108,7 +111,8 @@ class TestBulkBufferAPIs:
         one = SortingBuffer()
         bulk = SortingBuffer()
         both = SortingBuffer()
-        sorted_chunks = []
+        held = []
+        merged, inserted = [], []
         for start in range(0, len(timestamps), size):
             chunk = timestamps[start : start + size]
             for seq, ts in enumerate(chunk, start):
@@ -116,7 +120,15 @@ class TestBulkBufferAPIs:
             elements = [el(ts, seq=seq) for seq, ts in enumerate(chunk, start)]
             bulk.push_many(elements)
             threshold = max(chunk) - 20.0
-            sorted_chunks.append(len(elements) * 8 > len(both))
+            # The part of a chunk at or below everything held meets runs
+            # that hold at most ``len(both)`` elements and at least those at
+            # or above its minimum.
+            below = [time for time in chunk if held and time <= max(held)]
+            if below:
+                merged.append(len(both) <= MERGE_RATIO * len(below))
+                reached = sum(time >= min(below) for time in held)
+                inserted.append(reached > MERGE_RATIO * len(below))
+            held = [time for time in held + chunk if time > threshold]
             expected = [(e.event_time, e.seq) for e in one.release_until(threshold)]
             assert expected == [
                 (e.event_time, e.seq) for e in bulk.release_until(threshold)
@@ -127,24 +139,29 @@ class TestBulkBufferAPIs:
             assert both.released_total == one.released_total
             assert both.max_size == one.max_size
             assert len(both) == len(one)
-        # Both sides of the size rule were taken: all 11 chunks of 37, 31 of 134.
-        assert all(sorted_chunks) if size == 37 else 0 < sum(sorted_chunks) < 40
+        # Both sides of the size rule were taken: 10 of the 11 chunks of 37
+        # merged (the first is appended); of the 134 chunks of 3, 8 merged
+        # and 125 inserted.
+        if size == 37:
+            assert len(merged) == 10 and all(merged)
+        else:
+            assert any(merged) and any(inserted)
         rest = [(e.event_time, e.seq) for e in one.drain()]
         assert rest == [(e.event_time, e.seq) for e in bulk.drain()]
-        # What ``push_release`` left is a heap for scalar pushes and pops.
+        # What ``push_release`` left takes scalar pushes and releases.
         both.push(el(0.0, seq=1000))
         assert [(e.event_time, e.seq) for e in both.drain()] == [(0.0, 1000), *rest]
 
     def test_sort_and_split_large_release(self):
-        # Releasing most of a large buffer takes the sort-and-split path;
-        # order and remainder must match per-element heap semantics.
+        # Releasing most of a large buffer cuts whole runs, then slices one;
+        # order and remainder must match per-element semantics.
         buffer = SortingBuffer()
         buffer.push_many([el(float(ts), seq=ts) for ts in range(1000, 0, -1)])
         released = buffer.release_until(900.0)
         assert [e.event_time for e in released] == [float(t) for t in range(1, 901)]
         assert len(buffer) == 100
         assert buffer.peek_event_time() == 901.0
-        # The remainder must still be a valid heap for scalar pops.
+        # The remainder must still serve scalar releases.
         assert [e.event_time for e in buffer.release_until(902.0)] == [901.0, 902.0]
 
     def test_released_total(self):
@@ -166,15 +183,15 @@ class TestBulkBufferAPIs:
 #: Event times on a coarse grid, so that most ties are broken by ``seq``.
 GRID = st.integers(0, 24).map(lambda step: step * 0.5)
 
-#: Where a step's threshold lies: relative to the heap minimum (or to the
-#: arriving element on an empty heap), at the element, at a drawn grid
-#: time, or at the heap's upper quartile (a release of most of a large heap
-#: takes ``release_until``'s sort fallback).
+#: Where a step's threshold lies: relative to the held minimum (or to the
+#: arriving element when nothing is held), at the element, at a drawn grid
+#: time, or at the held elements' upper quartile (a release of most of a
+#: large buffer cuts whole runs).
 THRESHOLDS = ("-inf", "below-min", "at-min", "above-min", "element", "grid", "most")
 
 
-def resolve_threshold(kind, buffer, element, grid_time):
-    times = sorted(entry[0] for entry in buffer._heap)
+def resolve_threshold(kind, held, element, grid_time):
+    times = sorted(e.event_time for e in held)
     floor = times[0] if times else element.event_time
     return {
         "-inf": float("-inf"),
@@ -191,50 +208,147 @@ def trace_records(recorder):
     return [(event.kind, event.sim_time, event.fields) for event in recorder.events]
 
 
+#: One step of a buffer script: the operation, then what it draws.
+OPERATIONS = ("push", "push_release_one", "push_many", "push_release", "release_until", "drain")
+
+
 @st.composite
-def buffer_scripts(draw):
-    size = draw(st.sampled_from([0, 1, 5, 80, 200]))
-    held = draw(st.lists(GRID, min_size=size, max_size=size))
+def operation_scripts(draw):
+    """A held start (pushed one by one or as one chunk), then operations."""
+    size = draw(st.sampled_from([0, 3, 60, 1500, 3000]))
+    start = draw(st.lists(GRID, min_size=min(size, 60), max_size=min(size, 60)))
+    start *= max(1, size // 60)  # Past ``RUN_LENGTH``: runs split and ties span runs.
     steps = draw(
-        st.lists(st.tuples(GRID, st.sampled_from(THRESHOLDS), GRID), min_size=1, max_size=40)
+        st.lists(
+            st.tuples(
+                st.sampled_from(OPERATIONS),
+                st.lists(GRID, min_size=1, max_size=24),
+                st.sampled_from(THRESHOLDS),
+                GRID,
+                # How many of the step's elements are field-equal copies of
+                # held ones (at most the held count), drawn by position.
+                st.lists(st.integers(0, 10**6), max_size=3),
+            ),
+            min_size=1,
+            max_size=30,
+        )
     )
-    batch = sorted(draw(st.lists(GRID, max_size=12)))
-    return held, steps, batch
+    return start, draw(st.booleans()), steps
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(buffer_scripts())
-def test_push_release_one_equals_push_then_release_until(script):
-    """The scalar verb is ``push`` + ``release_until``, counters and trace too."""
-    held, steps, batch = script
-    fast, twin = SortingBuffer(), SortingBuffer()
-    fast.tracer, twin.tracer = TraceRecorder(detail=True), TraceRecorder(detail=True)
+def _copy(element):
+    return StreamElement(
+        event_time=element.event_time, value=element.value, key=element.key,
+        arrival_time=element.arrival_time, seq=element.seq,
+    )
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(operation_scripts())
+def test_buffer_matches_a_sorted_list_model(script):
+    """Every verb against a list sorted by ``event_sort_key``; the fused
+    verbs against their two-call spelling, trace records included."""
+    start, as_chunk, steps = script
+    buffer, twin = SortingBuffer(), SortingBuffer()
+    buffer.tracer, twin.tracer = TraceRecorder(detail=True), TraceRecorder(detail=True)
     seqs = itertools.count()
-    for time in held:
-        element = el(time, seq=next(seqs))
-        fast.push(element)
-        twin.push(element)
-    for time, kind, grid_time in steps:
-        element = el(time, seq=next(seqs))
-        threshold = resolve_threshold(kind, twin, element, grid_time)
-        twin.push(element)
-        expected = twin.release_until(threshold)
-        released = fast.push_release_one(element, threshold)
-        assert len(released) == len(expected)
-        assert all(a is b for a, b in zip(released, expected))
-        assert len(fast) == len(twin)
-        assert fast.max_size == twin.max_size
-        assert fast.released_total == twin.released_total
-        assert fast.peek_event_time() == twin.peek_event_time()
-    # An ascending batch extends the heap tail only above ``_tail_key``.
-    elements = [el(time, seq=next(seqs)) for time in batch]
-    fast.push_many(elements)
-    twin.push_many(elements)
-    assert fast._tail_key == twin._tail_key
-    assert [(t, s, id(e)) for t, s, e in fast._heap] == [
-        (t, s, id(e)) for t, s, e in twin._heap
+    model, peak, released_total = [], 0, 0
+
+    def release(threshold):
+        nonlocal model, released_total
+        ordered = sorted(model, key=StreamElement.event_sort_key)
+        due = [e for e in ordered if e.event_time <= threshold]
+        model = ordered[len(due):]
+        released_total += len(due)
+        return due
+
+    def same(released, expected):
+        assert [id(e) for e in released] == [id(e) for e in expected]
+
+    elements = [el(time, seq=next(seqs)) for time in start]
+    if as_chunk:
+        buffer.push_many(elements)
+        twin.push_many(elements)
+    else:
+        for element in elements:
+            buffer.push(element)
+            twin.push(element)
+    model, peak = list(elements), len(elements)
+    for operation, times, kind, grid_time, copies in steps:
+        elements = [el(time, seq=next(seqs)) for time in times]
+        for slot in copies[: len(model)]:
+            elements[slot % len(elements)] = _copy(model[slot % len(model)])
+        threshold = resolve_threshold(kind, model, elements[0], grid_time)
+        if operation in ("push", "push_release_one"):
+            element = elements[0]
+            model.append(element)
+            peak = max(peak, len(model))
+            if operation == "push":
+                buffer.push(element)
+                twin.push(element)
+            else:
+                twin.push(element)
+                expected = release(threshold)
+                same(twin.release_until(threshold), expected)
+                same(buffer.push_release_one(element, threshold), expected)
+        elif operation in ("push_many", "push_release"):
+            model += elements
+            peak = max(peak, len(model))
+            twin.push_many(elements)
+            if operation == "push_many":
+                buffer.push_many(elements)
+            else:
+                expected = release(threshold)
+                same(twin.release_until(threshold), expected)
+                same(buffer.push_release(elements, threshold), expected)
+        elif operation == "release_until":
+            expected = release(threshold)
+            same(twin.release_until(threshold), expected)
+            same(buffer.release_until(threshold), expected)
+        else:
+            expected = release(float("inf"))
+            same(twin.drain(), expected)
+            same(buffer.drain(), expected)
+        for checked in (buffer, twin):
+            assert len(checked) == len(model)
+            assert checked.max_size == peak
+            assert checked.released_total == released_total
+            assert checked.peek_event_time() == min(
+                (e.event_time for e in model), default=None
+            )
+    same(buffer.drain(), release(float("inf")))
+    assert trace_records(buffer.tracer) == trace_records(twin.tracer)
+
+
+@pytest.mark.parametrize("chunk", [1, 512])
+def test_a_held_element_costs_at_most_32_bytes(chunk):
+    """The buffer's own allocations per held element, elements excluded.
+
+    A ``(event_time, seq, element)`` tuple and a heap slot came to about
+    73 B; two list slots and the lists' slack stay well under 32 B.
+    """
+    rng = random.Random(11)
+    count = 20_000
+    elements = [el(i * 0.01 + rng.uniform(0.0, 5.0), seq=i) for i in range(count)]
+    buffer = SortingBuffer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        if chunk == 1:
+            for element in elements:
+                buffer.push(element)
+        else:
+            for start in range(0, count, chunk):
+                buffer.push_many(elements[start : start + chunk])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buffer) == count
+    assert (held - base) / count <= 32
+    assert [e.seq for e in buffer.drain()] == [
+        e.seq for e in sorted(elements, key=StreamElement.event_sort_key)
     ]
-    assert trace_records(fast.tracer) == trace_records(twin.tracer)
 
 
 @pytest.mark.parametrize("batch_size", [0, 16])
