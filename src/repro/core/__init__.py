@@ -1,6 +1,6 @@
 """The paper's contribution: quality-driven adaptive disorder handling."""
 
-from repro.core.aqk import AdaptationRecord, AQKSlackHandler
+from repro.core.aqk import AdaptationLog, AdaptationRecord, AQKSlackHandler
 from repro.core.controller import (
     AIMDController,
     NoFeedbackController,
@@ -42,6 +42,7 @@ from repro.core.spec import LatencyBudget, QualityTarget
 __all__ = [
     "AIMDController",
     "AQKSlackHandler",
+    "AdaptationLog",
     "AdaptationRecord",
     "AdditiveMassModel",
     "DelaySample",

@@ -28,8 +28,11 @@ downstream window lifecycles stay well-defined.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import overload
 
 import numpy as np
 
@@ -61,7 +64,7 @@ MIN_LATE_FRACTION = 1e-4
 BUDGET_QUANTILE_CAP = 0.999
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptationRecord:
     """One adaptation round, for timelines and debugging."""
 
@@ -71,6 +74,74 @@ class AdaptationRecord:
     k_applied: float
     observed_error_ewma: float | None
     controller_gain: float | None
+
+
+_FIELDS = tuple(field.name for field in fields(AdaptationRecord))
+_COLUMNS = attrgetter(*_FIELDS)
+
+#: How a column holds ``None``: a NaN with its sign bit set.  Every other
+#: NaN is held as ``math.nan`` and read back as that object, so a record
+#: read back equals the one logged, NaN fields included.
+_NONE = -math.nan
+
+
+def _cell(value: float | None) -> float:
+    return _NONE if value is None else math.nan if math.isnan(value) else value
+
+
+def _field(value: float) -> float | None:
+    if not math.isnan(value):
+        return value
+    return math.nan if math.copysign(1.0, value) > 0 else None
+
+
+class AdaptationLog(Sequence[AdaptationRecord]):
+    """AQ-K's adaptation rounds as six float64 columns, read as a sequence of records.
+
+    One ``array('d')`` per :class:`AdaptationRecord` field, so a round
+    costs six floats; a record is built when read.  ``==`` holds against
+    another log or a list of equal records.  ``arrival_time`` is
+    strictly increasing (rounds fire at rising arrival times), so the
+    round in force at an arrival instant is one ``bisect`` away.
+    """
+
+    __slots__ = _FIELDS
+    arrival_time: array[float]  # the five others alike
+
+    def __init__(self) -> None:
+        for name in _FIELDS:
+            setattr(self, name, array("d"))
+
+    def add_round(self, *values: float | None) -> None:
+        """Log one round: its six field values, in field order."""
+        for column, value in zip(_COLUMNS(self), values, strict=True):
+            column.append(_cell(value))
+
+    def __len__(self) -> int:
+        return len(self.arrival_time)
+
+    @overload
+    def __getitem__(self, index: int) -> AdaptationRecord: ...
+    @overload
+    def __getitem__(self, index: slice) -> list[AdaptationRecord]: ...
+    def __getitem__(
+        self, index: int | slice
+    ) -> AdaptationRecord | list[AdaptationRecord]:
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        return AdaptationRecord(*[_field(column[index]) for column in _COLUMNS(self)])
+
+    def __iter__(self) -> Iterator[AdaptationRecord]:
+        for row in zip(*_COLUMNS(self)):
+            yield AdaptationRecord(*map(_field, row))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AdaptationLog):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AdaptationLog({list(self)!r})"
 
 
 class AQKSlackHandler(SlackHandler):
@@ -133,7 +204,7 @@ class AQKSlackHandler(SlackHandler):
 
         super().__init__()
         self.k = 0.0
-        self.adaptations: list[AdaptationRecord] = []
+        self.adaptations = AdaptationLog()
         self._value_stats = ValueStatsTracker()
         self._rate = RateTracker()
         self._last_adapt_arrival = float("-inf")
@@ -170,31 +241,16 @@ class AQKSlackHandler(SlackHandler):
         # everything back rather than releasing it.
         self.k = max(0.0, min(math.inf, k_applied))
         state = self.controller.state() if self.controller is not None else {}
-        self.adaptations.append(
-            AdaptationRecord(
-                arrival_time=arrival_time,
-                allowed_late_fraction=p_allowed,
-                k_estimate=k_estimate,
-                k_applied=self.k,
-                observed_error_ewma=state.get("error_ewma"),
-                controller_gain=state.get("gain"),
-            )
+        self.adaptations.add_round(
+            arrival_time, p_allowed, k_estimate, self.k,
+            state.get("error_ewma"), state.get("gain"),
         )
 
     def _adapt_budget(self, arrival_time: float, budget: float) -> None:
         useful = self.delay_sample.quantile(BUDGET_QUANTILE_CAP)
         k_applied = min(budget, useful)
         self.k = max(0.0, min(math.inf, k_applied))
-        self.adaptations.append(
-            AdaptationRecord(
-                arrival_time=arrival_time,
-                allowed_late_fraction=math.nan,
-                k_estimate=useful,
-                k_applied=self.k,
-                observed_error_ewma=None,
-                controller_gain=None,
-            )
-        )
+        self.adaptations.add_round(arrival_time, math.nan, useful, self.k, None, None)
 
     def _run_adaptation(self, arrival_time: float) -> None:
         k_before = self.k

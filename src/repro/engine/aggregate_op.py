@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -46,8 +47,6 @@ from repro.streams.element import StreamElement
 from repro.streams.timebase import ArrivalTimeStamp, DurationS, EventTimeStamp
 
 if TYPE_CHECKING:
-    from array import array
-
     from repro.engine.partial_tree import _SliceStore, _SliceTree
 
 #: Values one cell or slice entry may hold staged: a window that stays open
@@ -155,7 +154,7 @@ class OperatorStats:
     late_dropped: int = 0
     late_applied_to_feedback: int = 0
     missed_windows: int = 0
-    observed_errors: list[float] = field(default_factory=list)
+    observed_errors: array[float] = field(default_factory=lambda: array("d"))
 
 
 def _emit(

@@ -27,8 +27,8 @@ sort of those runs and that part, or, when they outnumber it by more than
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
+from operator import attrgetter, ge
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streams.element import StreamElement
@@ -42,7 +42,8 @@ RUN_LENGTH = 1024
 #: small part never pays for a large buffer.
 MERGE_RATIO = 4
 
-_TIME = itemgetter(0)
+_TIME = attrgetter("event_time")
+_SEQ = attrgetter("seq")
 
 
 def _tie(element: StreamElement, held: StreamElement) -> None:
@@ -55,6 +56,26 @@ def _tie(element: StreamElement, held: StreamElement) -> None:
     """
     if element != held:
         element.__lt__(held)
+
+
+def _in_order(elements: list[StreamElement]) -> tuple[list[float], list[StreamElement]]:
+    """``elements`` in ``(event_time, seq)`` order, with their event times.
+
+    Sorts keyed by plain floats and ints, so held runs merge without a
+    tuple per element: one by event time and, where two event times tie,
+    one by ``seq`` and a stable one by event time again (both on nearly
+    sorted input).  Only a tie among repeated ``seq`` values sorts
+    ``(event_time, seq, element)`` tuples, which compares two elements
+    only as :func:`_tie` does."""
+    items = sorted(elements, key=_TIME)
+    times = list(map(_TIME, items))
+    if any(map(ge, times, islice(times, 1, None))):
+        if len(set(map(_SEQ, items))) < len(items):
+            items = [entry[2] for entry in sorted([(e.event_time, e.seq, e) for e in elements])]
+        else:
+            items.sort(key=_SEQ)
+            items.sort(key=_TIME)
+    return times, items
 
 
 class SortingBuffer:
@@ -252,28 +273,22 @@ class SortingBuffer:
         """
         if not elements:
             return
-        # Sorting the tuples compares two elements only where they tie on
-        # (event_time, seq), which is :func:`_tie`'s contract.
-        entries = sorted([(element.event_time, element.seq, element) for element in elements])
+        times, items = _in_order(elements)
         runs, lasts = self._times, self._lasts
-        split = bisect_right(entries, lasts[-1], key=_TIME) if runs else 0
+        split = bisect_right(times, lasts[-1]) if runs else 0
         if split:
-            run = bisect_left(lasts, entries[0][0])
+            run = bisect_left(lasts, times[0])
             if sum(map(len, runs[run:])) > MERGE_RATIO * split:
                 insert = self._insert
-                for entry in entries[:split]:
-                    insert(entry[2])
+                for element in items[:split]:
+                    insert(element)
             else:
-                merged: list[tuple[float, int, StreamElement]] = []
-                for times, items in zip(runs[run:], self._items[run:]):
-                    merged += zip(times, [element.seq for element in items], items)
-                merged += entries[:split]
-                merged.sort()
+                held = list(chain.from_iterable(self._items[run:]))
                 del runs[run:], self._items[run:], lasts[run:]
-                self._extend([entry[0] for entry in merged], [entry[2] for entry in merged])
-            del entries[:split]
-        if entries:
-            self._extend([entry[0] for entry in entries], [entry[2] for entry in entries])
+                self._extend(*_in_order(held + items[:split]))
+            del times[:split], items[:split]
+        if times:
+            self._extend(times, items)
         self._size += len(elements)
         if self._size > self._max_size:
             self._max_size = self._size

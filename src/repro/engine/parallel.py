@@ -281,7 +281,7 @@ class ShardRunner:
         self._gather(self._driven.finish())
         handler = self._handler
         run.late_dropped = self._stats.late_dropped
-        run.observed_errors = array("d", self._stats.observed_errors)
+        run.observed_errors = self._stats.observed_errors
         run.current_slack = handler.current_slack
         run.max_buffered = handler.max_buffered_count()
         run.released = handler.released_count()
@@ -835,4 +835,4 @@ class _MergedStats:
     elements_in: int = 0
     results_out: int = 0
     late_dropped: int = 0
-    observed_errors: list[float] = field(default_factory=list)
+    observed_errors: array[float] = field(default_factory=lambda: array("d"))

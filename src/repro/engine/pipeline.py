@@ -15,6 +15,7 @@ and cost nothing when unused.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from repro.engine.metrics import METRIC_NAMES, LatencySummary, RunMetrics
@@ -27,13 +28,14 @@ from repro.streams.element import StreamElement
 
 @dataclass
 class RunOutput:
-    """Results plus instrumentation of one pipeline run."""
+    """Results plus instrumentation of one pipeline run; compare ``observed_errors`` via ``list``."""
 
     results: list[WindowResult]
     metrics: RunMetrics
-    #: One error per retired window; empty when the run's handler takes no
-    #: feedback (``DisorderHandler.takes_feedback``) and none was tracked.
-    observed_errors: list[float] = field(default_factory=list)
+    #: One error per retired window, in the operator's own ``array('d')``;
+    #: empty when the run's handler takes no feedback
+    #: (``DisorderHandler.takes_feedback``) and none was tracked.
+    observed_errors: array[float] = field(default_factory=lambda: array("d"))
 
     def latency_summary(self, include_flushed: bool = False) -> LatencySummary:
         """Latency distribution over frontier-closed windows.
@@ -190,5 +192,5 @@ def run_pipeline(
             n_results=len(results),
             wall_time_s=wall_time_s,
         )
-    observed_errors = list(getattr(stats, "observed_errors", []))
-    return RunOutput(results=results, metrics=metrics, observed_errors=observed_errors)
+    errors = getattr(stats, "observed_errors", None)
+    return RunOutput(results, metrics, array("d") if errors is None else errors)

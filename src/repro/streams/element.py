@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError, StreamOrderError
 
 @dataclass(frozen=True, slots=True, init=False)
 class StreamElement:
-    """One timestamped record of a data stream.
+    """One timestamped record of a data stream (numpy scalar keys, not tuples of them, become Python scalars).
 
     Attributes:
         event_time: Source timestamp in seconds (event-time domain).
@@ -55,6 +55,12 @@ class StreamElement:
         # payloads stay as they are: large integer IDs stay exact.
         if type(value) is not float and isinstance(value, np.floating):
             value = float(value)
+        # A numpy scalar key becomes its Python scalar: ``np.int64(1) ==
+        # Decimal(1)`` holds but ``Decimal(1) == np.int64(1)`` raises, so a
+        # dict holding both would work or fail by which it compared first.
+        # Tuples keep what they hold.
+        if type(key) is not str and isinstance(key, (np.number, np.bool_)):
+            key = key.item()
         # Both checks are negated comparisons so that NaN, for which every
         # comparison is false, is rejected with the out-of-range values.
         if not (0 <= event_time < inf):

@@ -94,11 +94,12 @@ def disordered_stream(rng, duration=60, rate=50, mean_delay=0.5, keys=None):
 #: Routing keys in ``==`` classes across types (bool, int, float, numpy
 #: scalars, ``Decimal``, ``Fraction``, ``complex``, tuples of them), mixed
 #: with strings, one of which prints as a number.  A store folds each
-#: class into one group.  (``Decimal(1) == np.int64(1)`` raises, so no
-#: class holds both.)
+#: class into one group.  (A numpy scalar key is its Python scalar by the
+#: time an element holds it, so ``np.int64(1)`` and ``Decimal(1)``, which
+#: compare one way only, share a class.)
 EQUAL_KEYS = (
-    1, 1.0, True, Decimal(1), Fraction(1), 1 + 0j, 0, 0.0, -0.0, False,
-    np.float32(3.0), 3, np.int64(3),
+    1, 1.0, True, np.int64(1), Decimal(1), Fraction(1), 1 + 0j, 0, 0.0, -0.0, False,
+    np.float32(3.0), 3,
     ("t", 1), ("t", 1.0), ("t", np.bool_(True)), "a", "b", "1",
 )
 

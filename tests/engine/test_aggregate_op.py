@@ -418,7 +418,7 @@ class TestFeedback:
             track_feedback=False,
         )
         output = run_pipeline(small_disordered_stream, operator)
-        assert output.observed_errors == []
+        assert list(output.observed_errors) == []
 
     def test_exact_run_observes_zero_errors(self, rng):
         stream = inject_disorder(
@@ -629,7 +629,7 @@ class TestFeedbackDefault:
             assert operator.slice_count() <= bound
         assert operator.stats.late_dropped  # late elements reached closed slices
         operator.finish()
-        assert operator.stats.observed_errors == []
+        assert list(operator.stats.observed_errors) == []
 
     def test_fixed_k_naive_retains_no_closed_record(self, rng):
         stream = inject_disorder(
@@ -644,7 +644,7 @@ class TestFeedbackDefault:
         operator.finish()
         stats = operator.stats
         assert stats.late_dropped and stats.results_out
-        assert stats.observed_errors == [] and stats.missed_windows == 0
+        assert list(stats.observed_errors) == [] and stats.missed_windows == 0
 
 
 class TestKeyedStreams:

@@ -470,7 +470,7 @@ def test_runner_batched_feed_matches_an_element_by_element_run(make_handler, mod
             run.key_index, run.starts, run.ends, run.values, run.counts
         )
     ] == [(r.key, r.window.start, r.window.end, r.value, r.count) for r in scalar]
-    assert list(run.observed_errors) == operator.stats.observed_errors
+    assert list(run.observed_errors) == list(operator.stats.observed_errors)
     assert run.late_dropped == operator.stats.late_dropped
     if make_handler is aqk_handler:
         assert len(handler.adaptations) > 1

@@ -386,7 +386,7 @@ def test_untouched_window_retires_without_a_merge(tree_class):
     aggregate.merges = 0
     errors = []
     store.retire(6.0, 0.0, errors.append)
-    assert errors == store.stats.observed_errors == [0.0]
+    assert errors == list(store.stats.observed_errors) == [0.0]
     assert aggregate.merges == 0
 
 
@@ -636,7 +636,7 @@ def test_unmarked_window_retires_with_relative_error_of_its_value(
     assert (first.window.start, second.window.start) == (0.0, 5.0)
     errors = []
     store.retire(12.0, 0.0, errors.append)
-    assert errors == store.stats.observed_errors
+    assert errors == list(store.stats.observed_errors)
     assert errors[0] == relative_error(first.value, first.value)
     if type(first.value) is not float:  # int, float subclass, tuple: through the call
         assert nan_equal(scored[0], (first.value, first.value))
@@ -724,7 +724,7 @@ def test_windows_retire_in_end_order_with_ties_in_emission_order(batch_size):
     ]
     assert retired == JUMP_RETIREMENTS
     assert retired == sorted(emitted, key=lambda pair: pair[1])  # stable: ties as emitted
-    errors = operator.stats.observed_errors
+    errors = list(operator.stats.observed_errors)
     assert errors == [0.53125 if pair == ("c", 10) else 0.0 for pair in retired]
     # Keys filed under different ends: ends in order, the keys of one end
     # in filing order, each key closing all its due ends when its turn comes.
@@ -735,7 +735,7 @@ def test_windows_retire_in_end_order_with_ties_in_emission_order(batch_size):
     assert retired == sorted(
         [(key, end) for key, end, __ in STAGGERED_RESULTS], key=lambda pair: pair[1]
     )
-    assert operator.stats.observed_errors == [0.0] * len(STAGGERED_RESULTS)
+    assert list(operator.stats.observed_errors) == [0.0] * len(STAGGERED_RESULTS)
 
 
 def rewinding_operator(size, lag):
@@ -807,7 +807,7 @@ def test_rewind_scenarios_emit_and_score_as_before_the_pending_fix():
                 for r in run_pipeline(stream, operator).results
             ]
             stats = operator.stats
-            digest.update(repr((rows, stats.observed_errors, stats.late_dropped)).encode())
+            digest.update(repr((rows, list(stats.observed_errors), stats.late_dropped)).encode())
     assert digest.hexdigest() == (
         "1fd8c3d216f34929c29fde94efcdd70226d988f1faa8e20bd585ff3aa4636ff6"
     )

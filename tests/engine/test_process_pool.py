@@ -331,8 +331,9 @@ def test_unkeyed_stream_matches_the_unsharded_run(pool, n_shards, handler):
 
 def test_process_reports_the_key_objects_the_serial_executor_reports(pool):
     """Keys that compare equal but differ in type (``1``, ``1.0``, ``True``,
-    ``np.int64(1)``) cross the wire each as itself, so row by row both
-    executors name a group with the same key object."""
+    ``Decimal(1)``) cross the wire each as itself, so row by row both
+    executors name a group with the same key object.  (A numpy scalar key
+    is already its Python scalar in the element, so none reaches the wire.)"""
     stream = equal_keys_stream()
     k = no_late_k(stream)
     serial, process = (

@@ -187,7 +187,7 @@ def test_every_mode_records_the_same_protocol_events(mode, batch_size):
     assert len(closes) == len(traced.results)
     retired = list(recorder.of_kind("window.retire"))
     assert len(retired) == len(traced.observed_errors) > 0
-    assert [event.fields["error"] for event in retired] == traced.observed_errors
+    assert [event.fields["error"] for event in retired] == list(traced.observed_errors)
     untraced = _mode_run(mode, batch_size)
     assert traced.results == untraced.results
     assert traced.observed_errors == untraced.observed_errors

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from decimal import Decimal
 import pickle
 import struct
 
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 from repro.engine import process_pool
+from repro.engine.pipeline import run_pipeline
+from repro.engine.windows import sliding
 from repro.engine.process_pool import decode_chunk, encode_chunk
 from repro.errors import ConfigurationError, StreamOrderError
+from repro.queries.language import ContinuousQuery
 from repro.streams.element import StreamElement, ensure_arrival_order
 
 
@@ -120,6 +124,33 @@ class TestConstructorContract:
         big = 2**63 + 1
         for value in (big, True, "text", (1, 2), np.int64(7)):
             assert StreamElement(0.0, value).value is value
+
+    def test_numpy_scalar_keys_become_python_scalars(self):
+        for key, python in ((np.int64(7), 7), (np.float32(2.5), 2.5), (np.bool_(True), True)):
+            el = StreamElement(0.0, 1.0, key)
+            assert type(el.key) is type(python) and el.key == python
+        assert StreamElement(0.0, 1.0, "k").key == "k"
+        # Tuples keep what they hold.
+        assert type(StreamElement(0.0, 1.0, ("t", np.int64(1))).key[1]) is np.int64
+
+    @pytest.mark.parametrize("batch_size", [0, 16])
+    def test_numpy_and_decimal_keys_of_one_value_are_one_group(self, batch_size):
+        """``np.int64(1) == Decimal(1)`` holds but the reverse raises: with
+        numpy keys kept, the naive store raised and the tree store did not."""
+        stream = [
+            StreamElement(0.1 * i, 1.0, np.int64(1) if i % 2 else Decimal(1), 0.1 * i, i)
+            for i in range(100)
+        ]
+        rows = [
+            [(r.key, r.window, r.value, r.count) for r in run_pipeline(
+                stream,
+                ContinuousQuery().window(sliding(2, 1)).aggregate("sum")
+                .mode(mode).with_slack(0.5).build_operator(),
+                batch_size=batch_size,
+            ).results]
+            for mode in ("naive", "tree")
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) == 10
 
     def test_positional_and_keyword_construction_agree(self):
         positional = StreamElement(1.0, 2.0, "k", 3.0, 4)
