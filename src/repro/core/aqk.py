@@ -131,17 +131,10 @@ class AdaptationLog(Sequence[AdaptationRecord]):
             return [self[row] for row in range(*index.indices(len(self)))]
         return AdaptationRecord(*[_field(column[index]) for column in _COLUMNS(self)])
 
-    def __iter__(self) -> Iterator[AdaptationRecord]:
-        for row in zip(*_COLUMNS(self)):
-            yield AdaptationRecord(*map(_field, row))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AdaptationLog):
             other = list(other)
         return list(self) == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"AdaptationLog({list(self)!r})"
 
 
 class AQKSlackHandler(SlackHandler):
@@ -239,7 +232,7 @@ class AQKSlackHandler(SlackHandler):
             k_applied = k_estimate
         # Clamp at 0; ``min`` keeps ``inf`` against a NaN, so a NaN K holds
         # everything back rather than releasing it.
-        self.k = max(0.0, min(math.inf, k_applied))
+        self.k = float(max(0.0, min(math.inf, k_applied)))
         state = self.controller.state() if self.controller is not None else {}
         self.adaptations.add_round(
             arrival_time, p_allowed, k_estimate, self.k,
@@ -249,7 +242,7 @@ class AQKSlackHandler(SlackHandler):
     def _adapt_budget(self, arrival_time: float, budget: float) -> None:
         useful = self.delay_sample.quantile(BUDGET_QUANTILE_CAP)
         k_applied = min(budget, useful)
-        self.k = max(0.0, min(math.inf, k_applied))
+        self.k = float(max(0.0, min(math.inf, k_applied)))
         self.adaptations.add_round(arrival_time, math.nan, useful, self.k, None, None)
 
     def _run_adaptation(self, arrival_time: float) -> None:

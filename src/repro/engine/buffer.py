@@ -61,20 +61,14 @@ def _tie(element: StreamElement, held: StreamElement) -> None:
 def _in_order(elements: list[StreamElement]) -> tuple[list[float], list[StreamElement]]:
     """``elements`` in ``(event_time, seq)`` order, with their event times.
 
-    Sorts keyed by plain floats and ints, so held runs merge without a
-    tuple per element: one by event time and, where two event times tie,
-    one by ``seq`` and a stable one by event time again (both on nearly
-    sorted input).  Only a tie among repeated ``seq`` values sorts
-    ``(event_time, seq, element)`` tuples, which compares two elements
-    only as :func:`_tie` does."""
+    Sorts keyed by event time, so held runs merge without a tuple per
+    element.  Where two event times tie it sorts ``(event_time, seq,
+    element)`` tuples instead, which compares two elements only as
+    :func:`_tie` does."""
     items = sorted(elements, key=_TIME)
     times = list(map(_TIME, items))
     if any(map(ge, times, islice(times, 1, None))):
-        if len(set(map(_SEQ, items))) < len(items):
-            items = [entry[2] for entry in sorted([(e.event_time, e.seq, e) for e in elements])]
-        else:
-            items.sort(key=_SEQ)
-            items.sort(key=_TIME)
+        items = [entry[2] for entry in sorted(zip(times, map(_SEQ, items), items))]
     return times, items
 
 

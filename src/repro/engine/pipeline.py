@@ -192,5 +192,4 @@ def run_pipeline(
             n_results=len(results),
             wall_time_s=wall_time_s,
         )
-    errors = getattr(stats, "observed_errors", None)
-    return RunOutput(results, metrics, array("d") if errors is None else errors)
+    return RunOutput(results, metrics, getattr(stats, "observed_errors", array("d")))

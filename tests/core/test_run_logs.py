@@ -78,12 +78,21 @@ def aqk_query(target, duration):
     return stream, query.with_handler(handler).build_operator()
 
 
-@pytest.mark.parametrize("target", [QualityTarget(0.02), LatencyBudget(0.5)])
+@pytest.mark.parametrize(
+    "target", [QualityTarget(0.02), LatencyBudget(0.5), LatencyBudget(1)]
+)
 def test_adaptation_trace_records_are_the_log_rows(target):
+    """The trace, the log and the handler carry one K, a float even when
+    the budget is an int."""
     stream, operator = aqk_query(target, 60.0)
     recorder = TraceRecorder()
     run_pipeline(stream, operator, trace=recorder)
     log = operator.handler.adaptations
+    assert type(operator.handler.k) is float
+    assert all(
+        type(e.fields["k_before"]) is type(e.fields["k_after"]) is float
+        for e in recorder.of_kind("adaptation")
+    )
     traced = [
         (e.sim_time, e.fields["allowed_late_fraction"], e.fields["k_estimate"],
          e.fields["k_after"], e.fields["error_ewma"], e.fields["gain"])
